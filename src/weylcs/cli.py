@@ -14,11 +14,14 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
+import scipy.sparse
 
 from . import __version__
 from .domains import rectangle_domain
-from .eigen import CertificationError, dense_spectrum, save_spectrum, spectrum_below
-from .frames import FrameError, analytic_symbol, build_frame, forward
+from .eigen import (CertificationError, DenseLimitError, dense_spectrum,
+                    save_spectrum, spectrum_below)
+from .frames import (FrameError, analytic_symbol, build_frame, forward,
+                     rayleigh_symbol, trace_via_frame)
 from .operators import assemble_euclidean, assemble_hyperbolic
 from .weyl import (
     build_curve,
@@ -54,7 +57,6 @@ class ExperimentConfig:
     n_vectors: int = 100
     out: str | None = None
     seed: int = 0
-    threads: int = 1
 
     def header_lines(self):
         lines = [f"weylcs_version={__version__}"]
@@ -72,10 +74,10 @@ class ExperimentConfig:
 
 def _parse_box(text):
     try:
-        return tuple(tuple(float(u) for u in part.split(","))
-                     for part in text.split(";"))
+        return tuple((float(a), float(b))
+                     for a, b in (part.split(",") for part in text.split(";")))
     except ValueError as exc:
-        raise ConfigError(f"bad box spec {text!r}") from exc
+        raise ConfigError(f"bad box spec {text!r}: need one a,b pair per axis") from exc
 
 
 def _apply_kv(cfg, key, value):
@@ -83,15 +85,13 @@ def _apply_kv(cfg, key, value):
         raise ConfigError(f"unknown config key {key!r}")
     cur = getattr(cfg, key)
     if key == "box":
-        setattr(cfg, key, _parse_box(value))
-    elif isinstance(cur, bool):
-        setattr(cfg, key, value.lower() in ("1", "true", "yes"))
-    elif isinstance(cur, int):
-        setattr(cfg, key, int(value))
-    elif isinstance(cur, float):
-        setattr(cfg, key, float(value))
-    else:
-        setattr(cfg, key, value)
+        value = _parse_box(value)
+    elif isinstance(cur, (int, float)):
+        try:
+            value = type(cur)(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value {value!r} for {key}") from exc
+    setattr(cfg, key, value)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -116,8 +116,12 @@ def _validate(cfg):
         raise ConfigError(f"unknown kind {cfg.kind!r}")
     if cfg.window not in ("cosine", "bump"):
         raise ConfigError(f"unknown window {cfg.window!r}")
-    if cfg.dim < 1 or cfg.h <= 0 or cfg.eps <= 0 or cfg.lam_count < 1:
-        raise ConfigError("numeric config fields must be positive")
+    values = [getattr(cfg, f.name) for f in fields(cfg)] + [u for ab in cfg.box for u in ab]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise ConfigError("numeric config fields must be finite")
+    if cfg.dim < 1 or cfg.h <= 0 or cfg.eps <= 0 or cfg.lam_count < 1 \
+            or cfg.frame_n < 1 or cfg.seed < 0:
+        raise ConfigError("dim, h, eps, lam_count, frame_n must be positive, seed >= 0")
     if len(cfg.box) != cfg.dim:
         raise ConfigError(f"box has {len(cfg.box)} axes, dim is {cfg.dim}")
     for a, b in cfg.box:
@@ -136,6 +140,8 @@ def _window(cfg):
 
 
 def _lambda_grid(cfg):
+    if not 0 < cfg.lam_min <= cfg.lam_max:
+        raise ConfigError("the lambda grid needs 0 < lam_min <= lam_max")
     if cfg.lam_scale == "log":
         return np.geomspace(cfg.lam_min, cfg.lam_max, cfg.lam_count)
     if cfg.lam_scale == "linear":
@@ -151,22 +157,13 @@ def _operator(cfg):
 
 
 def cmd_spectrum(cfg) -> int:
-    _validate(cfg)
-    if cfg.out is None:
-        raise ConfigError("spectrum requires an output path")
     dom, op = _operator(cfg)
-    if cfg.lam_max <= 0:
-        spec = spectrum_below(op, 0.0)
-    else:
-        spec = spectrum_below(op, cfg.lam_max)
+    spec = spectrum_below(op, max(0.0, cfg.lam_max))
     save_spectrum(spec, cfg.out, kind=cfg.kind, h=cfg.h, extra=cfg.header_lines())
     return 0
 
 
 def cmd_weyl_curve(cfg) -> int:
-    _validate(cfg)
-    if cfg.out is None:
-        raise ConfigError("weyl-curve requires an output path")
     lambdas = _lambda_grid(cfg)
     window = _window(cfg)
     if cfg.source == "exact":
@@ -190,9 +187,13 @@ def cmd_weyl_curve(cfg) -> int:
             else math.prod(b - a for a, b in dom.exact_box)
         leading_fn = lambda lam: euclidean_leading(vol, cfg.dim, lam)
 
-    curve = build_curve(spec, lambdas, leading_fn, window=window,
-                        eps_alpha=cfg.eps_alpha,
-                        meta={"kind": cfg.kind, "source": cfg.source})
+    try:
+        curve = build_curve(spec, lambdas, leading_fn, window=window,
+                            eps_alpha=cfg.eps_alpha,
+                            meta={"kind": cfg.kind, "source": cfg.source})
+    except OverflowError as exc:
+        raise ConfigError("window scale eps = lambda^-eps_alpha too large for "
+                          "the window constants") from exc
     try:
         fit = fit_remainder_exponent(curve)
         summary = ("remainder_fit slope=%.17g intercept=%.17g residual=%.17g"
@@ -222,40 +223,28 @@ def _symbol_report(cfg, h_values):
         errs = []
         for xi, y in points:
             exact = analytic_symbol(cfg.kind, window, xi, y)
-            got = _restricted_symbol(op, window, xi, y)
+            got = rayleigh_symbol(op, window, xi, y)
             errs.append(abs(got - exact))
         errors[h] = errs
         lines.append("h=%.17g max_symbol_error=%.17g" % (h, max(errs)))
     ratios = [e1 / e2 if e2 > 0 else math.inf
               for e1, e2 in zip(errors[h_values[0]], errors[h_values[1]])]
     lines.append("error_ratios=" + " ".join("%.6g" % r for r in ratios))
-    return lines, ratios
+    return lines
 
 
-def _restricted_symbol(op, window, xi, y):
-    coords = op.node_coords()
-    e = np.exp(1j * coords @ np.asarray(xi)) * window(coords - np.asarray(y))
-    nrm = np.vdot(e, e).real
-    return float(np.vdot(e, op.matrix @ e).real / nrm)
+def _write_report(cfg, lines):
+    with open(cfg.out, "w") as fh:
+        for line in ["# " + head for head in cfg.header_lines()] + lines:
+            fh.write(line + "\n")
 
 
 def cmd_symbol_check(cfg) -> int:
-    _validate(cfg)
-    if cfg.out is None:
-        raise ConfigError("symbol-check requires an output path")
-    lines, _ = _symbol_report(cfg, [cfg.h, cfg.h / 2.0])
-    with open(cfg.out, "w") as fh:
-        for line in cfg.header_lines():
-            fh.write(f"# {line}\n")
-        for line in lines:
-            fh.write(line + "\n")
+    _write_report(cfg, _symbol_report(cfg, [cfg.h, cfg.h / 2.0]))
     return 0
 
 
 def cmd_frame_check(cfg) -> int:
-    _validate(cfg)
-    if cfg.out is None:
-        raise ConfigError("frame-check requires an output path")
     window = scale(_window(cfg), cfg.eps)
     L = cfg.frame_n * cfg.h
     frame = build_frame(((0.0, L),) * cfg.dim, cfg.h, window)
@@ -265,21 +254,14 @@ def cmd_frame_check(cfg) -> int:
         f = rng.standard_normal(frame.n) + 1j * rng.standard_normal(frame.n)
         nf = frame.grid_norm_sq(f)
         defect = max(defect, abs(forward(frame, f).norm_sq() - nf) / nf)
-    from .frames import trace_via_frame
-
     diag = rng.random(frame.n)
-    tr = trace_via_frame(frame, np.diag(diag))
+    tr = trace_via_frame(frame, scipy.sparse.diags(diag))
     trace_defect = abs(tr - diag.sum()) / diag.sum()
     lines = [
         "parseval_defect=%.17g" % defect,
         "trace_defect=%.17g" % trace_defect,
     ]
-    sym_lines, _ = _symbol_report(cfg, [cfg.h, cfg.h / 2.0])
-    with open(cfg.out, "w") as fh:
-        for line in cfg.header_lines():
-            fh.write(f"# {line}\n")
-        for line in lines + sym_lines:
-            fh.write(line + "\n")
+    _write_report(cfg, lines + _symbol_report(cfg, [cfg.h, cfg.h / 2.0]))
     return 0
 
 
@@ -298,7 +280,6 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable; flags win)")
@@ -306,7 +287,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; usage errors exit 1, not 2
+        return 1 if exc.code else 0
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         for item in args.set:
@@ -318,18 +302,16 @@ def main(argv=None) -> int:
             cfg.out = args.out
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
+        _validate(cfg)
+        if cfg.out is None:
+            raise ConfigError(f"{args.command} requires an output path")
         return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, DenseLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CertificationError, FrameError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -71,6 +71,11 @@ def _inertia_negative(d):
 
 def count_below(op: DiscreteOperator, lam: float, limit=DENSE_LIMIT) -> int:
     """Number of eigenvalues strictly below lam, via LDL^T inertia of A - lam*I."""
+    return _count_below(op, lam, limit)[0]
+
+
+def _count_below(op, lam, limit):
+    """Inertia count and the shift it used: nudged downward off an eigenvalue."""
     if op.n > limit:
         raise DenseLimitError(f"n={op.n} exceeds dense limit {limit}")
     a = op.matrix.toarray()
@@ -84,31 +89,32 @@ def count_below(op: DiscreteOperator, lam: float, limit=DENSE_LIMIT) -> int:
             if attempt > 0:
                 warnings.warn(f"count_below: shift perturbed to {shift!r} "
                               "(lambda too close to an eigenvalue)")
-            return int(neg)
-        # shift sits on (or numerically at) an eigenvalue; nudge it upward
-        shift = shift + 1e-12 * scale * (attempt + 1)
+            return int(neg), shift
+        shift = shift - 1e-12 * scale * (attempt + 1)
     raise AssertionError("unreachable")
 
 
 def spectrum_below(op: DiscreteOperator, lam: float, limit=DENSE_LIMIT,
                    max_count=None) -> Spectrum:
     """All eigenvalues below lam, certified against the inertia count."""
-    expected = count_below(op, lam, limit=limit)
+    expected, shift = _count_below(op, lam, limit)
     if max_count is not None and expected > max_count:
         raise ValueError(f"expected {expected} eigenvalues, limit {max_count}")
     if expected == 0:
         return Spectrum(values=np.empty(0), cutoff=lam, certified=True)
     if op.n <= limit and (expected > op.n // 4 or expected >= op.n - 1):
         vals = scipy.linalg.eigvalsh(op.matrix.toarray())
-        vals = vals[vals < lam]
+        vals = vals[vals < shift]
     else:
         # shift-invert about zero: the operator is positive definite, so the
-        # expected smallest eigenvalues are the largest of the inverse
+        # expected smallest eigenvalues are the largest of the inverse.  A
+        # fixed start vector keeps the output identical from run to run.
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.n)
         vals = scipy.sparse.linalg.eigsh(
-            op.matrix.tocsc(), k=expected, sigma=0.0, which="LM",
+            op.matrix.tocsc(), k=expected, sigma=0.0, which="LM", v0=v0,
             return_eigenvectors=False)
         vals = np.sort(vals)
-        vals = vals[vals < lam]
+        vals = vals[vals < shift]
     if len(vals) != expected:
         raise CertificationError(found=len(vals), expected=expected)
     return Spectrum(values=np.sort(vals), cutoff=lam, certified=True)

@@ -14,20 +14,22 @@ identity holds exactly for any symmetric operator on the embedding grid.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
+import scipy.sparse as sp
 
+from .domains import _clearance
 from .operators import DiscreteOperator, DimensionMismatchError
 from .windows import Window, c_constants, grad_norm_sq
 
-# precomputing all cyclic window shifts is an n^2 array; beyond this we shift
-# on the fly
-_STACK_LIMIT = 8192
+# values per batch of shifted windows: large enough to amortize the per-call
+# FFT overhead, small enough that a batch and its transform stay in cache
+_BATCH = 1 << 16
 
 
 class FrameError(ValueError):
@@ -77,14 +79,29 @@ class CoherentFrame:
     def grid_norm_sq(self, f):
         return self.weight_y * float(np.vdot(f, f).real)
 
-    def _g_stack(self):
-        stack = getattr(self, "_stack_cache", None)
-        if stack is None and self.n <= _STACK_LIMIT:
-            stack = np.empty((self.n,) + self.shape)
-            for j, idx in enumerate(itertools.product(range(self.N), repeat=self.d)):
-                stack[j] = np.roll(self.g_grid, idx, axis=tuple(range(self.d)))
-            object.__setattr__(self, "_stack_cache", stack)
-        return stack
+
+def _shifted_windows(frame: CoherentFrame, ys=None):
+    """Yield (rows, w) with w[k] = g(x - y_k) on the grid for the y-indices ys[rows].
+
+    ys is an (m, d) array of lattice indices, all n of them in row-major order
+    by default.  Shifts wrap around the torus; batches hold about _BATCH values.
+    """
+    d, N = frame.d, frame.N
+    if ys is None:
+        ys = np.indices(frame.shape).reshape(d, -1).T
+    x = np.arange(N)
+    step = max(1, _BATCH // frame.n)
+    for start in range(0, len(ys), step):
+        rows = slice(start, start + step)
+        idx = tuple(((x - ys[rows, a, None]) % N).reshape((-1,) + (1,) * a + (N,)
+                                                         + (1,) * (d - 1 - a))
+                    for a in range(d))
+        yield rows, frame.g_grid[idx]
+
+
+def _windowed_dft(frame: CoherentFrame, w, f):
+    """Unnormalized transform rows sum_x exp(-i xi.x) w[k](x) f(x), xi in FFT order."""
+    return scipy.fft.fftn(w * f, axes=tuple(range(1, frame.d + 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,15 +149,9 @@ def forward(frame: CoherentFrame, f) -> PhaseSpaceFunction:
     if f.size != frame.n:
         raise DimensionMismatchError(f"expected {frame.n} samples, got {f.size}")
     fg = f.reshape(frame.shape)
-    axes = tuple(range(1, frame.d + 1))
-    stack = frame._g_stack()
-    if stack is not None:
-        vals = np.fft.fftn(stack * fg[None], axes=axes)
-    else:
-        vals = np.empty((frame.n,) + frame.shape, dtype=complex)
-        for j, idx in enumerate(itertools.product(range(frame.N), repeat=frame.d)):
-            w = np.roll(frame.g_grid, idx, axis=tuple(range(frame.d)))
-            vals[j] = np.fft.fftn(w * fg)
+    vals = np.empty((frame.n,) + frame.shape, dtype=complex)
+    for rows, w in _shifted_windows(frame):
+        vals[rows] = _windowed_dft(frame, w, fg)
     vals *= frame.h ** frame.d / math.sqrt(frame.s)
     return PhaseSpaceFunction(values=vals.reshape(frame.n, frame.n), frame=frame)
 
@@ -151,14 +162,9 @@ def adjoint(frame: CoherentFrame, F: PhaseSpaceFunction) -> np.ndarray:
         raise FrameError("phase-space function belongs to a different frame")
     vals = F.values.reshape((frame.n,) + frame.shape)
     axes = tuple(range(1, frame.d + 1))
-    spatial = np.fft.ifftn(vals, axes=axes)
-    stack = frame._g_stack()
-    if stack is not None:
-        acc = np.sum(stack * spatial, axis=0)
-    else:
-        acc = np.zeros(frame.shape, dtype=complex)
-        for j, idx in enumerate(itertools.product(range(frame.N), repeat=frame.d)):
-            acc += np.roll(frame.g_grid, idx, axis=tuple(range(frame.d))) * spatial[j]
+    acc = np.zeros(frame.shape, dtype=complex)
+    for rows, w in _shifted_windows(frame):
+        acc += np.sum(w * scipy.fft.ifftn(vals[rows], axes=axes), axis=0)
     return (acc / math.sqrt(frame.s)).reshape(frame.n)
 
 
@@ -176,12 +182,12 @@ def phase_space_moment(frame: CoherentFrame, f, weight) -> float:
     fg = f.reshape(frame.shape)
     xi = frame.xi_axis()
     xi_axes = np.meshgrid(*([xi] * frame.d), indexing="ij", sparse=True)
+    ys = np.indices(frame.shape).reshape(frame.d, -1).T
     total = 0.0
-    for idx in itertools.product(range(frame.N), repeat=frame.d):
-        g = np.roll(frame.g_grid, idx, axis=tuple(range(frame.d)))
-        u = np.fft.fftn(g * fg)
-        y = frame.h * np.asarray(idx, dtype=float)
-        total += float(np.sum(weight(xi_axes, y) * np.abs(u) ** 2))
+    for rows, w in _shifted_windows(frame, ys):
+        power = np.abs(_windowed_dft(frame, w, fg)) ** 2
+        for y, p in zip(frame.h * ys[rows], power):
+            total += float(np.sum(weight(xi_axes, y) * p))
     return total * frame.h ** (2 * frame.d) / (frame.s * frame.n)
 
 
@@ -190,35 +196,32 @@ class SymbolValue(NamedTuple):
     truncated: bool
 
 
+def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> float:
+    """Re <e, A e> / <e, e> for the coherent state e = exp(i xi.x) g(x - y)
+    restricted to the operator's interior nodes; nan when e vanishes there."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    coords = op.node_coords()
+    e = np.exp(1j * coords @ xi) * window(coords - y)
+    nrm = np.vdot(e, e).real
+    if nrm == 0.0:
+        return math.nan
+    return float(np.vdot(e, op.matrix @ e).real / nrm)
+
+
 def symbol(frame: CoherentFrame, op: DiscreteOperator, xi, y) -> SymbolValue:
     """Discrete symbol Re <e, A e> / <e, e> of the operator at phase-space point (xi, y).
 
     The coherent state is restricted to the operator's interior nodes; if the
     window support sticks out of the domain the value is flagged truncated.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    coords = op.node_coords()
-    e = np.exp(1j * coords @ xi) * frame.window(coords - y)
-    nrm = np.vdot(e, e).real
-    if nrm == 0.0:
-        return SymbolValue(value=math.nan, truncated=True)
-    val = float(np.vdot(e, op.matrix @ e).real / nrm)
-    truncated = _support_truncated(op.grid, y, frame.window.support_radius)
-    return SymbolValue(value=val, truncated=truncated)
-
-
-def _support_truncated(dom, y, radius):
-    from scipy.ndimage import distance_transform_edt
-
-    idx = np.clip(np.round((y - np.asarray(dom.origin)) / dom.h).astype(int),
-                  0, np.asarray(dom.shape) - 1)
-    if not dom.mask[tuple(idx)]:
-        return True
-    padded = np.pad(dom.mask, 1, constant_values=False)
-    dist = distance_transform_edt(padded, sampling=dom.h)
-    clearance = dist[tuple(idx + 1)]
-    return bool(clearance + dom.h < radius)
+    val = rayleigh_symbol(op, frame.window, xi, y)
+    dom = op.grid
+    idx = tuple(np.clip(np.round((np.atleast_1d(y) - np.asarray(dom.origin)) / dom.h)
+                        .astype(int), 0, np.asarray(dom.shape) - 1))
+    truncated = (math.isnan(val) or not dom.mask[idx]
+                 or _clearance(dom)[idx] + dom.h < frame.window.support_radius)
+    return SymbolValue(value=val, truncated=bool(truncated))
 
 
 def analytic_symbol(kind, window: Window, xi, y=None) -> float:
@@ -236,28 +239,32 @@ def analytic_symbol(kind, window: Window, xi, y=None) -> float:
 
 
 def trace_via_frame(frame: CoherentFrame, T) -> float:
-    """Phase-space trace sum; equals trace(T) exactly for symmetric T (tightness)."""
-    import scipy.sparse as sp
+    """Phase-space trace sum; equals trace(T) exactly for symmetric T (tightness).
 
-    if sp.issparse(T):
-        T = T.toarray()
-    T = np.asarray(T)
+    T may be dense or scipy.sparse; it is read column by column and never
+    densified.  The sum is taken as sum_j <Phi delta_j, Phi(T delta_j)> with
+    an explicit windowed DFT over xi, where for column j only the windows
+    covering node j contribute.
+    """
+    T = sp.csc_array(T)
     n = frame.n
     if T.shape != (n, n):
         raise DimensionMismatchError(f"operator must be {n}x{n} on the embedding grid")
-    if not np.allclose(T, T.T.conj(), rtol=0.0, atol=1e-12 * (np.abs(T).max() + 1.0)):
+    if abs(T - T.conj().T).max() > 1e-12 * (abs(T).max() + 1.0):
         raise ValueError("operator must be symmetric")
-    d, N, shape = frame.d, frame.N, frame.shape
-    axes_row = tuple(range(d))
-    axes_col = tuple(range(d, 2 * d))
+    d = frame.d
+    # column j pairs with every y = x_j - m for m in the window's support
+    support = np.argwhere(frame.g_grid != 0.0)
+    nodes = np.indices(frame.shape).reshape(d, -1).T
+    ys = ((nodes[:, None, :] - support[None, :, :]) % frame.N).reshape(-1, d)
+    cols = np.repeat(np.arange(n), len(support))
     total = 0.0
-    for idx in itertools.product(range(N), repeat=d):
-        g = np.roll(frame.g_grid, idx, axis=axes_row).reshape(n)
-        b = (g[:, None] * T * g[None, :]).reshape(shape + shape)
-        c = np.fft.fftn(b, axes=axes_row)
-        c = np.fft.ifftn(c, axes=axes_col) * n
-        diag = np.einsum("ii->i", c.reshape(n, n))
-        total += float(np.sum(diag.real))
+    for rows, w in _shifted_windows(frame, ys):
+        j = cols[rows]
+        delta = (np.arange(n) == j[:, None]).reshape(w.shape)
+        a = _windowed_dft(frame, w, delta)
+        b = _windowed_dft(frame, w, T[:, j].T.toarray().reshape(w.shape))
+        total += float(np.sum((a.conj() * b).real))
     # weights: (2pi/L)^d * h^d * (2pi)^-d = N^-d, times h^d / s from the
     # normalized frame vectors
     return total * frame.h ** d / (frame.s * n)

@@ -1,11 +1,17 @@
 """Command-line front-end: configs, exit codes, output determinism."""
 
+import contextlib
+import io
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylcs.cli import ConfigError, ExperimentConfig, _apply_kv, load_config, main
+from weylcs.cli import COMMANDS, ConfigError, ExperimentConfig, _apply_kv, \
+    load_config, main
 from weylcs.eigen import load_spectrum
 from weylcs.weyl import CURVE_HEADER
 
@@ -78,6 +84,53 @@ def test_spectrum_small_run(tmp_path):
     assert spec.certified and np.all(spec.values < 2000.0)
     ref = (np.arange(1, len(spec.values) + 1) * math.pi) ** 2
     assert np.all(np.abs(spec.values - ref) / ref < 0.05)
+
+
+def test_spectrum_repeatable_in_one_process(tmp_path):
+    # few eigenvalues against n, so the eigsh branch runs
+    args = ["spectrum", "--set", "box=0,1", "--set", "h=0.01",
+            "--set", "lam_max=2000"]
+    out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--set", "dim=abc"],
+    ["spectrum", "--set", "h=nan"],
+    ["spectrum", "--no-such-flag"],
+    ["weyl-curve", "--set", "lam_min=1e-3", "--set", "eps_alpha=1"],  # eps = 1000
+    ["weyl-curve", "--set", "source=discrete", "--set", "dim=2",
+     "--set", "box=0,1;0,1", "--set", "h=0.0138"],  # n = 72^2 > DENSE_LIMIT
+])
+def test_usage_and_limit_errors_exit_1(tmp_path, capsys, args):
+    assert main(args + ["--out", str(tmp_path / "o.txt")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+CONFIG_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "out"]
+GARBAGE = ["abc", "nan", "inf", "-1", "0", "", "1,2"]
+
+
+@given(command=st.sampled_from(sorted(COMMANDS)),
+       sets=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS + ["abc"]),
+                               st.sampled_from(GARBAGE)), max_size=3),
+       seed=st.sampled_from([None] + GARBAGE),
+       flag=st.sampled_from([[], ["--threads", "1"], ["--set", "abc"]]))
+@settings(max_examples=40, deadline=None)
+def test_cli_exit_codes_without_traceback(tmp_path_factory, command, sets, seed, flag):
+    argv = [command, "--out", str(tmp_path_factory.mktemp("fuzz") / "o.txt")]
+    for key, value in sets:
+        argv += ["--set", f"{key}={value}"]
+    if seed is not None:
+        argv += ["--seed", seed]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv + flag)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_weyl_curve_output(tmp_path, capsys):

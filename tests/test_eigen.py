@@ -77,7 +77,20 @@ def test_count_below_on_eigenvalue_warns():
     lam = tridiag_eigs(30, h, 1.0)[4]
     with pytest.warns(UserWarning, match="perturbed"):
         n = count_below(op, lam)
-    assert n in (4, 5)
+    assert n == 4
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+def test_count_below_strict_at_every_eigenvalue():
+    # lambda equal to the k-th eigenvalue counts the k-1 below it, and the
+    # partial spectrum certifies against that count
+    op, h = interval_op(10)
+    ref = tridiag_eigs(10, h, 1.0)
+    for k, lam in enumerate(ref):
+        assert count_below(op, lam) == k
+        spec = spectrum_below(op, lam)
+        assert spec.certified and len(spec.values) == k
+        assert np.allclose(spec.values, ref[:k], rtol=1e-12, atol=0.0)
 
 
 def test_count_below_monotone():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +113,25 @@ def test_adjointness_by_direct_summation():
     assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
+def test_forward_2d_by_direct_summation():
+    N, h = 8, 0.1
+    win = scale(make_cosine_window(2), 0.25)
+    fr = build_frame(((0.0, N * h),) * 2, h, win)
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
+    xs = np.stack(np.meshgrid(fr.y_axis(), fr.y_axis(), indexing="ij"),
+                  axis=-1).reshape(-1, 2)
+    xis = np.stack(np.meshgrid(fr.xi_axis(), fr.xi_axis(), indexing="ij"),
+                   axis=-1).reshape(-1, 2)
+    ref = np.empty((fr.n, fr.n), dtype=complex)
+    for iy, y in enumerate(xs):
+        off = (xs - y + fr.L / 2) % fr.L - fr.L / 2  # wrapped x - y
+        for ixi, xi in enumerate(xis):
+            e = np.exp(1j * xs @ xi) * fr.window(off)
+            ref[iy, ixi] = h ** 2 / math.sqrt(fr.s) * np.vdot(e, f)
+    assert np.max(np.abs(forward(fr, f).values - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
 def test_symbol_converges_to_c1():
     eps = 0.2
     win = scale(make_cosine_window(1), eps)
@@ -190,6 +210,14 @@ def test_trace_random_diagonal():
     d = np.random.default_rng(5).random(fr.n)
     tr = trace_via_frame(fr, np.diag(d))
     assert abs(tr - d.sum()) <= 1e-10 * d.sum()
+
+
+def test_trace_sparse_matches_dense():
+    fr = frame_1d(N=32, h=0.1)
+    d = np.random.default_rng(6).random(fr.n)
+    sparse_tr = trace_via_frame(fr, scipy.sparse.diags(d))
+    assert abs(sparse_tr - trace_via_frame(fr, np.diag(d))) <= 1e-12 * d.sum()
+    assert abs(sparse_tr - d.sum()) <= 1e-12 * d.sum()
 
 
 def test_trace_rejects_asymmetric():
