@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Discrete-spectrum Weyl curve for H = -d^2/dx1^2 - e^{2 x1} Lap_tilde.
 
-Assembles the operator on (0,1)^2, computes the full dense spectrum, and
-compares Riesz means against the closed-form leading term at each lambda.
+Assembles the operator on (0,1)^2, computes the certified spectrum below
+lam_max, and compares Riesz means against the closed-form leading term at
+each lambda.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 
 from weylcs.domains import rectangle_domain
-from weylcs.eigen import dense_spectrum
+from weylcs.eigen import spectrum_below
 from weylcs.operators import assemble_hyperbolic
 from weylcs.weyl import build_curve, hyperbolic_leading, save_curve
 from weylcs.windows import make_cosine_window
@@ -28,8 +29,8 @@ def main():
 
     dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), args.h)
     op = assemble_hyperbolic(dom)
-    print(f"assembled n={op.n} at h={args.h:g}; dense eigendecomposition...")
-    spec = dense_spectrum(op)
+    print(f"assembled n={op.n} at h={args.h:g}; spectrum below {args.lam_max:g}...")
+    spec = spectrum_below(op, args.lam_max)
     lams = np.geomspace(args.lam_min, args.lam_max, args.count)
     curve = build_curve(spec, lams, lambda lam: hyperbolic_leading(dom, lam),
                         window=make_cosine_window(2),

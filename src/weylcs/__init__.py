@@ -29,6 +29,7 @@ from .operators import (
     export_matrix,
 )
 from .eigen import (
+    Certificate,
     CertificationError,
     Spectrum,
     count_below,

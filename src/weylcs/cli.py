@@ -18,8 +18,7 @@ import scipy.sparse
 
 from . import __version__
 from .domains import rectangle_domain
-from .eigen import (CertificationError, DenseLimitError, dense_spectrum,
-                    save_spectrum, spectrum_below)
+from .eigen import CertificationError, DenseLimitError, save_spectrum, spectrum_below
 from .frames import (FrameError, analytic_symbol, build_frame, forward,
                      rayleigh_symbol, trace_via_frame)
 from .operators import assemble_euclidean, assemble_hyperbolic
@@ -176,7 +175,7 @@ def cmd_weyl_curve(cfg) -> int:
         dom = rectangle_domain(cfg.box, cfg.h)
     elif cfg.source == "discrete":
         dom, op = _operator(cfg)
-        spec = dense_spectrum(op)
+        spec = spectrum_below(op, cfg.lam_max)
     else:
         raise ConfigError(f"unknown source {cfg.source!r}")
 

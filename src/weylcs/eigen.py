@@ -1,18 +1,27 @@
 """Eigenvalue computation with inertia certification.
 
 Partial spectra are certified against the Sylvester inertia of A - lambda*I:
-the negative-pivot count of a symmetric indefinite (Bunch-Kaufman) LDL^T
-factorization equals the number of eigenvalues below the shift, so a missed
+the number of negative pivots of a symmetric factorization L D L^T of
+A - lambda*I equals the number of eigenvalues below the shift, so a missed
 eigenvalue cannot go unnoticed.
+
+The count comes from a sparse LDL^T: SuperLU in symmetric mode with a
+symmetric fill-reducing order and diagonal pivots only.  Without pivoting the
+factorization is not backward stable in general, so a count is accepted only
+when every pivot, and the distance from the shift to the spectrum, stand clear
+of the factorization's rounding level.  Otherwise the shift is
+nudged downward and, after three unresolved attempts, the count falls back to
+a dense Bunch-Kaufman LDL^T, which pivots and is stable.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .operators import DiscreteOperator
@@ -33,10 +42,24 @@ class CertificationError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """How a count was certified and how the values below it were found."""
+    count_method: str  # "sparse-ldl" or "dense-ldl"
+    count: int  # eigenvalues strictly below the shift
+    shift: float  # the shift the count used, lambda or nudged below it
+    nudges: int  # downward shift perturbations before the count resolved
+    # smallest |pivot|, or the distance to the spectrum if smaller, over the
+    # rounding level it must clear (see _sparse_inertia); above 1 is resolved
+    pivot_margin: float
+    value_method: str = "none"  # "eigsh", "eigvalsh" or "none"
+
+
+@dataclass(frozen=True)
 class Spectrum:
     values: np.ndarray  # nondecreasing, with multiplicity
     cutoff: float | None
     certified: bool
+    certificate: Certificate | None = None  # never written to a file
 
 
 def dense_spectrum(op: DiscreteOperator, limit=DENSE_LIMIT) -> Spectrum:
@@ -69,55 +92,107 @@ def _inertia_negative(d):
     return neg, min_abs
 
 
+def _start_vector(n):
+    """Fixed pseudo-random start vector: repeated runs give identical output."""
+    return np.random.default_rng(0).uniform(-1.0, 1.0, n)
+
+
+def _sparse_inertia(b, tol):
+    """Negative count and pivot margin of a sparse LDL^T of b, or None.
+
+    None when SuperLU left the diagonal (a zero pivot made it pivot off it,
+    so perm_r != perm_c and U's diagonal no longer carries the inertia) or
+    found b exactly singular.  The count is resolved (margin above 1) when
+    every pivot |d_k| and the distance from zero to the spectrum of b exceed
+    both tol and the LU rounding level n*eps*max_k (|L||U|)_kk.
+    """
+    n = b.shape[0]
+    try:
+        lu = scipy.sparse.linalg.splu(b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                                      options={"SymmetricMode": True})
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        if "singular" not in str(exc):
+            raise
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    d = lu.U.diagonal()
+    # diagonal of |L||U| without forming the product.  The largest entry,
+    # not each row's own, bounds the backward error that can flip a sign: a
+    # tiny pivot inflates the rows after it while its own row stays small.
+    growth = np.asarray(abs(lu.L).multiply(abs(lu.U).T).sum(axis=1)).ravel()
+    bound = max(tol, n * np.finfo(float).eps * growth.max())
+    # without pivoting, an eigenvalue of b near zero need not leave a small
+    # pivot; two steps of inverse iteration from a fixed vector see it
+    x = lu.solve(_start_vector(n))
+    dist = np.linalg.norm(x) / np.linalg.norm(lu.solve(x))
+    return int(np.count_nonzero(d < 0.0)), float(min(np.min(np.abs(d)), dist) / bound)
+
+
 def count_below(op: DiscreteOperator, lam: float, limit=DENSE_LIMIT) -> int:
     """Number of eigenvalues strictly below lam, via LDL^T inertia of A - lam*I."""
-    return _count_below(op, lam, limit)[0]
+    return _count_below(op, lam, limit).count
 
 
-def _count_below(op, lam, limit):
-    """Inertia count and the shift it used: nudged downward off an eigenvalue."""
-    if op.n > limit:
-        raise DenseLimitError(f"n={op.n} exceeds dense limit {limit}")
-    a = op.matrix.toarray()
-    scale = np.abs(a).max() + abs(lam)
+def _count_below(op, lam, limit) -> Certificate:
+    """Certified inertia count and the shift it used, nudged downward off an
+    eigenvalue."""
+    a = op.matrix.tocsc()
+    eye = scipy.sparse.identity(op.n, format="csc")
+    scale = abs(a).max() + abs(lam)
+    tol = 1e-12 * scale
     shift = lam
     for attempt in range(3):
-        b = a - shift * np.eye(op.n)
-        _, d, _ = scipy.linalg.ldl(b)
+        shift = shift - tol * attempt
+        factored = _sparse_inertia(a - shift * eye, tol)
+        if factored is not None and factored[1] > 1.0:
+            method, (neg, margin) = "sparse-ldl", factored
+            break
+    else:
+        # three unresolved sparse attempts: the pivoted dense factorization
+        # at the last shift decides
+        if op.n > limit:
+            raise DenseLimitError(f"n={op.n} exceeds dense limit {limit} and the "
+                                  "sparse inertia count did not resolve")
+        _, d, _ = scipy.linalg.ldl((a - shift * eye).toarray())
         neg, min_abs = _inertia_negative(d)
-        if min_abs > 1e-12 * scale or attempt == 2:
-            if attempt > 0:
-                warnings.warn(f"count_below: shift perturbed to {shift!r} "
-                              "(lambda too close to an eigenvalue)")
-            return int(neg), shift
-        shift = shift - 1e-12 * scale * (attempt + 1)
-    raise AssertionError("unreachable")
+        method, margin = "dense-ldl", float(min_abs / tol)
+    if attempt > 0:
+        warnings.warn(f"count_below: shift perturbed to {shift!r} "
+                      "(lambda too close to an eigenvalue)")
+    return Certificate(count_method=method, count=int(neg), shift=float(shift),
+                       nudges=attempt, pivot_margin=margin)
 
 
 def spectrum_below(op: DiscreteOperator, lam: float, limit=DENSE_LIMIT,
                    max_count=None) -> Spectrum:
     """All eigenvalues below lam, certified against the inertia count."""
-    expected, shift = _count_below(op, lam, limit)
+    cert = _count_below(op, lam, limit)
+    expected, shift = cert.count, cert.shift
     if max_count is not None and expected > max_count:
         raise ValueError(f"expected {expected} eigenvalues, limit {max_count}")
     if expected == 0:
-        return Spectrum(values=np.empty(0), cutoff=lam, certified=True)
-    if op.n <= limit and (expected > op.n // 4 or expected >= op.n - 1):
-        vals = scipy.linalg.eigvalsh(op.matrix.toarray())
+        return Spectrum(values=np.empty(0), cutoff=lam, certified=True, certificate=cert)
+    if expected > op.n // 4:
+        vals = dense_spectrum(op, limit).values
         vals = vals[vals < shift]
+        method = "eigvalsh"
     else:
         # shift-invert about zero: the operator is positive definite, so the
-        # expected smallest eigenvalues are the largest of the inverse.  A
-        # fixed start vector keeps the output identical from run to run.
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, op.n)
+        # smallest eigenvalues are the largest of the inverse.  One value more
+        # than the count (expected + 1 < n here) makes the check two-sided: a
+        # count that is too low lets that value fall below the shift.  A fixed
+        # start vector keeps the output identical from run to run.
         vals = scipy.sparse.linalg.eigsh(
-            op.matrix.tocsc(), k=expected, sigma=0.0, which="LM", v0=v0,
+            op.matrix.tocsc(), k=expected + 1, sigma=0.0, which="LM", v0=_start_vector(op.n),
             return_eigenvectors=False)
         vals = np.sort(vals)
         vals = vals[vals < shift]
+        method = "eigsh"
     if len(vals) != expected:
         raise CertificationError(found=len(vals), expected=expected)
-    return Spectrum(values=np.sort(vals), cutoff=lam, certified=True)
+    return Spectrum(values=np.sort(vals), cutoff=lam, certified=True,
+                    certificate=replace(cert, value_method=method))
 
 
 def save_spectrum(spec: Spectrum, path, kind="", h=None, extra=()):

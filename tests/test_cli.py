@@ -102,7 +102,8 @@ def test_spectrum_repeatable_in_one_process(tmp_path):
     ["spectrum", "--no-such-flag"],
     ["weyl-curve", "--set", "lam_min=1e-3", "--set", "eps_alpha=1"],  # eps = 1000
     ["weyl-curve", "--set", "source=discrete", "--set", "dim=2",
-     "--set", "box=0,1;0,1", "--set", "h=0.0138"],  # n = 72^2 > DENSE_LIMIT
+     "--set", "box=0,1;0,1", "--set", "h=0.0138",
+     "--set", "lam_max=2e4"],  # n = 72^2 > DENSE_LIMIT, N(lam_max) > n/4
 ])
 def test_usage_and_limit_errors_exit_1(tmp_path, capsys, args):
     assert main(args + ["--out", str(tmp_path / "o.txt")]) == 1

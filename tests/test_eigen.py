@@ -5,11 +5,17 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from weylcs.domains import rectangle_domain
+import weylcs.eigen
+from weylcs.domains import EmptyErosionError, GridDomain, dilate, erode, rectangle_domain
 from weylcs.eigen import (
+    CertificationError,
     DenseLimitError,
     Spectrum,
+    _count_below,
+    _inertia_negative,
     count_below,
     dense_spectrum,
     load_spectrum,
@@ -93,6 +99,80 @@ def test_count_below_strict_at_every_eigenvalue():
         assert np.allclose(spec.values, ref[:k], rtol=1e-12, atol=0.0)
 
 
+def dense_count(op, shift):
+    """Oracle: Bunch-Kaufman LDL^T inertia of the densified A - shift*I."""
+    _, d, _ = scipy.linalg.ldl(op.matrix.toarray() - shift * np.eye(op.n))
+    return int(_inertia_negative(d)[0])
+
+
+@pytest.mark.parametrize("n, k", [(40, None), (41, None), (30, 5)])
+def test_count_below_nudges_to_the_strict_count(n, k):
+    # k=None: lam = 2/h^2 zeroes the diagonal of A - lam*I, so SuperLU pivots
+    # off the diagonal (n even) or finds the matrix exactly singular (n odd,
+    # lam is then eigenvalue (n+1)/2).  k: lam is the k-th eigenvalue.
+    op, h = interval_op(n)
+    lam = 2.0 / h ** 2 if k is None else tridiag_eigs(n, h, 1.0)[k - 1]
+    with pytest.warns(UserWarning, match="count_below: shift perturbed"):
+        cert = _count_below(op, lam, weylcs.eigen.DENSE_LIMIT)
+    assert cert.nudges > 0 and cert.shift < lam
+    assert cert.count == (n // 2 if k is None else k - 1) == dense_count(op, cert.shift)
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+def test_count_below_at_every_eigenvalue_of_square():
+    # the square's spectrum has multiplicity-2 pairs mu_j + mu_k = mu_k + mu_j
+    h = 1 / 12
+    op = assemble_euclidean(rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h))
+    axis = tridiag_eigs(11, h, 1.0)
+    exact = np.sort((axis[:, None] + axis[None, :]).ravel())
+    for lam in dense_spectrum(op).values:
+        cert = _count_below(op, lam, weylcs.eigen.DENSE_LIMIT)
+        assert cert.count == int(np.sum(exact < lam * (1.0 - 1e-9)))
+        assert cert.count == dense_count(op, cert.shift)
+
+
+@st.composite
+def disk_unions(draw):
+    h = 1.0 / draw(st.sampled_from([12, 15, 20, 25, 30]))
+    box = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+    x = box.axis_coords(0)[:, None]
+    y = box.axis_coords(1)[None, :]
+    mask = np.zeros(box.shape, dtype=bool)
+    disks = draw(st.lists(st.tuples(st.floats(0.2, 0.8), st.floats(0.2, 0.8),
+                                    st.floats(0.1, 0.4)), min_size=1, max_size=3))
+    for cx, cy, r in disks:
+        mask |= (x - cx) ** 2 + (y - cy) ** 2 < r * r
+    mask &= box.mask
+    assume(mask.any())
+    return GridDomain(h=h, origin=box.origin, mask=mask, box=box.box)
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+@given(dom=disk_unions(), morph=st.sampled_from(["none", "erode", "dilate"]),
+       kind=st.sampled_from(["euclidean", "hyperbolic"]),
+       fractions=st.lists(st.floats(0.0, 1.05), min_size=1, max_size=3),
+       picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_sparse_count_matches_dense_on_masks(dom, morph, kind, fractions, picks):
+    if morph == "erode":
+        try:
+            dom = erode(dom, 2.0 * dom.h)
+        except EmptyErosionError:
+            assume(False)
+    elif morph == "dilate":
+        dom = dilate(dom, 2.0 * dom.h)
+    op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    vals = dense_spectrum(op).values
+    for lam in [f * vals[-1] for f in fractions]:
+        cert = _count_below(op, lam, weylcs.eigen.DENSE_LIMIT)
+        assert cert.count == dense_count(op, cert.shift)
+    # lambda on an eigenvalue: the count stays strict
+    for lam in [vals[int(p * (len(vals) - 1))] for p in picks]:
+        cert = _count_below(op, lam, weylcs.eigen.DENSE_LIMIT)
+        assert cert.count == dense_count(op, cert.shift)
+        assert cert.count == int(np.sum(vals < lam * (1.0 - 1e-9)))
+
+
 def test_count_below_monotone():
     op, h = interval_op(40)
     grid = np.linspace(0.0, 3.0 / h ** 2, 25)
@@ -131,6 +211,40 @@ def test_spectrum_below_hyperbolic_certified():
     assert spec.certified
     assert np.all(spec.values < 150.0)
     assert np.all(np.diff(spec.values) >= 0)
+
+
+def test_spectrum_below_catches_a_count_one_too_low(monkeypatch):
+    sparse_inertia = weylcs.eigen._sparse_inertia
+
+    def one_less(b, tol):
+        neg, margin = sparse_inertia(b, tol)
+        return neg - 1, margin
+
+    monkeypatch.setattr(weylcs.eigen, "_sparse_inertia", one_less)
+    op, _ = interval_op(200)
+    with pytest.raises(CertificationError):
+        spectrum_below(op, 5000.0)
+
+
+@pytest.mark.parametrize("n, lam, value_method", [
+    (200, 5000.0, "eigsh"), (20, 1e3, "eigvalsh"), (50, 1.0, "none")])
+def test_spectrum_certificate(n, lam, value_method):
+    op, _ = interval_op(n)
+    spec = spectrum_below(op, lam)
+    cert = spec.certificate
+    assert cert.count_method == "sparse-ldl" and cert.nudges == 0
+    assert cert.value_method == value_method
+    assert cert.count == len(spec.values) and cert.shift == lam
+    assert cert.pivot_margin > 1.0
+
+
+def test_certificate_not_written(tmp_path):
+    op, _ = interval_op(200)
+    spec = spectrum_below(op, 5000.0)
+    bare = Spectrum(values=spec.values, cutoff=spec.cutoff, certified=spec.certified)
+    save_spectrum(spec, tmp_path / "a.txt", kind="euclidean")
+    save_spectrum(bare, tmp_path / "b.txt", kind="euclidean")
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
 def test_spectrum_roundtrip(tmp_path):
