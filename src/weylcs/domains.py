@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 
 class EmptyErosionError(ValueError):
@@ -84,6 +83,8 @@ def rectangle_domain(box, h) -> GridDomain:
 
 def _clearance(dom: GridDomain) -> np.ndarray:
     """Distance from each interior node to the nearest non-interior node."""
+    from scipy.ndimage import distance_transform_edt  # slow import, needed here only
+
     padded = np.pad(dom.mask, 1, constant_values=False)
     dist = distance_transform_edt(padded, sampling=dom.h)
     return dist[(slice(1, -1),) * dom.d]
@@ -107,6 +108,8 @@ def dilate(dom: GridDomain, eps: float) -> GridDomain:
         raise ValueError("eps must be >= 0")
     if eps == 0:
         return dom
+    from scipy.ndimage import distance_transform_edt  # slow import, needed here only
+
     pad = int(math.ceil(eps / dom.h)) + 1
     padded = np.pad(dom.mask, pad, constant_values=False)
     dist = distance_transform_edt(~padded, sampling=dom.h)

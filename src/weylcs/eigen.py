@@ -1,23 +1,36 @@
 """Eigenvalue computation with inertia certification.
 
 Partial spectra are certified against the Sylvester inertia of A - lambda*I:
-the number of negative pivots of a symmetric factorization L D L^T of
-A - lambda*I equals the number of eigenvalues below the shift, so a missed
-eigenvalue cannot go unnoticed.
+the number of eigenvalues below the shift, so a missed eigenvalue cannot go
+unnoticed.
 
-The count comes from a sparse LDL^T: SuperLU in symmetric mode with a
-symmetric fill-reducing order and diagonal pivots only.  Without pivoting the
-factorization is not backward stable in general, so a count is accepted only
-when every pivot, and the distance from the shift to the spectrum, stand clear
-of the factorization's rounding level.  Otherwise the shift is
-nudged downward and, after three unresolved attempts, the count falls back to
-a dense Bunch-Kaufman LDL^T, which pivots and is stable.
+On a box (``GridDomain.exact_box`` set and the nodes filling their bounding
+box) the operator is a Kronecker sum A1 (x) I + diag(w) (x) A_tilde, with A1
+the 1-D Dirichlet second difference along x_1, w the tilde edge weight at each
+x_1 (exp(2 x_1) or 1) and A_tilde the Dirichlet Laplacian of the other axes,
+whose eigenvalues mu are sums of 4/h^2 sin^2(k pi / (2 (m + 1))).  The sine
+transform of the tilde axes is orthogonal, so the spectrum is the union over
+mu of the spectra of the tridiagonals A1 + mu*diag(w), and the count is the
+sum of their Sturm counts (bisection, backward stable).  The eigenvalues below
+the shift come out of the same bisection.
+
+Elsewhere the count comes from a sparse LDL^T: SuperLU in symmetric mode with
+a symmetric fill-reducing order and diagonal pivots only, whose negative
+pivots give the inertia.  Without pivoting the factorization is not backward
+stable in general, so a count is accepted only when every pivot, and the
+distance from the shift to the spectrum, stand clear of the factorization's
+rounding level.
+
+On either path an unresolved count nudges the shift downward and, after three
+unresolved attempts, falls back to a dense Bunch-Kaufman LDL^T, which pivots
+and is stable.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -44,14 +57,17 @@ class CertificationError(RuntimeError):
 @dataclass(frozen=True)
 class Certificate:
     """How a count was certified and how the values below it were found."""
-    count_method: str  # "sparse-ldl" or "dense-ldl"
+    count_method: str  # "sturm" (box), "sparse-ldl" or "dense-ldl"
     count: int  # eigenvalues strictly below the shift
     shift: float  # the shift the count used, lambda or nudged below it
     nudges: int  # downward shift perturbations before the count resolved
-    # smallest |pivot|, or the distance to the spectrum if smaller, over the
-    # rounding level it must clear (see _sparse_inertia); above 1 is resolved
+    # how far the count stands clear of its rounding level (see _Gate): on a
+    # box the distance from the shift to the nearest eigenvalue at or below
+    # shift + tol, over tol; elsewhere the smallest |pivot|, or the distance to
+    # the spectrum if smaller, over the level of _sparse_inertia.  Above 1 is
+    # resolved
     pivot_margin: float
-    value_method: str = "none"  # "eigsh", "eigvalsh" or "none"
+    value_method: str = "none"  # "bisection" (box), "eigsh", "eigvalsh" or "none"
 
 
 @dataclass(frozen=True)
@@ -97,14 +113,25 @@ def _start_vector(n):
     return np.random.default_rng(0).uniform(-1.0, 1.0, n)
 
 
-def _sparse_inertia(b, tol):
-    """Negative count and pivot margin of a sparse LDL^T of b, or None.
+_NEAR_EIGENVALUE = "lambda too close to an eigenvalue"
+_SMALL_PIVOT = "zero or small pivot in the unpivoted factorization"
 
-    None when SuperLU left the diagonal (a zero pivot made it pivot off it,
-    so perm_r != perm_c and U's diagonal no longer carries the inertia) or
-    found b exactly singular.  The count is resolved (margin above 1) when
-    every pivot |d_k| and the distance from zero to the spectrum of b exceed
-    both tol and the LU rounding level n*eps*max_k (|L||U|)_kk.
+
+class _Gate(NamedTuple):
+    """A count is resolved when margin is above 1; cause names what held it
+    down otherwise, in the nudge warning."""
+    margin: float
+    cause: str
+
+
+def _sparse_inertia(b, tol):
+    """Negative count of a sparse LDL^T of b (None if unusable) and its gate.
+
+    The count is None when SuperLU left the diagonal (a zero pivot made it
+    pivot off it, so perm_r != perm_c and U's diagonal no longer carries the
+    inertia) or found b exactly singular.  It is resolved (margin above 1)
+    when every pivot |d_k| and the distance from zero to the spectrum of b
+    exceed both tol and the LU rounding level n*eps*max_k (|L||U|)_kk.
     """
     n = b.shape[0]
     try:
@@ -113,9 +140,9 @@ def _sparse_inertia(b, tol):
     except RuntimeError as exc:  # "Factor is exactly singular"
         if "singular" not in str(exc):
             raise
-        return None
+        return None, _Gate(0.0, _NEAR_EIGENVALUE)
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
+        return None, _Gate(0.0, _SMALL_PIVOT)
     d = lu.U.diagonal()
     # diagonal of |L||U| without forming the product.  The largest entry,
     # not each row's own, bounds the backward error that can flip a sign: a
@@ -125,55 +152,119 @@ def _sparse_inertia(b, tol):
     # without pivoting, an eigenvalue of b near zero need not leave a small
     # pivot; two steps of inverse iteration from a fixed vector see it
     x = lu.solve(_start_vector(n))
-    dist = np.linalg.norm(x) / np.linalg.norm(lu.solve(x))
-    return int(np.count_nonzero(d < 0.0)), float(min(np.min(np.abs(d)), dist) / bound)
+    dist = np.linalg.norm(x) / np.linalg.norm(lu.solve(x)) / bound
+    pivot = np.min(np.abs(d)) / bound
+    return int(np.count_nonzero(d < 0.0)), _Gate(
+        float(min(pivot, dist)), _NEAR_EIGENVALUE if dist <= 1.0 else _SMALL_PIVOT)
+
+
+def _box_modes(op):
+    """(w, mu) of an operator on a filled box, or None.
+
+    w is the tilde edge weight at each x_1 index of the box, mu the sorted
+    eigenvalues of A_tilde (a single 0 for d=1).
+    """
+    if op.grid.exact_box is None:
+        return None
+    lo, hi = op.nodes.min(axis=0), op.nodes.max(axis=0)
+    extent = hi - lo + 1
+    if op.n != np.prod(extent):
+        return None
+    mu = np.zeros(1)
+    for m in extent[1:]:
+        axis = 4.0 / op.grid.h ** 2 * np.sin(np.arange(1, m + 1) * np.pi / (2.0 * (m + 1))) ** 2
+        mu = (mu[:, None] + axis).ravel()
+    return op.tilde_weight[lo[0]:hi[0] + 1], np.sort(mu)
+
+
+def _box_values(h, w, mu, upper):
+    """Sorted eigenvalues at or below upper: bisection on the tridiagonal
+    A1 + mu*diag(w) of each tilde mode."""
+    inv_h2 = 1.0 / (h * h)
+    off = np.full(len(w) - 1, -inv_h2)
+    w_min = w.min()
+    found = [np.empty(0)]
+    for m in mu:
+        if w_min >= 0.0 and m * w_min > upper:
+            # A1 is positive definite, so this block and every later one
+            # (mu is sorted) lie above m * w_min
+            break
+        found.append(scipy.linalg.eigvalsh_tridiagonal(
+            2.0 * inv_h2 + m * w, off, select="v", select_range=(-np.inf, upper)))
+    return np.sort(np.concatenate(found))
 
 
 def count_below(op: DiscreteOperator, lam: float, limit=DENSE_LIMIT) -> int:
-    """Number of eigenvalues strictly below lam, via LDL^T inertia of A - lam*I."""
+    """Number of eigenvalues strictly below lam, via the inertia of A - lam*I."""
     return _count_below(op, lam, limit).count
 
 
 def _count_below(op, lam, limit) -> Certificate:
     """Certified inertia count and the shift it used, nudged downward off an
     eigenvalue."""
+    return _count(op, lam, limit)[0]
+
+
+def _count(op, lam, limit):
+    """Certificate of the count and, on a box, the eigenvalues below its shift
+    (None elsewhere)."""
     a = op.matrix.tocsc()
     eye = scipy.sparse.identity(op.n, format="csc")
     scale = abs(a).max() + abs(lam)
     tol = 1e-12 * scale
+    box = _box_modes(op)
+    method = "sparse-ldl" if box is None else "sturm"
     shift = lam
+    values = None
+    causes = []
     for attempt in range(3):
-        shift = shift - tol * attempt
-        factored = _sparse_inertia(a - shift * eye, tol)
-        if factored is not None and factored[1] > 1.0:
-            method, (neg, margin) = "sparse-ldl", factored
+        # 2*tol per step: a nudge off an eigenvalue at lambda clears the gate
+        shift = shift - 2.0 * tol * attempt
+        if box is None:
+            neg, gate = _sparse_inertia(a - shift * eye, tol)
+        else:
+            # bisection values carry errors of order eps*|A| << tol, so the
+            # count is exact once no value lies within tol of the shift;
+            # values above shift + tol are farther than that by construction
+            near = _box_values(op.grid.h, *box, shift + tol)
+            values = near[near < shift]
+            neg = len(values)
+            gate = _Gate(float(np.min(np.abs(near - shift), initial=np.inf) / tol),
+                         _NEAR_EIGENVALUE)
+        if gate.margin > 1.0:
+            margin = gate.margin
             break
+        causes.append(gate.cause)
     else:
-        # three unresolved sparse attempts: the pivoted dense factorization
-        # at the last shift decides
+        # three unresolved attempts: the pivoted dense factorization at the
+        # last shift decides
         if op.n > limit:
             raise DenseLimitError(f"n={op.n} exceeds dense limit {limit} and the "
-                                  "sparse inertia count did not resolve")
+                                  "inertia count did not resolve")
         _, d, _ = scipy.linalg.ldl((a - shift * eye).toarray())
         neg, min_abs = _inertia_negative(d)
         method, margin = "dense-ldl", float(min_abs / tol)
     if attempt > 0:
-        warnings.warn(f"count_below: shift perturbed to {shift!r} "
-                      "(lambda too close to an eigenvalue)")
-    return Certificate(count_method=method, count=int(neg), shift=float(shift),
+        warnings.warn(f"count_below: shift perturbed to {float(shift)!r} "
+                      f"({'; '.join(dict.fromkeys(causes))})")
+    cert = Certificate(count_method=method, count=int(neg), shift=float(shift),
                        nudges=attempt, pivot_margin=margin)
+    return cert, values
 
 
 def spectrum_below(op: DiscreteOperator, lam: float, limit=DENSE_LIMIT,
                    max_count=None) -> Spectrum:
     """All eigenvalues below lam, certified against the inertia count."""
-    cert = _count_below(op, lam, limit)
+    cert, vals = _count(op, lam, limit)
     expected, shift = cert.count, cert.shift
     if max_count is not None and expected > max_count:
         raise ValueError(f"expected {expected} eigenvalues, limit {max_count}")
     if expected == 0:
         return Spectrum(values=np.empty(0), cutoff=lam, certified=True, certificate=cert)
-    if expected > op.n // 4:
+    if vals is not None:
+        # on a box the bisection that made the count also gave the values
+        method = "bisection"
+    elif expected > op.n // 4:
         vals = dense_spectrum(op, limit).values
         vals = vals[vals < shift]
         method = "eigvalsh"

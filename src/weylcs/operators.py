@@ -29,6 +29,9 @@ class DiscreteOperator:
     kind: str  # "euclidean" | "hyperbolic"
     nodes: np.ndarray  # (n, d) integer multi-indices, row k <-> nodes[k]
     row_of: np.ndarray = field(repr=False)  # grid-shaped, -1 outside
+    # weight of the edges along axes 2..d at each x_1 index of the grid:
+    # exp(2 x_1) (or the tilde_weight hook) for hyperbolic, 1 for euclidean
+    tilde_weight: np.ndarray = field(repr=False)
 
     @property
     def n(self):
@@ -48,15 +51,18 @@ def _assemble(dom: GridDomain, kind, tilde_weight=None):
     row_of[mask] = np.arange(n)
     inv_h2 = 1.0 / (h * h)
 
-    if kind == "hyperbolic" and tilde_weight is None:
-        tilde_weight = lambda x1: np.exp(2.0 * x1)
+    if kind == "hyperbolic" and d > 1:
+        if tilde_weight is None:
+            tilde_weight = lambda x1: np.exp(2.0 * x1)
+        x1_weight = np.asarray(tilde_weight(dom.axis_coords(0)), dtype=float)
+    else:
+        x1_weight = np.ones(mask.shape[0])
 
     diag = np.zeros(n)
     rows, cols, vals = [], [], []
     for axis in range(d):
         if kind == "hyperbolic" and axis >= 1:
-            x1 = dom.origin[0] + h * nodes[:, 0]
-            w = np.asarray(tilde_weight(x1), dtype=float) * inv_h2
+            w = x1_weight[nodes[:, 0]] * inv_h2
         else:
             w = np.full(n, inv_h2)
         # edges in +axis direction; the -direction edge is seen from the
@@ -95,7 +101,8 @@ def _assemble(dom: GridDomain, kind, tilde_weight=None):
         shape=(n, n),
     ).tocsr()
     mat.sum_duplicates()
-    return DiscreteOperator(matrix=mat, grid=dom, kind=kind, nodes=nodes, row_of=row_of)
+    return DiscreteOperator(matrix=mat, grid=dom, kind=kind, nodes=nodes, row_of=row_of,
+                            tilde_weight=x1_weight)
 
 
 def assemble_euclidean(dom: GridDomain) -> DiscreteOperator:

@@ -1,8 +1,12 @@
 """Command-line front-end: configs, exit codes, output determinism."""
 
 import contextlib
+import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -10,9 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylcs
+import weylcs.cli
 from weylcs.cli import COMMANDS, ConfigError, ExperimentConfig, _apply_kv, \
     load_config, main
-from weylcs.eigen import load_spectrum
+from weylcs.domains import rectangle_domain
+from weylcs.eigen import DENSE_LIMIT, DenseLimitError, _count_below, load_spectrum
+from weylcs.operators import assemble_euclidean
 from weylcs.weyl import CURVE_HEADER
 
 
@@ -103,12 +111,53 @@ def test_spectrum_repeatable_in_one_process(tmp_path):
     ["weyl-curve", "--set", "lam_min=1e-3", "--set", "eps_alpha=1"],  # eps = 1000
     ["weyl-curve", "--set", "source=discrete", "--set", "dim=2",
      "--set", "box=0,1;0,1", "--set", "h=0.0138",
-     "--set", "lam_max=2e4"],  # n = 72^2 > DENSE_LIMIT, N(lam_max) > n/4
+     "--set", "lam_max=2e4"],  # spectrum_below raises DenseLimitError (patched below)
 ])
-def test_usage_and_limit_errors_exit_1(tmp_path, capsys, args):
+def test_usage_and_limit_errors_exit_1(tmp_path, capsys, monkeypatch, args):
+    # boxes never reach the dense limit, so the last case makes spectrum_below
+    # raise what a large non-box problem would; the others fail before it
+    def too_large(op, lam):
+        raise DenseLimitError(f"n={op.n} exceeds dense limit {DENSE_LIMIT}")
+
+    monkeypatch.setattr(weylcs.cli, "spectrum_below", too_large)
     assert main(args + ["--out", str(tmp_path / "o.txt")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_weyl_curve_discrete_past_the_dense_limit(tmp_path):
+    # n = 72^2 > DENSE_LIMIT and N(lam_max) > n/4: the box path needs no dense
+    # solver, and its Riesz means are those of the closed-form mode sums
+    out = tmp_path / "curve.csv"
+    h = 0.0138
+    rc = main(["weyl-curve", "--set", "source=discrete", "--set", "dim=2",
+               "--set", "box=0,1;0,1", "--set", f"h={h}", "--set", "lam_max=2e4",
+               "--set", "lam_count=6", "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    lams, riesz = (np.array([float(r[i]) for r in rows]) for i in (0, 1))
+    k = np.arange(1, 73)
+    axis = 4.0 / h ** 2 * np.sin(k * math.pi / (2.0 * 73)) ** 2
+    exact = (axis[:, None] + axis[None, :]).ravel()
+    want = [np.sum(lam - exact[exact < lam]) for lam in lams]
+    assert len(rows) == 6 and np.allclose(riesz, want, rtol=1e-11, atol=0.0)
+    # the sparse LDL^T count of the same matrix agrees
+    dom = dataclasses.replace(rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h), exact_box=None)
+    op = assemble_euclidean(dom)
+    assert op.n == 72 ** 2 > DENSE_LIMIT
+    count = _count_below(op, 2e4, DENSE_LIMIT).count
+    assert count == int(np.sum(exact < 2e4)) > op.n // 4
+
+
+def test_cli_import_loads_neither_integrate_nor_ndimage():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylcs.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, weylcs.cli; print(' '.join(m for m in ('scipy.integrate', "
+            "'scipy.ndimage') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""
 
 
 CONFIG_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "out"]

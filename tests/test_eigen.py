@@ -1,5 +1,6 @@
 """Dense and certified partial spectra against closed-form oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+import scipy.sparse
+import scipy.sparse.linalg
 
 import weylcs.eigen
 from weylcs.domains import EmptyErosionError, GridDomain, dilate, erode, rectangle_domain
@@ -28,6 +32,13 @@ from weylcs.operators import assemble_euclidean, assemble_hyperbolic
 def interval_op(n, L=1.0):
     h = L / (n + 1)
     return assemble_euclidean(rectangle_domain(((0.0, L),), h)), h
+
+
+def sparse_interval_op(n, L=1.0):
+    """The matrix of interval_op(n); without exact_box it takes the sparse LDL^T path."""
+    h = L / (n + 1)
+    dom = dataclasses.replace(rectangle_domain(((0.0, L),), h), exact_box=None)
+    return assemble_euclidean(dom), h
 
 
 def tridiag_eigs(n, h, L):
@@ -110,7 +121,7 @@ def test_count_below_nudges_to_the_strict_count(n, k):
     # k=None: lam = 2/h^2 zeroes the diagonal of A - lam*I, so SuperLU pivots
     # off the diagonal (n even) or finds the matrix exactly singular (n odd,
     # lam is then eigenvalue (n+1)/2).  k: lam is the k-th eigenvalue.
-    op, h = interval_op(n)
+    op, h = sparse_interval_op(n)
     lam = 2.0 / h ** 2 if k is None else tridiag_eigs(n, h, 1.0)[k - 1]
     with pytest.warns(UserWarning, match="count_below: shift perturbed"):
         cert = _count_below(op, lam, weylcs.eigen.DENSE_LIMIT)
@@ -221,7 +232,7 @@ def test_spectrum_below_catches_a_count_one_too_low(monkeypatch):
         return neg - 1, margin
 
     monkeypatch.setattr(weylcs.eigen, "_sparse_inertia", one_less)
-    op, _ = interval_op(200)
+    op, _ = sparse_interval_op(200)
     with pytest.raises(CertificationError):
         spectrum_below(op, 5000.0)
 
@@ -229,7 +240,7 @@ def test_spectrum_below_catches_a_count_one_too_low(monkeypatch):
 @pytest.mark.parametrize("n, lam, value_method", [
     (200, 5000.0, "eigsh"), (20, 1e3, "eigvalsh"), (50, 1.0, "none")])
 def test_spectrum_certificate(n, lam, value_method):
-    op, _ = interval_op(n)
+    op, _ = sparse_interval_op(n)
     spec = spectrum_below(op, lam)
     cert = spec.certificate
     assert cert.count_method == "sparse-ldl" and cert.nudges == 0
@@ -245,6 +256,137 @@ def test_certificate_not_written(tmp_path):
     save_spectrum(spec, tmp_path / "a.txt", kind="euclidean")
     save_spectrum(bare, tmp_path / "b.txt", kind="euclidean")
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+@pytest.mark.parametrize("make, n", [
+    (interval_op, 10), (interval_op, 30), (interval_op, 31),
+    (sparse_interval_op, 10), (sparse_interval_op, 30),
+    pytest.param(sparse_interval_op, 31, marks=pytest.mark.xfail(strict=True, reason=(
+        "n + 1 = 32: the two 15-node half intervals that the ordering eliminates "
+        "first share every second eigenvalue, so near those the unpivoted LDL^T "
+        "has a pivot of order tol and a rounding level far above tol; no nudge "
+        "of a few tol resolves it and the count falls back to the dense LDL^T")))])
+def test_one_nudge_resolves_an_eigenvalue(make, n):
+    # the nudge is twice the gate's tolerance, so it clears an eigenvalue at
+    # lambda with room to spare on the box path and on the sparse LDL^T
+    op, h = make(n)
+    for k, lam in enumerate(tridiag_eigs(n, h, 1.0)):
+        cert = _count_below(op, lam, weylcs.eigen.DENSE_LIMIT)
+        assert cert.nudges == 1 and cert.count == k
+
+
+EIGENVALUE = "(lambda too close to an eigenvalue)"
+PIVOT = "(zero or small pivot in the unpivoted factorization)"
+
+
+@pytest.mark.parametrize("make, n, k, cause", [
+    (sparse_interval_op, 40, None, PIVOT),  # lam = 1/h^2 is no eigenvalue
+    (sparse_interval_op, 30, 5, EIGENVALUE),
+    (interval_op, 30, 5, EIGENVALUE)])
+def test_nudge_warning_names_its_cause(make, n, k, cause):
+    op, h = make(n)
+    lam = 1.0 / h ** 2 if k is None else tridiag_eigs(n, h, 1.0)[k - 1]
+    with pytest.warns(UserWarning, match="count_below: shift perturbed to") as record:
+        count_below(op, lam)
+    message = str(record[0].message)
+    assert message.endswith(cause) and ({EIGENVALUE, PIVOT} - {cause}).pop() not in message
+
+
+@st.composite
+def boxes(draw):
+    """Boxes in d = 1, 2, 3 with at most 60, 15 and 7 nodes per axis, sides
+    that are and are not multiples of h."""
+    d = draw(st.integers(1, 3))
+    most = {1: 60, 2: 15, 3: 7}[d]
+    h = 1.0 / draw(st.sampled_from([7, 10, 16, 25]))
+    box = []
+    for _ in range(d):
+        a = draw(st.floats(-0.5, 0.5))
+        side = draw(st.one_of(st.integers(3, most + 1).map(lambda k: k * h),
+                              st.floats(2.5 * h, (most + 0.9) * h)))
+        box.append((a, a + side))
+    return rectangle_domain(tuple(box), h)
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+@given(dom=boxes(), kind=st.sampled_from(["euclidean", "hyperbolic"]),
+       fractions=st.lists(st.floats(0.0, 1.05), min_size=1, max_size=3),
+       picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_box_count_matches_dense_and_sparse(dom, kind, fractions, picks):
+    assemble = assemble_hyperbolic if kind == "hyperbolic" else assemble_euclidean
+    op = assemble(dom)
+    sparse = assemble(dataclasses.replace(dom, exact_box=None))
+    vals = dense_spectrum(op).values
+    on_eigenvalue = [vals[int(p * (len(vals) - 1))] for p in picks]
+    for lam in [f * vals[-1] for f in fractions] + on_eigenvalue:
+        spec = spectrum_below(op, lam)
+        cert = spec.certificate
+        assert cert.count_method == "sturm"
+        assert cert.count == dense_count(op, cert.shift)
+        assert cert.count == _count_below(sparse, lam, weylcs.eigen.DENSE_LIMIT).count
+        want = vals[vals < cert.shift]
+        assert len(spec.values) == len(want)
+        assert np.allclose(spec.values, want, rtol=1e-10, atol=0.0)
+    for lam in on_eigenvalue:
+        assert count_below(op, lam) == int(np.sum(vals < lam * (1.0 - 1e-9)))
+
+
+def test_box_with_unit_tilde_weight_is_euclidean():
+    dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1 / 13)
+    hyp = spectrum_below(assemble_hyperbolic(dom, tilde_weight=lambda x1: np.ones_like(x1)),
+                         1500.0)
+    euc = spectrum_below(assemble_euclidean(dom), 1500.0)
+    axis = tridiag_eigs(12, 1 / 13, 1.0)
+    exact = np.sort((axis[:, None] + axis[None, :]).ravel())
+    assert hyp.certificate.count_method == "sturm"
+    assert len(hyp.values) == len(euc.values) == int(np.sum(exact < 1500.0))
+    assert np.allclose(hyp.values, exact[:len(hyp.values)], rtol=1e-12, atol=0.0)
+    assert np.allclose(euc.values, exact[:len(euc.values)], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("denom, kind", [
+    (35, "euclidean"), (35, "hyperbolic"), (70, "hyperbolic")])
+def test_box_spectrum_matches_dense(denom, kind):
+    dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1.0 / denom)
+    op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    spec = spectrum_below(op, 2000.0)
+    dense = dense_spectrum(op).values
+    dense = dense[dense < 2000.0]
+    assert spec.certificate.value_method == "bisection"
+    assert len(spec.values) == len(dense) > 0
+    assert np.max(np.abs(spec.values - dense) / dense) < 1e-10
+
+
+def test_box_count_at_h_1_400_matches_mode_sums():
+    h = 1 / 400
+    op = assemble_euclidean(rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h))
+    spec = spectrum_below(op, 2e4)
+    axis = tridiag_eigs(399, h, 1.0)
+    exact = np.sort((axis[:, None] + axis[None, :]).ravel())
+    exact = exact[exact < 2e4]
+    assert spec.certificate.count_method == "sturm"
+    assert len(spec.values) == len(exact) > 1000
+    assert np.max(np.abs(spec.values - exact) / exact) < 1e-10
+
+
+@pytest.mark.parametrize("kind, lam", [("hyperbolic", 250.0), ("euclidean", 2000.0)])
+def test_box_path_uses_no_factorization(monkeypatch, kind, lam):
+    def boom(*args, **kwargs):
+        raise AssertionError("the box path called a sparse or dense solver")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", boom)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", boom)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", boom)
+    monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", boom)
+    dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1 / 70)
+    op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    spec = spectrum_below(op, lam)
+    cert = spec.certificate
+    assert (cert.count_method, cert.value_method) == ("sturm", "bisection")
+    assert cert.nudges == 0 and cert.shift == lam and cert.pivot_margin > 1.0
+    assert cert.count == len(spec.values) == count_below(op, lam) > 0
 
 
 def test_spectrum_roundtrip(tmp_path):

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from weylcs.windows import (
     SeparabilityError,
     Window,
+    _factor_quad,
     c_constants,
     factor_deriv_sq,
     factor_norm_sq,
@@ -169,3 +170,23 @@ def test_factor_deriv_matches_quad_of_profile():
     val, _ = quad(lambda u: float(w.factor_deriv(1, u)) ** 2, -a, a,
                   epsabs=1e-12, limit=400)
     assert factor_deriv_sq(w, 1) == pytest.approx(val, rel=1e-10)
+
+
+@pytest.mark.parametrize("make", [make_cosine_window, make_bump_window])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tanh_sinh_rule_matches_quad(make, d):
+    # every factor integral behind c_constants, against adaptive quadrature
+    for eps in (0.01, 0.1, 0.3, 1.0):
+        w = scale(make(d), eps)
+        a = w.factor_half_width(0)
+        for f in (lambda u: w.factor_value(0, u) ** 2,
+                  lambda u: w.factor_deriv(0, u) ** 2,
+                  lambda u: np.exp(2.0 * u) * w.factor_value(0, u) ** 2):
+            ref, _ = quad(lambda u: float(f(u)), -a, a, epsabs=0.0, epsrel=1.2e-14, limit=500)
+            assert _factor_quad(f, a) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_c_constants_overflow_raises():
+    # c3 integrates exp(2 z_1) over the support, which overflows at eps = 1000
+    with pytest.raises(OverflowError):
+        c_constants(scale(make_cosine_window(1), 1000.0))
