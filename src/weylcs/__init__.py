@@ -33,6 +33,7 @@ from .eigen import (
     CertificationError,
     Spectrum,
     count_below,
+    count_certificate,
     dense_spectrum,
     load_spectrum,
     save_spectrum,

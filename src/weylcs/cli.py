@@ -26,7 +26,6 @@ from .weyl import (
     build_curve,
     euclidean_leading,
     exact_spectrum_box,
-    exact_spectrum_interval,
     fit_remainder_exponent,
     hyperbolic_leading,
     save_curve,
@@ -168,10 +167,7 @@ def cmd_weyl_curve(cfg) -> int:
     if cfg.source == "exact":
         if cfg.kind == "hyperbolic" and cfg.dim > 1:
             raise ConfigError("exact spectra are euclidean-only above one dimension")
-        if cfg.dim == 1:
-            spec = exact_spectrum_interval(cfg.box[0][1] - cfg.box[0][0], cfg.lam_max)
-        else:
-            spec = exact_spectrum_box([b - a for a, b in cfg.box], cfg.lam_max)
+        spec = exact_spectrum_box([b - a for a, b in cfg.box], cfg.lam_max)
         dom = rectangle_domain(cfg.box, cfg.h)
     elif cfg.source == "discrete":
         dom, op = _operator(cfg)
@@ -182,8 +178,7 @@ def cmd_weyl_curve(cfg) -> int:
     if cfg.kind == "hyperbolic":
         leading_fn = lambda lam: hyperbolic_leading(dom, lam)
     else:
-        vol = math.prod(b - a for a, b in cfg.box) if cfg.source == "exact" \
-            else math.prod(b - a for a, b in dom.exact_box)
+        vol = math.prod(b - a for a, b in dom.exact_box)
         leading_fn = lambda lam: euclidean_leading(vol, cfg.dim, lam)
 
     try:

@@ -24,6 +24,12 @@ rounding level.
 On either path an unresolved count nudges the shift downward and, after three
 unresolved attempts, falls back to a dense Bunch-Kaufman LDL^T, which pivots
 and is stable.
+
+Off a box the values below a certified count come from spectrum slicing
+(Ericsson-Ruhe 1980; Campos-Roman 2012): [0, shift) is split at certified
+counts into slices of at most _SLICE eigenvalues, and shift-invert eigsh
+centred in each slice must find exactly the slice's count in it.  Both
+operators are positive definite, so the first slice starts at 0 with count 0.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import scipy.sparse.linalg
 from .operators import DiscreteOperator
 
 DENSE_LIMIT = 5000
+_SLICE = 128  # most eigenvalues in one slice (see _slice_ends)
 
 
 class DenseLimitError(ValueError):
@@ -67,7 +74,9 @@ class Certificate:
     # the spectrum if smaller, over the level of _sparse_inertia.  Above 1 is
     # resolved
     pivot_margin: float
-    value_method: str = "none"  # "bisection" (box), "eigsh", "eigvalsh" or "none"
+    # "bisection" (box), "eigsh" (sliced), "eigvalsh" (a slice too large for
+    # eigsh, count + 1 >= n, as on a mask of one or two nodes) or "none"
+    value_method: str = "none"
 
 
 @dataclass(frozen=True)
@@ -108,9 +117,9 @@ def _inertia_negative(d):
     return neg, min_abs
 
 
-def _start_vector(n):
+def _start_vector(n, seed=0):
     """Fixed pseudo-random start vector: repeated runs give identical output."""
-    return np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, n)
 
 
 _NEAR_EIGENVALUE = "lambda too close to an eigenvalue"
@@ -194,18 +203,18 @@ def _box_values(h, w, mu, upper):
     return np.sort(np.concatenate(found))
 
 
-def count_below(op: DiscreteOperator, lam: float, limit=DENSE_LIMIT) -> int:
+def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
+    """Certified inertia count of the eigenvalues strictly below lam and the
+    shift it used, nudged downward off an eigenvalue."""
+    return _count(op, lam)[0]
+
+
+def count_below(op: DiscreteOperator, lam: float) -> int:
     """Number of eigenvalues strictly below lam, via the inertia of A - lam*I."""
-    return _count_below(op, lam, limit).count
+    return count_certificate(op, lam).count
 
 
-def _count_below(op, lam, limit) -> Certificate:
-    """Certified inertia count and the shift it used, nudged downward off an
-    eigenvalue."""
-    return _count(op, lam, limit)[0]
-
-
-def _count(op, lam, limit):
+def _count(op, lam):
     """Certificate of the count and, on a box, the eigenvalues below its shift
     (None elsewhere)."""
     a = op.matrix.tocsc()
@@ -238,8 +247,8 @@ def _count(op, lam, limit):
     else:
         # three unresolved attempts: the pivoted dense factorization at the
         # last shift decides
-        if op.n > limit:
-            raise DenseLimitError(f"n={op.n} exceeds dense limit {limit} and the "
+        if op.n > DENSE_LIMIT:
+            raise DenseLimitError(f"n={op.n} exceeds dense limit {DENSE_LIMIT} and the "
                                   "inertia count did not resolve")
         _, d, _ = scipy.linalg.ldl((a - shift * eye).toarray())
         neg, min_abs = _inertia_negative(d)
@@ -252,37 +261,86 @@ def _count(op, lam, limit):
     return cert, values
 
 
-def spectrum_below(op: DiscreteOperator, lam: float, limit=DENSE_LIMIT,
-                   max_count=None) -> Spectrum:
+def _slice_ends(op, lo, hi):
+    """Slice ends from lo to hi, each a (shift, count) pair: a slice that
+    holds more than _SLICE eigenvalues is split at a certified count at its
+    midpoint."""
+    if hi[1] - lo[1] > _SLICE:
+        mid = count_certificate(op, 0.5 * (lo[0] + hi[0]))
+        # a nudged midpoint at or below lo means more than _SLICE eigenvalues
+        # within a few tol: no split can separate them
+        if mid.shift > lo[0]:
+            return _slice_ends(op, lo, (mid.shift, mid.count))[:-1] + \
+                _slice_ends(op, (mid.shift, mid.count), hi)
+    return [lo, hi]
+
+
+def _slice_values(op, lo, hi, count):
+    """The count eigenvalues in [lo, hi), and how they were found.
+
+    Shift-invert eigsh about the centre returns the count + 1 eigenvalues
+    nearest it.  Every eigenvalue in the slice lies within (hi - lo)/2 of the
+    centre and every other one at least that far, so those include the whole
+    slice: a count that is too low leaves one value too many in it, one that
+    is too high too few.
+
+    Lanczos from one start vector sees one direction of each eigenspace, so it
+    can miss copies of a multiple eigenvalue, which symmetric masks have.
+    While the slice comes up short, eigsh runs again from a new start vector
+    on the complement of the eigenvectors found so far.  The values are the
+    Rayleigh quotients of the eigenvectors: sigma + 1/nu, what shift-invert
+    gives, loses accuracy far from a centre that lies close to an eigenvalue.
+    """
+    n = op.n
+    if count + 1 >= n:
+        # eigsh needs k < n: a matrix of at most _SLICE + 1 rows, or more than
+        # _SLICE eigenvalues within a few tol that no split could separate
+        vals = dense_spectrum(op).values
+        vals, method = vals[(vals >= lo) & (vals < hi)], "eigvalsh"
+    else:
+        a = op.matrix.tocsc()
+        sigma = 0.5 * (lo + hi)
+        solve = scipy.sparse.linalg.splu(a - sigma * scipy.sparse.identity(n, format="csc")).solve
+        found = np.empty((n, 0))  # eigenvectors of the values in the slice so far
+        vals, method = [], "eigsh"
+        # every round but the last adds a value; a negative count (ends out
+        # of order) runs none and fails the check below
+        for seed in range(count + 1):
+            def project(x, q=found):
+                return x - q @ (q.T @ x)
+
+            inverse = scipy.sparse.linalg.LinearOperator(
+                (n, n), matvec=lambda x: project(solve(project(x))), dtype=float)
+            _, vecs = scipy.sparse.linalg.eigsh(
+                a, k=count - len(vals) + 1, sigma=sigma, which="LM", OPinv=inverse,
+                v0=project(_start_vector(n, seed)))
+            theta = np.einsum("ij,ij->j", vecs, a @ vecs)
+            inside = (theta >= lo) & (theta < hi)
+            vals.extend(theta[inside])
+            if not inside.any() or len(vals) >= count:
+                break
+            found = np.hstack([found, vecs[:, inside]])
+    if len(vals) != count:
+        raise CertificationError(found=len(vals), expected=count)
+    return np.sort(vals), method
+
+
+def spectrum_below(op: DiscreteOperator, lam: float) -> Spectrum:
     """All eigenvalues below lam, certified against the inertia count."""
-    cert, vals = _count(op, lam, limit)
-    expected, shift = cert.count, cert.shift
-    if max_count is not None and expected > max_count:
-        raise ValueError(f"expected {expected} eigenvalues, limit {max_count}")
-    if expected == 0:
+    cert, vals = _count(op, lam)
+    if cert.count == 0:
         return Spectrum(values=np.empty(0), cutoff=lam, certified=True, certificate=cert)
     if vals is not None:
         # on a box the bisection that made the count also gave the values
         method = "bisection"
-    elif expected > op.n // 4:
-        vals = dense_spectrum(op, limit).values
-        vals = vals[vals < shift]
-        method = "eigvalsh"
     else:
-        # shift-invert about zero: the operator is positive definite, so the
-        # smallest eigenvalues are the largest of the inverse.  One value more
-        # than the count (expected + 1 < n here) makes the check two-sided: a
-        # count that is too low lets that value fall below the shift.  A fixed
-        # start vector keeps the output identical from run to run.
-        vals = scipy.sparse.linalg.eigsh(
-            op.matrix.tocsc(), k=expected + 1, sigma=0.0, which="LM", v0=_start_vector(op.n),
-            return_eigenvectors=False)
-        vals = np.sort(vals)
-        vals = vals[vals < shift]
-        method = "eigsh"
-    if len(vals) != expected:
-        raise CertificationError(found=len(vals), expected=expected)
-    return Spectrum(values=np.sort(vals), cutoff=lam, certified=True,
+        # both operators are positive definite: no eigenvalue below 0
+        ends = _slice_ends(op, (0.0, 0), (cert.shift, cert.count))
+        parts = [_slice_values(op, lo, hi, c_hi - c_lo)
+                 for (lo, c_lo), (hi, c_hi) in zip(ends, ends[1:])]
+        vals = np.concatenate([v for v, _ in parts])
+        method = "eigvalsh" if any(m == "eigvalsh" for _, m in parts) else "eigsh"
+    return Spectrum(values=vals, cutoff=lam, certified=True,
                     certificate=replace(cert, value_method=method))
 
 

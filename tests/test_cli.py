@@ -19,7 +19,7 @@ import weylcs.cli
 from weylcs.cli import COMMANDS, ConfigError, ExperimentConfig, _apply_kv, \
     load_config, main
 from weylcs.domains import rectangle_domain
-from weylcs.eigen import DENSE_LIMIT, DenseLimitError, _count_below, load_spectrum
+from weylcs.eigen import DENSE_LIMIT, DenseLimitError, count_certificate, load_spectrum
 from weylcs.operators import assemble_euclidean
 from weylcs.weyl import CURVE_HEADER
 
@@ -146,8 +146,25 @@ def test_weyl_curve_discrete_past_the_dense_limit(tmp_path):
     dom = dataclasses.replace(rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h), exact_box=None)
     op = assemble_euclidean(dom)
     assert op.n == 72 ** 2 > DENSE_LIMIT
-    count = _count_below(op, 2e4, DENSE_LIMIT).count
+    count = count_certificate(op, 2e4).count
     assert count == int(np.sum(exact < 2e4)) > op.n // 4
+
+
+EXAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "examples")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(EXAMPLES)))
+def test_example_config_runs(tmp_path, name):
+    # the first line of every example is the command that runs it
+    path = os.path.join(EXAMPLES, name)
+    with open(path) as fh:
+        usage = fh.readline().split()
+    assert name.endswith(".cfg")
+    assert usage[:2] == ["#", "weylcs"] and usage[3:5] == ["--config", f"examples/{name}"]
+    command = usage[2]
+    fast = ["--set", "n_vectors=2"] if command == "frame-check" else []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")] + fast) == 0
 
 
 def test_cli_import_loads_neither_integrate_nor_ndimage():

@@ -18,9 +18,9 @@ from weylcs.eigen import (
     CertificationError,
     DenseLimitError,
     Spectrum,
-    _count_below,
     _inertia_negative,
     count_below,
+    count_certificate,
     dense_spectrum,
     load_spectrum,
     save_spectrum,
@@ -124,7 +124,7 @@ def test_count_below_nudges_to_the_strict_count(n, k):
     op, h = sparse_interval_op(n)
     lam = 2.0 / h ** 2 if k is None else tridiag_eigs(n, h, 1.0)[k - 1]
     with pytest.warns(UserWarning, match="count_below: shift perturbed"):
-        cert = _count_below(op, lam, weylcs.eigen.DENSE_LIMIT)
+        cert = count_certificate(op, lam)
     assert cert.nudges > 0 and cert.shift < lam
     assert cert.count == (n // 2 if k is None else k - 1) == dense_count(op, cert.shift)
 
@@ -137,7 +137,7 @@ def test_count_below_at_every_eigenvalue_of_square():
     axis = tridiag_eigs(11, h, 1.0)
     exact = np.sort((axis[:, None] + axis[None, :]).ravel())
     for lam in dense_spectrum(op).values:
-        cert = _count_below(op, lam, weylcs.eigen.DENSE_LIMIT)
+        cert = count_certificate(op, lam)
         assert cert.count == int(np.sum(exact < lam * (1.0 - 1e-9)))
         assert cert.count == dense_count(op, cert.shift)
 
@@ -175,13 +175,114 @@ def test_sparse_count_matches_dense_on_masks(dom, morph, kind, fractions, picks)
     op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
     vals = dense_spectrum(op).values
     for lam in [f * vals[-1] for f in fractions]:
-        cert = _count_below(op, lam, weylcs.eigen.DENSE_LIMIT)
+        cert = count_certificate(op, lam)
         assert cert.count == dense_count(op, cert.shift)
     # lambda on an eigenvalue: the count stays strict
     for lam in [vals[int(p * (len(vals) - 1))] for p in picks]:
-        cert = _count_below(op, lam, weylcs.eigen.DENSE_LIMIT)
+        cert = count_certificate(op, lam)
         assert cert.count == dense_count(op, cert.shift)
         assert cert.count == int(np.sum(vals < lam * (1.0 - 1e-9)))
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+@given(dom=disk_unions(), morph=st.sampled_from(["none", "erode", "dilate"]),
+       kind=st.sampled_from(["euclidean", "hyperbolic"]), fraction=st.floats(0.0, 1.0))
+@settings(max_examples=15, deadline=None)
+def test_sliced_spectrum_matches_dense_on_masks(dom, morph, kind, fraction):
+    # lambda up to 6/h^2 puts several slices of _SLICE below it at h = 1/30
+    if morph == "erode":
+        try:
+            dom = erode(dom, 2.0 * dom.h)
+        except EmptyErosionError:
+            assume(False)
+    elif morph == "dilate":
+        dom = dilate(dom, 2.0 * dom.h)
+    op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    spec = spectrum_below(op, fraction * 6.0 / dom.h ** 2)
+    cert = spec.certificate
+    want = dense_spectrum(op).values
+    want = want[want < cert.shift]
+    assert cert.count == len(spec.values) == len(want)
+    assert np.allclose(spec.values, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+@pytest.mark.parametrize("denom, q", [(20, 4), (24, 5)])
+def test_sliced_spectrum_on_the_square(denom, q):
+    # the square pairs mu_j + mu_k with mu_k + mu_j.  At h = 1/20 the centre
+    # of the slice [2/h^2, 4/h^2) is the eigenvalue 3/h^2; at h = 1/24 the
+    # first eigsh of a slice below 5/h^2 misses copies of double eigenvalues
+    h = 1.0 / denom
+    op = assemble_euclidean(dataclasses.replace(
+        rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h), exact_box=None))
+    spec = spectrum_below(op, q / h ** 2)
+    want = dense_spectrum(op).values
+    want = want[want < spec.certificate.shift]
+    assert spec.certificate.value_method == "eigsh"
+    assert len(spec.values) == len(want) > weylcs.eigen._SLICE
+    assert np.allclose(spec.values, want, rtol=1e-10, atol=0.0)
+
+
+def disk_op(h):
+    """Euclidean operator on the disk of radius 0.45 about (0.5, 0.5)."""
+    box = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+    x = box.axis_coords(0)[:, None] - 0.5
+    y = box.axis_coords(1)[None, :] - 0.5
+    mask = box.mask & (x * x + y * y < 0.45 ** 2)
+    return assemble_euclidean(GridDomain(h=h, origin=box.origin, mask=mask, box=box.box))
+
+
+def test_sliced_spectrum_needs_no_dense_solver(monkeypatch):
+    # above n/4 eigenvalues the values used to come from a dense eigvalsh
+    op = disk_op(1 / 30)
+    lam = 5000.0
+    want = dense_spectrum(op).values
+    want = want[want < lam]
+    assert len(want) > max(op.n // 4, 2 * weylcs.eigen._SLICE)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the sliced path called a dense solver")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", boom)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", boom)
+    monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", boom)
+    spec = spectrum_below(op, lam)
+    assert spec.certificate.value_method == "eigsh" and spec.certificate.shift == lam
+    assert len(spec.values) == len(want)
+    assert np.allclose(spec.values, want, rtol=1e-10, atol=0.0)
+
+
+def test_sliced_spectrum_catches_an_interior_count_one_too_low(monkeypatch):
+    # only the counts at the slice ends inside (0, lambda) are one too low
+    count = weylcs.eigen._count
+    lam = 5000.0
+
+    def one_less_inside(op, shift):
+        cert, vals = count(op, shift)
+        return (dataclasses.replace(cert, count=cert.count - 1) if shift < lam else cert), vals
+
+    monkeypatch.setattr(weylcs.eigen, "_count", one_less_inside)
+    op = disk_op(1 / 30)
+    assert count_below(op, lam) > weylcs.eigen._SLICE
+    with pytest.raises(CertificationError):
+        spectrum_below(op, lam)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("nodes", [[(2, 2)], [(2, 2), (2, 3)]])
+def test_spectrum_below_on_one_or_two_nodes(kind, nodes):
+    # k = count + 1 >= n, which eigsh refuses: these values come from eigvalsh
+    h = 0.2
+    box = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+    mask = np.zeros(box.shape, dtype=bool)
+    mask[tuple(zip(*nodes))] = True
+    dom = GridDomain(h=h, origin=box.origin, mask=mask, box=box.box)
+    op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    spec = spectrum_below(op, 1e3)
+    want = dense_spectrum(op).values
+    assert op.n == len(nodes) and np.all(want < 1e3)
+    assert spec.certificate.value_method == "eigvalsh"
+    assert np.allclose(spec.values, want, rtol=1e-12, atol=0.0)
 
 
 def test_count_below_monotone():
@@ -238,7 +339,7 @@ def test_spectrum_below_catches_a_count_one_too_low(monkeypatch):
 
 
 @pytest.mark.parametrize("n, lam, value_method", [
-    (200, 5000.0, "eigsh"), (20, 1e3, "eigvalsh"), (50, 1.0, "none")])
+    (200, 5000.0, "eigsh"), (20, 1e3, "eigsh"), (50, 1.0, "none")])
 def test_spectrum_certificate(n, lam, value_method):
     op, _ = sparse_interval_op(n)
     spec = spectrum_below(op, lam)
@@ -272,7 +373,7 @@ def test_one_nudge_resolves_an_eigenvalue(make, n):
     # lambda with room to spare on the box path and on the sparse LDL^T
     op, h = make(n)
     for k, lam in enumerate(tridiag_eigs(n, h, 1.0)):
-        cert = _count_below(op, lam, weylcs.eigen.DENSE_LIMIT)
+        cert = count_certificate(op, lam)
         assert cert.nudges == 1 and cert.count == k
 
 
@@ -325,7 +426,7 @@ def test_box_count_matches_dense_and_sparse(dom, kind, fractions, picks):
         cert = spec.certificate
         assert cert.count_method == "sturm"
         assert cert.count == dense_count(op, cert.shift)
-        assert cert.count == _count_below(sparse, lam, weylcs.eigen.DENSE_LIMIT).count
+        assert cert.count == count_certificate(sparse, lam).count
         want = vals[vals < cert.shift]
         assert len(spec.values) == len(want)
         assert np.allclose(spec.values, want, rtol=1e-10, atol=0.0)
