@@ -118,8 +118,9 @@ def _validate(cfg):
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
         raise ConfigError("numeric config fields must be finite")
     if cfg.dim < 1 or cfg.h <= 0 or cfg.eps <= 0 or cfg.lam_count < 1 \
-            or cfg.frame_n < 1 or cfg.seed < 0:
-        raise ConfigError("dim, h, eps, lam_count, frame_n must be positive, seed >= 0")
+            or cfg.frame_n < 1 or cfg.n_vectors < 1 or cfg.seed < 0:
+        raise ConfigError("dim, h, eps, lam_count, frame_n, n_vectors must be positive, "
+                          "seed >= 0")
     if len(cfg.box) != cfg.dim:
         raise ConfigError(f"box has {len(cfg.box)} axes, dim is {cfg.dim}")
     for a, b in cfg.box:

@@ -10,30 +10,48 @@ so after dividing by the window lattice sum
 the family is an exactly tight (Parseval) frame: the weighted phase-space norm
 of the transform equals the grid L^2 norm to machine precision, and the trace
 identity holds exactly for any symmetric operator on the embedding grid.
+
+The window is a product of 1-D factors g_a supported on k_a of the N lattice
+offsets of an axis, so the transform is applied one axis at a time: along
+axis a, the samples at (y_a + m_a) mod N for the k_a support offsets m_a are
+contracted with the table
+
+    K_a[y, m, xi] = g_a(m h) exp(-i xi (y + m) h),
+
+kept as its two factors, the k_a x N table g_a(m h) exp(-i xi m h) (one
+matrix product per axis) and the N x N phase exp(-i xi y h).  A transform
+costs O(n^2 k_a) for n = N^d, and no FFT is involved.  The trace sums over xi
+explicitly too: the sums over xi of exp(i xi (m - m') h) for pairs of support
+offsets, which the Plancherel identity makes N delta_{m m'}, are computed
+numerically from the same tables rather than assumed.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 import scipy.sparse as sp
 
 from .domains import _clearance
 from .operators import DiscreteOperator, DimensionMismatchError
 from .windows import Window, c_constants, grad_norm_sq
 
-# values per batch of shifted windows: large enough to amortize the per-call
-# FFT overhead, small enough that a batch and its transform stay in cache
-_BATCH = 1 << 16
-
 
 class FrameError(ValueError):
     pass
+
+
+class AxisTable(NamedTuple):
+    """Support of one window factor and its part of the transform table."""
+
+    offsets: np.ndarray  # the k_a wrapped lattice offsets m with g_a(m h) != 0
+    table: np.ndarray  # [m, xi] = g_a(m h) exp(-i xi m h), xi in FFT order
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +62,8 @@ class CoherentFrame:
     window: Window
     g_grid: np.ndarray = field(repr=False)  # window sampled at wrapped lattice offsets
     s: float  # lattice sum, h^d * sum g^2
+    phase: np.ndarray = field(repr=False)  # [y, xi] = exp(-i xi y h), one axis
+    axes: tuple[AxisTable, ...] = field(repr=False)
 
     @property
     def L(self):
@@ -80,28 +100,43 @@ class CoherentFrame:
         return self.weight_y * float(np.vdot(f, f).real)
 
 
-def _shifted_windows(frame: CoherentFrame, ys=None):
-    """Yield (rows, w) with w[k] = g(x - y_k) on the grid for the y-indices ys[rows].
+def _analysis(frame: CoherentFrame, f, ys):
+    """Unnormalized transform sum_x exp(-i xi.x) g(x - y) f(x), one axis at a time.
 
-    ys is an (m, d) array of lattice indices, all n of them in row-major order
-    by default.  Shifts wrap around the torus; batches hold about _BATCH values.
+    f has the frame's grid shape; ys holds one array of lattice indices per
+    axis, and y runs over their product.  Returns the values indexed
+    [y_0, ..., y_{d-1}, xi_0, ..., xi_{d-1}], xi in FFT order.
     """
-    d, N = frame.d, frame.N
-    if ys is None:
-        ys = np.indices(frame.shape).reshape(d, -1).T
-    x = np.arange(N)
-    step = max(1, _BATCH // frame.n)
-    for start in range(0, len(ys), step):
-        rows = slice(start, start + step)
-        idx = tuple(((x - ys[rows, a, None]) % N).reshape((-1,) + (1,) * a + (N,)
-                                                         + (1,) * (d - 1 - a))
-                    for a in range(d))
-        yield rows, frame.g_grid[idx]
+    N, d = frame.N, frame.d
+    vals = f
+    for a, (ax, y) in enumerate(zip(frame.axes, ys)):
+        # vals holds y_0..y_{a-1}, x_a..x_{d-1}, xi_0..xi_{a-1}: gather
+        # x_a = y + m in place of x_a, m last, and contract m into xi_a, last
+        gathered = np.moveaxis(np.take(vals, (y[:, None] + ax.offsets) % N, axis=a),
+                               a + 1, -1)
+        vals = gathered.reshape(-1, len(ax.offsets)) @ ax.table
+        vals = vals.reshape(gathered.shape[:-1] + (N,))
+        vals *= frame.phase[y].reshape((len(y),) + (1,) * (d - 1) + (N,))
+    return vals
 
 
-def _windowed_dft(frame: CoherentFrame, w, f):
-    """Unnormalized transform rows sum_x exp(-i xi.x) w[k](x) f(x), xi in FFT order."""
-    return scipy.fft.fftn(w * f, axes=tuple(range(1, frame.d + 1)))
+def _synthesis(frame: CoherentFrame, values):
+    """Exact transpose of _analysis over all y: values [y..., xi...] to
+    sum_{y,xi} exp(i xi.x) g(x - y) values[y, xi] on the grid."""
+    N, d = frame.N, frame.d
+    vals = values
+    for a in reversed(range(d)):
+        # vals holds y_0..y_a, x_{a+1}..x_{d-1}, xi_0..xi_a: contract xi_a
+        # into the support offsets m, then add (y, m) into x_a = y + m
+        ax = frame.axes[a]
+        vals = vals * frame.phase.conj().reshape((N,) + (1,) * (d - 1) + (N,))
+        shape = vals.shape[:-1]
+        vals = (vals.reshape(-1, N) @ ax.table.conj().T).reshape(shape + (-1,))
+        acc = np.zeros(shape, dtype=complex)
+        for j, m in enumerate(ax.offsets):
+            acc += np.roll(vals[..., j], m, axis=a)
+        vals = acc
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +149,10 @@ class PhaseSpaceFunction:
     def norm_sq(self):
         fr = self.frame
         w = fr.weight_xi * fr.weight_y * fr.measure_normalizer
-        return w * float(np.sum(np.abs(self.values) ** 2))
+        # one pass over the (re, im) pairs in numpy's own reduction: unlike a
+        # BLAS dot, its result does not depend on the BLAS thread count
+        v = self.values.reshape(-1).view(float)
+        return w * float(np.einsum("i,i", v, v))
 
 
 def build_frame(box, h, window: Window) -> CoherentFrame:
@@ -134,13 +172,18 @@ def build_frame(box, h, window: Window) -> CoherentFrame:
     # wrapped lattice offsets m*h in [-L/2, L/2)
     offs = h * np.arange(N)
     offs = np.where(offs >= L / 2.0, offs - L, offs)
-    grids = np.meshgrid(*([offs] * d), indexing="ij")
-    pts = np.stack(grids, axis=-1)
-    g_grid = window(pts)
+    samples = [window.factor_value(a, offs) for a in range(d)]
+    g_grid = functools.reduce(np.multiply.outer, samples)
     s = float(np.sum(g_grid ** 2)) * h ** d
     if s <= 0.0:
         raise FrameError("window vanishes on the lattice; reduce h")
-    return CoherentFrame(d=d, N=N, h=h, window=window, g_grid=g_grid, s=s)
+    # exp(-i xi_k j h) = exp(-2 pi i k j / N), from the exact residue k j mod N
+    k = np.arange(N)
+    phase = np.exp(-2j * math.pi / N * (np.outer(k, k) % N))
+    axes = tuple(AxisTable(offsets=m, table=g[m, None] * phase[m])
+                 for g, m in ((g, np.flatnonzero(g)) for g in samples))
+    return CoherentFrame(d=d, N=N, h=h, window=window, g_grid=g_grid, s=s,
+                         phase=phase, axes=axes)
 
 
 def forward(frame: CoherentFrame, f) -> PhaseSpaceFunction:
@@ -148,11 +191,8 @@ def forward(frame: CoherentFrame, f) -> PhaseSpaceFunction:
     f = np.asarray(f)
     if f.size != frame.n:
         raise DimensionMismatchError(f"expected {frame.n} samples, got {f.size}")
-    fg = f.reshape(frame.shape)
-    vals = np.empty((frame.n,) + frame.shape, dtype=complex)
-    for rows, w in _shifted_windows(frame):
-        vals[rows] = _windowed_dft(frame, w, fg)
-    vals *= frame.h ** frame.d / math.sqrt(frame.s)
+    fg = f.reshape(frame.shape) * (frame.h ** frame.d / math.sqrt(frame.s))
+    vals = _analysis(frame, fg, [np.arange(frame.N)] * frame.d)
     return PhaseSpaceFunction(values=vals.reshape(frame.n, frame.n), frame=frame)
 
 
@@ -160,12 +200,8 @@ def adjoint(frame: CoherentFrame, F: PhaseSpaceFunction) -> np.ndarray:
     """Weighted synthesis; exact left inverse of forward (tight frame)."""
     if F.frame is not frame:
         raise FrameError("phase-space function belongs to a different frame")
-    vals = F.values.reshape((frame.n,) + frame.shape)
-    axes = tuple(range(1, frame.d + 1))
-    acc = np.zeros(frame.shape, dtype=complex)
-    for rows, w in _shifted_windows(frame):
-        acc += np.sum(w * scipy.fft.ifftn(vals[rows], axes=axes), axis=0)
-    return (acc / math.sqrt(frame.s)).reshape(frame.n)
+    acc = _synthesis(frame, F.values.reshape(frame.shape * 2))
+    return (acc / (frame.n * math.sqrt(frame.s))).reshape(frame.n)
 
 
 def phase_space_moment(frame: CoherentFrame, f, weight) -> float:
@@ -173,8 +209,8 @@ def phase_space_moment(frame: CoherentFrame, f, weight) -> float:
 
     weight(xi_axes, y) receives the d per-axis frequency grids (FFT order,
     broadcastable) and the y coordinate vector, returning the weight over the
-    xi grid.  Streams over y, so large frames never materialize the full
-    transform.
+    xi grid.  Streams over y, one row along the last axis at a time (N^(d+1)
+    values), so large frames never materialize the full transform.
     """
     f = np.asarray(f)
     if f.size != frame.n:
@@ -182,12 +218,13 @@ def phase_space_moment(frame: CoherentFrame, f, weight) -> float:
     fg = f.reshape(frame.shape)
     xi = frame.xi_axis()
     xi_axes = np.meshgrid(*([xi] * frame.d), indexing="ij", sparse=True)
-    ys = np.indices(frame.shape).reshape(frame.d, -1).T
+    row = np.arange(frame.N)
     total = 0.0
-    for rows, w in _shifted_windows(frame, ys):
-        power = np.abs(_windowed_dft(frame, w, fg)) ** 2
-        for y, p in zip(frame.h * ys[rows], power):
-            total += float(np.sum(weight(xi_axes, y) * p))
+    for head in itertools.product(range(frame.N), repeat=frame.d - 1):
+        ys = [np.array([i]) for i in head] + [row]
+        power = np.abs(_analysis(frame, fg, ys).reshape((frame.N,) + frame.shape)) ** 2
+        for j, p in enumerate(power):
+            total += float(np.sum(weight(xi_axes, frame.h * np.array(head + (j,))) * p))
     return total * frame.h ** (2 * frame.d) / (frame.s * frame.n)
 
 
@@ -241,33 +278,38 @@ def analytic_symbol(kind, window: Window, xi, y=None) -> float:
 def trace_via_frame(frame: CoherentFrame, T) -> float:
     """Phase-space trace sum; equals trace(T) exactly for symmetric T (tightness).
 
-    T may be dense or scipy.sparse; it is read column by column and never
-    densified.  The sum is taken as sum_j <Phi delta_j, Phi(T delta_j)> with
-    an explicit windowed DFT over xi, where for column j only the windows
-    covering node j contribute.
+    T may be dense or scipy.sparse; it is read entry by entry and never
+    densified.  The sum is sum_j <Phi delta_j, Phi(T delta_j)>: for column j
+    only the windows y = x_j - m with m in the window's support contribute,
+    and the sum over xi is an explicit product of frame tables, the Gram
+    matrix G[m, m'] = sum_xi g(m h) g(m' h) exp(i xi (m - m') h).  So the
+    trace is sum_j sum_{m, m'} G[m, m'] T[x_j + m' - m, j].  G is the tensor
+    product of the per-axis Gram matrices, and grouping the terms by
+    delta = m' - m reduces the sum to the diagonal sums
+    t[delta] = sum_j T[x_j + delta, j] against the per-axis sums of G along
+    its diagonals.
     """
-    T = sp.csc_array(T)
-    n = frame.n
+    T = sp.coo_array(T)
+    n, N = frame.n, frame.N
     if T.shape != (n, n):
         raise DimensionMismatchError(f"operator must be {n}x{n} on the embedding grid")
     if abs(T - T.conj().T).max() > 1e-12 * (abs(T).max() + 1.0):
         raise ValueError("operator must be symmetric")
-    d = frame.d
-    # column j pairs with every y = x_j - m for m in the window's support
-    support = np.argwhere(frame.g_grid != 0.0)
-    nodes = np.indices(frame.shape).reshape(d, -1).T
-    ys = ((nodes[:, None, :] - support[None, :, :]) % frame.N).reshape(-1, d)
-    cols = np.repeat(np.arange(n), len(support))
-    total = 0.0
-    for rows, w in _shifted_windows(frame, ys):
-        j = cols[rows]
-        delta = (np.arange(n) == j[:, None]).reshape(w.shape)
-        a = _windowed_dft(frame, w, delta)
-        b = _windowed_dft(frame, w, T[:, j].T.toarray().reshape(w.shape))
-        total += float(np.sum((a.conj() * b).real))
+    rows = np.unravel_index(T.row, frame.shape)
+    cols = np.unravel_index(T.col, frame.shape)
+    delta = np.ravel_multi_index([(r - c) % N for r, c in zip(rows, cols)], frame.shape)
+    total = np.zeros(n, dtype=complex)
+    np.add.at(total, delta, T.data)
+    total = total.reshape(frame.shape)
+    for ax in frame.axes:
+        gram = ax.table.conj() @ ax.table.T  # the explicit sum over xi
+        diag = (ax.offsets[None, :] - ax.offsets[:, None]) % N  # m' - m
+        sums = np.zeros(N, dtype=complex)
+        np.add.at(sums, diag.ravel(), gram.ravel())
+        total = np.tensordot(sums, total, axes=(0, 0))
     # weights: (2pi/L)^d * h^d * (2pi)^-d = N^-d, times h^d / s from the
     # normalized frame vectors
-    return total * frame.h ** d / (frame.s * n)
+    return float(total.real) * frame.h ** frame.d / (frame.s * n)
 
 
 _PHASE_MAGIC = b"WCSPSF1\n"

@@ -112,6 +112,7 @@ def test_spectrum_repeatable_in_one_process(tmp_path):
     ["weyl-curve", "--set", "source=discrete", "--set", "dim=2",
      "--set", "box=0,1;0,1", "--set", "h=0.0138",
      "--set", "lam_max=2e4"],  # spectrum_below raises DenseLimitError (patched below)
+    ["frame-check", "--set", "n_vectors=-3"],  # no Parseval vector would be checked
 ])
 def test_usage_and_limit_errors_exit_1(tmp_path, capsys, monkeypatch, args):
     # boxes never reach the dense limit, so the last case makes spectrum_below
@@ -167,11 +168,16 @@ def test_example_config_runs(tmp_path, name):
         assert main([command, "--config", path, "--out", str(tmp_path / "out")] + fast) == 0
 
 
-def test_cli_import_loads_neither_integrate_nor_ndimage():
+def subprocess_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(weylcs.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_cli_import_loads_neither_integrate_nor_ndimage():
+    env = subprocess_env()
     code = ("import sys, weylcs.cli; print(' '.join(m for m in ('scipy.integrate', "
-            "'scipy.ndimage') if m in sys.modules))")
+            "'scipy.ndimage', 'scipy.fft', 'scipy.special') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == ""
@@ -236,6 +242,18 @@ def test_frame_check_deterministic(tmp_path):
     assert "parseval_defect=" in body and "trace_defect=" in body
     defect = float(body.split("parseval_defect=")[1].splitlines()[0])
     assert defect <= 1e-10
+
+
+def test_frame_check_repeatable_across_processes(tmp_path):
+    env = subprocess_env()
+    args = ["frame-check", "--seed", "5", "--set", "dim=2", "--set", "frame_n=16",
+            "--set", "h=0.05", "--set", "box=0,0.8;0,0.8", "--set", "n_vectors=5"]
+    outs = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for out in outs:
+        subprocess.run([sys.executable, "-m", "weylcs"] + args + ["--out", str(out)],
+                       env=env, capture_output=True, check=True)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert "parseval_defect=" in outs[0].read_text()
 
 
 def test_frame_check_wrapped_window_exits_2(tmp_path, capsys):

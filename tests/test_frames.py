@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from weylcs.domains import rectangle_domain
 from weylcs.frames import (
     FrameError,
+    PhaseSpaceFunction,
     adjoint,
     analytic_symbol,
     build_frame,
@@ -113,23 +114,56 @@ def test_adjointness_by_direct_summation():
     assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
-def test_forward_2d_by_direct_summation():
-    N, h = 8, 0.1
-    win = scale(make_cosine_window(2), 0.25)
-    fr = build_frame(((0.0, N * h),) * 2, h, win)
+def direct_matrices(fr):
+    """Window matrix W[y, x] = g(x - y), wrapped, and phases P[x, xi] = exp(-i xi.x),
+    both dense over the flattened grid and straight from the window and the
+    frequencies."""
+    axes = np.meshgrid(*([fr.y_axis()] * fr.d), indexing="ij")
+    xs = np.stack(axes, axis=-1).reshape(-1, fr.d)
+    xis = np.stack(np.meshgrid(*([fr.xi_axis()] * fr.d), indexing="ij"),
+                   axis=-1).reshape(-1, fr.d)
+    off = (xs[None, :, :] - xs[:, None, :] + fr.L / 2) % fr.L - fr.L / 2
+    return fr.window(off), np.exp(-1j * xs @ xis.T)
+
+
+# (d, window, N, h, eps); the last case's support covers 11 of the 12 offsets
+DIRECT_CASES = {
+    "d1-cosine": (1, make_cosine_window, 16, 0.1, 0.3),
+    "d1-bump": (1, make_bump_window, 16, 0.1, 0.3),
+    "d2-cosine": (2, make_cosine_window, 8, 0.1, 0.25),
+    "d3-cosine": (3, make_cosine_window, 6, 0.1, 0.28),
+    "d3-bump": (3, make_bump_window, 6, 0.1, 0.28),
+    "d1-wide": (1, make_cosine_window, 12, 0.1, 0.58),
+}
+
+
+def direct_frame(name):
+    d, make, N, h, eps = DIRECT_CASES[name]
+    return build_frame(((0.0, N * h),) * d, h, scale(make(d), eps))
+
+
+@pytest.mark.parametrize("name", DIRECT_CASES)
+def test_forward_by_direct_summation(name):
+    fr = direct_frame(name)
+    if name == "d1-wide":
+        assert [len(ax.offsets) for ax in fr.axes] == [11]
     rng = np.random.default_rng(3)
     f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
-    xs = np.stack(np.meshgrid(fr.y_axis(), fr.y_axis(), indexing="ij"),
-                  axis=-1).reshape(-1, 2)
-    xis = np.stack(np.meshgrid(fr.xi_axis(), fr.xi_axis(), indexing="ij"),
-                   axis=-1).reshape(-1, 2)
-    ref = np.empty((fr.n, fr.n), dtype=complex)
-    for iy, y in enumerate(xs):
-        off = (xs - y + fr.L / 2) % fr.L - fr.L / 2  # wrapped x - y
-        for ixi, xi in enumerate(xis):
-            e = np.exp(1j * xs @ xi) * fr.window(off)
-            ref[iy, ixi] = h ** 2 / math.sqrt(fr.s) * np.vdot(e, f)
+    W, P = direct_matrices(fr)
+    ref = fr.h ** fr.d / math.sqrt(fr.s) * (W * f) @ P
     assert np.max(np.abs(forward(fr, f).values - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["d2-cosine", "d1-wide"])
+def test_adjoint_by_direct_summation(name):
+    fr = direct_frame(name)
+    rng = np.random.default_rng(4)
+    shape = (fr.n, fr.n)
+    F = PhaseSpaceFunction(values=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                           frame=fr)
+    W, P = direct_matrices(fr)
+    ref = np.sum(W * (F.values @ P.conj().T), axis=0) / (fr.n * math.sqrt(fr.s))
+    assert np.max(np.abs(adjoint(fr, F) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_symbol_converges_to_c1():
@@ -218,6 +252,22 @@ def test_trace_sparse_matches_dense():
     sparse_tr = trace_via_frame(fr, scipy.sparse.diags(d))
     assert abs(sparse_tr - trace_via_frame(fr, np.diag(d))) <= 1e-12 * d.sum()
     assert abs(sparse_tr - d.sum()) <= 1e-12 * d.sum()
+
+
+@pytest.mark.parametrize("d, N, eps", [(2, 16, 0.3), (1, 12, 0.58)])
+def test_trace_of_an_embedded_hyperbolic_operator(d, N, eps):
+    # banded, sparse and off-diagonal: the xi-sums between distinct support
+    # offsets must vanish for the trace to come out right
+    h = 0.1
+    fr = build_frame(((0.0, N * h),) * d, h, scale(make_cosine_window(d), eps))
+    op = assemble_hyperbolic(rectangle_domain(((0.0, N * h),) * d, h))
+    assert np.allclose(op.node_coords(), fr.h * op.nodes)
+    idx = np.ravel_multi_index(op.nodes.T, fr.shape)
+    A = op.matrix.tocoo()
+    T = scipy.sparse.coo_array((A.data, (idx[A.row], idx[A.col])), shape=(fr.n, fr.n))
+    assert T.nnz > op.n
+    tr = trace_via_frame(fr, T)
+    assert abs(tr - T.diagonal().sum()) <= 1e-12 * T.diagonal().sum()
 
 
 def test_trace_rejects_asymmetric():
