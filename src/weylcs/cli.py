@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.sparse
 
 from . import __version__
 from .domains import rectangle_domain
@@ -240,6 +239,8 @@ def cmd_symbol_check(cfg) -> int:
 
 
 def cmd_frame_check(cfg) -> int:
+    import scipy.sparse  # slow import, needed here only
+
     window = scale(_window(cfg), cfg.eps)
     L = cfg.frame_n * cfg.h
     frame = build_frame(((0.0, L),) * cfg.dim, cfg.h, window)

@@ -11,8 +11,20 @@ x_1 (exp(2 x_1) or 1) and A_tilde the Dirichlet Laplacian of the other axes,
 whose eigenvalues mu are sums of 4/h^2 sin^2(k pi / (2 (m + 1))).  The sine
 transform of the tilde axes is orthogonal, so the spectrum is the union over
 mu of the spectra of the tridiagonals A1 + mu*diag(w), and the count is the
-sum of their Sturm counts (bisection, backward stable).  The eigenvalues below
-the shift come out of the same bisection.
+sum of their Sturm counts (Barth, Martin & Wilkinson 1967; backward stable).
+
+The box path is numpy only, one kernel for counts and values.  A Sturm count
+runs q_i = (d_i - x) - b^2/q_{i-1} down the rows of every tridiagonal at once,
+a |q_i| under pivmin taken as -pivmin as in LAPACK's stebz; the negative q_i
+are the eigenvalues below x.  Eigenvalue k of a mode is bracketed between
+the mode's Gershgorin bounds and narrowed by multisection, all modes and
+indices together, each sweep counting at evenly spaced points inside every
+bracket, until the bracket reaches the count's rounding level (stebz's
+criterion).  A count bisects only the largest eigenvalue of each mode at or
+below shift + tol, the one nearest the shift whenever the count resolves;
+spectrum_below bisects every eigenvalue below the certified shift.  Neither
+assembles the sparse matrix: its largest entry, which sets tol, comes from
+the edge weights.
 
 Elsewhere the count comes from a sparse LDL^T: SuperLU in symmetric mode with
 a symmetric fill-reducing order and diagonal pivots only, whose negative
@@ -39,11 +51,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, diagonal
 
 DENSE_LIMIT = 5000
 _SLICE = 128  # most eigenvalues in one slice (see _slice_ends)
@@ -77,6 +86,10 @@ class Certificate:
     # "bisection" (box), "eigsh" (sliced), "eigvalsh" (a slice too large for
     # eigsh, count + 1 >= n, as on a mask of one or two nodes) or "none"
     value_method: str = "none"
+    # bound on the error of the values: the widest final bisection bracket
+    # (box), the largest residual |A v - theta v| of a unit Ritz vector
+    # (eigsh), nan for eigvalsh and none
+    value_error: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -89,6 +102,8 @@ class Spectrum:
 
 def dense_spectrum(op: DiscreteOperator, limit=DENSE_LIMIT) -> Spectrum:
     """All eigenvalues by a dense symmetric solver."""
+    import scipy.linalg  # slow import, needed here only
+
     if op.n > limit:
         raise DenseLimitError(f"n={op.n} exceeds dense limit {limit}")
     vals = scipy.linalg.eigvalsh(op.matrix.toarray())
@@ -142,6 +157,8 @@ def _sparse_inertia(b, tol):
     when every pivot |d_k| and the distance from zero to the spectrum of b
     exceed both tol and the LU rounding level n*eps*max_k (|L||U|)_kk.
     """
+    import scipy.sparse.linalg  # slow import, needed here only
+
     n = b.shape[0]
     try:
         lu = scipy.sparse.linalg.splu(b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
@@ -167,12 +184,15 @@ def _sparse_inertia(b, tol):
         float(min(pivot, dist)), _NEAR_EIGENVALUE if dist <= 1.0 else _SMALL_PIVOT)
 
 
-def _box_modes(op):
-    """(w, mu) of an operator on a filled box, or None.
+class _Box(NamedTuple):
+    """Separable structure of an operator on a filled box."""
+    w: np.ndarray  # tilde edge weight at each x_1 index of the box
+    mu: np.ndarray  # sorted eigenvalues of A_tilde (a single 0 for d=1)
+    norm: float  # max |A_ij|, as abs(A).max() of the assembled matrix
 
-    w is the tilde edge weight at each x_1 index of the box, mu the sorted
-    eigenvalues of A_tilde (a single 0 for d=1).
-    """
+
+def _box_modes(op):
+    """The _Box of an operator on a filled box, or None."""
     if op.grid.exact_box is None:
         return None
     lo, hi = op.nodes.min(axis=0), op.nodes.max(axis=0)
@@ -183,24 +203,98 @@ def _box_modes(op):
     for m in extent[1:]:
         axis = 4.0 / op.grid.h ** 2 * np.sin(np.arange(1, m + 1) * np.pi / (2.0 * (m + 1))) ** 2
         mu = (mu[:, None] + axis).ravel()
-    return op.tilde_weight[lo[0]:hi[0] + 1], np.sort(mu)
+    # every node of the box shares its entries with the nodes of its x_1
+    # index: the diagonal, and -w off it along each axis with two nodes or more
+    weights = [w[lo[0]:hi[0] + 1] for w in op.axis_weights()]
+    norm = max([np.abs(diagonal(weights)).max()]
+               + [np.abs(w).max() for w, m in zip(weights, extent) if m > 1])
+    return _Box(w=op.tilde_weight[lo[0]:hi[0] + 1], mu=np.sort(mu), norm=norm)
 
 
-def _box_values(h, w, mu, upper):
-    """Sorted eigenvalues at or below upper: bisection on the tridiagonal
-    A1 + mu*diag(w) of each tilde mode."""
+_EPS = np.finfo(float).eps
+# Sturm counts per multisection sweep: up to about this many, a numpy call
+# costs little more than its fixed overhead, so few values get many points each
+_POINTS = 512
+
+
+def _sturm_counts(diag, b2, x, pivmin):
+    """Eigenvalues below x of symmetric tridiagonals with diagonal diag[i]
+    (broadcast against x) and squared off-diagonal b2: the negative terms of
+    q_i = (d_i - x) - b2/q_{i-1}, a |q_i| under pivmin taken as -pivmin.
+
+    The guard changes nothing unless some |q_i| falls under pivmin, so the
+    recurrence runs without it first, and again with it only then, as
+    LAPACK's dlaneg does."""
+    with np.errstate(divide="ignore", over="ignore"):
+        q = _sturm_rows(diag, b2, x, None)
+    count = np.count_nonzero(q < 0.0, axis=0)
+    if np.min(np.abs(q, out=q), initial=np.inf) < pivmin:
+        count = np.count_nonzero(_sturm_rows(diag, b2, x, pivmin) < 0.0, axis=0)
+    return count
+
+
+def _sturm_rows(diag, b2, x, pivmin):
+    """The q_i, row by row; with pivmin, a |q_i| under it becomes -pivmin."""
+    q = np.subtract(diag, x)  # d_i - x, turned into q_i in place
+    t = np.empty(q.shape[1:])
+    prev = None
+    for row in q:
+        if prev is not None:
+            np.divide(b2, prev, out=t)
+            np.subtract(row, t, out=row)
+        if pivmin is not None:
+            np.copyto(row, -pivmin, where=np.abs(row) < pivmin)
+        prev = row
+    return q
+
+
+class _Values(NamedTuple):
+    values: np.ndarray  # sorted
+    count: int  # eigenvalues at or below upper, those left out included
+    bracket: float  # widest final bisection bracket
+
+
+def _box_values(h, box, upper, top=False):
+    """Eigenvalues at or below upper of the tridiagonals A1 + mu*diag(w), one
+    per tilde mode, found together by Sturm multisection; with top, only the
+    largest of each mode."""
+    w, mu = box.w, box.mu
+    if w.min() >= 0.0:
+        # A1 is positive definite, so a mode lies above mu * min(w)
+        mu = mu[mu * w.min() <= upper]
     inv_h2 = 1.0 / (h * h)
-    off = np.full(len(w) - 1, -inv_h2)
-    w_min = w.min()
-    found = [np.empty(0)]
-    for m in mu:
-        if w_min >= 0.0 and m * w_min > upper:
-            # A1 is positive definite, so this block and every later one
-            # (mu is sorted) lie above m * w_min
-            break
-        found.append(scipy.linalg.eigvalsh_tridiagonal(
-            2.0 * inv_h2 + m * w, off, select="v", select_range=(-np.inf, upper)))
-    return np.sort(np.concatenate(found))
+    b2 = inv_h2 * inv_h2
+    pivmin = np.finfo(float).tiny * max(1.0, b2)
+    diag = 2.0 * inv_h2 + w[:, None] * mu  # [i, mode]
+    # Gershgorin bounds of each mode, widened as LAPACK's stebz does
+    k = np.arange(len(w))
+    radius = inv_h2 * (np.minimum(k, 1) + np.minimum(len(w) - 1 - k, 1))[:, None]
+    lower, upper_bound = (diag - radius).min(axis=0), (diag + radius).max(axis=0)
+    tnorm = np.maximum(np.abs(lower), np.abs(upper_bound))
+    fudge = 2.1 * (tnorm * _EPS * len(w) + pivmin)
+    lower, upper_bound = lower - fudge, upper_bound + fudge
+
+    count = _sturm_counts(diag, b2, np.full(len(mu), upper), pivmin)
+    if top:
+        mode = np.flatnonzero(count)
+        index = count[mode] - 1
+    else:
+        mode = np.repeat(np.arange(len(mu)), count)
+        index = np.arange(len(mode)) - np.repeat(np.cumsum(count) - count, count)
+    # bracket every wanted eigenvalue: count(lo) <= index < count(hi)
+    lo, hi = lower[mode], np.minimum(upper_bound[mode], upper)
+    diag, tnorm, rows = diag[:, mode, None], tnorm[mode], np.arange(len(mode))
+    points = max(1, _POINTS // max(1, len(mode)))
+    frac = np.arange(1, points + 1) / (points + 1.0)
+    # converged as in LAPACK's stebz: to the rounding level of the count
+    floor = np.maximum(_EPS * tnorm, pivmin)
+    while np.any(hi - lo > np.maximum(floor, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))):
+        x = lo[:, None] + (hi - lo)[:, None] * frac
+        past = np.sum(_sturm_counts(diag, b2, x, pivmin) <= index[:, None], axis=1)
+        ends = np.concatenate([lo[:, None], x, hi[:, None]], axis=1)
+        lo, hi = ends[rows, past], ends[rows, past + 1]
+    return _Values(values=np.sort(0.5 * (lo + hi)), count=int(count.sum()),
+                   bracket=float(np.max(hi - lo, initial=0.0)))
 
 
 def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
@@ -214,31 +308,36 @@ def count_below(op: DiscreteOperator, lam: float) -> int:
     return count_certificate(op, lam).count
 
 
+def _shifted(op, shift):
+    """A - shift*I in CSC form."""
+    import scipy.sparse  # slow import, needed here only
+
+    return op.matrix.tocsc() - shift * scipy.sparse.identity(op.n, format="csc")
+
+
 def _count(op, lam):
-    """Certificate of the count and, on a box, the eigenvalues below its shift
-    (None elsewhere)."""
-    a = op.matrix.tocsc()
-    eye = scipy.sparse.identity(op.n, format="csc")
-    scale = abs(a).max() + abs(lam)
-    tol = 1e-12 * scale
+    """Certificate of the count and the operator's _Box (None off a box)."""
     box = _box_modes(op)
+    # on a box the largest entry comes from the edge weights, so the count
+    # needs no assembled matrix
+    scale = (abs(op.matrix).max() if box is None else box.norm) + abs(lam)
+    tol = 1e-12 * scale
     method = "sparse-ldl" if box is None else "sturm"
     shift = lam
-    values = None
     causes = []
     for attempt in range(3):
         # 2*tol per step: a nudge off an eigenvalue at lambda clears the gate
         shift = shift - 2.0 * tol * attempt
         if box is None:
-            neg, gate = _sparse_inertia(a - shift * eye, tol)
+            neg, gate = _sparse_inertia(_shifted(op, shift), tol)
         else:
             # bisection values carry errors of order eps*|A| << tol, so the
-            # count is exact once no value lies within tol of the shift;
-            # values above shift + tol are farther than that by construction
-            near = _box_values(op.grid.h, *box, shift + tol)
-            values = near[near < shift]
-            neg = len(values)
-            gate = _Gate(float(np.min(np.abs(near - shift), initial=np.inf) / tol),
+            # count is exact once no value lies within tol of the shift.  The
+            # largest value of each mode at or below shift + tol is the one
+            # nearest the shift whenever that holds
+            near = _box_values(op.grid.h, box, shift + tol, top=True)
+            neg = near.count
+            gate = _Gate(float(np.min(np.abs(near.values - shift), initial=np.inf) / tol),
                          _NEAR_EIGENVALUE)
         if gate.margin > 1.0:
             margin = gate.margin
@@ -247,10 +346,12 @@ def _count(op, lam):
     else:
         # three unresolved attempts: the pivoted dense factorization at the
         # last shift decides
+        import scipy.linalg  # slow import, needed here only
+
         if op.n > DENSE_LIMIT:
             raise DenseLimitError(f"n={op.n} exceeds dense limit {DENSE_LIMIT} and the "
                                   "inertia count did not resolve")
-        _, d, _ = scipy.linalg.ldl((a - shift * eye).toarray())
+        _, d, _ = scipy.linalg.ldl(_shifted(op, shift).toarray())
         neg, min_abs = _inertia_negative(d)
         method, margin = "dense-ldl", float(min_abs / tol)
     if attempt > 0:
@@ -258,7 +359,7 @@ def _count(op, lam):
                       f"({'; '.join(dict.fromkeys(causes))})")
     cert = Certificate(count_method=method, count=int(neg), shift=float(shift),
                        nudges=attempt, pivot_margin=margin)
-    return cert, values
+    return cert, box
 
 
 def _slice_ends(op, lo, hi):
@@ -291,7 +392,10 @@ def _slice_values(op, lo, hi, count):
     Rayleigh quotients of the eigenvectors: sigma + 1/nu, what shift-invert
     gives, loses accuracy far from a centre that lies close to an eigenvalue.
     """
+    import scipy.sparse.linalg  # slow import, needed here only
+
     n = op.n
+    error = float("nan")
     if count + 1 >= n:
         # eigsh needs k < n: a matrix of at most _SLICE + 1 rows, or more than
         # _SLICE eigenvalues within a few tol that no split could separate
@@ -300,9 +404,9 @@ def _slice_values(op, lo, hi, count):
     else:
         a = op.matrix.tocsc()
         sigma = 0.5 * (lo + hi)
-        solve = scipy.sparse.linalg.splu(a - sigma * scipy.sparse.identity(n, format="csc")).solve
+        solve = scipy.sparse.linalg.splu(_shifted(op, sigma)).solve
         found = np.empty((n, 0))  # eigenvectors of the values in the slice so far
-        vals, method = [], "eigsh"
+        vals, method, error = [], "eigsh", 0.0
         # every round but the last adds a value; a negative count (ends out
         # of order) runs none and fails the check below
         for seed in range(count + 1):
@@ -314,34 +418,42 @@ def _slice_values(op, lo, hi, count):
             _, vecs = scipy.sparse.linalg.eigsh(
                 a, k=count - len(vals) + 1, sigma=sigma, which="LM", OPinv=inverse,
                 v0=project(_start_vector(n, seed)))
-            theta = np.einsum("ij,ij->j", vecs, a @ vecs)
+            av = a @ vecs
+            theta = np.einsum("ij,ij->j", vecs, av)
             inside = (theta >= lo) & (theta < hi)
             vals.extend(theta[inside])
+            residual = np.linalg.norm(av[:, inside] - vecs[:, inside] * theta[inside], axis=0)
+            error = max(error, float(np.max(residual, initial=0.0)))
             if not inside.any() or len(vals) >= count:
                 break
             found = np.hstack([found, vecs[:, inside]])
     if len(vals) != count:
         raise CertificationError(found=len(vals), expected=count)
-    return np.sort(vals), method
+    return np.sort(vals), method, error
 
 
 def spectrum_below(op: DiscreteOperator, lam: float) -> Spectrum:
     """All eigenvalues below lam, certified against the inertia count."""
-    cert, vals = _count(op, lam)
+    cert, box = _count(op, lam)
     if cert.count == 0:
         return Spectrum(values=np.empty(0), cutoff=lam, certified=True, certificate=cert)
-    if vals is not None:
-        # on a box the bisection that made the count also gave the values
-        method = "bisection"
+    if box is not None:
+        # no eigenvalue lies within tol of the certified shift, so those at
+        # or below it are the ones below it
+        found = _box_values(op.grid.h, box, cert.shift)
+        if len(found.values) != cert.count:
+            raise CertificationError(found=len(found.values), expected=cert.count)
+        vals, method, error = found.values, "bisection", found.bracket
     else:
         # both operators are positive definite: no eigenvalue below 0
         ends = _slice_ends(op, (0.0, 0), (cert.shift, cert.count))
         parts = [_slice_values(op, lo, hi, c_hi - c_lo)
                  for (lo, c_lo), (hi, c_hi) in zip(ends, ends[1:])]
-        vals = np.concatenate([v for v, _ in parts])
-        method = "eigvalsh" if any(m == "eigvalsh" for _, m in parts) else "eigsh"
+        vals = np.concatenate([v for v, _, _ in parts])
+        method = "eigvalsh" if any(m == "eigvalsh" for _, m, _ in parts) else "eigsh"
+        error = float(np.max([e for _, _, e in parts]))  # nan after any eigvalsh
     return Spectrum(values=vals, cutoff=lam, certified=True,
-                    certificate=replace(cert, value_method=method))
+                    certificate=replace(cert, value_method=method, value_error=error))
 
 
 def save_spectrum(spec: Spectrum, path, kind="", h=None, extra=()):

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domains import _clearance
 from .operators import DiscreteOperator, DimensionMismatchError
@@ -207,24 +206,29 @@ def adjoint(frame: CoherentFrame, F: PhaseSpaceFunction) -> np.ndarray:
 def phase_space_moment(frame: CoherentFrame, f, weight) -> float:
     """Weighted second moment sum_{xi,y} W * weight(xi, y) * |forward(f)(xi, y)|^2.
 
-    weight(xi_axes, y) receives the d per-axis frequency grids (FFT order,
-    broadcastable) and the y coordinate vector, returning the weight over the
-    xi grid.  Streams over y, one row along the last axis at a time (N^(d+1)
-    values), so large frames never materialize the full transform.
+    Streams over y one row along the last axis at a time (N^(d+1) values), so
+    large frames never materialize the full transform, and calls weight once
+    per row.  weight(xi_axes, y) receives the d per-axis frequency grids (FFT
+    order) and the row's N points y as an (N, d) array, both shaped to
+    broadcast against the values [y, xi_0, ..., xi_{d-1}]: xi_axes[a] has
+    shape (1, ..., N, ..., 1) and y has shape (N, 1, ..., 1, d), so y[..., a]
+    is the a-th coordinate.
     """
     f = np.asarray(f)
     if f.size != frame.n:
         raise DimensionMismatchError(f"expected {frame.n} samples, got {f.size}")
     fg = f.reshape(frame.shape)
     xi = frame.xi_axis()
-    xi_axes = np.meshgrid(*([xi] * frame.d), indexing="ij", sparse=True)
+    xi_axes = [a[None] for a in np.meshgrid(*([xi] * frame.d), indexing="ij", sparse=True)]
     row = np.arange(frame.N)
     total = 0.0
     for head in itertools.product(range(frame.N), repeat=frame.d - 1):
         ys = [np.array([i]) for i in head] + [row]
-        power = np.abs(_analysis(frame, fg, ys).reshape((frame.N,) + frame.shape)) ** 2
-        for j, p in enumerate(power):
-            total += float(np.sum(weight(xi_axes, frame.h * np.array(head + (j,))) * p))
+        power = np.abs(_analysis(frame, fg, ys).reshape((frame.N,) + frame.shape))
+        power *= power
+        y = frame.h * np.column_stack([np.full(frame.N, i) for i in head] + [row])
+        power *= weight(xi_axes, y.reshape((frame.N,) + (1,) * frame.d + (frame.d,)))
+        total += float(power.sum())
     return total * frame.h ** (2 * frame.d) / (frame.s * frame.n)
 
 
@@ -289,7 +293,9 @@ def trace_via_frame(frame: CoherentFrame, T) -> float:
     t[delta] = sum_j T[x_j + delta, j] against the per-axis sums of G along
     its diagonals.
     """
-    T = sp.coo_array(T)
+    import scipy.sparse  # slow import, needed here only
+
+    T = scipy.sparse.coo_array(T)
     n, N = frame.n, frame.N
     if T.shape != (n, n):
         raise DimensionMismatchError(f"operator must be {n}x{n} on the embedding grid")

@@ -10,10 +10,10 @@ node's x_1, so sampling at the node is exact).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domains import GridDomain
 
@@ -24,7 +24,6 @@ class DimensionMismatchError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    matrix: sp.csr_matrix
     grid: GridDomain
     kind: str  # "euclidean" | "hyperbolic"
     nodes: np.ndarray  # (n, d) integer multi-indices, row k <-> nodes[k]
@@ -35,73 +34,74 @@ class DiscreteOperator:
 
     @property
     def n(self):
-        return self.matrix.shape[0]
+        return len(self.nodes)
+
+    @functools.cached_property
+    def matrix(self):
+        """The sparse CSR matrix, assembled on first access."""
+        return _assemble_matrix(self)
+
+    def axis_weights(self):
+        """Edge weight along each axis at each x_1 index of the grid: 1/h^2
+        along x_1, tilde_weight/h^2 along the other axes."""
+        inv_h2 = 1.0 / (self.grid.h * self.grid.h)
+        return [np.full(len(self.tilde_weight), inv_h2)] + \
+            [self.tilde_weight * inv_h2] * (self.grid.d - 1)
 
     def node_coords(self):
         return np.asarray(self.grid.origin) + self.grid.h * self.nodes
 
 
-def _assemble(dom: GridDomain, kind, tilde_weight=None):
-    mask = dom.mask
-    d = dom.d
-    h = dom.h
-    nodes = np.argwhere(mask)
+def diagonal(weights):
+    """Diagonal entries from per-axis edge weights: a node has two edges along
+    each axis, to a neighbour or to the boundary, and gets +w for each, in
+    axis order (the exact rounding of the assembled matrix)."""
+    diag = np.zeros_like(weights[0])
+    for w in weights:
+        diag += w
+        diag += w
+    return diag
+
+
+def _assemble_matrix(op: DiscreteOperator):
+    import scipy.sparse as sp  # slow import, needed here only
+
+    nodes, row_of = op.nodes, op.row_of
     n = len(nodes)
-    row_of = -np.ones(mask.shape, dtype=np.int64)
-    row_of[mask] = np.arange(n)
-    inv_h2 = 1.0 / (h * h)
-
-    if kind == "hyperbolic" and d > 1:
-        if tilde_weight is None:
-            tilde_weight = lambda x1: np.exp(2.0 * x1)
-        x1_weight = np.asarray(tilde_weight(dom.axis_coords(0)), dtype=float)
-    else:
-        x1_weight = np.ones(mask.shape[0])
-
-    diag = np.zeros(n)
-    rows, cols, vals = [], [], []
-    for axis in range(d):
-        if kind == "hyperbolic" and axis >= 1:
-            w = x1_weight[nodes[:, 0]] * inv_h2
-        else:
-            w = np.full(n, inv_h2)
-        # edges in +axis direction; the -direction edge is seen from the
-        # neighboring node, and boundary edges are counted once per endpoint
+    weights = [w[nodes[:, 0]] for w in op.axis_weights()]
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [diagonal(weights)]
+    for axis, w in enumerate(weights):
+        # interior edges in the +axis direction: -w symmetric off-diagonal
         nb = nodes.copy()
         nb[:, axis] += 1
-        in_bounds = nb[:, axis] < mask.shape[axis]
+        in_bounds = nb[:, axis] < row_of.shape[axis]
         nb_row = np.full(n, -1, dtype=np.int64)
         nb_row[in_bounds] = row_of[tuple(nb[in_bounds].T)]
-        interior = nb_row >= 0
-        # interior edge: w on both diagonals, -w symmetric off-diagonal
-        i = np.arange(n)[interior]
-        j = nb_row[interior]
-        we = w[interior]
-        np.add.at(diag, i, we)
-        np.add.at(diag, j, we)
+        i = np.flatnonzero(nb_row >= 0)
+        j = nb_row[i]
         rows.extend([i, j])
         cols.extend([j, i])
-        vals.extend([-we, -we])
-        # boundary edge in +direction
-        np.add.at(diag, np.arange(n)[~interior], w[~interior])
-        # boundary edge in -direction
-        pv = nodes.copy()
-        pv[:, axis] -= 1
-        ok = pv[:, axis] >= 0
-        pv_row = np.full(n, -1, dtype=np.int64)
-        pv_row[ok] = row_of[tuple(pv[ok].T)]
-        bnd = pv_row < 0
-        np.add.at(diag, np.arange(n)[bnd], w[bnd])
-
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
+        vals.extend([-w[i], -w[i]])
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
     mat.sum_duplicates()
-    return DiscreteOperator(matrix=mat, grid=dom, kind=kind, nodes=nodes, row_of=row_of,
+    return mat
+
+
+def _assemble(dom: GridDomain, kind, tilde_weight=None):
+    mask = dom.mask
+    nodes = np.argwhere(mask)
+    row_of = -np.ones(mask.shape, dtype=np.int64)
+    row_of[mask] = np.arange(len(nodes))
+    if kind == "hyperbolic" and dom.d > 1:
+        if tilde_weight is None:
+            tilde_weight = lambda x1: np.exp(2.0 * x1)
+        x1_weight = np.asarray(tilde_weight(dom.axis_coords(0)), dtype=float)
+    else:
+        x1_weight = np.ones(mask.shape[0])
+    return DiscreteOperator(grid=dom, kind=kind, nodes=nodes, row_of=row_of,
                             tilde_weight=x1_weight)
 
 

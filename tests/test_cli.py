@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import os
 import subprocess
@@ -174,13 +175,65 @@ def subprocess_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
-def test_cli_import_loads_neither_integrate_nor_ndimage():
-    env = subprocess_env()
-    code = ("import sys, weylcs.cli; print(' '.join(m for m in ('scipy.integrate', "
-            "'scipy.ndimage', 'scipy.fft', 'scipy.special') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+BOX_RUNS = '''
+import json, sys
+import weylcs.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = {"import": scipy_modules()}
+for command in sys.argv[1:]:
+    args = ["--set", "kind=hyperbolic", "--set", "dim=2", "--set", "box=0,1;0,1",
+            "--set", "h=0.025", "--set", "lam_max=250", "--set", "source=discrete",
+            "--set", "lam_min=20", "--set", "lam_count=6", "--out", command + ".out"]
+    if command == "frame-check":
+        args = ["--set", "dim=2", "--set", "frame_n=16", "--set", "h=0.05",
+                "--set", "box=0,0.8;0,0.8", "--set", "n_vectors=2", "--out", command + ".out"]
+    assert weylcs.cli.main([command] + args) == 0
+    loaded[command] = scipy_modules()
+print(json.dumps(loaded))
+'''
+# slow imports that no CLI command needs at start-up
+OLD_FORBIDDEN = ("scipy.integrate", "scipy.ndimage", "scipy.fft", "scipy.special")
+
+
+def run_box_commands(tmp_path, commands, **env):
+    """Run the commands through cli.main in one fresh process, in tmp_path;
+    the scipy modules loaded after the import and after each command."""
+    out = subprocess.run([sys.executable, "-c", BOX_RUNS] + commands, cwd=tmp_path,
+                         env=dict(subprocess_env(), **env), capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == ""
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def box_runs(tmp_path_factory):
+    """spectrum and weyl-curve on a box in fresh processes with one and with
+    two BLAS threads, the first followed by frame-check: the scipy modules
+    loaded, and the box output bytes."""
+    runs = {}
+    for threads, extra in (("1", ["frame-check"]), ("2", [])):
+        run_dir = tmp_path_factory.mktemp(f"blas{threads}")
+        loaded = run_box_commands(run_dir, ["spectrum", "weyl-curve"] + extra,
+                                  OPENBLAS_NUM_THREADS=threads)
+        runs[threads] = loaded, [(run_dir / f"{c}.out").read_bytes()
+                                 for c in ("spectrum", "weyl-curve")]
+    return runs
+
+
+def test_box_commands_load_no_scipy(box_runs):
+    # a box needs numpy only: import, spectrum and a discrete Weyl curve
+    for loaded, _ in box_runs.values():
+        assert [loaded[c] for c in ("import", "spectrum", "weyl-curve")] == [[], [], []]
+    # frame-check needs scipy.sparse for its trace operator, nothing more
+    loaded = box_runs["1"][0]["frame-check"]
+    assert "scipy.sparse" in loaded and "scipy.linalg" not in loaded
+    assert not set(OLD_FORBIDDEN) & set(loaded)
+
+
+def test_box_outputs_independent_of_blas_threads(box_runs):
+    outputs = {threads: out for threads, (_, out) in box_runs.items()}
+    assert outputs["1"] == outputs["2"]
+    assert b"certified=true" in outputs["1"][0]
 
 
 CONFIG_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "out"]

@@ -18,7 +18,10 @@ from weylcs.eigen import (
     CertificationError,
     DenseLimitError,
     Spectrum,
+    _box_modes,
+    _box_values,
     _inertia_negative,
+    _sturm_counts,
     count_below,
     count_certificate,
     dense_spectrum,
@@ -282,6 +285,7 @@ def test_spectrum_below_on_one_or_two_nodes(kind, nodes):
     want = dense_spectrum(op).values
     assert op.n == len(nodes) and np.all(want < 1e3)
     assert spec.certificate.value_method == "eigvalsh"
+    assert math.isnan(spec.certificate.value_error)
     assert np.allclose(spec.values, want, rtol=1e-12, atol=0.0)
 
 
@@ -346,6 +350,7 @@ def test_spectrum_certificate(n, lam, value_method):
     cert = spec.certificate
     assert cert.count_method == "sparse-ldl" and cert.nudges == 0
     assert cert.value_method == value_method
+    assert (cert.value_error >= 0.0) == (value_method == "eigsh")  # nan for "none"
     assert cert.count == len(spec.values) and cert.shift == lam
     assert cert.pivot_margin > 1.0
 
@@ -481,6 +486,7 @@ def test_box_path_uses_no_factorization(monkeypatch, kind, lam):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", boom)
     monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", boom)
     monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", boom)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", boom)
     dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1 / 70)
     op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
     spec = spectrum_below(op, lam)
@@ -488,6 +494,133 @@ def test_box_path_uses_no_factorization(monkeypatch, kind, lam):
     assert (cert.count_method, cert.value_method) == ("sturm", "bisection")
     assert cert.nudges == 0 and cert.shift == lam and cert.pivot_margin > 1.0
     assert cert.count == len(spec.values) == count_below(op, lam) > 0
+    assert "matrix" not in vars(op)  # the sparse matrix was never assembled
+
+
+def lapack_box_values(op):
+    """Oracle: every eigenvalue of every tilde mode by LAPACK's stebz."""
+    box, h = _box_modes(op), op.grid.h
+    off = np.full(len(box.w) - 1, -1.0 / h ** 2)
+    return np.sort(np.concatenate([
+        scipy.linalg.eigvalsh_tridiagonal(2.0 / h ** 2 + m * box.w, off, lapack_driver="stebz")
+        for m in box.mu]))
+
+
+@st.composite
+def kernel_cases(draw):
+    """An operator on a box in d = 1-3 (a cube, so every mu repeats, or
+    not; the hyperbolic one with exp(2 x_1) or a weight that changes sign)
+    and an upper end: inside the spectrum, on an eigenvalue or below it."""
+    d = draw(st.integers(1, 3))
+    h = 1.0 / draw(st.sampled_from([7, 10, 16]))
+    most = {1: 40, 2: 12, 3: 6}[d]
+    if draw(st.booleans()):
+        sides = [draw(st.integers(2, most))] * d
+    else:
+        sides = [draw(st.integers(1, most)) for _ in range(d)]
+    dom = rectangle_domain(tuple((0.0, (k + 0.5) * h) for k in sides), h)
+    hook = draw(st.sampled_from(["euclidean", "hyperbolic", "sign-changing"]))
+    if hook == "euclidean":
+        op = assemble_euclidean(dom)
+    else:
+        op = assemble_hyperbolic(dom, tilde_weight=(
+            None if hook == "hyperbolic" else lambda x1: np.cos(9.0 * x1) - 0.4))
+    vals = lapack_box_values(op)
+    where = draw(st.sampled_from(["inside", "on", "below"]))
+    if where == "inside":
+        upper = vals[0] + draw(st.floats(0.0, 1.0)) * (vals[-1] - vals[0])
+    elif where == "on":
+        upper = vals[draw(st.integers(0, len(vals) - 1))]
+    else:
+        upper = vals[0] - draw(st.floats(1e-3, 10.0)) * abs(vals[0])
+    return op, vals, upper
+
+
+@given(case=kernel_cases())
+@settings(max_examples=60, deadline=None)
+def test_box_kernel_matches_lapack(case):
+    op, vals, upper = case
+    norm = abs(op.matrix).max()
+    box = _box_modes(op)
+    assert box.norm == norm  # bit for bit, without the matrix
+    atol = 8.0 * np.finfo(float).eps * norm
+    found = _box_values(op.grid.h, box, upper)
+    got = found.values
+    # at an eigenvalue the two counts may differ on values within rounding of it
+    assert np.sum(vals < upper - atol) <= len(got) <= np.sum(vals <= upper + atol)
+    assert found.count == len(got)
+    assert np.all(np.abs(got - vals[:len(got)]) <= atol)
+    assert np.all(np.diff(got) >= 0.0)
+    # a count bisects only the largest value of each mode: the same count,
+    # each of those among the values, and the largest value among them
+    top = _box_values(op.grid.h, box, upper, top=True)
+    assert top.count == found.count and len(top.values) <= len(box.mu)
+    assert all(np.min(np.abs(got - t)) <= atol for t in top.values)
+    assert len(got) == 0 or top.values[-1] == pytest.approx(got[-1], abs=atol)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("diag, x, want", [
+    ([5.0], [4.0, 5.0, 6.0], [0, 1, 1]),  # a zero pivot counts x itself
+    ([2.0, 2.0], [1.0, 2.0, 3.0], [1, 1, 2]),  # eigenvalues 1, 3; q_0 = 0 at x = 2
+    ([3.0, 3.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0], [0, 1, 2, 2, 3])])  # q_1 = 0 at x = 2
+def test_sturm_count_at_a_zero_pivot(diag, x, want):
+    # the unguarded pass meets q_i = 0 and the guarded pass decides, without
+    # a division warning; off-diagonal -1 throughout
+    diag = np.asarray(diag)
+    counts = _sturm_counts(diag[:, None], 1.0, np.asarray(x), np.finfo(float).tiny)
+    t = np.diag(diag) - np.eye(len(diag), k=1) - np.eye(len(diag), k=-1)
+    vals = np.linalg.eigvalsh(t)
+    assert list(counts) == want
+    assert all(c == np.sum(vals < v + 1e-12) for c, v in zip(counts, x))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+def test_box_value_error_is_the_bisection_bracket(kind):
+    # the bracket is at the count's rounding level, and every value lies
+    # within half of it of the eigenvalue, up to that level: the closed-form
+    # mode sums (euclidean) or LAPACK's stebz on each mode (hyperbolic)
+    h = 1 / 35
+    dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+    if kind == "euclidean":
+        op = assemble_euclidean(dom)
+        axis = tridiag_eigs(34, h, 1.0)
+        want = np.sort((axis[:, None] + axis[None, :]).ravel())
+    else:
+        op = assemble_hyperbolic(dom)
+        want = lapack_box_values(op)
+    spec = spectrum_below(op, 2000.0)
+    eps_a = np.finfo(float).eps * abs(op.matrix).max()
+    error = spec.certificate.value_error
+    assert 0.0 < error <= 8.0 * eps_a
+    deviation = np.abs(spec.values - want[:len(spec.values)])
+    assert np.max(deviation) <= 0.5 * error + 2.0 * eps_a, np.max(deviation) / eps_a
+
+
+def test_eigsh_value_error_is_the_ritz_residual(monkeypatch):
+    # recompute max |A v - theta v| from the Ritz vectors eigsh returned; by
+    # the residual bound each value lies that close to an eigenvalue
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def recording(*args, **kwargs):
+        calls.append(eigsh(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+    op, h = sparse_interval_op(200)
+    spec = spectrum_below(op, 5000.0)
+    assert spec.certificate.value_method == "eigsh" and len(calls) == 1
+    a = op.matrix
+    vecs = calls[0][1]
+    theta = np.einsum("ij,ij->j", vecs, a @ vecs)
+    inside = theta < spec.certificate.shift
+    residual = np.linalg.norm(a @ vecs[:, inside] - vecs[:, inside] * theta[inside], axis=0)
+    error = spec.certificate.value_error
+    assert error == pytest.approx(residual.max(), rel=1e-12)
+    assert 0.0 < error < 1e-8
+    exact = tridiag_eigs(200, h, 1.0)
+    assert np.all(np.abs(spec.values - exact[:len(spec.values)]) <= error)
 
 
 def test_spectrum_roundtrip(tmp_path):

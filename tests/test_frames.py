@@ -328,7 +328,7 @@ def test_frame_form_identity_tilde():
             * np.cos(10.0 * math.pi * Y)
         c = c_constants(win)
         lhs = phase_space_moment(
-            fr, psi.ravel(), lambda xi, y: math.exp(2.0 * y[0]) * xi[1] ** 2)
+            fr, psi.ravel(), lambda xi, y: np.exp(2.0 * y[..., 0]) * xi[1] ** 2)
         d2 = (np.roll(psi, -1, axis=1) - psi) / h
         rhs = c.c2 * h * h * np.sum(np.exp(2.0 * X) * psi ** 2) \
             + c.c3 * h * h * np.sum(np.exp(2.0 * X) * d2 ** 2)
