@@ -16,7 +16,8 @@ sum of their Sturm counts (Barth, Martin & Wilkinson 1967; backward stable).
 The box path is numpy only, one kernel for counts and values.  A Sturm count
 runs q_i = (d_i - x) - b^2/q_{i-1} down the rows of every tridiagonal at once,
 a |q_i| under pivmin taken as -pivmin as in LAPACK's stebz; the negative q_i
-are the eigenvalues below x.  Eigenvalue k of a mode is bracketed between
+are the eigenvalues below x.  Only the current row is kept, so its memory is
+that of the points counted.  Eigenvalue k of a mode is bracketed between
 the mode's Gershgorin bounds and narrowed by multisection, all modes and
 indices together, each sweep counting at evenly spaced points inside every
 bracket, until the bracket reaches the count's rounding level (stebz's
@@ -86,9 +87,11 @@ class Certificate:
     # "bisection" (box), "eigsh" (sliced), "eigvalsh" (a slice too large for
     # eigsh, count + 1 >= n, as on a mask of one or two nodes) or "none"
     value_method: str = "none"
-    # bound on the error of the values: the widest final bisection bracket
-    # (box), the largest residual |A v - theta v| of a unit Ritz vector
-    # (eigsh), nan for eigvalsh and none
+    # on a box the widest final bisection bracket: each value is the midpoint
+    # of its bracket, so it lies within half of it of an eigenvalue, up to the
+    # count's own rounding of about eps*max|A_ij|, which this leaves out.  On
+    # the eigsh path the largest residual |A v - theta v| of a unit Ritz
+    # vector, a bound on the error of the values; nan for eigvalsh and none
     value_error: float = float("nan")
 
 
@@ -153,7 +156,8 @@ def _sparse_inertia(b, tol):
 
     The count is None when SuperLU left the diagonal (a zero pivot made it
     pivot off it, so perm_r != perm_c and U's diagonal no longer carries the
-    inertia) or found b exactly singular.  It is resolved (margin above 1)
+    inertia), met a zero pivot inside a supernode ("failed to factorize") or
+    found b exactly singular.  It is resolved (margin above 1)
     when every pivot |d_k| and the distance from zero to the spectrum of b
     exceed both tol and the LU rounding level n*eps*max_k (|L||U|)_kk.
     """
@@ -163,10 +167,12 @@ def _sparse_inertia(b, tol):
     try:
         lu = scipy.sparse.linalg.splu(b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                                       options={"SymmetricMode": True})
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        if "singular" not in str(exc):
-            raise
-        return None, _Gate(0.0, _NEAR_EIGENVALUE)
+    except RuntimeError as exc:
+        if "singular" in str(exc):  # "Factor is exactly singular"
+            return None, _Gate(0.0, _NEAR_EIGENVALUE)
+        if "failed to factorize" in str(exc):
+            return None, _Gate(0.0, _SMALL_PIVOT)
+        raise
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None, _Gate(0.0, _SMALL_PIVOT)
     d = lu.U.diagonal()
@@ -217,35 +223,27 @@ _EPS = np.finfo(float).eps
 _POINTS = 512
 
 
-def _sturm_counts(diag, b2, x, pivmin):
-    """Eigenvalues below x of symmetric tridiagonals with diagonal diag[i]
-    (broadcast against x) and squared off-diagonal b2: the negative terms of
-    q_i = (d_i - x) - b2/q_{i-1}, a |q_i| under pivmin taken as -pivmin.
-
-    The guard changes nothing unless some |q_i| falls under pivmin, so the
-    recurrence runs without it first, and again with it only then, as
-    LAPACK's dlaneg does."""
-    with np.errstate(divide="ignore", over="ignore"):
-        q = _sturm_rows(diag, b2, x, None)
-    count = np.count_nonzero(q < 0.0, axis=0)
-    if np.min(np.abs(q, out=q), initial=np.inf) < pivmin:
-        count = np.count_nonzero(_sturm_rows(diag, b2, x, pivmin) < 0.0, axis=0)
+def _sturm_counts(w, mu, x, inv_h2, pivmin):
+    """Eigenvalues below x of the symmetric tridiagonals with diagonal
+    d_i = 2/h^2 + w_i*mu (mu broadcast against x) and off-diagonal -1/h^2:
+    the negative terms of q_i = (d_i - x) - b^2/q_{i-1}, a |q_i| under pivmin
+    taken as -pivmin as in LAPACK's stebz.  The rows are streamed, so the
+    memory is that of x."""
+    b2 = inv_h2 * inv_h2
+    shape = np.broadcast_shapes(np.shape(mu), np.shape(x))
+    count = np.zeros(shape, dtype=np.intp)
+    q = np.full(shape, np.inf)  # so that b^2/q_{-1} = 0
+    t = np.empty(shape)
+    neg = np.empty(shape, dtype=bool)
+    for wi in w:
+        np.subtract(2.0 * inv_h2 + wi * mu, x, out=t)
+        np.divide(b2, q, out=q)
+        np.subtract(t, q, out=q)
+        # every q_i under pivmin is negative once guarded: min(q_i, -pivmin)
+        np.less(q, pivmin, out=neg)
+        count += neg
+        np.minimum(q, -pivmin, out=q, where=neg)
     return count
-
-
-def _sturm_rows(diag, b2, x, pivmin):
-    """The q_i, row by row; with pivmin, a |q_i| under it becomes -pivmin."""
-    q = np.subtract(diag, x)  # d_i - x, turned into q_i in place
-    t = np.empty(q.shape[1:])
-    prev = None
-    for row in q:
-        if prev is not None:
-            np.divide(b2, prev, out=t)
-            np.subtract(row, t, out=row)
-        if pivmin is not None:
-            np.copyto(row, -pivmin, where=np.abs(row) < pivmin)
-        prev = row
-    return q
 
 
 class _Values(NamedTuple):
@@ -263,8 +261,7 @@ def _box_values(h, box, upper, top=False):
         # A1 is positive definite, so a mode lies above mu * min(w)
         mu = mu[mu * w.min() <= upper]
     inv_h2 = 1.0 / (h * h)
-    b2 = inv_h2 * inv_h2
-    pivmin = np.finfo(float).tiny * max(1.0, b2)
+    pivmin = np.finfo(float).tiny * max(1.0, inv_h2 * inv_h2)
     diag = 2.0 * inv_h2 + w[:, None] * mu  # [i, mode]
     # Gershgorin bounds of each mode, widened as LAPACK's stebz does
     k = np.arange(len(w))
@@ -274,7 +271,7 @@ def _box_values(h, box, upper, top=False):
     fudge = 2.1 * (tnorm * _EPS * len(w) + pivmin)
     lower, upper_bound = lower - fudge, upper_bound + fudge
 
-    count = _sturm_counts(diag, b2, np.full(len(mu), upper), pivmin)
+    count = _sturm_counts(w, mu, np.full(len(mu), upper), inv_h2, pivmin)
     if top:
         mode = np.flatnonzero(count)
         index = count[mode] - 1
@@ -283,14 +280,14 @@ def _box_values(h, box, upper, top=False):
         index = np.arange(len(mode)) - np.repeat(np.cumsum(count) - count, count)
     # bracket every wanted eigenvalue: count(lo) <= index < count(hi)
     lo, hi = lower[mode], np.minimum(upper_bound[mode], upper)
-    diag, tnorm, rows = diag[:, mode, None], tnorm[mode], np.arange(len(mode))
+    mu, tnorm, rows = mu[mode, None], tnorm[mode], np.arange(len(mode))
     points = max(1, _POINTS // max(1, len(mode)))
     frac = np.arange(1, points + 1) / (points + 1.0)
     # converged as in LAPACK's stebz: to the rounding level of the count
     floor = np.maximum(_EPS * tnorm, pivmin)
     while np.any(hi - lo > np.maximum(floor, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))):
         x = lo[:, None] + (hi - lo)[:, None] * frac
-        past = np.sum(_sturm_counts(diag, b2, x, pivmin) <= index[:, None], axis=1)
+        past = np.sum(_sturm_counts(w, mu, x, inv_h2, pivmin) <= index[:, None], axis=1)
         ends = np.concatenate([lo[:, None], x, hi[:, None]], axis=1)
         lo, hi = ends[rows, past], ends[rows, past + 1]
     return _Values(values=np.sort(0.5 * (lo + hi)), count=int(count.sum()),

@@ -132,6 +132,21 @@ def test_count_below_nudges_to_the_strict_count(n, k):
     assert cert.count == (n // 2 if k is None else k - 1) == dense_count(op, cert.shift)
 
 
+def test_count_below_on_a_zero_pivot_inside_a_supernode():
+    # five nodes in a plus: lam = 4/h^2 is a triple eigenvalue and zeroes the
+    # centre's diagonal, so SuperLU fails inside a supernode instead of
+    # reporting a singular factor; the count nudges off it like any other
+    h = 1 / 12
+    box = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+    mask = np.zeros(box.shape, dtype=bool)
+    mask[6, 5:8] = mask[5:8, 6] = True
+    op = assemble_euclidean(GridDomain(h=h, origin=box.origin, mask=mask, box=box.box))
+    lam = dense_spectrum(op).values[2]
+    with pytest.warns(UserWarning, match="small pivot"):
+        cert = count_certificate(op, lam)
+    assert cert.nudges > 0 and cert.count == 1 == dense_count(op, cert.shift)
+
+
 @pytest.mark.filterwarnings("ignore:count_below")
 def test_count_below_at_every_eigenvalue_of_square():
     # the square's spectrum has multiplicity-2 pairs mu_j + mu_k = mu_k + mu_j
@@ -565,10 +580,11 @@ def test_box_kernel_matches_lapack(case):
     ([2.0, 2.0], [1.0, 2.0, 3.0], [1, 1, 2]),  # eigenvalues 1, 3; q_0 = 0 at x = 2
     ([3.0, 3.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0], [0, 1, 2, 2, 3])])  # q_1 = 0 at x = 2
 def test_sturm_count_at_a_zero_pivot(diag, x, want):
-    # the unguarded pass meets q_i = 0 and the guarded pass decides, without
-    # a division warning; off-diagonal -1 throughout
+    # the recurrence meets q_i = 0 and the pivmin guard decides, without a
+    # division warning; h = 1 and mu = 1, so d_i = 2 + w_i and the
+    # off-diagonal is -1 throughout
     diag = np.asarray(diag)
-    counts = _sturm_counts(diag[:, None], 1.0, np.asarray(x), np.finfo(float).tiny)
+    counts = _sturm_counts(diag - 2.0, 1.0, np.asarray(x), 1.0, np.finfo(float).tiny)
     t = np.diag(diag) - np.eye(len(diag), k=1) - np.eye(len(diag), k=-1)
     vals = np.linalg.eigvalsh(t)
     assert list(counts) == want
