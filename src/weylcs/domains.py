@@ -1,9 +1,11 @@
 """Masked uniform grids representing an open set, with erosion and dilation.
 
 Nodes live on the lattice origin + h * index.  The mask marks interior nodes;
-measure is (number of true nodes) * h^d.  Erosion and dilation use the exact
-euclidean distance transform, matching dist(x, boundary) in the continuum
-definitions of the shrunk set Omega_eps and the fattened set Omega^eps.
+measure is (number of true nodes) * h^d.  Erosion and dilation threshold the
+exact euclidean distance between lattice nodes, matching dist(x, boundary) in
+the continuum definitions of the shrunk set Omega_eps and the fattened set
+Omega^eps.  Distances are computed only up to the radius a threshold needs
+(see :func:`lattice_dist2`), with numpy alone.
 """
 
 from __future__ import annotations
@@ -81,13 +83,35 @@ def rectangle_domain(box, h) -> GridDomain:
                       exact_box=box)
 
 
-def _clearance(dom: GridDomain) -> np.ndarray:
-    """Distance from each interior node to the nearest non-interior node."""
-    from scipy.ndimage import distance_transform_edt  # slow import, needed here only
+def lattice_dist2(target, r):
+    """Squared lattice distance from each node to the nearest True node of target.
 
-    padded = np.pad(dom.mask, 1, constant_values=False)
-    dist = distance_transform_edt(padded, sampling=dom.h)
-    return dist[(slice(1, -1),) * dom.d]
+    Exact where it is at most r^2 and r^2 + 1 elsewhere; nodes beyond the
+    array count as non-target.  Separable: per axis, D <- min over |t| <= r
+    of D shifted by t, plus t^2, which takes the minimum over the target nodes
+    in the cube of half-width r, a superset of the ball of radius r.
+    O(n d r) for n nodes.
+    """
+    cap = r * r + 1
+    dist2 = np.where(target, 0, cap)
+    for axis in range(dist2.ndim):
+        cur = np.moveaxis(dist2, axis, 0)
+        m = len(cur)
+        padded = np.full((m + 2 * r,) + cur.shape[1:], cap)
+        padded[r:r + m] = cur
+        out = cur.copy()
+        for t in range(1, r + 1):
+            np.minimum(out, padded[r + t:r + t + m] + t * t, out=out)
+            np.minimum(out, padded[r - t:r - t + m] + t * t, out=out)
+        dist2 = np.moveaxis(out, 0, axis)
+    return np.minimum(dist2, cap)
+
+
+def clearance(mask, h, r):
+    """Distance from each node to the nearest node outside mask (nodes beyond
+    the array are outside), exact up to r*h and above it elsewhere."""
+    inner = (slice(1, -1),) * mask.ndim
+    return h * np.sqrt(lattice_dist2(np.pad(~mask, 1, constant_values=True), r)[inner])
 
 
 def erode(dom: GridDomain, eps: float) -> GridDomain:
@@ -96,7 +120,7 @@ def erode(dom: GridDomain, eps: float) -> GridDomain:
         raise ValueError("eps must be >= 0")
     if eps == 0:
         return dom
-    mask = _clearance(dom) > eps
+    mask = clearance(dom.mask, dom.h, int(math.ceil(eps / dom.h)) + 1) > eps
     if not mask.any():
         raise EmptyErosionError("empty erosion")
     return GridDomain(h=dom.h, origin=dom.origin, mask=mask, box=dom.box)
@@ -108,11 +132,10 @@ def dilate(dom: GridDomain, eps: float) -> GridDomain:
         raise ValueError("eps must be >= 0")
     if eps == 0:
         return dom
-    from scipy.ndimage import distance_transform_edt  # slow import, needed here only
-
     pad = int(math.ceil(eps / dom.h)) + 1
     padded = np.pad(dom.mask, pad, constant_values=False)
-    dist = distance_transform_edt(~padded, sampling=dom.h)
+    # exact below pad*h >= eps + h/2, the threshold
+    dist = dom.h * np.sqrt(lattice_dist2(padded, pad))
     # half-cell correction: interior nodes under-represent the continuum set
     # by up to h/2 per side, so the raw threshold systematically under-dilates
     mask = padded | (dist < eps + 0.5 * dom.h)

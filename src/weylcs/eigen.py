@@ -151,6 +151,15 @@ class _Gate(NamedTuple):
     cause: str
 
 
+def _ldl_growth(lu):
+    """diag(|L||U|) of a SuperLU factorization that kept its pivots on the
+    diagonal of a symmetric matrix, so that U = D L^T: entry k is
+    sum_j L_kj^2 |d_j|, without forming the product."""
+    d = np.abs(lu.U.diagonal())
+    coo = lu.L.tocoo()
+    return np.bincount(coo.row, weights=coo.data ** 2 * d[coo.col], minlength=len(d))
+
+
 def _sparse_inertia(b, tol):
     """Negative count of a sparse LDL^T of b (None if unusable) and its gate.
 
@@ -176,11 +185,10 @@ def _sparse_inertia(b, tol):
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None, _Gate(0.0, _SMALL_PIVOT)
     d = lu.U.diagonal()
-    # diagonal of |L||U| without forming the product.  The largest entry,
-    # not each row's own, bounds the backward error that can flip a sign: a
-    # tiny pivot inflates the rows after it while its own row stays small.
-    growth = np.asarray(abs(lu.L).multiply(abs(lu.U).T).sum(axis=1)).ravel()
-    bound = max(tol, n * np.finfo(float).eps * growth.max())
+    # The largest entry of diag(|L||U|), not each row's own, bounds the
+    # backward error that can flip a sign: a tiny pivot inflates the rows
+    # after it while its own row stays small.
+    bound = max(tol, n * np.finfo(float).eps * _ldl_growth(lu).max())
     # without pivoting, an eigenvalue of b near zero need not leave a small
     # pivot; two steps of inverse iteration from a fixed vector see it
     x = lu.solve(_start_vector(n))

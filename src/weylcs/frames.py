@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domains import _clearance
-from .operators import DiscreteOperator, DimensionMismatchError
+from .domains import clearance
+from .operators import DiscreteOperator, DimensionMismatchError, diagonal
 from .windows import Window, c_constants, grad_norm_sq
 
 
@@ -239,29 +239,60 @@ class SymbolValue(NamedTuple):
 
 def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> float:
     """Re <e, A e> / <e, e> for the coherent state e = exp(i xi.x) g(x - y)
-    restricted to the operator's interior nodes; nan when e vanishes there."""
+    restricted to the operator's interior nodes; nan when e vanishes there.
+
+    e is evaluated only on the block of grid nodes in the window's support
+    around y, and the form is summed over the edges of that block: the
+    diagonal sum_i diag_i |e_i|^2 less 2 w Re(conj(e_i) e_j) for each pair of
+    neighbours i, j along an axis with edge weight w.  Since e vanishes off
+    the interior nodes, this is exactly Re <e, A e> of the assembled matrix.
+    """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    coords = op.node_coords()
-    e = np.exp(1j * coords @ xi) * window(coords - y)
+    dom = op.grid
+    # one node of margin: the window vanishes at the ends of its support
+    widths = np.array([window.factor_half_width(a) for a in range(dom.d)]) + dom.h
+    lo = np.ceil((y - widths - np.asarray(dom.origin)) / dom.h).astype(int)
+    hi = np.floor((y + widths - np.asarray(dom.origin)) / dom.h).astype(int) + 1
+    block = tuple(slice(*np.clip((a, b), 0, n)) for a, b, n in zip(lo, hi, dom.shape))
+    coords = dom.node_coords(np.stack(np.meshgrid(
+        *(np.arange(s.start, s.stop) for s in block), indexing="ij"), axis=-1))
+    e = np.exp(1j * coords @ xi) * window(coords - y) * dom.mask[block]
     nrm = np.vdot(e, e).real
     if nrm == 0.0:
         return math.nan
-    return float(np.vdot(e, op.matrix @ e).real / nrm)
+    x1 = (slice(None),) + (None,) * (dom.d - 1)  # weights vary along x_1 only
+    weights = [w[block[0]][x1] for w in op.axis_weights()]
+    form = float(np.sum(diagonal(weights) * (e.real ** 2 + e.imag ** 2)))
+    for a, w in enumerate(weights):
+        lower = e[(slice(None),) * a + (slice(None, -1),)]
+        upper = e[(slice(None),) * a + (slice(1, None),)]
+        if a == 0:
+            w = w[:-1]  # an edge along x_1 has the weight of its lower node
+        form -= 2.0 * float(np.sum(w * (lower.real * upper.real + lower.imag * upper.imag)))
+    return form / nrm
 
 
 def symbol(frame: CoherentFrame, op: DiscreteOperator, xi, y) -> SymbolValue:
     """Discrete symbol Re <e, A e> / <e, e> of the operator at phase-space point (xi, y).
 
-    The coherent state is restricted to the operator's interior nodes; if the
-    window support sticks out of the domain the value is flagged truncated.
+    The coherent state is restricted to the operator's interior nodes.  The
+    value is flagged truncated when the window support may stick out of the
+    domain: when the node nearest y lies within support_radius - h of a node
+    outside it.  That clearance is computed on the nodes within
+    r = ceil(support_radius / h) lattice steps of that node only: outside
+    nodes farther away lie beyond support_radius.
     """
     val = rayleigh_symbol(op, frame.window, xi, y)
     dom = op.grid
-    idx = tuple(np.clip(np.round((np.atleast_1d(y) - np.asarray(dom.origin)) / dom.h)
-                        .astype(int), 0, np.asarray(dom.shape) - 1))
-    truncated = (math.isnan(val) or not dom.mask[idx]
-                 or _clearance(dom)[idx] + dom.h < frame.window.support_radius)
+    radius = frame.window.support_radius
+    r = int(math.ceil(radius / dom.h))
+    idx = np.clip(np.round((np.atleast_1d(y) - np.asarray(dom.origin)) / dom.h).astype(int),
+                  0, np.asarray(dom.shape) - 1)
+    block = tuple(slice(max(i - r, 0), i + r + 1) for i in idx)
+    centre = tuple(i - s.start for i, s in zip(idx, block))
+    truncated = (math.isnan(val) or not dom.mask[tuple(idx)]
+                 or clearance(dom.mask[block], dom.h, r)[centre] + dom.h < radius)
     return SymbolValue(value=val, truncated=bool(truncated))
 
 

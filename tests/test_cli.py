@@ -208,10 +208,10 @@ def run_box_commands(tmp_path, commands, **env):
 @pytest.fixture(scope="module")
 def box_runs(tmp_path_factory):
     """spectrum and weyl-curve on a box in fresh processes with one and with
-    two BLAS threads, the first followed by frame-check: the scipy modules
-    loaded, and the box output bytes."""
+    two BLAS threads, the first followed by symbol-check and frame-check: the
+    scipy modules loaded, and the box output bytes."""
     runs = {}
-    for threads, extra in (("1", ["frame-check"]), ("2", [])):
+    for threads, extra in (("1", ["symbol-check", "frame-check"]), ("2", [])):
         run_dir = tmp_path_factory.mktemp(f"blas{threads}")
         loaded = run_box_commands(run_dir, ["spectrum", "weyl-curve"] + extra,
                                   OPENBLAS_NUM_THREADS=threads)
@@ -224,10 +224,38 @@ def test_box_commands_load_no_scipy(box_runs):
     # a box needs numpy only: import, spectrum and a discrete Weyl curve
     for loaded, _ in box_runs.values():
         assert [loaded[c] for c in ("import", "spectrum", "weyl-curve")] == [[], [], []]
+    # symbols sum the operator's edge weights, with no assembled matrix
+    assert box_runs["1"][0]["symbol-check"] == []
     # frame-check needs scipy.sparse for its trace operator, nothing more
     loaded = box_runs["1"][0]["frame-check"]
     assert "scipy.sparse" in loaded and "scipy.linalg" not in loaded
     assert not set(OLD_FORBIDDEN) & set(loaded)
+
+
+MASK_SYMBOLS = '''
+import json, sys
+import numpy as np
+from weylcs import domains, frames, operators, windows
+box = domains.rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1 / 40)
+x, y = box.axis_coords(0)[:, None] - 0.5, box.axis_coords(1)[None, :] - 0.5
+omega = domains.GridDomain(h=box.h, origin=box.origin, mask=box.mask & (x * x + y * y < 0.2),
+                           box=box.box)
+doms = [domains.erode(omega, 0.05), omega, domains.dilate(omega, 0.05)]
+ops = [operators.assemble_hyperbolic(d) for d in doms]
+frame = frames.build_frame(((0.0, 1.0), (0.0, 1.0)), box.h,
+                           windows.scale(windows.make_cosine_window(2), 0.1))
+values = [frames.symbol(frame, op, (3.0, -2.0), (0.5, 0.45)).value for op in ops]
+assert all(np.isfinite(values))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+'''
+
+
+def test_mask_symbols_load_no_scipy():
+    # erode, dilate, assembly and symbols off a box: numpy only, in
+    # particular neither scipy.ndimage nor the scipy.special it loads
+    out = subprocess.run([sys.executable, "-c", MASK_SYMBOLS], env=subprocess_env(),
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
 def test_box_outputs_independent_of_blas_threads(box_runs):

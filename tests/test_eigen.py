@@ -250,6 +250,37 @@ def disk_op(h):
     return assemble_euclidean(GridDomain(h=h, origin=box.origin, mask=mask, box=box.box))
 
 
+def product_growth(lu):
+    """diag(|L||U|) from both factors, the reference for _ldl_growth."""
+    return np.asarray(abs(lu.L).multiply(abs(lu.U).T).sum(axis=1)).ravel()
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("denom", [20, 40])
+def test_ldl_growth_matches_the_product_of_the_factors(monkeypatch, kind, denom):
+    dom = disk_op(1.0 / denom).grid
+    op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    lams = [10.0, 250.0, 1111.1, 2.7 * denom ** 2]
+    for lam in lams:
+        lu = scipy.sparse.linalg.splu(weylcs.eigen._shifted(op, lam),
+                                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                                      options={"SymmetricMode": True})
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert np.allclose(weylcs.eigen._ldl_growth(lu), product_growth(lu),
+                           rtol=1e-10, atol=0.0)
+    # lambda on an eigenvalue: tiny pivots, where the two can differ widely
+    vals = dense_spectrum(op).values
+    lams += [vals[0], vals[len(vals) // 2]]
+    # the gate decides alike with the product's growth
+    certs = [count_certificate(op, lam) for lam in lams]
+    monkeypatch.setattr(weylcs.eigen, "_ldl_growth", product_growth)
+    for lam, cert in zip(lams, certs):
+        other = count_certificate(op, lam)
+        assert (cert.count_method, cert.count, cert.shift, cert.nudges) == \
+            (other.count_method, other.count, other.shift, other.nudges)
+
+
 def test_sliced_spectrum_needs_no_dense_solver(monkeypatch):
     # above n/4 eigenvalues the values used to come from a dense eigvalsh
     op = disk_op(1 / 30)

@@ -8,7 +8,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylcs.domains import rectangle_domain
+from weylcs.domains import GridDomain, rectangle_domain
 from weylcs.frames import (
     FrameError,
     PhaseSpaceFunction,
@@ -203,6 +203,51 @@ def test_symbol_truncated_flag_near_boundary():
     fr = build_frame(((0.0, 2.0),), h, win)
     assert symbol(fr, op, 0.0, 0.1).truncated
     assert not symbol(fr, op, 0.0, 1.0).truncated
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("d, denom", [(1, 60), (2, 30), (3, 14)])
+def test_symbol_matches_the_assembled_matrix(kind, d, denom):
+    # the old full-grid formulas as the oracle: Re <e, A e> / <e, e> over
+    # every node with the assembled matrix, and the truncation rule on the
+    # euclidean distance transform of the whole grid
+    from scipy.ndimage import distance_transform_edt
+
+    rng = np.random.default_rng(d)
+    h = 1.0 / denom
+    box = rectangle_domain(((0.0, 1.0),) * d, h)
+    x = np.stack(np.meshgrid(*(box.axis_coords(a) for a in range(d)), indexing="ij"),
+                 axis=-1)
+    balls = [(np.full(d, 0.4), 0.3), (rng.uniform(0.3, 0.7, d), 0.2)]
+    mask = box.mask & np.any([np.sum((x - c) ** 2, axis=-1) < r * r for c, r in balls],
+                             axis=0)
+    dom = GridDomain(h=h, origin=box.origin, mask=mask, box=box.box)
+    op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    win = scale(make_cosine_window(d), 4.5 * h)
+    fr = build_frame(((0.0, 1.0),) * d, h, win)
+    clear = distance_transform_edt(np.pad(mask, 1), sampling=h)[(slice(1, -1),) * d]
+    # deep inside, near the boundary, anywhere around the box, and off the mask
+    directions = rng.standard_normal((20, d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    near = balls[0][0] + (balls[0][1] + rng.uniform(-3 * h, 3 * h, (20, 1))) * directions
+    ys = [c for c, _ in balls] + list(near) + list(rng.uniform(-0.2, 1.2, (20, d))) \
+        + [np.full(d, -0.1), np.full(d, 0.95)]
+    coords = op.node_coords()
+    flags = []
+    for y in ys:
+        xi = rng.uniform(-30.0, 30.0, d)
+        e = np.exp(1j * coords @ xi) * win(coords - y)
+        nrm = np.vdot(e, e).real
+        want = np.vdot(e, op.matrix @ e).real / nrm if nrm > 0.0 else math.nan
+        sv = symbol(fr, op, xi, y)
+        assert sv.value == pytest.approx(want, rel=1e-13, abs=0.0, nan_ok=True)
+        idx = tuple(np.clip(np.round((y - np.asarray(dom.origin)) / h).astype(int),
+                            0, np.asarray(dom.shape) - 1))
+        truncated = bool(math.isnan(want) or not mask[idx]
+                         or clear[idx] + h < win.support_radius)
+        assert sv.truncated == truncated
+        flags.append((truncated, math.isnan(want)))
+    assert {(False, False), (True, False), (True, True)} <= set(flags)
 
 
 def test_analytic_symbol_formulas():
