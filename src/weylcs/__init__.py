@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .windows import (
     CConstants,
-    SeparabilityError,
     Window,
     c_constants,
     make_bump_window,

@@ -141,21 +141,29 @@ def _lambda_grid(cfg):
     if not 0 < cfg.lam_min <= cfg.lam_max:
         raise ConfigError("the lambda grid needs 0 < lam_min <= lam_max")
     if cfg.lam_scale == "log":
-        return np.geomspace(cfg.lam_min, cfg.lam_max, cfg.lam_count)
-    if cfg.lam_scale == "linear":
-        return np.linspace(cfg.lam_min, cfg.lam_max, cfg.lam_count)
-    raise ConfigError(f"unknown lam_scale {cfg.lam_scale!r}")
+        grid = np.geomspace(cfg.lam_min, cfg.lam_max, cfg.lam_count)
+    elif cfg.lam_scale == "linear":
+        grid = np.linspace(cfg.lam_min, cfg.lam_max, cfg.lam_count)
+    else:
+        raise ConfigError(f"unknown lam_scale {cfg.lam_scale!r}")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ConfigError(f"lam_min..lam_max leaves no room for {cfg.lam_count} "
+                          "strictly increasing lambdas")
+    return grid
 
 
-def _operator(cfg):
-    dom = rectangle_domain(cfg.box, cfg.h)
-    if cfg.kind == "euclidean":
-        return dom, assemble_euclidean(dom)
-    return dom, assemble_hyperbolic(dom)
+def _operator(cfg, h):
+    """The grid domain of cfg.box at spacing h and the cfg.kind operator on it."""
+    try:
+        dom = rectangle_domain(cfg.box, h)
+    except ValueError as exc:  # no interior nodes
+        raise ConfigError(str(exc)) from exc
+    assemble = assemble_euclidean if cfg.kind == "euclidean" else assemble_hyperbolic
+    return dom, assemble(dom)
 
 
 def cmd_spectrum(cfg) -> int:
-    dom, op = _operator(cfg)
+    _, op = _operator(cfg, cfg.h)
     spec = spectrum_below(op, max(0.0, cfg.lam_max))
     save_spectrum(spec, cfg.out, kind=cfg.kind, h=cfg.h, extra=cfg.header_lines())
     return 0
@@ -168,9 +176,9 @@ def cmd_weyl_curve(cfg) -> int:
         if cfg.kind == "hyperbolic" and cfg.dim > 1:
             raise ConfigError("exact spectra are euclidean-only above one dimension")
         spec = exact_spectrum_box([b - a for a, b in cfg.box], cfg.lam_max)
-        dom = rectangle_domain(cfg.box, cfg.h)
+        dom, _ = _operator(cfg, cfg.h)
     elif cfg.source == "discrete":
-        dom, op = _operator(cfg)
+        dom, op = _operator(cfg, cfg.h)
         spec = spectrum_below(op, cfg.lam_max)
     else:
         raise ConfigError(f"unknown source {cfg.source!r}")
@@ -212,8 +220,7 @@ def _symbol_report(cfg, h_values):
     lines = []
     errors = {}
     for h in h_values:
-        sub = ExperimentConfig(**{**cfg.__dict__, "h": h})
-        dom, op = _operator(sub)
+        _, op = _operator(cfg, h)
         errs = []
         for xi, y in points:
             exact = analytic_symbol(cfg.kind, window, xi, y)

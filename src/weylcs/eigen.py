@@ -36,7 +36,10 @@ rounding level.
 
 On either path an unresolved count nudges the shift downward and, after three
 unresolved attempts, falls back to a dense Bunch-Kaufman LDL^T, which pivots
-and is stable.
+and is stable.  Its D is block diagonal with 1x1 and 2x2 blocks, hence
+tridiagonal, and the count is the number of its negative eigenvalues.
+count_certificate does all of this, and every count goes through it:
+count_below, spectrum_below and the slice ends.
 
 Off a box the values below a certified count come from spectrum slicing
 (Ericsson-Ruhe 1980; Campos-Roman 2012): [0, shift) is split at certified
@@ -103,36 +106,24 @@ class Spectrum:
     certificate: Certificate | None = None  # never written to a file
 
 
-def dense_spectrum(op: DiscreteOperator, limit=DENSE_LIMIT) -> Spectrum:
-    """All eigenvalues by a dense symmetric solver."""
+def dense_spectrum(op: DiscreteOperator) -> Spectrum:
+    """All eigenvalues by a dense symmetric solver, for n up to DENSE_LIMIT."""
     import scipy.linalg  # slow import, needed here only
 
-    if op.n > limit:
-        raise DenseLimitError(f"n={op.n} exceeds dense limit {limit}")
+    if op.n > DENSE_LIMIT:
+        raise DenseLimitError(f"n={op.n} exceeds dense limit {DENSE_LIMIT}")
     vals = scipy.linalg.eigvalsh(op.matrix.toarray())
     return Spectrum(values=np.sort(vals), cutoff=None, certified=True)
 
 
 def _inertia_negative(d):
-    """Negative count and smallest |block eigenvalue| of the LDL^T middle factor."""
-    n = d.shape[0]
-    neg = 0
-    min_abs = np.inf
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i, i + 1] != 0.0:
-            a, b, c = d[i, i], d[i, i + 1], d[i + 1, i + 1]
-            mean = 0.5 * (a + c)
-            half = np.hypot(0.5 * (a - c), b)
-            e1, e2 = mean - half, mean + half
-            neg += (e1 < 0.0) + (e2 < 0.0)
-            min_abs = min(min_abs, abs(e1), abs(e2))
-            i += 2
-        else:
-            neg += d[i, i] < 0.0
-            min_abs = min(min_abs, abs(d[i, i]))
-            i += 1
-    return neg, min_abs
+    """Negative count and smallest |eigenvalue| of the middle factor of a
+    Bunch-Kaufman LDL^T: block diagonal with 1x1 and 2x2 blocks, so
+    tridiagonal."""
+    import scipy.linalg  # slow import, needed here only
+
+    vals = scipy.linalg.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1))
+    return int(np.count_nonzero(vals < 0.0)), float(np.min(np.abs(vals)))
 
 
 def _start_vector(n, seed=0):
@@ -302,17 +293,6 @@ def _box_values(h, box, upper, top=False):
                    bracket=float(np.max(hi - lo, initial=0.0)))
 
 
-def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
-    """Certified inertia count of the eigenvalues strictly below lam and the
-    shift it used, nudged downward off an eigenvalue."""
-    return _count(op, lam)[0]
-
-
-def count_below(op: DiscreteOperator, lam: float) -> int:
-    """Number of eigenvalues strictly below lam, via the inertia of A - lam*I."""
-    return count_certificate(op, lam).count
-
-
 def _shifted(op, shift):
     """A - shift*I in CSC form."""
     import scipy.sparse  # slow import, needed here only
@@ -320,8 +300,9 @@ def _shifted(op, shift):
     return op.matrix.tocsc() - shift * scipy.sparse.identity(op.n, format="csc")
 
 
-def _count(op, lam):
-    """Certificate of the count and the operator's _Box (None off a box)."""
+def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
+    """Certified inertia count of the eigenvalues strictly below lam and the
+    shift it used, nudged downward off an eigenvalue."""
     box = _box_modes(op)
     # on a box the largest entry comes from the edge weights, so the count
     # needs no assembled matrix
@@ -362,9 +343,13 @@ def _count(op, lam):
     if attempt > 0:
         warnings.warn(f"count_below: shift perturbed to {float(shift)!r} "
                       f"({'; '.join(dict.fromkeys(causes))})")
-    cert = Certificate(count_method=method, count=int(neg), shift=float(shift),
+    return Certificate(count_method=method, count=int(neg), shift=float(shift),
                        nudges=attempt, pivot_margin=margin)
-    return cert, box
+
+
+def count_below(op: DiscreteOperator, lam: float) -> int:
+    """Number of eigenvalues strictly below lam, via the inertia of A - lam*I."""
+    return count_certificate(op, lam).count
 
 
 def _slice_ends(op, lo, hi):
@@ -439,9 +424,10 @@ def _slice_values(op, lo, hi, count):
 
 def spectrum_below(op: DiscreteOperator, lam: float) -> Spectrum:
     """All eigenvalues below lam, certified against the inertia count."""
-    cert, box = _count(op, lam)
+    cert = count_certificate(op, lam)
     if cert.count == 0:
         return Spectrum(values=np.empty(0), cutoff=lam, certified=True, certificate=cert)
+    box = _box_modes(op)
     if box is not None:
         # no eigenvalue lies within tol of the certified shift, so those at
         # or below it are the ones below it

@@ -29,7 +29,9 @@ class DiscreteOperator:
     nodes: np.ndarray  # (n, d) integer multi-indices, row k <-> nodes[k]
     row_of: np.ndarray = field(repr=False)  # grid-shaped, -1 outside
     # weight of the edges along axes 2..d at each x_1 index of the grid:
-    # exp(2 x_1) (or the tilde_weight hook) for hyperbolic, 1 for euclidean
+    # exp(2 x_1) for hyperbolic, 1 for euclidean.  matrix is assembled from it
+    # on first access, so dataclasses.replace(op, tilde_weight=w) gives the
+    # operator with weight w
     tilde_weight: np.ndarray = field(repr=False)
 
     @property
@@ -90,15 +92,13 @@ def _assemble_matrix(op: DiscreteOperator):
     return mat
 
 
-def _assemble(dom: GridDomain, kind, tilde_weight=None):
+def _assemble(dom: GridDomain, kind):
     mask = dom.mask
     nodes = np.argwhere(mask)
     row_of = -np.ones(mask.shape, dtype=np.int64)
     row_of[mask] = np.arange(len(nodes))
     if kind == "hyperbolic" and dom.d > 1:
-        if tilde_weight is None:
-            tilde_weight = lambda x1: np.exp(2.0 * x1)
-        x1_weight = np.asarray(tilde_weight(dom.axis_coords(0)), dtype=float)
+        x1_weight = np.exp(2.0 * dom.axis_coords(0))
     else:
         x1_weight = np.ones(mask.shape[0])
     return DiscreteOperator(grid=dom, kind=kind, nodes=nodes, row_of=row_of,
@@ -112,15 +112,14 @@ def assemble_euclidean(dom: GridDomain) -> DiscreteOperator:
     return _assemble(dom, "euclidean")
 
 
-def assemble_hyperbolic(dom: GridDomain, tilde_weight=None) -> DiscreteOperator:
+def assemble_hyperbolic(dom: GridDomain) -> DiscreteOperator:
     """Discretization of -d^2/dx_1^2 - exp(2 x_1) * Laplacian in the tilde axes.
 
-    tilde_weight is a test hook replacing exp(2 x_1); for d=1 the operator
-    coincides with the euclidean one.
+    For d=1 the operator coincides with the euclidean one.
     """
     if not dom.mask.any():
         raise ValueError("empty domain")
-    return _assemble(dom, "hyperbolic", tilde_weight=tilde_weight)
+    return _assemble(dom, "hyperbolic")
 
 
 def apply(op: DiscreteOperator, v) -> np.ndarray:

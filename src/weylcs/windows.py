@@ -32,10 +32,6 @@ _TS_WEIGHTS = (_TS_STEP * 0.5 * np.pi * np.cosh(_TS_T)
                / np.cosh(0.5 * np.pi * np.sinh(_TS_T)) ** 2)
 
 
-class SeparabilityError(ValueError):
-    """Raised when an operation requires a separable window."""
-
-
 @dataclass(frozen=True)
 class FactorProfile:
     """Even 1-D profile supported on |u| <= half_width (at scale eps=1)."""
@@ -47,7 +43,7 @@ class FactorProfile:
 
 @dataclass(frozen=True)
 class Window:
-    """Separable product window at scale eps.
+    """Product window g = f_1 ... f_d at scale eps, separable by construction.
 
     The stored factor profiles are the base (eps = 1) profiles; evaluation
     applies the L^2-preserving rescaling u -> eps^{-1/2} f(u/eps) per factor.
@@ -57,7 +53,6 @@ class Window:
     epsilon: float
     factors: tuple[FactorProfile, ...]
     support_radius: float
-    separable: bool = True
 
     def factor_value(self, j, u):
         u = np.asarray(u, dtype=float)
@@ -151,7 +146,7 @@ def scale(w: Window, eps: float) -> Window:
     if eps <= 0:
         raise ValueError("eps must be positive")
     return Window(d=w.d, epsilon=w.epsilon * eps, factors=w.factors,
-                  support_radius=w.support_radius * eps, separable=w.separable)
+                  support_radius=w.support_radius * eps)
 
 
 def _factor_quad(f, a):
@@ -188,8 +183,6 @@ class CConstants:
 
 def c_constants(w: Window) -> CConstants:
     """Quadrature values of the three window constants at the window's scale."""
-    if not w.separable:
-        raise SeparabilityError("separability required")
     a0 = w.factor_half_width(0)
     c1 = factor_deriv_sq(w, 0)
     c3 = _factor_quad(lambda u: np.exp(2.0 * u) * w.factor_value(0, u) ** 2, a0)

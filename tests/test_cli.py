@@ -114,6 +114,9 @@ def test_spectrum_repeatable_in_one_process(tmp_path):
      "--set", "box=0,1;0,1", "--set", "h=0.0138",
      "--set", "lam_max=2e4"],  # spectrum_below raises DenseLimitError (patched below)
     ["frame-check", "--set", "n_vectors=-3"],  # no Parseval vector would be checked
+    ["spectrum", "--set", "box=0,1", "--set", "h=0.9999999999"],  # no interior node
+    ["weyl-curve", "--set", "lam_min=100", "--set", "lam_max=100",
+     "--set", "lam_count=3"],  # three lambdas, none between the ends
 ])
 def test_usage_and_limit_errors_exit_1(tmp_path, capsys, monkeypatch, args):
     # boxes never reach the dense limit, so the last case makes spectrum_below

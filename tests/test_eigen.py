@@ -73,10 +73,11 @@ def test_dense_n1():
     assert spec.values[0] == pytest.approx(2.0 / h ** 2)
 
 
-def test_dense_limit_enforced():
+def test_dense_limit_enforced(monkeypatch):
     op, _ = interval_op(60)
+    monkeypatch.setattr(weylcs.eigen, "DENSE_LIMIT", 50)
     with pytest.raises(DenseLimitError):
-        dense_spectrum(op, limit=50)
+        dense_spectrum(op)
 
 
 def test_count_below_gershgorin_extremes():
@@ -114,9 +115,24 @@ def test_count_below_strict_at_every_eigenvalue():
 
 
 def dense_count(op, shift):
-    """Oracle: Bunch-Kaufman LDL^T inertia of the densified A - shift*I."""
-    _, d, _ = scipy.linalg.ldl(op.matrix.toarray() - shift * np.eye(op.n))
-    return int(_inertia_negative(d)[0])
+    """Oracle: negative eigenvalues of the densified A - shift*I."""
+    vals = np.linalg.eigvalsh(op.matrix.toarray() - shift * np.eye(op.n))
+    return int(np.count_nonzero(vals < 0.0))
+
+
+@given(n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_inertia_of_the_block_diagonal_factor(n, seed):
+    # a zero diagonal forces Bunch-Kaufman into 2x2 pivots
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    a = a + a.T
+    np.fill_diagonal(a, 0.0)
+    _, d, _ = scipy.linalg.ldl(a)
+    want = np.linalg.eigvalsh(d)
+    neg, min_abs = _inertia_negative(d)
+    assert neg == int(np.count_nonzero(want < 0.0))
+    assert min_abs == pytest.approx(np.min(np.abs(want)), rel=1e-12,
+                                    abs=1e-14 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("n, k", [(40, None), (41, None), (30, 5)])
@@ -303,14 +319,14 @@ def test_sliced_spectrum_needs_no_dense_solver(monkeypatch):
 
 def test_sliced_spectrum_catches_an_interior_count_one_too_low(monkeypatch):
     # only the counts at the slice ends inside (0, lambda) are one too low
-    count = weylcs.eigen._count
+    count = weylcs.eigen.count_certificate
     lam = 5000.0
 
     def one_less_inside(op, shift):
-        cert, vals = count(op, shift)
-        return (dataclasses.replace(cert, count=cert.count - 1) if shift < lam else cert), vals
+        cert = count(op, shift)
+        return dataclasses.replace(cert, count=cert.count - 1) if shift < lam else cert
 
-    monkeypatch.setattr(weylcs.eigen, "_count", one_less_inside)
+    monkeypatch.setattr(weylcs.eigen, "count_certificate", one_less_inside)
     op = disk_op(1 / 30)
     assert count_below(op, lam) > weylcs.eigen._SLICE
     with pytest.raises(CertificationError):
@@ -487,8 +503,8 @@ def test_box_count_matches_dense_and_sparse(dom, kind, fractions, picks):
 
 def test_box_with_unit_tilde_weight_is_euclidean():
     dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1 / 13)
-    hyp = spectrum_below(assemble_hyperbolic(dom, tilde_weight=lambda x1: np.ones_like(x1)),
-                         1500.0)
+    hyp = spectrum_below(dataclasses.replace(assemble_hyperbolic(dom),
+                                             tilde_weight=np.ones(dom.shape[0])), 1500.0)
     euc = spectrum_below(assemble_euclidean(dom), 1500.0)
     axis = tridiag_eigs(12, 1 / 13, 1.0)
     exact = np.sort((axis[:, None] + axis[None, :]).ravel())
@@ -569,8 +585,9 @@ def kernel_cases(draw):
     if hook == "euclidean":
         op = assemble_euclidean(dom)
     else:
-        op = assemble_hyperbolic(dom, tilde_weight=(
-            None if hook == "hyperbolic" else lambda x1: np.cos(9.0 * x1) - 0.4))
+        op = assemble_hyperbolic(dom)
+        if hook == "sign-changing" and d > 1:
+            op = dataclasses.replace(op, tilde_weight=np.cos(9.0 * dom.axis_coords(0)) - 0.4)
     vals = lapack_box_values(op)
     where = draw(st.sampled_from(["inside", "on", "below"]))
     if where == "inside":

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from weylcs.windows import (
-    SeparabilityError,
-    Window,
     _factor_quad,
     c_constants,
     factor_deriv_sq,
@@ -107,14 +105,6 @@ def test_c_constants_cosine_d1_closed_forms():
     assert c.c2 == 0.0
     c3_exact = math.sinh(2.0) * (0.5 - 2.0 / (4.0 + math.pi ** 2))
     assert c.c3 == pytest.approx(c3_exact, abs=1e-10)
-
-
-def test_c_constants_requires_separable():
-    w = make_cosine_window(2)
-    bad = Window(d=w.d, epsilon=w.epsilon, factors=w.factors,
-                 support_radius=w.support_radius, separable=False)
-    with pytest.raises(SeparabilityError):
-        c_constants(bad)
 
 
 @given(st.floats(0.05, 0.8))
