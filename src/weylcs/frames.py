@@ -313,30 +313,35 @@ def analytic_symbol(kind, window: Window, xi, y=None) -> float:
 def trace_via_frame(frame: CoherentFrame, T) -> float:
     """Phase-space trace sum; equals trace(T) exactly for symmetric T (tightness).
 
-    T may be dense or scipy.sparse; it is read entry by entry and never
-    densified.  The sum is sum_j <Phi delta_j, Phi(T delta_j)>: for column j
-    only the windows y = x_j - m with m in the window's support contribute,
-    and the sum over xi is an explicit product of frame tables, the Gram
-    matrix G[m, m'] = sum_xi g(m h) g(m' h) exp(i xi (m - m') h).  So the
-    trace is sum_j sum_{m, m'} G[m, m'] T[x_j + m' - m, j].  G is the tensor
-    product of the per-axis Gram matrices, and grouping the terms by
-    delta = m' - m reduces the sum to the diagonal sums
-    t[delta] = sum_j T[x_j + delta, j] against the per-axis sums of G along
-    its diagonals.
+    T is an array or any scipy.sparse matrix, read as (row, col, value)
+    triplets: an array through np.nonzero, a sparse matrix through its own
+    tocoo(), so a sparse T is never densified and this module imports no
+    scipy.  The sum is sum_j <Phi delta_j, Phi(T delta_j)>: for column j only
+    the windows y = x_j - m with m in the window's support contribute, and
+    the sum over xi is an explicit product of frame tables, the Gram matrix
+    G[m, m'] = sum_xi g(m h) g(m' h) exp(i xi (m - m') h).  So the trace is
+    sum_j sum_{m, m'} G[m, m'] T[x_j + m' - m, j].  G is the tensor product
+    of the per-axis Gram matrices, and grouping the terms by delta = m' - m
+    reduces the sum to the diagonal sums t[delta] = sum_j T[x_j + delta, j]
+    against the per-axis sums of G along its diagonals.
     """
-    import scipy.sparse  # slow import, needed here only
-
-    T = scipy.sparse.coo_array(T)
+    # convert first: not every sparse format has the methods the check uses
+    T = T.tocoo() if hasattr(T, "tocoo") else np.asarray(T)
     n, N = frame.n, frame.N
     if T.shape != (n, n):
         raise DimensionMismatchError(f"operator must be {n}x{n} on the embedding grid")
     if abs(T - T.conj().T).max() > 1e-12 * (abs(T).max() + 1.0):
         raise ValueError("operator must be symmetric")
-    rows = np.unravel_index(T.row, frame.shape)
-    cols = np.unravel_index(T.col, frame.shape)
+    if isinstance(T, np.ndarray):
+        row, col = np.nonzero(T)
+        data = T[row, col]
+    else:
+        row, col, data = T.row, T.col, T.data
+    rows = np.unravel_index(row, frame.shape)
+    cols = np.unravel_index(col, frame.shape)
     delta = np.ravel_multi_index([(r - c) % N for r, c in zip(rows, cols)], frame.shape)
     total = np.zeros(n, dtype=complex)
-    np.add.at(total, delta, T.data)
+    np.add.at(total, delta, data)
     total = total.reshape(frame.shape)
     for ax in frame.axes:
         gram = ax.table.conj() @ ax.table.T  # the explicit sum over xi

@@ -195,8 +195,6 @@ for command in sys.argv[1:]:
     loaded[command] = scipy_modules()
 print(json.dumps(loaded))
 '''
-# slow imports that no CLI command needs at start-up
-OLD_FORBIDDEN = ("scipy.integrate", "scipy.ndimage", "scipy.fft", "scipy.special")
 
 
 def run_box_commands(tmp_path, commands, **env):
@@ -229,10 +227,8 @@ def test_box_commands_load_no_scipy(box_runs):
         assert [loaded[c] for c in ("import", "spectrum", "weyl-curve")] == [[], [], []]
     # symbols sum the operator's edge weights, with no assembled matrix
     assert box_runs["1"][0]["symbol-check"] == []
-    # frame-check needs scipy.sparse for its trace operator, nothing more
-    loaded = box_runs["1"][0]["frame-check"]
-    assert "scipy.sparse" in loaded and "scipy.linalg" not in loaded
-    assert not set(OLD_FORBIDDEN) & set(loaded)
+    # frame-check reads its diagonal trace operator as a plain array
+    assert box_runs["1"][0]["frame-check"] == []
 
 
 MASK_SYMBOLS = '''
@@ -249,13 +245,17 @@ frame = frames.build_frame(((0.0, 1.0), (0.0, 1.0)), box.h,
                            windows.scale(windows.make_cosine_window(2), 0.1))
 values = [frames.symbol(frame, op, (3.0, -2.0), (0.5, 0.45)).value for op in ops]
 assert all(np.isfinite(values))
+small = frames.build_frame(((0.0, 0.5), (0.0, 0.5)), box.h, frame.window)
+d = np.arange(1.0, small.n + 1.0)
+assert abs(frames.trace_via_frame(small, np.diag(d)) - d.sum()) <= 1e-12 * d.sum()
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 '''
 
 
 def test_mask_symbols_load_no_scipy():
-    # erode, dilate, assembly and symbols off a box: numpy only, in
-    # particular neither scipy.ndimage nor the scipy.special it loads
+    # erode, dilate, assembly and symbols off a box, and the trace of an
+    # array: numpy only, in particular neither scipy.ndimage nor the
+    # scipy.special it loads, nor scipy.sparse
     out = subprocess.run([sys.executable, "-c", MASK_SYMBOLS], env=subprocess_env(),
                          capture_output=True, text=True, check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == []
@@ -303,6 +303,20 @@ def test_weyl_curve_output(tmp_path, capsys):
     data = [line for line in lines if not line.startswith("#")][1:]
     assert len(data) == 8
     assert "remainder_fit slope=" in capsys.readouterr().out
+
+
+def test_weyl_curve_reports_why_the_fit_is_unavailable(tmp_path, capsys):
+    # three lambdas, all with a nonzero remainder: too few samples to fit
+    out = tmp_path / "curve.csv"
+    rc = main(["weyl-curve", "--set", "box=0,3", "--set", "lam_count=3", "--out", str(out)])
+    assert rc == 0
+    summary = "remainder_fit unavailable (need at least 5 samples with nonzero remainder)"
+    assert capsys.readouterr().out == summary + "\n"
+    lines = out.read_text().splitlines()
+    assert "# " + summary in lines
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in lines[lines.index(CURVE_HEADER) + 1:]])
+    assert len(rows) == 3 and np.all(rows[:, 3] != 0.0)
 
 
 def test_weyl_curve_discrete_warns_past_validity(tmp_path, capsys):
