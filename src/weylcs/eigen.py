@@ -34,11 +34,13 @@ stable in general, so a count is accepted only when every pivot, and the
 distance from the shift to the spectrum, stand clear of the factorization's
 rounding level.
 
-On either path an unresolved count nudges the shift downward and, after three
-unresolved attempts, falls back to a dense Bunch-Kaufman LDL^T, which pivots
-and is stable.  Its D is block diagonal with 1x1 and 2x2 blocks, hence
-tridiagonal, and the count is the number of its negative eigenvalues.
-count_certificate does all of this, and every count goes through it:
+On either path an unresolved count nudges the shift downward.  After three
+unresolved attempts two resolved counts of the same path, at shift - delta
+and shift + 2*delta, bracket the shift, and the values between them decide
+the count: the path's own values, each within its error bound of an
+eigenvalue (the bisection bracket, or the residual bound
+|theta - lambda_i| <= ||r||, Parlett, The Symmetric Eigenvalue Problem,
+ch. 4).  count_certificate does all of this, and every count goes through it:
 count_below, spectrum_below and the slice ends.
 
 Off a box the values below a certified count come from spectrum slicing
@@ -77,15 +79,15 @@ class CertificationError(RuntimeError):
 @dataclass(frozen=True)
 class Certificate:
     """How a count was certified and how the values below it were found."""
-    count_method: str  # "sturm" (box), "sparse-ldl" or "dense-ldl"
+    count_method: str  # "sturm" (box) or "sparse-ldl"
     count: int  # eigenvalues strictly below the shift
     shift: float  # the shift the count used, lambda or nudged below it
-    nudges: int  # downward shift perturbations before the count resolved
+    nudges: int  # downward shift perturbations before the count resolved (2 for a bracket)
     # how far the count stands clear of its rounding level (see _Gate): on a
     # box the distance from the shift to the nearest eigenvalue at or below
     # shift + tol, over tol; elsewhere the smallest |pivot|, or the distance to
     # the spectrum if smaller, over the level of _sparse_inertia.  Above 1 is
-    # resolved
+    # resolved; after a bracket, the smaller margin of its two ends
     pivot_margin: float
     # "bisection" (box), "eigsh" (sliced), "eigvalsh" (a slice too large for
     # eigsh, count + 1 >= n, as on a mask of one or two nodes) or "none"
@@ -114,16 +116,6 @@ def dense_spectrum(op: DiscreteOperator) -> Spectrum:
         raise DenseLimitError(f"n={op.n} exceeds dense limit {DENSE_LIMIT}")
     vals = scipy.linalg.eigvalsh(op.matrix.toarray())
     return Spectrum(values=np.sort(vals), cutoff=None, certified=True)
-
-
-def _inertia_negative(d):
-    """Negative count and smallest |eigenvalue| of the middle factor of a
-    Bunch-Kaufman LDL^T: block diagonal with 1x1 and 2x2 blocks, so
-    tridiagonal."""
-    import scipy.linalg  # slow import, needed here only
-
-    vals = scipy.linalg.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1))
-    return int(np.count_nonzero(vals < 0.0)), float(np.min(np.abs(vals)))
 
 
 def _start_vector(n, seed=0):
@@ -303,43 +295,65 @@ def _shifted(op, shift):
 def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
     """Certified inertia count of the eigenvalues strictly below lam and the
     shift it used, nudged downward off an eigenvalue."""
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
     box = _box_modes(op)
     # on a box the largest entry comes from the edge weights, so the count
     # needs no assembled matrix
     scale = (abs(op.matrix).max() if box is None else box.norm) + abs(lam)
     tol = 1e-12 * scale
     method = "sparse-ldl" if box is None else "sturm"
+
+    def inertia(shift):
+        if box is None:
+            return _sparse_inertia(_shifted(op, shift), tol)
+        # bisection values carry errors of order eps*|A| << tol, so the
+        # count is exact once no value lies within tol of the shift.  The
+        # largest value of each mode at or below shift + tol is the one
+        # nearest the shift whenever that holds
+        near = _box_values(op.grid.h, box, shift + tol, top=True)
+        return near.count, _Gate(
+            float(np.min(np.abs(near.values - shift), initial=np.inf) / tol), _NEAR_EIGENVALUE)
+
     shift = lam
     causes = []
     for attempt in range(3):
         # 2*tol per step: a nudge off an eigenvalue at lambda clears the gate
         shift = shift - 2.0 * tol * attempt
-        if box is None:
-            neg, gate = _sparse_inertia(_shifted(op, shift), tol)
-        else:
-            # bisection values carry errors of order eps*|A| << tol, so the
-            # count is exact once no value lies within tol of the shift.  The
-            # largest value of each mode at or below shift + tol is the one
-            # nearest the shift whenever that holds
-            near = _box_values(op.grid.h, box, shift + tol, top=True)
-            neg = near.count
-            gate = _Gate(float(np.min(np.abs(near.values - shift), initial=np.inf) / tol),
-                         _NEAR_EIGENVALUE)
+        neg, gate = inertia(shift)
         if gate.margin > 1.0:
             margin = gate.margin
             break
         causes.append(gate.cause)
     else:
-        # three unresolved attempts: the pivoted dense factorization at the
-        # last shift decides
-        import scipy.linalg  # slow import, needed here only
-
-        if op.n > DENSE_LIMIT:
-            raise DenseLimitError(f"n={op.n} exceeds dense limit {DENSE_LIMIT} and the "
-                                  "inertia count did not resolve")
-        _, d, _ = scipy.linalg.ldl(_shifted(op, shift).toarray())
-        neg, min_abs = _inertia_negative(d)
-        method, margin = "dense-ldl", float(min_abs / tol)
+        # three unresolved attempts: bracket the shift between two resolved
+        # counts.  The bracket is asymmetric so that _slice_values does not
+        # centre its factorization on an eigenvalue at the shift; once delta
+        # is a few times scale both ends lie outside the spectrum and resolve
+        delta = 1e-6 * scale
+        while True:
+            lo, hi = shift - delta, shift + 2.0 * delta
+            (neg, low), (high_neg, high) = inertia(lo), inertia(hi)
+            margin = min(low.margin, high.margin)
+            if margin > 1.0:
+                break
+            delta *= 100.0
+        if high_neg != neg:
+            if box is None:
+                vals, _, error = _slice_values(op, lo, hi, high_neg - neg)
+            else:
+                found = _box_values(op.grid.h, box, hi)
+                vals, error = found.values[neg:], found.bracket
+            # each value lies within error of an eigenvalue (nan after
+            # eigvalsh, whose error is far below tol); one within error + tol
+            # of the shift counts as at lambda and moves the shift below it,
+            # but never below lo, whose count is certified
+            gap = tol + np.fmax(error, 0.0)
+            for v in vals[::-1]:  # sorted
+                if v > shift - gap:
+                    shift = min(shift, v - gap)
+            shift = max(shift, lo)
+            neg += int(np.count_nonzero(vals < shift))
     if attempt > 0:
         warnings.warn(f"count_below: shift perturbed to {float(shift)!r} "
                       f"({'; '.join(dict.fromkeys(causes))})")
@@ -387,8 +401,9 @@ def _slice_values(op, lo, hi, count):
     n = op.n
     error = float("nan")
     if count + 1 >= n:
-        # eigsh needs k < n: a matrix of at most _SLICE + 1 rows, or more than
-        # _SLICE eigenvalues within a few tol that no split could separate
+        # eigsh needs k < n: a matrix of at most _SLICE + 1 rows, more than
+        # _SLICE eigenvalues within a few tol that no split could separate, or
+        # a count's bracket that had to widen over nearly the whole spectrum
         vals = dense_spectrum(op).values
         vals, method = vals[(vals >= lo) & (vals < hi)], "eigvalsh"
     else:

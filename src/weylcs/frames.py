@@ -376,6 +376,9 @@ def load_phase(path, frame: CoherentFrame) -> PhaseSpaceFunction:
         h, L, eps = struct.unpack("<ddd", fh.read(24))
         if (d, N) != (frame.d, frame.N) or abs(h - frame.h) > 1e-12:
             raise FrameError("file does not match frame geometry")
+        if eps != frame.window.epsilon:
+            raise FrameError(f"file window scale eps={eps!r} does not match the "
+                             f"frame's eps={frame.window.epsilon!r}")
         raw = np.frombuffer(fh.read(), dtype=np.complex64)
     vals = raw.reshape(frame.n, frame.n).astype(complex)
     return PhaseSpaceFunction(values=vals, frame=frame)

@@ -99,6 +99,8 @@ def hyperbolic_leading(dom: GridDomain, lam: float) -> float:
 
 def phase_space_volume(kind, dom: GridDomain, lam: float, resolution: int) -> float:
     """Midpoint quadrature of (lam - symbol)_+ (2 pi)^{-d} over xi, summed on the mask."""
+    if kind not in ("euclidean", "hyperbolic"):
+        raise ValueError(f"unknown kind {kind!r}")
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
     if lam <= 0:
@@ -118,8 +120,6 @@ def phase_space_volume(kind, dom: GridDomain, lam: float, resolution: int) -> fl
         integral = float(np.sum(np.clip(lam - sym, 0.0, None))) * cell
         return integral * measure(dom) / (2.0 * math.pi) ** d
 
-    if kind != "hyperbolic":
-        raise ValueError(f"unknown kind {kind!r}")
     r = dom.y1_min
     xi1, dxi1 = midpoints(sq)
     tilde_bound = sq * math.exp(-r)

@@ -119,8 +119,9 @@ def test_spectrum_repeatable_in_one_process(tmp_path):
      "--set", "lam_count=3"],  # three lambdas, none between the ends
 ])
 def test_usage_and_limit_errors_exit_1(tmp_path, capsys, monkeypatch, args):
-    # boxes never reach the dense limit, so the last case makes spectrum_below
-    # raise what a large non-box problem would; the others fail before it
+    # no CLI command reaches dense_spectrum, the one source of DenseLimitError,
+    # so the patch makes spectrum_below raise it to check that the CLI maps
+    # it to exit 1; the other cases fail before it
     def too_large(op, lam):
         raise DenseLimitError(f"n={op.n} exceeds dense limit {DENSE_LIMIT}")
 

@@ -20,7 +20,6 @@ from weylcs.eigen import (
     Spectrum,
     _box_modes,
     _box_values,
-    _inertia_negative,
     _sturm_counts,
     count_below,
     count_certificate,
@@ -118,21 +117,6 @@ def dense_count(op, shift):
     """Oracle: negative eigenvalues of the densified A - shift*I."""
     vals = np.linalg.eigvalsh(op.matrix.toarray() - shift * np.eye(op.n))
     return int(np.count_nonzero(vals < 0.0))
-
-
-@given(n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_inertia_of_the_block_diagonal_factor(n, seed):
-    # a zero diagonal forces Bunch-Kaufman into 2x2 pivots
-    a = np.random.default_rng(seed).standard_normal((n, n))
-    a = a + a.T
-    np.fill_diagonal(a, 0.0)
-    _, d, _ = scipy.linalg.ldl(a)
-    want = np.linalg.eigvalsh(d)
-    neg, min_abs = _inertia_negative(d)
-    assert neg == int(np.count_nonzero(want < 0.0))
-    assert min_abs == pytest.approx(np.min(np.abs(want)), rel=1e-12,
-                                    abs=1e-14 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("n, k", [(40, None), (41, None), (30, 5)])
@@ -434,7 +418,7 @@ def test_certificate_not_written(tmp_path):
         "n + 1 = 32: the two 15-node half intervals that the ordering eliminates "
         "first share every second eigenvalue, so near those the unpivoted LDL^T "
         "has a pivot of order tol and a rounding level far above tol; no nudge "
-        "of a few tol resolves it and the count falls back to the dense LDL^T")))])
+        "of a few tol resolves it and the bracket after the third decides")))])
 def test_one_nudge_resolves_an_eigenvalue(make, n):
     # the nudge is twice the gate's tolerance, so it clears an eigenvalue at
     # lambda with room to spare on the box path and on the sparse LDL^T
@@ -442,6 +426,73 @@ def test_one_nudge_resolves_an_eigenvalue(make, n):
     for k, lam in enumerate(tridiag_eigs(n, h, 1.0)):
         cert = count_certificate(op, lam)
         assert cert.nudges == 1 and cert.count == k
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+@pytest.mark.parametrize("offset", [0.0, 6.0, 100.0])
+@pytest.mark.parametrize("make", [interval_op, sparse_interval_op])
+def test_bracket_decides_after_three_nudges(monkeypatch, make, offset):
+    # lambda = eigenvalue k + 1 of n = 31 nodes plus offset*tol: the sparse
+    # LDL^T leaves it unresolved at every nudge (the strict xfail above); on
+    # the box path _box_values is made to report a value at every nudged
+    # shift.  The eigenvalue lies 6 tol above the last nudged shift (offset
+    # 0), at it (6: the shift moves below it) or 94 tol below it (100)
+    n, k = 31, 5
+    op, h = make(n)
+    exact = tridiag_eigs(n, h, 1.0)
+    tol = 1e-12 * (2.0 / h ** 2 + exact[k])  # 2/h^2 = max |A_ij|
+    lam = exact[k] + offset * tol
+    if make is interval_op:
+        box_values = weylcs.eigen._box_values
+
+        def unresolved_near_lam(h, box, upper, top=False):
+            found = box_values(h, box, upper, top)
+            if top and abs(upper - lam) < 10.0 * tol:  # a nudge, not a bracket end
+                return found._replace(values=np.append(found.values, upper - tol))
+            return found
+
+        monkeypatch.setattr(weylcs.eigen, "_box_values", unresolved_near_lam)
+    spec = spectrum_below(op, lam)
+    cert = spec.certificate
+    assert cert.count_method == ("sturm" if make is interval_op else "sparse-ldl")
+    assert cert.nudges == 2 and cert.pivot_margin > 1.0
+    count = k + (offset > 6.0)
+    assert cert.count == count == dense_count(op, cert.shift) == len(spec.values)
+    assert (cert.shift < lam - 6.5 * tol) == (offset == 6.0)
+    assert np.allclose(spec.values, exact[:count], rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+@pytest.mark.parametrize("q", [5, 6])
+def test_bracket_certifies_a_small_pivot_without_a_dense_matrix(monkeypatch, q):
+    # lambda = q/h^2 on the disk lies 1.35 (q = 5) and 14.5 (q = 6) from the
+    # nearest eigenvalue, but the unpivoted elimination meets a small pivot at
+    # every nudge; the counts at the bracket ends agree
+    h = 1 / 30
+    op = disk_op(h)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the count called a dense solver")
+
+    monkeypatch.setattr(weylcs.eigen, "DENSE_LIMIT", op.n - 1)
+    monkeypatch.setattr(scipy.linalg, "ldl", boom)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", boom)
+    monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", boom)
+    cert = count_certificate(op, q / h ** 2)
+    monkeypatch.undo()
+    assert (cert.count_method, cert.nudges) == ("sparse-ldl", 2)
+    assert cert.pivot_margin > 1.0 and cert.shift < q / h ** 2
+    assert cert.count == dense_count(op, cert.shift) == {5: 402, 6: 475}[q]
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [lambda: interval_op(10)[0], lambda: disk_op(1 / 12)],
+                         ids=["box", "mask"])
+def test_non_finite_lambda_is_rejected(make, lam):
+    op = make()
+    for call in (count_certificate, count_below, spectrum_below):
+        with pytest.raises(ValueError, match="lam"):
+            call(op, lam)
 
 
 EIGENVALUE = "(lambda too close to an eigenvalue)"

@@ -421,3 +421,6 @@ def test_phase_load_rejects_mismatch(tmp_path):
     save_phase(F, path)
     with pytest.raises(FrameError):
         load_phase(path, other)
+    # same geometry, another window scale
+    with pytest.raises(FrameError, match="eps"):
+        load_phase(path, frame_1d(N=16, h=0.1, eps=0.5))

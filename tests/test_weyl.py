@@ -121,6 +121,14 @@ def test_phase_space_volume_hyperbolic_d2():
     assert v == pytest.approx(hyperbolic_leading(dom, 1.0), rel=1e-3)
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.0])
+def test_phase_space_volume_rejects_an_unknown_kind(lam):
+    # the kind is checked before the d = 1 and lam <= 0 shortcuts
+    dom = rectangle_domain(((0.0, 1.0),), 0.1)
+    with pytest.raises(ValueError, match="elliptic"):
+        phase_space_volume("elliptic", dom, lam, 400)
+
+
 def test_phase_space_volume_resolution_floor():
     dom = rectangle_domain(((0.0, 1.0),), 0.1)
     with pytest.raises(ValueError):
