@@ -258,10 +258,7 @@ def cmd_frame_check(cfg) -> int:
     diag = rng.random(frame.n)
     tr = trace_via_frame(frame, np.diag(diag))
     trace_defect = abs(tr - diag.sum()) / diag.sum()
-    lines = [
-        "parseval_defect=%.17g" % defect,
-        "trace_defect=%.17g" % trace_defect,
-    ]
+    lines = ["parseval_defect=%.17g" % defect, "trace_defect=%.17g" % trace_defect]
     _write_report(cfg, lines + _symbol_report(cfg, [cfg.h, cfg.h / 2.0]))
     return 0
 

@@ -67,9 +67,7 @@ def rectangle_domain(box, h) -> GridDomain:
     if h <= 0 or h >= min(b - a for a, b in box):
         raise ValueError("h must be positive and smaller than the shortest side")
     tol = 1e-9 * h
-    shape = []
-    for a, b in box:
-        shape.append(int(math.floor((b - a) / h + tol)) + 1)
+    shape = [int(math.floor((b - a) / h + tol)) + 1 for a, b in box]
     mask = np.ones(shape, dtype=bool)
     for axis, (a, b) in enumerate(box):
         coords = a + h * np.arange(shape[axis])
@@ -166,28 +164,16 @@ def save_mask(dom: GridDomain, path):
 
 
 def _rle_encode(row):
-    toks = []
-    run_bit = bool(row[0])
-    run_len = 0
-    for b in row:
-        if bool(b) == run_bit:
-            run_len += 1
-        else:
-            toks.append(f"{int(run_bit)}x{run_len}")
-            run_bit, run_len = bool(b), 1
-    toks.append(f"{int(run_bit)}x{run_len}")
-    return " ".join(toks)
+    row = np.asarray(row, dtype=bool)
+    ends = np.append(np.flatnonzero(row[1:] != row[:-1]) + 1, len(row))
+    starts = np.append(0, ends[:-1])
+    return " ".join(f"{int(row[s])}x{e - s}" for s, e in zip(starts, ends))
 
 
 def _rle_decode(line, width):
-    out = np.empty(width, dtype=bool)
-    pos = 0
-    for tok in line.split():
-        bit, count = tok.split("x")
-        n = int(count)
-        out[pos:pos + n] = bool(int(bit))
-        pos += n
-    if pos != width:
+    runs = [tok.split("x") for tok in line.split()]
+    out = np.repeat([bool(int(bit)) for bit, _ in runs], [int(n) for _, n in runs])
+    if len(out) != width:
         raise ValueError("RLE row length mismatch")
     return out
 
@@ -208,11 +194,18 @@ def load_mask(path) -> GridDomain:
     d = int(header["d"])
     h = float(header["h"])
     origin = tuple(float(t) for t in header["origin"].split())
-    box = tuple(tuple(float(u) for u in t.split(",")) for t in header["box"].split())
+
+    def pairs(key):
+        return tuple(tuple(float(u) for u in t.split(",")) for t in header[key].split())
+
+    box = pairs("box")
+    exact_box = pairs("exact_box") if "exact_box" in header else None
     shape = tuple(int(t) for t in header["shape"].split())
-    exact_box = None
-    if "exact_box" in header:
-        exact_box = tuple(tuple(float(u) for u in t.split(","))
-                          for t in header["exact_box"].split())
+    if not d == len(origin) == len(box) == len(shape):
+        raise ValueError(f"mask header: d={d} with {len(origin)} origin, {len(box)} box "
+                         f"and {len(shape)} shape entries")
     mask = np.stack([_rle_decode(r, shape[-1]) for r in rows]).reshape(shape)
+    ref = None if exact_box is None else rectangle_domain(exact_box, h)
+    if ref is not None and (ref.origin != origin or not np.array_equal(ref.mask, mask)):
+        raise ValueError("mask header: exact_box does not give the rows' origin, shape and mask")
     return GridDomain(h=h, origin=origin, mask=mask, box=box, exact_box=exact_box)

@@ -13,19 +13,13 @@ transform of the tilde axes is orthogonal, so the spectrum is the union over
 mu of the spectra of the tridiagonals A1 + mu*diag(w), and the count is the
 sum of their Sturm counts (Barth, Martin & Wilkinson 1967; backward stable).
 
-The box path is numpy only, one kernel for counts and values.  A Sturm count
-runs q_i = (d_i - x) - b^2/q_{i-1} down the rows of every tridiagonal at once,
-a |q_i| under pivmin taken as -pivmin as in LAPACK's stebz; the negative q_i
-are the eigenvalues below x.  Only the current row is kept, so its memory is
-that of the points counted.  Eigenvalue k of a mode is bracketed between
-the mode's Gershgorin bounds and narrowed by multisection, all modes and
-indices together, each sweep counting at evenly spaced points inside every
-bracket, until the bracket reaches the count's rounding level (stebz's
-criterion).  A count bisects only the largest eigenvalue of each mode at or
-below shift + tol, the one nearest the shift whenever the count resolves;
-spectrum_below bisects every eigenvalue below the certified shift.  Neither
-assembles the sparse matrix: its largest entry, which sets tol, comes from
-the edge weights.
+The box path is numpy only: every number on it comes from Sturm counts
+(_sturm_counts) run down the rows of all the tridiagonals at once.  A count
+is the counts at shift -/+ tol (_box_inertia) and computes no eigenvalue;
+spectrum_below narrows every eigenvalue below the certified shift from the
+modes' Gershgorin bounds by multisection, down to the count's rounding level
+(stebz's criterion).  Neither assembles the sparse matrix: its largest entry,
+which sets tol, comes from the edge weights.
 
 Elsewhere the count comes from a sparse LDL^T: SuperLU in symmetric mode with
 a symmetric fill-reducing order and diagonal pivots only, whose negative
@@ -84,10 +78,11 @@ class Certificate:
     shift: float  # the shift the count used, lambda or nudged below it
     nudges: int  # downward shift perturbations before the count resolved (2 for a bracket)
     # how far the count stands clear of its rounding level (see _Gate): on a
-    # box the distance from the shift to the nearest eigenvalue at or below
-    # shift + tol, over tol; elsewhere the smallest |pivot|, or the distance to
-    # the spectrum if smaller, over the level of _sparse_inertia.  Above 1 is
-    # resolved; after a bracket, the smaller margin of its two ends
+    # box 2^j for the j leading rungs of equal counts (see _box_inertia),
+    # within a factor 2 of the distance to the spectrum over tol; elsewhere
+    # the smallest |pivot|, or the distance to the spectrum if smaller, over
+    # the level of _sparse_inertia.  Above 1 is resolved; after a bracket,
+    # the smaller margin of its two ends
     pivot_margin: float
     # "bisection" (box), "eigsh" (sliced), "eigvalsh" (a slice too large for
     # eigsh, count + 1 >= n, as on a mask of one or two nodes) or "none"
@@ -239,20 +234,42 @@ def _sturm_counts(w, mu, x, inv_h2, pivmin):
 
 class _Values(NamedTuple):
     values: np.ndarray  # sorted
-    count: int  # eigenvalues at or below upper, those left out included
     bracket: float  # widest final bisection bracket
 
 
-def _box_values(h, box, upper, top=False):
-    """Eigenvalues at or below upper of the tridiagonals A1 + mu*diag(w), one
-    per tilde mode, found together by Sturm multisection; with top, only the
-    largest of each mode."""
-    w, mu = box.w, box.mu
-    if w.min() >= 0.0:
-        # A1 is positive definite, so a mode lies above mu * min(w)
-        mu = mu[mu * w.min() <= upper]
+def _tridiagonals(h, box, upper):
+    """The tilde modes mu that can reach upper (A1 is positive definite, so
+    with w >= 0 a mode lies above mu * min(w)), 1/h^2 and stebz's pivmin."""
+    mu = box.mu[box.mu * box.w.min() <= upper] if box.w.min() >= 0.0 else box.mu
     inv_h2 = 1.0 / (h * h)
-    pivmin = np.finfo(float).tiny * max(1.0, inv_h2 * inv_h2)
+    return mu, inv_h2, np.finfo(float).tiny * max(1.0, inv_h2 * inv_h2)
+
+
+# the gate's rungs r, doubling up to about the bracket's first delta, 1e6*tol
+_RUNGS = 2.0 ** np.arange(21)
+
+
+def _box_inertia(h, box, shift, tol):
+    """Eigenvalues below shift on a box, and the gate, from Sturm counts alone.
+
+    A computed Sturm count is the exact count of a matrix within a few
+    eps*|A| << tol of A (Barth, Martin & Wilkinson 1967; Demmel, Dhillon &
+    Ren 1995): equal counts at shift -/+ tol are the count.  The margin is
+    2^j for the j leading rungs r with equal counts at shift -/+ r*tol: 1
+    when unresolved, else within a factor 2 of the distance to the spectrum
+    over tol, or 2^21."""
+    x = shift + tol * np.concatenate([-_RUNGS, _RUNGS])
+    mu, inv_h2, pivmin = _tridiagonals(h, box, x[-1])
+    counts = _sturm_counts(box.w, mu[:, None], x, inv_h2, pivmin).sum(axis=0)
+    same = np.cumprod(counts[:len(_RUNGS)] == counts[len(_RUNGS):])
+    return int(counts[0]), _Gate(float(2.0 ** same.sum()), _NEAR_EIGENVALUE)
+
+
+def _box_values(h, box, upper):
+    """Eigenvalues at or below upper of the tridiagonals A1 + mu*diag(w), one
+    per tilde mode, found together by Sturm multisection."""
+    w = box.w
+    mu, inv_h2, pivmin = _tridiagonals(h, box, upper)
     diag = 2.0 * inv_h2 + w[:, None] * mu  # [i, mode]
     # Gershgorin bounds of each mode, widened as LAPACK's stebz does
     k = np.arange(len(w))
@@ -263,12 +280,8 @@ def _box_values(h, box, upper, top=False):
     lower, upper_bound = lower - fudge, upper_bound + fudge
 
     count = _sturm_counts(w, mu, np.full(len(mu), upper), inv_h2, pivmin)
-    if top:
-        mode = np.flatnonzero(count)
-        index = count[mode] - 1
-    else:
-        mode = np.repeat(np.arange(len(mu)), count)
-        index = np.arange(len(mode)) - np.repeat(np.cumsum(count) - count, count)
+    mode = np.repeat(np.arange(len(mu)), count)
+    index = np.arange(len(mode)) - np.repeat(np.cumsum(count) - count, count)
     # bracket every wanted eigenvalue: count(lo) <= index < count(hi)
     lo, hi = lower[mode], np.minimum(upper_bound[mode], upper)
     mu, tnorm, rows = mu[mode, None], tnorm[mode], np.arange(len(mode))
@@ -281,8 +294,7 @@ def _box_values(h, box, upper, top=False):
         past = np.sum(_sturm_counts(w, mu, x, inv_h2, pivmin) <= index[:, None], axis=1)
         ends = np.concatenate([lo[:, None], x, hi[:, None]], axis=1)
         lo, hi = ends[rows, past], ends[rows, past + 1]
-    return _Values(values=np.sort(0.5 * (lo + hi)), count=int(count.sum()),
-                   bracket=float(np.max(hi - lo, initial=0.0)))
+    return _Values(values=np.sort(0.5 * (lo + hi)), bracket=float(np.max(hi - lo, initial=0.0)))
 
 
 def _shifted(op, shift):
@@ -307,13 +319,7 @@ def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
     def inertia(shift):
         if box is None:
             return _sparse_inertia(_shifted(op, shift), tol)
-        # bisection values carry errors of order eps*|A| << tol, so the
-        # count is exact once no value lies within tol of the shift.  The
-        # largest value of each mode at or below shift + tol is the one
-        # nearest the shift whenever that holds
-        near = _box_values(op.grid.h, box, shift + tol, top=True)
-        return near.count, _Gate(
-            float(np.min(np.abs(near.values - shift), initial=np.inf) / tol), _NEAR_EIGENVALUE)
+        return _box_inertia(op.grid.h, box, shift, tol)
 
     shift = lam
     causes = []

@@ -237,6 +237,14 @@ class SymbolValue(NamedTuple):
     truncated: bool
 
 
+def _phase_point(d, xi, y):
+    """xi and y as float arrays of d coordinates; a scalar is one coordinate."""
+    xi, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (xi, y))
+    if xi.shape != (d,) or y.shape != (d,):
+        raise DimensionMismatchError(f"xi and y need {d} coordinates, got {xi.size}, {y.size}")
+    return xi, y
+
+
 def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> float:
     """Re <e, A e> / <e, e> for the coherent state e = exp(i xi.x) g(x - y)
     restricted to the operator's interior nodes; nan when e vanishes there.
@@ -247,9 +255,10 @@ def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> float:
     neighbours i, j along an axis with edge weight w.  Since e vanishes off
     the interior nodes, this is exactly Re <e, A e> of the assembled matrix.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     dom = op.grid
+    if window.d != dom.d:
+        raise DimensionMismatchError(f"window dimension {window.d} on a {dom.d}-D grid")
+    xi, y = _phase_point(dom.d, xi, y)
     # one node of margin: the window vanishes at the ends of its support
     widths = np.array([window.factor_half_width(a) for a in range(dom.d)]) + dom.h
     lo = np.ceil((y - widths - np.asarray(dom.origin)) / dom.h).astype(int)
@@ -270,7 +279,7 @@ def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> float:
         if a == 0:
             w = w[:-1]  # an edge along x_1 has the weight of its lower node
         form -= 2.0 * float(np.sum(w * (lower.real * upper.real + lower.imag * upper.imag)))
-    return form / nrm
+    return float(form / nrm)
 
 
 def symbol(frame: CoherentFrame, op: DiscreteOperator, xi, y) -> SymbolValue:
@@ -299,15 +308,14 @@ def symbol(frame: CoherentFrame, op: DiscreteOperator, xi, y) -> SymbolValue:
 def analytic_symbol(kind, window: Window, xi, y=None) -> float:
     """Continuum symbol: |xi|^2 + grad-norm for the Laplacian; the hyperbolic
     operator adds the exp(2 y_1)-weighted tilde terms with the window constants."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if kind not in ("euclidean", "hyperbolic"):
+        raise ValueError(f"unknown kind {kind!r}")
+    xi, y = _phase_point(window.d, xi, np.zeros(window.d) if y is None else y)
     if kind == "euclidean":
         return float(xi @ xi) + grad_norm_sq(window)
-    if kind == "hyperbolic":
-        c = c_constants(window)
-        y1 = 0.0 if y is None else float(np.atleast_1d(y)[0])
-        tilde_sq = float(xi[1:] @ xi[1:])
-        return float(xi[0] ** 2 + math.exp(2.0 * y1) * (tilde_sq * c.c3 + c.c2) + c.c1)
-    raise ValueError(f"unknown kind {kind!r}")
+    c = c_constants(window)
+    tilde_sq = float(xi[1:] @ xi[1:])
+    return float(xi[0] ** 2 + math.exp(2.0 * float(y[0])) * (tilde_sq * c.c3 + c.c2) + c.c1)
 
 
 def trace_via_frame(frame: CoherentFrame, T) -> float:
@@ -379,6 +387,8 @@ def load_phase(path, frame: CoherentFrame) -> PhaseSpaceFunction:
         if eps != frame.window.epsilon:
             raise FrameError(f"file window scale eps={eps!r} does not match the "
                              f"frame's eps={frame.window.epsilon!r}")
-        raw = np.frombuffer(fh.read(), dtype=np.complex64)
-    vals = raw.reshape(frame.n, frame.n).astype(complex)
+        raw = fh.read()
+    if len(raw) != 8 * frame.n ** 2:
+        raise FrameError(f"file holds {len(raw) / 8:g} values, the frame expects {frame.n ** 2}")
+    vals = np.frombuffer(raw, dtype=np.complex64).reshape(frame.n, frame.n).astype(complex)
     return PhaseSpaceFunction(values=vals, frame=frame)

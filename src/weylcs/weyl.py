@@ -84,13 +84,10 @@ def hyperbolic_leading(dom: GridDomain, lam: float) -> float:
     k = d - 1
     if dom.exact_box is not None:
         (a1, b1) = dom.exact_box[0]
-        cross = 1.0
-        for a, b in dom.exact_box[1:]:
-            cross *= b - a
+        cross = math.prod(b - a for a, b in dom.exact_box[1:])
         integral = cross * (math.exp(-k * a1) - math.exp(-k * b1)) / k
     else:
-        axes = tuple(range(1, d))
-        counts = dom.mask.sum(axis=axes)
+        counts = dom.mask.sum(axis=tuple(range(1, d)))
         y1 = dom.axis_coords(0)
         integral = float(np.sum(counts * np.exp(-k * y1))) * dom.h ** d
     return lam ** (1.0 + d / 2.0) * semiclassical_constant(d) * integral \

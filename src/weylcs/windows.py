@@ -103,8 +103,7 @@ def _bump_profile(d):
         t = sd * u
         inside = np.abs(t) < 1.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            val = np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - t * t, 1.0)), 0.0)
-        return val
+            return np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - t * t, 1.0)), 0.0)
 
     norm = math.sqrt(_factor_quad(lambda u: raw(u) ** 2, a))
 
@@ -186,9 +185,5 @@ def c_constants(w: Window) -> CConstants:
     a0 = w.factor_half_width(0)
     c1 = factor_deriv_sq(w, 0)
     c3 = _factor_quad(lambda u: np.exp(2.0 * u) * w.factor_value(0, u) ** 2, a0)
-    if w.d == 1:
-        c2 = 0.0
-    else:
-        tilde = sum(factor_deriv_sq(w, j) for j in range(1, w.d))
-        c2 = c3 * tilde
+    c2 = c3 * sum(factor_deriv_sq(w, j) for j in range(1, w.d))  # 0 for d = 1
     return CConstants(c1=c1, c2=c2, c3=c3)

@@ -1,5 +1,6 @@
 """Masked grid domains: construction, morphology, measure, RLE export."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -209,3 +210,32 @@ def test_mask_roundtrip_random(tmp_path_factory, mask):
     back = load_mask(path)
     assert np.array_equal(back.mask, mask)
     assert back.exact_box is None
+
+
+def _edited_mask_file(tmp_path, dom, old, new):
+    path = tmp_path / "mask.txt"
+    save_mask(dom, path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    return path
+
+
+@pytest.mark.parametrize("old, new", [("d=2\n", "d=3\n"), ("origin=0 -0.5\n", "origin=0\n")])
+def test_mask_load_rejects_a_header_of_another_dimension(tmp_path, old, new):
+    dom = rectangle_domain(((0.0, 1.0), (-0.5, 0.7)), 0.04)
+    with pytest.raises(ValueError, match="mask header"):
+        load_mask(_edited_mask_file(tmp_path, dom, old, new))
+
+
+def test_mask_load_rejects_an_exact_box_the_rows_contradict(tmp_path):
+    # rows of (0, 0.5) x (0, 1) under the header of the unit square: the
+    # closed-form leading term would read the square (251.5, not 156.6)
+    h = 1 / 40
+    half = rectangle_domain(((0.0, 0.5), (0.0, 1.0)), h)
+    path = tmp_path / "mask.txt"
+    save_mask(dataclasses.replace(half, exact_box=((0.0, 1.0), (0.0, 1.0))), path)
+    with pytest.raises(ValueError, match="exact_box"):
+        load_mask(path)
+    save_mask(half, path)
+    assert load_mask(path).exact_box == half.exact_box

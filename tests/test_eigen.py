@@ -18,6 +18,7 @@ from weylcs.eigen import (
     CertificationError,
     DenseLimitError,
     Spectrum,
+    _box_inertia,
     _box_modes,
     _box_values,
     _sturm_counts,
@@ -434,24 +435,24 @@ def test_one_nudge_resolves_an_eigenvalue(make, n):
 def test_bracket_decides_after_three_nudges(monkeypatch, make, offset):
     # lambda = eigenvalue k + 1 of n = 31 nodes plus offset*tol: the sparse
     # LDL^T leaves it unresolved at every nudge (the strict xfail above); on
-    # the box path _box_values is made to report a value at every nudged
-    # shift.  The eigenvalue lies 6 tol above the last nudged shift (offset
-    # 0), at it (6: the shift moves below it) or 94 tol below it (100)
+    # the box path's gate _box_inertia is made to fail at every nudged shift.
+    # The eigenvalue lies 6 tol above the last nudged shift (offset 0), at it
+    # (6: the shift moves below it) or 94 tol below it (100)
     n, k = 31, 5
     op, h = make(n)
     exact = tridiag_eigs(n, h, 1.0)
     tol = 1e-12 * (2.0 / h ** 2 + exact[k])  # 2/h^2 = max |A_ij|
     lam = exact[k] + offset * tol
     if make is interval_op:
-        box_values = weylcs.eigen._box_values
+        box_inertia = weylcs.eigen._box_inertia
 
-        def unresolved_near_lam(h, box, upper, top=False):
-            found = box_values(h, box, upper, top)
-            if top and abs(upper - lam) < 10.0 * tol:  # a nudge, not a bracket end
-                return found._replace(values=np.append(found.values, upper - tol))
-            return found
+        def unresolved_near_lam(h, box, shift, tol):
+            neg, gate = box_inertia(h, box, shift, tol)
+            if abs(shift - lam) < 10.0 * tol:  # a nudge, not a bracket end
+                return neg, gate._replace(margin=1.0)
+            return neg, gate
 
-        monkeypatch.setattr(weylcs.eigen, "_box_values", unresolved_near_lam)
+        monkeypatch.setattr(weylcs.eigen, "_box_inertia", unresolved_near_lam)
     spec = spectrum_below(op, lam)
     cert = spec.certificate
     assert cert.count_method == ("sturm" if make is interval_op else "sparse-ldl")
@@ -610,6 +611,60 @@ def test_box_path_uses_no_factorization(monkeypatch, kind, lam):
     assert "matrix" not in vars(op)  # the sparse matrix was never assembled
 
 
+def box_op(kind, denom):
+    dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1.0 / denom)
+    return assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+
+
+@pytest.mark.parametrize("kind, lam", [("hyperbolic", 250.0), ("euclidean", 2000.0)])
+def test_box_count_computes_no_eigenvalue(monkeypatch, kind, lam):
+    # the gate is Sturm counts alone; the values stay spectrum_below's
+    op = box_op(kind, 35)
+    want = int(np.sum(lapack_box_values(op) < lam))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the count computed eigenvalues")
+
+    monkeypatch.setattr(weylcs.eigen, "_box_values", boom)
+    cert = count_certificate(op, lam)
+    assert (cert.count_method, cert.nudges, cert.shift) == ("sturm", 0, lam)
+    assert cert.pivot_margin > 1.0 and count_below(op, lam) == cert.count == want > 0
+
+
+@pytest.mark.parametrize("kind, lam", [("hyperbolic", 250.0), ("euclidean", 2000.0)])
+def test_box_spectrum_bisects_once(monkeypatch, kind, lam):
+    calls = []
+    box_values = weylcs.eigen._box_values
+
+    def recording(h, box, upper):
+        calls.append(upper)
+        return box_values(h, box, upper)
+
+    monkeypatch.setattr(weylcs.eigen, "_box_values", recording)
+    spec = spectrum_below(box_op(kind, 35), lam)
+    assert calls == [spec.certificate.shift] and len(spec.values) > 0
+
+
+@pytest.mark.parametrize("make", [lambda: box_op("hyperbolic", 35), lambda: interval_op(60)[0]],
+                         ids=["square", "interval"])
+def test_box_pivot_margin_is_the_distance_to_the_spectrum(make):
+    # 2^j for j leading rungs of equal counts: within a factor 2 of the
+    # distance from the shift to the nearest eigenvalue, on either side of
+    # it, over tol, or at the cap 2^21 once that distance passes 2^20 tol
+    op = make()
+    vals, norm = lapack_box_values(op), _box_modes(op).norm
+    cap = 2.0 ** 21
+    for v in vals[[1, len(vals) // 3, len(vals) // 2]]:
+        for offset in (-3e6, -2e4, -100.0, -3.0, -1.5, 1.5, 5.0, 700.0, 1e5, 4e6):
+            cert = count_certificate(op, v + offset * 1e-12 * (norm + abs(v)))
+            dist = np.min(np.abs(vals - cert.shift)) / (1e-12 * (norm + abs(cert.shift)))
+            assert cert.nudges == 0 and cert.count == np.sum(vals < cert.shift)
+            if cert.pivot_margin == cap:
+                assert dist >= 0.99 * cap / 2.0
+            else:
+                assert 0.99 * dist <= cert.pivot_margin <= 2.01 * dist, (offset, dist)
+
+
 def lapack_box_values(op):
     """Oracle: every eigenvalue of every tilde mode by LAPACK's stebz."""
     box, h = _box_modes(op), op.grid.h
@@ -662,15 +717,16 @@ def test_box_kernel_matches_lapack(case):
     got = found.values
     # at an eigenvalue the two counts may differ on values within rounding of it
     assert np.sum(vals < upper - atol) <= len(got) <= np.sum(vals <= upper + atol)
-    assert found.count == len(got)
     assert np.all(np.abs(got - vals[:len(got)]) <= atol)
     assert np.all(np.diff(got) >= 0.0)
-    # a count bisects only the largest value of each mode: the same count,
-    # each of those among the values, and the largest value among them
-    top = _box_values(op.grid.h, box, upper, top=True)
-    assert top.count == found.count and len(top.values) <= len(box.mu)
-    assert all(np.min(np.abs(got - t)) <= atol for t in top.values)
-    assert len(got) == 0 or top.values[-1] == pytest.approx(got[-1], abs=atol)
+    # the gate counts without values: with no eigenvalue within tol of upper
+    # it resolves to the count below upper, with one inside it does not
+    tol = 1e-12 * (norm + abs(upper))
+    neg, gate = _box_inertia(op.grid.h, box, upper, tol)
+    if np.all(np.abs(vals - upper) > tol + atol):
+        assert gate.margin > 1.0 and neg == np.sum(vals < upper)
+    if np.any(np.abs(vals - upper) < tol - atol):
+        assert gate.margin <= 1.0
 
 
 @pytest.mark.filterwarnings("error")

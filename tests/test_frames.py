@@ -18,11 +18,12 @@ from weylcs.frames import (
     forward,
     load_phase,
     phase_space_moment,
+    rayleigh_symbol,
     save_phase,
     symbol,
     trace_via_frame,
 )
-from weylcs.operators import assemble_euclidean, assemble_hyperbolic
+from weylcs.operators import DimensionMismatchError, assemble_euclidean, assemble_hyperbolic
 from weylcs.windows import c_constants, grad_norm_sq, make_bump_window, \
     make_cosine_window, scale
 
@@ -265,6 +266,31 @@ def test_analytic_symbol_formulas():
         analytic_symbol("elliptic", win, (0.0,))
 
 
+def test_symbols_check_the_dimension():
+    win = scale(make_cosine_window(2), 0.2)
+    h = 1 / 40
+    op = assemble_hyperbolic(rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h))
+    fr = build_frame(((0.0, 1.0), (0.0, 1.0)), h, win)
+    for xi, y in [((1.0, 2.0), 0.5), ((1.0, 2.0), (0.5, 0.5, 0.5)), ((1.0, 2.0, 3.0), (0.5, 0.5)),
+                  (1.0, (0.5, 0.5))]:
+        with pytest.raises(DimensionMismatchError, match="coordinates"):
+            symbol(fr, op, xi, y)
+        with pytest.raises(DimensionMismatchError, match="coordinates"):
+            analytic_symbol("hyperbolic", win, xi, y)
+    with pytest.raises(DimensionMismatchError, match="coordinates"):
+        analytic_symbol("euclidean", win, (1.0, 2.0, 3.0))
+    with pytest.raises(DimensionMismatchError, match="window dimension"):
+        rayleigh_symbol(op, scale(make_cosine_window(1), 0.2), 1.0, 0.5)
+    sv = symbol(fr, op, (1.0, 2.0), (0.5, 0.5))
+    assert type(sv.value) is float and not sv.truncated
+    # scalars are one coordinate in d = 1
+    op1 = assemble_euclidean(rectangle_domain(((0.0, 2.0),), 0.02))
+    fr1 = build_frame(((0.0, 2.0),), 0.02, scale(make_cosine_window(1), 0.3))
+    assert symbol(fr1, op1, 1.0, 1.0).value == symbol(fr1, op1, (1.0,), np.array([1.0])).value
+    assert analytic_symbol("hyperbolic", fr1.window, 1.0, 0.5) == \
+        analytic_symbol("hyperbolic", fr1.window, (1.0,), (0.5,))
+
+
 def test_hyperbolic_symbol_d2():
     eps = 0.2 * math.sqrt(2.0)
     win = scale(make_cosine_window(2), eps)
@@ -424,3 +450,9 @@ def test_phase_load_rejects_mismatch(tmp_path):
     # same geometry, another window scale
     with pytest.raises(FrameError, match="eps"):
         load_phase(path, frame_1d(N=16, h=0.1, eps=0.5))
+    # a payload 16 bytes short (two values), and one with a byte too many
+    data = path.read_bytes()
+    for payload, found in [(data[:-16], "254"), (data + b"\0", "256.125")]:
+        path.write_bytes(payload)
+        with pytest.raises(FrameError, match=f"file holds {found} values, the frame expects 256"):
+            load_phase(path, fr)
