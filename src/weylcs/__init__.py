@@ -64,4 +64,5 @@ from .weyl import (
     phase_space_volume,
     riesz_mean,
     save_curve,
+    weighted_volume,
 )

@@ -26,8 +26,8 @@ from .weyl import (
     euclidean_leading,
     exact_spectrum_box,
     fit_remainder_exponent,
-    hyperbolic_leading,
     save_curve,
+    weighted_volume,
 )
 from .windows import make_bump_window, make_cosine_window, scale
 
@@ -183,16 +183,10 @@ def cmd_weyl_curve(cfg) -> int:
     else:
         raise ConfigError(f"unknown source {cfg.source!r}")
 
-    if cfg.kind == "hyperbolic":
-        leading_fn = lambda lam: hyperbolic_leading(dom, lam)
-    else:
-        vol = math.prod(b - a for a, b in dom.exact_box)
-        leading_fn = lambda lam: euclidean_leading(vol, cfg.dim, lam)
-
+    vol = weighted_volume(cfg.kind, dom)
     try:
-        curve = build_curve(spec, lambdas, leading_fn, window=window,
-                            eps_alpha=cfg.eps_alpha,
-                            meta={"kind": cfg.kind, "source": cfg.source})
+        curve = build_curve(spec, lambdas, lambda lam: euclidean_leading(vol, cfg.dim, lam),
+                            window=window, eps_alpha=cfg.eps_alpha)
     except OverflowError as exc:
         raise ConfigError("window scale eps = lambda^-eps_alpha too large for "
                           "the window constants") from exc

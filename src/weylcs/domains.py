@@ -27,7 +27,7 @@ class GridDomain:
     mask: np.ndarray
     box: tuple
     # Set when the mask is exactly the interior lattice of an axis-aligned box;
-    # lets downstream leading-term integrals use closed forms.
+    # lets weyl.weighted_volume use its closed form and eigen the box path.
     exact_box: tuple | None = None
 
     @property
@@ -44,18 +44,6 @@ class GridDomain:
     def node_coords(self, idx):
         idx = np.asarray(idx)
         return np.asarray(self.origin) + self.h * idx
-
-    @property
-    def y1_min(self):
-        i = np.nonzero(self.mask.any(axis=tuple(range(1, self.d))) if self.d > 1
-                       else self.mask)[0]
-        return self.origin[0] + self.h * i.min()
-
-    @property
-    def y1_max(self):
-        i = np.nonzero(self.mask.any(axis=tuple(range(1, self.d))) if self.d > 1
-                       else self.mask)[0]
-        return self.origin[0] + self.h * i.max()
 
 
 def rectangle_domain(box, h) -> GridDomain:
@@ -191,6 +179,9 @@ def load_mask(path) -> GridDomain:
                 header[key] = val
             else:
                 rows.append(line)
+    for key in ("d", "h", "origin", "box", "shape"):
+        if key not in header:
+            raise ValueError(f"mask header lacks {key!r}")
     d = int(header["d"])
     h = float(header["h"])
     origin = tuple(float(t) for t in header["origin"].split())
@@ -204,6 +195,9 @@ def load_mask(path) -> GridDomain:
     if not d == len(origin) == len(box) == len(shape):
         raise ValueError(f"mask header: d={d} with {len(origin)} origin, {len(box)} box "
                          f"and {len(shape)} shape entries")
+    if len(rows) != math.prod(shape[:-1]):
+        raise ValueError(f"mask header: shape {shape} needs {math.prod(shape[:-1])} rows, "
+                         f"found {len(rows)}")
     mask = np.stack([_rle_decode(r, shape[-1]) for r in rows]).reshape(shape)
     ref = None if exact_box is None else rectangle_domain(exact_box, h)
     if ref is not None and (ref.origin != origin or not np.array_equal(ref.mask, mask)):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import GridDomain, measure
+from .domains import GridDomain
 from .eigen import Spectrum
 from .windows import Window, c_constants, make_cosine_window, scale
 
@@ -68,34 +68,38 @@ def li_yau_bound(vol: float, d: int, lam: float) -> float:
     return euclidean_leading(vol, d, lam)
 
 
+def weighted_volume(kind, dom: GridDomain) -> float:
+    """int_Omega exp(-k y_1) dy, with k = d - 1 for the hyperbolic kind and 0 otherwise.
+
+    Closed form on an exact box, the lattice sum over the mask's rows otherwise.
+    """
+    if kind not in ("euclidean", "hyperbolic"):
+        raise ValueError(f"unknown kind {kind!r}")
+    d = dom.d
+    k = d - 1 if kind == "hyperbolic" else 0
+    if dom.exact_box is not None:
+        (a1, b1), *rest = dom.exact_box
+        side1 = (math.exp(-k * a1) - math.exp(-k * b1)) / k if k else b1 - a1
+        return math.prod([side1] + [b - a for a, b in rest])
+    counts = dom.mask.sum(axis=tuple(range(1, d)))
+    return float(np.sum(counts * np.exp(-k * dom.axis_coords(0)))) * dom.h ** d
+
+
 def hyperbolic_leading(dom: GridDomain, lam: float) -> float:
     """Leading term for the exp(2 x_1)-weighted operator.
 
-    Substituting eta_tilde = exp(y_1) xi_tilde reduces the phase-space integral
-    to C_d * int_Omega exp(-(d-1) y_1) dy; the y-integral is closed-form on
-    rectangles and a lattice sum otherwise.
+    Substituting eta_tilde = exp(y_1) xi_tilde turns the phase-space integral
+    into the euclidean one over the weighted volume int_Omega exp(-(d-1) y_1) dy.
     """
-    d = dom.d
-    if d == 1:
-        vol = (dom.exact_box[0][1] - dom.exact_box[0][0]) if dom.exact_box else measure(dom)
-        return euclidean_leading(vol, 1, lam)
-    if lam <= 0:
-        return 0.0
-    k = d - 1
-    if dom.exact_box is not None:
-        (a1, b1) = dom.exact_box[0]
-        cross = math.prod(b - a for a, b in dom.exact_box[1:])
-        integral = cross * (math.exp(-k * a1) - math.exp(-k * b1)) / k
-    else:
-        counts = dom.mask.sum(axis=tuple(range(1, d)))
-        y1 = dom.axis_coords(0)
-        integral = float(np.sum(counts * np.exp(-k * y1))) * dom.h ** d
-    return lam ** (1.0 + d / 2.0) * semiclassical_constant(d) * integral \
-        / (2.0 * math.pi) ** d
+    return euclidean_leading(weighted_volume("hyperbolic", dom), dom.d, lam)
 
 
 def phase_space_volume(kind, dom: GridDomain, lam: float, resolution: int) -> float:
-    """Midpoint quadrature of (lam - symbol)_+ (2 pi)^{-d} over xi, summed on the mask."""
+    """Midpoint quadrature of (lam - symbol)_+ (2 pi)^{-d} over xi, summed on the mask.
+
+    The symbol is xi_1^2 + w(y_1) |xi_tilde|^2 with w = exp(2 y_1) for the
+    hyperbolic kind and 1 otherwise; rows of equal weight share one pass.
+    """
     if kind not in ("euclidean", "hyperbolic"):
         raise ValueError(f"unknown kind {kind!r}")
     if resolution < 16:
@@ -103,35 +107,24 @@ def phase_space_volume(kind, dom: GridDomain, lam: float, resolution: int) -> fl
     if lam <= 0:
         return 0.0
     d = dom.d
-    sq = math.sqrt(lam)
+    counts = dom.mask.sum(axis=tuple(range(1, d)))
+    active = counts > 0
+    rate = 2.0 if kind == "hyperbolic" else 0.0
+    weights, row = np.unique(np.exp(rate * dom.axis_coords(0)[active]), return_inverse=True)
+    nodes = np.bincount(row, weights=counts[active])
 
     def midpoints(bound):
         dxi = 2.0 * bound / resolution
         return -bound + dxi * (np.arange(resolution) + 0.5), dxi
 
-    if kind == "euclidean" or d == 1:
-        xi_parts = [midpoints(sq) for _ in range(d)]
-        grids = np.meshgrid(*[p for p, _ in xi_parts], indexing="ij")
-        sym = sum(g ** 2 for g in grids)
-        cell = math.prod(dx for _, dx in xi_parts)
-        integral = float(np.sum(np.clip(lam - sym, 0.0, None))) * cell
-        return integral * measure(dom) / (2.0 * math.pi) ** d
-
-    r = dom.y1_min
-    xi1, dxi1 = midpoints(sq)
-    tilde_bound = sq * math.exp(-r)
-    tilde_parts = [midpoints(tilde_bound) for _ in range(d - 1)]
+    xi1, dxi1 = midpoints(math.sqrt(lam))
+    tilde_parts = [midpoints(math.sqrt(lam / weights.min())) for _ in range(d - 1)]
     tg = np.meshgrid(*[p for p, _ in tilde_parts], indexing="ij")
-    tilde_sq = sum(g ** 2 for g in tg).ravel()
+    tilde_sq = sum((g ** 2 for g in tg), np.zeros(1)).ravel()
     cell = dxi1 * math.prod(dx for _, dx in tilde_parts)
-    counts = dom.mask.sum(axis=tuple(range(1, d)))
-    y1 = dom.axis_coords(0)
-    active = counts > 0
-    total = 0.0
     base = lam - xi1[:, None] ** 2  # (resolution, 1)
-    for w, cnt in zip(np.exp(2.0 * y1[active]), counts[active]):
-        vals = np.clip(base - w * tilde_sq[None, :], 0.0, None)
-        total += float(cnt) * float(vals.sum())
+    total = sum(cnt * float(np.clip(base - w * tilde_sq[None, :], 0.0, None).sum())
+                for w, cnt in zip(weights, nodes))
     return total * cell * dom.h ** d / (2.0 * math.pi) ** d
 
 
@@ -146,7 +139,6 @@ class RieszCurve:
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
-    meta: dict
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,7 @@ class ExponentFit:
 
 
 def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window | None = None,
-                eps_alpha: float = 1.0 / 3.0, meta: dict | None = None) -> RieszCurve:
+                eps_alpha: float = 1.0 / 3.0) -> RieszCurve:
     """Riesz means against the leading term on a lambda grid.
 
     The eps schedule eps = lambda^{-alpha} only feeds the diagnostic window
@@ -181,14 +173,16 @@ def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window | None = Non
         c1=np.array([c.c1 for c in cc]),
         c2=np.array([c.c2 for c in cc]),
         c3=np.array([c.c3 for c in cc]),
-        meta=dict(meta or {}),
     )
 
 
-def fit_remainder_exponent(curve: RieszCurve, lam_window=None) -> ExponentFit:
-    """Least-squares slope of log|remainder| against log lambda."""
-    lo, hi = lam_window if lam_window is not None else (-np.inf, np.inf)
-    sel = (curve.lambdas >= lo) & (curve.lambdas <= hi) & (curve.remainder != 0.0)
+def fit_remainder_exponent(curve: RieszCurve) -> ExponentFit:
+    """Least-squares slope of log|remainder| against log lambda.
+
+    Samples with a zero remainder are left out; the fit's lam_window is the
+    range of the samples it used.
+    """
+    sel = curve.remainder != 0.0
     if sel.sum() < 5:
         raise ValueError("need at least 5 samples with nonzero remainder")
     x = np.log(curve.lambdas[sel])

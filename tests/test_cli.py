@@ -19,10 +19,10 @@ import weylcs
 import weylcs.cli
 from weylcs.cli import COMMANDS, ConfigError, ExperimentConfig, _apply_kv, \
     load_config, main
-from weylcs.domains import rectangle_domain
+from weylcs.domains import measure, rectangle_domain
 from weylcs.eigen import DENSE_LIMIT, DenseLimitError, count_certificate, load_spectrum
 from weylcs.operators import assemble_euclidean
-from weylcs.weyl import CURVE_HEADER
+from weylcs.weyl import CURVE_HEADER, euclidean_leading
 
 
 def write_config(path, text):
@@ -154,6 +154,29 @@ def test_weyl_curve_discrete_past_the_dense_limit(tmp_path):
     assert op.n == 72 ** 2 > DENSE_LIMIT
     count = count_certificate(op, 2e4).count
     assert count == int(np.sum(exact < 2e4)) > op.n // 4
+
+
+def test_weyl_curve_leading_term_needs_no_exact_box(tmp_path, monkeypatch):
+    # the leading term reads the domain's mask, not a closed form of cfg.box
+    doms = []
+
+    def plain_box(box, h):
+        doms.append(dataclasses.replace(rectangle_domain(box, h), exact_box=None))
+        return doms[-1]
+
+    monkeypatch.setattr(weylcs.cli, "rectangle_domain", plain_box)
+    out = tmp_path / "curve.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["weyl-curve", "--set", "kind=euclidean", "--set", "dim=2",
+                   "--set", "box=0,1;0,2", "--set", "h=0.05", "--set", "lam_min=100",
+                   "--set", "lam_max=1000", "--set", "lam_count=6", "--out", str(out)])
+    assert rc == 0 and len(doms) == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    assert len(rows) == 6
+    for row in rows:
+        lam, leading = float(row[0]), float(row[2])
+        assert leading == euclidean_leading(measure(doms[0]), 2, lam)
 
 
 EXAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "examples")

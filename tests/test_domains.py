@@ -36,12 +36,6 @@ def test_unit_square_measure():
     assert abs(measure(unit_square(h)) - 1.0) < 2 * h
 
 
-def test_y1_range_within_h():
-    dom = unit_square(0.01)
-    assert abs(dom.y1_min - 0.0) <= 0.01 + 1e-12
-    assert abs(dom.y1_max - 1.0) <= 0.01 + 1e-12
-
-
 def test_degenerate_box_rejected():
     with pytest.raises(ValueError):
         rectangle_domain(((0.0, 0.0),), 0.1)
@@ -226,6 +220,28 @@ def test_mask_load_rejects_a_header_of_another_dimension(tmp_path, old, new):
     dom = rectangle_domain(((0.0, 1.0), (-0.5, 0.7)), 0.04)
     with pytest.raises(ValueError, match="mask header"):
         load_mask(_edited_mask_file(tmp_path, dom, old, new))
+
+
+@pytest.mark.parametrize("key", ["d", "h", "origin", "box", "shape"])
+def test_mask_load_names_a_missing_header_key(tmp_path, key):
+    dom = rectangle_domain(((0.0, 1.0), (-0.5, 0.7)), 0.04)
+    path = tmp_path / "mask.txt"
+    save_mask(dom, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith(key + "=")))
+    with pytest.raises(ValueError, match=f"mask header lacks '{key}'"):
+        load_mask(path)
+
+
+def test_mask_load_names_the_expected_and_found_row_counts(tmp_path):
+    dom = rectangle_domain(((0.0, 1.2), (0.0, 1.2)), 0.1)
+    path = tmp_path / "mask.txt"
+    save_mask(dom, path)
+    assert dom.shape == (13, 13)
+    text = path.read_text()
+    path.write_text(text[:text.rstrip("\n").rindex("\n") + 1])  # drop the last row
+    with pytest.raises(ValueError, match="needs 13 rows, found 12"):
+        load_mask(path)
 
 
 def test_mask_load_rejects_an_exact_box_the_rows_contradict(tmp_path):

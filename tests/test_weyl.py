@@ -26,6 +26,7 @@ from weylcs.weyl import (
     save_curve,
     semiclassical_constant,
     unit_ball_volume,
+    weighted_volume,
 )
 
 
@@ -104,6 +105,48 @@ def test_hyperbolic_leading_mask_fallback():
     ref = (1.0 - math.exp(-1.0)) / (8.0 * math.pi)
     # lattice sum over interior nodes misses an O(h) boundary strip
     assert hyperbolic_leading(plain, 1.0) == pytest.approx(ref, rel=3 * h)
+
+
+@pytest.mark.parametrize("kind, box, want", [
+    ("euclidean", ((0.0, 2.0),), 2.0),
+    ("hyperbolic", ((0.0, 2.0),), 2.0),
+    ("euclidean", ((0.0, 1.0), (0.0, 0.5)), 0.5),
+    ("hyperbolic", ((0.0, 1.0), (0.0, 1.0)), 1.0 - math.exp(-1.0)),
+    ("hyperbolic", ((0.5, 1.0), (0.0, 2.0)), 2.0 * (math.exp(-0.5) - math.exp(-1.0))),
+    ("euclidean", ((0.0, 1.0), (0.0, 0.5), (0.0, 1.0)), 0.5),
+    ("hyperbolic", ((0.0, 1.0),) * 3, (1.0 - math.exp(-2.0)) / 2.0),
+])
+def test_weighted_volume_closed_forms_and_lattice_sums(kind, box, want):
+    h = 1 / 100
+    dom = rectangle_domain(box, h)
+    assert weighted_volume(kind, dom) == pytest.approx(want, rel=1e-14)
+    # the lattice sum over interior nodes misses an O(h) boundary strip
+    plain = GridDomain(h=h, origin=dom.origin, mask=dom.mask, box=dom.box)
+    assert weighted_volume(kind, plain) == pytest.approx(want, abs=3 * h)
+
+
+def test_weighted_volume_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="elliptic"):
+        weighted_volume("elliptic", rectangle_domain(((0.0, 1.0),), 0.1))
+
+
+def _disk(h):
+    """Mask of the disk of radius 0.45 about (0.5, 0.5), without exact_box."""
+    sq = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+    x, y = np.meshgrid(sq.axis_coords(0), sq.axis_coords(1), indexing="ij")
+    mask = (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.45 ** 2
+    return GridDomain(h=h, origin=sq.origin, mask=mask, box=sq.box)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+def test_phase_space_volume_matches_the_weighted_leading_term(kind):
+    # on the box, the quadrature's lattice measure is within 2h of the closed form
+    dom = _disk(1 / 100) if kind == "hyperbolic" else \
+        rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1 / 4000)
+    lam = 3.0
+    v = phase_space_volume(kind, dom, lam, 256)
+    assert v == pytest.approx(euclidean_leading(weighted_volume(kind, dom), dom.d, lam),
+                              rel=1e-3)
 
 
 def test_phase_space_volume_euclidean_d1():
@@ -194,7 +237,7 @@ def test_fit_synthetic_power_law():
     curve = RieszCurve(lambdas=lams, riesz=2.0 * lams, leading=lams,
                        remainder=lams, ratio=2.0 * np.ones_like(lams),
                        epsilon=lams ** (-1.0 / 3.0), c1=lams, c2=lams,
-                       c3=lams, meta={})
+                       c3=lams)
     fit = fit_remainder_exponent(curve)
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
     assert fit.residual < 1e-12
@@ -204,7 +247,7 @@ def test_fit_needs_five_samples():
     lams = np.array([1.0, 2.0, 3.0, 4.0])
     curve = RieszCurve(lambdas=lams, riesz=lams, leading=lams,
                        remainder=np.zeros_like(lams), ratio=np.ones_like(lams),
-                       epsilon=lams, c1=lams, c2=lams, c3=lams, meta={})
+                       epsilon=lams, c1=lams, c2=lams, c3=lams)
     with pytest.raises(ValueError):
         fit_remainder_exponent(curve)
 
@@ -216,7 +259,7 @@ def test_fit_recovers_random_exponent(p):
     r = lams ** p
     curve = RieszCurve(lambdas=lams, riesz=r, leading=np.zeros_like(lams),
                        remainder=r, ratio=r, epsilon=lams, c1=lams, c2=lams,
-                       c3=lams, meta={})
+                       c3=lams)
     assert fit_remainder_exponent(curve).slope == pytest.approx(p, abs=1e-10)
 
 
