@@ -31,17 +31,20 @@ rounding level.
 On either path an unresolved count nudges the shift downward.  After three
 unresolved attempts two resolved counts of the same path, at shift - delta
 and shift + 2*delta, bracket the shift, and the values between them decide
-the count: the path's own values, each within its error bound of an
-eigenvalue (the bisection bracket, or the residual bound
-|theta - lambda_i| <= ||r||, Parlett, The Symmetric Eigenvalue Problem,
-ch. 4).  count_certificate does all of this, and every count goes through it:
-count_below, spectrum_below and the slice ends.
+the count, each within its error bound of an eigenvalue (the bisection
+bracket, or the residual bound |theta - lambda_i| <= ||r||, Parlett, The
+Symmetric Eigenvalue Problem, ch. 4).  count_certificate does all of this,
+and every count goes through it: count_below, spectrum_below and the slice
+ends.
 
-Off a box the values below a certified count come from spectrum slicing
-(Ericsson-Ruhe 1980; Campos-Roman 2012): [0, shift) is split at certified
-counts into slices of at most _SLICE eigenvalues, and shift-invert eigsh
-centred in each slice must find exactly the slice's count in it.  Both
-operators are positive definite, so the first slice starts at 0 with count 0.
+One routine, _values_between, finds the eigenvalues between two certified
+counts: for spectrum_below from 0 with count 0 (both operators are positive
+definite) to the certified shift, and for the bracket between its two ends.
+On a box they are the multisection values past the lower count.  Elsewhere
+they come from spectrum slicing (Ericsson-Ruhe 1980; Campos-Roman 2012): the
+interval is split at certified counts into slices of at most _SLICE
+eigenvalues, and shift-invert eigsh centred in each slice must find exactly
+the slice's count in it.
 """
 
 from __future__ import annotations
@@ -344,22 +347,17 @@ def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
             if margin > 1.0:
                 break
             delta *= 100.0
-        if high_neg != neg:
-            if box is None:
-                vals, _, error = _slice_values(op, lo, hi, high_neg - neg)
-            else:
-                found = _box_values(op.grid.h, box, hi)
-                vals, error = found.values[neg:], found.bracket
-            # each value lies within error of an eigenvalue (nan after
-            # eigvalsh, whose error is far below tol); one within error + tol
-            # of the shift counts as at lambda and moves the shift below it,
-            # but never below lo, whose count is certified
-            gap = tol + np.fmax(error, 0.0)
-            for v in vals[::-1]:  # sorted
-                if v > shift - gap:
-                    shift = min(shift, v - gap)
-            shift = max(shift, lo)
-            neg += int(np.count_nonzero(vals < shift))
+        vals, _, error = _values_between(op, box, (lo, neg), (hi, high_neg))
+        # each value lies within error of an eigenvalue (nan after eigvalsh,
+        # whose error is far below tol); one within error + tol of the shift
+        # counts as at lambda and moves the shift below it, but never below
+        # lo, whose count is certified
+        gap = tol + np.fmax(error, 0.0)
+        for v in vals[::-1]:  # sorted
+            if v > shift - gap:
+                shift = min(shift, v - gap)
+        shift = max(shift, lo)
+        neg += int(np.count_nonzero(vals < shift))
     if attempt > 0:
         warnings.warn(f"count_below: shift perturbed to {float(shift)!r} "
                       f"({'; '.join(dict.fromkeys(causes))})")
@@ -407,9 +405,8 @@ def _slice_values(op, lo, hi, count):
     n = op.n
     error = float("nan")
     if count + 1 >= n:
-        # eigsh needs k < n: a matrix of at most _SLICE + 1 rows, more than
-        # _SLICE eigenvalues within a few tol that no split could separate, or
-        # a count's bracket that had to widen over nearly the whole spectrum
+        # eigsh needs k < n: a matrix of at most _SLICE + 1 rows, or more
+        # than _SLICE eigenvalues within a few tol that no split could separate
         vals = dense_spectrum(op).values
         vals, method = vals[(vals >= lo) & (vals < hi)], "eigvalsh"
     else:
@@ -443,27 +440,37 @@ def _slice_values(op, lo, hi, count):
     return np.sort(vals), method, error
 
 
+def _values_between(op, box, lo, hi):
+    """The eigenvalues between two certified counts lo and hi, each a
+    (shift, count) pair, how they were found and their error bound.
+
+    On a box (box not None) they are the multisection values at or below
+    hi's shift past lo's count: no eigenvalue lies within tol of a certified
+    shift, so those are the ones in [lo, hi).  Elsewhere they are the values
+    of _slice_values over the slices of _slice_ends.  Equal counts have no
+    values, found by "none" with a nan error.
+    """
+    count = hi[1] - lo[1]
+    if count == 0:
+        return np.empty(0), "none", float("nan")
+    if box is not None:
+        found = _box_values(op.grid.h, box, hi[0])
+        vals = found.values[lo[1]:]
+        if len(vals) != count:
+            raise CertificationError(found=len(vals), expected=count)
+        return vals, "bisection", found.bracket
+    ends = _slice_ends(op, lo, hi)
+    parts = [_slice_values(op, a, b, c_b - c_a) for (a, c_a), (b, c_b) in zip(ends, ends[1:])]
+    method = "eigvalsh" if any(m == "eigvalsh" for _, m, _ in parts) else "eigsh"
+    error = float(np.max([e for _, _, e in parts]))  # nan after any eigvalsh
+    return np.concatenate([v for v, _, _ in parts]), method, error
+
+
 def spectrum_below(op: DiscreteOperator, lam: float) -> Spectrum:
     """All eigenvalues below lam, certified against the inertia count."""
     cert = count_certificate(op, lam)
-    if cert.count == 0:
-        return Spectrum(values=np.empty(0), cutoff=lam, certified=True, certificate=cert)
-    box = _box_modes(op)
-    if box is not None:
-        # no eigenvalue lies within tol of the certified shift, so those at
-        # or below it are the ones below it
-        found = _box_values(op.grid.h, box, cert.shift)
-        if len(found.values) != cert.count:
-            raise CertificationError(found=len(found.values), expected=cert.count)
-        vals, method, error = found.values, "bisection", found.bracket
-    else:
-        # both operators are positive definite: no eigenvalue below 0
-        ends = _slice_ends(op, (0.0, 0), (cert.shift, cert.count))
-        parts = [_slice_values(op, lo, hi, c_hi - c_lo)
-                 for (lo, c_lo), (hi, c_hi) in zip(ends, ends[1:])]
-        vals = np.concatenate([v for v, _, _ in parts])
-        method = "eigvalsh" if any(m == "eigvalsh" for _, m, _ in parts) else "eigsh"
-        error = float(np.max([e for _, _, e in parts]))  # nan after any eigvalsh
+    # both operators are positive definite: no eigenvalue below 0
+    vals, method, error = _values_between(op, _box_modes(op), (0.0, 0), (cert.shift, cert.count))
     return Spectrum(values=vals, cutoff=lam, certified=True,
                     certificate=replace(cert, value_method=method, value_error=error))
 

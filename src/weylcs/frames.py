@@ -238,10 +238,14 @@ class SymbolValue(NamedTuple):
 
 
 def _phase_point(d, xi, y):
-    """xi and y as float arrays of d coordinates; a scalar is one coordinate."""
+    """xi and y as float arrays of d finite coordinates; a scalar is one
+    coordinate."""
     xi, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (xi, y))
     if xi.shape != (d,) or y.shape != (d,):
         raise DimensionMismatchError(f"xi and y need {d} coordinates, got {xi.size}, {y.size}")
+    for name, v in (("xi", xi), ("y", y)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {v.tolist()!r}")
     return xi, y
 
 

@@ -23,6 +23,7 @@ from weylcs.domains import measure, rectangle_domain
 from weylcs.eigen import DENSE_LIMIT, DenseLimitError, count_certificate, load_spectrum
 from weylcs.operators import assemble_euclidean
 from weylcs.weyl import CURVE_HEADER, euclidean_leading
+from weylcs.windows import c_constants, make_bump_window, scale
 
 
 def write_config(path, text):
@@ -327,6 +328,24 @@ def test_weyl_curve_output(tmp_path, capsys):
     data = [line for line in lines if not line.startswith("#")][1:]
     assert len(data) == 8
     assert "remainder_fit slope=" in capsys.readouterr().out
+
+
+def test_weyl_curve_bump_window_on_a_linear_grid(tmp_path):
+    # the window and lam_scale settings the example configs leave at their defaults
+    out = tmp_path / "curve.csv"
+    rc = main(["weyl-curve", "--set", "kind=euclidean", "--set", "dim=1",
+               "--set", "source=exact", "--set", "window=bump", "--set", "lam_scale=linear",
+               "--set", "lam_min=100", "--set", "lam_max=1000", "--set", "lam_count=7",
+               "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in lines[lines.index(CURVE_HEADER) + 1:]])
+    lambdas = np.linspace(100.0, 1000.0, 7)
+    assert np.array_equal(rows[:, 0], lambdas)
+    eps = lambdas ** -ExperimentConfig().eps_alpha
+    want = [c_constants(scale(make_bump_window(1), e)) for e in eps]
+    assert np.array_equal(rows[:, 6:], [[c.c1, c.c2, c.c3] for c in want])
 
 
 def test_weyl_curve_reports_why_the_fit_is_unavailable(tmp_path, capsys):

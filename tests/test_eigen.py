@@ -443,10 +443,12 @@ def test_bracket_decides_after_three_nudges(monkeypatch, make, offset):
     exact = tridiag_eigs(n, h, 1.0)
     tol = 1e-12 * (2.0 / h ** 2 + exact[k])  # 2/h^2 = max |A_ij|
     lam = exact[k] + offset * tol
+    shifts = []
     if make is interval_op:
         box_inertia = weylcs.eigen._box_inertia
 
         def unresolved_near_lam(h, box, shift, tol):
+            shifts.append(shift)
             neg, gate = box_inertia(h, box, shift, tol)
             if abs(shift - lam) < 10.0 * tol:  # a nudge, not a bracket end
                 return neg, gate._replace(margin=1.0)
@@ -461,6 +463,52 @@ def test_bracket_decides_after_three_nudges(monkeypatch, make, offset):
     assert cert.count == count == dense_count(op, cert.shift) == len(spec.values)
     assert (cert.shift < lam - 6.5 * tol) == (offset == 6.0)
     assert np.allclose(spec.values, exact[:count], rtol=1e-10, atol=0.0)
+    if make is interval_op:
+        # three nudges, then the bracket at shift - delta and shift + 2*delta:
+        # asymmetric, so its values are not sought about a centre at the
+        # shift, where an eigenvalue may lie
+        delta = 1e-6 * (2.0 / h ** 2 + lam)
+        assert len(shifts) == 5 and shifts[3:] == pytest.approx(
+            [shifts[2] - delta, shifts[2] + 2.0 * delta], rel=0.0, abs=1e-3 * delta)
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+def test_bracket_over_more_than_a_slice_is_split(monkeypatch):
+    # a count bracket on a mask is split at certified midpoints into slices of
+    # at most _SLICE eigenvalues, as a spectrum is.  With _SLICE = 1 and the
+    # gate unresolved within 0.4 delta of lambda the bracket widens to delta =
+    # 1e-4 * scale; its ends and its midpoint lie outside that window, and it
+    # holds lambda and the next eigenvalue, one on each side of the midpoint
+    op = disk_op(1 / 30)
+    exact = dense_spectrum(op).values
+    lam = exact[127]
+    delta = 1e-4 * (abs(op.matrix).max() + lam)
+    inside = exact[(exact >= lam - delta) & (exact < lam + 2.0 * delta)]
+    assert len(inside) == 2 and inside[1] > lam + 0.5 * delta
+    shifted, sparse_inertia = weylcs.eigen._shifted, weylcs.eigen._sparse_inertia
+    slice_values = weylcs.eigen._slice_values
+    shifts, asked = [], []
+
+    def remembered(op, shift):
+        shifts.append(shift)
+        return shifted(op, shift)
+
+    def unresolved_near_lam(b, tol):
+        neg, gate = sparse_inertia(b, tol)
+        return neg, (gate._replace(margin=1.0) if abs(shifts[-1] - lam) < 0.4 * delta else gate)
+
+    def recording(op, lo, hi, count):
+        asked.append(count)
+        return slice_values(op, lo, hi, count)
+
+    monkeypatch.setattr(weylcs.eigen, "_SLICE", 1)
+    monkeypatch.setattr(weylcs.eigen, "_shifted", remembered)
+    monkeypatch.setattr(weylcs.eigen, "_sparse_inertia", unresolved_near_lam)
+    monkeypatch.setattr(weylcs.eigen, "_slice_values", recording)
+    cert = count_certificate(op, lam)
+    assert (cert.count_method, cert.nudges) == ("sparse-ldl", 2) and cert.pivot_margin > 1.0
+    assert asked == [1, 1]
+    assert cert.count == dense_count(op, cert.shift) == 127
 
 
 @pytest.mark.filterwarnings("ignore:count_below")

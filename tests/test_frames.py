@@ -291,6 +291,24 @@ def test_symbols_check_the_dimension():
         analytic_symbol("hyperbolic", fr1.window, (1.0,), (0.5,))
 
 
+@pytest.mark.parametrize("call", ["symbol", "rayleigh_symbol", "analytic_symbol"])
+@pytest.mark.parametrize("coord", ["xi", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_symbols_reject_non_finite_coordinates(call, coord, bad):
+    # y deep inside the hyperbolic unit square: nothing else is wrong
+    h = 1 / 30
+    win = scale(make_cosine_window(2), 0.2)
+    op = assemble_hyperbolic(rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h))
+    fr = build_frame(((0.0, 1.0), (0.0, 1.0)), h, win)
+    point = {"xi": (0.0, 0.0), "y": (0.5, 0.5)}
+    point[coord] = (bad, 0.5)
+    run = {"symbol": lambda xi, y: symbol(fr, op, xi, y),
+           "rayleigh_symbol": lambda xi, y: rayleigh_symbol(op, win, xi, y),
+           "analytic_symbol": lambda xi, y: analytic_symbol("hyperbolic", win, xi, y)}[call]
+    with pytest.raises(ValueError, match=f"^{coord} must be finite"):
+        run(point["xi"], point["y"])
+
+
 def test_hyperbolic_symbol_d2():
     eps = 0.2 * math.sqrt(2.0)
     win = scale(make_cosine_window(2), eps)
