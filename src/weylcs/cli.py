@@ -154,12 +154,12 @@ def _lambda_grid(cfg):
 
 def _operator(cfg, h):
     """The grid domain of cfg.box at spacing h and the cfg.kind operator on it."""
+    assemble = assemble_euclidean if cfg.kind == "euclidean" else assemble_hyperbolic
     try:
         dom = rectangle_domain(cfg.box, h)
-    except ValueError as exc:  # no interior nodes
+        return dom, assemble(dom)
+    except ValueError as exc:  # no interior nodes, or exp(2 x_1) overflows
         raise ConfigError(str(exc)) from exc
-    assemble = assemble_euclidean if cfg.kind == "euclidean" else assemble_hyperbolic
-    return dom, assemble(dom)
 
 
 def cmd_spectrum(cfg) -> int:
@@ -217,7 +217,10 @@ def _symbol_report(cfg, h_values):
         _, op = _operator(cfg, h)
         errs = []
         for xi, y in points:
-            exact = analytic_symbol(cfg.kind, window, xi, y)
+            try:
+                exact = analytic_symbol(cfg.kind, window, xi, y)
+            except OverflowError as exc:  # a point past the grid's last x_1
+                raise ConfigError(f"exp(2 y_1) overflows at y_1 = {y[0]:g}") from exc
             got = rayleigh_symbol(op, window, xi, y)
             errs.append(abs(got - exact))
         errors[h] = errs

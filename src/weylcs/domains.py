@@ -10,6 +10,7 @@ Omega^eps.  Distances are computed only up to the radius a threshold needs
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,20 @@ class GridDomain:
     origin: tuple
     mask: np.ndarray
     box: tuple
-    # Set when the mask is exactly the interior lattice of an axis-aligned box;
-    # lets weyl.weighted_volume use its closed form and eigen the box path.
-    exact_box: tuple | None = None
+
+    @functools.cached_property
+    def exact_box(self):
+        """box when the mask, origin and h are exactly what rectangle_domain(box, h)
+        builds, else None; weyl.weighted_volume then uses its closed form."""
+        try:
+            # shapes first: a box far larger than the mask builds no mask
+            if _rectangle_shape(self.box, self.h) != list(self.shape):
+                return None
+            ref = rectangle_domain(self.box, self.h)
+        except (ArithmeticError, ValueError):  # no lattice of that box at h
+            return None
+        same = ref.origin == tuple(self.origin) and np.array_equal(ref.mask, self.mask)
+        return self.box if same else None
 
     @property
     def d(self):
@@ -46,6 +58,11 @@ class GridDomain:
         return np.asarray(self.origin) + self.h * idx
 
 
+def _rectangle_shape(box, h):
+    """Nodes per axis of the lattice from each lower end, through the upper end."""
+    return [int(math.floor((b - a) / h + 1e-9 * h)) + 1 for a, b in box]
+
+
 def rectangle_domain(box, h) -> GridDomain:
     """Grid domain for an open axis-aligned box; mask true strictly inside."""
     box = tuple((float(a), float(b)) for a, b in box)
@@ -55,7 +72,7 @@ def rectangle_domain(box, h) -> GridDomain:
     if h <= 0 or h >= min(b - a for a, b in box):
         raise ValueError("h must be positive and smaller than the shortest side")
     tol = 1e-9 * h
-    shape = [int(math.floor((b - a) / h + tol)) + 1 for a, b in box]
+    shape = _rectangle_shape(box, h)
     mask = np.ones(shape, dtype=bool)
     for axis, (a, b) in enumerate(box):
         coords = a + h * np.arange(shape[axis])
@@ -65,8 +82,7 @@ def rectangle_domain(box, h) -> GridDomain:
         mask &= inside[tuple(sl)]
     if not mask.any():
         raise ValueError("no interior nodes; reduce h")
-    return GridDomain(h=h, origin=tuple(a for a, _ in box), mask=mask, box=box,
-                      exact_box=box)
+    return GridDomain(h=h, origin=tuple(a for a, _ in box), mask=mask, box=box)
 
 
 def lattice_dist2(target, r):
@@ -143,9 +159,6 @@ def save_mask(dom: GridDomain, path):
         fh.write("origin=" + " ".join("%.17g" % o for o in dom.origin) + "\n")
         fh.write("box=" + " ".join("%.17g,%.17g" % (a, b) for a, b in dom.box) + "\n")
         fh.write("shape=" + " ".join(str(n) for n in dom.shape) + "\n")
-        if dom.exact_box is not None:
-            fh.write("exact_box=" + " ".join("%.17g,%.17g" % (a, b)
-                                             for a, b in dom.exact_box) + "\n")
         rows = dom.mask.reshape(-1, dom.shape[-1])
         for row in rows:
             fh.write(_rle_encode(row) + "\n")
@@ -185,13 +198,15 @@ def load_mask(path) -> GridDomain:
     d = int(header["d"])
     h = float(header["h"])
     origin = tuple(float(t) for t in header["origin"].split())
-
-    def pairs(key):
-        return tuple(tuple(float(u) for u in t.split(",")) for t in header[key].split())
-
-    box = pairs("box")
-    exact_box = pairs("exact_box") if "exact_box" in header else None
+    box = tuple(tuple(float(u) for u in t.split(",")) for t in header["box"].split())
     shape = tuple(int(t) for t in header["shape"].split())
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"mask header: h must be positive and finite, got {header['h']!r}")
+    for key, vals in (("origin", origin), ("box", sum(box, ()))):
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"mask header: {key} entries must be finite, got {header[key]!r}")
+    if any(len(pair) != 2 for pair in box):
+        raise ValueError(f"mask header: box entries must be a,b pairs, got {header['box']!r}")
     if not d == len(origin) == len(box) == len(shape):
         raise ValueError(f"mask header: d={d} with {len(origin)} origin, {len(box)} box "
                          f"and {len(shape)} shape entries")
@@ -199,7 +214,4 @@ def load_mask(path) -> GridDomain:
         raise ValueError(f"mask header: shape {shape} needs {math.prod(shape[:-1])} rows, "
                          f"found {len(rows)}")
     mask = np.stack([_rle_decode(r, shape[-1]) for r in rows]).reshape(shape)
-    ref = None if exact_box is None else rectangle_domain(exact_box, h)
-    if ref is not None and (ref.origin != origin or not np.array_equal(ref.mask, mask)):
-        raise ValueError("mask header: exact_box does not give the rows' origin, shape and mask")
-    return GridDomain(h=h, origin=origin, mask=mask, box=box, exact_box=exact_box)
+    return GridDomain(h=h, origin=origin, mask=mask, box=box)

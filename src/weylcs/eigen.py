@@ -4,11 +4,12 @@ Partial spectra are certified against the Sylvester inertia of A - lambda*I:
 the number of eigenvalues below the shift, so a missed eigenvalue cannot go
 unnoticed.
 
-On a box (``GridDomain.exact_box`` set and the nodes filling their bounding
-box) the operator is a Kronecker sum A1 (x) I + diag(w) (x) A_tilde, with A1
-the 1-D Dirichlet second difference along x_1, w the tilde edge weight at each
-x_1 (exp(2 x_1) or 1) and A_tilde the Dirichlet Laplacian of the other axes,
-whose eigenvalues mu are sums of 4/h^2 sin^2(k pi / (2 (m + 1))).  The sine
+On a box, read from the nodes alone (they fill their bounding box, as on a
+rectangle, an eroded rectangle or a loaded box mask), the operator is a
+Kronecker sum A1 (x) I + diag(w) (x) A_tilde, with A1 the 1-D Dirichlet
+second difference along x_1, w the tilde edge weight at each x_1 (exp(2 x_1)
+or 1) and A_tilde the Dirichlet Laplacian of the other axes, whose
+eigenvalues mu are sums of 4/h^2 sin^2(k pi / (2 (m + 1))).  The sine
 transform of the tilde axes is orthogonal, so the spectrum is the union over
 mu of the spectra of the tridiagonals A1 + mu*diag(w), and the count is the
 sum of their Sturm counts (Barth, Martin & Wilkinson 1967; backward stable).
@@ -187,9 +188,7 @@ class _Box(NamedTuple):
 
 
 def _box_modes(op):
-    """The _Box of an operator on a filled box, or None."""
-    if op.grid.exact_box is None:
-        return None
+    """The _Box of an operator whose nodes fill their bounding box, or None."""
     lo, hi = op.nodes.min(axis=0), op.nodes.max(axis=0)
     extent = hi - lo + 1
     if op.n != np.prod(extent):
@@ -316,6 +315,8 @@ def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
     # on a box the largest entry comes from the edge weights, so the count
     # needs no assembled matrix
     scale = (abs(op.matrix).max() if box is None else box.norm) + abs(lam)
+    if not np.isfinite(scale):  # an inf or nan entry: no count can be certified
+        raise ValueError(f"operator entries must be finite, got max|A_ij| + |lam| = {scale!r}")
     tol = 1e-12 * scale
     method = "sparse-ldl" if box is None else "sturm"
 

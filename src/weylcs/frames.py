@@ -311,11 +311,12 @@ def symbol(frame: CoherentFrame, op: DiscreteOperator, xi, y) -> SymbolValue:
 
 def analytic_symbol(kind, window: Window, xi, y=None) -> float:
     """Continuum symbol: |xi|^2 + grad-norm for the Laplacian; the hyperbolic
-    operator adds the exp(2 y_1)-weighted tilde terms with the window constants."""
+    operator adds the exp(2 y_1)-weighted tilde terms with the window constants,
+    which vanish for d = 1."""
     if kind not in ("euclidean", "hyperbolic"):
         raise ValueError(f"unknown kind {kind!r}")
     xi, y = _phase_point(window.d, xi, np.zeros(window.d) if y is None else y)
-    if kind == "euclidean":
+    if kind == "euclidean" or window.d == 1:
         return float(xi @ xi) + grad_norm_sq(window)
     c = c_constants(window)
     tilde_sq = float(xi[1:] @ xi[1:])

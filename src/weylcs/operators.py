@@ -26,8 +26,9 @@ class DimensionMismatchError(ValueError):
 class DiscreteOperator:
     grid: GridDomain
     kind: str  # "euclidean" | "hyperbolic"
-    nodes: np.ndarray  # (n, d) integer multi-indices, row k <-> nodes[k]
-    row_of: np.ndarray = field(repr=False)  # grid-shaped, -1 outside
+    # (n, d) integer multi-indices of the mask's nodes in C order, row k <->
+    # nodes[k]; the map back from grid index to row is built with the matrix
+    nodes: np.ndarray
     # weight of the edges along axes 2..d at each x_1 index of the grid:
     # exp(2 x_1) for hyperbolic, 1 for euclidean.  matrix is assembled from it
     # on first access, so dataclasses.replace(op, tilde_weight=w) gives the
@@ -68,8 +69,10 @@ def diagonal(weights):
 def _assemble_matrix(op: DiscreteOperator):
     import scipy.sparse as sp  # slow import, needed here only
 
-    nodes, row_of = op.nodes, op.row_of
+    nodes = op.nodes
     n = len(nodes)
+    row_of = np.full(op.grid.shape, -1, dtype=np.int64)  # -1 outside
+    row_of[tuple(nodes.T)] = np.arange(n)
     weights = [w[nodes[:, 0]] for w in op.axis_weights()]
     rows, cols, vals = [np.arange(n)], [np.arange(n)], [diagonal(weights)]
     for axis, w in enumerate(weights):
@@ -93,20 +96,20 @@ def _assemble_matrix(op: DiscreteOperator):
 
 
 def _assemble(dom: GridDomain, kind):
-    mask = dom.mask
-    nodes = np.argwhere(mask)
-    row_of = -np.ones(mask.shape, dtype=np.int64)
-    row_of[mask] = np.arange(len(nodes))
-    if kind == "hyperbolic" and dom.d > 1:
-        x1_weight = np.exp(2.0 * dom.axis_coords(0))
-    else:
-        x1_weight = np.ones(mask.shape[0])
-    return DiscreteOperator(grid=dom, kind=kind, nodes=nodes, row_of=row_of,
-                            tilde_weight=x1_weight)
+    x1 = dom.axis_coords(0)
+    with np.errstate(over="ignore"):
+        x1_weight = np.exp(2.0 * x1) if kind == "hyperbolic" and dom.d > 1 else np.ones(len(x1))
+        op = DiscreteOperator(grid=dom, kind=kind, nodes=np.argwhere(dom.mask),
+                              tilde_weight=x1_weight)
+        if not np.isfinite(diagonal(op.axis_weights())).all():  # the largest entries
+            raise ValueError(f"matrix entries not finite with x_1 up to {x1.max():g} and "
+                             f"h = {dom.h:g} (hyperbolic: exp(2 x_1)/h^2 overflows)")
+    return op
 
 
 def assemble_euclidean(dom: GridDomain) -> DiscreteOperator:
-    """Second-difference Dirichlet Laplacian on the interior nodes."""
+    """Second-difference Dirichlet Laplacian on the interior nodes; ValueError
+    when its entries are not finite (h = nan)."""
     if not dom.mask.any():
         raise ValueError("empty domain")
     return _assemble(dom, "euclidean")
@@ -115,7 +118,8 @@ def assemble_euclidean(dom: GridDomain) -> DiscreteOperator:
 def assemble_hyperbolic(dom: GridDomain) -> DiscreteOperator:
     """Discretization of -d^2/dx_1^2 - exp(2 x_1) * Laplacian in the tilde axes.
 
-    For d=1 the operator coincides with the euclidean one.
+    For d=1 the operator coincides with the euclidean one.  Above, a grid on
+    which exp(2 x_1)/h^2 overflows raises ValueError.
     """
     if not dom.mask.any():
         raise ValueError("empty domain")

@@ -1,7 +1,6 @@
 """Command-line front-end: configs, exit codes, output determinism."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -17,9 +16,10 @@ from hypothesis import strategies as st
 
 import weylcs
 import weylcs.cli
+import weylcs.eigen
 from weylcs.cli import COMMANDS, ConfigError, ExperimentConfig, _apply_kv, \
     load_config, main
-from weylcs.domains import measure, rectangle_domain
+from weylcs.domains import GridDomain, measure, rectangle_domain
 from weylcs.eigen import DENSE_LIMIT, DenseLimitError, count_certificate, load_spectrum
 from weylcs.operators import assemble_euclidean
 from weylcs.weyl import CURVE_HEADER, euclidean_leading
@@ -132,7 +132,7 @@ def test_usage_and_limit_errors_exit_1(tmp_path, capsys, monkeypatch, args):
     assert "error:" in err and "Traceback" not in err
 
 
-def test_weyl_curve_discrete_past_the_dense_limit(tmp_path):
+def test_weyl_curve_discrete_past_the_dense_limit(tmp_path, monkeypatch):
     # n = 72^2 > DENSE_LIMIT and N(lam_max) > n/4: the box path needs no dense
     # solver, and its Riesz means are those of the closed-form mode sums
     out = tmp_path / "curve.csv"
@@ -150,19 +150,23 @@ def test_weyl_curve_discrete_past_the_dense_limit(tmp_path):
     want = [np.sum(lam - exact[exact < lam]) for lam in lams]
     assert len(rows) == 6 and np.allclose(riesz, want, rtol=1e-11, atol=0.0)
     # the sparse LDL^T count of the same matrix agrees
-    dom = dataclasses.replace(rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h), exact_box=None)
-    op = assemble_euclidean(dom)
+    monkeypatch.setattr(weylcs.eigen, "_box_modes", lambda op: None)
+    op = assemble_euclidean(rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h))
     assert op.n == 72 ** 2 > DENSE_LIMIT
-    count = count_certificate(op, 2e4).count
-    assert count == int(np.sum(exact < 2e4)) > op.n // 4
+    cert = count_certificate(op, 2e4)
+    assert cert.count_method == "sparse-ldl"
+    assert cert.count == int(np.sum(exact < 2e4)) > op.n // 4
 
 
 def test_weyl_curve_leading_term_needs_no_exact_box(tmp_path, monkeypatch):
-    # the leading term reads the domain's mask, not a closed form of cfg.box
+    # the leading term reads the domain's mask, not a closed form of a
+    # declared box: here the box declares sides twice those of its rows
     doms = []
 
     def plain_box(box, h):
-        doms.append(dataclasses.replace(rectangle_domain(box, h), exact_box=None))
+        dom = rectangle_domain(box, h)
+        doms.append(GridDomain(h=h, origin=dom.origin, mask=dom.mask,
+                               box=tuple((a, 2.0 * b - a) for a, b in dom.box)))
         return doms[-1]
 
     monkeypatch.setattr(weylcs.cli, "rectangle_domain", plain_box)
@@ -171,13 +175,42 @@ def test_weyl_curve_leading_term_needs_no_exact_box(tmp_path, monkeypatch):
         rc = main(["weyl-curve", "--set", "kind=euclidean", "--set", "dim=2",
                    "--set", "box=0,1;0,2", "--set", "h=0.05", "--set", "lam_min=100",
                    "--set", "lam_max=1000", "--set", "lam_count=6", "--out", str(out)])
-    assert rc == 0 and len(doms) == 1
+    assert rc == 0 and len(doms) == 1 and doms[0].exact_box is None
     rows = [line.split(",") for line in out.read_text().splitlines()
             if not line.startswith("#")][1:]
     assert len(rows) == 6
     for row in rows:
         lam, leading = float(row[0]), float(row[2])
         assert leading == euclidean_leading(measure(doms[0]), 2, lam)
+
+
+HYPERBOLIC_FAR = ["--set", "kind=hyperbolic", "--set", "frame_n=8", "--set", "n_vectors=2"]
+
+
+@pytest.mark.parametrize("command, box, h", [
+    ("spectrum", "0,1000;0,1000", 10), ("symbol-check", "0,1000;0,1000", 10),
+    ("frame-check", "0,1000;0,1000", 10),
+    ("spectrum", "0,354;0,1", 0.25),  # exp(2 x_1) finite, exp(2 x_1)/h^2 not
+    # exp(2 x_1) is finite at the grid's one x_1 node, 320, not at a symbol point
+    ("symbol-check", "0,600;0,600", 320), ("frame-check", "0,600;0,600", 320)])
+def test_hyperbolic_overflow_exits_1_in_two_dimensions(tmp_path, capsys, command, box, h):
+    argv = [command, "--set", "dim=2", "--set", f"box={box}", "--set", f"h={h}"]
+    assert main(argv + HYPERBOLIC_FAR + ["--out", str(tmp_path / "o.txt")]) == 1
+    err = capsys.readouterr().err
+    assert ("error: matrix entries not finite" in err or "error: exp(2 y_1) overflows" in err) \
+        and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["symbol-check", "frame-check"])
+def test_hyperbolic_symbol_far_out_in_one_dimension(tmp_path, command):
+    # in d = 1 the tilde terms vanish: the symbol is the euclidean one
+    out = tmp_path / "o.txt"
+    argv = [command, "--set", "box=0,1000", "--set", "h=10"] + HYPERBOLIC_FAR + ["--out", str(out)]
+    assert main(argv) == 0
+    hyperbolic = out.read_text().splitlines()[-3:]
+    argv[argv.index("kind=hyperbolic")] = "kind=euclidean"
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[-3:] == hyperbolic
 
 
 EXAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "examples")

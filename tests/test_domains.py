@@ -1,6 +1,5 @@
 """Masked grid domains: construction, morphology, measure, RLE export."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import weylcs.domains
 from weylcs.domains import (
     EmptyErosionError,
     GridDomain,
@@ -20,6 +20,7 @@ from weylcs.domains import (
     rectangle_domain,
     save_mask,
 )
+from weylcs.weyl import weighted_volume
 
 
 def unit_square(h):
@@ -244,14 +245,77 @@ def test_mask_load_names_the_expected_and_found_row_counts(tmp_path):
         load_mask(path)
 
 
-def test_mask_load_rejects_an_exact_box_the_rows_contradict(tmp_path):
-    # rows of (0, 0.5) x (0, 1) under the header of the unit square: the
-    # closed-form leading term would read the square (251.5, not 156.6)
+def _with_legacy_exact_box(path, box):
+    """Add the exact_box= line that older versions of save_mask wrote after shape=."""
+    text = path.read_text()
+    line = "exact_box=" + " ".join("%.17g,%.17g" % (a, b) for a, b in box) + "\n"
+    at = text.index("\n", text.index("shape=")) + 1
+    path.write_text(text[:at] + line + text[at:])
+
+
+def test_mask_load_reads_the_box_from_the_rows(tmp_path):
+    # rows of (0, 0.5) x (0, 1) under the header of the unit square, with or
+    # without an older file's exact_box line for the square: the volume is the
+    # rows' lattice sum (the square's closed form gave a leading term of
+    # 251.5, not 156.6)
     h = 1 / 40
     half = rectangle_domain(((0.0, 0.5), (0.0, 1.0)), h)
+    unit = ((0.0, 1.0), (0.0, 1.0))
     path = tmp_path / "mask.txt"
-    save_mask(dataclasses.replace(half, exact_box=((0.0, 1.0), (0.0, 1.0))), path)
-    with pytest.raises(ValueError, match="exact_box"):
+    save_mask(GridDomain(h=h, origin=half.origin, mask=half.mask, box=unit), path)
+    lattice = float(np.sum(half.mask.sum(axis=1) * np.exp(-half.axis_coords(0)))) * h ** 2
+    for legacy in (False, True):
+        if legacy:
+            _with_legacy_exact_box(path, unit)
+        back = load_mask(path)
+        assert back.box == unit and back.exact_box is None
+        assert weighted_volume("hyperbolic", back) == lattice
+        assert lattice == pytest.approx(1.0 - math.exp(-0.5), abs=3 * h)
+
+
+def test_mask_load_of_an_older_box_file(tmp_path):
+    # an older file's exact_box line is ignored; the box is read from the rows
+    dom = rectangle_domain(((0.0, 1.0), (-0.5, 0.7)), 0.04)
+    path = tmp_path / "mask.txt"
+    save_mask(dom, path)
+    assert "exact_box" not in path.read_text()
+    _with_legacy_exact_box(path, dom.box)
+    back = load_mask(path)
+    assert back.exact_box == dom.box
+    assert weighted_volume("hyperbolic", back) == weighted_volume("hyperbolic", dom) \
+        == (1.0 - math.exp(-1.0)) * (0.7 - -0.5)  # the closed form
+
+
+def test_hand_built_rectangle_mask_is_an_exact_box(monkeypatch):
+    dom = rectangle_domain(((0.0, 1.0), (-0.5, 0.7)), 0.04)
+    same = GridDomain(h=dom.h, origin=dom.origin, mask=dom.mask.copy(), box=dom.box)
+    assert same.exact_box == dom.box == dom.exact_box
+    # a declared box far larger than the rows is told apart by its shape alone
+    monkeypatch.setattr(weylcs.domains, "rectangle_domain", None)
+    assert GridDomain(h=dom.h, origin=dom.origin, mask=dom.mask,
+                      box=((0.0, 1e3), (-0.5, 0.7))).exact_box is None
+    monkeypatch.undo()
+    mask = dom.mask.copy()
+    mask[5, 5] = False
+    for other in (GridDomain(h=dom.h, origin=dom.origin, mask=mask, box=dom.box),
+                  GridDomain(h=dom.h, origin=(0.0, -0.46), mask=dom.mask, box=dom.box),
+                  GridDomain(h=dom.h, origin=dom.origin, mask=dom.mask[1:], box=dom.box),
+                  GridDomain(h=0.05, origin=dom.origin, mask=dom.mask, box=dom.box),
+                  GridDomain(h=math.nan, origin=dom.origin, mask=dom.mask, box=dom.box)):
+        assert other.exact_box is None
+
+
+@pytest.mark.parametrize("new", ["h=0", "h=-0.1", "h=nan", "h=inf", "origin=0 nan",
+                                 "box=0,inf -0.5,0.7", "box=-inf,1 -0.5,0.7", "box=0,1,2 0,1"])
+def test_mask_load_checks_its_numbers(tmp_path, new):
+    # before: h=0 divided by zero, h=-0.1 loaded (the unit square's hyperbolic
+    # volume came out as 1.38, not 0.632), h=nan hung count_below, and a box
+    # entry of three numbers loaded (dilate then failed to unpack it)
+    dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 0.04)
+    path = tmp_path / "mask.txt"
+    save_mask(dom, path)
+    key = new.split("=")[0]
+    path.write_text("".join(new + "\n" if line.startswith(key + "=") else line
+                            for line in path.read_text().splitlines(keepends=True)))
+    with pytest.raises(ValueError, match=f"mask header: {key} "):
         load_mask(path)
-    save_mask(half, path)
-    assert load_mask(path).exact_box == half.exact_box

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -37,11 +38,31 @@ def interval_op(n, L=1.0):
     return assemble_euclidean(rectangle_domain(((0.0, L),), h)), h
 
 
+# operators that take the sparse LDL^T path although their nodes fill a box
+SPARSE = weakref.WeakSet()
+
+
+@pytest.fixture(autouse=True, scope="module")
+def sparse_path():
+    """_box_modes gives None for the operators in SPARSE, which then take the
+    sparse path as a mask does (module scope: no function-scoped fixture in
+    the hypothesis tests)."""
+    box_modes = weylcs.eigen._box_modes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weylcs.eigen, "_box_modes",
+                      lambda op: None if op in SPARSE else box_modes(op))
+        yield
+
+
+def on_sparse_path(op):
+    SPARSE.add(op)
+    return op
+
+
 def sparse_interval_op(n, L=1.0):
-    """The matrix of interval_op(n); without exact_box it takes the sparse LDL^T path."""
-    h = L / (n + 1)
-    dom = dataclasses.replace(rectangle_domain(((0.0, L),), h), exact_box=None)
-    return assemble_euclidean(dom), h
+    """The matrix of interval_op(n) on the sparse LDL^T path."""
+    op, h = interval_op(n, L)
+    return on_sparse_path(op), h
 
 
 def tridiag_eigs(n, h, L):
@@ -232,8 +253,7 @@ def test_sliced_spectrum_on_the_square(denom, q):
     # of the slice [2/h^2, 4/h^2) is the eigenvalue 3/h^2; at h = 1/24 the
     # first eigsh of a slice below 5/h^2 misses copies of double eigenvalues
     h = 1.0 / denom
-    op = assemble_euclidean(dataclasses.replace(
-        rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h), exact_box=None))
+    op = on_sparse_path(assemble_euclidean(rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)))
     spec = spectrum_below(op, q / h ** 2)
     want = dense_spectrum(op).values
     want = want[want < spec.certificate.shift]
@@ -327,7 +347,8 @@ def test_spectrum_below_on_one_or_two_nodes(kind, nodes):
     mask = np.zeros(box.shape, dtype=bool)
     mask[tuple(zip(*nodes))] = True
     dom = GridDomain(h=h, origin=box.origin, mask=mask, box=box.box)
-    op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    # the nodes fill their bounding box: the sparse path is forced
+    op = on_sparse_path((assemble_hyperbolic if kind == "hyperbolic" else assemble_euclidean)(dom))
     spec = spectrum_below(op, 1e3)
     want = dense_spectrum(op).values
     assert op.n == len(nodes) and np.all(want < 1e3)
@@ -544,6 +565,40 @@ def test_non_finite_lambda_is_rejected(make, lam):
             call(op, lam)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("shape", ["box", "mask"])
+def test_non_finite_operator_is_rejected(shape, bad):
+    # assembly rejects such weights; substituted, an inf tilde weight (as
+    # exp(2 x_1) past the float range) gave a "certified" count of 0 at shift
+    # nan, and a nan one (as from h = nan) made the count's bracket loop forever
+    h = 1 / 12
+    dom = disk_op(h).grid if shape == "mask" else rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+    op = assemble_hyperbolic(dom)
+    w = op.tilde_weight.copy()
+    w[-3:] = bad
+    op = dataclasses.replace(op, tilde_weight=w)
+    for call in (count_certificate, count_below, spectrum_below):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(op, 100.0)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+def test_eroded_rectangle_takes_the_box_path(kind):
+    # erosion leaves a rectangle's nodes filling a smaller box, from x_1 index
+    # 3 on: the Kronecker sum holds there though no rectangle_domain built it
+    dom = erode(rectangle_domain(((0.0, 1.0), (0.0, 1.2)), 1 / 20), 0.12)
+    op = (assemble_hyperbolic if kind == "hyperbolic" else assemble_euclidean)(dom)
+    lo, hi = op.nodes.min(axis=0), op.nodes.max(axis=0)
+    assert dom.exact_box is None and op.n == np.prod(hi - lo + 1) and lo[0] == 3
+    spec = spectrum_below(op, 3000.0)
+    cert = spec.certificate
+    assert (cert.count_method, cert.value_method) == ("sturm", "bisection")
+    want = dense_spectrum(op).values
+    want = want[want < cert.shift]
+    assert cert.count == len(spec.values) == len(want) > 10
+    assert np.allclose(spec.values, want, rtol=1e-10, atol=0.0)
+
+
 EIGENVALUE = "(lambda too close to an eigenvalue)"
 PIVOT = "(zero or small pivot in the unpivoted factorization)"
 
@@ -585,7 +640,7 @@ def boxes(draw):
 def test_box_count_matches_dense_and_sparse(dom, kind, fractions, picks):
     assemble = assemble_hyperbolic if kind == "hyperbolic" else assemble_euclidean
     op = assemble(dom)
-    sparse = assemble(dataclasses.replace(dom, exact_box=None))
+    sparse = on_sparse_path(assemble(dom))
     vals = dense_spectrum(op).values
     on_eigenvalue = [vals[int(p * (len(vals) - 1))] for p in picks]
     for lam in [f * vals[-1] for f in fractions] + on_eigenvalue:
@@ -593,7 +648,8 @@ def test_box_count_matches_dense_and_sparse(dom, kind, fractions, picks):
         cert = spec.certificate
         assert cert.count_method == "sturm"
         assert cert.count == dense_count(op, cert.shift)
-        assert cert.count == count_certificate(sparse, lam).count
+        on_mask = count_certificate(sparse, lam)
+        assert (on_mask.count_method, on_mask.count) == ("sparse-ldl", cert.count)
         want = vals[vals < cert.shift]
         assert len(spec.values) == len(want)
         assert np.allclose(spec.values, want, rtol=1e-10, atol=0.0)

@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylcs.domains import rectangle_domain
+from weylcs.domains import GridDomain, rectangle_domain
 from weylcs.operators import (
     DimensionMismatchError,
     apply,
@@ -181,3 +181,21 @@ def test_export_matrix_roundtrip(tmp_path):
 
     back = sp.coo_matrix((vals, (rows, cols)), shape=(op.n, op.n)).tocsr()
     assert abs(back - op.matrix).max() == 0.0
+
+
+@pytest.mark.parametrize("x1_end", [400.0, 354.0])
+def test_hyperbolic_entries_must_be_finite(x1_end):
+    # exp(2 x_1) overflows from x_1 = 355 on, and exp(2 x_1)/h^2 at h = 0.25
+    # from 353.4; inf edge weights once gave a "certified" count of 0.  In
+    # d = 1 there is no tilde weight
+    with pytest.raises(ValueError, match="matrix entries not finite"):
+        assemble_hyperbolic(rectangle_domain(((0.0, x1_end), (0.0, 1.0)), 0.25))
+    assert assemble_hyperbolic(rectangle_domain(((0.0, x1_end),), 0.25)).n > 0
+
+
+@pytest.mark.parametrize("assemble", [assemble_euclidean, assemble_hyperbolic])
+def test_nan_spacing_is_rejected(assemble):
+    # h = nan makes every entry nan, and a count's bracket looped forever on it
+    dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 0.1)
+    with pytest.raises(ValueError, match="matrix entries not finite"):
+        assemble(GridDomain(h=math.nan, origin=dom.origin, mask=dom.mask, box=dom.box))
