@@ -108,11 +108,19 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
+# the allowed values of each string-valued config key
+_CHOICES = {
+    "kind": ("euclidean", "hyperbolic"),
+    "window": ("cosine", "bump"),
+    "source": ("exact", "discrete"),
+    "lam_scale": ("log", "linear"),
+}
+
+
 def _validate(cfg):
-    if cfg.kind not in ("euclidean", "hyperbolic"):
-        raise ConfigError(f"unknown kind {cfg.kind!r}")
-    if cfg.window not in ("cosine", "bump"):
-        raise ConfigError(f"unknown window {cfg.window!r}")
+    for key, allowed in _CHOICES.items():
+        if getattr(cfg, key) not in allowed:
+            raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}")
     values = [getattr(cfg, f.name) for f in fields(cfg)] + [u for ab in cfg.box for u in ab]
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
         raise ConfigError("numeric config fields must be finite")
@@ -140,12 +148,8 @@ def _window(cfg):
 def _lambda_grid(cfg):
     if not 0 < cfg.lam_min <= cfg.lam_max:
         raise ConfigError("the lambda grid needs 0 < lam_min <= lam_max")
-    if cfg.lam_scale == "log":
-        grid = np.geomspace(cfg.lam_min, cfg.lam_max, cfg.lam_count)
-    elif cfg.lam_scale == "linear":
-        grid = np.linspace(cfg.lam_min, cfg.lam_max, cfg.lam_count)
-    else:
-        raise ConfigError(f"unknown lam_scale {cfg.lam_scale!r}")
+    spacing = np.geomspace if cfg.lam_scale == "log" else np.linspace
+    grid = spacing(cfg.lam_min, cfg.lam_max, cfg.lam_count)
     if np.any(np.diff(grid) <= 0.0):
         raise ConfigError(f"lam_min..lam_max leaves no room for {cfg.lam_count} "
                           "strictly increasing lambdas")
@@ -177,11 +181,9 @@ def cmd_weyl_curve(cfg) -> int:
             raise ConfigError("exact spectra are euclidean-only above one dimension")
         spec = exact_spectrum_box([b - a for a, b in cfg.box], cfg.lam_max)
         dom, _ = _operator(cfg, cfg.h)
-    elif cfg.source == "discrete":
+    else:
         dom, op = _operator(cfg, cfg.h)
         spec = spectrum_below(op, cfg.lam_max)
-    else:
-        raise ConfigError(f"unknown source {cfg.source!r}")
 
     vol = weighted_volume(cfg.kind, dom)
     try:

@@ -109,20 +109,17 @@ def lattice_dist2(target, r):
     return np.minimum(dist2, cap)
 
 
-def clearance(mask, h, r):
-    """Distance from each node to the nearest node outside mask (nodes beyond
-    the array are outside), exact up to r*h and above it elsewhere."""
-    inner = (slice(1, -1),) * mask.ndim
-    return h * np.sqrt(lattice_dist2(np.pad(~mask, 1, constant_values=True), r)[inner])
-
-
 def erode(dom: GridDomain, eps: float) -> GridDomain:
     """Nodes whose distance to the complement exceeds eps (Omega_eps)."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
     if eps == 0:
         return dom
-    mask = clearance(dom.mask, dom.h, int(math.ceil(eps / dom.h)) + 1) > eps
+    # distance to the nearest node outside the mask (nodes beyond the array
+    # are outside), exact up to r*h >= eps + h and above it elsewhere
+    r = int(math.ceil(eps / dom.h)) + 1
+    dist2 = lattice_dist2(np.pad(~dom.mask, 1, constant_values=True), r)
+    mask = dom.h * np.sqrt(dist2[(slice(1, -1),) * dom.d]) > eps
     if not mask.any():
         raise EmptyErosionError("empty erosion")
     return GridDomain(h=dom.h, origin=dom.origin, mask=mask, box=dom.box)
@@ -192,14 +189,20 @@ def load_mask(path) -> GridDomain:
                 header[key] = val
             else:
                 rows.append(line)
-    for key in ("d", "h", "origin", "box", "shape"):
+
+    def parse(key, convert):
         if key not in header:
             raise ValueError(f"mask header lacks {key!r}")
-    d = int(header["d"])
-    h = float(header["h"])
-    origin = tuple(float(t) for t in header["origin"].split())
-    box = tuple(tuple(float(u) for u in t.split(",")) for t in header["box"].split())
-    shape = tuple(int(t) for t in header["shape"].split())
+        try:
+            return convert(header[key])
+        except ValueError as exc:
+            raise ValueError(f"mask header: {key} cannot be parsed, got {header[key]!r}") from exc
+
+    d = parse("d", int)
+    h = parse("h", float)
+    origin = parse("origin", lambda v: tuple(float(t) for t in v.split()))
+    box = parse("box", lambda v: tuple(tuple(float(u) for u in t.split(",")) for t in v.split()))
+    shape = parse("shape", lambda v: tuple(int(t) for t in v.split()))
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"mask header: h must be positive and finite, got {header['h']!r}")
     for key, vals in (("origin", origin), ("box", sum(box, ()))):
@@ -210,6 +213,8 @@ def load_mask(path) -> GridDomain:
     if not d == len(origin) == len(box) == len(shape):
         raise ValueError(f"mask header: d={d} with {len(origin)} origin, {len(box)} box "
                          f"and {len(shape)} shape entries")
+    if any(n < 1 for n in shape):
+        raise ValueError(f"mask header: shape entries must be at least 1, got {header['shape']!r}")
     if len(rows) != math.prod(shape[:-1]):
         raise ValueError(f"mask header: shape {shape} needs {math.prod(shape[:-1])} rows, "
                          f"found {len(rows)}")

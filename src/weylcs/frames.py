@@ -11,19 +11,19 @@ the family is an exactly tight (Parseval) frame: the weighted phase-space norm
 of the transform equals the grid L^2 norm to machine precision, and the trace
 identity holds exactly for any symmetric operator on the embedding grid.
 
-The window is a product of 1-D factors g_a supported on k_a of the N lattice
-offsets of an axis, so the transform is applied one axis at a time: along
-axis a, the samples at (y_a + m_a) mod N for the k_a support offsets m_a are
-contracted with the table
+The window is the product of one 1-D profile f taken along every axis, and
+f is nonzero on k of the N lattice offsets of an axis, so the transform is
+applied one axis at a time with the same table for each: along an axis, the
+samples at (y + m) mod N for the k support offsets m are contracted with
 
-    K_a[y, m, xi] = g_a(m h) exp(-i xi (y + m) h),
+    K[y, m, xi] = f(m h) exp(-i xi (y + m) h),
 
-kept as its two factors, the k_a x N table g_a(m h) exp(-i xi m h) (one
-matrix product per axis) and the N x N phase exp(-i xi y h).  A transform
-costs O(n^2 k_a) for n = N^d, and no FFT is involved.  The trace sums over xi
+kept as its two factors, the k x N table f(m h) exp(-i xi m h) (one matrix
+product per axis) and the N x N phase exp(-i xi y h).  A transform costs
+O(n^2 k) for n = N^d, and no FFT is involved.  The trace sums over xi
 explicitly too: the sums over xi of exp(i xi (m - m') h) for pairs of support
 offsets, which the Plancherel identity makes N delta_{m m'}, are computed
-numerically from the same tables rather than assumed.
+numerically from the same table rather than assumed.
 """
 
 from __future__ import annotations
@@ -37,20 +37,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domains import clearance
 from .operators import DiscreteOperator, DimensionMismatchError, diagonal
 from .windows import Window, c_constants, grad_norm_sq
 
 
 class FrameError(ValueError):
     pass
-
-
-class AxisTable(NamedTuple):
-    """Support of one window factor and its part of the transform table."""
-
-    offsets: np.ndarray  # the k_a wrapped lattice offsets m with g_a(m h) != 0
-    table: np.ndarray  # [m, xi] = g_a(m h) exp(-i xi m h), xi in FFT order
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +54,8 @@ class CoherentFrame:
     g_grid: np.ndarray = field(repr=False)  # window sampled at wrapped lattice offsets
     s: float  # lattice sum, h^d * sum g^2
     phase: np.ndarray = field(repr=False)  # [y, xi] = exp(-i xi y h), one axis
-    axes: tuple[AxisTable, ...] = field(repr=False)
+    offsets: np.ndarray = field(repr=False)  # the k wrapped lattice offsets m with f(m h) != 0
+    table: np.ndarray = field(repr=False)  # [m, xi] = f(m h) exp(-i xi m h), xi in FFT order
 
     @property
     def L(self):
@@ -108,12 +101,12 @@ def _analysis(frame: CoherentFrame, f, ys):
     """
     N, d = frame.N, frame.d
     vals = f
-    for a, (ax, y) in enumerate(zip(frame.axes, ys)):
+    for a, y in enumerate(ys):
         # vals holds y_0..y_{a-1}, x_a..x_{d-1}, xi_0..xi_{a-1}: gather
         # x_a = y + m in place of x_a, m last, and contract m into xi_a, last
-        gathered = np.moveaxis(np.take(vals, (y[:, None] + ax.offsets) % N, axis=a),
+        gathered = np.moveaxis(np.take(vals, (y[:, None] + frame.offsets) % N, axis=a),
                                a + 1, -1)
-        vals = gathered.reshape(-1, len(ax.offsets)) @ ax.table
+        vals = gathered.reshape(-1, len(frame.offsets)) @ frame.table
         vals = vals.reshape(gathered.shape[:-1] + (N,))
         vals *= frame.phase[y].reshape((len(y),) + (1,) * (d - 1) + (N,))
     return vals
@@ -127,12 +120,11 @@ def _synthesis(frame: CoherentFrame, values):
     for a in reversed(range(d)):
         # vals holds y_0..y_a, x_{a+1}..x_{d-1}, xi_0..xi_a: contract xi_a
         # into the support offsets m, then add (y, m) into x_a = y + m
-        ax = frame.axes[a]
         vals = vals * frame.phase.conj().reshape((N,) + (1,) * (d - 1) + (N,))
         shape = vals.shape[:-1]
-        vals = (vals.reshape(-1, N) @ ax.table.conj().T).reshape(shape + (-1,))
+        vals = (vals.reshape(-1, N) @ frame.table.conj().T).reshape(shape + (-1,))
         acc = np.zeros(shape, dtype=complex)
-        for j, m in enumerate(ax.offsets):
+        for j, m in enumerate(frame.offsets):
             acc += np.roll(vals[..., j], m, axis=a)
         vals = acc
     return vals
@@ -171,18 +163,17 @@ def build_frame(box, h, window: Window) -> CoherentFrame:
     # wrapped lattice offsets m*h in [-L/2, L/2)
     offs = h * np.arange(N)
     offs = np.where(offs >= L / 2.0, offs - L, offs)
-    samples = [window.factor_value(a, offs) for a in range(d)]
-    g_grid = functools.reduce(np.multiply.outer, samples)
+    g = window.factor_value(offs)
+    g_grid = functools.reduce(np.multiply.outer, [g] * d)
     s = float(np.sum(g_grid ** 2)) * h ** d
     if s <= 0.0:
         raise FrameError("window vanishes on the lattice; reduce h")
     # exp(-i xi_k j h) = exp(-2 pi i k j / N), from the exact residue k j mod N
     k = np.arange(N)
     phase = np.exp(-2j * math.pi / N * (np.outer(k, k) % N))
-    axes = tuple(AxisTable(offsets=m, table=g[m, None] * phase[m])
-                 for g, m in ((g, np.flatnonzero(g)) for g in samples))
+    m = np.flatnonzero(g)
     return CoherentFrame(d=d, N=N, h=h, window=window, g_grid=g_grid, s=s,
-                         phase=phase, axes=axes)
+                         phase=phase, offsets=m, table=g[m, None] * phase[m])
 
 
 def forward(frame: CoherentFrame, f) -> PhaseSpaceFunction:
@@ -264,9 +255,9 @@ def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> float:
         raise DimensionMismatchError(f"window dimension {window.d} on a {dom.d}-D grid")
     xi, y = _phase_point(dom.d, xi, y)
     # one node of margin: the window vanishes at the ends of its support
-    widths = np.array([window.factor_half_width(a) for a in range(dom.d)]) + dom.h
-    lo = np.ceil((y - widths - np.asarray(dom.origin)) / dom.h).astype(int)
-    hi = np.floor((y + widths - np.asarray(dom.origin)) / dom.h).astype(int) + 1
+    width = window.factor_half_width() + dom.h
+    lo = np.ceil((y - width - np.asarray(dom.origin)) / dom.h).astype(int)
+    hi = np.floor((y + width - np.asarray(dom.origin)) / dom.h).astype(int) + 1
     block = tuple(slice(*np.clip((a, b), 0, n)) for a, b, n in zip(lo, hi, dom.shape))
     coords = dom.node_coords(np.stack(np.meshgrid(
         *(np.arange(s.start, s.stop) for s in block), indexing="ij"), axis=-1))
@@ -292,9 +283,10 @@ def symbol(frame: CoherentFrame, op: DiscreteOperator, xi, y) -> SymbolValue:
     The coherent state is restricted to the operator's interior nodes.  The
     value is flagged truncated when the window support may stick out of the
     domain: when the node nearest y lies within support_radius - h of a node
-    outside it.  That clearance is computed on the nodes within
-    r = ceil(support_radius / h) lattice steps of that node only: outside
-    nodes farther away lie beyond support_radius.
+    outside it (nodes past the grid count as outside).  Only the nodes in
+    the cube of r = ceil(support_radius / h) lattice steps around that node
+    are searched: outside nodes farther away lie beyond support_radius, and
+    the squared offset is capped at r^2 + 1.
     """
     val = rayleigh_symbol(op, frame.window, xi, y)
     dom = op.grid
@@ -302,10 +294,14 @@ def symbol(frame: CoherentFrame, op: DiscreteOperator, xi, y) -> SymbolValue:
     r = int(math.ceil(radius / dom.h))
     idx = np.clip(np.round((np.atleast_1d(y) - np.asarray(dom.origin)) / dom.h).astype(int),
                   0, np.asarray(dom.shape) - 1)
-    block = tuple(slice(max(i - r, 0), i + r + 1) for i in idx)
-    centre = tuple(i - s.start for i, s in zip(idx, block))
+    t = np.arange(-r, r + 1)
+    near = [i + t for i in idx]  # the cube's indices along each axis
+    on_grid = [(0 <= j) & (j < n) for j, n in zip(near, dom.shape)]
+    inside = functools.reduce(np.logical_and.outer, on_grid)
+    inside &= dom.mask[np.ix_(*(np.clip(j, 0, n - 1) for j, n in zip(near, dom.shape)))]
+    dist2 = np.min(functools.reduce(np.add.outer, [t * t] * dom.d)[~inside], initial=r * r + 1)
     truncated = (math.isnan(val) or not dom.mask[tuple(idx)]
-                 or clearance(dom.mask[block], dom.h, r)[centre] + dom.h < radius)
+                 or dom.h * np.sqrt(dist2) + dom.h < radius)
     return SymbolValue(value=val, truncated=bool(truncated))
 
 
@@ -333,10 +329,11 @@ def trace_via_frame(frame: CoherentFrame, T) -> float:
     the windows y = x_j - m with m in the window's support contribute, and
     the sum over xi is an explicit product of frame tables, the Gram matrix
     G[m, m'] = sum_xi g(m h) g(m' h) exp(i xi (m - m') h).  So the trace is
-    sum_j sum_{m, m'} G[m, m'] T[x_j + m' - m, j].  G is the tensor product
-    of the per-axis Gram matrices, and grouping the terms by delta = m' - m
-    reduces the sum to the diagonal sums t[delta] = sum_j T[x_j + delta, j]
-    against the per-axis sums of G along its diagonals.
+    sum_j sum_{m, m'} G[m, m'] T[x_j + m' - m, j].  G is the d-fold tensor
+    power of the one-axis Gram matrix, and grouping the terms by
+    delta = m' - m reduces the sum to the diagonal sums
+    t[delta] = sum_j T[x_j + delta, j] contracted along every axis with the
+    sums of the one-axis Gram matrix along its diagonals.
     """
     # convert first: not every sparse format has the methods the check uses
     T = T.tocoo() if hasattr(T, "tocoo") else np.asarray(T)
@@ -356,11 +353,11 @@ def trace_via_frame(frame: CoherentFrame, T) -> float:
     total = np.zeros(n, dtype=complex)
     np.add.at(total, delta, data)
     total = total.reshape(frame.shape)
-    for ax in frame.axes:
-        gram = ax.table.conj() @ ax.table.T  # the explicit sum over xi
-        diag = (ax.offsets[None, :] - ax.offsets[:, None]) % N  # m' - m
-        sums = np.zeros(N, dtype=complex)
-        np.add.at(sums, diag.ravel(), gram.ravel())
+    gram = frame.table.conj() @ frame.table.T  # the explicit sum over xi
+    diag = (frame.offsets[None, :] - frame.offsets[:, None]) % N  # m' - m
+    sums = np.zeros(N, dtype=complex)
+    np.add.at(sums, diag.ravel(), gram.ravel())
+    for _ in range(frame.d):
         total = np.tensordot(sums, total, axes=(0, 0))
     # weights: (2pi/L)^d * h^d * (2pi)^-d = N^-d, times h^d / s from the
     # normalized frame vectors

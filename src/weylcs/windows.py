@@ -1,17 +1,18 @@
 """Compactly supported separable windows and their scaling constants.
 
-A window is a product g(z) = f_1(z_1) * ... * f_d(z_d) of even, unit-normalized
-one-dimensional profiles, supported in the unit ball.  Rescaling by eps keeps
-the L^2 norm and shrinks the support to a ball of radius eps.  The three
-constants returned by :func:`c_constants` are
+A window is the product g(z) = f(z_1) * ... * f(z_d) of one even,
+unit-normalized one-dimensional profile f taken along each axis, supported
+in the unit ball.  Rescaling by eps keeps the L^2 norm and shrinks the
+support to a ball of radius eps.  The three constants returned by
+:func:`c_constants` are
 
     c1 = int (d/dz_1 g^eps)^2 dz
     c2 = int e^{2 z_1} |grad_tilde g^eps|^2 dz
     c3 = int e^{2 z_1} (g^eps)^2 dz
 
-where grad_tilde collects the derivatives along axes 2..d.  Every integral
-is over the support of one factor, where the integrand is smooth, and uses
-one fixed tanh-sinh rule.
+where grad_tilde collects the derivatives along axes 2..d.  Since every axis
+has the same unit-norm profile, each is a one-dimensional integral over the
+support of f, where the integrand is smooth, by one fixed tanh-sinh rule.
 """
 
 from __future__ import annotations
@@ -43,29 +44,32 @@ class FactorProfile:
 
 @dataclass(frozen=True)
 class Window:
-    """Product window g = f_1 ... f_d at scale eps, separable by construction.
+    """Product window g = f(z_1) ... f(z_d) of one profile f at scale eps.
 
-    The stored factor profiles are the base (eps = 1) profiles; evaluation
-    applies the L^2-preserving rescaling u -> eps^{-1/2} f(u/eps) per factor.
+    The stored profile is the base (eps = 1) profile; evaluation applies the
+    L^2-preserving rescaling u -> eps^{-1/2} f(u/eps) on every axis.
     """
 
     d: int
     epsilon: float
-    factors: tuple[FactorProfile, ...]
-    support_radius: float
+    factor: FactorProfile
 
-    def factor_value(self, j, u):
+    @property
+    def support_radius(self):
+        return self.epsilon
+
+    def factor_value(self, u):
         u = np.asarray(u, dtype=float)
         e = self.epsilon
-        return self.factors[j].value(u / e) / math.sqrt(e)
+        return self.factor.value(u / e) / math.sqrt(e)
 
-    def factor_deriv(self, j, u):
+    def factor_deriv(self, u):
         u = np.asarray(u, dtype=float)
         e = self.epsilon
-        return self.factors[j].deriv(u / e) / (e * math.sqrt(e))
+        return self.factor.deriv(u / e) / (e * math.sqrt(e))
 
-    def factor_half_width(self, j):
-        return self.factors[j].half_width * self.epsilon
+    def factor_half_width(self):
+        return self.factor.half_width * self.epsilon
 
     def __call__(self, z):
         """Evaluate g^eps at points z of shape (..., d) (or scalar/1-D if d=1)."""
@@ -74,7 +78,7 @@ class Window:
             z = z[..., None]
         out = np.ones(z.shape[:-1], dtype=float)
         for j in range(self.d):
-            out = out * self.factor_value(j, z[..., j])
+            out = out * self.factor_value(z[..., j])
         return out
 
 
@@ -121,31 +125,28 @@ def _bump_profile(d):
 
 
 def make_cosine_window(d):
-    """Separable cosine window: each factor d^{1/4} cos(pi sqrt(d) u / 2) on |u| <= 1/sqrt(d).
+    """Separable cosine window: profile d^{1/4} cos(pi sqrt(d) u / 2) on |u| <= 1/sqrt(d).
 
     Closed-form norm and derivative integrals make it the reference window
     for exact oracles; it is Lipschitz but not C^1 at the support edge.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return Window(d=d, epsilon=1.0, factors=tuple(_cosine_profile(d) for _ in range(d)),
-                  support_radius=1.0)
+    return Window(d=d, epsilon=1.0, factor=_cosine_profile(d))
 
 
 def make_bump_window(d):
-    """Smooth bump window with factors ~ exp(-1/(1-(sqrt(d) u)^2)), numerically normalized."""
+    """Smooth bump window with profile ~ exp(-1/(1-(sqrt(d) u)^2)), numerically normalized."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return Window(d=d, epsilon=1.0, factors=tuple(_bump_profile(d) for _ in range(d)),
-                  support_radius=1.0)
+    return Window(d=d, epsilon=1.0, factor=_bump_profile(d))
 
 
 def scale(w: Window, eps: float) -> Window:
     """Mollifier rescaling g -> eps^{-d/2} g(./eps); norm preserved, support shrunk."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return Window(d=w.d, epsilon=w.epsilon * eps, factors=w.factors,
-                  support_radius=w.support_radius * eps)
+    return Window(d=w.d, epsilon=w.epsilon * eps, factor=w.factor)
 
 
 def _factor_quad(f, a):
@@ -158,19 +159,17 @@ def _factor_quad(f, a):
             raise OverflowError(str(exc)) from exc
 
 
-def factor_norm_sq(w: Window, j: int) -> float:
-    a = w.factor_half_width(j)
-    return _factor_quad(lambda u: w.factor_value(j, u) ** 2, a)
+def factor_norm_sq(w: Window) -> float:
+    return _factor_quad(lambda u: w.factor_value(u) ** 2, w.factor_half_width())
 
 
-def factor_deriv_sq(w: Window, j: int) -> float:
-    a = w.factor_half_width(j)
-    return _factor_quad(lambda u: w.factor_deriv(j, u) ** 2, a)
+def factor_deriv_sq(w: Window) -> float:
+    return _factor_quad(lambda u: w.factor_deriv(u) ** 2, w.factor_half_width())
 
 
 def grad_norm_sq(w: Window) -> float:
-    """int |grad g^eps|^2 dz; factorizes since the other factors have unit norm."""
-    return sum(factor_deriv_sq(w, j) for j in range(w.d))
+    """int |grad g^eps|^2 dz; d equal terms, since the other factors have unit norm."""
+    return sum([factor_deriv_sq(w)] * w.d)
 
 
 @dataclass(frozen=True)
@@ -182,8 +181,8 @@ class CConstants:
 
 def c_constants(w: Window) -> CConstants:
     """Quadrature values of the three window constants at the window's scale."""
-    a0 = w.factor_half_width(0)
-    c1 = factor_deriv_sq(w, 0)
-    c3 = _factor_quad(lambda u: np.exp(2.0 * u) * w.factor_value(0, u) ** 2, a0)
-    c2 = c3 * sum(factor_deriv_sq(w, j) for j in range(1, w.d))  # 0 for d = 1
+    c1 = factor_deriv_sq(w)
+    c3 = _factor_quad(lambda u: np.exp(2.0 * u) * w.factor_value(u) ** 2, w.factor_half_width())
+    # 0 for d = 1; summed term by term, not (d - 1) * c1, which rounds differently
+    c2 = c3 * sum([c1] * (w.d - 1))
     return CConstants(c1=c1, c2=c2, c3=c3)

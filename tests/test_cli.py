@@ -76,6 +76,18 @@ def test_unknown_kind_exits_1(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["spectrum", "symbol-check", "frame-check"])
+@pytest.mark.parametrize("key, value", [("source", "bogus"), ("lam_scale", "nope")])
+def test_unknown_choice_exits_1(tmp_path, capsys, command, key, value):
+    # before, spectrum accepted both and wrote them into its output header
+    out = tmp_path / "out.txt"
+    rc = main([command, "--set", f"{key}={value}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: unknown {key} {value!r}\n"
+    assert not out.exists()
+
+
 def test_spectrum_lam_zero_empty_file(tmp_path):
     out = tmp_path / "empty.txt"
     rc = main(["spectrum", "--set", "lam_max=0", "--set", "h=0.05",

@@ -306,11 +306,15 @@ def test_hand_built_rectangle_mask_is_an_exact_box(monkeypatch):
 
 
 @pytest.mark.parametrize("new", ["h=0", "h=-0.1", "h=nan", "h=inf", "origin=0 nan",
-                                 "box=0,inf -0.5,0.7", "box=-inf,1 -0.5,0.7", "box=0,1,2 0,1"])
+                                 "box=0,inf -0.5,0.7", "box=-inf,1 -0.5,0.7", "box=0,1,2 0,1",
+                                 "d=x", "h=abc", "origin=0 zero", "box=0;1 0,1", "shape=26 x",
+                                 "shape=26 -3", "shape=26 0"])
 def test_mask_load_checks_its_numbers(tmp_path, new):
     # before: h=0 divided by zero, h=-0.1 loaded (the unit square's hyperbolic
-    # volume came out as 1.38, not 0.632), h=nan hung count_below, and a box
-    # entry of three numbers loaded (dilate then failed to unpack it)
+    # volume came out as 1.38, not 0.632), h=nan hung count_below, a box
+    # entry of three numbers loaded (dilate then failed to unpack it), d=x
+    # and h=abc raised int() and float() messages that named no key, and
+    # shape=26 -3 raised "RLE row length mismatch"
     dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 0.04)
     path = tmp_path / "mask.txt"
     save_mask(dom, path)
@@ -319,3 +323,4 @@ def test_mask_load_checks_its_numbers(tmp_path, new):
                             for line in path.read_text().splitlines(keepends=True)))
     with pytest.raises(ValueError, match=f"mask header: {key} "):
         load_mask(path)
+

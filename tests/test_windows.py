@@ -22,7 +22,7 @@ from weylcs.windows import (
 
 def test_cosine_d1_unit_norm():
     w = make_cosine_window(1)
-    assert abs(factor_norm_sq(w, 0) - 1.0) < 1e-10
+    assert abs(factor_norm_sq(w) - 1.0) < 1e-10
 
 
 def test_cosine_d1_deriv_energy():
@@ -41,7 +41,7 @@ def test_cosine_d2_support_radius():
 
 def test_bump_d1_unit_norm():
     w = make_bump_window(1)
-    assert abs(factor_norm_sq(w, 0) - 1.0) < 1e-10
+    assert abs(factor_norm_sq(w) - 1.0) < 1e-10
 
 
 def test_bump_edge_decay():
@@ -54,8 +54,8 @@ def test_bump_deriv_energy_against_difference_quotient():
     w = make_bump_window(1)
     u = np.linspace(-1.0, 1.0, 200001)
     delta = 1e-5
-    g_plus = np.array([float(w.factor_value(0, x + delta)) for x in u[::100]])
-    g_minus = np.array([float(w.factor_value(0, x - delta)) for x in u[::100]])
+    g_plus = np.array([float(w.factor_value(x + delta)) for x in u[::100]])
+    g_minus = np.array([float(w.factor_value(x - delta)) for x in u[::100]])
     dg = (g_plus - g_minus) / (2.0 * delta)
     oracle = np.trapezoid(dg ** 2, u[::100])
     assert abs(grad_norm_sq(w) - oracle) < 1e-8 * max(1.0, oracle)
@@ -72,7 +72,7 @@ def test_evenness(z1, z2):
 def test_product_form(z1, z2):
     w = make_bump_window(2)
     z = np.array([z1, z2])
-    prod = float(w.factor_value(0, z1)) * float(w.factor_value(1, z2))
+    prod = float(w.factor_value(z1)) * float(w.factor_value(z2))
     assert float(w(z)) == pytest.approx(prod, abs=1e-13)
 
 
@@ -80,13 +80,13 @@ def test_scale_identity():
     w = make_cosine_window(1)
     s = scale(w, 1.0)
     u = np.linspace(-1.0, 1.0, 37)
-    assert np.array_equal(w.factor_value(0, u), s.factor_value(0, u))
+    assert np.array_equal(w.factor_value(u), s.factor_value(u))
 
 
 def test_scale_preserves_norm():
     w = scale(make_cosine_window(1), 0.5)
     assert w.support_radius == 0.5
-    assert abs(factor_norm_sq(w, 0) - 1.0) < 1e-10
+    assert abs(factor_norm_sq(w) - 1.0) < 1e-10
 
 
 def test_scale_half_quadruples_deriv_energy():
@@ -154,12 +154,12 @@ def test_bump_c_constants_finite_and_positive():
 
 
 def test_factor_deriv_matches_quad_of_profile():
-    # cross-check the stored derivative against direct quadrature on one factor
+    # cross-check the stored derivative against direct quadrature of the profile
     w = scale(make_bump_window(2), 0.3)
-    a = w.factor_half_width(1)
-    val, _ = quad(lambda u: float(w.factor_deriv(1, u)) ** 2, -a, a,
+    a = w.factor_half_width()
+    val, _ = quad(lambda u: float(w.factor_deriv(u)) ** 2, -a, a,
                   epsabs=1e-12, limit=400)
-    assert factor_deriv_sq(w, 1) == pytest.approx(val, rel=1e-10)
+    assert factor_deriv_sq(w) == pytest.approx(val, rel=1e-10)
 
 
 @pytest.mark.parametrize("make", [make_cosine_window, make_bump_window])
@@ -168,10 +168,10 @@ def test_tanh_sinh_rule_matches_quad(make, d):
     # every factor integral behind c_constants, against adaptive quadrature
     for eps in (0.01, 0.1, 0.3, 1.0):
         w = scale(make(d), eps)
-        a = w.factor_half_width(0)
-        for f in (lambda u: w.factor_value(0, u) ** 2,
-                  lambda u: w.factor_deriv(0, u) ** 2,
-                  lambda u: np.exp(2.0 * u) * w.factor_value(0, u) ** 2):
+        a = w.factor_half_width()
+        for f in (lambda u: w.factor_value(u) ** 2,
+                  lambda u: w.factor_deriv(u) ** 2,
+                  lambda u: np.exp(2.0 * u) * w.factor_value(u) ** 2):
             ref, _ = quad(lambda u: float(f(u)), -a, a, epsabs=0.0, epsrel=1.2e-14, limit=500)
             assert _factor_quad(f, a) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
