@@ -3,7 +3,8 @@
 Configuration is plain-text key=value (one per line, '#' comments); command
 line flags override file values.  Every output embeds the resolved config and
 library version as '#'-prefixed header lines.  Exit codes: 0 success, 1
-usage/config error, 2 numerical certification failure.
+usage, config or input error, 2 numerical certification failure; main is the
+one place that turns an exception into an exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .domains import rectangle_domain
-from .eigen import CertificationError, DenseLimitError, save_spectrum, spectrum_below
+from .eigen import CertificationError, save_spectrum, spectrum_below
 from .frames import (FrameError, analytic_symbol, build_frame, forward,
                      rayleigh_symbol, trace_via_frame)
 from .operators import assemble_euclidean, assemble_hyperbolic
@@ -32,7 +33,7 @@ from .weyl import (
 from .windows import make_bump_window, make_cosine_window, scale
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -94,7 +95,7 @@ def _apply_kv(cfg, key, value):
 def load_config(path) -> ExperimentConfig:
     cfg = ExperimentConfig()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -103,7 +104,7 @@ def load_config(path) -> ExperimentConfig:
                     raise ConfigError(f"bad config line {line!r}")
                 key, value = (t.strip() for t in line.split("=", 1))
                 _apply_kv(cfg, key, value)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     return cfg
 
@@ -159,11 +160,8 @@ def _lambda_grid(cfg):
 def _operator(cfg, h):
     """The grid domain of cfg.box at spacing h and the cfg.kind operator on it."""
     assemble = assemble_euclidean if cfg.kind == "euclidean" else assemble_hyperbolic
-    try:
-        dom = rectangle_domain(cfg.box, h)
-        return dom, assemble(dom)
-    except ValueError as exc:  # no interior nodes, or exp(2 x_1) overflows
-        raise ConfigError(str(exc)) from exc
+    dom = rectangle_domain(cfg.box, h)
+    return dom, assemble(dom)
 
 
 def cmd_spectrum(cfg) -> int:
@@ -303,12 +301,12 @@ def main(argv=None) -> int:
         if cfg.out is None:
             raise ConfigError(f"{args.command} requires an output path")
         return COMMANDS[args.command](cfg)
-    except (ConfigError, DenseLimitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CertificationError, FrameError) as exc:
+    except (CertificationError, FrameError) as exc:  # before ValueError: FrameError is one
         print(f"certification failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

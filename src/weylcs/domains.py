@@ -69,8 +69,8 @@ def rectangle_domain(box, h) -> GridDomain:
     for a, b in box:
         if not b > a:
             raise ValueError("degenerate box")
-    if h <= 0 or h >= min(b - a for a, b in box):
-        raise ValueError("h must be positive and smaller than the shortest side")
+    if not 0 < h < min(b - a for a, b in box) < math.inf:
+        raise ValueError(f"need 0 < h < shortest side < inf, got h={h!r}")
     tol = 1e-9 * h
     shape = _rectangle_shape(box, h)
     mask = np.ones(shape, dtype=bool)

@@ -133,13 +133,13 @@ class _Gate(NamedTuple):
     cause: str
 
 
-def _ldl_growth(lu):
-    """diag(|L||U|) of a SuperLU factorization that kept its pivots on the
+def _ldl_growth(lu, d):
+    """diag(|L||U|) of a SuperLU factorization that kept its pivots d on the
     diagonal of a symmetric matrix, so that U = D L^T: entry k is
-    sum_j L_kj^2 |d_j|, without forming the product."""
-    d = np.abs(lu.U.diagonal())
-    coo = lu.L.tocoo()
-    return np.bincount(coo.row, weights=coo.data ** 2 * d[coo.col], minlength=len(d))
+    sum_j L_kj^2 |d_j|, without forming the product or reading U."""
+    L = lu.L  # CSC: indices are rows, indptr delimits each column
+    cols = np.repeat(np.arange(len(d)), np.diff(L.indptr))
+    return np.bincount(L.indices, weights=L.data ** 2 * np.abs(d)[cols], minlength=len(d))
 
 
 def _sparse_inertia(b, tol):
@@ -170,7 +170,7 @@ def _sparse_inertia(b, tol):
     # The largest entry of diag(|L||U|), not each row's own, bounds the
     # backward error that can flip a sign: a tiny pivot inflates the rows
     # after it while its own row stays small.
-    bound = max(tol, n * np.finfo(float).eps * _ldl_growth(lu).max())
+    bound = max(tol, n * np.finfo(float).eps * _ldl_growth(lu, d).max())
     # without pivoting, an eigenvalue of b near zero need not leave a small
     # pivot; two steps of inverse iteration from a fixed vector see it
     x = lu.solve(_start_vector(n))

@@ -146,7 +146,6 @@ class ExponentFit:
     slope: float
     intercept: float
     residual: float
-    lam_window: tuple
 
 
 def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window | None = None,
@@ -179,8 +178,7 @@ def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window | None = Non
 def fit_remainder_exponent(curve: RieszCurve) -> ExponentFit:
     """Least-squares slope of log|remainder| against log lambda.
 
-    Samples with a zero remainder are left out; the fit's lam_window is the
-    range of the samples it used.
+    Samples with a zero remainder are left out.
     """
     sel = curve.remainder != 0.0
     if sel.sum() < 5:
@@ -189,9 +187,7 @@ def fit_remainder_exponent(curve: RieszCurve) -> ExponentFit:
     y = np.log(np.abs(curve.remainder[sel]))
     (slope, intercept), res, *_ = np.polyfit(x, y, 1, full=True)
     residual = math.sqrt(res[0] / sel.sum()) if len(res) else 0.0
-    lam_sel = curve.lambdas[sel]
-    return ExponentFit(slope=float(slope), intercept=float(intercept),
-                       residual=residual, lam_window=(float(lam_sel[0]), float(lam_sel[-1])))
+    return ExponentFit(slope=float(slope), intercept=float(intercept), residual=residual)
 
 
 CURVE_HEADER = "lambda,riesz,leading,remainder,ratio,epsilon,c1,c2,c3"

@@ -144,8 +144,8 @@ def make_bump_window(d):
 
 def scale(w: Window, eps: float) -> Window:
     """Mollifier rescaling g -> eps^{-d/2} g(./eps); norm preserved, support shrunk."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     return Window(d=w.d, epsilon=w.epsilon * eps, factor=w.factor)
 
 

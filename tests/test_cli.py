@@ -130,6 +130,14 @@ def test_spectrum_repeatable_in_one_process(tmp_path):
     ["spectrum", "--set", "box=0,1", "--set", "h=0.9999999999"],  # no interior node
     ["weyl-curve", "--set", "lam_min=100", "--set", "lam_max=100",
      "--set", "lam_count=3"],  # three lambdas, none between the ends
+    # sizes no host can grant, refused before anything is allocated
+    ["spectrum", "--set", "box=0,1", "--set", "h=1e-15"],  # a 909 TiB mask
+    ["weyl-curve", "--set", "box=0,1", "--set", "h=0.01", "--set", "lam_min=1e307",
+     "--set", "lam_max=1e308"],  # more exact modes than an array can hold
+    ["weyl-curve", "--set", "box=0,1e300", "--set", "h=1", "--set", "lam_min=1e300",
+     "--set", "lam_max=1e308"],  # a mode count past the largest float
+    ["spectrum", "--set", "box=-1e308,1e308", "--set", "h=1"],  # b - a overflows
+    ["spectrum", "--config", "latin1.cfg"],  # a non-UTF-8 byte (written below)
 ])
 def test_usage_and_limit_errors_exit_1(tmp_path, capsys, monkeypatch, args):
     # no CLI command reaches dense_spectrum, the one source of DenseLimitError,
@@ -139,9 +147,11 @@ def test_usage_and_limit_errors_exit_1(tmp_path, capsys, monkeypatch, args):
         raise DenseLimitError(f"n={op.n} exceeds dense limit {DENSE_LIMIT}")
 
     monkeypatch.setattr(weylcs.cli, "spectrum_below", too_large)
+    (tmp_path / "latin1.cfg").write_bytes(b"box = 0,1  # 1 \xb5m\n")
+    monkeypatch.chdir(tmp_path)
     assert main(args + ["--out", str(tmp_path / "o.txt")]) == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert err.count("error:") == 1 and "Traceback" not in err
 
 
 def test_weyl_curve_discrete_past_the_dense_limit(tmp_path, monkeypatch):

@@ -42,6 +42,10 @@ def test_degenerate_box_rejected():
         rectangle_domain(((0.0, 0.0),), 0.1)
     with pytest.raises(ValueError):
         rectangle_domain(((0.0, 1.0),), 2.0)
+    # a NaN spacing, and a side b - a that overflows to inf
+    for box, h in [(((0.0, 1.0),), math.nan), (((-1e308, 1e308),), 1.0)]:
+        with pytest.raises(ValueError, match="h="):
+            rectangle_domain(box, h)
 
 
 def test_erode_square():

@@ -95,8 +95,10 @@ def test_scale_half_quadruples_deriv_energy():
 
 
 def test_scale_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        scale(make_cosine_window(1), 0.0)
+    # and the non-finite: a NaN or inf eps used to give a window of that epsilon
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            scale(make_cosine_window(1), eps)
 
 
 def test_c_constants_cosine_d1_closed_forms():
