@@ -17,11 +17,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .domains import rectangle_domain
+from .domains import _rectangle_shape, rectangle_domain
 from .eigen import CertificationError, save_spectrum, spectrum_below
 from .frames import (FrameError, analytic_symbol, build_frame, forward,
                      rayleigh_symbol, trace_via_frame)
-from .operators import assemble_euclidean, assemble_hyperbolic
+from .operators import KINDS, assemble_euclidean, assemble_hyperbolic
 from .weyl import (
     build_curve,
     euclidean_leading,
@@ -111,7 +111,7 @@ def load_config(path) -> ExperimentConfig:
 
 # the allowed values of each string-valued config key
 _CHOICES = {
-    "kind": ("euclidean", "hyperbolic"),
+    "kind": KINDS,
     "window": ("cosine", "bump"),
     "source": ("exact", "discrete"),
     "lam_scale": ("log", "linear"),
@@ -119,23 +119,27 @@ _CHOICES = {
 
 
 def _validate(cfg):
+    """Check cfg before any work is done.
+
+    The CLI's own rules come first: the string choices, finite numbers,
+    positive counts, a seed >= 0 and one box axis per dimension.  Box, h,
+    window and eps then pass the checks of the library functions that use
+    them (domains._rectangle_shape, the window makers and windows.scale), so
+    the CLI rejects what the library would, with the library's message.  A
+    discrete lam_max past 1/h^2 only warns.
+    """
     for key, allowed in _CHOICES.items():
         if getattr(cfg, key) not in allowed:
             raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}")
     values = [getattr(cfg, f.name) for f in fields(cfg)] + [u for ab in cfg.box for u in ab]
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
         raise ConfigError("numeric config fields must be finite")
-    if cfg.dim < 1 or cfg.h <= 0 or cfg.eps <= 0 or cfg.lam_count < 1 \
-            or cfg.frame_n < 1 or cfg.n_vectors < 1 or cfg.seed < 0:
-        raise ConfigError("dim, h, eps, lam_count, frame_n, n_vectors must be positive, "
-                          "seed >= 0")
+    if cfg.lam_count < 1 or cfg.frame_n < 1 or cfg.n_vectors < 1 or cfg.seed < 0:
+        raise ConfigError("lam_count, frame_n, n_vectors must be positive, seed >= 0")
     if len(cfg.box) != cfg.dim:
         raise ConfigError(f"box has {len(cfg.box)} axes, dim is {cfg.dim}")
-    for a, b in cfg.box:
-        if not b > a:
-            raise ConfigError("degenerate box")
-    if cfg.h >= min(b - a for a, b in cfg.box):
-        raise ConfigError("h must be smaller than the shortest box side")
+    _rectangle_shape(cfg.box, cfg.h)
+    scale(_window(cfg), cfg.eps)
     if cfg.source == "discrete" and cfg.lam_max > 1.0 / cfg.h ** 2:
         print(f"warning: lambda_max {cfg.lam_max:g} exceeds the discretization "
               f"validity bound 1/h^2 = {1.0 / cfg.h ** 2:g}", file=sys.stderr)

@@ -37,7 +37,7 @@ class GridDomain:
             if _rectangle_shape(self.box, self.h) != list(self.shape):
                 return None
             ref = rectangle_domain(self.box, self.h)
-        except (ArithmeticError, ValueError):  # no lattice of that box at h
+        except ValueError:  # no lattice of that box at h
             return None
         same = ref.origin == tuple(self.origin) and np.array_equal(ref.mask, self.mask)
         return self.box if same else None
@@ -59,18 +59,26 @@ class GridDomain:
 
 
 def _rectangle_shape(box, h):
-    """Nodes per axis of the lattice from each lower end, through the upper end."""
-    return [int(math.floor((b - a) / h + 1e-9 * h)) + 1 for a, b in box]
+    """Nodes per axis of the lattice from each lower end, through the upper end.
 
-
-def rectangle_domain(box, h) -> GridDomain:
-    """Grid domain for an open axis-aligned box; mask true strictly inside."""
-    box = tuple((float(a), float(b)) for a, b in box)
+    The one check of a box and its spacing: ValueError unless every side b - a
+    is positive, 0 < h < shortest side < inf, and the lattice can be indexed
+    (the product of the (b - a)/h is below the largest np.intp).
+    """
     for a, b in box:
         if not b > a:
             raise ValueError("degenerate box")
     if not 0 < h < min(b - a for a, b in box) < math.inf:
         raise ValueError(f"need 0 < h < shortest side < inf, got h={h!r}")
+    if not math.prod((b - a) / h for a, b in box) < np.iinfo(np.intp).max:
+        raise ValueError(f"the lattice of box {box!r} at h={h!r} has too many nodes to index")
+    return [int(math.floor((b - a) / h + 1e-9 * h)) + 1 for a, b in box]
+
+
+def rectangle_domain(box, h) -> GridDomain:
+    """Grid domain for an open axis-aligned box; mask true strictly inside.
+    ValueError as in _rectangle_shape, or when no node lies inside."""
+    box = tuple((float(a), float(b)) for a, b in box)
     tol = 1e-9 * h
     shape = _rectangle_shape(box, h)
     mask = np.ones(shape, dtype=bool)

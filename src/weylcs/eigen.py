@@ -184,7 +184,6 @@ class _Box(NamedTuple):
     """Separable structure of an operator on a filled box."""
     w: np.ndarray  # tilde edge weight at each x_1 index of the box
     mu: np.ndarray  # sorted eigenvalues of A_tilde (a single 0 for d=1)
-    norm: float  # max |A_ij|, as abs(A).max() of the assembled matrix
 
 
 def _box_modes(op):
@@ -197,12 +196,22 @@ def _box_modes(op):
     for m in extent[1:]:
         axis = 4.0 / op.grid.h ** 2 * np.sin(np.arange(1, m + 1) * np.pi / (2.0 * (m + 1))) ** 2
         mu = (mu[:, None] + axis).ravel()
-    # every node of the box shares its entries with the nodes of its x_1
-    # index: the diagonal, and -w off it along each axis with two nodes or more
-    weights = [w[lo[0]:hi[0] + 1] for w in op.axis_weights()]
-    norm = max([np.abs(diagonal(weights)).max()]
+    return _Box(w=op.tilde_weight[lo[0]:hi[0] + 1], mu=np.sort(mu))
+
+
+def _max_entry(op):
+    """max |A_ij| from the edge weights, without the assembled matrix.
+
+    A node's row holds the diagonal of its x_1 index and -w of that index
+    along each axis with two nodes or more: the largest of those over the
+    nodes' x_1 indices.  That is abs(A).max() bit for bit on a box, and on
+    any mask when the weights are nonnegative (as assembled), since then each
+    diagonal entry sums every weight of its row and is the largest.
+    """
+    extent = op.nodes.max(axis=0) - op.nodes.min(axis=0) + 1
+    weights = [w[np.unique(op.nodes[:, 0])] for w in op.axis_weights()]
+    return max([np.abs(diagonal(weights)).max()]
                + [np.abs(w).max() for w, m in zip(weights, extent) if m > 1])
-    return _Box(w=op.tilde_weight[lo[0]:hi[0] + 1], mu=np.sort(mu), norm=norm)
 
 
 _EPS = np.finfo(float).eps
@@ -312,9 +321,7 @@ def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam!r}")
     box = _box_modes(op)
-    # on a box the largest entry comes from the edge weights, so the count
-    # needs no assembled matrix
-    scale = (abs(op.matrix).max() if box is None else box.norm) + abs(lam)
+    scale = _max_entry(op) + abs(lam)
     if not np.isfinite(scale):  # an inf or nan entry: no count can be certified
         raise ValueError(f"operator entries must be finite, got max|A_ij| + |lam| = {scale!r}")
     tol = 1e-12 * scale

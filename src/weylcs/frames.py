@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import DiscreteOperator, DimensionMismatchError, diagonal
+from .operators import KINDS, DiscreteOperator, DimensionMismatchError, diagonal
 from .windows import Window, c_constants, grad_norm_sq
 
 
@@ -176,12 +176,18 @@ def build_frame(box, h, window: Window) -> CoherentFrame:
                          phase=phase, offsets=m, table=g[m, None] * phase[m])
 
 
-def forward(frame: CoherentFrame, f) -> PhaseSpaceFunction:
-    """Windowed DFT: F[y, xi] = h^d / sqrt(s) * sum_x exp(-i xi.x) g(x-y) f(x)."""
+def _grid_samples(frame: CoherentFrame, f):
+    """f in the frame's grid shape; DimensionMismatchError unless it holds
+    frame.n samples."""
     f = np.asarray(f)
     if f.size != frame.n:
         raise DimensionMismatchError(f"expected {frame.n} samples, got {f.size}")
-    fg = f.reshape(frame.shape) * (frame.h ** frame.d / math.sqrt(frame.s))
+    return f.reshape(frame.shape)
+
+
+def forward(frame: CoherentFrame, f) -> PhaseSpaceFunction:
+    """Windowed DFT: F[y, xi] = h^d / sqrt(s) * sum_x exp(-i xi.x) g(x-y) f(x)."""
+    fg = _grid_samples(frame, f) * (frame.h ** frame.d / math.sqrt(frame.s))
     vals = _analysis(frame, fg, [np.arange(frame.N)] * frame.d)
     return PhaseSpaceFunction(values=vals.reshape(frame.n, frame.n), frame=frame)
 
@@ -205,10 +211,7 @@ def phase_space_moment(frame: CoherentFrame, f, weight) -> float:
     shape (1, ..., N, ..., 1) and y has shape (N, 1, ..., 1, d), so y[..., a]
     is the a-th coordinate.
     """
-    f = np.asarray(f)
-    if f.size != frame.n:
-        raise DimensionMismatchError(f"expected {frame.n} samples, got {f.size}")
-    fg = f.reshape(frame.shape)
+    fg = _grid_samples(frame, f)
     xi = frame.xi_axis()
     xi_axes = [a[None] for a in np.meshgrid(*([xi] * frame.d), indexing="ij", sparse=True)]
     row = np.arange(frame.N)
@@ -309,7 +312,7 @@ def analytic_symbol(kind, window: Window, xi, y=None) -> float:
     """Continuum symbol: |xi|^2 + grad-norm for the Laplacian; the hyperbolic
     operator adds the exp(2 y_1)-weighted tilde terms with the window constants,
     which vanish for d = 1."""
-    if kind not in ("euclidean", "hyperbolic"):
+    if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     xi, y = _phase_point(window.d, xi, np.zeros(window.d) if y is None else y)
     if kind == "euclidean" or window.d == 1:

@@ -18,6 +18,9 @@ import numpy as np
 from .domains import GridDomain
 
 
+KINDS = ("euclidean", "hyperbolic")  # the operators this module assembles
+
+
 class DimensionMismatchError(ValueError):
     pass
 
@@ -25,7 +28,7 @@ class DimensionMismatchError(ValueError):
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     grid: GridDomain
-    kind: str  # "euclidean" | "hyperbolic"
+    kind: str  # one of KINDS
     # (n, d) integer multi-indices of the mask's nodes in C order, row k <->
     # nodes[k]; the map back from grid index to row is built with the matrix
     nodes: np.ndarray
@@ -96,6 +99,8 @@ def _assemble_matrix(op: DiscreteOperator):
 
 
 def _assemble(dom: GridDomain, kind):
+    if not dom.mask.any():
+        raise ValueError("empty domain")
     x1 = dom.axis_coords(0)
     with np.errstate(over="ignore"):
         x1_weight = np.exp(2.0 * x1) if kind == "hyperbolic" and dom.d > 1 else np.ones(len(x1))
@@ -109,9 +114,7 @@ def _assemble(dom: GridDomain, kind):
 
 def assemble_euclidean(dom: GridDomain) -> DiscreteOperator:
     """Second-difference Dirichlet Laplacian on the interior nodes; ValueError
-    when its entries are not finite (h = nan)."""
-    if not dom.mask.any():
-        raise ValueError("empty domain")
+    when its entries are not finite (h = nan) or the mask is empty."""
     return _assemble(dom, "euclidean")
 
 
@@ -119,10 +122,8 @@ def assemble_hyperbolic(dom: GridDomain) -> DiscreteOperator:
     """Discretization of -d^2/dx_1^2 - exp(2 x_1) * Laplacian in the tilde axes.
 
     For d=1 the operator coincides with the euclidean one.  Above, a grid on
-    which exp(2 x_1)/h^2 overflows raises ValueError.
+    which exp(2 x_1)/h^2 overflows raises ValueError, as does an empty mask.
     """
-    if not dom.mask.any():
-        raise ValueError("empty domain")
     return _assemble(dom, "hyperbolic")
 
 

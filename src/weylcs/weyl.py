@@ -9,6 +9,7 @@ import numpy as np
 
 from .domains import GridDomain
 from .eigen import Spectrum
+from .operators import KINDS
 from .windows import Window, c_constants, make_cosine_window, scale
 
 
@@ -37,11 +38,14 @@ def riesz_mean(spec: Spectrum, lam: float) -> float:
 
 
 def exact_spectrum_interval(L: float, Lam: float) -> Spectrum:
-    """Dirichlet eigenvalues (k pi / L)^2 strictly below Lam."""
+    """Dirichlet eigenvalues (k pi / L)^2 strictly below Lam; ValueError unless
+    L > 0 and the L sqrt(Lam) / pi modes below Lam fit a numpy array."""
     if L <= 0:
         raise ValueError("L must be positive")
-    kmax = int(math.floor(L * math.sqrt(max(Lam, 0.0)) / math.pi)) + 1
-    k = np.arange(1, kmax + 1)
+    modes = L * math.sqrt(max(Lam, 0.0)) / math.pi
+    if not 8.0 * modes < np.iinfo(np.intp).max:  # numpy's cap in bytes; k holds int64
+        raise ValueError(f"too many exact modes below lam={Lam!r} on a side of length {L!r}")
+    k = np.arange(1, int(modes) + 2)
     vals = (k * math.pi / L) ** 2
     return Spectrum(values=vals[vals < Lam], cutoff=Lam, certified=True)
 
@@ -73,7 +77,7 @@ def weighted_volume(kind, dom: GridDomain) -> float:
 
     Closed form on an exact box, the lattice sum over the mask's rows otherwise.
     """
-    if kind not in ("euclidean", "hyperbolic"):
+    if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     d = dom.d
     k = d - 1 if kind == "hyperbolic" else 0
@@ -100,7 +104,7 @@ def phase_space_volume(kind, dom: GridDomain, lam: float, resolution: int) -> fl
     The symbol is xi_1^2 + w(y_1) |xi_tilde|^2 with w = exp(2 y_1) for the
     hyperbolic kind and 1 otherwise; rows of equal weight share one pass.
     """
-    if kind not in ("euclidean", "hyperbolic"):
+    if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if resolution < 16:
         raise ValueError("resolution must be >= 16")

@@ -124,26 +124,32 @@ def _bump_profile(d):
     return FactorProfile(value=value, deriv=deriv, half_width=a)
 
 
+def _unit_window(d, profile):
+    """The window of profile(d) on every axis at eps = 1; ValueError for d < 1."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    return Window(d=d, epsilon=1.0, factor=profile(d))
+
+
 def make_cosine_window(d):
     """Separable cosine window: profile d^{1/4} cos(pi sqrt(d) u / 2) on |u| <= 1/sqrt(d).
 
     Closed-form norm and derivative integrals make it the reference window
     for exact oracles; it is Lipschitz but not C^1 at the support edge.
+    ValueError for a dimension d < 1.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return Window(d=d, epsilon=1.0, factor=_cosine_profile(d))
+    return _unit_window(d, _cosine_profile)
 
 
 def make_bump_window(d):
-    """Smooth bump window with profile ~ exp(-1/(1-(sqrt(d) u)^2)), numerically normalized."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return Window(d=d, epsilon=1.0, factor=_bump_profile(d))
+    """Smooth bump window with profile ~ exp(-1/(1-(sqrt(d) u)^2)), numerically
+    normalized; ValueError for a dimension d < 1."""
+    return _unit_window(d, _bump_profile)
 
 
 def scale(w: Window, eps: float) -> Window:
-    """Mollifier rescaling g -> eps^{-d/2} g(./eps); norm preserved, support shrunk."""
+    """Mollifier rescaling g -> eps^{-d/2} g(./eps); norm preserved, support
+    shrunk.  The one check of eps: ValueError unless 0 < eps < inf."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     return Window(d=w.d, epsilon=w.epsilon * eps, factor=w.factor)

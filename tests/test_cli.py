@@ -118,28 +118,40 @@ def test_spectrum_repeatable_in_one_process(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("args", [
-    ["spectrum", "--set", "dim=abc"],
-    ["spectrum", "--set", "h=nan"],
-    ["spectrum", "--no-such-flag"],
-    ["weyl-curve", "--set", "lam_min=1e-3", "--set", "eps_alpha=1"],  # eps = 1000
-    ["weyl-curve", "--set", "source=discrete", "--set", "dim=2",
-     "--set", "box=0,1;0,1", "--set", "h=0.0138",
-     "--set", "lam_max=2e4"],  # spectrum_below raises DenseLimitError (patched below)
-    ["frame-check", "--set", "n_vectors=-3"],  # no Parseval vector would be checked
-    ["spectrum", "--set", "box=0,1", "--set", "h=0.9999999999"],  # no interior node
-    ["weyl-curve", "--set", "lam_min=100", "--set", "lam_max=100",
-     "--set", "lam_count=3"],  # three lambdas, none between the ends
+# each case's argv, and the parts its error line must show: a too-large
+# input names the parameters to change
+EXIT_1_CASES = [
+    (["spectrum", "--set", "dim=abc"], []),
+    (["spectrum", "--set", "h=nan"], []),
+    (["spectrum", "--no-such-flag"], []),
+    (["weyl-curve", "--set", "lam_min=1e-3", "--set", "eps_alpha=1"], []),  # eps = 1000
+    (["weyl-curve", "--set", "source=discrete", "--set", "dim=2",
+      "--set", "box=0,1;0,1", "--set", "h=0.0138",
+      "--set", "lam_max=2e4"], []),  # spectrum_below raises DenseLimitError (patched below)
+    (["frame-check", "--set", "n_vectors=-3"], []),  # no Parseval vector would be checked
+    (["spectrum", "--set", "box=0,1", "--set", "h=0.9999999999"], []),  # no interior node
+    (["weyl-curve", "--set", "lam_min=100", "--set", "lam_max=100",
+      "--set", "lam_count=3"], []),  # three lambdas, none between the ends
     # sizes no host can grant, refused before anything is allocated
-    ["spectrum", "--set", "box=0,1", "--set", "h=1e-15"],  # a 909 TiB mask
-    ["weyl-curve", "--set", "box=0,1", "--set", "h=0.01", "--set", "lam_min=1e307",
-     "--set", "lam_max=1e308"],  # more exact modes than an array can hold
-    ["weyl-curve", "--set", "box=0,1e300", "--set", "h=1", "--set", "lam_min=1e300",
-     "--set", "lam_max=1e308"],  # a mode count past the largest float
-    ["spectrum", "--set", "box=-1e308,1e308", "--set", "h=1"],  # b - a overflows
-    ["spectrum", "--config", "latin1.cfg"],  # a non-UTF-8 byte (written below)
-])
-def test_usage_and_limit_errors_exit_1(tmp_path, capsys, monkeypatch, args):
+    (["spectrum", "--set", "box=0,1", "--set", "h=1e-15"], []),  # a 909 TiB mask
+    (["weyl-curve", "--set", "box=0,1", "--set", "h=0.01", "--set", "lam_min=1e307",
+      "--set", "lam_max=1e308"],  # more exact modes than an array can hold
+     ["lam=1e+308", "side of length 1.0"]),
+    (["weyl-curve", "--set", "box=0,1e300", "--set", "h=1", "--set", "lam_min=1e300",
+      "--set", "lam_max=1e308"],  # a mode count past the largest float
+     ["box ((0.0, 1e+300),)", "h=1.0"]),  # the box's lattice is checked first
+    (["spectrum", "--set", "box=-1e308,1e308", "--set", "h=1"], []),  # b - a overflows
+    (["spectrum", "--config", "latin1.cfg"], []),  # a non-UTF-8 byte (written below)
+    (["spectrum", "--set", "box=0,1e300", "--set", "h=1e-10"],  # a node count past inf
+     ["box ((0.0, 1e+300),)", "h=1e-10"]),
+    (["spectrum", "--set", "box=0,1e10", "--set", "h=1e-10"],  # 1e20 nodes, past np.intp
+     ["box ((0.0, 10000000000.0),)", "h=1e-10"]),
+]
+
+
+@pytest.mark.parametrize("args, named", EXIT_1_CASES,
+                         ids=[f"args{i}" for i in range(len(EXIT_1_CASES))])
+def test_usage_and_limit_errors_exit_1(tmp_path, capsys, monkeypatch, args, named):
     # no CLI command reaches dense_spectrum, the one source of DenseLimitError,
     # so the patch makes spectrum_below raise it to check that the CLI maps
     # it to exit 1; the other cases fail before it
@@ -149,9 +161,15 @@ def test_usage_and_limit_errors_exit_1(tmp_path, capsys, monkeypatch, args):
     monkeypatch.setattr(weylcs.cli, "spectrum_below", too_large)
     (tmp_path / "latin1.cfg").write_bytes(b"box = 0,1  # 1 \xb5m\n")
     monkeypatch.chdir(tmp_path)
-    assert main(args + ["--out", str(tmp_path / "o.txt")]) == 1
+    argv = args + ["--out", str(tmp_path / "o.txt")]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
+    assert all(part in err for part in named), err
+    if named:  # the same line from a fresh interpreter
+        run = subprocess.run([sys.executable, "-m", "weylcs"] + argv, env=subprocess_env(),
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (1, err)
 
 
 def test_weyl_curve_discrete_past_the_dense_limit(tmp_path, monkeypatch):
@@ -260,10 +278,14 @@ def subprocess_env():
 
 BOX_RUNS = '''
 import json, sys
+import numpy
+before = set(sys.modules)
 import weylcs.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-loaded = {"import": scipy_modules()}
+loaded = {"import": scipy_modules(),
+          "import adds": sorted(m for m in set(sys.modules) - before if m.split(".")[0]
+                                not in sys.stdlib_module_names | {"weylcs"})}
 for command in sys.argv[1:]:
     args = ["--set", "kind=hyperbolic", "--set", "dim=2", "--set", "box=0,1;0,1",
             "--set", "h=0.025", "--set", "lam_max=250", "--set", "source=discrete",
@@ -302,6 +324,9 @@ def box_runs(tmp_path_factory):
 
 
 def test_box_commands_load_no_scipy(box_runs):
+    # past numpy, importing the CLI loads only the standard library and weylcs
+    for loaded, _ in box_runs.values():
+        assert loaded["import adds"] == []
     # a box needs numpy only: import, spectrum and a discrete Weyl curve
     for loaded, _ in box_runs.values():
         assert [loaded[c] for c in ("import", "spectrum", "weyl-curve")] == [[], [], []]

@@ -46,6 +46,10 @@ def test_degenerate_box_rejected():
     for box, h in [(((0.0, 1.0),), math.nan), (((-1e308, 1e308),), 1.0)]:
         with pytest.raises(ValueError, match="h="):
             rectangle_domain(box, h)
+    # lattices that cannot be indexed: 1e20 nodes, and a node count past inf
+    for box, h in [(((0.0, 1e10),), 1e-10), (((0.0, 1e300), (0.0, 1e300)), 1e-10)]:
+        with pytest.raises(ValueError, match=r"lattice of box \(\(0\.0, .* at h=1e-10"):
+            rectangle_domain(box, h)
 
 
 def test_erode_square():
@@ -57,6 +61,8 @@ def test_erode_square():
 def test_erode_zero_is_identity():
     dom = unit_square(0.05)
     assert erode(dom, 0.0) is dom
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        erode(dom, -0.01)
 
 
 def test_erode_empty_raises():
@@ -73,6 +79,8 @@ def test_dilate_square():
 def test_dilate_zero_is_identity():
     dom = unit_square(0.05)
     assert dilate(dom, 0.0) is dom
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        dilate(dom, -0.01)
 
 
 def test_erode_dilate_contains_original():
@@ -246,6 +254,9 @@ def test_mask_load_names_the_expected_and_found_row_counts(tmp_path):
     text = path.read_text()
     path.write_text(text[:text.rstrip("\n").rindex("\n") + 1])  # drop the last row
     with pytest.raises(ValueError, match="needs 13 rows, found 12"):
+        load_mask(path)
+    path.write_text(text.rstrip("\n") + " 0x1\n")  # a last row 14 nodes wide
+    with pytest.raises(ValueError, match="RLE row length mismatch"):
         load_mask(path)
 
 

@@ -22,6 +22,7 @@ from weylcs.eigen import (
     _box_inertia,
     _box_modes,
     _box_values,
+    _max_entry,
     _sturm_counts,
     count_below,
     count_certificate,
@@ -213,6 +214,7 @@ def test_sparse_count_matches_dense_on_masks(dom, morph, kind, fractions, picks)
     elif morph == "dilate":
         dom = dilate(dom, 2.0 * dom.h)
     op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    assert _max_entry(op) == abs(op.matrix).max()  # the count's scale, bit for bit
     vals = dense_spectrum(op).values
     for lam in [f * vals[-1] for f in fractions]:
         cert = count_certificate(op, lam)
@@ -756,7 +758,7 @@ def test_box_pivot_margin_is_the_distance_to_the_spectrum(make):
     # distance from the shift to the nearest eigenvalue, on either side of
     # it, over tol, or at the cap 2^21 once that distance passes 2^20 tol
     op = make()
-    vals, norm = lapack_box_values(op), _box_modes(op).norm
+    vals, norm = lapack_box_values(op), _max_entry(op)
     cap = 2.0 ** 21
     for v in vals[[1, len(vals) // 3, len(vals) // 2]]:
         for offset in (-3e6, -2e4, -100.0, -3.0, -1.5, 1.5, 5.0, 700.0, 1e5, 4e6):
@@ -814,8 +816,8 @@ def kernel_cases(draw):
 def test_box_kernel_matches_lapack(case):
     op, vals, upper = case
     norm = abs(op.matrix).max()
+    assert _max_entry(op) == norm  # bit for bit, without the matrix
     box = _box_modes(op)
-    assert box.norm == norm  # bit for bit, without the matrix
     atol = 8.0 * np.finfo(float).eps * norm
     found = _box_values(op.grid.h, box, upper)
     got = found.values

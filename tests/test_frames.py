@@ -24,8 +24,8 @@ from weylcs.frames import (
     trace_via_frame,
 )
 from weylcs.operators import DimensionMismatchError, assemble_euclidean, assemble_hyperbolic
-from weylcs.windows import c_constants, grad_norm_sq, make_bump_window, \
-    make_cosine_window, scale
+from weylcs.windows import FactorProfile, Window, c_constants, grad_norm_sq, \
+    make_bump_window, make_cosine_window, scale
 
 
 def frame_1d(N=128, h=0.05, eps=0.2):
@@ -54,16 +54,18 @@ def test_lattice_sum_near_one():
     assert abs(fr.s - 1.0) < 0.01
 
 
-def test_no_wrap_rejected():
-    win = scale(make_cosine_window(1), 0.6)
-    with pytest.raises(FrameError):
-        build_frame(((0.0, 1.0),), 0.05, win)
-
-
-def test_non_cubic_rejected():
-    win = scale(make_cosine_window(2), 0.1)
-    with pytest.raises(FrameError):
-        build_frame(((0.0, 1.0), (0.0, 2.0)), 0.05, win)
+@pytest.mark.parametrize("box, h, window, message", [
+    (((0.0, 1.0),), 0.05, scale(make_cosine_window(1), 0.6), "wraps around"),
+    (((0.0, 1.0), (0.0, 2.0)), 0.05, scale(make_cosine_window(2), 0.1), "cubic"),
+    (((0.0, 1.0),), 0.03, scale(make_cosine_window(1), 0.1), "multiple of h"),
+    (((0.0, 1.0), (0.0, 1.0)), 0.05, scale(make_cosine_window(1), 0.1), "dimension"),
+    # a profile that is 0 at every node, as no window maker builds
+    (((0.0, 1.0),), 0.05, Window(d=1, epsilon=0.1, factor=FactorProfile(
+        value=np.zeros_like, deriv=np.zeros_like, half_width=1.0)), "vanishes"),
+], ids=["wraps", "non-cubic", "not-a-multiple", "dimension", "vanishes"])
+def test_build_frame_rejects(box, h, window, message):
+    with pytest.raises(FrameError, match=message):
+        build_frame(box, h, window)
 
 
 def test_forward_zero():
@@ -101,6 +103,19 @@ def test_adjoint_zero():
     fr = frame_1d(N=32)
     F = forward(fr, np.zeros(fr.n))
     assert np.all(adjoint(fr, F) == 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda fr: forward(fr, np.zeros(fr.n + 1)), "expected 16 samples, got 17"),
+    (lambda fr: phase_space_moment(fr, np.zeros(fr.n - 1), lambda xi, y: 1.0),
+     "expected 16 samples, got 15"),
+    # a function of another frame, even of the same geometry
+    (lambda fr: adjoint(fr, forward(frame_1d(N=16), np.zeros(fr.n))), "different frame"),
+    (lambda fr: trace_via_frame(fr, np.eye(fr.n + 1)), "must be 16x16"),
+], ids=["forward", "moment", "adjoint", "trace"])
+def test_frame_functions_reject_another_grid(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(frame_1d(N=16))
 
 
 def test_adjointness_by_direct_summation():
@@ -474,3 +489,6 @@ def test_phase_load_rejects_mismatch(tmp_path):
         path.write_bytes(payload)
         with pytest.raises(FrameError, match=f"file holds {found} values, the frame expects 256"):
             load_phase(path, fr)
+    path.write_bytes(data[8:])  # no magic
+    with pytest.raises(ValueError, match="not a phase-space file"):
+        load_phase(path, fr)

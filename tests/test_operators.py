@@ -199,3 +199,7 @@ def test_nan_spacing_is_rejected(assemble):
     dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 0.1)
     with pytest.raises(ValueError, match="matrix entries not finite"):
         assemble(GridDomain(h=math.nan, origin=dom.origin, mask=dom.mask, box=dom.box))
+    # and a mask with no node gives no operator
+    with pytest.raises(ValueError, match="empty domain"):
+        assemble(GridDomain(h=dom.h, origin=dom.origin, mask=np.zeros_like(dom.mask),
+                            box=dom.box))

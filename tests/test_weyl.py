@@ -1,6 +1,7 @@
 """Riesz means, leading terms, remainder fits, curve export."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,14 @@ def test_exact_interval_spectra():
     vals = exact_spectrum_interval(1.0, 100.0).values
     ref = np.array([math.pi ** 2, 4 * math.pi ** 2, 9 * math.pi ** 2])
     assert np.allclose(vals, ref, rtol=1e-14)
+    for L in (0.0, -1.0):
+        with pytest.raises(ValueError, match="L must be positive"):
+            exact_spectrum_interval(L, 100.0)
+    # about 3e153 modes, and 2e18, whose int64 array passes numpy's size cap:
+    # named before any array is made
+    for lam in (1e308, 4e37):
+        with pytest.raises(ValueError, match=re.escape(f"lam={lam!r} on a side of length 1.0")):
+            exact_spectrum_interval(1.0, lam)
 
 
 def test_exact_box_spectra():

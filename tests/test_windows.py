@@ -47,6 +47,7 @@ def test_bump_d1_unit_norm():
 def test_bump_edge_decay():
     w = make_bump_window(1)
     assert abs(w(np.array([0.9999]))) < 1e-6
+    assert w(0.9999) == w(np.array([0.9999]))  # in d = 1 a scalar is one point
 
 
 def test_bump_deriv_energy_against_difference_quotient():
@@ -92,6 +93,13 @@ def test_scale_preserves_norm():
 def test_scale_half_quadruples_deriv_energy():
     w = scale(make_cosine_window(1), 0.5)
     assert abs(grad_norm_sq(w) - math.pi ** 2) < 1e-9
+
+
+@pytest.mark.parametrize("make", [make_cosine_window, make_bump_window])
+def test_makers_reject_dimension_below_one(make):
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            make(d)
 
 
 def test_scale_rejects_nonpositive():
