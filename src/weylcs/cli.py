@@ -131,11 +131,17 @@ def _validate(cfg):
     for key, allowed in _CHOICES.items():
         if getattr(cfg, key) not in allowed:
             raise ConfigError(f"unknown {key} {getattr(cfg, key)!r}")
-    values = [getattr(cfg, f.name) for f in fields(cfg)] + [u for ab in cfg.box for u in ab]
-    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-        raise ConfigError("numeric config fields must be finite")
-    if cfg.lam_count < 1 or cfg.frame_n < 1 or cfg.n_vectors < 1 or cfg.seed < 0:
-        raise ConfigError("lam_count, frame_n, n_vectors must be positive, seed >= 0")
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+    if not all(math.isfinite(u) for ab in cfg.box for u in ab):
+        raise ConfigError(f"box entries must be finite, got {cfg.box!r}")
+    for key in ("lam_count", "frame_n", "n_vectors"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed!r}")
     if len(cfg.box) != cfg.dim:
         raise ConfigError(f"box has {len(cfg.box)} axes, dim is {cfg.dim}")
     _rectangle_shape(cfg.box, cfg.h)
@@ -192,8 +198,8 @@ def cmd_weyl_curve(cfg) -> int:
         curve = build_curve(spec, lambdas, lambda lam: euclidean_leading(vol, cfg.dim, lam),
                             window=window, eps_alpha=cfg.eps_alpha)
     except OverflowError as exc:
-        raise ConfigError("window scale eps = lambda^-eps_alpha too large for "
-                          "the window constants") from exc
+        raise ConfigError(f"eps_alpha={cfg.eps_alpha:g} puts the window scale "
+                          "eps = lambda^-eps_alpha out of range for the window constants") from exc
     try:
         fit = fit_remainder_exponent(curve)
         summary = ("remainder_fit slope=%.17g intercept=%.17g residual=%.17g"

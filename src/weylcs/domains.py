@@ -53,10 +53,6 @@ class GridDomain:
     def axis_coords(self, axis):
         return self.origin[axis] + self.h * np.arange(self.shape[axis])
 
-    def node_coords(self, idx):
-        idx = np.asarray(idx)
-        return np.asarray(self.origin) + self.h * idx
-
 
 def _rectangle_shape(box, h):
     """Nodes per axis of the lattice from each lower end, through the upper end.

@@ -243,69 +243,86 @@ def _phase_point(d, xi, y):
     return xi, y
 
 
-def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> float:
-    """Re <e, A e> / <e, e> for the coherent state e = exp(i xi.x) g(x - y)
-    restricted to the operator's interior nodes; nan when e vanishes there.
+def _cube_symbol(op: DiscreteOperator, window: Window, xi, y) -> SymbolValue:
+    """Re <e, A e> / <e, e> for e = exp(i xi.x) g(x - y) restricted to the
+    operator's interior nodes, and its truncation flag, from one lattice cube.
 
-    e is evaluated only on the block of grid nodes in the window's support
-    around y, and the form is summed over the edges of that block: the
-    diagonal sum_i diag_i |e_i|^2 less 2 w Re(conj(e_i) e_j) for each pair of
-    neighbours i, j along an axis with edge weight w.  Since e vanishes off
-    the interior nodes, this is exactly Re <e, A e> of the assembled matrix.
+    For a real window the quotient is a trigonometric polynomial in xi,
+
+        (D - 2 sum_a cos(xi_a h) C_a) / |g|^2,
+
+    with the xi-free sums |g|^2 = sum g^2 and D = sum diag g^2 over the
+    interior nodes and C_a = sum w_a g g' over the edges along axis a, of the
+    weight w_a of their lower node.  Since g vanishes off the interior nodes,
+    this is exactly the form of the assembled matrix; nan when |g|^2 = 0.
+
+    The sums run over the cube of r = ceil(support_radius / h) lattice steps
+    around the grid node k nearest y, where the window is the outer product
+    of its 1-D profile along each axis.  The cube covers the support: along
+    an axis g is nonzero only where |x_a - y_a| < support_radius / sqrt(d)
+    <= r h, and k lies within h/2 of y_a, so every support node j has
+    |j - k| < r + 1/2.  For y off the grid k is clipped onto it; the support
+    nodes on the grid are then within r steps of the unclipped node and on
+    the grid's side of it, so within r steps of k too.  The flag is that of
+    symbol, searched over the same cube.
     """
     dom = op.grid
     if window.d != dom.d:
         raise DimensionMismatchError(f"window dimension {window.d} on a {dom.d}-D grid")
     xi, y = _phase_point(dom.d, xi, y)
-    # one node of margin: the window vanishes at the ends of its support
-    width = window.factor_half_width() + dom.h
-    lo = np.ceil((y - width - np.asarray(dom.origin)) / dom.h).astype(int)
-    hi = np.floor((y + width - np.asarray(dom.origin)) / dom.h).astype(int) + 1
-    block = tuple(slice(*np.clip((a, b), 0, n)) for a, b, n in zip(lo, hi, dom.shape))
-    coords = dom.node_coords(np.stack(np.meshgrid(
-        *(np.arange(s.start, s.stop) for s in block), indexing="ij"), axis=-1))
-    e = np.exp(1j * coords @ xi) * window(coords - y) * dom.mask[block]
-    nrm = np.vdot(e, e).real
-    if nrm == 0.0:
-        return math.nan
+    r = int(math.ceil(window.support_radius / dom.h))
+    t = np.arange(-r, r + 1)
+    idx = np.clip(np.round((y - np.asarray(dom.origin)) / dom.h),
+                  0, np.asarray(dom.shape) - 1).astype(int)  # clipped first: y may be huge
+    near = [i + t for i in idx]  # the cube's indices along each axis
+    clipped = [np.clip(j, 0, n - 1) for j, n in zip(near, dom.shape)]
+    inside = functools.reduce(np.logical_and.outer,
+                              [(0 <= j) & (j < n) for j, n in zip(near, dom.shape)])
+    inside &= dom.mask[np.ix_(*clipped)]
+    g = functools.reduce(np.multiply.outer, [window.factor_value(o + dom.h * j - c)
+                                             for o, j, c in zip(dom.origin, near, y)]) * inside
+    gg = g * g
+    norm = float(np.sum(gg))
+    if norm == 0.0:
+        return SymbolValue(value=math.nan, truncated=True)
     x1 = (slice(None),) + (None,) * (dom.d - 1)  # weights vary along x_1 only
-    weights = [w[block[0]][x1] for w in op.axis_weights()]
-    form = float(np.sum(diagonal(weights) * (e.real ** 2 + e.imag ** 2)))
-    for a, w in enumerate(weights):
-        lower = e[(slice(None),) * a + (slice(None, -1),)]
-        upper = e[(slice(None),) * a + (slice(1, None),)]
-        if a == 0:
-            w = w[:-1]  # an edge along x_1 has the weight of its lower node
-        form -= 2.0 * float(np.sum(w * (lower.real * upper.real + lower.imag * upper.imag)))
-    return float(form / nrm)
+    weights = [w[clipped[0]][x1] for w in op.axis_weights()]
+    diag = float(np.sum(diagonal(weights) * gg))
+    edges = [float(np.sum(np.delete(w * g, -1, axis=a) * np.delete(g, 0, axis=a)))
+             for a, w in enumerate(weights)]  # an edge has the weight of its lower node
+    dist2 = np.min(functools.reduce(np.add.outer, [t * t] * dom.d)[~inside], initial=r * r + 1)
+    truncated = not inside[(r,) * dom.d] or dom.h * np.sqrt(dist2) + dom.h < window.support_radius
+    return SymbolValue(value=(diag - 2.0 * float(np.cos(xi * dom.h) @ edges)) / norm,
+                       truncated=bool(truncated))
+
+
+def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> float:
+    """Re <e, A e> / <e, e> for the coherent state e = exp(i xi.x) g(x - y)
+    restricted to the operator's interior nodes; nan when e vanishes there.
+
+    The value is the trigonometric polynomial (D - 2 sum_a cos(xi_a h) C_a)
+    / |g|^2 in xi of d + 2 real sums of the window and the operator's edge
+    weights, taken over the cube of ceil(support_radius / h) lattice steps
+    around the node nearest y, which holds the window's support (see
+    _cube_symbol).
+    """
+    return _cube_symbol(op, window, xi, y).value
 
 
 def symbol(frame: CoherentFrame, op: DiscreteOperator, xi, y) -> SymbolValue:
     """Discrete symbol Re <e, A e> / <e, e> of the operator at phase-space point (xi, y).
 
-    The coherent state is restricted to the operator's interior nodes.  The
-    value is flagged truncated when the window support may stick out of the
-    domain: when the node nearest y lies within support_radius - h of a node
-    outside it (nodes past the grid count as outside).  Only the nodes in
-    the cube of r = ceil(support_radius / h) lattice steps around that node
-    are searched: outside nodes farther away lie beyond support_radius, and
-    the squared offset is capped at r^2 + 1.
+    The value is rayleigh_symbol's with the frame's window: the
+    trigonometric polynomial (D - 2 sum_a cos(xi_a h) C_a) / |g|^2 of sums
+    over the cube of r = ceil(support_radius / h) lattice steps around the
+    node nearest y, which holds the window's support.  It is flagged
+    truncated when the window support may stick out of the domain: when
+    that node lies within support_radius - h of a node outside it (nodes
+    past the grid count as outside), or the value is nan.  Only the nodes of
+    the same cube are searched: outside nodes farther away lie beyond
+    support_radius, and the squared offset is capped at r^2 + 1.
     """
-    val = rayleigh_symbol(op, frame.window, xi, y)
-    dom = op.grid
-    radius = frame.window.support_radius
-    r = int(math.ceil(radius / dom.h))
-    idx = np.clip(np.round((np.atleast_1d(y) - np.asarray(dom.origin)) / dom.h).astype(int),
-                  0, np.asarray(dom.shape) - 1)
-    t = np.arange(-r, r + 1)
-    near = [i + t for i in idx]  # the cube's indices along each axis
-    on_grid = [(0 <= j) & (j < n) for j, n in zip(near, dom.shape)]
-    inside = functools.reduce(np.logical_and.outer, on_grid)
-    inside &= dom.mask[np.ix_(*(np.clip(j, 0, n - 1) for j, n in zip(near, dom.shape)))]
-    dist2 = np.min(functools.reduce(np.add.outer, [t * t] * dom.d)[~inside], initial=r * r + 1)
-    truncated = (math.isnan(val) or not dom.mask[tuple(idx)]
-                 or dom.h * np.sqrt(dist2) + dom.h < radius)
-    return SymbolValue(value=val, truncated=bool(truncated))
+    return _cube_symbol(op, frame.window, xi, y)
 
 
 def analytic_symbol(kind, window: Window, xi, y=None) -> float:

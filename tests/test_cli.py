@@ -122,13 +122,15 @@ def test_spectrum_repeatable_in_one_process(tmp_path):
 # input names the parameters to change
 EXIT_1_CASES = [
     (["spectrum", "--set", "dim=abc"], []),
-    (["spectrum", "--set", "h=nan"], []),
+    (["spectrum", "--set", "h=nan"], ["h must be finite, got nan"]),
     (["spectrum", "--no-such-flag"], []),
-    (["weyl-curve", "--set", "lam_min=1e-3", "--set", "eps_alpha=1"], []),  # eps = 1000
+    (["weyl-curve", "--set", "lam_min=1e-3", "--set", "eps_alpha=1"],  # eps = 1000
+     ["eps_alpha=1 ", "out of range"]),
     (["weyl-curve", "--set", "source=discrete", "--set", "dim=2",
       "--set", "box=0,1;0,1", "--set", "h=0.0138",
       "--set", "lam_max=2e4"], []),  # spectrum_below raises DenseLimitError (patched below)
-    (["frame-check", "--set", "n_vectors=-3"], []),  # no Parseval vector would be checked
+    (["frame-check", "--set", "n_vectors=-3"],  # no Parseval vector would be checked
+     ["n_vectors must be at least 1, got -3"]),
     (["spectrum", "--set", "box=0,1", "--set", "h=0.9999999999"], []),  # no interior node
     (["weyl-curve", "--set", "lam_min=100", "--set", "lam_max=100",
       "--set", "lam_count=3"], []),  # three lambdas, none between the ends
@@ -146,6 +148,9 @@ EXIT_1_CASES = [
      ["box ((0.0, 1e+300),)", "h=1e-10"]),
     (["spectrum", "--set", "box=0,1e10", "--set", "h=1e-10"],  # 1e20 nodes, past np.intp
      ["box ((0.0, 10000000000.0),)", "h=1e-10"]),
+    (["spectrum", "--set", "seed=-1"], ["seed must be >= 0, got -1"]),
+    (["weyl-curve", "--set", "eps_alpha=50"],  # eps = lambda^-50 underflows toward 0
+     ["eps_alpha=50 ", "out of range"]),
 ]
 
 
@@ -277,15 +282,24 @@ def subprocess_env():
 
 
 BOX_RUNS = '''
-import json, sys
+import json, os, sys
 import numpy
 before = set(sys.modules)
 import weylcs.cli
+added = set(sys.modules) - before
+import sysconfig  # after the snapshot, which must see the CLI import it
+paths = sysconfig.get_paths()
+def under(name, key):
+    return (getattr(sys.modules[name], "__file__", None) or "").startswith(paths[key] + os.sep)
+def third_party(name):
+    # the standard library is the names Python lists plus the files of its
+    # directory outside site-packages, such as the private _sysconfigdata_*
+    if name.split(".")[0] in sys.stdlib_module_names | {"weylcs"}:
+        return False
+    return not under(name, "stdlib") or under(name, "purelib") or under(name, "platlib")
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-loaded = {"import": scipy_modules(),
-          "import adds": sorted(m for m in set(sys.modules) - before if m.split(".")[0]
-                                not in sys.stdlib_module_names | {"weylcs"})}
+loaded = {"import": scipy_modules(), "import adds": sorted(filter(third_party, added))}
 for command in sys.argv[1:]:
     args = ["--set", "kind=hyperbolic", "--set", "dim=2", "--set", "box=0,1;0,1",
             "--set", "h=0.025", "--set", "lam_max=250", "--set", "source=discrete",

@@ -210,6 +210,7 @@ def test_symbol_general_xi():
         assert abs(sv.value - ref) < 20.0 * (1.0 + xi ** 2) * h ** 2 / eps ** 2
 
 
+@pytest.mark.filterwarnings("error")
 def test_symbol_truncated_flag_near_boundary():
     eps = 0.3
     win = scale(make_cosine_window(1), eps)
@@ -219,6 +220,10 @@ def test_symbol_truncated_flag_near_boundary():
     fr = build_frame(((0.0, 2.0),), h, win)
     assert symbol(fr, op, 0.0, 0.1).truncated
     assert not symbol(fr, op, 0.0, 1.0).truncated
+    # a y past any integer index is placed on the grid before the cast
+    for y in (1e300, -1e300):
+        sv = symbol(fr, op, 0.0, y)
+        assert math.isnan(sv.value) and sv.truncated
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
@@ -240,7 +245,6 @@ def test_symbol_matches_the_assembled_matrix(kind, d, denom):
     dom = GridDomain(h=h, origin=box.origin, mask=mask, box=box.box)
     op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
     win = scale(make_cosine_window(d), 4.5 * h)
-    fr = build_frame(((0.0, 1.0),) * d, h, win)
     clear = distance_transform_edt(np.pad(mask, 1), sampling=h)[(slice(1, -1),) * d]
     # deep inside, near the boundary, anywhere around the box, and off the mask
     directions = rng.standard_normal((20, d))
@@ -248,9 +252,15 @@ def test_symbol_matches_the_assembled_matrix(kind, d, denom):
     near = balls[0][0] + (balls[0][1] + rng.uniform(-3 * h, 3 * h, (20, 1))) * directions
     ys = [c for c, _ in balls] + list(near) + list(rng.uniform(-0.2, 1.2, (20, d))) \
         + [np.full(d, -0.1), np.full(d, 0.95)]
+    # eps = 4h and y half a step off a node: in d = 1 the support reaches the
+    # node 4 = ceil(eps/h) steps from the node nearest y, the edge of the cube
+    # the symbol sums over; and a y whose whole cube lies off the grid
+    cases = [(win, y) for y in ys] + [(scale(make_cosine_window(d), 4.0 * h),
+                                       np.full(d, 0.4 + 0.5 * h)), (win, np.full(d, 2.0))]
     coords = op.node_coords()
     flags = []
-    for y in ys:
+    for win, y in cases:
+        fr = build_frame(((0.0, 1.0),) * d, h, win)
         xi = rng.uniform(-30.0, 30.0, d)
         e = np.exp(1j * coords @ xi) * win(coords - y)
         nrm = np.vdot(e, e).real
