@@ -61,7 +61,6 @@ from .weyl import (
     fit_remainder_exponent,
     hyperbolic_leading,
     li_yau_bound,
-    phase_space_volume,
     riesz_mean,
     save_curve,
     weighted_volume,

@@ -172,12 +172,20 @@ def _rle_encode(row):
     return " ".join(f"{int(row[s])}x{e - s}" for s, e in zip(starts, ends))
 
 
-def _rle_decode(line, width):
-    runs = [tok.split("x") for tok in line.split()]
-    out = np.repeat([bool(int(bit)) for bit, _ in runs], [int(n) for _, n in runs])
-    if len(out) != width:
-        raise ValueError("RLE row length mismatch")
-    return out
+def _rle_decode(line, width, row):
+    """The nodes of a row of BxN tokens, bit B (0 or 1) repeated N >= 1 times;
+    ValueError naming the row (counted from 1) and the token or both lengths."""
+    bits, counts = [], []
+    for tok in line.split():
+        bit, _, n = tok.partition("x")
+        if bit not in ("0", "1") or not n.isdecimal() or int(n) < 1:
+            raise ValueError(f"mask row {row}: bad run {tok!r}, need BxN with B 0 or 1 and N >= 1")
+        bits.append(bit == "1")
+        counts.append(int(n))
+    if sum(counts) != width:  # before np.repeat allocates the row
+        raise ValueError(f"mask row {row}: RLE row length mismatch, "
+                         f"{sum(counts)} nodes for a shape width of {width}")
+    return np.repeat(bits, counts)
 
 
 def load_mask(path) -> GridDomain:
@@ -222,5 +230,5 @@ def load_mask(path) -> GridDomain:
     if len(rows) != math.prod(shape[:-1]):
         raise ValueError(f"mask header: shape {shape} needs {math.prod(shape[:-1])} rows, "
                          f"found {len(rows)}")
-    mask = np.stack([_rle_decode(r, shape[-1]) for r in rows]).reshape(shape)
+    mask = np.stack([_rle_decode(r, shape[-1], i) for i, r in enumerate(rows, 1)]).reshape(shape)
     return GridDomain(h=h, origin=origin, mask=mask, box=box)

@@ -98,40 +98,6 @@ def hyperbolic_leading(dom: GridDomain, lam: float) -> float:
     return euclidean_leading(weighted_volume("hyperbolic", dom), dom.d, lam)
 
 
-def phase_space_volume(kind, dom: GridDomain, lam: float, resolution: int) -> float:
-    """Midpoint quadrature of (lam - symbol)_+ (2 pi)^{-d} over xi, summed on the mask.
-
-    The symbol is xi_1^2 + w(y_1) |xi_tilde|^2 with w = exp(2 y_1) for the
-    hyperbolic kind and 1 otherwise; rows of equal weight share one pass.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
-    if lam <= 0:
-        return 0.0
-    d = dom.d
-    counts = dom.mask.sum(axis=tuple(range(1, d)))
-    active = counts > 0
-    rate = 2.0 if kind == "hyperbolic" else 0.0
-    weights, row = np.unique(np.exp(rate * dom.axis_coords(0)[active]), return_inverse=True)
-    nodes = np.bincount(row, weights=counts[active])
-
-    def midpoints(bound):
-        dxi = 2.0 * bound / resolution
-        return -bound + dxi * (np.arange(resolution) + 0.5), dxi
-
-    xi1, dxi1 = midpoints(math.sqrt(lam))
-    tilde_parts = [midpoints(math.sqrt(lam / weights.min())) for _ in range(d - 1)]
-    tg = np.meshgrid(*[p for p, _ in tilde_parts], indexing="ij")
-    tilde_sq = sum((g ** 2 for g in tg), np.zeros(1)).ravel()
-    cell = dxi1 * math.prod(dx for _, dx in tilde_parts)
-    base = lam - xi1[:, None] ** 2  # (resolution, 1)
-    total = sum(cnt * float(np.clip(base - w * tilde_sq[None, :], 0.0, None).sum())
-                for w, cnt in zip(weights, nodes))
-    return total * cell * dom.h ** d / (2.0 * math.pi) ** d
-
-
 @dataclass(frozen=True)
 class RieszCurve:
     lambdas: np.ndarray
@@ -157,14 +123,18 @@ def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window | None = Non
     """Riesz means against the leading term on a lambda grid.
 
     The eps schedule eps = lambda^{-alpha} only feeds the diagnostic window
-    constant columns; the leading term itself is eps-free.
+    constant columns; the leading term itself is eps-free.  OverflowError when
+    an eps overflows or underflows to inf or 0.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(np.diff(lambdas) <= 0):
         raise ValueError("lambda grid must be strictly increasing")
     riesz = np.array([riesz_mean(spec, lam) for lam in lambdas])
     leading = np.array([leading_fn(lam) for lam in lambdas])
-    eps = lambdas ** (-eps_alpha)
+    with np.errstate(all="ignore"):
+        eps = lambdas ** (-eps_alpha)
+    if not np.all(np.isfinite(eps) & (eps > 0.0)):
+        raise OverflowError(f"eps = lambda^-{eps_alpha!r} leaves the float range")
     if window is None:
         window = make_cosine_window(1)
     cc = [c_constants(scale(window, e)) for e in eps]

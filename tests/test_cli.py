@@ -151,6 +151,20 @@ EXIT_1_CASES = [
     (["spectrum", "--set", "seed=-1"], ["seed must be >= 0, got -1"]),
     (["weyl-curve", "--set", "eps_alpha=50"],  # eps = lambda^-50 underflows toward 0
      ["eps_alpha=50 ", "out of range"]),
+    (["spectrum", "--set", "box=abc"], ["bad box spec 'abc'"]),
+    (["spectrum", "--set", "box=0,inf"], ["box entries must be finite, got ((0.0, inf),)"]),
+    (["spectrum", "--set", "dim=2", "--set", "box=0,1"], ["box has 1 axes, dim is 2"]),
+    (["weyl-curve", "--set", "lam_min=0"],
+     ["needs 0 < lam_min <= lam_max, got lam_min=0.0, lam_max=10000.0"]),
+    (["weyl-curve", "--set", "kind=hyperbolic", "--set", "dim=2", "--set", "box=0,1;0,1",
+      "--set", "h=0.1"], ["exact spectra are euclidean-only above one dimension"]),
+    (["spectrum", "--set", "foo"], ["bad --set value 'foo'"]),
+    # eps = lambda^-eps_alpha overflows to inf, or underflows to exactly 0,
+    # without numpy's RuntimeWarning
+    (["weyl-curve", "--set", "lam_min=1e-3", "--set", "eps_alpha=500"],
+     ["eps_alpha=500 ", "out of range"]),
+    (["weyl-curve", "--set", "lam_min=1e-3", "--set", "eps_alpha=-500"],
+     ["eps_alpha=-500 ", "out of range"]),
 ]
 
 
@@ -175,6 +189,13 @@ def test_usage_and_limit_errors_exit_1(tmp_path, capsys, monkeypatch, args, name
         run = subprocess.run([sys.executable, "-m", "weylcs"] + argv, env=subprocess_env(),
                              capture_output=True, text=True)
         assert (run.returncode, run.stderr) == (1, err)
+        assert "RuntimeWarning" not in run.stderr
+
+
+def test_a_command_without_an_output_path_exits_1(capsys):
+    # the harness above always appends --out
+    assert main(["spectrum"]) == 1
+    assert capsys.readouterr().err == "error: spectrum requires an output path\n"
 
 
 def test_weyl_curve_discrete_past_the_dense_limit(tmp_path, monkeypatch):

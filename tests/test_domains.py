@@ -256,8 +256,16 @@ def test_mask_load_names_the_expected_and_found_row_counts(tmp_path):
     with pytest.raises(ValueError, match="needs 13 rows, found 12"):
         load_mask(path)
     path.write_text(text.rstrip("\n") + " 0x1\n")  # a last row 14 nodes wide
-    with pytest.raises(ValueError, match="RLE row length mismatch"):
+    with pytest.raises(ValueError, match="mask row 13: RLE row length mismatch, 14 nodes "
+                                         "for a shape width of 13"):
         load_mask(path)
+    # a run is BxN with B 0 or 1 and N >= 1; any other token is named with
+    # its row, not read as a bit of 1 or left to int() or np.repeat
+    last = text.rstrip("\n").rindex("\n") + 1
+    for run in ["2x13", "1x", "ax13", "1x3.5", "1x-3 0x16", "1x0 0x13", "1x13x"]:
+        path.write_text(text[:last] + run + "\n")
+        with pytest.raises(ValueError, match=f"mask row 13: bad run '{run.split()[0]}'"):
+            load_mask(path)
 
 
 def _with_legacy_exact_box(path, box):

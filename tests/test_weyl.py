@@ -22,7 +22,6 @@ from weylcs.weyl import (
     fit_remainder_exponent,
     hyperbolic_leading,
     li_yau_bound,
-    phase_space_volume,
     riesz_mean,
     save_curve,
     semiclassical_constant,
@@ -107,10 +106,29 @@ def test_hyperbolic_leading_d1_is_euclidean():
     assert hyperbolic_leading(dom, 50.0) == euclidean_leading(math.pi, 1, 50.0)
 
 
+def test_hyperbolic_leading_is_the_phase_space_integral():
+    # midpoint rule for (2 pi)^-2 int_(0,1)^2 int (1 - xi_1^2 - exp(2 y_1) xi_2^2)_+,
+    # whose integrand vanishes off |xi_a| < 1 since exp(2 y_1) >= 1; the y_2
+    # integral is 1
+    n = 64
+    mid = (np.arange(n) + 0.5) / n
+    y1, xi1, xi2 = np.meshgrid(mid, 2.0 * mid - 1.0, 2.0 * mid - 1.0, indexing="ij")
+    integrand = np.clip(1.0 - xi1 ** 2 - np.exp(2.0 * y1) * xi2 ** 2, 0.0, None)
+    integral = integrand.sum() * 4.0 / n ** 3 / (2.0 * math.pi) ** 2
+    dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1 / 50)
+    assert hyperbolic_leading(dom, 1.0) == pytest.approx(integral, rel=1e-3)
+
+
+def _plain(dom):
+    """dom's mask under a box with sides twice its rows', so exact_box is None."""
+    return GridDomain(h=dom.h, origin=dom.origin, mask=dom.mask,
+                      box=tuple((a, 2.0 * b - a) for a, b in dom.box))
+
+
 def test_hyperbolic_leading_mask_fallback():
     h = 1 / 1000
-    rect = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
-    plain = GridDomain(h=h, origin=rect.origin, mask=rect.mask, box=rect.box)
+    plain = _plain(rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h))
+    assert plain.exact_box is None
     ref = (1.0 - math.exp(-1.0)) / (8.0 * math.pi)
     # lattice sum over interior nodes misses an O(h) boundary strip
     assert hyperbolic_leading(plain, 1.0) == pytest.approx(ref, rel=3 * h)
@@ -130,61 +148,14 @@ def test_weighted_volume_closed_forms_and_lattice_sums(kind, box, want):
     dom = rectangle_domain(box, h)
     assert weighted_volume(kind, dom) == pytest.approx(want, rel=1e-14)
     # the lattice sum over interior nodes misses an O(h) boundary strip
-    plain = GridDomain(h=h, origin=dom.origin, mask=dom.mask, box=dom.box)
+    plain = _plain(dom)
+    assert plain.exact_box is None
     assert weighted_volume(kind, plain) == pytest.approx(want, abs=3 * h)
 
 
 def test_weighted_volume_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="elliptic"):
         weighted_volume("elliptic", rectangle_domain(((0.0, 1.0),), 0.1))
-
-
-def _disk(h):
-    """Mask of the disk of radius 0.45 about (0.5, 0.5), without exact_box."""
-    sq = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
-    x, y = np.meshgrid(sq.axis_coords(0), sq.axis_coords(1), indexing="ij")
-    mask = (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.45 ** 2
-    return GridDomain(h=h, origin=sq.origin, mask=mask, box=sq.box)
-
-
-@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
-def test_phase_space_volume_matches_the_weighted_leading_term(kind):
-    # on the box, the quadrature's lattice measure is within 2h of the closed form
-    dom = _disk(1 / 100) if kind == "hyperbolic" else \
-        rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1 / 4000)
-    lam = 3.0
-    v = phase_space_volume(kind, dom, lam, 256)
-    assert v == pytest.approx(euclidean_leading(weighted_volume(kind, dom), dom.d, lam),
-                              rel=1e-3)
-
-
-def test_phase_space_volume_euclidean_d1():
-    dom = rectangle_domain(((0.0, math.pi),), math.pi / 4000)
-    v = phase_space_volume("euclidean", dom, 1.0, 400)
-    assert v == pytest.approx(2.0 / 3.0, rel=1e-3)
-    assert phase_space_volume("euclidean", dom, 0.0, 400) == 0.0
-
-
-def test_phase_space_volume_hyperbolic_d2():
-    dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1 / 4000)
-    v = phase_space_volume("hyperbolic", dom, 1.0, 256)
-    ref = (1.0 - math.exp(-1.0)) / (8.0 * math.pi)
-    assert v == pytest.approx(ref, rel=1e-3)
-    assert v == pytest.approx(hyperbolic_leading(dom, 1.0), rel=1e-3)
-
-
-@pytest.mark.parametrize("lam", [1.0, 0.0])
-def test_phase_space_volume_rejects_an_unknown_kind(lam):
-    # the kind is checked before the d = 1 and lam <= 0 shortcuts
-    dom = rectangle_domain(((0.0, 1.0),), 0.1)
-    with pytest.raises(ValueError, match="elliptic"):
-        phase_space_volume("elliptic", dom, lam, 400)
-
-
-def test_phase_space_volume_resolution_floor():
-    dom = rectangle_domain(((0.0, 1.0),), 0.1)
-    with pytest.raises(ValueError):
-        phase_space_volume("euclidean", dom, 1.0, 8)
 
 
 def test_build_curve_ratio_increases_to_one():
