@@ -209,7 +209,7 @@ def _max_entry(op):
     diagonal entry sums every weight of its row and is the largest.
     """
     extent = op.nodes.max(axis=0) - op.nodes.min(axis=0) + 1
-    weights = [w[np.unique(op.nodes[:, 0])] for w in op.axis_weights()]
+    weights = [w[np.bincount(op.nodes[:, 0], minlength=len(w)) > 0] for w in op.axis_weights()]
     return max([np.abs(diagonal(weights)).max()]
                + [np.abs(w).max() for w, m in zip(weights, extent) if m > 1])
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import KINDS, DiscreteOperator, DimensionMismatchError, diagonal
+from .operators import KINDS, DiscreteOperator, DimensionMismatchError
 from .windows import Window, c_constants, grad_norm_sq
 
 
@@ -247,31 +247,35 @@ def _cube_symbol(op: DiscreteOperator, window: Window, xi, y) -> SymbolValue:
     """Re <e, A e> / <e, e> for e = exp(i xi.x) g(x - y) restricted to the
     operator's interior nodes, and its truncation flag, from one lattice cube.
 
-    For a real window the quotient is a trigonometric polynomial in xi,
+    The value is the operator's own quadratic form, the sum over grid edges
+    of w (e_i - e_j)^2 with e zero off the interior nodes, which for a real
+    window is
 
-        (D - 2 sum_a cos(xi_a h) C_a) / |g|^2,
+        sum_a sum_{edges along a} w_a [(g - g')^2 + 4 sin^2(xi_a h / 2) g g'] / |g|^2,
 
-    with the xi-free sums |g|^2 = sum g^2 and D = sum diag g^2 over the
-    interior nodes and C_a = sum w_a g g' over the edges along axis a, of the
-    weight w_a of their lower node.  Since g vanishes off the interior nodes,
-    this is exactly the form of the assembled matrix; nan when |g|^2 = 0.
+    with w_a the weight of an edge's lower node and |g|^2 = sum g^2 over the
+    interior nodes.  Every term is nonnegative for a nonnegative window, so
+    nothing cancels; nan when |g|^2 = 0.
 
-    The sums run over the cube of r = ceil(support_radius / h) lattice steps
-    around the grid node k nearest y, where the window is the outer product
-    of its 1-D profile along each axis.  The cube covers the support: along
-    an axis g is nonzero only where |x_a - y_a| < support_radius / sqrt(d)
-    <= r h, and k lies within h/2 of y_a, so every support node j has
-    |j - k| < r + 1/2.  For y off the grid k is clipped onto it; the support
-    nodes on the grid are then within r steps of the unclipped node and on
-    the grid's side of it, so within r steps of k too.  The flag is that of
-    symbol, searched over the same cube.
+    The sums run over the edges of the cube of r + 1 lattice steps around the
+    grid node k nearest y, r = ceil(support_radius / h), where the window is
+    the outer product of its 1-D profile along each axis.  The inner cube of
+    r steps covers the support: along an axis g is nonzero only where
+    |x_a - y_a| < support_radius / sqrt(d) <= r h, and k lies within h/2 of
+    y_a, so every support node j has |j - k| < r + 1/2.  For y off the grid k
+    is clipped onto it; the support nodes on the grid are then within r steps
+    of the unclipped node and on the grid's side of it, so within r steps of
+    k too.  So g is zero on the cube's outer layer, and an edge from the
+    support into that layer is a Dirichlet edge, w g^2, like every edge to a
+    node outside the domain.  The flag is that of symbol, searched over the
+    same cube.
     """
     dom = op.grid
     if window.d != dom.d:
         raise DimensionMismatchError(f"window dimension {window.d} on a {dom.d}-D grid")
     xi, y = _phase_point(dom.d, xi, y)
     r = int(math.ceil(window.support_radius / dom.h))
-    t = np.arange(-r, r + 1)
+    t = np.arange(-r - 1, r + 2)
     idx = np.clip(np.round((y - np.asarray(dom.origin)) / dom.h),
                   0, np.asarray(dom.shape) - 1).astype(int)  # clipped first: y may be huge
     near = [i + t for i in idx]  # the cube's indices along each axis
@@ -281,29 +285,31 @@ def _cube_symbol(op: DiscreteOperator, window: Window, xi, y) -> SymbolValue:
     inside &= dom.mask[np.ix_(*clipped)]
     g = functools.reduce(np.multiply.outer, [window.factor_value(o + dom.h * j - c)
                                              for o, j, c in zip(dom.origin, near, y)]) * inside
-    gg = g * g
-    norm = float(np.sum(gg))
+    norm = float(np.sum(g * g))
     if norm == 0.0:
         return SymbolValue(value=math.nan, truncated=True)
     x1 = (slice(None),) + (None,) * (dom.d - 1)  # weights vary along x_1 only
-    weights = [w[clipped[0]][x1] for w in op.axis_weights()]
-    diag = float(np.sum(diagonal(weights) * gg))
-    edges = [float(np.sum(np.delete(w * g, -1, axis=a) * np.delete(g, 0, axis=a)))
-             for a, w in enumerate(weights)]  # an edge has the weight of its lower node
+    s = 4.0 * np.sin(0.5 * dom.h * xi) ** 2
+    energy = 0.0
+    for a, w in enumerate(op.axis_weights()):
+        lo, hi = g[(slice(None),) * a + (slice(-1),)], g[(slice(None),) * a + (slice(1, None),)]
+        # an edge has the weight of its lower node
+        energy += float(np.sum(w[clipped[0]][x1][:len(lo)] * ((lo - hi) ** 2 + s[a] * lo * hi)))
+    # outer-layer nodes lie r + 1 steps out, past the cap
     dist2 = np.min(functools.reduce(np.add.outer, [t * t] * dom.d)[~inside], initial=r * r + 1)
-    truncated = not inside[(r,) * dom.d] or dom.h * np.sqrt(dist2) + dom.h < window.support_radius
-    return SymbolValue(value=(diag - 2.0 * float(np.cos(xi * dom.h) @ edges)) / norm,
-                       truncated=bool(truncated))
+    truncated = not inside[(r + 1,) * dom.d] or \
+        dom.h * np.sqrt(dist2) + dom.h < window.support_radius
+    return SymbolValue(value=energy / norm, truncated=bool(truncated))
 
 
 def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> float:
     """Re <e, A e> / <e, e> for the coherent state e = exp(i xi.x) g(x - y)
     restricted to the operator's interior nodes; nan when e vanishes there.
 
-    The value is the trigonometric polynomial (D - 2 sum_a cos(xi_a h) C_a)
-    / |g|^2 in xi of d + 2 real sums of the window and the operator's edge
-    weights, taken over the cube of ceil(support_radius / h) lattice steps
-    around the node nearest y, which holds the window's support (see
+    The value is the operator's edge sum of w [(g - g')^2 + 4 sin^2(xi_a h/2)
+    g g'] over |g|^2, taken over the cube one lattice step wider than the
+    window's support around the node nearest y, so that g is zero past the
+    cube and the edges leaving the support are Dirichlet edges (see
     _cube_symbol).
     """
     return _cube_symbol(op, window, xi, y).value
@@ -312,15 +318,16 @@ def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> float:
 def symbol(frame: CoherentFrame, op: DiscreteOperator, xi, y) -> SymbolValue:
     """Discrete symbol Re <e, A e> / <e, e> of the operator at phase-space point (xi, y).
 
-    The value is rayleigh_symbol's with the frame's window: the
-    trigonometric polynomial (D - 2 sum_a cos(xi_a h) C_a) / |g|^2 of sums
-    over the cube of r = ceil(support_radius / h) lattice steps around the
-    node nearest y, which holds the window's support.  It is flagged
-    truncated when the window support may stick out of the domain: when
-    that node lies within support_radius - h of a node outside it (nodes
-    past the grid count as outside), or the value is nan.  Only the nodes of
-    the same cube are searched: outside nodes farther away lie beyond
-    support_radius, and the squared offset is capped at r^2 + 1.
+    The value is rayleigh_symbol's with the frame's window: the operator's
+    edge sum of w [(g - g')^2 + 4 sin^2(xi_a h/2) g g'] over |g|^2, on the
+    cube of r + 1 lattice steps around the node nearest y, r = ceil(
+    support_radius / h); g is zero past the inner r steps, so the edges
+    leaving the support are Dirichlet edges.  It is flagged truncated when
+    the window support may stick out of the domain: when that node lies
+    within support_radius - h of a node outside it (nodes past the grid
+    count as outside), or the value is nan.  Only the nodes of the same cube
+    are searched: outside nodes farther away lie beyond support_radius, and
+    the squared offset is capped at r^2 + 1.
     """
     return _cube_symbol(op, frame.window, xi, y)
 

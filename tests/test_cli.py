@@ -320,7 +320,8 @@ def third_party(name):
     return not under(name, "stdlib") or under(name, "purelib") or under(name, "platlib")
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-loaded = {"import": scipy_modules(), "import adds": sorted(filter(third_party, added))}
+loaded = {"import": scipy_modules(), "import adds": sorted(filter(third_party, added)),
+          "numpy.ma": {}}
 for command in sys.argv[1:]:
     args = ["--set", "kind=hyperbolic", "--set", "dim=2", "--set", "box=0,1;0,1",
             "--set", "h=0.025", "--set", "lam_max=250", "--set", "source=discrete",
@@ -330,13 +331,15 @@ for command in sys.argv[1:]:
                 "--set", "box=0,0.8;0,0.8", "--set", "n_vectors=2", "--out", command + ".out"]
     assert weylcs.cli.main([command] + args) == 0
     loaded[command] = scipy_modules()
+    loaded["numpy.ma"][command] = "numpy.ma" in sys.modules
 print(json.dumps(loaded))
 '''
 
 
 def run_box_commands(tmp_path, commands, **env):
     """Run the commands through cli.main in one fresh process, in tmp_path;
-    the scipy modules loaded after the import and after each command."""
+    the scipy modules loaded after the import and after each command, and
+    whether numpy.ma is loaded after each command."""
     out = subprocess.run([sys.executable, "-c", BOX_RUNS] + commands, cwd=tmp_path,
                          env=dict(subprocess_env(), **env), capture_output=True,
                          text=True, check=True)
@@ -369,6 +372,13 @@ def test_box_commands_load_no_scipy(box_runs):
     assert box_runs["1"][0]["symbol-check"] == []
     # frame-check reads its diagonal trace operator as a plain array
     assert box_runs["1"][0]["frame-check"] == []
+
+
+def test_box_commands_load_no_numpy_ma(box_runs):
+    # np.unique imports numpy.ma on its first call, a cost no box command needs
+    commands = ["spectrum", "weyl-curve", "symbol-check", "frame-check"]
+    assert box_runs["1"][0]["numpy.ma"] == dict.fromkeys(commands, False)
+    assert box_runs["2"][0]["numpy.ma"] == dict.fromkeys(commands[:2], False)
 
 
 MASK_SYMBOLS = '''

@@ -276,6 +276,43 @@ def test_symbol_matches_the_assembled_matrix(kind, d, denom):
     assert {(False, False), (True, False), (True, True)} <= set(flags)
 
 
+def _longdouble_rayleigh(op, window, xi, y):
+    """Re <e, A e> / <e, e> in long double from the assembled float64 matrix
+    and the float64 window samples at the nodes."""
+    A = op.matrix.tocoo()
+    coords = op.node_coords()
+    g = window(coords - y).astype(np.longdouble)
+    theta = coords.astype(np.longdouble) @ np.asarray(xi, dtype=np.longdouble)
+    cross = g[A.row] * g[A.col] * np.cos(theta[A.row] - theta[A.col])
+    return np.sum(A.data.astype(np.longdouble) * cross) / np.sum(g * g)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no more precise than float64")
+@pytest.mark.parametrize("kind, d, box, h", [
+    ("euclidean", 1, ((0.0, math.pi),), math.pi / 200.0),
+    ("euclidean", 2, ((0.0, 1.0),) * 2, 1.0 / 70.0),
+    ("hyperbolic", 2, ((0.0, 1.0),) * 2, 0.05),
+])
+def test_symbol_is_accurate_at_the_symbol_check_points(monkeypatch, kind, d, box, h):
+    # the symbols symbol-check takes at h and h/2, against a long-double
+    # quotient of the same matrix: no cancellation as h shrinks
+    from weylcs import cli
+
+    calls = []
+
+    def recording(op, window, xi, y):
+        calls.append((op, window, xi, y, rayleigh_symbol(op, window, xi, y)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(cli, "rayleigh_symbol", recording)
+    cli._symbol_report(cli.ExperimentConfig(kind=kind, dim=d, box=box, h=h))
+    assert len(calls) == 10
+    for op, window, xi, y, value in calls:
+        want = _longdouble_rayleigh(op, window, xi, y)
+        assert abs(value - want) <= 1e-14 * abs(want)
+
+
 def test_analytic_symbol_formulas():
     win = make_cosine_window(2)
     c = c_constants(win)
