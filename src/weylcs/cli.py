@@ -48,7 +48,6 @@ class ExperimentConfig:
     lam_max: float = 10000.0
     lam_count: int = 40
     lam_scale: str = "log"  # log | linear
-    eps_alpha: float = 1.0 / 3.0
     window: str = "cosine"
     eps: float = 0.2
     frame_n: int = 128
@@ -189,7 +188,7 @@ def cmd_weyl_curve(cfg) -> int:
         if cfg.kind == "hyperbolic" and cfg.dim > 1:
             raise ConfigError("exact spectra are euclidean-only above one dimension")
         spec = exact_spectrum_box([b - a for a, b in cfg.box], cfg.lam_max)
-        dom, _ = _operator(cfg, cfg.h)
+        dom = rectangle_domain(cfg.box, cfg.h)
     else:
         dom, op = _operator(cfg, cfg.h)
         spec = spectrum_below(op, cfg.lam_max)
@@ -197,10 +196,10 @@ def cmd_weyl_curve(cfg) -> int:
     vol = weighted_volume(cfg.kind, dom)
     try:
         curve = build_curve(spec, lambdas, lambda lam: euclidean_leading(vol, cfg.dim, lam),
-                            window=window, eps_alpha=cfg.eps_alpha)
+                            window=window)
     except OverflowError as exc:
-        raise ConfigError(f"eps_alpha={cfg.eps_alpha:g} puts the window scale "
-                          "eps = lambda^-eps_alpha out of range for the window constants") from exc
+        raise ConfigError(f"lam_min={cfg.lam_min:g} puts the window scale "
+                          "eps = lambda^(-1/3) out of range for the window constants") from exc
     try:
         fit = fit_remainder_exponent(curve)
         summary = ("remainder_fit slope=%.17g intercept=%.17g residual=%.17g"
@@ -232,7 +231,7 @@ def _symbol_report(cfg):
                     exact.append(analytic_symbol(cfg.kind, window, xi, y))
                 except OverflowError as exc:  # a point past the grid's last x_1
                     raise ConfigError(f"exp(2 y_1) overflows at y_1 = {y[0]:g}") from exc
-        errors.append([abs(rayleigh_symbol(op, window, xi, y) - e)
+        errors.append([abs(rayleigh_symbol(op, window, xi, y).value - e)
                        for (xi, y), e in zip(points, exact)])
         lines.append("h=%.17g max_symbol_error=%.17g" % (h, max(errors[-1])))
     ratios = [e1 / e2 if e2 > 0 else math.inf for e1, e2 in zip(*errors)]

@@ -243,9 +243,10 @@ def _phase_point(d, xi, y):
     return xi, y
 
 
-def _cube_symbol(op: DiscreteOperator, window: Window, xi, y) -> SymbolValue:
-    """Re <e, A e> / <e, e> for e = exp(i xi.x) g(x - y) restricted to the
-    operator's interior nodes, and its truncation flag, from one lattice cube.
+def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> SymbolValue:
+    """The symbol routine: Re <e, A e> / <e, e> for the coherent state
+    e = exp(i xi.x) g(x - y) restricted to the operator's interior nodes, and
+    its truncation flag, from one lattice cube.
 
     The value is the operator's own quadratic form, the sum over grid edges
     of w (e_i - e_j)^2 with e zero off the interior nodes, which for a real
@@ -255,7 +256,7 @@ def _cube_symbol(op: DiscreteOperator, window: Window, xi, y) -> SymbolValue:
 
     with w_a the weight of an edge's lower node and |g|^2 = sum g^2 over the
     interior nodes.  Every term is nonnegative for a nonnegative window, so
-    nothing cancels; nan when |g|^2 = 0.
+    nothing cancels.
 
     The sums run over the edges of the cube of r + 1 lattice steps around the
     grid node k nearest y, r = ceil(support_radius / h), where the window is
@@ -267,8 +268,16 @@ def _cube_symbol(op: DiscreteOperator, window: Window, xi, y) -> SymbolValue:
     of the unclipped node and on the grid's side of it, so within r steps of
     k too.  So g is zero on the cube's outer layer, and an edge from the
     support into that layer is a Dirichlet edge, w g^2, like every edge to a
-    node outside the domain.  The flag is that of symbol, searched over the
-    same cube.
+    node outside the domain.
+
+    It is flagged truncated when the window support may stick out of the
+    domain: when k lies within support_radius - h of a node outside it
+    (nodes past the grid count as outside), or e vanishes on the interior
+    nodes, where the value is nan.  Only the nodes of the same cube are
+    searched: outside nodes farther away lie beyond support_radius, and the
+    squared offset is capped at r^2 + 1.  That squared offset is the
+    clearance erode computes (domains.lattice_dist2 of the complement), read
+    at k alone.
     """
     dom = op.grid
     if window.d != dom.d:
@@ -302,34 +311,10 @@ def _cube_symbol(op: DiscreteOperator, window: Window, xi, y) -> SymbolValue:
     return SymbolValue(value=energy / norm, truncated=bool(truncated))
 
 
-def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> float:
-    """Re <e, A e> / <e, e> for the coherent state e = exp(i xi.x) g(x - y)
-    restricted to the operator's interior nodes; nan when e vanishes there.
-
-    The value is the operator's edge sum of w [(g - g')^2 + 4 sin^2(xi_a h/2)
-    g g'] over |g|^2, taken over the cube one lattice step wider than the
-    window's support around the node nearest y, so that g is zero past the
-    cube and the edges leaving the support are Dirichlet edges (see
-    _cube_symbol).
-    """
-    return _cube_symbol(op, window, xi, y).value
-
-
 def symbol(frame: CoherentFrame, op: DiscreteOperator, xi, y) -> SymbolValue:
-    """Discrete symbol Re <e, A e> / <e, e> of the operator at phase-space point (xi, y).
-
-    The value is rayleigh_symbol's with the frame's window: the operator's
-    edge sum of w [(g - g')^2 + 4 sin^2(xi_a h/2) g g'] over |g|^2, on the
-    cube of r + 1 lattice steps around the node nearest y, r = ceil(
-    support_radius / h); g is zero past the inner r steps, so the edges
-    leaving the support are Dirichlet edges.  It is flagged truncated when
-    the window support may stick out of the domain: when that node lies
-    within support_radius - h of a node outside it (nodes past the grid
-    count as outside), or the value is nan.  Only the nodes of the same cube
-    are searched: outside nodes farther away lie beyond support_radius, and
-    the squared offset is capped at r^2 + 1.
-    """
-    return _cube_symbol(op, frame.window, xi, y)
+    """The frame form of the symbol routine: rayleigh_symbol(op, window, xi, y)
+    at the phase-space point (xi, y) with the frame's window."""
+    return rayleigh_symbol(op, frame.window, xi, y)
 
 
 def analytic_symbol(kind, window: Window, xi, y=None) -> float:

@@ -118,13 +118,13 @@ class ExponentFit:
     residual: float
 
 
-def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window | None = None,
-                eps_alpha: float = 1.0 / 3.0) -> RieszCurve:
+def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window | None = None) -> RieszCurve:
     """Riesz means against the leading term on a lambda grid.
 
-    The eps schedule eps = lambda^{-alpha} only feeds the diagnostic window
+    The fixed schedule eps = lambda^{-1/3} only feeds the diagnostic window
     constant columns; the leading term itself is eps-free.  OverflowError when
-    an eps overflows or underflows to inf or 0.
+    an eps is not finite and positive (a lambda <= 0) or when the window
+    constants overflow at it.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(np.diff(lambdas) <= 0):
@@ -132,9 +132,9 @@ def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window | None = Non
     riesz = np.array([riesz_mean(spec, lam) for lam in lambdas])
     leading = np.array([leading_fn(lam) for lam in lambdas])
     with np.errstate(all="ignore"):
-        eps = lambdas ** (-eps_alpha)
+        eps = lambdas ** (-1.0 / 3.0)
     if not np.all(np.isfinite(eps) & (eps > 0.0)):
-        raise OverflowError(f"eps = lambda^-{eps_alpha!r} leaves the float range")
+        raise OverflowError("eps = lambda^(-1/3) leaves the float range")
     if window is None:
         window = make_cosine_window(1)
     cc = [c_constants(scale(window, e)) for e in eps]

@@ -11,7 +11,6 @@ import numpy as np
 
 from weylcs.cli import main
 from weylcs.domains import rectangle_domain
-from weylcs.eigen import dense_spectrum
 from weylcs.frames import analytic_symbol, build_frame, forward, symbol, \
     trace_via_frame
 from weylcs.operators import assemble_euclidean, assemble_hyperbolic
@@ -136,13 +135,13 @@ def test_criterion_06_remainder_exponents():
                    % (slope1, 7 / 6 + 0.05, slope2, 5 / 3 + 0.05))
 
 
-def test_criterion_07_hyperbolic_weyl_d2():
+def test_criterion_07_hyperbolic_weyl_d2(hyperbolic_square_spectrum):
     t0 = time.monotonic()
     lam = 250.0
     results = {}
     for denom in (35, 70):
         dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1.0 / denom)
-        spec = dense_spectrum(assemble_hyperbolic(dom))
+        spec = hyperbolic_square_spectrum(denom)
         leading = hyperbolic_leading(dom, lam)
         r = riesz_mean(spec, lam)
         results[denom] = (r / leading, abs(r - leading))

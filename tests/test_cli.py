@@ -124,8 +124,8 @@ EXIT_1_CASES = [
     (["spectrum", "--set", "dim=abc"], []),
     (["spectrum", "--set", "h=nan"], ["h must be finite, got nan"]),
     (["spectrum", "--no-such-flag"], []),
-    (["weyl-curve", "--set", "lam_min=1e-3", "--set", "eps_alpha=1"],  # eps = 1000
-     ["eps_alpha=1 ", "out of range"]),
+    (["weyl-curve", "--set", "lam_min=1e-9"],  # eps = lambda^(-1/3) = 1000: c3 overflows
+     ["lam_min=1e-09 ", "out of range"]),
     (["weyl-curve", "--set", "source=discrete", "--set", "dim=2",
       "--set", "box=0,1;0,1", "--set", "h=0.0138",
       "--set", "lam_max=2e4"], []),  # spectrum_below raises DenseLimitError (patched below)
@@ -149,8 +149,8 @@ EXIT_1_CASES = [
     (["spectrum", "--set", "box=0,1e10", "--set", "h=1e-10"],  # 1e20 nodes, past np.intp
      ["box ((0.0, 10000000000.0),)", "h=1e-10"]),
     (["spectrum", "--set", "seed=-1"], ["seed must be >= 0, got -1"]),
-    (["weyl-curve", "--set", "eps_alpha=50"],  # eps = lambda^-50 underflows toward 0
-     ["eps_alpha=50 ", "out of range"]),
+    (["weyl-curve", "--set", "eps_alpha=0.5"],  # the eps schedule is fixed
+     ["unknown config key 'eps_alpha'"]),
     (["spectrum", "--set", "box=abc"], ["bad box spec 'abc'"]),
     (["spectrum", "--set", "box=0,inf"], ["box entries must be finite, got ((0.0, inf),)"]),
     (["spectrum", "--set", "dim=2", "--set", "box=0,1"], ["box has 1 axes, dim is 2"]),
@@ -159,12 +159,6 @@ EXIT_1_CASES = [
     (["weyl-curve", "--set", "kind=hyperbolic", "--set", "dim=2", "--set", "box=0,1;0,1",
       "--set", "h=0.1"], ["exact spectra are euclidean-only above one dimension"]),
     (["spectrum", "--set", "foo"], ["bad --set value 'foo'"]),
-    # eps = lambda^-eps_alpha overflows to inf, or underflows to exactly 0,
-    # without numpy's RuntimeWarning
-    (["weyl-curve", "--set", "lam_min=1e-3", "--set", "eps_alpha=500"],
-     ["eps_alpha=500 ", "out of range"]),
-    (["weyl-curve", "--set", "lam_min=1e-3", "--set", "eps_alpha=-500"],
-     ["eps_alpha=-500 ", "out of range"]),
 ]
 
 
@@ -468,9 +462,22 @@ def test_weyl_curve_bump_window_on_a_linear_grid(tmp_path):
                      for line in lines[lines.index(CURVE_HEADER) + 1:]])
     lambdas = np.linspace(100.0, 1000.0, 7)
     assert np.array_equal(rows[:, 0], lambdas)
-    eps = lambdas ** -ExperimentConfig().eps_alpha
+    eps = lambdas ** (-1.0 / 3.0)
     want = [c_constants(scale(make_bump_window(1), e)) for e in eps]
     assert np.array_equal(rows[:, 6:], [[c.c1, c.c2, c.c3] for c in want])
+
+
+@pytest.mark.parametrize("kind, dim, box", [("euclidean", 2, "0,1;0,2"), ("hyperbolic", 1, "0,1")])
+def test_exact_weyl_curve_builds_no_operator(tmp_path, monkeypatch, kind, dim, box):
+    # an exact curve needs only the domain, for its weighted volume
+    def no_operator(dom):
+        raise AssertionError("an exact weyl-curve assembled an operator")
+
+    monkeypatch.setattr(weylcs.cli, "assemble_euclidean", no_operator)
+    monkeypatch.setattr(weylcs.cli, "assemble_hyperbolic", no_operator)
+    assert main(["weyl-curve", "--set", f"kind={kind}", "--set", f"dim={dim}",
+                 "--set", f"box={box}", "--set", "h=0.01", "--set", "source=exact",
+                 "--out", str(tmp_path / "curve.csv")]) == 0
 
 
 def test_weyl_curve_reports_why_the_fit_is_unavailable(tmp_path, capsys):

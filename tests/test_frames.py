@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from weylcs.domains import GridDomain, rectangle_domain
+from weylcs.domains import GridDomain, lattice_dist2, rectangle_domain
 from weylcs.frames import (
     FrameError,
     PhaseSpaceFunction,
@@ -276,6 +277,44 @@ def test_symbol_matches_the_assembled_matrix(kind, d, denom):
     assert {(False, False), (True, False), (True, True)} <= set(flags)
 
 
+@st.composite
+def masks_and_points(draw):
+    """A random mask in d = 1..3 at a random spacing and origin, a window
+    scale, and points y inside, near and outside its grid."""
+    d = draw(st.integers(1, 3))
+    shape = draw(st.tuples(*[st.integers(1, {1: 14, 2: 9, 3: 6}[d])] * d))
+    mask = draw(arrays(bool, shape))
+    assume(mask.any())
+    h = draw(st.floats(0.01, 1.0))
+    origin = tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    box = tuple((o, o + h * n) for o, n in zip(origin, shape))
+    dom = GridDomain(h=h, origin=origin, mask=mask, box=box)
+    make = draw(st.sampled_from([make_cosine_window, make_bump_window]))
+    win = scale(make(d), draw(st.floats(0.3, 4.5)) * h)
+    steps = st.tuples(*[st.floats(-3.0, n + 2.0) for n in shape])
+    ys = [np.asarray(origin) + h * np.array(t)
+          for t in draw(st.lists(steps, min_size=1, max_size=8))]
+    return dom, win, ys
+
+
+@given(case=masks_and_points(), xi=st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_symbol_truncation_is_the_erosion_clearance(case, xi):
+    # the symbol's flag, searched over its own cube, agrees with the clearance
+    # erode computes over the whole grid, read at the node nearest y
+    dom, win, ys = case
+    op = assemble_euclidean(dom)
+    r = int(math.ceil(win.support_radius / dom.h))
+    clear = lattice_dist2(np.pad(~dom.mask, 1, constant_values=True), r)
+    for y in ys:
+        sv = rayleigh_symbol(op, win, xi[:dom.d], y)
+        k = tuple(np.clip(np.round((y - np.asarray(dom.origin)) / dom.h),
+                          0, np.asarray(dom.shape) - 1).astype(int))
+        want = math.isnan(sv.value) or not dom.mask[k] \
+            or dom.h * np.sqrt(clear[tuple(i + 1 for i in k)]) + dom.h < win.support_radius
+        assert sv.truncated == want
+
+
 def _longdouble_rayleigh(op, window, xi, y):
     """Re <e, A e> / <e, e> in long double from the assembled float64 matrix
     and the float64 window samples at the nodes."""
@@ -308,7 +347,7 @@ def test_symbol_is_accurate_at_the_symbol_check_points(monkeypatch, kind, d, box
     monkeypatch.setattr(cli, "rayleigh_symbol", recording)
     cli._symbol_report(cli.ExperimentConfig(kind=kind, dim=d, box=box, h=h))
     assert len(calls) == 10
-    for op, window, xi, y, value in calls:
+    for op, window, xi, y, (value, _) in calls:
         want = _longdouble_rayleigh(op, window, xi, y)
         assert abs(value - want) <= 1e-14 * abs(want)
 
