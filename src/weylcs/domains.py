@@ -29,18 +29,32 @@ class GridDomain:
     box: tuple
 
     @functools.cached_property
+    def occupancy(self):
+        """(axes, filled): per axis, the lattice indices that hold a true node
+        (the mask reduced over the other axes), and whether the true nodes
+        fill the box those indices span.  An empty mask fills none."""
+        axes = [np.flatnonzero(self.mask.any(axis=tuple(b for b in range(self.d) if b != a)))
+                for a in range(self.d)]
+        span = tuple(slice(i[0], i[-1] + 1) for i in axes if len(i))
+        return axes, len(span) == self.d and bool(self.mask[span].all())
+
+    @functools.cached_property
     def exact_box(self):
         """box when the mask, origin and h are exactly what rectangle_domain(box, h)
-        builds, else None; weyl.weighted_volume then uses its closed form."""
+        builds, else None; weyl.weighted_volume then uses its closed form.
+
+        That mask is the product of the per-axis interior vectors, so it is
+        matched by the occupancy without building it."""
         try:
-            # shapes first: a box far larger than the mask builds no mask
-            if _rectangle_shape(self.box, self.h) != list(self.shape):
-                return None
-            ref = rectangle_domain(self.box, self.h)
+            shape = _rectangle_shape(self.box, self.h)
         except ValueError:  # no lattice of that box at h
             return None
-        same = ref.origin == tuple(self.origin) and np.array_equal(ref.mask, self.mask)
-        return self.box if same else None
+        # shapes first: a box far larger than the mask builds no lattice
+        if shape != list(self.shape) or tuple(float(a) for a, _ in self.box) != tuple(self.origin):
+            return None
+        axes, filled = self.occupancy
+        inside = [np.flatnonzero(v) for v in _interior(self.box, self.h, shape)]
+        return self.box if filled and all(map(np.array_equal, inside, axes)) else None
 
     @property
     def d(self):
@@ -71,19 +85,19 @@ def _rectangle_shape(box, h):
     return [int(math.floor((b - a) / h + 1e-9 * h)) + 1 for a, b in box]
 
 
+def _interior(box, h, shape):
+    """Per axis, which of the shape[axis] lattice nodes from the lower end of
+    box lie strictly inside it: the mask of rectangle_domain is their product."""
+    coords = [a + h * np.arange(m) for (a, _), m in zip(box, shape)]
+    return [(c > a + 1e-9 * h) & (c < b - 1e-9 * h) for c, (a, b) in zip(coords, box)]
+
+
 def rectangle_domain(box, h) -> GridDomain:
     """Grid domain for an open axis-aligned box; mask true strictly inside.
     ValueError as in _rectangle_shape, or when no node lies inside."""
     box = tuple((float(a), float(b)) for a, b in box)
-    tol = 1e-9 * h
     shape = _rectangle_shape(box, h)
-    mask = np.ones(shape, dtype=bool)
-    for axis, (a, b) in enumerate(box):
-        coords = a + h * np.arange(shape[axis])
-        inside = (coords > a + tol) & (coords < b - tol)
-        sl = [None] * len(box)
-        sl[axis] = slice(None)
-        mask &= inside[tuple(sl)]
+    mask = functools.reduce(np.logical_and.outer, _interior(box, h, shape))
     if not mask.any():
         raise ValueError("no interior nodes; reduce h")
     return GridDomain(h=h, origin=tuple(a for a, _ in box), mask=mask, box=box)

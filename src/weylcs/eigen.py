@@ -4,23 +4,25 @@ Partial spectra are certified against the Sylvester inertia of A - lambda*I:
 the number of eigenvalues below the shift, so a missed eigenvalue cannot go
 unnoticed.
 
-On a box, read from the nodes alone (they fill their bounding box, as on a
-rectangle, an eroded rectangle or a loaded box mask), the operator is a
-Kronecker sum A1 (x) I + diag(w) (x) A_tilde, with A1 the 1-D Dirichlet
-second difference along x_1, w the tilde edge weight at each x_1 (exp(2 x_1)
-or 1) and A_tilde the Dirichlet Laplacian of the other axes, whose
-eigenvalues mu are sums of 4/h^2 sin^2(k pi / (2 (m + 1))).  The sine
-transform of the tilde axes is orthogonal, so the spectrum is the union over
-mu of the spectra of the tridiagonals A1 + mu*diag(w), and the count is the
-sum of their Sturm counts (Barth, Martin & Wilkinson 1967; backward stable).
+On a box, read from the mask alone (GridDomain.occupancy: its true nodes fill
+their bounding box, as on a rectangle, an eroded rectangle or a loaded box
+mask), the operator is a Kronecker sum A1 (x) I + diag(w) (x) A_tilde, with
+A1 the 1-D Dirichlet second difference along x_1, w the tilde edge weight at
+each x_1 (exp(2 x_1) or 1) and A_tilde the Dirichlet Laplacian of the other
+axes, whose eigenvalues mu are sums of 4/h^2 sin^2(k pi / (2 (m + 1))).  The
+sine transform of the tilde axes is orthogonal, so the spectrum is the union
+over mu of the spectra of the tridiagonals A1 + mu*diag(w), and the count is
+the sum of their Sturm counts (Barth, Martin & Wilkinson 1967; backward
+stable).
 
 The box path is numpy only: every number on it comes from Sturm counts
 (_sturm_counts) run down the rows of all the tridiagonals at once.  A count
 is the counts at shift -/+ tol (_box_inertia) and computes no eigenvalue;
 spectrum_below narrows every eigenvalue below the certified shift from the
 modes' Gershgorin bounds by multisection, down to the count's rounding level
-(stebz's criterion).  Neither assembles the sparse matrix: its largest entry,
-which sets tol, comes from the edge weights.
+(stebz's criterion).  Neither assembles the sparse matrix nor lists the
+nodes: its largest entry, which sets tol, comes from the edge weights at the
+occupied x_1 indices.
 
 Elsewhere the count comes from a sparse LDL^T: SuperLU in symmetric mode with
 a symmetric fill-reducing order and diagonal pivots only, whose negative
@@ -188,15 +190,14 @@ class _Box(NamedTuple):
 
 def _box_modes(op):
     """The _Box of an operator whose nodes fill their bounding box, or None."""
-    lo, hi = op.nodes.min(axis=0), op.nodes.max(axis=0)
-    extent = hi - lo + 1
-    if op.n != np.prod(extent):
+    axes, filled = op.grid.occupancy
+    if not filled:
         return None
     mu = np.zeros(1)
-    for m in extent[1:]:
+    for m in map(len, axes[1:]):
         axis = 4.0 / op.grid.h ** 2 * np.sin(np.arange(1, m + 1) * np.pi / (2.0 * (m + 1))) ** 2
         mu = (mu[:, None] + axis).ravel()
-    return _Box(w=op.tilde_weight[lo[0]:hi[0] + 1], mu=np.sort(mu))
+    return _Box(w=op.tilde_weight[axes[0]], mu=np.sort(mu))
 
 
 def _max_entry(op):
@@ -208,10 +209,10 @@ def _max_entry(op):
     any mask when the weights are nonnegative (as assembled), since then each
     diagonal entry sums every weight of its row and is the largest.
     """
-    extent = op.nodes.max(axis=0) - op.nodes.min(axis=0) + 1
-    weights = [w[np.bincount(op.nodes[:, 0], minlength=len(w)) > 0] for w in op.axis_weights()]
+    axes, _ = op.grid.occupancy
+    weights = [w[axes[0]] for w in op.axis_weights()]
     return max([np.abs(diagonal(weights)).max()]
-               + [np.abs(w).max() for w, m in zip(weights, extent) if m > 1])
+               + [np.abs(w).max() for w, idx in zip(weights, axes) if len(idx) > 1])
 
 
 _EPS = np.finfo(float).eps

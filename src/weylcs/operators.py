@@ -29,18 +29,22 @@ class DimensionMismatchError(ValueError):
 class DiscreteOperator:
     grid: GridDomain
     kind: str  # one of KINDS
-    # (n, d) integer multi-indices of the mask's nodes in C order, row k <->
-    # nodes[k]; the map back from grid index to row is built with the matrix
-    nodes: np.ndarray
     # weight of the edges along axes 2..d at each x_1 index of the grid:
     # exp(2 x_1) for hyperbolic, 1 for euclidean.  matrix is assembled from it
     # on first access, so dataclasses.replace(op, tilde_weight=w) gives the
     # operator with weight w
     tilde_weight: np.ndarray = field(repr=False)
 
-    @property
+    @functools.cached_property
     def n(self):
-        return len(self.nodes)
+        return int(np.count_nonzero(self.grid.mask))
+
+    @functools.cached_property
+    def nodes(self):
+        """(n, d) integer multi-indices of the mask's nodes in C order, row k <->
+        nodes[k], built on first access: the box path never reads them, and
+        the map back from grid index to row is built with the matrix."""
+        return np.argwhere(self.grid.mask)
 
     @functools.cached_property
     def matrix(self):
@@ -72,19 +76,15 @@ def diagonal(weights):
 def _assemble_matrix(op: DiscreteOperator):
     import scipy.sparse as sp  # slow import, needed here only
 
-    nodes = op.nodes
-    n = len(nodes)
-    row_of = np.full(op.grid.shape, -1, dtype=np.int64)  # -1 outside
+    nodes, n = op.nodes, op.n
+    # -1 outside the mask, also on a layer past the upper end of every axis
+    row_of = np.full(np.add(op.grid.shape, 1), -1, dtype=np.int64)
     row_of[tuple(nodes.T)] = np.arange(n)
     weights = [w[nodes[:, 0]] for w in op.axis_weights()]
     rows, cols, vals = [np.arange(n)], [np.arange(n)], [diagonal(weights)]
     for axis, w in enumerate(weights):
         # interior edges in the +axis direction: -w symmetric off-diagonal
-        nb = nodes.copy()
-        nb[:, axis] += 1
-        in_bounds = nb[:, axis] < row_of.shape[axis]
-        nb_row = np.full(n, -1, dtype=np.int64)
-        nb_row[in_bounds] = row_of[tuple(nb[in_bounds].T)]
+        nb_row = row_of[tuple((nodes + np.eye(op.grid.d, dtype=np.int64)[axis]).T)]
         i = np.flatnonzero(nb_row >= 0)
         j = nb_row[i]
         rows.extend([i, j])
@@ -102,13 +102,14 @@ def _assemble(dom: GridDomain, kind):
     if not dom.mask.any():
         raise ValueError("empty domain")
     x1 = dom.axis_coords(0)
+    weighted = kind == "hyperbolic" and dom.d > 1
     with np.errstate(over="ignore"):
-        x1_weight = np.exp(2.0 * x1) if kind == "hyperbolic" and dom.d > 1 else np.ones(len(x1))
-        op = DiscreteOperator(grid=dom, kind=kind, nodes=np.argwhere(dom.mask),
-                              tilde_weight=x1_weight)
+        x1_weight = np.exp(2.0 * x1) if weighted else np.ones(len(x1))
+        op = DiscreteOperator(grid=dom, kind=kind, tilde_weight=x1_weight)
         if not np.isfinite(diagonal(op.axis_weights())).all():  # the largest entries
+            entry = "exp(2 x_1)/h^2" if weighted else f"{2 * dom.d}/h^2"
             raise ValueError(f"matrix entries not finite with x_1 up to {x1.max():g} and "
-                             f"h = {dom.h:g} (hyperbolic: exp(2 x_1)/h^2 overflows)")
+                             f"h = {dom.h:g} ({kind}: {entry} overflows)")
     return op
 
 

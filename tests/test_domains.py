@@ -347,3 +347,69 @@ def test_mask_load_checks_its_numbers(tmp_path, new):
     with pytest.raises(ValueError, match=f"mask header: {key} "):
         load_mask(path)
 
+
+def oracle_exact_box(dom):
+    """exact_box by its definition: the box when rectangle_domain(box, h) has
+    the domain's shape, origin and mask, None when it differs or raises."""
+    try:
+        ref = rectangle_domain(dom.box, dom.h)
+    except ValueError:
+        return None
+    same = ref.shape == dom.shape and ref.origin == tuple(dom.origin) \
+        and np.array_equal(ref.mask, dom.mask)
+    return dom.box if same else None
+
+
+@st.composite
+def box_variants(draw):
+    """A box and spacing in d = 1-3, each side 1 to 9 lattice steps (ending on
+    a node or between two), and a domain that is its rectangle or one edit of it."""
+    d = draw(st.integers(1, 3))
+    h = draw(st.floats(0.01, 2.0))
+    lows = [draw(st.floats(-5.0, 5.0)) for _ in range(d)]
+    box = tuple((a, a + (draw(st.integers(1, 8)) + draw(st.sampled_from([0.0, 0.3, 1.0]))) * h)
+                for a in lows)
+    try:
+        dom = rectangle_domain(box, h)
+    except ValueError:  # no interior node
+        assume(False)
+    edit = draw(st.sampled_from(["none", "flip", "origin", "slice", "h", "nan", "empty",
+                                 "random"]))
+    mask, origin = dom.mask.copy(), dom.origin
+    if edit == "flip":
+        mask[tuple(draw(st.integers(0, m - 1)) for m in mask.shape)] ^= True
+    elif edit == "origin":
+        origin = (origin[0] + draw(st.sampled_from([-0.5, 0.5])) * h,) + origin[1:]
+    elif edit == "slice":
+        axis = draw(st.integers(0, d - 1))
+        mask = mask[(slice(None),) * axis + (slice(draw(st.integers(0, 1)), -1),)]
+    elif edit == "h":
+        h *= draw(st.sampled_from([0.5, 0.999, 1.001, 2.0]))
+    elif edit == "nan":
+        h = math.nan
+    elif edit == "empty":
+        mask[...] = False
+    elif edit == "random":
+        mask = draw(arrays(bool, mask.shape))
+    return GridDomain(h=h, origin=origin, mask=mask, box=dom.box), edit
+
+
+@given(case=box_variants())
+@settings(max_examples=300, deadline=None)
+def test_exact_box_matches_its_definition(case):
+    dom, edit = case
+    assert dom.exact_box == oracle_exact_box(dom)
+    if edit == "none":
+        assert dom.exact_box == dom.box
+
+
+def test_weighted_volume_of_a_rectangle_builds_no_second_mask(monkeypatch):
+    # exact_box matches the rectangle per axis: it builds no mask to compare
+    dom = rectangle_domain(((0.0, 1.0), (-0.5, 0.7)), 0.04)
+
+    def refuse(box, h):
+        raise AssertionError("rectangle_domain called")
+
+    monkeypatch.setattr(weylcs.domains, "rectangle_domain", refuse)
+    assert weighted_volume("hyperbolic", dom) == (1.0 - math.exp(-1.0)) * (0.7 - -0.5)
+    assert dom.exact_box == dom.box

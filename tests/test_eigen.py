@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import scipy.sparse
 import scipy.sparse.linalg
@@ -599,6 +601,100 @@ def test_eroded_rectangle_takes_the_box_path(kind):
     want = want[want < cert.shift]
     assert cert.count == len(spec.values) == len(want) > 10
     assert np.allclose(spec.values, want, rtol=1e-10, atol=0.0)
+
+
+def node_box(mask):
+    """Oracle from the node list: the bounding box (lo, hi) of the mask's
+    nodes when they fill it, else None."""
+    nodes = np.argwhere(mask)
+    lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+    return (lo, hi) if len(nodes) == np.prod(hi - lo + 1) else None
+
+
+def laplacian_eigenvalues(sides, h):
+    """Sorted eigenvalues of the dense Dirichlet Laplacian of a box with the
+    given nodes per axis (a single 0 for no axis)."""
+    eigs = np.zeros(1)
+    for m in sides:
+        axis = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / h ** 2
+        eigs = (eigs[:, None] + np.linalg.eigvalsh(axis)).ravel()
+    return np.sort(eigs)
+
+
+@st.composite
+def random_masks(draw):
+    """A nonempty mask in d = 1-3: a filled block inside the grid, that block
+    with a few nodes flipped, or random bits."""
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, {1: 12, 2: 8, 3: 5}[d])) for _ in range(d))
+    style = draw(st.sampled_from(["block", "flipped", "bits"]))
+    if style == "bits":
+        mask = draw(arrays(bool, shape))
+    else:
+        mask = np.zeros(shape, dtype=bool)
+        lo = [draw(st.integers(0, m - 1)) for m in shape]
+        mask[tuple(slice(a, draw(st.integers(a + 1, m))) for a, m in zip(lo, shape))] = True
+        if style == "flipped":
+            for _ in range(draw(st.integers(1, 3))):
+                mask[tuple(draw(st.integers(0, m - 1)) for m in shape)] ^= True
+    assume(mask.any())
+    return mask
+
+
+@given(mask=random_masks(), kind=st.sampled_from(["euclidean", "hyperbolic"]))
+@settings(max_examples=200, deadline=None)
+def test_box_recognizer_matches_the_node_list(mask, kind):
+    h = 0.1
+    dom = GridDomain(h=h, origin=(0.25,) * mask.ndim, mask=mask, box=((0.0, 2.0),) * mask.ndim)
+    op = (assemble_hyperbolic if kind == "hyperbolic" else assemble_euclidean)(dom)
+    assert _max_entry(op) == abs(op.matrix).max()  # the count's scale, bit for bit
+    nodes = np.argwhere(mask)
+    assert op.n == len(nodes)
+    axes, filled = dom.occupancy
+    assert all(np.array_equal(i, np.unique(nodes[:, a])) for a, i in enumerate(axes))
+    want, box = node_box(mask), _box_modes(op)
+    assert filled == (want is not None) == (box is not None)
+    if box is not None:
+        lo, hi = want
+        assert np.array_equal(box.w, op.tilde_weight[lo[0]:hi[0] + 1])
+        assert np.allclose(box.mu, laplacian_eigenvalues(hi[1:] - lo[1:] + 1, h),
+                           rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("d, axis", [(1, 0), (2, 0), (2, 1), (3, 2)])
+def test_two_blocks_across_an_empty_band_are_no_box(d, axis):
+    # indices 0-2 and 5-7 of the axis full, 3-4 empty: the product of the
+    # occupied counts per axis is n, but the bounding box holds the band too
+    mask = np.ones((8,) + (4,) * (d - 1), dtype=bool)
+    mask = np.moveaxis(mask, 0, axis)
+    band = (slice(None),) * axis + (slice(3, 5),)
+    mask[band] = False
+    dom = GridDomain(h=0.1, origin=(0.1,) * d, mask=mask, box=((0.0, 1.0),) * d)
+    op = assemble_hyperbolic(dom)
+    axes, filled = dom.occupancy
+    assert math.prod(len(i) for i in axes) == op.n and not filled
+    assert node_box(mask) is None and _box_modes(op) is None
+    vals = dense_spectrum(op).values
+    # the two blocks share every eigenvalue
+    cert = count_certificate(op, 0.5 * (vals[1] + vals[2]))
+    assert cert.count_method == "sparse-ldl" and cert.count == 2
+
+
+def test_box_count_and_spectrum_build_no_node_list():
+    # h = 5e-4: n = 1999^2, about 4e6 nodes, whose (n, 2) int64 node list
+    # would take 64 MB; the box path reads the mask alone
+    dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 5e-4)
+    tracemalloc.start()
+    try:
+        op = assemble_hyperbolic(dom)
+        cert = count_certificate(op, 250.0)
+        spec = spectrum_below(op, 250.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.count_method == "sturm" and cert.count == len(spec.values) > 0
+    assert peak < dom.mask.nbytes
+    assert "nodes" not in op.__dict__
 
 
 EIGENVALUE = "(lambda too close to an eigenvalue)"

@@ -193,6 +193,21 @@ def test_hyperbolic_entries_must_be_finite(x1_end):
     assert assemble_hyperbolic(rectangle_domain(((0.0, x1_end),), 0.25)).n > 0
 
 
+@pytest.mark.parametrize("assemble, box, h, entry", [
+    (assemble_euclidean, ((0.0, 4e-155),), 1e-155, "(euclidean: 2/h^2 overflows)"),
+    (assemble_euclidean, ((0.0, 4e-155),) * 2, 1e-155, "(euclidean: 4/h^2 overflows)"),
+    (assemble_hyperbolic, ((0.0, 4e-155),), 1e-155, "(hyperbolic: 2/h^2 overflows)"),
+    (assemble_hyperbolic, ((0.0, 400.0), (0.0, 1.0)), 0.25,
+     "(hyperbolic: exp(2 x_1)/h^2 overflows)"),
+])
+def test_overflow_message_names_the_kinds_own_entry(assemble, box, h, entry):
+    # 1/h^2 overflows at h = 1e-155; only the hyperbolic operator in d >= 2
+    # has the tilde weight exp(2 x_1), which the message once named for all
+    with pytest.raises(ValueError, match="matrix entries not finite") as info:
+        assemble(rectangle_domain(box, h))
+    assert str(info.value).endswith(entry)
+
+
 @pytest.mark.parametrize("assemble", [assemble_euclidean, assemble_hyperbolic])
 def test_nan_spacing_is_rejected(assemble):
     # h = nan makes every entry nan, and a count's bracket looped forever on it
