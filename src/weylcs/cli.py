@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .domains import _rectangle_shape, rectangle_domain
 from .eigen import CertificationError, save_spectrum, spectrum_below
-from .frames import (FrameError, analytic_symbol, build_frame, forward,
+from .frames import (FrameError, analytic_symbol, build_frame, phase_space_moment,
                      rayleigh_symbol, trace_via_frame)
 from .operators import KINDS, assemble_euclidean, assemble_hyperbolic
 from .weyl import (
@@ -259,9 +259,9 @@ def cmd_frame_check(cfg) -> int:
     for _ in range(cfg.n_vectors):
         f = rng.standard_normal(frame.n) + 1j * rng.standard_normal(frame.n)
         nf = frame.grid_norm_sq(f)
-        defect = max(defect, abs(forward(frame, f).norm_sq() - nf) / nf)
+        defect = max(defect, abs(phase_space_moment(frame, f, lambda xi, y: 1.0) - nf) / nf)
     diag = rng.random(frame.n)
-    tr = trace_via_frame(frame, np.diag(diag))
+    tr = trace_via_frame(frame, (np.arange(frame.n), np.arange(frame.n), diag))
     trace_defect = abs(tr - diag.sum()) / diag.sum()
     lines = ["parseval_defect=%.17g" % defect, "trace_defect=%.17g" % trace_defect]
     _write_report(cfg, lines + _symbol_report(cfg))

@@ -19,7 +19,11 @@ samples at (y + m) mod N for the k support offsets m are contracted with
     K[y, m, xi] = f(m h) exp(-i xi (y + m) h),
 
 kept as its two factors, the k x N table f(m h) exp(-i xi m h) (one matrix
-product per axis) and the N x N phase exp(-i xi y h).  A transform costs
+product per axis) and the N x N phase exp(-i xi y h).  The shared analysis
+contracts with the table alone, giving the centred transform; forward
+multiplies it by the phase, and adjoint removes the phase before the
+transpose.  phase_space_moment needs |F|^2 only, so it skips the phase and
+streams y in blocks of at most _BLOCK transform values.  A transform costs
 O(n^2 k) for n = N^d, and no FFT is involved.  The trace sums over xi
 explicitly too: the sums over xi of exp(i xi (m - m') h) for pairs of support
 offsets, which the Plancherel identity makes N delta_{m m'}, are computed
@@ -43,6 +47,9 @@ from .windows import Window, c_constants, grad_norm_sq
 
 class FrameError(ValueError):
     pass
+
+
+_BLOCK = 2 ** 20  # transform values phase_space_moment holds per block of y
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +89,9 @@ class CoherentFrame:
         return (2.0 * math.pi) ** (-self.d)
 
     def xi_axis(self):
-        """Fourier frequencies of one axis, in FFT order."""
-        return 2.0 * math.pi * np.fft.fftfreq(self.N, d=self.h)
+        """Fourier frequencies of one axis, in FFT order: 2 pi np.fft.fftfreq(N, h)
+        up to rounding, without importing numpy.fft."""
+        return 2.0 * math.pi / self.L * ((np.arange(self.N) + self.N // 2) % self.N - self.N // 2)
 
     def y_axis(self):
         return self.h * np.arange(self.N)
@@ -93,13 +101,15 @@ class CoherentFrame:
 
 
 def _analysis(frame: CoherentFrame, f, ys):
-    """Unnormalized transform sum_x exp(-i xi.x) g(x - y) f(x), one axis at a time.
+    """Centred transform sum_x exp(-i xi.(x - y)) g(x - y) f(x), one axis at a time.
 
     f has the frame's grid shape; ys holds one array of lattice indices per
     axis, and y runs over their product.  Returns the values indexed
-    [y_0, ..., y_{d-1}, xi_0, ..., xi_{d-1}], xi in FFT order.
+    [y_0, ..., y_{d-1}, xi_0, ..., xi_{d-1}], xi in FFT order.  The
+    unnormalized transform is these values times exp(-i xi.y), which
+    _phased applies; |values|^2 does not depend on it.
     """
-    N, d = frame.N, frame.d
+    N = frame.N
     vals = f
     for a, y in enumerate(ys):
         # vals holds y_0..y_{a-1}, x_a..x_{d-1}, xi_0..xi_{a-1}: gather
@@ -108,19 +118,25 @@ def _analysis(frame: CoherentFrame, f, ys):
                                a + 1, -1)
         vals = gathered.reshape(-1, len(frame.offsets)) @ frame.table
         vals = vals.reshape(gathered.shape[:-1] + (N,))
-        vals *= frame.phase[y].reshape((len(y),) + (1,) * (d - 1) + (N,))
     return vals
 
 
-def _synthesis(frame: CoherentFrame, values):
-    """Exact transpose of _analysis over all y: values [y..., xi...] to
-    sum_{y,xi} exp(i xi.x) g(x - y) values[y, xi] on the grid."""
+def _phased(frame: CoherentFrame, values, phase):
+    """values [y..., xi...] over all y times prod_a phase[y_a, xi_a], in place:
+    a second array of this size costs page faults on every call."""
     N, d = frame.N, frame.d
-    vals = values
+    for a in range(d):
+        values *= phase.reshape((N,) + (1,) * (d - 1) + (N,) + (1,) * (d - 1 - a))
+    return values
+
+
+def _synthesis(frame: CoherentFrame, vals):
+    """Exact transpose of _analysis over all y: centred values [y..., xi...] to
+    sum_{y,xi} exp(i xi.(x - y)) g(x - y) vals[y, xi] on the grid."""
+    N, d = frame.N, frame.d
     for a in reversed(range(d)):
         # vals holds y_0..y_a, x_{a+1}..x_{d-1}, xi_0..xi_a: contract xi_a
         # into the support offsets m, then add (y, m) into x_a = y + m
-        vals = vals * frame.phase.conj().reshape((N,) + (1,) * (d - 1) + (N,))
         shape = vals.shape[:-1]
         vals = (vals.reshape(-1, N) @ frame.table.conj().T).reshape(shape + (-1,))
         acc = np.zeros(shape, dtype=complex)
@@ -188,7 +204,7 @@ def _grid_samples(frame: CoherentFrame, f):
 def forward(frame: CoherentFrame, f) -> PhaseSpaceFunction:
     """Windowed DFT: F[y, xi] = h^d / sqrt(s) * sum_x exp(-i xi.x) g(x-y) f(x)."""
     fg = _grid_samples(frame, f) * (frame.h ** frame.d / math.sqrt(frame.s))
-    vals = _analysis(frame, fg, [np.arange(frame.N)] * frame.d)
+    vals = _phased(frame, _analysis(frame, fg, [np.arange(frame.N)] * frame.d), frame.phase)
     return PhaseSpaceFunction(values=vals.reshape(frame.n, frame.n), frame=frame)
 
 
@@ -196,34 +212,42 @@ def adjoint(frame: CoherentFrame, F: PhaseSpaceFunction) -> np.ndarray:
     """Weighted synthesis; exact left inverse of forward (tight frame)."""
     if F.frame is not frame:
         raise FrameError("phase-space function belongs to a different frame")
-    acc = _synthesis(frame, F.values.reshape(frame.shape * 2))
-    return (acc / (frame.n * math.sqrt(frame.s))).reshape(frame.n)
+    vals = _phased(frame, F.values.astype(complex).reshape(frame.shape * 2), frame.phase.conj())
+    return (_synthesis(frame, vals) / (frame.n * math.sqrt(frame.s))).reshape(frame.n)
 
 
 def phase_space_moment(frame: CoherentFrame, f, weight) -> float:
     """Weighted second moment sum_{xi,y} W * weight(xi, y) * |forward(f)(xi, y)|^2.
 
-    Streams over y one row along the last axis at a time (N^(d+1) values), so
-    large frames never materialize the full transform, and calls weight once
-    per row.  weight(xi_axes, y) receives the d per-axis frequency grids (FFT
-    order) and the row's N points y as an (N, d) array, both shaped to
-    broadcast against the values [y, xi_0, ..., xi_{d-1}]: xi_axes[a] has
-    shape (1, ..., N, ..., 1) and y has shape (N, 1, ..., 1, d), so y[..., a]
-    is the a-th coordinate.
+    Streams over y in blocks of at most _BLOCK transform values (or the N^d
+    values of one y, if more): a block takes, along each y axis in turn, as
+    many consecutive indices as fit with every index of the later axes, at
+    least one.  So large frames never materialize the full transform, and a
+    frame whose transform fits _BLOCK takes one block.  |forward(f)|^2 does
+    not depend on the phase exp(-i xi.y), so the centred values are used.
+    weight is called once per block:
+    weight(xi_axes, y) receives the d per-axis frequency grids (FFT order)
+    and the block's M points y as an (M, d) array, both shaped to broadcast
+    against the values [y, xi_0, ..., xi_{d-1}] with y flattened y-major:
+    xi_axes[a] has shape (1, ..., N, ..., 1), N at position a + 1, and y has
+    shape (M, 1, ..., 1, d), so y[..., a] is the a-th coordinate.
     """
     fg = _grid_samples(frame, f)
-    xi = frame.xi_axis()
-    xi_axes = [a[None] for a in np.meshgrid(*([xi] * frame.d), indexing="ij", sparse=True)]
-    row = np.arange(frame.N)
+    N, d = frame.N, frame.d
+    xi_axes = [a[None] for a in np.meshgrid(*[frame.xi_axis()] * d, indexing="ij", sparse=True)]
+    # block length along y axis a: as many indices as fit _BLOCK, with every
+    # index of the later y axes and every xi (N^(2d-1-a) values per index)
+    sizes = [min(max(_BLOCK // N ** (2 * d - 1 - a), 1), N) for a in range(d)]
     total = 0.0
-    for head in itertools.product(range(frame.N), repeat=frame.d - 1):
-        ys = [np.array([i]) for i in head] + [row]
-        power = np.abs(_analysis(frame, fg, ys).reshape((frame.N,) + frame.shape))
-        power *= power
-        y = frame.h * np.column_stack([np.full(frame.N, i) for i in head] + [row])
-        power *= weight(xi_axes, y.reshape((frame.N,) + (1,) * frame.d + (frame.d,)))
-        total += float(power.sum())
-    return total * frame.h ** (2 * frame.d) / (frame.s * frame.n)
+    for starts in itertools.product(*[range(0, N, c) for c in sizes]):
+        ys = [np.arange(i, min(i + c, N)) for i, c in zip(starts, sizes)]
+        # (re, im) pairs last, squared in place: |F|^2 with no second array
+        sq = _analysis(frame, fg, ys).reshape((-1,) + frame.shape + (1,)).view(float)
+        sq *= sq
+        y = frame.h * np.stack(np.meshgrid(*ys, indexing="ij"), axis=-1)
+        sq *= np.expand_dims(weight(xi_axes, y.reshape((-1,) + (1,) * d + (d,))), -1)
+        total += float(sq.sum())
+    return total * frame.h ** (2 * d) / (frame.s * frame.n)
 
 
 class SymbolValue(NamedTuple):
@@ -334,10 +358,13 @@ def analytic_symbol(kind, window: Window, xi, y=None) -> float:
 def trace_via_frame(frame: CoherentFrame, T) -> float:
     """Phase-space trace sum; equals trace(T) exactly for symmetric T (tightness).
 
-    T is an array or any scipy.sparse matrix, read as (row, col, value)
-    triplets: an array through np.nonzero, a sparse matrix through its own
-    tocoo(), so a sparse T is never densified and this module imports no
-    scipy.  The sum is sum_j <Phi delta_j, Phi(T delta_j)>: for column j only
+    T is an array, any scipy.sparse matrix, or a tuple (row, col, value) of
+    equal-length 1-D arrays of triplets, indices in 0..n-1 (duplicates add
+    up), and is read as triplets: an array through np.nonzero, a sparse
+    matrix through its own tocoo(), so a sparse T is never densified and
+    this module imports no scipy.  The symmetry check sums the triplets of
+    T - T^H per entry, so no input is densified.  The sum is
+    sum_j <Phi delta_j, Phi(T delta_j)>: for column j only
     the windows y = x_j - m with m in the window's support contribute, and
     the sum over xi is an explicit product of frame tables, the Gram matrix
     G[m, m'] = sum_xi g(m h) g(m' h) exp(i xi (m - m') h).  So the trace is
@@ -347,18 +374,26 @@ def trace_via_frame(frame: CoherentFrame, T) -> float:
     t[delta] = sum_j T[x_j + delta, j] contracted along every axis with the
     sums of the one-axis Gram matrix along its diagonals.
     """
-    # convert first: not every sparse format has the methods the check uses
-    T = T.tocoo() if hasattr(T, "tocoo") else np.asarray(T)
     n, N = frame.n, frame.N
-    if T.shape != (n, n):
-        raise DimensionMismatchError(f"operator must be {n}x{n} on the embedding grid")
-    if abs(T - T.conj().T).max() > 1e-12 * (abs(T).max() + 1.0):
-        raise ValueError("operator must be symmetric")
-    if isinstance(T, np.ndarray):
-        row, col = np.nonzero(T)
-        data = T[row, col]
+    if isinstance(T, tuple):
+        row, col, data = (np.asarray(a) for a in T)
+        if not (row.ndim == 1 and row.shape == col.shape == data.shape and all(
+                a.dtype.kind in "iu" and ((0 <= a) & (a < n)).all() for a in (row, col))):
+            raise ValueError(f"triplets need equal-length integer indices in 0..{n - 1}")
     else:
-        row, col, data = T.row, T.col, T.data
+        # a sparse matrix in any format is read through its own tocoo()
+        T = T.tocoo() if hasattr(T, "tocoo") else np.asarray(T)
+        if T.shape != (n, n):
+            raise DimensionMismatchError(f"operator must be {n}x{n} on the embedding grid")
+        row, col = np.nonzero(T) if isinstance(T, np.ndarray) else (T.row, T.col)
+        data = T[row, col] if isinstance(T, np.ndarray) else T.data
+    # T - T^H summed per entry (row * n + col), against the largest |entry|
+    key = np.concatenate([row, col]).astype(np.int64) * n + np.concatenate([col, row])
+    order = np.argsort(key)
+    asym = np.add.reduceat(np.concatenate([data, -np.conj(data)])[order],
+                           np.flatnonzero(np.diff(key[order], prepend=-1)))
+    if abs(asym).max(initial=0.0) > 1e-12 * (abs(data).max(initial=0.0) + 1.0):
+        raise ValueError("operator must be symmetric")
     rows = np.unravel_index(row, frame.shape)
     cols = np.unravel_index(col, frame.shape)
     delta = np.ravel_multi_index([(r - c) % N for r, c in zip(rows, cols)], frame.shape)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -364,7 +365,7 @@ def test_box_commands_load_no_scipy(box_runs):
         assert [loaded[c] for c in ("import", "spectrum", "weyl-curve")] == [[], [], []]
     # symbols sum the operator's edge weights, with no assembled matrix
     assert box_runs["1"][0]["symbol-check"] == []
-    # frame-check reads its diagonal trace operator as a plain array
+    # frame-check passes its diagonal trace operator as (row, col, value) triplets
     assert box_runs["1"][0]["frame-check"] == []
 
 
@@ -527,6 +528,21 @@ def test_frame_check_repeatable_across_processes(tmp_path):
                        env=env, capture_output=True, check=True)
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert "parseval_defect=" in outs[0].read_text()
+
+
+def test_frame_check_holds_no_n_squared_array(tmp_path):
+    # at frame_n = 64 in d = 2 the whole transform of one vector is 64^4
+    # complex values (268 MB) and a dense diagonal operator 134 MB; the
+    # streamed moment and the diagonal's triplets need a small part of that
+    args = ["frame-check", "--set", "dim=2", "--set", "frame_n=64", "--set", "h=0.05",
+            "--set", "box=0,3.2;0,3.2", "--set", "n_vectors=1", "--out", str(tmp_path / "f.txt")]
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_frame_check_wrapped_window_exits_2(tmp_path, capsys):

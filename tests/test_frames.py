@@ -1,6 +1,8 @@
 """Tight discrete coherent-state frames: Parseval, symbols, trace identity."""
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from weylcs import frames
 from weylcs.domains import GridDomain, lattice_dist2, rectangle_domain
 from weylcs.frames import (
     FrameError,
@@ -465,6 +468,45 @@ def test_trace_of_an_embedded_hyperbolic_operator(d, N, eps):
     assert abs(tr - T.diagonal().sum()) <= 1e-12 * T.diagonal().sum()
 
 
+@pytest.mark.parametrize("d, N", [(1, 24), (2, 8), (3, 5)])
+def test_trace_triplets_match_the_dense_array(d, N):
+    # symmetric, off-diagonal, complex Hermitian: the triplets np.nonzero
+    # reads from the array give the same sum in the same order
+    fr = build_frame(((0.0, N * 0.1),) * d, 0.1, scale(make_cosine_window(d), 0.2))
+    rng = np.random.default_rng(d)
+    B = np.where(rng.random((fr.n, fr.n)) < 0.1, rng.standard_normal((fr.n, fr.n))
+                 + 1j * rng.standard_normal((fr.n, fr.n)), 0.0)
+    T = B + B.conj().T
+    row, col = np.nonzero(T)
+    assert trace_via_frame(fr, (row, col, T[row, col])) == trace_via_frame(fr, T)
+    assert trace_via_frame(fr, (row, col, T[row, col])) == pytest.approx(
+        T.trace().real, rel=1e-12)
+
+
+def test_trace_triplets_add_up_duplicates():
+    fr = frame_1d(N=16, h=0.1)
+    row, col = np.array([0, 0, 1, 2]), np.array([1, 1, 0, 2])
+    tr = trace_via_frame(fr, (row, col, np.array([0.5, 0.5, 1.0, 3.0])))
+    assert tr == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("triplets, message", [
+    (([0], [1], [1.0]), "symmetric"),
+    (([0, 1], [1, 0], [1.0, 1.0 + 1e-9]), "symmetric"),
+    (([0, 1], [1, 0], [1j, 1j]), "symmetric"),  # symmetric but not Hermitian
+    (([-1], [-1], [1.0]), "indices in 0..15"),
+    (([16], [16], [1.0]), "indices in 0..15"),
+    (([0], [16], [1.0]), "indices in 0..15"),
+    (([0.0], [0.0], [1.0]), "integer indices"),
+    (([0, 1], [0, 1], [1.0]), "equal-length"),
+    (([[0]], [[0]], [[1.0]]), "equal-length"),
+])
+def test_trace_rejects_bad_triplets(triplets, message):
+    fr = frame_1d(N=16, h=0.1)
+    with pytest.raises(ValueError, match=message):
+        trace_via_frame(fr, tuple(np.array(a) for a in triplets))
+
+
 def test_trace_rejects_asymmetric():
     fr = frame_1d(N=16, h=0.1)
     T = np.zeros((fr.n, fr.n))
@@ -529,6 +571,75 @@ def test_frame_form_identity_tilde():
             + c.c3 * h * h * np.sum(np.exp(2.0 * X) * d2 ** 2)
         errs.append(abs(lhs - rhs))
     assert 3.0 <= errs[0] / errs[1] <= 5.0
+
+
+def moments_by_block(fr, f, weights, block=frames._BLOCK):
+    """phase_space_moment of f for each weight with the block cap `block`,
+    and the per-axis y indices of every block it analysed."""
+    analysis, blocks = frames._analysis, []
+
+    def spy(frame, g, ys):
+        blocks.append(list(ys))
+        return analysis(frame, g, ys)
+
+    with mock.patch.object(frames, "_BLOCK", block), mock.patch.object(frames, "_analysis", spy):
+        return [phase_space_moment(fr, f, w) for w in weights], blocks
+
+
+def unit_weight(xi, y):
+    return 1.0
+
+
+def hyperbolic_weight(xi, y):
+    return np.exp(2 * y[..., 0]) * xi[-1] ** 2
+
+
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_moment_blocks_match_the_full_transform(d, seed, data):
+    # a cap of `rows` indices along y axis `lead`, plus a remainder below one
+    # more, so the last block along that axis is shorter whenever rows does
+    # not divide N
+    N = data.draw(st.integers(3, {1: 40, 2: 12, 3: 6}[d]), label="N")
+    lead = data.draw(st.integers(0, d - 1), label="lead")
+    rows = data.draw(st.integers(1, N), label="rows")
+    per_row = N ** (2 * d - 1 - lead)
+    block = rows * per_row + data.draw(st.integers(0, per_row - 1), label="extra")
+    h = 0.1
+    eps = data.draw(st.floats(0.15, 0.49), label="eps") * N * h
+    fr = build_frame(((0.0, N * h),) * d, h, scale(make_cosine_window(d), eps))
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
+    (unit, weighted), blocks = moments_by_block(fr, f, [unit_weight, hyperbolic_weight], block)
+    # each pass tiles the y grid once, with blocks of consecutive indices
+    # within the cap, or one y's N^d values if the cap is smaller
+    blocks = [[y.tolist() for y in ys] for ys in blocks]
+    first = blocks[:len(blocks) // 2]
+    assert blocks == 2 * first
+    assert sorted(p for ys in first for p in itertools.product(*ys)) == \
+        list(itertools.product(range(N), repeat=d))
+    assert all(y == list(range(y[0], y[0] + len(y))) for ys in first for y in ys)
+    assert all(math.prod(map(len, ys)) * N ** d <= max(block, N ** d) for ys in first)
+    assert len(first) == 1 or N ** (2 * d) > block
+    F = forward(fr, f)
+    assert unit == pytest.approx(F.norm_sq(), rel=1e-13, abs=0.0)
+    # the same weight on the full (y, xi) grid, y-major and xi in FFT order
+    y = fr.h * np.indices(fr.shape).reshape(d, -1).T
+    xi = np.stack(np.meshgrid(*[fr.xi_axis()] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    W = fr.weight_xi * fr.weight_y * fr.measure_normalizer
+    full = W * np.sum(hyperbolic_weight(xi.T[:, None, :], y[:, None, :]) * np.abs(F.values) ** 2)
+    assert weighted == pytest.approx(full, rel=1e-12, abs=0.0)
+
+
+def test_moment_blocks_at_the_module_cap():
+    # d = 2, N = 40: 40^3 values per y_0, 16 of them fit 2^20
+    fr = build_frame(((0.0, 4.0),) * 2, 0.1, scale(make_cosine_window(2), 0.3))
+    f = np.random.default_rng(7).standard_normal(fr.n)
+    (unit,), blocks = moments_by_block(fr, f, [unit_weight])
+    assert frames._BLOCK == 2 ** 20
+    assert [(len(y0), len(y1)) for y0, y1 in blocks] == [(16, 40), (16, 40), (8, 40)]
+    assert unit == pytest.approx(forward(fr, f).norm_sq(), rel=1e-13, abs=0.0)
+    assert unit == pytest.approx(fr.grid_norm_sq(f), rel=1e-13, abs=0.0)
 
 
 def test_phase_roundtrip(tmp_path):
