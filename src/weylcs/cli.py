@@ -108,10 +108,12 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
+_WINDOWS = {"cosine": make_cosine_window, "bump": make_bump_window}
+
 # the allowed values of each string-valued config key
 _CHOICES = {
     "kind": KINDS,
-    "window": ("cosine", "bump"),
+    "window": tuple(_WINDOWS),
     "source": ("exact", "discrete"),
     "lam_scale": ("log", "linear"),
 }
@@ -151,8 +153,7 @@ def _validate(cfg):
 
 
 def _window(cfg):
-    make = make_cosine_window if cfg.window == "cosine" else make_bump_window
-    return make(cfg.dim)
+    return _WINDOWS[cfg.window](cfg.dim)
 
 
 def _lambda_grid(cfg):

@@ -34,11 +34,11 @@ rounding level.
 On either path an unresolved count nudges the shift downward.  After three
 unresolved attempts two resolved counts of the same path, at shift - delta
 and shift + 2*delta, bracket the shift, and the values between them decide
-the count, each within its error bound of an eigenvalue (the bisection
-bracket, or the residual bound |theta - lambda_i| <= ||r||, Parlett, The
-Symmetric Eigenvalue Problem, ch. 4).  count_certificate does all of this,
-and every count goes through it: count_below, spectrum_below and the slice
-ends.
+the count, each within its error bound of an eigenvalue (half the bisection
+bracket plus the rounding of the counts, or the residual bound
+|theta - lambda_i| <= ||r||, Parlett, The Symmetric Eigenvalue Problem,
+ch. 4).  count_certificate does all of this, and every count goes through
+it: count_below, spectrum_below and the slice ends.
 
 One routine, _values_between, finds the eigenvalues between two certified
 counts: for spectrum_below from 0 with count 0 (both operators are positive
@@ -93,11 +93,11 @@ class Certificate:
     # "bisection" (box), "eigsh" (sliced), "eigvalsh" (a slice too large for
     # eigsh, count + 1 >= n, as on a mask of one or two nodes) or "none"
     value_method: str = "none"
-    # on a box the widest final bisection bracket: each value is the midpoint
-    # of its bracket, so it lies within half of it of an eigenvalue, up to the
-    # count's own rounding of about eps*max|A_ij|, which this leaves out.  On
-    # the eigsh path the largest residual |A v - theta v| of a unit Ritz
-    # vector, a bound on the error of the values; nan for eigvalsh and none
+    # a bound on the error of the values.  On a box half the widest final
+    # bisection bracket (each value is the midpoint of its bracket) plus
+    # (20 + 2d)*eps*max|A_ij| for the rounding of the counts and of the modes
+    # (see _values_between).  On the eigsh path the largest residual
+    # |A v - theta v| of a unit Ritz vector; nan for eigvalsh and none
     value_error: float = float("nan")
 
 
@@ -458,6 +458,29 @@ def _values_between(op, box, lo, hi):
     shift, so those are the ones in [lo, hi).  Elsewhere they are the values
     of _slice_values over the slices of _slice_ends.  Equal counts have no
     values, found by "none" with a nan error.
+
+    On a box each value lies within half the widest final bracket plus
+    c*eps*M of an eigenvalue of A, M = max|A_ij| and c = 20 + 2d, for
+    nonnegative weights as assembled.  Every diagonal entry d_i of a mode's
+    tridiagonal, every eigenvalue and both ends of a final bracket lie in
+    [0, 2M] (Gershgorin, up to stebz's fudge), and 1/h^2 <= M/2.  With each
+    rounding at most eps/2 relative, the terms of c are:
+
+    - 2, the guarded recurrence (Barth, Martin & Wilkinson 1967): the count
+      at x is the exact count of a tridiagonal within eps/2 |d_i - x| <= eps*M
+      of each diagonal entry and within 3 eps/4 of each off-diagonal
+      relative (b^2, b^2/q and the previous q each round once), 1.75 eps*M
+      in the 2-norm, and the guard moves an entry by 2 pivmin at most, far
+      less; by Weyl's inequality the eigenvalue lies in
+      [lo - 2 eps*M, hi + 2 eps*M);
+    - 17 + d, the closed-form mu: 4/h^2 (eps), the angle (3 eps/2, which sin
+      does not amplify below pi/2), sin (eps), the square and the product
+      give 7 eps per axis, and the sum over the d - 1 axes d/2 - 1 more;
+      w*mu (eps/2) against the matrix's rounded weight w/h^2 (3 eps/2) makes
+      (8 + d/2) eps of a term at most 2M, and 2/h^2 + w*mu rounds by eps*M;
+    - d, the matrix's diagonal, summed from 2d weights, against the exact
+      Kronecker sum;
+    - 1, the midpoint.
     """
     count = hi[1] - lo[1]
     if count == 0:
@@ -467,7 +490,8 @@ def _values_between(op, box, lo, hi):
         vals = found.values[lo[1]:]
         if len(vals) != count:
             raise CertificationError(found=len(vals), expected=count)
-        return vals, "bisection", found.bracket
+        error = float(0.5 * found.bracket + (20 + 2 * op.grid.d) * _EPS * _max_entry(op))
+        return vals, "bisection", error
     ends = _slice_ends(op, lo, hi)
     parts = [_slice_values(op, a, b, c_b - c_a) for (a, c_a), (b, c_b) in zip(ends, ends[1:])]
     method = "eigvalsh" if any(m == "eigvalsh" for _, m, _ in parts) else "eigsh"

@@ -76,18 +76,6 @@ class CoherentFrame:
     def n(self):
         return self.N ** self.d
 
-    @property
-    def weight_xi(self):
-        return (2.0 * math.pi / self.L) ** self.d
-
-    @property
-    def weight_y(self):
-        return self.h ** self.d
-
-    @property
-    def measure_normalizer(self):
-        return (2.0 * math.pi) ** (-self.d)
-
     def xi_axis(self):
         """Fourier frequencies of one axis, in FFT order: 2 pi np.fft.fftfreq(N, h)
         up to rounding, without importing numpy.fft."""
@@ -97,7 +85,7 @@ class CoherentFrame:
         return self.h * np.arange(self.N)
 
     def grid_norm_sq(self, f):
-        return self.weight_y * float(np.vdot(f, f).real)
+        return self.h ** self.d * float(np.vdot(f, f).real)
 
 
 def _analysis(frame: CoherentFrame, f, ys):
@@ -152,14 +140,6 @@ class PhaseSpaceFunction:
 
     values: np.ndarray
     frame: CoherentFrame
-
-    def norm_sq(self):
-        fr = self.frame
-        w = fr.weight_xi * fr.weight_y * fr.measure_normalizer
-        # one pass over the (re, im) pairs in numpy's own reduction: unlike a
-        # BLAS dot, its result does not depend on the BLAS thread count
-        v = self.values.reshape(-1).view(float)
-        return w * float(np.einsum("i,i", v, v))
 
 
 def build_frame(box, h, window: Window) -> CoherentFrame:
@@ -217,7 +197,11 @@ def adjoint(frame: CoherentFrame, F: PhaseSpaceFunction) -> np.ndarray:
 
 
 def phase_space_moment(frame: CoherentFrame, f, weight) -> float:
-    """Weighted second moment sum_{xi,y} W * weight(xi, y) * |forward(f)(xi, y)|^2.
+    """Weighted second moment (1/n) sum_{xi,y} weight(xi, y) |forward(f)(xi, y)|^2.
+
+    The library's one sum of |F|^2: the phase-space measure
+    (2 pi / L)^d h^d (2 pi)^-d is 1/n, so with weight 1 this is the norm of
+    the transform, which tightness makes grid_norm_sq(f).
 
     Streams over y in blocks of at most _BLOCK transform values (or the N^d
     values of one y, if more): a block takes, along each y axis in turn, as

@@ -10,7 +10,7 @@ import numpy as np
 from .domains import GridDomain
 from .eigen import Spectrum
 from .operators import KINDS
-from .windows import Window, c_constants, make_cosine_window, scale
+from .windows import Window, c_constants, scale
 
 
 class UncertifiedTailError(ValueError):
@@ -118,11 +118,12 @@ class ExponentFit:
     residual: float
 
 
-def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window | None = None) -> RieszCurve:
+def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window) -> RieszCurve:
     """Riesz means against the leading term on a lambda grid.
 
     The fixed schedule eps = lambda^{-1/3} only feeds the diagnostic window
-    constant columns; the leading term itself is eps-free.  OverflowError when
+    constant columns, the constants of window (of the spectrum's dimension)
+    scaled by eps; the leading term itself is eps-free.  OverflowError when
     an eps is not finite and positive (a lambda <= 0) or when the window
     constants overflow at it.
     """
@@ -135,8 +136,6 @@ def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window | None = Non
         eps = lambdas ** (-1.0 / 3.0)
     if not np.all(np.isfinite(eps) & (eps > 0.0)):
         raise OverflowError("eps = lambda^(-1/3) leaves the float range")
-    if window is None:
-        window = make_cosine_window(1)
     cc = [c_constants(scale(window, e)) for e in eps]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(leading != 0.0, riesz / leading, 0.0)

@@ -35,11 +35,11 @@ _TS_WEIGHTS = (_TS_STEP * 0.5 * np.pi * np.cosh(_TS_T)
 
 @dataclass(frozen=True)
 class FactorProfile:
-    """Even 1-D profile supported on |u| <= half_width (at scale eps=1)."""
+    """Even 1-D profile of a d-dimensional window, supported on
+    |u| <= 1/sqrt(d) (at scale eps=1)."""
 
     value: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    half_width: float
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ class Window:
         return self.factor.deriv(u / e) / (e * math.sqrt(e))
 
     def factor_half_width(self):
-        return self.factor.half_width * self.epsilon
+        """Half-width of the profile's support, 1/sqrt(d) at eps = 1."""
+        return (1.0 / math.sqrt(self.d)) * self.epsilon
 
     def __call__(self, z):
         """Evaluate g^eps at points z of shape (..., d) (or scalar/1-D if d=1)."""
@@ -95,7 +96,7 @@ def _cosine_profile(d):
         u = np.asarray(u, dtype=float)
         return np.where(np.abs(u) < a, -amp * om * np.sin(om * u), 0.0)
 
-    return FactorProfile(value=value, deriv=deriv, half_width=a)
+    return FactorProfile(value=value, deriv=deriv)
 
 
 def _bump_profile(d):
@@ -121,7 +122,7 @@ def _bump_profile(d):
         denom = np.where(inside, (1.0 - t * t) ** 2, 1.0)
         return np.where(inside, raw(u) / norm * (-2.0 * t * sd) / denom, 0.0)
 
-    return FactorProfile(value=value, deriv=deriv, half_width=a)
+    return FactorProfile(value=value, deriv=deriv)
 
 
 def _unit_window(d, profile):

@@ -160,6 +160,7 @@ EXIT_1_CASES = [
     (["weyl-curve", "--set", "kind=hyperbolic", "--set", "dim=2", "--set", "box=0,1;0,1",
       "--set", "h=0.1"], ["exact spectra are euclidean-only above one dimension"]),
     (["spectrum", "--set", "foo"], ["bad --set value 'foo'"]),
+    (["frame-check", "--set", "window=gauss"], ["unknown window 'gauss'"]),
 ]
 
 

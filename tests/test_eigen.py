@@ -172,6 +172,18 @@ def test_count_below_on_a_zero_pivot_inside_a_supernode():
     assert cert.nudges > 0 and cert.count == 1 == dense_count(op, cert.shift)
 
 
+def test_any_other_superlu_error_propagates(monkeypatch):
+    # only a singular factor or a failure inside a supernode leaves the count
+    # unresolved; any other SuperLU error is no count of A - lam*I
+    def broken(*args, **kwargs):
+        raise RuntimeError("not enough memory")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", broken)
+    op, _ = sparse_interval_op(20)
+    with pytest.raises(RuntimeError, match="not enough memory"):
+        count_certificate(op, 100.0)
+
+
 @pytest.mark.filterwarnings("ignore:count_below")
 def test_count_below_at_every_eigenvalue_of_square():
     # the square's spectrum has multiplicity-2 pairs mu_j + mu_k = mu_k + mu_j
@@ -951,9 +963,10 @@ def test_sturm_count_at_a_zero_pivot(diag, x, want):
 
 @pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
 def test_box_value_error_is_the_bisection_bracket(kind):
-    # the bracket is at the count's rounding level, and every value lies
-    # within half of it of the eigenvalue, up to that level: the closed-form
-    # mode sums (euclidean) or LAPACK's stebz on each mode (hyperbolic)
+    # half the bracket, which is at the count's rounding level, plus
+    # (20 + 2d) eps max|A_ij| for that rounding and the modes': every value
+    # lies within it of the eigenvalue, the closed-form mode sums (euclidean)
+    # or LAPACK's stebz on each mode (hyperbolic)
     h = 1 / 35
     dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
     if kind == "euclidean":
@@ -966,9 +979,23 @@ def test_box_value_error_is_the_bisection_bracket(kind):
     spec = spectrum_below(op, 2000.0)
     eps_a = np.finfo(float).eps * abs(op.matrix).max()
     error = spec.certificate.value_error
-    assert 0.0 < error <= 8.0 * eps_a
+    assert 24.0 * eps_a < error <= 28.0 * eps_a
     deviation = np.abs(spec.values - want[:len(spec.values)])
-    assert np.max(deviation) <= 0.5 * error + 2.0 * eps_a, np.max(deviation) / eps_a
+    assert np.max(deviation) <= error, np.max(deviation) / eps_a
+
+
+def test_box_values_one_short_fail_certification(monkeypatch):
+    # the multisection must return every value between the two counts
+    box_values = weylcs.eigen._box_values
+
+    def one_short(h, box, upper):
+        found = box_values(h, box, upper)
+        return found._replace(values=found.values[1:])
+
+    monkeypatch.setattr(weylcs.eigen, "_box_values", one_short)
+    with pytest.raises(CertificationError) as info:
+        spectrum_below(box_op("euclidean", 35), 2000.0)
+    assert info.value.found == info.value.expected - 1 > 0
 
 
 def test_eigsh_value_error_is_the_ritz_residual(monkeypatch):
@@ -1014,3 +1041,10 @@ def test_spectrum_roundtrip_no_cutoff(tmp_path):
     back = load_spectrum(path)
     assert back.cutoff is None
     assert not back.certified
+
+
+def test_load_spectrum_skips_blank_lines(tmp_path):
+    path = tmp_path / "spec.txt"
+    path.write_text("# cutoff=10\n\n1.5\n   \n2.5\n\n")
+    back = load_spectrum(path)
+    assert back.values.tolist() == [1.5, 2.5] and back.cutoff == 10.0

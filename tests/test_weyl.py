@@ -28,6 +28,7 @@ from weylcs.weyl import (
     unit_ball_volume,
     weighted_volume,
 )
+from weylcs.windows import make_cosine_window
 
 
 def test_semiclassical_constants():
@@ -161,7 +162,7 @@ def test_weighted_volume_rejects_an_unknown_kind():
 def test_build_curve_ratio_increases_to_one():
     spec = exact_spectrum_interval(math.pi, 2e4)
     curve = build_curve(spec, [1e2, 1e3, 1e4],
-                        lambda lam: euclidean_leading(math.pi, 1, lam))
+                        lambda lam: euclidean_leading(math.pi, 1, lam), make_cosine_window(1))
     assert np.all(np.diff(curve.ratio) > 0)
     assert curve.ratio[-1] < 1.0
     assert curve.ratio[-1] > 0.99
@@ -169,14 +170,22 @@ def test_build_curve_ratio_increases_to_one():
 
 def test_build_curve_empty_spectrum():
     spec = Spectrum(values=np.empty(0), cutoff=1e4, certified=True)
-    curve = build_curve(spec, [10.0, 100.0], lambda lam: lam)
+    curve = build_curve(spec, [10.0, 100.0], lambda lam: lam, make_cosine_window(1))
     assert np.all(curve.riesz == 0.0)
 
 
 def test_build_curve_requires_increasing_grid():
     spec = exact_spectrum_interval(math.pi, 1e3)
     with pytest.raises(ValueError):
-        build_curve(spec, [100.0, 100.0], lambda lam: lam)
+        build_curve(spec, [100.0, 100.0], lambda lam: lam, make_cosine_window(1))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_build_curve_rejects_a_lambda_at_or_below_zero(lam):
+    # eps = lambda^(-1/3) is inf at 0 and nan below
+    spec = exact_spectrum_interval(math.pi, 1e3)
+    with pytest.raises(OverflowError, match="leaves the float range"):
+        build_curve(spec, [lam, 100.0], lambda lam: lam, make_cosine_window(1))
 
 
 def test_riesz_convexity_and_slope_counts():
@@ -247,7 +256,7 @@ def test_save_curve_format(tmp_path):
     spec = exact_spectrum_interval(math.pi, 2e3)
     lams = np.geomspace(100.0, 1000.0, 6)
     curve = build_curve(spec, lams,
-                        lambda lam: euclidean_leading(math.pi, 1, lam))
+                        lambda lam: euclidean_leading(math.pi, 1, lam), make_cosine_window(1))
     path = tmp_path / "curve.csv"
     save_curve(curve, path, comments=["source=test"])
     lines = path.read_text().splitlines()
