@@ -22,7 +22,6 @@ from .domains import (
 )
 from .operators import (
     DiscreteOperator,
-    apply,
     assemble_euclidean,
     assemble_hyperbolic,
     export_matrix,

@@ -23,6 +23,7 @@ from .frames import (FrameError, analytic_symbol, build_frame, phase_space_momen
                      rayleigh_symbol, trace_via_frame)
 from .operators import KINDS, assemble_euclidean, assemble_hyperbolic
 from .weyl import (
+    LeadingOverflowError,
     build_curve,
     euclidean_leading,
     exact_spectrum_box,
@@ -198,6 +199,8 @@ def cmd_weyl_curve(cfg) -> int:
     try:
         curve = build_curve(spec, lambdas, lambda lam: euclidean_leading(vol, cfg.dim, lam),
                             window=window)
+    except LeadingOverflowError as exc:
+        raise ConfigError(f"lam_max={cfg.lam_max:g} is too large: {exc}") from exc
     except OverflowError as exc:
         raise ConfigError(f"lam_min={cfg.lam_min:g} puts the window scale "
                           "eps = lambda^(-1/3) out of range for the window constants") from exc
@@ -232,8 +235,11 @@ def _symbol_report(cfg):
                     exact.append(analytic_symbol(cfg.kind, window, xi, y))
                 except OverflowError as exc:  # a point past the grid's last x_1
                     raise ConfigError(f"exp(2 y_1) overflows at y_1 = {y[0]:g}") from exc
-        errors.append([abs(rayleigh_symbol(op, window, xi, y).value - e)
-                       for (xi, y), e in zip(points, exact)])
+        values = [rayleigh_symbol(op, window, xi, y).value for xi, y in points]
+        if any(math.isnan(v) for v in values):  # no interior node under a window
+            raise ConfigError(f"eps={cfg.eps:g} leaves a symbol point's window without "
+                              f"an interior node of the grid at h={h:g}")
+        errors.append([abs(v - e) for v, e in zip(values, exact)])
         lines.append("h=%.17g max_symbol_error=%.17g" % (h, max(errors[-1])))
     ratios = [e1 / e2 if e2 > 0 else math.inf for e1, e2 in zip(*errors)]
     lines.append("error_ratios=" + " ".join("%.6g" % r for r in ratios))
@@ -260,10 +266,13 @@ def cmd_frame_check(cfg) -> int:
     for _ in range(cfg.n_vectors):
         f = rng.standard_normal(frame.n) + 1j * rng.standard_normal(frame.n)
         nf = frame.grid_norm_sq(f)
-        defect = max(defect, abs(phase_space_moment(frame, f, lambda xi, y: 1.0) - nf) / nf)
+        defect = np.maximum(defect, abs(phase_space_moment(frame, f, lambda xi, y: 1.0) - nf) / nf)
     diag = rng.random(frame.n)
     tr = trace_via_frame(frame, (np.arange(frame.n), np.arange(frame.n), diag))
     trace_defect = abs(tr - diag.sum()) / diag.sum()
+    if not (np.isfinite(defect) and np.isfinite(trace_defect)):
+        raise FrameError(f"frame defects not finite: parseval_defect={defect:g}, "
+                         f"trace_defect={trace_defect:g}")
     lines = ["parseval_defect=%.17g" % defect, "trace_defect=%.17g" % trace_defect]
     _write_report(cfg, lines + _symbol_report(cfg))
     return 0

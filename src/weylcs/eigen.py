@@ -21,8 +21,8 @@ is the counts at shift -/+ tol (_box_inertia) and computes no eigenvalue;
 spectrum_below narrows every eigenvalue below the certified shift from the
 modes' Gershgorin bounds by multisection, down to the count's rounding level
 (stebz's criterion).  Neither assembles the sparse matrix nor lists the
-nodes: its largest entry, which sets tol, comes from the edge weights at the
-occupied x_1 indices.
+nodes: its largest entry, which sets tol, is DiscreteOperator.max_entry, read
+from the edge weights at the occupied x_1 indices.
 
 Elsewhere the count comes from a sparse LDL^T: SuperLU in symmetric mode with
 a symmetric fill-reducing order and diagonal pivots only, whose negative
@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import DiscreteOperator, diagonal
+from .operators import DiscreteOperator
 
 DENSE_LIMIT = 5000
 _SLICE = 128  # most eigenvalues in one slice (see _slice_ends)
@@ -200,21 +200,6 @@ def _box_modes(op):
     return _Box(w=op.tilde_weight[axes[0]], mu=np.sort(mu))
 
 
-def _max_entry(op):
-    """max |A_ij| from the edge weights, without the assembled matrix.
-
-    A node's row holds the diagonal of its x_1 index and -w of that index
-    along each axis with two nodes or more: the largest of those over the
-    nodes' x_1 indices.  That is abs(A).max() bit for bit on a box, and on
-    any mask when the weights are nonnegative (as assembled), since then each
-    diagonal entry sums every weight of its row and is the largest.
-    """
-    axes, _ = op.grid.occupancy
-    weights = [w[axes[0]] for w in op.axis_weights()]
-    return max([np.abs(diagonal(weights)).max()]
-               + [np.abs(w).max() for w, idx in zip(weights, axes) if len(idx) > 1])
-
-
 _EPS = np.finfo(float).eps
 # Sturm counts per multisection sweep: up to about this many, a numpy call
 # costs little more than its fixed overhead, so few values get many points each
@@ -313,7 +298,7 @@ def _shifted(op, shift):
     """A - shift*I in CSC form."""
     import scipy.sparse  # slow import, needed here only
 
-    return op.matrix.tocsc() - shift * scipy.sparse.identity(op.n, format="csc")
+    return op.matrix - shift * scipy.sparse.identity(op.n, format="csc")
 
 
 def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
@@ -322,7 +307,7 @@ def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam!r}")
     box = _box_modes(op)
-    scale = _max_entry(op) + abs(lam)
+    scale = op.max_entry + abs(lam)
     if not np.isfinite(scale):  # an inf or nan entry: no count can be certified
         raise ValueError(f"operator entries must be finite, got max|A_ij| + |lam| = {scale!r}")
     tol = 1e-12 * scale
@@ -419,7 +404,6 @@ def _slice_values(op, lo, hi, count):
         vals = dense_spectrum(op).values
         vals, method = vals[(vals >= lo) & (vals < hi)], "eigvalsh"
     else:
-        a = op.matrix.tocsc()
         sigma = 0.5 * (lo + hi)
         solve = scipy.sparse.linalg.splu(_shifted(op, sigma)).solve
         found = np.empty((n, 0))  # eigenvectors of the values in the slice so far
@@ -433,9 +417,9 @@ def _slice_values(op, lo, hi, count):
             inverse = scipy.sparse.linalg.LinearOperator(
                 (n, n), matvec=lambda x: project(solve(project(x))), dtype=float)
             _, vecs = scipy.sparse.linalg.eigsh(
-                a, k=count - len(vals) + 1, sigma=sigma, which="LM", OPinv=inverse,
+                op.matrix, k=count - len(vals) + 1, sigma=sigma, which="LM", OPinv=inverse,
                 v0=project(_start_vector(n, seed)))
-            av = a @ vecs
+            av = op.matrix @ vecs
             theta = np.einsum("ij,ij->j", vecs, av)
             inside = (theta >= lo) & (theta < hi)
             vals.extend(theta[inside])
@@ -490,7 +474,7 @@ def _values_between(op, box, lo, hi):
         vals = found.values[lo[1]:]
         if len(vals) != count:
             raise CertificationError(found=len(vals), expected=count)
-        error = float(0.5 * found.bracket + (20 + 2 * op.grid.d) * _EPS * _max_entry(op))
+        error = float(0.5 * found.bracket + (20 + 2 * op.grid.d) * _EPS * op.max_entry)
         return vals, "bisection", error
     ends = _slice_ends(op, lo, hi)
     parts = [_slice_values(op, a, b, c_b - c_a) for (a, c_a), (b, c_b) in zip(ends, ends[1:])]

@@ -161,9 +161,13 @@ def build_frame(box, h, window: Window) -> CoherentFrame:
     offs = np.where(offs >= L / 2.0, offs - L, offs)
     g = window.factor_value(offs)
     g_grid = functools.reduce(np.multiply.outer, [g] * d)
-    s = float(np.sum(g_grid ** 2)) * h ** d
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        s = float(np.sum(g_grid ** 2)) * h ** d
     if s <= 0.0:
         raise FrameError("window vanishes on the lattice; reduce h")
+    if not s < math.inf:
+        raise FrameError(f"window's lattice sum overflows at eps = {window.epsilon:g}; "
+                         "increase eps")
     # exp(-i xi_k j h) = exp(-2 pi i k j / N), from the exact residue k j mod N
     k = np.arange(N)
     phase = np.exp(-2j * math.pi / N * (np.outer(k, k) % N))

@@ -6,6 +6,10 @@ contributing w_e * (v_i/h)^2 (Dirichlet zero).  Edge weights are 1 for the
 euclidean Laplacian and for the first axis of the hyperbolic operator, and
 exp(2 x_1) for edges along the remaining axes (the edge midpoint shares the
 node's x_1, so sampling at the node is exact).
+
+The matrix is assembled in CSC form, the format SuperLU and ARPACK read.  It
+is exactly symmetric with sorted indices, so its data, indices and indptr are
+also those of its CSR form.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ class DiscreteOperator:
 
     @functools.cached_property
     def matrix(self):
-        """The sparse CSR matrix, assembled on first access."""
+        """The sparse CSC matrix, assembled on first access."""
         return _assemble_matrix(self)
 
     def axis_weights(self):
@@ -57,6 +61,21 @@ class DiscreteOperator:
         inv_h2 = 1.0 / (self.grid.h * self.grid.h)
         return [np.full(len(self.tilde_weight), inv_h2)] + \
             [self.tilde_weight * inv_h2] * (self.grid.d - 1)
+
+    @functools.cached_property
+    def max_entry(self):
+        """max |A_ij| from the edge weights, without the assembled matrix.
+
+        A node's row holds the diagonal of its x_1 index and -w of that index
+        along each axis with two nodes or more: the largest of those over the
+        nodes' x_1 indices.  That is abs(A).max() bit for bit on a box, and on
+        any mask when the weights are nonnegative (as assembled), since then
+        each diagonal entry sums every weight of its row and is the largest.
+        """
+        axes, _ = self.grid.occupancy
+        weights = [w[axes[0]] for w in self.axis_weights()]
+        return max([np.abs(diagonal(weights)).max()]
+                   + [np.abs(w).max() for w, idx in zip(weights, axes) if len(idx) > 1])
 
     def node_coords(self):
         return np.asarray(self.grid.origin) + self.grid.h * self.nodes
@@ -90,12 +109,10 @@ def _assemble_matrix(op: DiscreteOperator):
         rows.extend([i, j])
         cols.extend([j, i])
         vals.extend([-w[i], -w[i]])
-    mat = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+    ).tocsc()  # in canonical form: duplicates summed, indices sorted
 
 
 def _assemble(dom: GridDomain, kind):
@@ -126,13 +143,6 @@ def assemble_hyperbolic(dom: GridDomain) -> DiscreteOperator:
     which exp(2 x_1)/h^2 overflows raises ValueError, as does an empty mask.
     """
     return _assemble(dom, "hyperbolic")
-
-
-def apply(op: DiscreteOperator, v) -> np.ndarray:
-    v = np.asarray(v)
-    if v.shape[0] != op.n:
-        raise DimensionMismatchError(f"expected length {op.n}, got {v.shape[0]}")
-    return op.matrix @ v
 
 
 def export_matrix(op: DiscreteOperator, path):

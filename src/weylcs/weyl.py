@@ -17,6 +17,10 @@ class UncertifiedTailError(ValueError):
     pass
 
 
+class LeadingOverflowError(OverflowError):
+    """The leading term of a curve is not finite at a lambda of its grid."""
+
+
 def unit_ball_volume(d):
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
@@ -123,7 +127,8 @@ def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window) -> RieszCur
 
     The fixed schedule eps = lambda^{-1/3} only feeds the diagnostic window
     constant columns, the constants of window (of the spectrum's dimension)
-    scaled by eps; the leading term itself is eps-free.  OverflowError when
+    scaled by eps; the leading term itself is eps-free.  LeadingOverflowError
+    when a leading term is not finite (lambda too large), OverflowError when
     an eps is not finite and positive (a lambda <= 0) or when the window
     constants overflow at it.
     """
@@ -131,7 +136,11 @@ def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window) -> RieszCur
     if np.any(np.diff(lambdas) <= 0):
         raise ValueError("lambda grid must be strictly increasing")
     riesz = np.array([riesz_mean(spec, lam) for lam in lambdas])
-    leading = np.array([leading_fn(lam) for lam in lambdas])
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        leading = np.array([leading_fn(lam) for lam in lambdas])
+    if not np.all(np.isfinite(leading)):
+        raise LeadingOverflowError("leading term not finite at lambda = "
+                                   f"{lambdas[~np.isfinite(leading)][0]:g}")
     with np.errstate(all="ignore"):
         eps = lambdas ** (-1.0 / 3.0)
     if not np.all(np.isfinite(eps) & (eps > 0.0)):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -161,6 +162,14 @@ EXIT_1_CASES = [
       "--set", "h=0.1"], ["exact spectra are euclidean-only above one dimension"]),
     (["spectrum", "--set", "foo"], ["bad --set value 'foo'"]),
     (["frame-check", "--set", "window=gauss"], ["unknown window 'gauss'"]),
+    # a window of half-width eps/sqrt(2) = 0.007 per axis holds no node near
+    # some symbol points at h = 0.05: the symbol is nan there, not a number
+    (["symbol-check", "--set", "dim=2", "--set", "h=0.05", "--set", "box=0,1;0,1",
+      "--set", "eps=0.01"], ["eps=0.01 ", "h=0.05"]),
+    # the leading term lambda^(3/2) overflows from lambda = 1e225 on
+    (["weyl-curve", "--set", "dim=1", "--set", "box=0,1", "--set", "h=0.1",
+      "--set", "source=discrete", "--set", "lam_min=1", "--set", "lam_max=1e300",
+      "--set", "lam_count=5"], ["lam_max=1e+300 ", "lambda = 1e+225"]),
 ]
 
 
@@ -168,9 +177,13 @@ EXIT_1_CASES = [
                          ids=[f"args{i}" for i in range(len(EXIT_1_CASES))])
 def test_usage_and_limit_errors_exit_1(tmp_path, capsys, monkeypatch, args, named):
     # no CLI command reaches dense_spectrum, the one source of DenseLimitError,
-    # so the patch makes spectrum_below raise it to check that the CLI maps
-    # it to exit 1; the other cases fail before it
+    # so the patch makes spectrum_below raise it past the dense limit to check
+    # that the CLI maps it to exit 1; the other cases fail before it or below it
+    spectrum_below = weylcs.cli.spectrum_below
+
     def too_large(op, lam):
+        if op.n <= DENSE_LIMIT:
+            return spectrum_below(op, lam)
         raise DenseLimitError(f"n={op.n} exceeds dense limit {DENSE_LIMIT}")
 
     monkeypatch.setattr(weylcs.cli, "spectrum_below", too_large)
@@ -265,11 +278,15 @@ def test_hyperbolic_overflow_exits_1_in_two_dimensions(tmp_path, capsys, command
 
 @pytest.mark.parametrize("command", ["symbol-check", "frame-check"])
 def test_hyperbolic_symbol_far_out_in_one_dimension(tmp_path, command):
-    # in d = 1 the tilde terms vanish: the symbol is the euclidean one
+    # in d = 1 the tilde terms vanish: the symbol is the euclidean one.  A
+    # window of radius eps = 30 holds nodes at h = 10 and 5 (at the default
+    # 0.2 it holds none, and the symbols would be nan)
     out = tmp_path / "o.txt"
-    argv = [command, "--set", "box=0,1000", "--set", "h=10"] + HYPERBOLIC_FAR + ["--out", str(out)]
+    argv = [command, "--set", "box=0,1000", "--set", "h=10", "--set", "eps=30"] + \
+        HYPERBOLIC_FAR + ["--out", str(out)]
     assert main(argv) == 0
     hyperbolic = out.read_text().splitlines()[-3:]
+    assert "nan" not in " ".join(hyperbolic)
     argv[argv.index("kind=hyperbolic")] = "kind=euclidean"
     assert main(argv) == 0
     assert out.read_text().splitlines()[-3:] == hyperbolic
@@ -290,6 +307,11 @@ def test_example_config_runs(tmp_path, name):
     fast = ["--set", "n_vectors=2"] if command == "frame-check" else []
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([command, "--config", path, "--out", str(tmp_path / "out")] + fast) == 0
+    # every number below the '#' header is finite
+    for line in (tmp_path / "out").read_text().splitlines():
+        if not line.startswith("#"):
+            tokens = [t.lower().lstrip("+-") for t in re.split(r"[\s,=]+", line)]
+            assert not {"nan", "inf"} & set(tokens), line
 
 
 def subprocess_env():
@@ -552,6 +574,33 @@ def test_frame_check_wrapped_window_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "f.txt")])
     assert rc == 2
     assert "certification failure" in capsys.readouterr().err
+
+
+def test_frame_check_overflowing_window_exits_2(tmp_path, capsys):
+    # at eps = 1e-300 the window's lattice sum overflows to inf
+    out = tmp_path / "f.txt"
+    rc = main(["frame-check", "--set", "dim=2", "--set", "frame_n=20", "--set", "h=0.05",
+               "--set", "box=0,1;0,1", "--set", "eps=1e-300", "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "certification failure" in err and "overflows at eps = 1e-300" in err
+    assert "Traceback" not in err
+
+
+def test_frame_check_nan_parseval_defect_exits_2(tmp_path, capsys, monkeypatch):
+    # a nan moment after the first vector: the defect keeps it, no report
+    moment, calls = weylcs.cli.phase_space_moment, []
+
+    def nan_second(frame, f, symbol):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else moment(frame, f, symbol)
+
+    monkeypatch.setattr(weylcs.cli, "phase_space_moment", nan_second)
+    out = tmp_path / "f.txt"
+    rc = main(["frame-check", "--set", "frame_n=20", "--set", "h=0.05", "--set", "box=0,1",
+               "--set", "n_vectors=3", "--out", str(out)])
+    assert rc == 2 and not out.exists() and len(calls) == 3
+    assert "parseval_defect=nan" in capsys.readouterr().err
 
 
 def test_symbol_check_reports_ratios(tmp_path):

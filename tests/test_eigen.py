@@ -24,7 +24,6 @@ from weylcs.eigen import (
     _box_inertia,
     _box_modes,
     _box_values,
-    _max_entry,
     _sturm_counts,
     count_below,
     count_certificate,
@@ -228,7 +227,7 @@ def test_sparse_count_matches_dense_on_masks(dom, morph, kind, fractions, picks)
     elif morph == "dilate":
         dom = dilate(dom, 2.0 * dom.h)
     op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
-    assert _max_entry(op) == abs(op.matrix).max()  # the count's scale, bit for bit
+    assert op.max_entry == abs(op.matrix).max()  # the count's scale, bit for bit
     vals = dense_spectrum(op).values
     for lam in [f * vals[-1] for f in fractions]:
         cert = count_certificate(op, lam)
@@ -659,7 +658,7 @@ def test_box_recognizer_matches_the_node_list(mask, kind):
     h = 0.1
     dom = GridDomain(h=h, origin=(0.25,) * mask.ndim, mask=mask, box=((0.0, 2.0),) * mask.ndim)
     op = (assemble_hyperbolic if kind == "hyperbolic" else assemble_euclidean)(dom)
-    assert _max_entry(op) == abs(op.matrix).max()  # the count's scale, bit for bit
+    assert op.max_entry == abs(op.matrix).max()  # the count's scale, bit for bit
     nodes = np.argwhere(mask)
     assert op.n == len(nodes)
     axes, filled = dom.occupancy
@@ -867,7 +866,7 @@ def test_box_pivot_margin_is_the_distance_to_the_spectrum(make):
     # distance from the shift to the nearest eigenvalue, on either side of
     # it, over tol, or at the cap 2^21 once that distance passes 2^20 tol
     op = make()
-    vals, norm = lapack_box_values(op), _max_entry(op)
+    vals, norm = lapack_box_values(op), op.max_entry
     cap = 2.0 ** 21
     for v in vals[[1, len(vals) // 3, len(vals) // 2]]:
         for offset in (-3e6, -2e4, -100.0, -3.0, -1.5, 1.5, 5.0, 700.0, 1e5, 4e6):
@@ -925,7 +924,7 @@ def kernel_cases(draw):
 def test_box_kernel_matches_lapack(case):
     op, vals, upper = case
     norm = abs(op.matrix).max()
-    assert _max_entry(op) == norm  # bit for bit, without the matrix
+    assert op.max_entry == norm  # bit for bit, without the matrix
     box = _box_modes(op)
     atol = 8.0 * np.finfo(float).eps * norm
     found = _box_values(op.grid.h, box, upper)

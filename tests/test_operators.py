@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from weylcs.domains import GridDomain, rectangle_domain
 from weylcs.operators import (
-    DimensionMismatchError,
-    apply,
     assemble_euclidean,
     assemble_hyperbolic,
     export_matrix,
@@ -68,14 +66,6 @@ def test_constant_weight_hook_degenerates_to_euclidean():
     assert abs(a - b).max() == 0.0
 
 
-def test_apply_zero_and_mismatch():
-    dom = rectangle_domain(((0.0, 1.0),), 0.1)
-    op = assemble_euclidean(dom)
-    assert np.all(apply(op, np.zeros(op.n)) == 0.0)
-    with pytest.raises(DimensionMismatchError):
-        apply(op, np.zeros(op.n + 1))
-
-
 def test_apply_sine_mode_is_eigenvector():
     h = 0.02
     dom = rectangle_domain(((0.0, 1.0),), h)
@@ -84,7 +74,7 @@ def test_apply_sine_mode_is_eigenvector():
     for k in (1, 3, 7):
         v = np.sin(k * math.pi * x)
         lam = (4.0 / h ** 2) * math.sin(k * math.pi * h / 2.0) ** 2
-        assert np.max(np.abs(apply(op, v) - lam * v)) < 1e-12 / h ** 2
+        assert np.max(np.abs(op.matrix @ v - lam * v)) < 1e-12 / h ** 2
 
 
 @given(st.integers(0, 2 ** 32 - 1))
