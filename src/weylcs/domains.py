@@ -128,14 +128,16 @@ def lattice_dist2(target, r):
 
 
 def erode(dom: GridDomain, eps: float) -> GridDomain:
-    """Nodes whose distance to the complement exceeds eps (Omega_eps)."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    """Nodes whose distance to the complement exceeds eps (Omega_eps);
+    ValueError unless 0 <= eps < inf, EmptyErosionError if none does."""
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be >= 0 and finite, got {eps!r}")
     if eps == 0:
         return dom
     # distance to the nearest node outside the mask (nodes beyond the array
-    # are outside), exact up to r*h >= eps + h and above it elsewhere
-    r = int(math.ceil(eps / dom.h)) + 1
+    # are outside), exact up to r*h >= min(eps, max(shape)*h) + h and above it
+    # elsewhere: no node lies more than max(shape) steps from the outside
+    r = int(math.ceil(min(eps / dom.h, max(dom.shape)))) + 1
     dist2 = lattice_dist2(np.pad(~dom.mask, 1, constant_values=True), r)
     mask = dom.h * np.sqrt(dist2[(slice(1, -1),) * dom.d]) > eps
     if not mask.any():
@@ -144,11 +146,15 @@ def erode(dom: GridDomain, eps: float) -> GridDomain:
 
 
 def dilate(dom: GridDomain, eps: float) -> GridDomain:
-    """Nodes within distance eps of the domain (Omega^eps); box padded by eps."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    """Nodes within distance eps of the domain (Omega^eps); box padded by eps.
+    ValueError unless 0 <= eps < inf and the padded lattice can be indexed
+    (as in _rectangle_shape)."""
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be >= 0 and finite, got {eps!r}")
     if eps == 0:
         return dom
+    if not math.prod(m + 2.0 * (eps / dom.h + 2.0) for m in dom.shape) < np.iinfo(np.intp).max:
+        raise ValueError(f"the dilation by eps={eps!r} at h={dom.h!r} has too many nodes to index")
     pad = int(math.ceil(eps / dom.h)) + 1
     padded = np.pad(dom.mask, pad, constant_values=False)
     # exact below pad*h >= eps + h/2, the threshold

@@ -15,9 +15,13 @@ over mu of the spectra of the tridiagonals A1 + mu*diag(w), and the count is
 the sum of their Sturm counts (Barth, Martin & Wilkinson 1967; backward
 stable).
 
-The box path is numpy only: every number on it comes from Sturm counts
-(_sturm_counts) run down the rows of all the tridiagonals at once.  A count
-is the counts at shift -/+ tol (_box_inertia) and computes no eigenvalue;
+The box path is numpy only.  A count is the Sturm counts (_sturm_counts, run
+down the rows of all the tridiagonals at once) at shift -/+ tol
+(_box_inertia) and computes no eigenvalue.  Where w is constant (every
+euclidean box and every d = 1 box) the operator is the Kronecker sum
+A1 (x) I + I (x) w*A_tilde, and the eigenvalues below the certified shift are
+the sums of A1's modes and w*mu in closed form (separable_sums, which also
+forms mu), as many as the Sturm count certifies.  Where w varies,
 spectrum_below narrows every eigenvalue below the certified shift from the
 modes' Gershgorin bounds by multisection, down to the count's rounding level
 (stebz's criterion).  Neither assembles the sparse matrix nor lists the
@@ -34,8 +38,9 @@ rounding level.
 On either path an unresolved count nudges the shift downward.  After three
 unresolved attempts two resolved counts of the same path, at shift - delta
 and shift + 2*delta, bracket the shift, and the values between them decide
-the count, each within its error bound of an eigenvalue (half the bisection
-bracket plus the rounding of the counts, or the residual bound
+the count, each within its error bound of an eigenvalue (the rounding of the
+closed form, half the bisection bracket plus the rounding of the counts, or
+the residual bound
 |theta - lambda_i| <= ||r||, Parlett, The Symmetric Eigenvalue Problem,
 ch. 4).  count_certificate does all of this, and every count goes through
 it: count_below, spectrum_below and the slice ends.
@@ -43,7 +48,8 @@ it: count_below, spectrum_below and the slice ends.
 One routine, _values_between, finds the eigenvalues between two certified
 counts: for spectrum_below from 0 with count 0 (both operators are positive
 definite) to the certified shift, and for the bracket between its two ends.
-On a box they are the multisection values past the lower count.  Elsewhere
+On a box they are the closed-form or multisection values past the lower
+count.  Elsewhere
 they come from spectrum slicing (Ericsson-Ruhe 1980; Campos-Roman 2012): the
 interval is split at certified counts into slices of at most _SLICE
 eigenvalues, and shift-invert eigsh centred in each slice must find exactly
@@ -90,13 +96,15 @@ class Certificate:
     # the level of _sparse_inertia.  Above 1 is resolved; after a bracket,
     # the smaller margin of its two ends
     pivot_margin: float
-    # "bisection" (box), "eigsh" (sliced), "eigvalsh" (a slice too large for
+    # "closed-form" (a box with a constant tilde weight), "bisection" (a box
+    # where it varies), "eigsh" (sliced), "eigvalsh" (a slice too large for
     # eigsh, count + 1 >= n, as on a mask of one or two nodes) or "none"
     value_method: str = "none"
-    # a bound on the error of the values.  On a box half the widest final
-    # bisection bracket (each value is the midpoint of its bracket) plus
-    # (20 + 2d)*eps*max|A_ij| for the rounding of the counts and of the modes
-    # (see _values_between).  On the eigsh path the largest residual
+    # a bound on the error of the values (see _values_between).  After
+    # closed-form (17 + 2d)*eps*max|A_ij| for the rounding of the sums;
+    # after bisection half the widest final bracket (each value is the
+    # midpoint of its bracket) plus (20 + 2d)*eps*max|A_ij| for the rounding
+    # of the counts and of the modes.  On the eigsh path the largest residual
     # |A v - theta v| of a unit Ritz vector; nan for eigvalsh and none
     value_error: float = float("nan")
 
@@ -182,22 +190,34 @@ def _sparse_inertia(b, tol):
         float(min(pivot, dist)), _NEAR_EIGENVALUE if dist <= 1.0 else _SMALL_PIVOT)
 
 
+def separable_sums(axes, upper):
+    """The sorted sums below upper of one value from each increasing array of
+    axes, added in axis order: the eigenvalues below upper of a Kronecker sum
+    whose terms have those spectra (a single 0 for no axis)."""
+    sums = np.zeros(1)
+    for axis in axes:
+        sums = (sums[:, None] + axis).ravel()
+        sums = sums[sums < upper]
+    return np.sort(sums)
+
+
 class _Box(NamedTuple):
     """Separable structure of an operator on a filled box."""
     w: np.ndarray  # tilde edge weight at each x_1 index of the box
     mu: np.ndarray  # sorted eigenvalues of A_tilde (a single 0 for d=1)
+    a1: np.ndarray  # increasing eigenvalues of A1
 
 
 def _box_modes(op):
-    """The _Box of an operator whose nodes fill their bounding box, or None."""
+    """The _Box of an operator whose nodes fill their bounding box, or None.
+    On m nodes an axis's second difference has the eigenvalues
+    4/h^2 sin^2(k pi / (2 (m + 1))), k = 1..m."""
     axes, filled = op.grid.occupancy
     if not filled:
         return None
-    mu = np.zeros(1)
-    for m in map(len, axes[1:]):
-        axis = 4.0 / op.grid.h ** 2 * np.sin(np.arange(1, m + 1) * np.pi / (2.0 * (m + 1))) ** 2
-        mu = (mu[:, None] + axis).ravel()
-    return _Box(w=op.tilde_weight[axes[0]], mu=np.sort(mu))
+    modes = [4.0 / op.grid.h ** 2 * np.sin(np.arange(1, m + 1) * np.pi / (2.0 * (m + 1))) ** 2
+             for m in map(len, axes)]
+    return _Box(w=op.tilde_weight[axes[0]], mu=separable_sums(modes[1:], np.inf), a1=modes[0])
 
 
 _EPS = np.finfo(float).eps
@@ -437,18 +457,39 @@ def _values_between(op, box, lo, hi):
     """The eigenvalues between two certified counts lo and hi, each a
     (shift, count) pair, how they were found and their error bound.
 
-    On a box (box not None) they are the multisection values at or below
-    hi's shift past lo's count: no eigenvalue lies within tol of a certified
-    shift, so those are the ones in [lo, hi).  Elsewhere they are the values
-    of _slice_values over the slices of _slice_ends.  Equal counts have no
-    values, found by "none" with a nan error.
+    On a box (box not None) they are the values below hi's shift past lo's
+    count: no eigenvalue lies within tol of a certified shift, so those are
+    the ones in [lo, hi).  With w the same at every x_1 they are the sums of
+    A1's modes and w*mu below it (separable_sums), the spectrum of the
+    Kronecker sum A1 (x) I + I (x) w*A_tilde; otherwise the multisection
+    values at or below it.  Elsewhere they are the values of _slice_values
+    over the slices of _slice_ends.  Equal counts have no values, found by
+    "none" with a nan error.
 
-    On a box each value lies within half the widest final bracket plus
-    c*eps*M of an eigenvalue of A, M = max|A_ij| and c = 20 + 2d, for
-    nonnegative weights as assembled.  Every diagonal entry d_i of a mode's
-    tridiagonal, every eigenvalue and both ends of a final bracket lie in
-    [0, 2M] (Gershgorin, up to stebz's fudge), and 1/h^2 <= M/2.  With each
-    rounding at most eps/2 relative, the terms of c are:
+    The bounds below hold for nonnegative weights as assembled, with
+    M = max|A_ij|, each rounding at most eps/2 relative, and every
+    eigenvalue of A in [0, 2M] (Gershgorin).  A is the exact Kronecker sum
+    of its own rounded weights, 1/h^2 (eps) along x_1 and w/h^2 (3 eps/2)
+    along the other axes, plus the rounding of its diagonal, summed from 2d
+    weights: at most d*eps*M in the 2-norm, so by Weyl's inequality each
+    eigenvalue of A lies within d*eps*M of a sum of per-axis terms
+    4 w_a/h^2 sin^2(theta_a) of those weights, terms that add up to at most
+    2M.
+
+    A closed-form value lies within c*eps*M of an eigenvalue of A,
+    c = 17 + 2d.  Each mode 4/h^2 sin^2(theta) is within 7 eps of its exact
+    value: 4/h^2 (eps), the angle (3 eps/2, which sin does not amplify below
+    pi/2), sin (eps), the square and the product.  Against the matrix's
+    rounded weight that makes 8 eps of the x_1 term; mu, a sum over d - 1
+    axes (d/2 - 1 more), times w (eps/2) against the rounded w/h^2 (3 eps/2)
+    makes (8 + d/2) eps of the tilde term.  So the terms are off by
+    (16 + d) eps*M together, their sum rounds by eps*M more, and the diagonal
+    adds d.
+
+    A multisection value lies within half the widest final bracket plus
+    c*eps*M of an eigenvalue of A, c = 20 + 2d.  Every diagonal entry d_i
+    of a mode's tridiagonal and both ends of a final bracket also lie in
+    [0, 2M] (up to stebz's fudge), and 1/h^2 <= M/2.  The terms of c are:
 
     - 2, the guarded recurrence (Barth, Martin & Wilkinson 1967): the count
       at x is the exact count of a tridiagonal within eps/2 |d_i - x| <= eps*M
@@ -470,12 +511,16 @@ def _values_between(op, box, lo, hi):
     if count == 0:
         return np.empty(0), "none", float("nan")
     if box is not None:
-        found = _box_values(op.grid.h, box, hi[0])
-        vals = found.values[lo[1]:]
+        if np.all(box.w == box.w[0]):  # A1 (x) I + w I (x) A_tilde, a Kronecker sum
+            vals = separable_sums([box.a1, box.w[0] * box.mu], hi[0])[lo[1]:]
+            method, error = "closed-form", (17 + 2 * op.grid.d) * _EPS * op.max_entry
+        else:
+            found = _box_values(op.grid.h, box, hi[0])
+            vals, method = found.values[lo[1]:], "bisection"
+            error = 0.5 * found.bracket + (20 + 2 * op.grid.d) * _EPS * op.max_entry
         if len(vals) != count:
             raise CertificationError(found=len(vals), expected=count)
-        error = float(0.5 * found.bracket + (20 + 2 * op.grid.d) * _EPS * op.max_entry)
-        return vals, "bisection", error
+        return vals, method, float(error)
     ends = _slice_ends(op, lo, hi)
     parts = [_slice_values(op, a, b, c_b - c_a) for (a, c_a), (b, c_b) in zip(ends, ends[1:])]
     method = "eigvalsh" if any(m == "eigvalsh" for _, m, _ in parts) else "eigsh"

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import GridDomain
-from .eigen import Spectrum
+from .eigen import Spectrum, separable_sums
 from .operators import KINDS
 from .windows import Window, c_constants, scale
 
@@ -43,9 +43,12 @@ def riesz_mean(spec: Spectrum, lam: float) -> float:
 
 def exact_spectrum_interval(L: float, Lam: float) -> Spectrum:
     """Dirichlet eigenvalues (k pi / L)^2 strictly below Lam; ValueError unless
-    L > 0 and the L sqrt(Lam) / pi modes below Lam fit a numpy array."""
-    if L <= 0:
-        raise ValueError("L must be positive")
+    L > 0, Lam is a number and the L sqrt(Lam) / pi modes below Lam fit a
+    numpy array."""
+    if not L > 0:
+        raise ValueError(f"L must be positive, got {L!r}")
+    if math.isnan(Lam):
+        raise ValueError(f"Lam must be a number, got {Lam!r}")
     modes = L * math.sqrt(max(Lam, 0.0)) / math.pi
     if not 8.0 * modes < np.iinfo(np.intp).max:  # numpy's cap in bytes; k holds int64
         raise ValueError(f"too many exact modes below lam={Lam!r} on a side of length {L!r}")
@@ -55,13 +58,12 @@ def exact_spectrum_interval(L: float, Lam: float) -> Spectrum:
 
 
 def exact_spectrum_box(lengths, Lam: float) -> Spectrum:
-    """Dirichlet box eigenvalues, sums of per-axis (k pi / L_j)^2, below Lam."""
-    combos = np.zeros(1)
-    for L in lengths:
-        axis = exact_spectrum_interval(L, Lam).values
-        combos = (combos[:, None] + axis[None, :]).ravel()
-        combos = combos[combos < Lam]
-    return Spectrum(values=np.sort(combos), cutoff=Lam, certified=True)
+    """Dirichlet box eigenvalues, sums of per-axis (k pi / L_j)^2, below Lam;
+    ValueError as exact_spectrum_interval, or for a box with no side."""
+    axes = [exact_spectrum_interval(L, Lam).values for L in lengths]
+    if not axes:
+        raise ValueError("a box needs at least one side, got none")
+    return Spectrum(values=separable_sums(axes, Lam), cutoff=Lam, certified=True)
 
 
 def euclidean_leading(vol: float, d: int, lam: float) -> float:

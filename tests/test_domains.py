@@ -83,6 +83,72 @@ def test_dilate_zero_is_identity():
         dilate(dom, -0.01)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("morph", [erode, dilate])
+def test_morphology_rejects_an_eps_that_is_not_finite(morph, eps):
+    with pytest.raises(ValueError, match=f"eps must be >= 0 and finite, got {eps!r}"):
+        morph(unit_square(0.1), eps)
+
+
+def test_dilation_too_large_to_index():
+    with pytest.raises(ValueError, match=r"dilation by eps=1e\+300 at h=0\.1 has too many nodes"):
+        dilate(unit_square(0.1), 1e300)
+
+
+def test_erosion_radius_stops_at_the_grid(monkeypatch):
+    # eps/h = 1e5 steps on an 11 x 11 grid: no node lies farther than 11
+    # steps from the outside, so the distances are searched out to 12 only
+    lattice = weylcs.domains.lattice_dist2
+    radii = []
+
+    def recording(target, r):
+        radii.append(r)
+        return lattice(target, r)
+
+    monkeypatch.setattr(weylcs.domains, "lattice_dist2", recording)
+    for eps in (1e4, 1e300):
+        with pytest.raises(EmptyErosionError):
+            erode(unit_square(0.1), eps)
+    assert radii == [12, 12]
+
+
+@st.composite
+def masks_and_radii(draw):
+    """A mask in d = 1-3 of up to 24, 12 and 6 nodes per axis (random bits, or
+    a filled block with a few nodes flipped, whose clearance reaches about
+    half the grid) and an erosion radius in steps, up to 1.5 grid widths."""
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, {1: 24, 2: 12, 3: 6}[d])) for _ in range(d))
+    if draw(st.booleans()):
+        mask = draw(arrays(bool, shape))
+    else:
+        mask = np.zeros(shape, dtype=bool)
+        lo = [draw(st.integers(0, m - 1)) for m in shape]
+        mask[tuple(slice(a, draw(st.integers(a + 1, m))) for a, m in zip(lo, shape))] = True
+        for _ in range(draw(st.integers(0, 2))):
+            mask[tuple(draw(st.integers(0, m - 1)) for m in shape)] ^= True
+    return mask, draw(st.floats(0.3, 1.5)) * max(shape)
+
+
+@given(case=masks_and_radii())
+@settings(max_examples=100, deadline=None)
+def test_erosion_equals_the_uncapped_search(case):
+    # the radius r = ceil(eps/h) + 1, uncapped, finds every distance that
+    # decides the threshold; the search capped at the grid must decide alike
+    mask, steps = case
+    h, d = 0.1, mask.ndim
+    eps = steps * h
+    dom = GridDomain(h=h, origin=(0.0,) * d, mask=mask, box=((-h, 3.0),) * d)
+    outside = np.pad(~mask, 1, constant_values=True)
+    dist2 = lattice_dist2(outside, int(math.ceil(eps / h)) + 1)
+    want = (h * np.sqrt(dist2) > eps)[(slice(1, -1),) * d]
+    try:
+        got = erode(dom, eps).mask
+    except EmptyErosionError:
+        got = np.zeros_like(mask)
+    assert np.array_equal(got, want)
+
+
 def test_erode_dilate_contains_original():
     h = 0.02
     eps = 0.07

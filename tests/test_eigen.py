@@ -597,6 +597,11 @@ def test_non_finite_operator_is_rejected(shape, bad):
             call(op, 100.0)
 
 
+# the box path's values: the euclidean tilde weight is constant, so its
+# spectrum is a Kronecker sum in closed form; exp(2 x_1) varies in d >= 2
+BOX_VALUE_METHOD = {"euclidean": "closed-form", "hyperbolic": "bisection"}
+
+
 @pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
 def test_eroded_rectangle_takes_the_box_path(kind):
     # erosion leaves a rectangle's nodes filling a smaller box, from x_1 index
@@ -607,7 +612,7 @@ def test_eroded_rectangle_takes_the_box_path(kind):
     assert dom.exact_box is None and op.n == np.prod(hi - lo + 1) and lo[0] == 3
     spec = spectrum_below(op, 3000.0)
     cert = spec.certificate
-    assert (cert.count_method, cert.value_method) == ("sturm", "bisection")
+    assert (cert.count_method, cert.value_method) == ("sturm", BOX_VALUE_METHOD[kind])
     want = dense_spectrum(op).values
     want = want[want < cert.shift]
     assert cert.count == len(spec.values) == len(want) > 10
@@ -788,7 +793,7 @@ def test_box_spectrum_matches_dense(hyperbolic_square_spectrum, denom, kind):
     dense = (hyperbolic_square_spectrum(denom) if kind == "hyperbolic"
              else dense_spectrum(op)).values
     dense = dense[dense < 2000.0]
-    assert spec.certificate.value_method == "bisection"
+    assert spec.certificate.value_method == BOX_VALUE_METHOD[kind]
     assert len(spec.values) == len(dense) > 0
     assert np.max(np.abs(spec.values - dense) / dense) < 1e-10
 
@@ -819,7 +824,7 @@ def test_box_path_uses_no_factorization(monkeypatch, kind, lam):
     op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
     spec = spectrum_below(op, lam)
     cert = spec.certificate
-    assert (cert.count_method, cert.value_method) == ("sturm", "bisection")
+    assert (cert.count_method, cert.value_method) == ("sturm", BOX_VALUE_METHOD[kind])
     assert cert.nudges == 0 and cert.shift == lam and cert.pivot_margin > 1.0
     assert cert.count == len(spec.values) == count_below(op, lam) > 0
     assert "matrix" not in vars(op)  # the sparse matrix was never assembled
@@ -845,7 +850,7 @@ def test_box_count_computes_no_eigenvalue(monkeypatch, kind, lam):
     assert cert.pivot_margin > 1.0 and count_below(op, lam) == cert.count == want > 0
 
 
-@pytest.mark.parametrize("kind, lam", [("hyperbolic", 250.0), ("euclidean", 2000.0)])
+@pytest.mark.parametrize("kind, lam", [("hyperbolic", 250.0), ("hyperbolic", 2000.0)])
 def test_box_spectrum_bisects_once(monkeypatch, kind, lam):
     calls = []
     box_values = weylcs.eigen._box_values
@@ -857,6 +862,37 @@ def test_box_spectrum_bisects_once(monkeypatch, kind, lam):
     monkeypatch.setattr(weylcs.eigen, "_box_values", recording)
     spec = spectrum_below(box_op(kind, 35), lam)
     assert calls == [spec.certificate.shift] and len(spec.values) > 0
+
+
+def constant_weight_ops():
+    """Operators on boxes whose tilde weight is constant: euclidean in d = 1-3,
+    an eroded rectangle, the d = 1 hyperbolic interval and a constant hook."""
+    h = 1 / 20
+    square = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+    return {
+        "interval": (assemble_euclidean(rectangle_domain(((0.0, 1.0),), 1 / 500)), 4e5),
+        "square": (box_op("euclidean", 35), 2000.0),
+        "cube": (assemble_euclidean(rectangle_domain(((0.0, 1.0),) * 3, 1 / 40)), 2000.0),
+        "eroded": (assemble_euclidean(erode(rectangle_domain(((0.0, 1.0), (0.0, 1.2)), h), 0.12)),
+                   3000.0),
+        "hyperbolic-interval": (assemble_hyperbolic(rectangle_domain(((0.0, 1.0),), 1 / 200)),
+                                1e5),
+        "hook": (dataclasses.replace(assemble_hyperbolic(square),
+                                     tilde_weight=np.full(square.shape[0], 2.5)), 2000.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(constant_weight_ops()))
+def test_constant_weight_box_spectrum_never_bisects(monkeypatch, name):
+    def boom(*args, **kwargs):
+        raise AssertionError("a constant-weight box bisected its values")
+
+    monkeypatch.setattr(weylcs.eigen, "_box_values", boom)
+    op, lam = constant_weight_ops()[name]
+    spec = spectrum_below(op, lam)
+    cert = spec.certificate
+    assert (cert.count_method, cert.value_method) == ("sturm", "closed-form")
+    assert cert.count == len(spec.values) == count_below(op, lam) > 0
 
 
 @pytest.mark.parametrize("make", [lambda: box_op("hyperbolic", 35), lambda: interval_op(60)[0]],
@@ -960,27 +996,107 @@ def test_sturm_count_at_a_zero_pivot(diag, x, want):
     assert all(c == np.sum(vals < v + 1e-12) for c, v in zip(counts, x))
 
 
-@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
-def test_box_value_error_is_the_bisection_bracket(kind):
+@pytest.mark.parametrize("d", [2, 3], ids=["hyperbolic", "hyperbolic-d3"])
+def test_box_value_error_is_the_bisection_bracket(d):
     # half the bracket, which is at the count's rounding level, plus
     # (20 + 2d) eps max|A_ij| for that rounding and the modes': every value
-    # lies within it of the eigenvalue, the closed-form mode sums (euclidean)
-    # or LAPACK's stebz on each mode (hyperbolic)
-    h = 1 / 35
-    dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
-    if kind == "euclidean":
-        op = assemble_euclidean(dom)
-        axis = tridiag_eigs(34, h, 1.0)
-        want = np.sort((axis[:, None] + axis[None, :]).ravel())
-    else:
-        op = assemble_hyperbolic(dom)
-        want = lapack_box_values(op)
+    # lies within it of the eigenvalue, from LAPACK's stebz on each mode
+    h = {2: 1 / 35, 3: 1 / 12}[d]
+    op = assemble_hyperbolic(rectangle_domain(((0.0, 1.0),) * d, h))
+    want = lapack_box_values(op)
     spec = spectrum_below(op, 2000.0)
     eps_a = np.finfo(float).eps * abs(op.matrix).max()
     error = spec.certificate.value_error
-    assert 24.0 * eps_a < error <= 28.0 * eps_a
+    assert spec.certificate.value_method == "bisection" and len(spec.values) > 0
+    assert (20 + 2 * d) * eps_a < error <= (24 + 2 * d) * eps_a
     deviation = np.abs(spec.values - want[:len(spec.values)])
     assert np.max(deviation) <= error, np.max(deviation) / eps_a
+
+
+def bisection_values(op, upper):
+    """The multisection values of _box_values at or below upper and their
+    error bound on the bisection path: half the widest final bracket plus
+    (20 + 2d) eps max|A_ij|."""
+    found = _box_values(op.grid.h, _box_modes(op), upper)
+    eps_a = np.finfo(float).eps * op.max_entry
+    return found.values, 0.5 * found.bracket + (20 + 2 * op.grid.d) * eps_a
+
+
+def long_double_box_values(op):
+    """Oracle: every eigenvalue of a constant-weight box, sum over the axes of
+    w_a 4/h^2 sin^2(k pi / (2 (m + 1))) in long double, sorted."""
+    box, h = _box_modes(op), np.longdouble(op.grid.h)
+    pi = 4 * np.arctan(np.longdouble(1))
+    sums = np.zeros(1, dtype=np.longdouble)
+    for axis, m in enumerate(map(len, op.grid.occupancy[0])):
+        k = np.arange(1, m + 1, dtype=np.longdouble)
+        w = 1 if axis == 0 else np.longdouble(box.w[0])
+        sums = (sums[:, None] + w * 4 / h ** 2 * np.sin(k * pi / (2 * (m + 1))) ** 2).ravel()
+    return np.sort(sums)
+
+
+@pytest.mark.parametrize("name", sorted(constant_weight_ops()))
+def test_closed_form_value_error_bounds_the_long_double_values(name):
+    # (17 + 2d) eps max|A_ij|, derived in _values_between: every value lies
+    # within it of the long-double closed form, and it is no larger than the
+    # bound the bisection gives the same box
+    op, lam = constant_weight_ops()[name]
+    spec = spectrum_below(op, lam)
+    cert = spec.certificate
+    assert cert.value_method == "closed-form"
+    assert cert.value_error == (17 + 2 * op.grid.d) * np.finfo(float).eps * op.max_entry
+    want = long_double_box_values(op)[:len(spec.values)]
+    deviation = np.abs(spec.values.astype(np.longdouble) - want)
+    assert np.max(deviation) <= cert.value_error
+    bisected, bisection_error = bisection_values(op, cert.shift)
+    assert len(bisected) == len(spec.values) and cert.value_error <= bisection_error
+
+
+@st.composite
+def constant_weight_boxes(draw):
+    """An operator with a constant tilde weight on a box in d = 1-3 or on an
+    eroded rectangle (its nodes fill a smaller box): euclidean, hyperbolic
+    (d = 1) or a constant weight set with dataclasses.replace; and a lambda
+    inside its spectrum or on a closed-form eigenvalue."""
+    d = draw(st.integers(1, 3))
+    h = 1.0 / draw(st.sampled_from([7, 10, 16]))
+    most = {1: 40, 2: 12, 3: 6}[d]
+    dom = rectangle_domain(tuple((0.0, (draw(st.integers(1, most)) + 0.5) * h)
+                                 for _ in range(d)), h)
+    if draw(st.booleans()):
+        try:
+            dom = erode(dom, draw(st.floats(0.5, 2.5)) * h)
+        except EmptyErosionError:
+            assume(False)
+    hook = draw(st.sampled_from(["euclidean", "hyperbolic", "constant"]))
+    if hook == "euclidean" or (hook == "hyperbolic" and d > 1):
+        op = assemble_euclidean(dom)
+    else:
+        op = assemble_hyperbolic(dom)
+        if hook == "constant":
+            weight = draw(st.floats(0.0, 4.0))
+            op = dataclasses.replace(op, tilde_weight=np.full(dom.shape[0], weight))
+    vals = long_double_box_values(op).astype(float)
+    if draw(st.booleans()):
+        lam = vals[draw(st.integers(0, len(vals) - 1))]
+    else:
+        lam = draw(st.floats(0.0, 1.05)) * vals[-1]
+    return op, lam
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+@given(case=constant_weight_boxes())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_matches_the_sturm_count_and_the_bisection(case):
+    op, lam = case
+    spec = spectrum_below(op, lam)
+    cert = spec.certificate
+    assert cert.count_method == "sturm"
+    assert cert.value_method == ("closed-form" if cert.count else "none")
+    assert len(spec.values) == cert.count == count_below(op, lam)
+    bisected, bisection_error = bisection_values(op, cert.shift)
+    assert len(bisected) == cert.count
+    assert np.all(np.abs(spec.values - bisected) <= bisection_error)
 
 
 def test_box_values_one_short_fail_certification(monkeypatch):
@@ -993,7 +1109,24 @@ def test_box_values_one_short_fail_certification(monkeypatch):
 
     monkeypatch.setattr(weylcs.eigen, "_box_values", one_short)
     with pytest.raises(CertificationError) as info:
-        spectrum_below(box_op("euclidean", 35), 2000.0)
+        spectrum_below(box_op("hyperbolic", 35), 250.0)
+    assert info.value.found == info.value.expected - 1 > 0
+
+
+@pytest.mark.parametrize("name", ["interval", "square"])
+def test_closed_form_one_short_fails_certification(monkeypatch, name):
+    # the closed form must hold every value below the certified shift; the
+    # tilde modes (the sums below inf) are left whole, so the count is not
+    separable_sums = weylcs.eigen.separable_sums
+
+    def one_short(axes, upper):
+        sums = separable_sums(axes, upper)
+        return sums if upper == np.inf else sums[1:]
+
+    monkeypatch.setattr(weylcs.eigen, "separable_sums", one_short)
+    op, lam = constant_weight_ops()[name]
+    with pytest.raises(CertificationError) as info:
+        spectrum_below(op, lam)
     assert info.value.found == info.value.expected - 1 > 0
 
 

@@ -81,6 +81,22 @@ def test_exact_box_spectra():
     assert len(exact_spectrum_box((math.pi, math.pi), 2.0).values) == 0
 
 
+def test_exact_box_spectrum_needs_a_side():
+    # a box with no side once returned the single eigenvalue 0.0
+    with pytest.raises(ValueError, match="at least one side"):
+        exact_spectrum_box((), 5.0)
+
+
+def test_exact_spectra_name_a_nan_input():
+    # lam = nan once read as "too many exact modes below lam=nan"
+    with pytest.raises(ValueError, match="Lam must be a number, got nan"):
+        exact_spectrum_interval(1.0, math.nan)
+    with pytest.raises(ValueError, match="Lam must be a number, got nan"):
+        exact_spectrum_box((1.0, 2.0), math.nan)
+    with pytest.raises(ValueError, match="L must be positive, got nan"):
+        exact_spectrum_interval(math.nan, 100.0)
+
+
 def test_euclidean_leading_closed_forms():
     assert euclidean_leading(math.pi, 1, 100.0) == pytest.approx(2000.0 / 3.0)
     lam = 37.0
