@@ -62,5 +62,6 @@ from .weyl import (
     li_yau_bound,
     riesz_mean,
     save_curve,
+    weighted_box_volume,
     weighted_volume,
 )

@@ -29,6 +29,7 @@ from .weyl import (
     exact_spectrum_box,
     fit_remainder_exponent,
     save_curve,
+    weighted_box_volume,
     weighted_volume,
 )
 from .windows import make_bump_window, make_cosine_window, scale
@@ -170,14 +171,13 @@ def _lambda_grid(cfg):
 
 
 def _operator(cfg, h):
-    """The grid domain of cfg.box at spacing h and the cfg.kind operator on it."""
+    """The cfg.kind operator on the grid domain of cfg.box at spacing h (op.grid)."""
     assemble = assemble_euclidean if cfg.kind == "euclidean" else assemble_hyperbolic
-    dom = rectangle_domain(cfg.box, h)
-    return dom, assemble(dom)
+    return assemble(rectangle_domain(cfg.box, h))
 
 
 def cmd_spectrum(cfg) -> int:
-    _, op = _operator(cfg, cfg.h)
+    op = _operator(cfg, cfg.h)
     spec = spectrum_below(op, max(0.0, cfg.lam_max))
     save_spectrum(spec, cfg.out, kind=cfg.kind, h=cfg.h, extra=cfg.header_lines())
     return 0
@@ -190,12 +190,12 @@ def cmd_weyl_curve(cfg) -> int:
         if cfg.kind == "hyperbolic" and cfg.dim > 1:
             raise ConfigError("exact spectra are euclidean-only above one dimension")
         spec = exact_spectrum_box([b - a for a, b in cfg.box], cfg.lam_max)
-        dom = rectangle_domain(cfg.box, cfg.h)
+        vol = weighted_box_volume(cfg.kind, cfg.box)
     else:
-        dom, op = _operator(cfg, cfg.h)
+        op = _operator(cfg, cfg.h)
         spec = spectrum_below(op, cfg.lam_max)
+        vol = weighted_volume(cfg.kind, op.grid)
 
-    vol = weighted_volume(cfg.kind, dom)
     try:
         curve = build_curve(spec, lambdas, lambda lam: euclidean_leading(vol, cfg.dim, lam),
                             window=window)
@@ -228,7 +228,7 @@ def _symbol_report(cfg):
         points.append((xi, y))
     lines, errors, exact = [], [], []
     for h in (cfg.h, cfg.h / 2.0):
-        _, op = _operator(cfg, h)
+        op = _operator(cfg, h)
         if not exact:  # once, after the first operator, whose overflow check comes first
             for xi, y in points:
                 try:

@@ -17,13 +17,13 @@ stable).
 
 The box path is numpy only.  A count is the Sturm counts (_sturm_counts, run
 down the rows of all the tridiagonals at once) at shift -/+ tol
-(_box_inertia) and computes no eigenvalue.  Where w is constant (every
-euclidean box and every d = 1 box) the operator is the Kronecker sum
-A1 (x) I + I (x) w*A_tilde, and the eigenvalues below the certified shift are
-the sums of A1's modes and w*mu in closed form (separable_sums, which also
-forms mu), as many as the Sturm count certifies.  Where w varies,
-spectrum_below narrows every eigenvalue below the certified shift from the
-modes' Gershgorin bounds by multisection, down to the count's rounding level
+(_box_inertia) and computes no eigenvalue.  The eigenvalues below the
+certified shift come from one routine, _box_values: as
+min(w) I <= diag(w) <= max(w) I, eigenvalue k of mode mu lies in its Weyl
+bracket [a1_k + mu*min(w), a1_k + mu*max(w)], with a1 the modes of A1.
+Where w is constant (every euclidean box and every d = 1 box) the brackets
+have width zero and are the closed form, the sums of A1's modes and w*mu;
+where w varies, multisection narrows them down to the count's rounding level
 (stebz's criterion).  Neither assembles the sparse matrix nor lists the
 nodes: its largest entry, which sets tol, is DiscreteOperator.max_entry, read
 from the edge weights at the occupied x_1 indices.
@@ -39,8 +39,8 @@ On either path an unresolved count nudges the shift downward.  After three
 unresolved attempts two resolved counts of the same path, at shift - delta
 and shift + 2*delta, bracket the shift, and the values between them decide
 the count, each within its error bound of an eigenvalue (the rounding of the
-closed form, half the bisection bracket plus the rounding of the counts, or
-the residual bound
+closed form, half the final bracket plus the rounding of the counts, or the
+residual bound
 |theta - lambda_i| <= ||r||, Parlett, The Symmetric Eigenvalue Problem,
 ch. 4).  count_certificate does all of this, and every count goes through
 it: count_below, spectrum_below and the slice ends.
@@ -48,12 +48,12 @@ it: count_below, spectrum_below and the slice ends.
 One routine, _values_between, finds the eigenvalues between two certified
 counts: for spectrum_below from 0 with count 0 (both operators are positive
 definite) to the certified shift, and for the bracket between its two ends.
-On a box they are the closed-form or multisection values past the lower
-count.  Elsewhere
-they come from spectrum slicing (Ericsson-Ruhe 1980; Campos-Roman 2012): the
-interval is split at certified counts into slices of at most _SLICE
-eigenvalues, and shift-invert eigsh centred in each slice must find exactly
-the slice's count in it.
+On a box they are the values of _box_values past the lower count: the ends
+of the Weyl brackets where those have width zero, the multisection
+midpoints otherwise.  Elsewhere they come from spectrum slicing
+(Ericsson-Ruhe 1980; Campos-Roman 2012): the interval is split at certified
+counts into slices of at most _SLICE eigenvalues, and shift-invert eigsh
+centred in each slice must find exactly the slice's count in it.
 """
 
 from __future__ import annotations
@@ -96,16 +96,18 @@ class Certificate:
     # the level of _sparse_inertia.  Above 1 is resolved; after a bracket,
     # the smaller margin of its two ends
     pivot_margin: float
-    # "closed-form" (a box with a constant tilde weight), "bisection" (a box
-    # where it varies), "eigsh" (sliced), "eigvalsh" (a slice too large for
-    # eigsh, count + 1 >= n, as on a mask of one or two nodes) or "none"
+    # "closed-form" (a box whose Weyl brackets all have width zero: a
+    # constant tilde weight), "bisection" (a box whose brackets were
+    # narrowed), "eigsh" (sliced), "eigvalsh" (a slice too large for eigsh,
+    # count + 1 >= n, as on a mask of one or two nodes) or "none"
     value_method: str = "none"
-    # a bound on the error of the values (see _values_between).  After
-    # closed-form (17 + 2d)*eps*max|A_ij| for the rounding of the sums;
-    # after bisection half the widest final bracket (each value is the
-    # midpoint of its bracket) plus (20 + 2d)*eps*max|A_ij| for the rounding
-    # of the counts and of the modes.  On the eigsh path the largest residual
-    # |A v - theta v| of a unit Ritz vector; nan for eigvalsh and none
+    # a bound on the error of the values (see _values_between), read on a box
+    # from the final brackets.  After closed-form (17 + 2d)*eps*max|A_ij| for
+    # the rounding of the sums; after bisection half the widest final
+    # bracket (each value is the midpoint of its bracket) plus
+    # (20 + 2d)*eps*max|A_ij| for the rounding of the counts and of the
+    # modes.  On the eigsh path the largest residual |A v - theta v| of a
+    # unit Ritz vector; nan for eigvalsh and none
     value_error: float = float("nan")
 
 
@@ -251,13 +253,15 @@ def _sturm_counts(w, mu, x, inv_h2, pivmin):
 
 class _Values(NamedTuple):
     values: np.ndarray  # sorted
-    bracket: float  # widest final bisection bracket
+    bracket: float  # widest final bracket
+    method: str  # "closed-form" when every bracket had width zero, else "bisection"
 
 
 def _tridiagonals(h, box, upper):
-    """The tilde modes mu that can reach upper (A1 is positive definite, so
-    with w >= 0 a mode lies above mu * min(w)), 1/h^2 and stebz's pivmin."""
-    mu = box.mu[box.mu * box.w.min() <= upper] if box.w.min() >= 0.0 else box.mu
+    """The tilde modes mu that can reach upper (A1 is positive definite and
+    mu >= 0, so a mode's eigenvalues lie above mu * min(w) for w of any
+    sign), 1/h^2 and stebz's pivmin."""
+    mu = box.mu[box.mu * box.w.min() <= upper]
     inv_h2 = 1.0 / (h * h)
     return mu, inv_h2, np.finfo(float).tiny * max(1.0, inv_h2 * inv_h2)
 
@@ -283,35 +287,40 @@ def _box_inertia(h, box, shift, tol):
 
 
 def _box_values(h, box, upper):
-    """Eigenvalues at or below upper of the tridiagonals A1 + mu*diag(w), one
-    per tilde mode, found together by Sturm multisection."""
-    w = box.w
-    mu, inv_h2, pivmin = _tridiagonals(h, box, upper)
-    diag = 2.0 * inv_h2 + w[:, None] * mu  # [i, mode]
-    # Gershgorin bounds of each mode, widened as LAPACK's stebz does
-    k = np.arange(len(w))
-    radius = inv_h2 * (np.minimum(k, 1) + np.minimum(len(w) - 1 - k, 1))[:, None]
-    lower, upper_bound = (diag - radius).min(axis=0), (diag + radius).max(axis=0)
-    tnorm = np.maximum(np.abs(lower), np.abs(upper_bound))
-    fudge = 2.1 * (tnorm * _EPS * len(w) + pivmin)
-    lower, upper_bound = lower - fudge, upper_bound + fudge
+    """Eigenvalues below upper of the tridiagonals A1 + mu*diag(w), one per
+    tilde mode.
 
-    count = _sturm_counts(w, mu, np.full(len(mu), upper), inv_h2, pivmin)
+    As min(w) I <= diag(w) <= max(w) I, Weyl's inequality puts eigenvalue k
+    of mode mu in its bracket [a1_k + mu*min(w), a1_k + mu*max(w)], a1 the
+    modes of A1.  A mode's count below upper is read from its brackets by a
+    search in a1; only a mode with a bracket across upper takes a Sturm
+    count.  Where w is constant every bracket has width zero and its end is
+    the closed form, the sum of A1's mode and w*mu (method "closed-form");
+    otherwise Sturm multisection narrows the brackets together down to the
+    count's rounding level, stebz's criterion ("bisection")."""
+    w, a1 = box.w, box.a1
+    mu, inv_h2, pivmin = _tridiagonals(h, box, upper)
+    low, high = mu * w.min(), mu * w.max()
+    count = np.searchsorted(a1, upper - high)
+    across = np.flatnonzero(np.searchsorted(a1, upper - low) > count)
+    if len(across):
+        count[across] = _sturm_counts(w, mu[across], np.full(len(across), upper), inv_h2, pivmin)
     mode = np.repeat(np.arange(len(mu)), count)
     index = np.arange(len(mode)) - np.repeat(np.cumsum(count) - count, count)
-    # bracket every wanted eigenvalue: count(lo) <= index < count(hi)
-    lo, hi = lower[mode], np.minimum(upper_bound[mode], upper)
-    mu, tnorm, rows = mu[mode, None], tnorm[mode], np.arange(len(mode))
+    lo, hi = a1[index] + low[mode], np.minimum(a1[index] + high[mode], upper)
+    method = "bisection" if np.any(hi != lo) else "closed-form"
+    # converged as in LAPACK's stebz: to the rounding level of the count,
+    # eps times 4/h^2 + mu*max|w|, a bound on the mode's eigenvalues
+    floor = np.maximum(_EPS * (4.0 * inv_h2 + mu[mode] * np.abs(w).max()), pivmin)
+    mu, rows = mu[mode, None], np.arange(len(mode))
     points = max(1, _POINTS // max(1, len(mode)))
     frac = np.arange(1, points + 1) / (points + 1.0)
-    # converged as in LAPACK's stebz: to the rounding level of the count
-    floor = np.maximum(_EPS * tnorm, pivmin)
     while np.any(hi - lo > np.maximum(floor, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))):
         x = lo[:, None] + (hi - lo)[:, None] * frac
         past = np.sum(_sturm_counts(w, mu, x, inv_h2, pivmin) <= index[:, None], axis=1)
         ends = np.concatenate([lo[:, None], x, hi[:, None]], axis=1)
         lo, hi = ends[rows, past], ends[rows, past + 1]
-    return _Values(values=np.sort(0.5 * (lo + hi)), bracket=float(np.max(hi - lo, initial=0.0)))
+    return _Values(np.sort(0.5 * (lo + hi)), float(np.max(hi - lo, initial=0.0)), method)
 
 
 def _shifted(op, shift):
@@ -457,14 +466,14 @@ def _values_between(op, box, lo, hi):
     """The eigenvalues between two certified counts lo and hi, each a
     (shift, count) pair, how they were found and their error bound.
 
-    On a box (box not None) they are the values below hi's shift past lo's
-    count: no eigenvalue lies within tol of a certified shift, so those are
-    the ones in [lo, hi).  With w the same at every x_1 they are the sums of
-    A1's modes and w*mu below it (separable_sums), the spectrum of the
-    Kronecker sum A1 (x) I + I (x) w*A_tilde; otherwise the multisection
-    values at or below it.  Elsewhere they are the values of _slice_values
-    over the slices of _slice_ends.  Equal counts have no values, found by
-    "none" with a nan error.
+    On a box (box not None) they are the values of _box_values below hi's
+    shift past lo's count: no eigenvalue lies within tol of a certified
+    shift, so those are the ones in [lo, hi).  The method and the error are
+    read from the final brackets: "closed-form" when every Weyl bracket had
+    width zero (w the same at every x_1, the spectrum of the Kronecker sum
+    A1 (x) I + I (x) w*A_tilde), "bisection" otherwise.  Elsewhere they are
+    the values of _slice_values over the slices of _slice_ends.  Equal
+    counts have no values, found by "none" with a nan error.
 
     The bounds below hold for nonnegative weights as assembled, with
     M = max|A_ij|, each rounding at most eps/2 relative, and every
@@ -488,8 +497,11 @@ def _values_between(op, box, lo, hi):
 
     A multisection value lies within half the widest final bracket plus
     c*eps*M of an eigenvalue of A, c = 20 + 2d.  Every diagonal entry d_i
-    of a mode's tridiagonal and both ends of a final bracket also lie in
-    [0, 2M] (up to stebz's fudge), and 1/h^2 <= M/2.  The terms of c are:
+    of a mode's tridiagonal and both ends of a Weyl bracket also lie in
+    [0, 2M] (a1_k < 4/h^2 and mu*max(w) < 4(d - 1) max(w)/h^2, twice the
+    two parts of the largest diagonal entry), and 1/h^2 <= M/2.  While the
+    counts at both ends keep the invariant count(lo) <= k < count(hi) for
+    value k, the terms of c are:
 
     - 2, the guarded recurrence (Barth, Martin & Wilkinson 1967): the count
       at x is the exact count of a tridiagonal within eps/2 |d_i - x| <= eps*M
@@ -506,21 +518,27 @@ def _values_between(op, box, lo, hi):
     - d, the matrix's diagonal, summed from 2d weights, against the exact
       Kronecker sum;
     - 1, the midpoint.
+
+    The counts may break that invariant at an end of a Weyl bracket, whose
+    ends are sums of rounded modes: the eigenvalue the counts see may lie
+    just outside it.  Then every point multisection counts lies on the same
+    side of that eigenvalue, and the bracket converges to that end.  The
+    eigenvalue of the exact Kronecker sum lies in its exact bracket, whose
+    end is within the modes' rounding, (17 + d) eps*M, of the computed one;
+    the eigenvalue the counts see is within 2 + 17 + d of it and beyond the
+    computed end.  So the end lies within (19 + d) eps*M of the former, and
+    with the diagonal's d and the midpoint's 1 the bound 20 + 2d stands.
     """
     count = hi[1] - lo[1]
     if count == 0:
         return np.empty(0), "none", float("nan")
     if box is not None:
-        if np.all(box.w == box.w[0]):  # A1 (x) I + w I (x) A_tilde, a Kronecker sum
-            vals = separable_sums([box.a1, box.w[0] * box.mu], hi[0])[lo[1]:]
-            method, error = "closed-form", (17 + 2 * op.grid.d) * _EPS * op.max_entry
-        else:
-            found = _box_values(op.grid.h, box, hi[0])
-            vals, method = found.values[lo[1]:], "bisection"
-            error = 0.5 * found.bracket + (20 + 2 * op.grid.d) * _EPS * op.max_entry
+        found = _box_values(op.grid.h, box, hi[0])
+        vals, c = found.values[lo[1]:], 17 if found.method == "closed-form" else 20
         if len(vals) != count:
             raise CertificationError(found=len(vals), expected=count)
-        return vals, method, float(error)
+        error = 0.5 * found.bracket + (c + 2 * op.grid.d) * _EPS * op.max_entry
+        return vals, found.method, float(error)
     ends = _slice_ends(op, lo, hi)
     parts = [_slice_values(op, a, b, c_b - c_a) for (a, c_a), (b, c_b) in zip(ends, ends[1:])]
     method = "eigvalsh" if any(m == "eigvalsh" for _, m, _ in parts) else "eigsh"

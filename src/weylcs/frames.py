@@ -143,8 +143,14 @@ class PhaseSpaceFunction:
 
 
 def build_frame(box, h, window: Window) -> CoherentFrame:
-    """Periodized frame on a cubic box of side L = N*h; requires 2*eps < L."""
+    """Periodized frame on a cubic box of side L = N*h; requires 2*eps < L.
+    ValueError unless the box has sides, each positive and finite, and
+    0 < h < inf."""
     sides = [b - a for a, b in box]
+    if not sides or not all(0.0 < sd < math.inf for sd in sides):
+        raise ValueError(f"box sides must be positive and finite, got box={box!r}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got h={h!r}")
     L = sides[0]
     if any(abs(sd - L) > 1e-12 * L for sd in sides):
         raise FrameError("embedding box must be cubic (equal sides)")

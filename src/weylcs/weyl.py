@@ -31,7 +31,10 @@ def semiclassical_constant(d):
 
 
 def riesz_mean(spec: Spectrum, lam: float) -> float:
-    """Sum of (lam - lambda_k)_+ over the certified spectrum."""
+    """Sum of (lam - lambda_k)_+ over the certified spectrum; ValueError for
+    a nan lam."""
+    if math.isnan(lam):
+        raise ValueError(f"lambda must be a number, got {lam!r}")
     if not spec.certified:
         raise UncertifiedTailError("spectrum is not certified")
     if spec.cutoff is not None and spec.cutoff < lam:
@@ -78,21 +81,31 @@ def li_yau_bound(vol: float, d: int, lam: float) -> float:
     return euclidean_leading(vol, d, lam)
 
 
+def _exponent(kind, d):
+    """k of the weight exp(-k y_1): d - 1 for the hyperbolic kind, 0 otherwise."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    return d - 1 if kind == "hyperbolic" else 0
+
+
+def weighted_box_volume(kind, box) -> float:
+    """int_box exp(-k y_1) dy in closed form, with k as in weighted_volume."""
+    k = _exponent(kind, len(box))
+    (a1, b1), *rest = box
+    side1 = (math.exp(-k * a1) - math.exp(-k * b1)) / k if k else b1 - a1
+    return math.prod([side1] + [b - a for a, b in rest])
+
+
 def weighted_volume(kind, dom: GridDomain) -> float:
     """int_Omega exp(-k y_1) dy, with k = d - 1 for the hyperbolic kind and 0 otherwise.
 
     Closed form on an exact box, the lattice sum over the mask's rows otherwise.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    d = dom.d
-    k = d - 1 if kind == "hyperbolic" else 0
+    k = _exponent(kind, dom.d)
     if dom.exact_box is not None:
-        (a1, b1), *rest = dom.exact_box
-        side1 = (math.exp(-k * a1) - math.exp(-k * b1)) / k if k else b1 - a1
-        return math.prod([side1] + [b - a for a, b in rest])
-    counts = dom.mask.sum(axis=tuple(range(1, d)))
-    return float(np.sum(counts * np.exp(-k * dom.axis_coords(0)))) * dom.h ** d
+        return weighted_box_volume(kind, dom.exact_box)
+    counts = dom.mask.sum(axis=tuple(range(1, dom.d)))
+    return float(np.sum(counts * np.exp(-k * dom.axis_coords(0)))) * dom.h ** dom.d
 
 
 def hyperbolic_leading(dom: GridDomain, lam: float) -> float:
@@ -132,9 +145,13 @@ def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window) -> RieszCur
     scaled by eps; the leading term itself is eps-free.  LeadingOverflowError
     when a leading term is not finite (lambda too large), OverflowError when
     an eps is not finite and positive (a lambda <= 0) or when the window
-    constants overflow at it.
+    constants overflow at it; ValueError for a grid that is not finite or
+    not strictly increasing.
     """
     lambdas = np.asarray(lambdas, dtype=float)
+    if not np.all(np.isfinite(lambdas)):
+        bad = lambdas[~np.isfinite(lambdas)][0]
+        raise ValueError(f"lambda grid must be finite, got {float(bad)!r}")
     if np.any(np.diff(lambdas) <= 0):
         raise ValueError("lambda grid must be strictly increasing")
     riesz = np.array([riesz_mean(spec, lam) for lam in lambdas])

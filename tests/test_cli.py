@@ -234,8 +234,9 @@ def test_weyl_curve_discrete_past_the_dense_limit(tmp_path, monkeypatch):
 
 
 def test_weyl_curve_leading_term_needs_no_exact_box(tmp_path, monkeypatch):
-    # the leading term reads the domain's mask, not a closed form of a
-    # declared box: here the box declares sides twice those of its rows
+    # a discrete curve's leading term reads the domain's mask, not a closed
+    # form of a declared box: here the box declares sides twice those of its
+    # rows
     doms = []
 
     def plain_box(box, h):
@@ -248,6 +249,7 @@ def test_weyl_curve_leading_term_needs_no_exact_box(tmp_path, monkeypatch):
     out = tmp_path / "curve.csv"
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(["weyl-curve", "--set", "kind=euclidean", "--set", "dim=2",
+                   "--set", "source=discrete",
                    "--set", "box=0,1;0,2", "--set", "h=0.05", "--set", "lam_min=100",
                    "--set", "lam_max=1000", "--set", "lam_count=6", "--out", str(out)])
     assert rc == 0 and len(doms) == 1 and doms[0].exact_box is None
@@ -493,15 +495,42 @@ def test_weyl_curve_bump_window_on_a_linear_grid(tmp_path):
 
 @pytest.mark.parametrize("kind, dim, box", [("euclidean", 2, "0,1;0,2"), ("hyperbolic", 1, "0,1")])
 def test_exact_weyl_curve_builds_no_operator(tmp_path, monkeypatch, kind, dim, box):
-    # an exact curve needs only the domain, for its weighted volume
+    # an exact curve needs no operator and no domain: its spectrum and its
+    # weighted volume are closed forms of the box
     def no_operator(dom):
         raise AssertionError("an exact weyl-curve assembled an operator")
 
+    def no_domain(box, h):
+        raise AssertionError("an exact weyl-curve built a grid domain")
+
     monkeypatch.setattr(weylcs.cli, "assemble_euclidean", no_operator)
     monkeypatch.setattr(weylcs.cli, "assemble_hyperbolic", no_operator)
+    monkeypatch.setattr(weylcs.cli, "rectangle_domain", no_domain)
     assert main(["weyl-curve", "--set", f"kind={kind}", "--set", f"dim={dim}",
                  "--set", f"box={box}", "--set", "h=0.01", "--set", "source=exact",
                  "--out", str(tmp_path / "curve.csv")]) == 0
+
+
+def test_exact_weyl_curve_does_not_depend_on_h(tmp_path):
+    # the same rows at every h: at h = 0.002 on the unit cube (a 499^3
+    # lattice, whose mask alone is 124 MB) the run peaks within 10 MiB of
+    # h = 0.01, and an h with no interior node runs too
+    rows, peaks = [], []
+    for h in (0.01, 0.002, 1.0 - 1e-10):
+        out = tmp_path / f"curve-{h}.csv"
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["weyl-curve", "--set", "dim=3", "--set", "box=0,1;0,1;0,1",
+                             "--set", f"h={h!r}", "--set", "lam_max=2000",
+                             "--set", "lam_count=8", "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows.append([line for line in out.read_text().splitlines()
+                     if not line.startswith("# h=")])
+    assert rows[0] == rows[1] == rows[2]
+    assert peaks[1] < peaks[0] + 10 * 2 ** 20
 
 
 def test_weyl_curve_reports_why_the_fit_is_unavailable(tmp_path, capsys):

@@ -30,6 +30,7 @@ from weylcs.eigen import (
     dense_spectrum,
     load_spectrum,
     save_spectrum,
+    separable_sums,
     spectrum_below,
 )
 from weylcs.operators import assemble_euclidean, assemble_hyperbolic
@@ -884,15 +885,30 @@ def constant_weight_ops():
 
 @pytest.mark.parametrize("name", sorted(constant_weight_ops()))
 def test_constant_weight_box_spectrum_never_bisects(monkeypatch, name):
-    def boom(*args, **kwargs):
-        raise AssertionError("a constant-weight box bisected its values")
+    # a constant weight gives Weyl brackets of width zero: _box_values
+    # returns their ends, the closed form, and takes no Sturm count
+    calls = []
+    box_values = weylcs.eigen._box_values
 
-    monkeypatch.setattr(weylcs.eigen, "_box_values", boom)
+    def boom(*args, **kwargs):
+        raise AssertionError("a constant-weight box took a Sturm count for its values")
+
+    def no_sturm(h, box, upper):
+        calls.append(upper)
+        with monkeypatch.context() as patch:
+            patch.setattr(weylcs.eigen, "_sturm_counts", boom)
+            return box_values(h, box, upper)
+
+    monkeypatch.setattr(weylcs.eigen, "_box_values", no_sturm)
     op, lam = constant_weight_ops()[name]
     spec = spectrum_below(op, lam)
     cert = spec.certificate
+    assert calls == [cert.shift]
     assert (cert.count_method, cert.value_method) == ("sturm", "closed-form")
     assert cert.count == len(spec.values) == count_below(op, lam) > 0
+    box = _box_modes(op)
+    want = separable_sums([box.a1, box.w[0] * box.mu], cert.shift)
+    assert spec.values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("make", [lambda: box_op("hyperbolic", 35), lambda: interval_op(60)[0]],
@@ -925,10 +941,9 @@ def lapack_box_values(op):
 
 
 @st.composite
-def kernel_cases(draw):
+def kernel_ops(draw):
     """An operator on a box in d = 1-3 (a cube, so every mu repeats, or
-    not; the hyperbolic one with exp(2 x_1) or a weight that changes sign)
-    and an upper end: inside the spectrum, on an eigenvalue or below it."""
+    not; the hyperbolic one with exp(2 x_1) or a weight that changes sign)."""
     d = draw(st.integers(1, 3))
     h = 1.0 / draw(st.sampled_from([7, 10, 16]))
     most = {1: 40, 2: 12, 3: 6}[d]
@@ -939,11 +954,18 @@ def kernel_cases(draw):
     dom = rectangle_domain(tuple((0.0, (k + 0.5) * h) for k in sides), h)
     hook = draw(st.sampled_from(["euclidean", "hyperbolic", "sign-changing"]))
     if hook == "euclidean":
-        op = assemble_euclidean(dom)
-    else:
-        op = assemble_hyperbolic(dom)
-        if hook == "sign-changing" and d > 1:
-            op = dataclasses.replace(op, tilde_weight=np.cos(9.0 * dom.axis_coords(0)) - 0.4)
+        return assemble_euclidean(dom)
+    op = assemble_hyperbolic(dom)
+    if hook == "sign-changing" and d > 1:
+        op = dataclasses.replace(op, tilde_weight=np.cos(9.0 * dom.axis_coords(0)) - 0.4)
+    return op
+
+
+@st.composite
+def kernel_cases(draw):
+    """An operator of kernel_ops and an upper end: inside the spectrum, on an
+    eigenvalue or below it."""
+    op = draw(kernel_ops())
     vals = lapack_box_values(op)
     where = draw(st.sampled_from(["inside", "on", "below"]))
     if where == "inside":
@@ -953,6 +975,22 @@ def kernel_cases(draw):
     else:
         upper = vals[0] - draw(st.floats(1e-3, 10.0)) * abs(vals[0])
     return op, vals, upper
+
+
+@given(op=kernel_ops())
+@settings(max_examples=60, deadline=None)
+def test_weyl_brackets_hold_every_mode_eigenvalue(op):
+    # min(w) I <= diag(w) <= max(w) I, so by Weyl's inequality eigenvalue k
+    # of A1 + mu*diag(w) lies in [a1_k + mu*min(w), a1_k + mu*max(w)], the
+    # bracket _box_values starts from, up to the rounding of both sides
+    box, h = _box_modes(op), op.grid.h
+    atol = 8.0 * np.finfo(float).eps * op.max_entry
+    off = np.full(len(box.w) - 1, -1.0 / h ** 2)
+    for mu in box.mu:
+        vals = scipy.linalg.eigvalsh_tridiagonal(2.0 / h ** 2 + mu * box.w, off,
+                                                 lapack_driver="stebz")
+        assert np.all(box.a1 + mu * box.w.min() - atol <= vals)
+        assert np.all(vals <= box.a1 + mu * box.w.max() + atol)
 
 
 @given(case=kernel_cases())
@@ -1014,12 +1052,12 @@ def test_box_value_error_is_the_bisection_bracket(d):
 
 
 def bisection_values(op, upper):
-    """The multisection values of _box_values at or below upper and their
-    error bound on the bisection path: half the widest final bracket plus
-    (20 + 2d) eps max|A_ij|."""
-    found = _box_values(op.grid.h, _box_modes(op), upper)
-    eps_a = np.finfo(float).eps * op.max_entry
-    return found.values, 0.5 * found.bracket + (20 + 2 * op.grid.d) * eps_a
+    """Oracle: the values below upper of LAPACK's bisection (stebz) on every
+    tilde mode, and a bound on their error: half its final bracket, at most
+    2 eps max|A_ij|, plus (20 + 2d) eps max|A_ij| for the rounding of the
+    counts and of the modes, as on the box path's multisection."""
+    vals = lapack_box_values(op)
+    return vals[vals < upper], (22 + 2 * op.grid.d) * np.finfo(float).eps * op.max_entry
 
 
 def long_double_box_values(op):
@@ -1039,7 +1077,7 @@ def long_double_box_values(op):
 def test_closed_form_value_error_bounds_the_long_double_values(name):
     # (17 + 2d) eps max|A_ij|, derived in _values_between: every value lies
     # within it of the long-double closed form, and it is no larger than the
-    # bound the bisection gives the same box
+    # bound of LAPACK's bisection on the same box
     op, lam = constant_weight_ops()[name]
     spec = spectrum_below(op, lam)
     cert = spec.certificate
@@ -1099,8 +1137,10 @@ def test_closed_form_matches_the_sturm_count_and_the_bisection(case):
     assert np.all(np.abs(spec.values - bisected) <= bisection_error)
 
 
-def test_box_values_one_short_fail_certification(monkeypatch):
-    # the multisection must return every value between the two counts
+@pytest.mark.parametrize("name", ["hyperbolic", "interval", "square"])
+def test_box_values_one_short_fail_certification(monkeypatch, name):
+    # _box_values must return every value between the two counts, by
+    # multisection (the hyperbolic square) or in closed form
     box_values = weylcs.eigen._box_values
 
     def one_short(h, box, upper):
@@ -1108,23 +1148,8 @@ def test_box_values_one_short_fail_certification(monkeypatch):
         return found._replace(values=found.values[1:])
 
     monkeypatch.setattr(weylcs.eigen, "_box_values", one_short)
-    with pytest.raises(CertificationError) as info:
-        spectrum_below(box_op("hyperbolic", 35), 250.0)
-    assert info.value.found == info.value.expected - 1 > 0
-
-
-@pytest.mark.parametrize("name", ["interval", "square"])
-def test_closed_form_one_short_fails_certification(monkeypatch, name):
-    # the closed form must hold every value below the certified shift; the
-    # tilde modes (the sums below inf) are left whole, so the count is not
-    separable_sums = weylcs.eigen.separable_sums
-
-    def one_short(axes, upper):
-        sums = separable_sums(axes, upper)
-        return sums if upper == np.inf else sums[1:]
-
-    monkeypatch.setattr(weylcs.eigen, "separable_sums", one_short)
-    op, lam = constant_weight_ops()[name]
+    op, lam = (box_op("hyperbolic", 35), 250.0) if name == "hyperbolic" \
+        else constant_weight_ops()[name]
     with pytest.raises(CertificationError) as info:
         spectrum_below(op, lam)
     assert info.value.found == info.value.expected - 1 > 0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -70,6 +71,24 @@ def test_lattice_sum_near_one():
 def test_build_frame_rejects(box, h, window, message):
     with pytest.raises(FrameError, match=message):
         build_frame(box, h, window)
+
+
+@pytest.mark.parametrize("box, h, named", [
+    (((0.0, 1.0),), -0.1, "h=-0.1"),
+    (((0.0, 1.0),), math.inf, "h=inf"),
+    (((0.0, 1.0),), math.nan, "h=nan"),
+    (((0.0, 1.0),), 0.0, "h=0.0"),
+    (((0.0, math.nan),), 0.05, "box=((0.0, nan),)"),
+    (((0.0, math.inf),), 0.05, "box=((0.0, inf),)"),
+    (((1.0, 0.0),), 0.05, "box=((1.0, 0.0),)"),
+    ((), 0.05, "box=()"),
+], ids=["negative-h", "inf-h", "nan-h", "zero-h", "nan-side", "inf-side", "reversed-side",
+        "no-side"])
+def test_build_frame_rejects_a_bad_box_or_h(box, h, named):
+    # one check up front, before any lattice work, names the input at fault
+    with pytest.raises(ValueError, match=re.escape(named)) as info:
+        build_frame(box, h, scale(make_cosine_window(1), 0.1))
+    assert type(info.value) is ValueError
 
 
 def test_forward_zero():

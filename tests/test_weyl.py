@@ -26,6 +26,7 @@ from weylcs.weyl import (
     save_curve,
     semiclassical_constant,
     unit_ball_volume,
+    weighted_box_volume,
     weighted_volume,
 )
 from weylcs.windows import make_cosine_window
@@ -55,6 +56,14 @@ def test_riesz_uncertified_tail():
     bad = Spectrum(values=np.array([1.0]), cutoff=None, certified=False)
     with pytest.raises(UncertifiedTailError):
         riesz_mean(bad, 5.0)
+
+
+def test_riesz_mean_rejects_a_nan_lambda():
+    # nan once passed the tail check and summed nothing; -inf sums nothing
+    spec = exact_spectrum_interval(math.pi, 100.0)
+    with pytest.raises(ValueError, match="lambda must be a number, got nan"):
+        riesz_mean(spec, math.nan)
+    assert riesz_mean(spec, -math.inf) == 0.0
 
 
 def test_exact_interval_spectra():
@@ -163,7 +172,8 @@ def test_hyperbolic_leading_mask_fallback():
 def test_weighted_volume_closed_forms_and_lattice_sums(kind, box, want):
     h = 1 / 100
     dom = rectangle_domain(box, h)
-    assert weighted_volume(kind, dom) == pytest.approx(want, rel=1e-14)
+    assert weighted_volume(kind, dom) == weighted_box_volume(kind, box) \
+        == pytest.approx(want, rel=1e-14)
     # the lattice sum over interior nodes misses an O(h) boundary strip
     plain = _plain(dom)
     assert plain.exact_box is None
@@ -173,6 +183,8 @@ def test_weighted_volume_closed_forms_and_lattice_sums(kind, box, want):
 def test_weighted_volume_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="elliptic"):
         weighted_volume("elliptic", rectangle_domain(((0.0, 1.0),), 0.1))
+    with pytest.raises(ValueError, match="elliptic"):
+        weighted_box_volume("elliptic", ((0.0, 1.0),))
 
 
 def test_build_curve_ratio_increases_to_one():
@@ -194,6 +206,16 @@ def test_build_curve_requires_increasing_grid():
     spec = exact_spectrum_interval(math.pi, 1e3)
     with pytest.raises(ValueError):
         build_curve(spec, [100.0, 100.0], lambda lam: lam, make_cosine_window(1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_curve_rejects_a_grid_that_is_not_finite(bad):
+    # before the other checks: a nan passes the strict-increase test and
+    # once surfaced as "leading term not finite at lambda = nan"
+    spec = exact_spectrum_interval(math.pi, 1e3)
+    with pytest.raises(ValueError, match=f"lambda grid must be finite, got {bad!r}") as info:
+        build_curve(spec, [10.0, 100.0, bad], lambda lam: lam, make_cosine_window(1))
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0])
