@@ -68,21 +68,37 @@ class GridDomain:
         return self.origin[axis] + self.h * np.arange(self.shape[axis])
 
 
+def box_sides(box, name="box"):
+    """The sides b - a of a box given as one (a, b) pair per axis.
+
+    The one rule of a box, which every routine that takes one applies:
+    ValueError, its message starting with name and naming the box, unless it
+    has at least one (a, b) pair and every side b - a is positive and finite,
+    which makes a and b finite too.
+    """
+    try:
+        sides = [b - a for a, b in box]
+    except (TypeError, ValueError):  # not a sequence of number pairs
+        sides = []
+    if not sides or not all(0 < s < math.inf for s in sides):
+        raise ValueError(f"{name} needs at least one (a, b) pair, and every side b - a "
+                         f"positive and finite, got box={box!r}")
+    return sides
+
+
 def _rectangle_shape(box, h):
     """Nodes per axis of the lattice from each lower end, through the upper end.
 
-    The one check of a box and its spacing: ValueError unless every side b - a
-    is positive, 0 < h < shortest side < inf, and the lattice can be indexed
-    (the product of the (b - a)/h is below the largest np.intp).
+    The one check of a box and its spacing: ValueError as in box_sides, or
+    unless 0 < h < shortest side and the lattice can be indexed (the product
+    of the (b - a)/h is below the largest np.intp).
     """
-    for a, b in box:
-        if not b > a:
-            raise ValueError("degenerate box")
-    if not 0 < h < min(b - a for a, b in box) < math.inf:
-        raise ValueError(f"need 0 < h < shortest side < inf, got h={h!r}")
-    if not math.prod((b - a) / h for a, b in box) < np.iinfo(np.intp).max:
+    sides = box_sides(box)
+    if not 0 < h < min(sides):
+        raise ValueError(f"need 0 < h < shortest side, got h={h!r}")
+    if not math.prod(s / h for s in sides) < np.iinfo(np.intp).max:
         raise ValueError(f"the lattice of box {box!r} at h={h!r} has too many nodes to index")
-    return [int(math.floor((b - a) / h + 1e-9 * h)) + 1 for a, b in box]
+    return [int(math.floor(s / h + 1e-9 * h)) + 1 for s in sides]
 
 
 def _interior(box, h, shape):
@@ -237,11 +253,9 @@ def load_mask(path) -> GridDomain:
     shape = parse("shape", lambda v: tuple(int(t) for t in v.split()))
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"mask header: h must be positive and finite, got {header['h']!r}")
-    for key, vals in (("origin", origin), ("box", sum(box, ()))):
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"mask header: {key} entries must be finite, got {header[key]!r}")
-    if any(len(pair) != 2 for pair in box):
-        raise ValueError(f"mask header: box entries must be a,b pairs, got {header['box']!r}")
+    if not all(map(math.isfinite, origin)):
+        raise ValueError(f"mask header: origin entries must be finite, got {header['origin']!r}")
+    box_sides(box, name="mask header: box")
     if not d == len(origin) == len(box) == len(shape):
         raise ValueError(f"mask header: d={d} with {len(origin)} origin, {len(box)} box "
                          f"and {len(shape)} shape entries")

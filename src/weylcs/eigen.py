@@ -58,6 +58,7 @@ centred in each slice must find exactly the slice's count in it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -569,21 +570,45 @@ def save_spectrum(spec: Spectrum, path, kind="", h=None, extra=()):
             fh.write("%.17g\n" % v)
 
 
+def _number(text):
+    """float(text), or nan where text is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def load_spectrum(path) -> Spectrum:
-    header = {}
-    vals = []
+    """Read a save_spectrum file.  ValueError naming the header key for a
+    cutoff that is not a number or a certified other than true or false, and
+    naming the line (counted from 1) and its text for a value that is not a
+    finite number, is below the value before it, or is not below the cutoff.
+    """
+    header, lines = {}, []
     with open(path) as fh:
-        for line in fh:
+        for i, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 body = line[1:].strip()
                 if "=" in body:
                     k, v = body.split("=", 1)
                     header[k.strip()] = v.strip()
-            else:
-                vals.append(float(line))
-    cutoff = float(header["cutoff"]) if header.get("cutoff") else None
-    certified = header.get("certified", "false") == "true"
-    return Spectrum(values=np.asarray(vals), cutoff=cutoff, certified=certified)
+            elif line:
+                lines.append((i, line))
+    cutoff = _number(header["cutoff"]) if header.get("cutoff") else None
+    if cutoff is not None and math.isnan(cutoff):
+        raise ValueError(f"spectrum header: cutoff must be a number, got {header['cutoff']!r}")
+    certified = header.get("certified", "false")
+    if certified not in ("true", "false"):
+        raise ValueError(f"spectrum header: certified must be true or false, got {certified!r}")
+    vals = []
+    for i, text in lines:
+        v = _number(text)
+        problem = ("is not a finite number" if not math.isfinite(v) else
+                   "is below the value before it" if vals and v < vals[-1] else
+                   f"is not below the cutoff {cutoff!r}" if cutoff is not None and not v < cutoff
+                   else None)
+        if problem:
+            raise ValueError(f"spectrum line {i}: {text!r} {problem}")
+        vals.append(v)
+    return Spectrum(values=np.asarray(vals), cutoff=cutoff, certified=certified == "true")

@@ -41,6 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .domains import box_sides
 from .operators import KINDS, DiscreteOperator, DimensionMismatchError
 from .windows import Window, c_constants, grad_norm_sq
 
@@ -144,11 +145,8 @@ class PhaseSpaceFunction:
 
 def build_frame(box, h, window: Window) -> CoherentFrame:
     """Periodized frame on a cubic box of side L = N*h; requires 2*eps < L.
-    ValueError unless the box has sides, each positive and finite, and
-    0 < h < inf."""
-    sides = [b - a for a, b in box]
-    if not sides or not all(0.0 < sd < math.inf for sd in sides):
-        raise ValueError(f"box sides must be positive and finite, got box={box!r}")
+    ValueError as in domains.box_sides, or unless 0 < h < inf."""
+    sides = box_sides(box)
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got h={h!r}")
     L = sides[0]
@@ -352,12 +350,11 @@ def analytic_symbol(kind, window: Window, xi, y=None) -> float:
 def trace_via_frame(frame: CoherentFrame, T) -> float:
     """Phase-space trace sum; equals trace(T) exactly for symmetric T (tightness).
 
-    T is an array, any scipy.sparse matrix, or a tuple (row, col, value) of
-    equal-length 1-D arrays of triplets, indices in 0..n-1 (duplicates add
-    up), and is read as triplets: an array through np.nonzero, a sparse
-    matrix through its own tocoo(), so a sparse T is never densified and
+    T is a tuple (row, col, value) of equal-length 1-D arrays of triplets,
+    indices in 0..n-1 (duplicates add up), the one form it takes: a sparse
+    matrix passes its own coo row, col and data, so nothing is densified and
     this module imports no scipy.  The symmetry check sums the triplets of
-    T - T^H per entry, so no input is densified.  The sum is
+    T - T^H per entry.  The sum is
     sum_j <Phi delta_j, Phi(T delta_j)>: for column j only
     the windows y = x_j - m with m in the window's support contribute, and
     the sum over xi is an explicit product of frame tables, the Gram matrix
@@ -369,18 +366,12 @@ def trace_via_frame(frame: CoherentFrame, T) -> float:
     sums of the one-axis Gram matrix along its diagonals.
     """
     n, N = frame.n, frame.N
-    if isinstance(T, tuple):
-        row, col, data = (np.asarray(a) for a in T)
-        if not (row.ndim == 1 and row.shape == col.shape == data.shape and all(
-                a.dtype.kind in "iu" and ((0 <= a) & (a < n)).all() for a in (row, col))):
-            raise ValueError(f"triplets need equal-length integer indices in 0..{n - 1}")
-    else:
-        # a sparse matrix in any format is read through its own tocoo()
-        T = T.tocoo() if hasattr(T, "tocoo") else np.asarray(T)
-        if T.shape != (n, n):
-            raise DimensionMismatchError(f"operator must be {n}x{n} on the embedding grid")
-        row, col = np.nonzero(T) if isinstance(T, np.ndarray) else (T.row, T.col)
-        data = T[row, col] if isinstance(T, np.ndarray) else T.data
+    if not (isinstance(T, tuple) and len(T) == 3):
+        raise ValueError(f"T must be a tuple (row, col, value) of triplets, got {type(T).__name__}")
+    row, col, data = (np.asarray(a) for a in T)
+    if not (row.ndim == 1 and row.shape == col.shape == data.shape and all(
+            a.dtype.kind in "iu" and ((0 <= a) & (a < n)).all() for a in (row, col))):
+        raise ValueError(f"triplets need equal-length integer indices in 0..{n - 1}")
     # T - T^H summed per entry (row * n + col), against the largest |entry|
     key = np.concatenate([row, col]).astype(np.int64) * n + np.concatenate([col, row])
     order = np.argsort(key)

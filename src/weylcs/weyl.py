@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import GridDomain
+from .domains import GridDomain, box_sides
 from .eigen import Spectrum, separable_sums
 from .operators import KINDS
 from .windows import Window, c_constants, scale
@@ -89,11 +89,16 @@ def _exponent(kind, d):
 
 
 def weighted_box_volume(kind, box) -> float:
-    """int_box exp(-k y_1) dy in closed form, with k as in weighted_volume."""
-    k = _exponent(kind, len(box))
-    (a1, b1), *rest = box
-    side1 = (math.exp(-k * a1) - math.exp(-k * b1)) / k if k else b1 - a1
-    return math.prod([side1] + [b - a for a, b in rest])
+    """int_box exp(-k y_1) dy in closed form, with k as in weighted_volume.
+    ValueError as in domains.box_sides; OverflowError naming the box when
+    exp(-k a_1) overflows."""
+    sides = box_sides(box)
+    k = _exponent(kind, len(sides))
+    try:
+        sides[0] = (math.exp(-k * box[0][0]) - math.exp(-k * box[0][1])) / k if k else sides[0]
+    except OverflowError as exc:
+        raise OverflowError(f"exp(-{k} y_1) overflows on the box, got box={box!r}") from exc
+    return math.prod(sides)
 
 
 def weighted_volume(kind, dom: GridDomain) -> float:

@@ -126,9 +126,10 @@ def _bump_profile(d):
 
 
 def _unit_window(d, profile):
-    """The window of profile(d) on every axis at eps = 1; ValueError for d < 1."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    """The window of profile(d) on every axis at eps = 1; ValueError unless
+    the dimension d is an integer (a numpy one too, but not a bool) >= 1."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"dimension must be >= 1 and an integer, not a bool, got {d!r}")
     return Window(d=d, epsilon=1.0, factor=profile(d))
 
 
@@ -137,14 +138,14 @@ def make_cosine_window(d):
 
     Closed-form norm and derivative integrals make it the reference window
     for exact oracles; it is Lipschitz but not C^1 at the support edge.
-    ValueError for a dimension d < 1.
+    ValueError unless the dimension d is an integer >= 1.
     """
     return _unit_window(d, _cosine_profile)
 
 
 def make_bump_window(d):
     """Smooth bump window with profile ~ exp(-1/(1-(sqrt(d) u)^2)), numerically
-    normalized; ValueError for a dimension d < 1."""
+    normalized; ValueError unless the dimension d is an integer >= 1."""
     return _unit_window(d, _bump_profile)
 
 

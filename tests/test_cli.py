@@ -154,7 +154,8 @@ EXIT_1_CASES = [
     (["weyl-curve", "--set", "eps_alpha=0.5"],  # the eps schedule is fixed
      ["unknown config key 'eps_alpha'"]),
     (["spectrum", "--set", "box=abc"], ["bad box spec 'abc'"]),
-    (["spectrum", "--set", "box=0,inf"], ["box entries must be finite, got ((0.0, inf),)"]),
+    (["spectrum", "--set", "box=0,inf"], ["box needs at least one (a, b) pair",
+                                          "got box=((0.0, inf),)"]),
     (["spectrum", "--set", "dim=2", "--set", "box=0,1"], ["box has 1 axes, dim is 2"]),
     (["weyl-curve", "--set", "lam_min=0"],
      ["needs 0 < lam_min <= lam_max, got lam_min=0.0, lam_max=10000.0"]),
@@ -417,14 +418,15 @@ values = [frames.symbol(frame, op, (3.0, -2.0), (0.5, 0.45)).value for op in ops
 assert all(np.isfinite(values))
 small = frames.build_frame(((0.0, 0.5), (0.0, 0.5)), box.h, frame.window)
 d = np.arange(1.0, small.n + 1.0)
-assert abs(frames.trace_via_frame(small, np.diag(d)) - d.sum()) <= 1e-12 * d.sum()
+diagonal = (np.arange(small.n), np.arange(small.n), d)
+assert abs(frames.trace_via_frame(small, diagonal) - d.sum()) <= 1e-12 * d.sum()
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 '''
 
 
 def test_mask_symbols_load_no_scipy():
-    # erode, dilate, assembly and symbols off a box, and the trace of an
-    # array: numpy only, in particular neither scipy.ndimage nor the
+    # erode, dilate, assembly and symbols off a box, and the trace of a
+    # diagonal's triplets: numpy only, in particular neither scipy.ndimage nor the
     # scipy.special it loads, nor scipy.sparse
     out = subprocess.run([sys.executable, "-c", MASK_SYMBOLS], env=subprocess_env(),
                          capture_output=True, text=True, check=True)

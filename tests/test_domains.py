@@ -1,6 +1,7 @@
 """Masked grid domains: construction, morphology, measure, RLE export."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import weylcs.domains
+from weylcs.cli import main
 from weylcs.domains import (
     EmptyErosionError,
     GridDomain,
@@ -20,7 +22,9 @@ from weylcs.domains import (
     rectangle_domain,
     save_mask,
 )
-from weylcs.weyl import weighted_volume
+from weylcs.frames import build_frame
+from weylcs.weyl import weighted_box_volume, weighted_volume
+from weylcs.windows import make_cosine_window, scale
 
 
 def unit_square(h):
@@ -42,14 +46,65 @@ def test_degenerate_box_rejected():
         rectangle_domain(((0.0, 0.0),), 0.1)
     with pytest.raises(ValueError):
         rectangle_domain(((0.0, 1.0),), 2.0)
-    # a NaN spacing, and a side b - a that overflows to inf
-    for box, h in [(((0.0, 1.0),), math.nan), (((-1e308, 1e308),), 1.0)]:
-        with pytest.raises(ValueError, match="h="):
-            rectangle_domain(box, h)
+    # a NaN spacing names h; a side b - a that overflows to inf names the box
+    with pytest.raises(ValueError, match="h=nan"):
+        rectangle_domain(((0.0, 1.0),), math.nan)
+    with pytest.raises(ValueError, match=re.escape("got box=((-1e+308, 1e+308),)")):
+        rectangle_domain(((-1e308, 1e308),), 1.0)
     # lattices that cannot be indexed: 1e20 nodes, and a node count past inf
     for box, h in [(((0.0, 1e10),), 1e-10), (((0.0, 1e300), (0.0, 1e300)), 1e-10)]:
         with pytest.raises(ValueError, match=r"lattice of box \(\(0\.0, .* at h=1e-10"):
             rectangle_domain(box, h)
+
+
+def _mask_file_with_box(path, box):
+    """A saved interval mask whose header declares box."""
+    save_mask(rectangle_domain(((0.0, 1.0),), 0.1), path)
+    line = "box=" + " ".join("%.17g,%.17g" % ab for ab in box) + "\n"
+    path.write_text(path.read_text().replace("box=0,1\n", line, 1))
+    return path
+
+
+BOX_ROUTINES = {
+    "rectangle_domain": lambda box, tmp_path: rectangle_domain(box, 0.1),
+    "build_frame": lambda box, tmp_path: build_frame(box, 0.1, scale(make_cosine_window(1), 0.2)),
+    "weighted_box_volume": lambda box, tmp_path: weighted_box_volume("hyperbolic", box),
+    "load_mask": lambda box, tmp_path: load_mask(_mask_file_with_box(tmp_path / "m.txt", box)),
+}
+
+
+@pytest.mark.parametrize("box", [(), ((1.0, 0.0),), ((0.5, 0.5),), ((0.0, math.nan),),
+                                 ((0.0, math.inf),), ((-math.inf, 0.0),), ((-1e308, 1e308),)],
+                         ids=["empty", "reversed", "zero-side", "nan-side", "inf-side", "-inf-end",
+                              "overflow"])
+@pytest.mark.parametrize("routine", list(BOX_ROUTINES) + ["cli"])
+def test_every_routine_rejects_a_bad_box_by_the_one_rule(box, routine, tmp_path, capsys):
+    # before, these took a weighted volume of -1.0 or nan, blamed h, raised
+    # "min() arg is an empty sequence", or loaded a mask whose box is reversed
+    if routine == "cli":
+        spec = ";".join("%.17g,%.17g" % ab for ab in box)
+        assert main(["spectrum", "--set", f"box={spec}", "--out", str(tmp_path / "o.txt")]) == 1
+        message = capsys.readouterr().err
+    else:
+        with pytest.raises(ValueError) as info:
+            BOX_ROUTINES[routine](box, tmp_path)
+        message = str(info.value)
+    if routine == "cli" and not box:  # the CLI cannot parse an empty box spec
+        assert "bad box spec ''" in message, message
+    else:
+        assert "box needs at least one (a, b) pair" in message, message
+        assert f"got box={box!r}" in message, message
+
+
+def test_weighted_box_volume_names_the_box_where_the_weight_overflows():
+    # exp(-k a_1) = exp(710) is past the largest float: this was "math range error"
+    box = ((-710.0, 0.0), (0.0, 1.0))
+    with pytest.raises(OverflowError, match=re.escape(f"exp(-1 y_1) overflows on the box, "
+                                                      f"got box={box!r}")):
+        weighted_box_volume("hyperbolic", box)
+    with pytest.raises(OverflowError, match=re.escape(f"got box={box!r}")):
+        weighted_volume("hyperbolic", rectangle_domain(box, 0.25))
+    assert weighted_box_volume("euclidean", box) == 710.0
 
 
 def test_erode_square():

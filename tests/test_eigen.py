@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -1205,3 +1206,33 @@ def test_load_spectrum_skips_blank_lines(tmp_path):
     path.write_text("# cutoff=10\n\n1.5\n   \n2.5\n\n")
     back = load_spectrum(path)
     assert back.values.tolist() == [1.5, 2.5] and back.cutoff == 10.0
+
+
+@pytest.mark.parametrize("text, message", [
+    # a nan was dropped by riesz_mean, which then gave 6.0 at lambda 5
+    ("# cutoff=10\n1\nnan\n3\n", "spectrum line 3: 'nan' is not a finite number"),
+    ("# cutoff=10\n1\n-inf\n", "spectrum line 3: '-inf' is not a finite number"),
+    ("# cutoff=10\n1\nabc\n", "spectrum line 3: 'abc' is not a finite number"),
+    ("# cutoff=10\n3\n1\n", "spectrum line 3: '1' is below the value before it"),
+    ("# cutoff=10\n1\n\n20\n", "spectrum line 4: '20' is not below the cutoff 10.0"),
+    ("# cutoff=10\n10\n", "spectrum line 2: '10' is not below the cutoff 10.0"),
+    ("# cutoff=ten\n1\n", "spectrum header: cutoff must be a number, got 'ten'"),
+    ("# cutoff=nan\n", "spectrum header: cutoff must be a number, got 'nan'"),
+    ("# certified=yes\n1\n", "spectrum header: certified must be true or false, got 'yes'"),
+], ids=["nan", "-inf", "abc", "unsorted", "past-cutoff", "at-cutoff", "cutoff-ten",
+        "cutoff-nan", "certified-yes"])
+def test_load_spectrum_names_the_bad_line_or_key(tmp_path, text, message):
+    path = tmp_path / "spec.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_spectrum(path)
+
+
+def test_load_spectrum_keeps_ties_and_an_empty_body(tmp_path):
+    path = tmp_path / "spec.txt"
+    path.write_text("# cutoff=10\n# certified=true\n-1\n2\n2\n")
+    back = load_spectrum(path)
+    assert back.values.tolist() == [-1.0, 2.0, 2.0] and back.certified
+    path.write_text("# cutoff=inf\n")
+    back = load_spectrum(path)
+    assert back.values.shape == (0,) and back.cutoff == math.inf and not back.certified

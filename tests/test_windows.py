@@ -1,6 +1,7 @@
 """Window construction, scaling, and the c-constant quadratures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,16 @@ def test_makers_reject_dimension_below_one(make):
     for d in (0, -1):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             make(d)
+
+
+@pytest.mark.parametrize("make", [make_cosine_window, make_bump_window])
+def test_makers_take_an_integer_dimension(make):
+    # a float d once made a window whose first use raised "can't multiply
+    # sequence by non-int of type 'float'"; True was taken as d = 1
+    for d in (2.0, True, "2", None):
+        with pytest.raises(ValueError, match=re.escape(f"an integer, not a bool, got {d!r}")):
+            make(d)
+    assert make(np.int64(2)).d == 2
 
 
 def test_scale_rejects_nonpositive():
