@@ -143,12 +143,18 @@ def lattice_dist2(target, r):
     return np.minimum(dist2, cap)
 
 
+def _zero_radius(eps):
+    """The one rule of a morphology radius: ValueError unless 0 <= eps < inf.
+    True for eps = 0, whose erosion and dilation are the set itself."""
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be >= 0 and finite, got {eps!r}")
+    return eps == 0
+
+
 def erode(dom: GridDomain, eps: float) -> GridDomain:
     """Nodes whose distance to the complement exceeds eps (Omega_eps);
     ValueError unless 0 <= eps < inf, EmptyErosionError if none does."""
-    if not 0 <= eps < math.inf:
-        raise ValueError(f"eps must be >= 0 and finite, got {eps!r}")
-    if eps == 0:
+    if _zero_radius(eps):
         return dom
     # distance to the nearest node outside the mask (nodes beyond the array
     # are outside), exact up to r*h >= min(eps, max(shape)*h) + h and above it
@@ -165,9 +171,7 @@ def dilate(dom: GridDomain, eps: float) -> GridDomain:
     """Nodes within distance eps of the domain (Omega^eps); box padded by eps.
     ValueError unless 0 <= eps < inf and the padded lattice can be indexed
     (as in _rectangle_shape)."""
-    if not 0 <= eps < math.inf:
-        raise ValueError(f"eps must be >= 0 and finite, got {eps!r}")
-    if eps == 0:
+    if _zero_radius(eps):
         return dom
     if not math.prod(m + 2.0 * (eps / dom.h + 2.0) for m in dom.shape) < np.iinfo(np.intp).max:
         raise ValueError(f"the dilation by eps={eps!r} at h={dom.h!r} has too many nodes to index")

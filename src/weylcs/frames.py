@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domains import box_sides
-from .operators import KINDS, DiscreteOperator, DimensionMismatchError
+from .operators import DiscreteOperator, DimensionMismatchError, weighted_axes
 from .windows import Window, c_constants, grad_norm_sq
 
 
@@ -159,7 +159,8 @@ def build_frame(box, h, window: Window) -> CoherentFrame:
     if len(box) != d:
         raise FrameError("box dimension does not match window dimension")
     if 2.0 * window.support_radius >= L:
-        raise FrameError("window support wraps around the torus (2*eps >= L)")
+        raise FrameError(f"window support wraps around the torus: 2*eps = "
+                         f"{2.0 * window.support_radius:g} >= L = {L:g}")
     # wrapped lattice offsets m*h in [-L/2, L/2)
     offs = h * np.arange(N)
     offs = np.where(offs >= L / 2.0, offs - L, offs)
@@ -334,17 +335,21 @@ def symbol(frame: CoherentFrame, op: DiscreteOperator, xi, y) -> SymbolValue:
 
 
 def analytic_symbol(kind, window: Window, xi, y=None) -> float:
-    """Continuum symbol: |xi|^2 + grad-norm for the Laplacian; the hyperbolic
-    operator adds the exp(2 y_1)-weighted tilde terms with the window constants,
-    which vanish for d = 1."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
+    """Continuum symbol: |xi|^2 + grad-norm for the Laplacian; with
+    exp(2 y_1)-weighted axes (operators.weighted_axes) the tilde terms carry
+    that weight and the window constants.  OverflowError naming eps when the
+    window constants leave the float range, naming y_1 when exp(2 y_1) does."""
+    weighted = weighted_axes(kind, window.d)
     xi, y = _phase_point(window.d, xi, np.zeros(window.d) if y is None else y)
-    if kind == "euclidean" or window.d == 1:
+    if not weighted:
         return float(xi @ xi) + grad_norm_sq(window)
     c = c_constants(window)
+    try:
+        weight = math.exp(2.0 * float(y[0]))
+    except OverflowError as exc:
+        raise OverflowError(f"exp(2 y_1) overflows at y_1 = {y[0]:g}") from exc
     tilde_sq = float(xi[1:] @ xi[1:])
-    return float(xi[0] ** 2 + math.exp(2.0 * float(y[0])) * (tilde_sq * c.c3 + c.c2) + c.c1)
+    return float(xi[0] ** 2 + weight * (tilde_sq * c.c3 + c.c2) + c.c1)
 
 
 def trace_via_frame(frame: CoherentFrame, T) -> float:

@@ -29,14 +29,24 @@ class DimensionMismatchError(ValueError):
     pass
 
 
+def weighted_axes(kind, d):
+    """How many of the d axes the kind weights by exp(2 x_1): the d - 1 tilde
+    axes for the hyperbolic operator, none for the euclidean one, so the two
+    coincide for d = 1.  The one place that tells the kinds apart, and the
+    one check of a kind: ValueError unless kind is in KINDS."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    return d - 1 if kind == "hyperbolic" else 0
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     grid: GridDomain
     kind: str  # one of KINDS
     # weight of the edges along axes 2..d at each x_1 index of the grid:
-    # exp(2 x_1) for hyperbolic, 1 for euclidean.  matrix is assembled from it
-    # on first access, so dataclasses.replace(op, tilde_weight=w) gives the
-    # operator with weight w
+    # exp(2 x_1) where the kind weights them (weighted_axes), 1 otherwise.
+    # matrix is assembled from it on first access, so
+    # dataclasses.replace(op, tilde_weight=w) gives the operator with weight w
     tilde_weight: np.ndarray = field(repr=False)
 
     @functools.cached_property
@@ -119,7 +129,7 @@ def _assemble(dom: GridDomain, kind):
     if not dom.mask.any():
         raise ValueError("empty domain")
     x1 = dom.axis_coords(0)
-    weighted = kind == "hyperbolic" and dom.d > 1
+    weighted = weighted_axes(kind, dom.d) > 0
     with np.errstate(over="ignore"):
         x1_weight = np.exp(2.0 * x1) if weighted else np.ones(len(x1))
         op = DiscreteOperator(grid=dom, kind=kind, tilde_weight=x1_weight)

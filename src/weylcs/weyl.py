@@ -9,7 +9,7 @@ import numpy as np
 
 from .domains import GridDomain, box_sides
 from .eigen import Spectrum, separable_sums
-from .operators import KINDS
+from .operators import weighted_axes
 from .windows import Window, c_constants, scale
 
 
@@ -81,19 +81,12 @@ def li_yau_bound(vol: float, d: int, lam: float) -> float:
     return euclidean_leading(vol, d, lam)
 
 
-def _exponent(kind, d):
-    """k of the weight exp(-k y_1): d - 1 for the hyperbolic kind, 0 otherwise."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    return d - 1 if kind == "hyperbolic" else 0
-
-
 def weighted_box_volume(kind, box) -> float:
     """int_box exp(-k y_1) dy in closed form, with k as in weighted_volume.
     ValueError as in domains.box_sides; OverflowError naming the box when
     exp(-k a_1) overflows."""
     sides = box_sides(box)
-    k = _exponent(kind, len(sides))
+    k = weighted_axes(kind, len(sides))
     try:
         sides[0] = (math.exp(-k * box[0][0]) - math.exp(-k * box[0][1])) / k if k else sides[0]
     except OverflowError as exc:
@@ -102,11 +95,12 @@ def weighted_box_volume(kind, box) -> float:
 
 
 def weighted_volume(kind, dom: GridDomain) -> float:
-    """int_Omega exp(-k y_1) dy, with k = d - 1 for the hyperbolic kind and 0 otherwise.
+    """int_Omega exp(-k y_1) dy, with k = operators.weighted_axes(kind, d): each
+    exp(2 y_1)-weighted axis contributes exp(-y_1) to the phase-space volume.
 
     Closed form on an exact box, the lattice sum over the mask's rows otherwise.
     """
-    k = _exponent(kind, dom.d)
+    k = weighted_axes(kind, dom.d)
     if dom.exact_box is not None:
         return weighted_box_volume(kind, dom.exact_box)
     counts = dom.mask.sum(axis=tuple(range(1, dom.d)))

@@ -157,22 +157,25 @@ def scale(w: Window, eps: float) -> Window:
     return Window(d=w.d, epsilon=w.epsilon * eps, factor=w.factor)
 
 
-def _factor_quad(f, a):
-    """int_{-a}^{a} f(u) du by the tanh-sinh rule; f maps an array of u to
-    an array.  An overflow in f raises OverflowError."""
-    with np.errstate(over="raise"):
+def _factor_quad(f, a, eps=1.0):
+    """int_{-a}^{a} f(u) du by the tanh-sinh rule for the window at scale eps;
+    f maps an array of u to an array.  OverflowError naming eps when f
+    overflows, divides by zero or takes an invalid value; an underflow, as
+    at the edge of the bump, is no error."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
             return float(a * (_TS_WEIGHTS @ f(a * _TS_NODES)))
         except FloatingPointError as exc:
-            raise OverflowError(str(exc)) from exc
+            raise OverflowError(f"the window constants leave the float range at "
+                                f"eps = {eps:g} ({exc})") from exc
 
 
 def factor_norm_sq(w: Window) -> float:
-    return _factor_quad(lambda u: w.factor_value(u) ** 2, w.factor_half_width())
+    return _factor_quad(lambda u: w.factor_value(u) ** 2, w.factor_half_width(), w.epsilon)
 
 
 def factor_deriv_sq(w: Window) -> float:
-    return _factor_quad(lambda u: w.factor_deriv(u) ** 2, w.factor_half_width())
+    return _factor_quad(lambda u: w.factor_deriv(u) ** 2, w.factor_half_width(), w.epsilon)
 
 
 def grad_norm_sq(w: Window) -> float:
@@ -190,7 +193,8 @@ class CConstants:
 def c_constants(w: Window) -> CConstants:
     """Quadrature values of the three window constants at the window's scale."""
     c1 = factor_deriv_sq(w)
-    c3 = _factor_quad(lambda u: np.exp(2.0 * u) * w.factor_value(u) ** 2, w.factor_half_width())
+    c3 = _factor_quad(lambda u: np.exp(2.0 * u) * w.factor_value(u) ** 2,
+                      w.factor_half_width(), w.epsilon)
     # 0 for d = 1; summed term by term, not (d - 1) * c1, which rounds differently
     c2 = c3 * sum([c1] * (w.d - 1))
     return CConstants(c1=c1, c2=c2, c3=c3)

@@ -46,10 +46,12 @@ lam_max = 500
     assert cfg.kind == "euclidean"
     assert cfg.h == 0.01
     assert cfg.lam_max == 500.0
-    _apply_kv(cfg, "lam_count", "7")
+    _apply_kv(cfg, " lam_count = 7 ", "--set value")
     assert cfg.lam_count == 7
-    with pytest.raises(ConfigError):
-        _apply_kv(cfg, "no_such_key", "1")
+    with pytest.raises(ConfigError, match="unknown config key 'no_such_key'"):
+        _apply_kv(cfg, "no_such_key=1", "--set value")
+    with pytest.raises(ConfigError, match="bad config line 'lam_count'"):
+        _apply_kv(cfg, "lam_count", "config line")
 
 
 def test_bad_config_line(tmp_path):
@@ -293,6 +295,52 @@ def test_hyperbolic_symbol_far_out_in_one_dimension(tmp_path, command):
     argv[argv.index("kind=hyperbolic")] = "kind=euclidean"
     assert main(argv) == 0
     assert out.read_text().splitlines()[-3:] == hyperbolic
+
+
+def test_weyl_curve_takes_the_volume_before_the_spectrum(tmp_path, capsys, monkeypatch):
+    # exp(-y_1) overflows on the box; the spectrum would take seconds
+    def no_spectrum(op, lam):
+        raise AssertionError("spectrum_below called")
+
+    monkeypatch.setattr(weylcs.cli, "spectrum_below", no_spectrum)
+    rc = main(["weyl-curve", "--set", "kind=hyperbolic", "--set", "dim=2",
+               "--set", "box=-800,0;0,1", "--set", "h=0.25", "--set", "source=discrete",
+               "--set", "lam_min=10", "--set", "lam_max=50",
+               "--out", str(tmp_path / "curve.csv")])
+    assert rc == 1
+    assert "overflows on the box, got box=((-800.0, 0.0), (0.0, 1.0))" in \
+        capsys.readouterr().err
+
+
+SQUARE_05 = ["--set", "kind=hyperbolic", "--set", "dim=2", "--set", "box=0,1;0,1",
+             "--set", "h=0.05"]
+
+
+# (command, kind settings, eps) whose window constants leave the float range;
+# the rest of both kinds x eps in {1e-300, 1e-120, 1000} do not reach them:
+# the euclidean symbol at eps = 1000 is finite, and frame-check stops at the
+# frame (exit 2) for eps = 1000 (the window wraps) and for the 2-D window at
+# eps = 1e-300 (its lattice sum overflows)
+WINDOW_RANGE_CASES = [
+    ("symbol-check", [], "1e-300"), ("symbol-check", [], "1e-120"),
+    ("symbol-check", SQUARE_05, "1e-300"), ("symbol-check", SQUARE_05, "1e-120"),
+    ("symbol-check", SQUARE_05, "1000"),
+    ("frame-check", [], "1e-300"), ("frame-check", [], "1e-120"),
+    ("frame-check", SQUARE_05, "1e-120"),
+]
+
+
+@pytest.mark.parametrize("command, kind, eps", WINDOW_RANGE_CASES,
+                         ids=[f"{c}-{'hyp' if k else 'euc'}-{e}" for c, k, e in WINDOW_RANGE_CASES])
+def test_window_constants_out_of_range_name_eps(tmp_path, command, kind, eps):
+    argv = [command, *kind, "--set", f"eps={eps}", "--set", "frame_n=20",
+            "--set", "n_vectors=2", "--out", str(tmp_path / "o.txt")]
+    run = subprocess.run([sys.executable, "-m", "weylcs"] + argv, env=subprocess_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: the window constants leave the float range at "
+                                 f"eps = {float(eps):g} (")
+    assert "RuntimeWarning" not in run.stderr and "exp(2 y_1)" not in run.stderr
 
 
 EXAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "examples")
@@ -604,7 +652,8 @@ def test_frame_check_wrapped_window_exits_2(tmp_path, capsys):
                "--set", "h=0.05", "--set", "box=0,1.5",
                "--out", str(tmp_path / "f.txt")])
     assert rc == 2
-    assert "certification failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "certification failure" in err and "2*eps = 1.2 >= L = 1" in err
 
 
 def test_frame_check_overflowing_window_exits_2(tmp_path, capsys):

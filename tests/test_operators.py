@@ -10,12 +10,17 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylcs.cli import main
 from weylcs.domains import GridDomain, rectangle_domain
+from weylcs.frames import analytic_symbol
 from weylcs.operators import (
     assemble_euclidean,
     assemble_hyperbolic,
     export_matrix,
+    weighted_axes,
 )
+from weylcs.weyl import weighted_volume
+from weylcs.windows import make_cosine_window
 
 
 def tridiag_eigs(n, h):
@@ -208,3 +213,44 @@ def test_nan_spacing_is_rejected(assemble):
     with pytest.raises(ValueError, match="empty domain"):
         assemble(GridDomain(h=dom.h, origin=dom.origin, mask=np.zeros_like(dom.mask),
                             box=dom.box))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind, want", [("euclidean", lambda d: 0),
+                                        ("hyperbolic", lambda d: d - 1)],
+                         ids=["euclidean", "hyperbolic"])
+def test_weighted_axes_is_what_every_kind_reader_does(tmp_path, capsys, kind, want, d):
+    k = weighted_axes(kind, d)
+    assert k == want(d)
+    # the assembled edge weights: k axes carry exp(2 x_1)/h^2, x_1 in 0.25..0.75
+    h, box = 0.25, ((0.0, 1.0),) * d
+    assemble = {"euclidean": assemble_euclidean, "hyperbolic": assemble_hyperbolic}[kind]
+    weights = assemble(rectangle_domain(box, h)).axis_weights()
+    assert sum(not np.all(w == 1.0 / h ** 2) for w in weights) == k
+    # int exp(-k y_1) dy over the unit cube
+    assert weighted_volume(kind, rectangle_domain(box, h)) == \
+        pytest.approx((1.0 - math.exp(-k)) / k if k else 1.0, rel=1e-14)
+    # the continuum symbol depends on y_1 exactly when an axis is weighted
+    win, xi = make_cosine_window(d), np.ones(d)
+    moved = analytic_symbol(kind, win, xi, np.eye(d)[0]) != analytic_symbol(kind, win, xi)
+    assert moved == (k > 0)
+    # the CLI has closed-form spectra of the unweighted operator only
+    rc = main(["weyl-curve", "--set", f"kind={kind}", "--set", f"dim={d}",
+               "--set", "box=" + ";".join(["0,1"] * d), "--set", "h=0.25",
+               "--set", "lam_min=50", "--set", "lam_max=100", "--set", "lam_count=5",
+               "--out", str(tmp_path / "curve.csv")])
+    refused = "exact spectra are euclidean-only" in capsys.readouterr().err
+    assert (rc, refused) == ((1, True) if k else (0, False))
+
+
+def test_weighted_axes_rejects_an_unknown_kind(tmp_path, capsys):
+    with pytest.raises(ValueError, match="unknown kind 'elliptic'"):
+        weighted_axes("elliptic", 2)
+    dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 0.25)
+    with pytest.raises(ValueError, match="unknown kind 'elliptic'"):
+        weighted_volume("elliptic", dom)
+    with pytest.raises(ValueError, match="unknown kind 'elliptic'"):
+        analytic_symbol("elliptic", make_cosine_window(2), (0.0, 0.0))
+    assert main(["weyl-curve", "--set", "kind=elliptic",
+                 "--out", str(tmp_path / "curve.csv")]) == 1
+    assert "unknown kind 'elliptic'" in capsys.readouterr().err

@@ -1,9 +1,12 @@
-"""The repository's tools: code_lines.py and same_outputs.py."""
+"""The repository's tools: code_lines.py, same_outputs.py and job_times.py."""
 
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,3 +64,35 @@ def test_same_outputs_names_the_file_another_tree_writes_differently(tmp_path, c
     assert same_outputs.compare(other, runs, tmp_path / "work") == 1
     assert capsys.readouterr().out == ("examples/euclidean_weyl_d1.cfg  exit 0  "
                                        "differs: euclidean_weyl_d1.csv\n")
+
+
+def test_job_times_prints_medians_of_a_cli_and_a_script_run(tmp_path, capsys, monkeypatch):
+    # the benchmark's runs replaced by an example and a small mask-count job
+    same_outputs = _tool("same_outputs")  # job_times imports it as a sibling module
+    job_times = _tool("job_times")
+    (tmp_path / "in.json").write_text(json.dumps({"lambdas": [250.0],
+                                                  "points": [[1.0, 2.0, 0.5, 0.5]]}))
+    mask = job_times.Run("mask-count", lambda out: [
+        "perfbench/mask_count.py", "--input", str(tmp_path / "in.json"),
+        "--out", str(out / "m.txt")])
+    runs = _example(same_outputs, "euclidean_weyl_d1.cfg") + [mask]
+    monkeypatch.setattr(same_outputs, "workload_runs", lambda inputs: runs)
+    assert job_times.main(["--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["run", "wall_s", "import_s", "work_s"]
+    names = ["pass", "import numpy", "import numpy, scipy.sparse.linalg",
+             "examples/euclidean_weyl_d1.cfg", "mask-count"]
+    rows = {line[:-26].strip(): [float(v) for v in line[-26:].split()] for line in lines[1:]}
+    assert list(rows) == names
+    for name, (wall, imp, work) in rows.items():
+        assert 0.0 <= imp and 0.0 <= work and imp + work <= wall, name
+    assert rows["pass"][1:] == [0.0, 0.0]  # at three decimals
+    assert rows["import numpy"][2] == 0.0 < rows["import numpy"][1]
+    assert rows["mask-count"][2] > 0.0  # the counts ran, after the import
+
+
+def test_job_times_command_line_rejects_no_repetition(capsys):
+    _tool("same_outputs")
+    with pytest.raises(SystemExit):
+        _tool("job_times").main(["--repeat", "0"])
+    assert "--repeat must be at least 1" in capsys.readouterr().err

@@ -201,3 +201,10 @@ def test_c_constants_overflow_raises():
     # c3 integrates exp(2 z_1) over the support, which overflows at eps = 1000
     with pytest.raises(OverflowError):
         c_constants(scale(make_cosine_window(1), 1000.0))
+
+
+def test_factor_quad_raises_on_overflow_division_and_invalid_but_not_underflow():
+    for f in (lambda u: np.exp(1e3 + u), lambda u: 1.0 / (u - u), lambda u: (u - u) / (u - u)):
+        with pytest.raises(OverflowError, match="float range at eps = 0.5"):
+            _factor_quad(f, 1.0, 0.5)
+    assert _factor_quad(lambda u: np.exp(-1e3 + u), 1.0) == 0.0

@@ -78,14 +78,20 @@ def workload_runs(inputs):
     return runs
 
 
+def run_env(root):
+    """The environment of a run in the tree at root: its src first on
+    PYTHONPATH, one BLAS thread."""
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREADS, "1"))
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src")] + (
+        [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def outcome(root, run, out):
     """Exit code, stdout and output files {relative path: bytes} of run in the
     tree at root, writing into the new directory out."""
     out.mkdir(parents=True)
-    env = dict(os.environ, **dict.fromkeys(BLAS_THREADS, "1"))
-    env["PYTHONPATH"] = os.pathsep.join([str(root / "src")] + (
-        [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, *run.argv(out)], cwd=root, env=env,
+    proc = subprocess.run([sys.executable, *run.argv(out)], cwd=root, env=run_env(root),
                           capture_output=True)
     files = {p.relative_to(out).as_posix(): p.read_bytes()
              for p in sorted(out.rglob("*")) if p.is_file()}
