@@ -82,9 +82,6 @@ class CoherentFrame:
         up to rounding, without importing numpy.fft."""
         return 2.0 * math.pi / self.L * ((np.arange(self.N) + self.N // 2) % self.N - self.N // 2)
 
-    def y_axis(self):
-        return self.h * np.arange(self.N)
-
     def grid_norm_sq(self, f):
         return self.h ** self.d * float(np.vdot(f, f).real)
 
@@ -144,7 +141,8 @@ class PhaseSpaceFunction:
 
 
 def build_frame(box, h, window: Window) -> CoherentFrame:
-    """Periodized frame on a cubic box of side L = N*h; requires 2*eps < L.
+    """Periodized frame on a cubic box of side L = N*h; requires the window's
+    support, a cube of side 2*eps/sqrt(d), to span less than L along an axis.
     ValueError as in domains.box_sides, or unless 0 < h < inf."""
     sides = box_sides(box)
     if not 0.0 < h < math.inf:
@@ -158,9 +156,10 @@ def build_frame(box, h, window: Window) -> CoherentFrame:
     d = window.d
     if len(box) != d:
         raise FrameError("box dimension does not match window dimension")
-    if 2.0 * window.support_radius >= L:
-        raise FrameError(f"window support wraps around the torus: 2*eps = "
-                         f"{2.0 * window.support_radius:g} >= L = {L:g}")
+    span = 2.0 * window.factor_half_width()  # the support's side along one axis
+    if span >= L:
+        name = "2*eps" if d == 1 else f"2*eps/sqrt({d})"
+        raise FrameError(f"window support wraps around the torus: {name} = {span:g} >= L = {L:g}")
     # wrapped lattice offsets m*h in [-L/2, L/2)
     offs = h * np.arange(N)
     offs = np.where(offs >= L / 2.0, offs - L, offs)
@@ -276,10 +275,10 @@ def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> SymbolValue:
     nothing cancels.
 
     The sums run over the edges of the cube of r + 1 lattice steps around the
-    grid node k nearest y, r = ceil(support_radius / h), where the window is
-    the outer product of its 1-D profile along each axis.  The inner cube of
-    r steps covers the support: along an axis g is nonzero only where
-    |x_a - y_a| < support_radius / sqrt(d) <= r h, and k lies within h/2 of
+    grid node k nearest y, r = ceil(eps / h), where the window is the outer
+    product of its 1-D profile along each axis.  The inner cube of r steps
+    covers the support: along an axis g is nonzero only where
+    |x_a - y_a| < eps / sqrt(d) <= r h, and k lies within h/2 of
     y_a, so every support node j has |j - k| < r + 1/2.  For y off the grid k
     is clipped onto it; the support nodes on the grid are then within r steps
     of the unclipped node and on the grid's side of it, so within r steps of
@@ -288,19 +287,19 @@ def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> SymbolValue:
     node outside the domain.
 
     It is flagged truncated when the window support may stick out of the
-    domain: when k lies within support_radius - h of a node outside it
-    (nodes past the grid count as outside), or e vanishes on the interior
-    nodes, where the value is nan.  Only the nodes of the same cube are
-    searched: outside nodes farther away lie beyond support_radius, and the
-    squared offset is capped at r^2 + 1.  That squared offset is the
-    clearance erode computes (domains.lattice_dist2 of the complement), read
-    at k alone.
+    domain: when k lies within eps - h of a node outside it (nodes past the
+    grid count as outside), or e vanishes on the interior nodes, where the
+    value is nan.  Only the nodes of the same cube are searched: outside
+    nodes farther away lie beyond eps, the radius of the ball that holds the
+    support, and the squared offset is capped at r^2 + 1.  That squared
+    offset is the clearance erode computes (domains.lattice_dist2 of the
+    complement), read at k alone.
     """
     dom = op.grid
     if window.d != dom.d:
         raise DimensionMismatchError(f"window dimension {window.d} on a {dom.d}-D grid")
     xi, y = _phase_point(dom.d, xi, y)
-    r = int(math.ceil(window.support_radius / dom.h))
+    r = int(math.ceil(window.epsilon / dom.h))
     t = np.arange(-r - 1, r + 2)
     idx = np.clip(np.round((y - np.asarray(dom.origin)) / dom.h),
                   0, np.asarray(dom.shape) - 1).astype(int)  # clipped first: y may be huge
@@ -324,7 +323,7 @@ def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> SymbolValue:
     # outer-layer nodes lie r + 1 steps out, past the cap
     dist2 = np.min(functools.reduce(np.add.outer, [t * t] * dom.d)[~inside], initial=r * r + 1)
     truncated = not inside[(r + 1,) * dom.d] or \
-        dom.h * np.sqrt(dist2) + dom.h < window.support_radius
+        dom.h * np.sqrt(dist2) + dom.h < window.epsilon
     return SymbolValue(value=energy / norm, truncated=bool(truncated))
 
 
@@ -421,7 +420,7 @@ def load_phase(path, frame: CoherentFrame) -> PhaseSpaceFunction:
             raise ValueError("not a phase-space file")
         d, N = struct.unpack("<ii", fh.read(8))
         h, L, eps = struct.unpack("<ddd", fh.read(24))
-        if (d, N) != (frame.d, frame.N) or abs(h - frame.h) > 1e-12:
+        if (d, N) != (frame.d, frame.N) or abs(h - frame.h) > 1e-12 * frame.h:
             raise FrameError("file does not match frame geometry")
         if eps != frame.window.epsilon:
             raise FrameError(f"file window scale eps={eps!r} does not match the "

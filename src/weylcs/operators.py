@@ -87,9 +87,6 @@ class DiscreteOperator:
         return max([np.abs(diagonal(weights)).max()]
                    + [np.abs(w).max() for w, idx in zip(weights, axes) if len(idx) > 1])
 
-    def node_coords(self):
-        return np.asarray(self.grid.origin) + self.grid.h * self.nodes
-
 
 def diagonal(weights):
     """Diagonal entries from per-axis edge weights: a node has two edges along

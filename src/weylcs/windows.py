@@ -1,10 +1,10 @@
 """Compactly supported separable windows and their scaling constants.
 
 A window is the product g(z) = f(z_1) * ... * f(z_d) of one even,
-unit-normalized one-dimensional profile f taken along each axis, supported
-in the unit ball.  Rescaling by eps keeps the L^2 norm and shrinks the
-support to a ball of radius eps.  The three constants returned by
-:func:`c_constants` are
+unit-normalized one-dimensional profile f taken along each axis.  At scale
+eps its support is the cube |z_a| < eps/sqrt(d) (Window.factor_half_width),
+which lies in the ball of radius eps; rescaling keeps the L^2 norm.  The
+three constants returned by :func:`c_constants` are
 
     c1 = int (d/dz_1 g^eps)^2 dz
     c2 = int e^{2 z_1} |grad_tilde g^eps|^2 dz
@@ -53,10 +53,6 @@ class Window:
     d: int
     epsilon: float
     factor: FactorProfile
-
-    @property
-    def support_radius(self):
-        return self.epsilon
 
     def factor_value(self, u):
         u = np.asarray(u, dtype=float)
@@ -168,10 +164,6 @@ def _factor_quad(f, a, eps=1.0):
         except FloatingPointError as exc:
             raise OverflowError(f"the window constants leave the float range at "
                                 f"eps = {eps:g} ({exc})") from exc
-
-
-def factor_norm_sq(w: Window) -> float:
-    return _factor_quad(lambda u: w.factor_value(u) ** 2, w.factor_half_width(), w.epsilon)
 
 
 def factor_deriv_sq(w: Window) -> float:

@@ -656,6 +656,18 @@ def test_frame_check_wrapped_window_exits_2(tmp_path, capsys):
     assert "certification failure" in err and "2*eps = 1.2 >= L = 1" in err
 
 
+def test_frame_check_d2_window_narrower_than_the_torus_exits_0(tmp_path):
+    # 2 eps = 1.2 >= L = 1, but each axis of the support spans 2 eps/sqrt(2) = 0.85
+    out = tmp_path / "f.txt"
+    rc = main(["frame-check", "--set", "dim=2", "--set", "box=0,1;0,1", "--set", "h=0.05",
+               "--set", "frame_n=20", "--set", "eps=0.6", "--out", str(out)])
+    assert rc == 0
+    defects = dict(line.split("=") for line in out.read_text().splitlines()
+                   if line.startswith(("parseval_defect=", "trace_defect=")))
+    assert sorted(defects) == ["parseval_defect", "trace_defect"]
+    assert all(float(v) < 1e-12 for v in defects.values())
+
+
 def test_frame_check_overflowing_window_exits_2(tmp_path, capsys):
     # at eps = 1e-300 the window's lattice sum overflows to inf
     out = tmp_path / "f.txt"

@@ -61,16 +61,44 @@ def test_lattice_sum_near_one():
 
 @pytest.mark.parametrize("box, h, window, message", [
     (((0.0, 1.0),), 0.05, scale(make_cosine_window(1), 0.6), "wraps around"),
+    # the support's side along an axis, 2 eps/sqrt(d), reaches L
+    (((0.0, 1.0),) * 2, 0.05, scale(make_cosine_window(2), 0.7072),
+     re.escape("wraps around the torus: 2*eps/sqrt(2) = 1.00013 >= L = 1")),
+    (((0.0, 0.6),) * 3, 0.1, scale(make_cosine_window(3), 0.5197),
+     re.escape("wraps around the torus: 2*eps/sqrt(3) = 0.600098 >= L = 0.6")),
     (((0.0, 1.0), (0.0, 2.0)), 0.05, scale(make_cosine_window(2), 0.1), "cubic"),
     (((0.0, 1.0),), 0.03, scale(make_cosine_window(1), 0.1), "multiple of h"),
     (((0.0, 1.0), (0.0, 1.0)), 0.05, scale(make_cosine_window(1), 0.1), "dimension"),
     # a profile that is 0 at every node, as no window maker builds
     (((0.0, 1.0),), 0.05, Window(d=1, epsilon=0.1, factor=FactorProfile(
         value=np.zeros_like, deriv=np.zeros_like)), "vanishes"),
-], ids=["wraps", "non-cubic", "not-a-multiple", "dimension", "vanishes"])
+], ids=["wraps", "wraps-d2", "wraps-d3", "non-cubic", "not-a-multiple", "dimension",
+        "vanishes"])
 def test_build_frame_rejects(box, h, window, message):
     with pytest.raises(FrameError, match=message):
         build_frame(box, h, window)
+
+
+# (d, N, h, eps, support offsets): 2 eps >= L = N h in each, but the support,
+# a cube of side 2 eps/sqrt(d), spans less than L along an axis
+@pytest.mark.parametrize("d, N, h, eps, k", [
+    (2, 20, 0.05, 0.6, 17),
+    (2, 20, 0.05, 0.7071, 19),
+    (3, 6, 0.1, 0.5195, 5),
+], ids=["d2", "d2-edge", "d3-edge"])
+def test_frame_builds_while_the_support_spans_less_than_the_torus(d, N, h, eps, k):
+    L = N * h
+    fr = build_frame(((0.0, L),) * d, h, scale(make_cosine_window(d), eps))
+    assert 2.0 * eps >= L and len(fr.offsets) == k
+    rng = np.random.default_rng(d)
+    f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
+    nf = fr.grid_norm_sq(f)
+    assert abs(np.sum(np.abs(forward(fr, f).values) ** 2) / fr.n - nf) <= 1e-12 * nf
+    B = np.where(rng.random((fr.n, fr.n)) < 0.05, rng.standard_normal((fr.n, fr.n)), 0.0)
+    T = B + B.T
+    row, col = np.nonzero(T)
+    tr = trace_via_frame(fr, (row, col, T[row, col]))
+    assert abs(tr - T.trace()) <= 1e-12 * np.abs(T).sum()
 
 
 @pytest.mark.parametrize("box, h, named", [
@@ -103,7 +131,7 @@ def test_forward_impulse():
     f[20] = 1.0
     P = np.abs(forward(fr, f).values) ** 2  # [y, xi]
     assert np.max(P.std(axis=1)) < 1e-14 * P.max()
-    offs = fr.h * 20 - fr.y_axis()
+    offs = fr.h * 20 - fr.h * np.arange(fr.N)
     offs = np.where(offs >= fr.L / 2, offs - fr.L, offs)
     offs = np.where(offs < -fr.L / 2, offs + fr.L, offs)
     g2 = fr.window(offs[:, None]) ** 2
@@ -158,7 +186,7 @@ def direct_matrices(fr):
     """Window matrix W[y, x] = g(x - y), wrapped, and phases P[x, xi] = exp(-i xi.x),
     both dense over the flattened grid and straight from the window and the
     frequencies."""
-    axes = np.meshgrid(*([fr.y_axis()] * fr.d), indexing="ij")
+    axes = np.meshgrid(*([fr.h * np.arange(fr.N)] * fr.d), indexing="ij")
     xs = np.stack(axes, axis=-1).reshape(-1, fr.d)
     xis = np.stack(np.meshgrid(*([fr.xi_axis()] * fr.d), indexing="ij"),
                    axis=-1).reshape(-1, fr.d)
@@ -281,7 +309,7 @@ def test_symbol_matches_the_assembled_matrix(kind, d, denom):
     # the symbol sums over; and a y whose whole cube lies off the grid
     cases = [(win, y) for y in ys] + [(scale(make_cosine_window(d), 4.0 * h),
                                        np.full(d, 0.4 + 0.5 * h)), (win, np.full(d, 2.0))]
-    coords = op.node_coords()
+    coords = np.asarray(op.grid.origin) + op.grid.h * op.nodes
     flags = []
     for win, y in cases:
         fr = build_frame(((0.0, 1.0),) * d, h, win)
@@ -294,7 +322,7 @@ def test_symbol_matches_the_assembled_matrix(kind, d, denom):
         idx = tuple(np.clip(np.round((y - np.asarray(dom.origin)) / h).astype(int),
                             0, np.asarray(dom.shape) - 1))
         truncated = bool(math.isnan(want) or not mask[idx]
-                         or clear[idx] + h < win.support_radius)
+                         or clear[idx] + h < win.epsilon)
         assert sv.truncated == truncated
         flags.append((truncated, math.isnan(want)))
     assert {(False, False), (True, False), (True, True)} <= set(flags)
@@ -327,14 +355,14 @@ def test_symbol_truncation_is_the_erosion_clearance(case, xi):
     # erode computes over the whole grid, read at the node nearest y
     dom, win, ys = case
     op = assemble_euclidean(dom)
-    r = int(math.ceil(win.support_radius / dom.h))
+    r = int(math.ceil(win.epsilon / dom.h))
     clear = lattice_dist2(np.pad(~dom.mask, 1, constant_values=True), r)
     for y in ys:
         sv = rayleigh_symbol(op, win, xi[:dom.d], y)
         k = tuple(np.clip(np.round((y - np.asarray(dom.origin)) / dom.h),
                           0, np.asarray(dom.shape) - 1).astype(int))
         want = math.isnan(sv.value) or not dom.mask[k] \
-            or dom.h * np.sqrt(clear[tuple(i + 1 for i in k)]) + dom.h < win.support_radius
+            or dom.h * np.sqrt(clear[tuple(i + 1 for i in k)]) + dom.h < win.epsilon
         assert sv.truncated == want
 
 
@@ -342,7 +370,7 @@ def _longdouble_rayleigh(op, window, xi, y):
     """Re <e, A e> / <e, e> in long double from the assembled float64 matrix
     and the float64 window samples at the nodes."""
     A = op.matrix.tocoo()
-    coords = op.node_coords()
+    coords = np.asarray(op.grid.origin) + op.grid.h * op.nodes
     g = window(coords - y).astype(np.longdouble)
     theta = coords.astype(np.longdouble) @ np.asarray(xi, dtype=np.longdouble)
     cross = g[A.row] * g[A.col] * np.cos(theta[A.row] - theta[A.col])
@@ -476,7 +504,7 @@ def test_trace_of_an_embedded_hyperbolic_operator(d, N, eps):
     h = 0.1
     fr = build_frame(((0.0, N * h),) * d, h, scale(make_cosine_window(d), eps))
     op = assemble_hyperbolic(rectangle_domain(((0.0, N * h),) * d, h))
-    assert np.allclose(op.node_coords(), fr.h * op.nodes)
+    assert np.allclose(np.asarray(op.grid.origin) + op.grid.h * op.nodes, fr.h * op.nodes)
     idx = np.ravel_multi_index(op.nodes.T, fr.shape)
     A = op.matrix.tocoo()
     T = scipy.sparse.coo_array((A.data, (idx[A.row], idx[A.col])), shape=(fr.n, fr.n))
@@ -557,7 +585,7 @@ def test_frame_form_identity_xi1():
         h = L / N
         win = scale(win_base, 0.25)
         fr = build_frame(((0.0, L),), h, win)
-        psi = smooth_bump(fr.y_axis(), 1.0, 0.55)
+        psi = smooth_bump(fr.h * np.arange(fr.N), 1.0, 0.55)
         c = c_constants(win)
         lhs = phase_space_moment(fr, psi, lambda xi, y: xi[0] ** 2)
         d1 = (np.roll(psi, -1) - psi) / h
@@ -576,7 +604,7 @@ def test_frame_form_identity_tilde():
         h = L / N
         win = scale(win_base, 0.25)
         fr = build_frame(((0.0, L), (0.0, L)), h, win)
-        xs = fr.y_axis()
+        xs = fr.h * np.arange(fr.N)
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         psi = smooth_bump(X, 1.0, 0.55) * smooth_bump(Y, 1.0, 0.55) \
             * np.cos(10.0 * math.pi * Y)
@@ -685,6 +713,19 @@ def test_phase_file_layout(tmp_path):
     assert (d, N) == (1, 16)
     assert h == 0.1 and L == pytest.approx(1.6) and eps == 0.2
     assert len(raw) == 40 + 8 * fr.n * fr.n
+
+
+def test_phase_load_compares_h_relative_to_the_frame(tmp_path):
+    # a frame at h = 3e-13 and one of the same shape at h = 1e-13 differ by
+    # less than 1e-12 in absolute terms, but not relative to h
+    fr, small = frame_1d(N=16, h=3e-13, eps=2e-13), frame_1d(N=16, h=1e-13, eps=2e-13)
+    F = forward(fr, np.ones(fr.n))
+    path = tmp_path / "phase.bin"
+    save_phase(F, path)
+    with pytest.raises(FrameError, match="does not match frame geometry"):
+        load_phase(path, small)
+    back = load_phase(path, fr)
+    assert np.array_equal(back.values, np.asarray(F.values, dtype=np.complex64))
 
 
 def test_phase_load_rejects_mismatch(tmp_path):

@@ -1,9 +1,14 @@
-"""The repository's tools: code_lines.py, same_outputs.py and job_times.py."""
+"""The repository's tools: code_lines.py, same_outputs.py and job_times.py;
+and the rule that every name of the package has a reader outside the tests."""
 
+import ast
 import importlib.util
+import io
 import json
+import re
 import shutil
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -96,3 +101,64 @@ def test_job_times_command_line_rejects_no_repetition(capsys):
     with pytest.raises(SystemExit):
         _tool("job_times").main(["--repeat", "0"])
     assert "--repeat must be at least 1" in capsys.readouterr().err
+
+
+# names kept without a reader: the documented file formats, criterion 1's
+# oracles and the bound criteria 4 and 5 import
+KEPT_WITHOUT_READER = {"save_mask", "load_mask", "export_matrix", "load_spectrum",
+                       "save_phase", "load_phase", "forward", "adjoint", "li_yau_bound"}
+
+
+def _definitions(tree):
+    """The functions and classes a module defines, at module level or in a
+    class body, and its module-level assigned names."""
+    names = []
+
+    def visit(body, top):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.append(node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, False)
+            elif top and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.extend(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+
+    visit(tree.body, True)
+    return names
+
+
+def _readers(path, strings):
+    """The NAME tokens of a module that are not the name of a def, a class or
+    a module-level assignment; with strings, every identifier in its string
+    literals too."""
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    assigned = {(n.lineno, n.col_offset) for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                for n in ast.walk(t) if isinstance(n, ast.Name)}
+    found, prev = set(), None
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME and tok.start not in assigned \
+                and not (prev is not None and prev.string in ("def", "class")):
+            found.add(tok.string)
+        elif strings and tok.type == tokenize.STRING:
+            found.update(re.findall(r"[A-Za-z_]\w*", tok.string))
+        prev = tok
+    return found
+
+
+def test_every_package_name_has_a_reader_outside_the_tests():
+    modules = [p for p in sorted((ROOT / "src" / "weylcs").glob("*.py"))
+               if p.name != "__init__.py"]
+    readers = set().union(*[_readers(p, strings=False) for p in modules])
+    for tree in ("perfbench", "tools"):
+        for path in sorted((ROOT / tree).glob("*.py")):
+            readers |= _readers(path, strings=True)
+    unread = [f"{p.name}: {name}" for p in modules
+              for name in _definitions(ast.parse(p.read_text(encoding="utf-8")))
+              if name not in readers and name not in KEPT_WITHOUT_READER
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert unread == []

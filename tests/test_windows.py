@@ -13,12 +13,16 @@ from weylcs.windows import (
     _factor_quad,
     c_constants,
     factor_deriv_sq,
-    factor_norm_sq,
     grad_norm_sq,
     make_bump_window,
     make_cosine_window,
     scale,
 )
+
+
+def factor_norm_sq(w):
+    """int f^2 over the support of one axis, by the windows' quadrature."""
+    return _factor_quad(lambda u: w.factor_value(u) ** 2, w.factor_half_width(), w.epsilon)
 
 
 def test_cosine_d1_unit_norm():
@@ -34,8 +38,10 @@ def test_cosine_d1_deriv_energy():
 
 def test_cosine_d2_support_radius():
     w = make_cosine_window(2)
-    assert w.support_radius == 1.0
+    # the support is the cube of half-width eps/sqrt(d) inside the ball of radius eps
+    assert w.epsilon == 1.0
     a = 1.0 / math.sqrt(2.0)
+    assert w.factor_half_width() == a
     assert w(np.array([a * 1.0001, 0.0])) == 0.0
     assert w(np.array([a * 0.999, a * 0.999])) != 0.0
 
@@ -87,7 +93,7 @@ def test_scale_identity():
 
 def test_scale_preserves_norm():
     w = scale(make_cosine_window(1), 0.5)
-    assert w.support_radius == 0.5
+    assert w.epsilon == 0.5
     assert abs(factor_norm_sq(w) - 1.0) < 1e-10
 
 
