@@ -312,7 +312,7 @@ def main(argv=None) -> int:
         if cfg.out is None:
             raise ConfigError(f"{args.command} requires an output path")
         return COMMANDS[args.command](cfg)
-    except (CertificationError, FrameError) as exc:  # before ValueError: FrameError is one
+    except (CertificationError, FrameError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, MemoryError, OSError) as exc:

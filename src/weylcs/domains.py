@@ -229,6 +229,8 @@ def _rle_decode(line, width, row):
 
 
 def load_mask(path) -> GridDomain:
+    """Read a save_mask file; header keys and values are stripped, so spaces
+    around '=' are allowed."""
     header = {}
     rows = []
     with open(path) as fh:
@@ -238,7 +240,7 @@ def load_mask(path) -> GridDomain:
                 continue
             if "=" in line:
                 key, val = line.split("=", 1)
-                header[key] = val
+                header[key.strip()] = val.strip()
             else:
                 rows.append(line)
 

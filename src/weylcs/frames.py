@@ -46,8 +46,8 @@ from .operators import DiscreteOperator, DimensionMismatchError, weighted_axes
 from .windows import Window, c_constants, grad_norm_sq
 
 
-class FrameError(ValueError):
-    pass
+class FrameError(RuntimeError):
+    """A frame check failed: a non-finite Parseval or trace defect."""
 
 
 _BLOCK = 2 ** 20  # transform values phase_space_moment holds per block of y
@@ -143,34 +143,36 @@ class PhaseSpaceFunction:
 def build_frame(box, h, window: Window) -> CoherentFrame:
     """Periodized frame on a cubic box of side L = N*h; requires the window's
     support, a cube of side 2*eps/sqrt(d), to span less than L along an axis.
-    ValueError as in domains.box_sides, or unless 0 < h < inf."""
+    ValueError as in domains.box_sides, unless 0 < h < inf, and for every
+    other refusal: a box that is not cubic or not a multiple of h, another
+    dimension, a window that wraps, vanishes on the lattice or overflows."""
     sides = box_sides(box)
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got h={h!r}")
     L = sides[0]
     if any(abs(sd - L) > 1e-12 * L for sd in sides):
-        raise FrameError("embedding box must be cubic (equal sides)")
+        raise ValueError("embedding box must be cubic (equal sides)")
     N = int(round(L / h))
     if abs(N * h - L) > 1e-9 * L:
-        raise FrameError("box side must be an integer multiple of h")
+        raise ValueError("box side must be an integer multiple of h")
     d = window.d
     if len(box) != d:
-        raise FrameError("box dimension does not match window dimension")
+        raise ValueError("box dimension does not match window dimension")
     span = 2.0 * window.factor_half_width()  # the support's side along one axis
     if span >= L:
         name = "2*eps" if d == 1 else f"2*eps/sqrt({d})"
-        raise FrameError(f"window support wraps around the torus: {name} = {span:g} >= L = {L:g}")
+        raise ValueError(f"window support wraps around the torus: {name} = {span:g} >= L = {L:g}")
     # wrapped lattice offsets m*h in [-L/2, L/2)
     offs = h * np.arange(N)
     offs = np.where(offs >= L / 2.0, offs - L, offs)
     g = window.factor_value(offs)
-    g_grid = functools.reduce(np.multiply.outer, [g] * d)
     with np.errstate(over="ignore"):  # an overflow is reported below
+        g_grid = functools.reduce(np.multiply.outer, [g] * d)
         s = float(np.sum(g_grid ** 2)) * h ** d
     if s <= 0.0:
-        raise FrameError("window vanishes on the lattice; reduce h")
+        raise ValueError("window vanishes on the lattice; reduce h")
     if not s < math.inf:
-        raise FrameError(f"window's lattice sum overflows at eps = {window.epsilon:g}; "
+        raise ValueError(f"window's lattice sum overflows at eps = {window.epsilon:g}; "
                          "increase eps")
     # exp(-i xi_k j h) = exp(-2 pi i k j / N), from the exact residue k j mod N
     k = np.arange(N)
@@ -197,9 +199,10 @@ def forward(frame: CoherentFrame, f) -> PhaseSpaceFunction:
 
 
 def adjoint(frame: CoherentFrame, F: PhaseSpaceFunction) -> np.ndarray:
-    """Weighted synthesis; exact left inverse of forward (tight frame)."""
+    """Weighted synthesis; exact left inverse of forward (tight frame).
+    ValueError for a function of another frame."""
     if F.frame is not frame:
-        raise FrameError("phase-space function belongs to a different frame")
+        raise ValueError("phase-space function belongs to a different frame")
     vals = _phased(frame, F.values.astype(complex).reshape(frame.shape * 2), frame.phase.conj())
     return (_synthesis(frame, vals) / (frame.n * math.sqrt(frame.s))).reshape(frame.n)
 
@@ -275,31 +278,33 @@ def rayleigh_symbol(op: DiscreteOperator, window: Window, xi, y) -> SymbolValue:
     nothing cancels.
 
     The sums run over the edges of the cube of r + 1 lattice steps around the
-    grid node k nearest y, r = ceil(eps / h), where the window is the outer
-    product of its 1-D profile along each axis.  The inner cube of r steps
-    covers the support: along an axis g is nonzero only where
-    |x_a - y_a| < eps / sqrt(d) <= r h, and k lies within h/2 of
-    y_a, so every support node j has |j - k| < r + 1/2.  For y off the grid k
-    is clipped onto it; the support nodes on the grid are then within r steps
-    of the unclipped node and on the grid's side of it, so within r steps of
-    k too.  So g is zero on the cube's outer layer, and an edge from the
-    support into that layer is a Dirichlet edge, w g^2, like every edge to a
-    node outside the domain.
+    grid node k nearest y, r = ceil(min(eps / h, max(shape))), where the
+    window is the outer product of its 1-D profile along each axis.  The
+    inner cube of r steps covers the support on the grid: along an axis g is
+    nonzero only where |x_a - y_a| < eps / sqrt(d) <= r h, and k lies within
+    h/2 of y_a, so every support node j has |j - k| < r + 1/2.  For y off the
+    grid k is clipped onto it; the support nodes on the grid are then within
+    r steps of the unclipped node and on the grid's side of it, so within r
+    steps of k too.  At the cap r = max(shape) the inner cube holds the whole
+    grid and the layer past it.  So g is zero on the cube's outer layer, and
+    an edge from the support into that layer is a Dirichlet edge, w g^2,
+    like every edge to a node outside the domain.
 
     It is flagged truncated when the window support may stick out of the
     domain: when k lies within eps - h of a node outside it (nodes past the
     grid count as outside), or e vanishes on the interior nodes, where the
     value is nan.  Only the nodes of the same cube are searched: outside
     nodes farther away lie beyond eps, the radius of the ball that holds the
-    support, and the squared offset is capped at r^2 + 1.  That squared
-    offset is the clearance erode computes (domains.lattice_dist2 of the
-    complement), read at k alone.
+    support, or at the cap beyond the nearest node of the layer past the
+    grid, which the cube holds, and the squared offset is capped at r^2 + 1.
+    That squared offset is the clearance erode computes
+    (domains.lattice_dist2 of the complement), read at k alone.
     """
     dom = op.grid
     if window.d != dom.d:
         raise DimensionMismatchError(f"window dimension {window.d} on a {dom.d}-D grid")
     xi, y = _phase_point(dom.d, xi, y)
-    r = int(math.ceil(window.epsilon / dom.h))
+    r = int(math.ceil(min(window.epsilon / dom.h, max(dom.shape))))
     t = np.arange(-r - 1, r + 2)
     idx = np.clip(np.round((y - np.asarray(dom.origin)) / dom.h),
                   0, np.asarray(dom.shape) - 1).astype(int)  # clipped first: y may be huge
@@ -415,18 +420,20 @@ def save_phase(F: PhaseSpaceFunction, path):
 
 
 def load_phase(path, frame: CoherentFrame) -> PhaseSpaceFunction:
+    """Read a save_phase file for frame; ValueError unless it is one and
+    matches the frame's geometry, eps and size."""
     with open(path, "rb") as fh:
         if fh.read(len(_PHASE_MAGIC)) != _PHASE_MAGIC:
             raise ValueError("not a phase-space file")
         d, N = struct.unpack("<ii", fh.read(8))
         h, L, eps = struct.unpack("<ddd", fh.read(24))
         if (d, N) != (frame.d, frame.N) or abs(h - frame.h) > 1e-12 * frame.h:
-            raise FrameError("file does not match frame geometry")
+            raise ValueError("file does not match frame geometry")
         if eps != frame.window.epsilon:
-            raise FrameError(f"file window scale eps={eps!r} does not match the "
+            raise ValueError(f"file window scale eps={eps!r} does not match the "
                              f"frame's eps={frame.window.epsilon!r}")
         raw = fh.read()
     if len(raw) != 8 * frame.n ** 2:
-        raise FrameError(f"file holds {len(raw) / 8:g} values, the frame expects {frame.n ** 2}")
+        raise ValueError(f"file holds {len(raw) / 8:g} values, the frame expects {frame.n ** 2}")
     vals = np.frombuffer(raw, dtype=np.complex64).reshape(frame.n, frame.n).astype(complex)
     return PhaseSpaceFunction(values=vals, frame=frame)

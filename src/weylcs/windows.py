@@ -34,35 +34,28 @@ _TS_WEIGHTS = (_TS_STEP * 0.5 * np.pi * np.cosh(_TS_T)
 
 
 @dataclass(frozen=True)
-class FactorProfile:
-    """Even 1-D profile of a d-dimensional window, supported on
-    |u| <= 1/sqrt(d) (at scale eps=1)."""
-
-    value: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class Window:
     """Product window g = f(z_1) ... f(z_d) of one profile f at scale eps.
 
-    The stored profile is the base (eps = 1) profile; evaluation applies the
+    The stored profile f and its derivative are the base (eps = 1) ones, an
+    even function supported on |u| <= 1/sqrt(d); evaluation applies the
     L^2-preserving rescaling u -> eps^{-1/2} f(u/eps) on every axis.
     """
 
     d: int
     epsilon: float
-    factor: FactorProfile
+    profile: Callable[[np.ndarray], np.ndarray]
+    profile_deriv: Callable[[np.ndarray], np.ndarray]
 
     def factor_value(self, u):
         u = np.asarray(u, dtype=float)
         e = self.epsilon
-        return self.factor.value(u / e) / math.sqrt(e)
+        return self.profile(u / e) / math.sqrt(e)
 
     def factor_deriv(self, u):
         u = np.asarray(u, dtype=float)
         e = self.epsilon
-        return self.factor.deriv(u / e) / (e * math.sqrt(e))
+        return self.profile_deriv(u / e) / (e * math.sqrt(e))
 
     def factor_half_width(self):
         """Half-width of the profile's support, 1/sqrt(d) at eps = 1."""
@@ -92,7 +85,7 @@ def _cosine_profile(d):
         u = np.asarray(u, dtype=float)
         return np.where(np.abs(u) < a, -amp * om * np.sin(om * u), 0.0)
 
-    return FactorProfile(value=value, deriv=deriv)
+    return value, deriv
 
 
 def _bump_profile(d):
@@ -118,15 +111,16 @@ def _bump_profile(d):
         denom = np.where(inside, (1.0 - t * t) ** 2, 1.0)
         return np.where(inside, raw(u) / norm * (-2.0 * t * sd) / denom, 0.0)
 
-    return FactorProfile(value=value, deriv=deriv)
+    return value, deriv
 
 
 def _unit_window(d, profile):
-    """The window of profile(d) on every axis at eps = 1; ValueError unless
-    the dimension d is an integer (a numpy one too, but not a bool) >= 1."""
+    """The window of the profile and derivative pair profile(d) on every
+    axis at eps = 1; ValueError unless the dimension d is an integer (a
+    numpy one too, but not a bool) >= 1."""
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"dimension must be >= 1 and an integer, not a bool, got {d!r}")
-    return Window(d=d, epsilon=1.0, factor=profile(d))
+    return Window(d, 1.0, *profile(d))
 
 
 def make_cosine_window(d):
@@ -150,7 +144,7 @@ def scale(w: Window, eps: float) -> Window:
     shrunk.  The one check of eps: ValueError unless 0 < eps < inf."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    return Window(d=w.d, epsilon=w.epsilon * eps, factor=w.factor)
+    return Window(w.d, w.epsilon * eps, w.profile, w.profile_deriv)
 
 
 def _factor_quad(f, a, eps=1.0):

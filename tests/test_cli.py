@@ -319,8 +319,8 @@ SQUARE_05 = ["--set", "kind=hyperbolic", "--set", "dim=2", "--set", "box=0,1;0,1
 # (command, kind settings, eps) whose window constants leave the float range;
 # the rest of both kinds x eps in {1e-300, 1e-120, 1000} do not reach them:
 # the euclidean symbol at eps = 1000 is finite, and frame-check stops at the
-# frame (exit 2) for eps = 1000 (the window wraps) and for the 2-D window at
-# eps = 1e-300 (its lattice sum overflows)
+# frame, exit 1 with its own message, for eps = 1000 (the window wraps) and
+# for the 2-D window at eps = 1e-300 (its lattice sum overflows)
 WINDOW_RANGE_CASES = [
     ("symbol-check", [], "1e-300"), ("symbol-check", [], "1e-120"),
     ("symbol-check", SQUARE_05, "1e-300"), ("symbol-check", SQUARE_05, "1e-120"),
@@ -647,13 +647,13 @@ def test_frame_check_holds_no_n_squared_array(tmp_path):
     assert peak < 64 * 2 ** 20
 
 
-def test_frame_check_wrapped_window_exits_2(tmp_path, capsys):
+def test_frame_check_wrapped_window_exits_1(tmp_path, capsys):
     rc = main(["frame-check", "--set", "eps=0.6", "--set", "frame_n=20",
                "--set", "h=0.05", "--set", "box=0,1.5",
                "--out", str(tmp_path / "f.txt")])
-    assert rc == 2
+    assert rc == 1
     err = capsys.readouterr().err
-    assert "certification failure" in err and "2*eps = 1.2 >= L = 1" in err
+    assert err.startswith("error: ") and "2*eps = 1.2 >= L = 1" in err
 
 
 def test_frame_check_d2_window_narrower_than_the_torus_exits_0(tmp_path):
@@ -668,15 +668,30 @@ def test_frame_check_d2_window_narrower_than_the_torus_exits_0(tmp_path):
     assert all(float(v) < 1e-12 for v in defects.values())
 
 
-def test_frame_check_overflowing_window_exits_2(tmp_path, capsys):
+def test_frame_check_overflowing_window_exits_1(tmp_path, capsys):
     # at eps = 1e-300 the window's lattice sum overflows to inf
     out = tmp_path / "f.txt"
     rc = main(["frame-check", "--set", "dim=2", "--set", "frame_n=20", "--set", "h=0.05",
                "--set", "box=0,1;0,1", "--set", "eps=1e-300", "--out", str(out)])
-    assert rc == 2 and not out.exists()
+    assert rc == 1 and not out.exists()
     err = capsys.readouterr().err
-    assert "certification failure" in err and "overflows at eps = 1e-300" in err
+    assert err.startswith("error: ") and "overflows at eps = 1e-300" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("eps", ["1000", "1e-300", "1e-120"])
+def test_frame_check_refused_eps_prints_one_error_line(tmp_path, dim, eps):
+    # the window wraps at 1000; at the small scales the lattice sum or the
+    # window constants overflow, and no warning of numpy's reaches stderr
+    argv = ["frame-check", "--set", f"dim={dim}", "--set", "box=" + ";".join(["0,1"] * dim),
+            "--set", "h=0.1", "--set", "frame_n=10", "--set", "n_vectors=2",
+            "--set", f"eps={eps}", "--out", str(tmp_path / "f.txt")]
+    run = subprocess.run([sys.executable, "-m", "weylcs"] + argv, env=subprocess_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 1
+    [line] = run.stderr.splitlines()
+    assert line.startswith("error: ") and "eps" in line
 
 
 def test_frame_check_nan_parseval_defect_exits_2(tmp_path, capsys, monkeypatch):

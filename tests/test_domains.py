@@ -326,6 +326,18 @@ def test_mask_roundtrip_rectangle(tmp_path):
     assert np.array_equal(back.mask, dom.mask)
 
 
+def test_mask_load_allows_spaces_around_the_header_equals(tmp_path):
+    dom = rectangle_domain(((0.0, 1.0), (-0.5, 0.7)), 0.04)
+    path = tmp_path / "mask.txt"
+    save_mask(dom, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line.replace("=", " = ", 1) for line in lines))
+    assert " = " in path.read_text()
+    back = load_mask(path)
+    assert (back.h, back.origin, back.box) == (dom.h, dom.origin, dom.box)
+    assert np.array_equal(back.mask, dom.mask)
+
+
 @given(arrays(bool, (6, 9)))
 @settings(max_examples=50, deadline=None)
 def test_mask_roundtrip_random(tmp_path_factory, mask):

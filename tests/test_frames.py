@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from weylcs.frames import (
     trace_via_frame,
 )
 from weylcs.operators import DimensionMismatchError, assemble_euclidean, assemble_hyperbolic
-from weylcs.windows import FactorProfile, Window, c_constants, grad_norm_sq, \
+from weylcs.windows import Window, c_constants, grad_norm_sq, \
     make_bump_window, make_cosine_window, scale
 
 
@@ -70,13 +71,18 @@ def test_lattice_sum_near_one():
     (((0.0, 1.0),), 0.03, scale(make_cosine_window(1), 0.1), "multiple of h"),
     (((0.0, 1.0), (0.0, 1.0)), 0.05, scale(make_cosine_window(1), 0.1), "dimension"),
     # a profile that is 0 at every node, as no window maker builds
-    (((0.0, 1.0),), 0.05, Window(d=1, epsilon=0.1, factor=FactorProfile(
-        value=np.zeros_like, deriv=np.zeros_like)), "vanishes"),
+    (((0.0, 1.0),), 0.05, Window(d=1, epsilon=0.1, profile=np.zeros_like,
+                                 profile_deriv=np.zeros_like), "vanishes"),
 ], ids=["wraps", "wraps-d2", "wraps-d3", "non-cubic", "not-a-multiple", "dimension",
         "vanishes"])
 def test_build_frame_rejects(box, h, window, message):
-    with pytest.raises(FrameError, match=message):
+    with pytest.raises(ValueError, match=message):
         build_frame(box, h, window)
+
+
+def test_frame_error_is_a_failed_check_not_an_input_error():
+    # refused input is a ValueError (exit 1); FrameError is left to defects (exit 2)
+    assert issubclass(FrameError, RuntimeError) and not issubclass(FrameError, ValueError)
 
 
 # (d, N, h, eps, support offsets): 2 eps >= L = N h in each, but the support,
@@ -326,6 +332,27 @@ def test_symbol_matches_the_assembled_matrix(kind, d, denom):
         assert sv.truncated == truncated
         flags.append((truncated, math.isnan(want)))
     assert {(False, False), (True, False), (True, True)} <= set(flags)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+def test_symbol_cube_is_bounded_by_the_grid(kind):
+    # eps = 100 on the 11 x 11 lattice of the unit square: the cube stops at
+    # the layer past the grid, 11 steps out rather than ceil(eps/h) = 1000
+    dom = rectangle_domain(((0.0, 1.0),) * 2, 0.1)
+    op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    win = scale(make_cosine_window(2), 100.0)
+    xi, y = np.array([1.0, -2.0]), np.array([0.37, 0.61])
+    tracemalloc.start()
+    try:
+        sv = rayleigh_symbol(op, win, xi, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20 and sv.truncated
+    coords = np.asarray(op.grid.origin) + op.grid.h * op.nodes
+    e = np.exp(1j * coords @ xi) * win(coords - y)
+    assert sv.value == pytest.approx(np.vdot(e, op.matrix @ e).real / np.vdot(e, e).real,
+                                     rel=1e-13, abs=0.0)
 
 
 @st.composite
@@ -722,7 +749,7 @@ def test_phase_load_compares_h_relative_to_the_frame(tmp_path):
     F = forward(fr, np.ones(fr.n))
     path = tmp_path / "phase.bin"
     save_phase(F, path)
-    with pytest.raises(FrameError, match="does not match frame geometry"):
+    with pytest.raises(ValueError, match="does not match frame geometry"):
         load_phase(path, small)
     back = load_phase(path, fr)
     assert np.array_equal(back.values, np.asarray(F.values, dtype=np.complex64))
@@ -734,16 +761,16 @@ def test_phase_load_rejects_mismatch(tmp_path):
     F = forward(fr, np.ones(fr.n))
     path = tmp_path / "phase.bin"
     save_phase(F, path)
-    with pytest.raises(FrameError):
+    with pytest.raises(ValueError, match="does not match frame geometry"):
         load_phase(path, other)
     # same geometry, another window scale
-    with pytest.raises(FrameError, match="eps"):
+    with pytest.raises(ValueError, match="eps"):
         load_phase(path, frame_1d(N=16, h=0.1, eps=0.5))
     # a payload 16 bytes short (two values), and one with a byte too many
     data = path.read_bytes()
     for payload, found in [(data[:-16], "254"), (data + b"\0", "256.125")]:
         path.write_bytes(payload)
-        with pytest.raises(FrameError, match=f"file holds {found} values, the frame expects 256"):
+        with pytest.raises(ValueError, match=f"file holds {found} values, the frame expects 256"):
             load_phase(path, fr)
     path.write_bytes(data[8:])  # no magic
     with pytest.raises(ValueError, match="not a phase-space file"):
