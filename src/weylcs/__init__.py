@@ -16,7 +16,6 @@ from .domains import (
     dilate,
     erode,
     load_mask,
-    measure,
     rectangle_domain,
     save_mask,
 )

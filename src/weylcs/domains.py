@@ -1,7 +1,8 @@
 """Masked uniform grids representing an open set, with erosion and dilation.
 
-Nodes live on the lattice origin + h * index.  The mask marks interior nodes;
-measure is (number of true nodes) * h^d.  Erosion and dilation threshold the
+Nodes live on the lattice origin + h * index.  The mask marks interior nodes,
+so the set's lattice volume is the number of true nodes times h^d (the
+euclidean weyl.weighted_volume).  Erosion and dilation threshold the
 exact euclidean distance between lattice nodes, matching dist(x, boundary) in
 the continuum definitions of the shrunk set Omega_eps and the fattened set
 Omega^eps.  Distances are computed only up to the radius a threshold needs
@@ -185,10 +186,6 @@ def dilate(dom: GridDomain, eps: float) -> GridDomain:
     origin = tuple(o - pad * dom.h for o in dom.origin)
     box = tuple((a - pad * dom.h, b + pad * dom.h) for a, b in dom.box)
     return GridDomain(h=dom.h, origin=origin, mask=mask, box=box)
-
-
-def measure(dom: GridDomain) -> float:
-    return int(dom.mask.sum()) * dom.h ** dom.d
 
 
 def save_mask(dom: GridDomain, path):

@@ -421,13 +421,18 @@ def save_phase(F: PhaseSpaceFunction, path):
 
 def load_phase(path, frame: CoherentFrame) -> PhaseSpaceFunction:
     """Read a save_phase file for frame; ValueError unless it is one and
-    matches the frame's geometry, eps and size."""
+    matches the frame's geometry, eps and size.  The header must be whole,
+    and its h and L must match the frame's to 1e-12 relative (a nan matches
+    nothing)."""
     with open(path, "rb") as fh:
         if fh.read(len(_PHASE_MAGIC)) != _PHASE_MAGIC:
             raise ValueError("not a phase-space file")
-        d, N = struct.unpack("<ii", fh.read(8))
-        h, L, eps = struct.unpack("<ddd", fh.read(24))
-        if (d, N) != (frame.d, frame.N) or abs(h - frame.h) > 1e-12 * frame.h:
+        header = fh.read(32)
+        if len(header) < 32:
+            raise ValueError(f"truncated header: {len(header)} of 32 bytes")
+        d, N, h, L, eps = struct.unpack("<iiddd", header)
+        if (d, N) != (frame.d, frame.N) or not (abs(h - frame.h) <= 1e-12 * frame.h
+                                                and abs(L - frame.L) <= 1e-12 * frame.L):
             raise ValueError("file does not match frame geometry")
         if eps != frame.window.epsilon:
             raise ValueError(f"file window scale eps={eps!r} does not match the "

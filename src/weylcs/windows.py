@@ -61,16 +61,6 @@ class Window:
         """Half-width of the profile's support, 1/sqrt(d) at eps = 1."""
         return (1.0 / math.sqrt(self.d)) * self.epsilon
 
-    def __call__(self, z):
-        """Evaluate g^eps at points z of shape (..., d) (or scalar/1-D if d=1)."""
-        z = np.asarray(z, dtype=float)
-        if self.d == 1 and (z.ndim == 0 or z.shape[-1] != 1):
-            z = z[..., None]
-        out = np.ones(z.shape[:-1], dtype=float)
-        for j in range(self.d):
-            out = out * self.factor_value(z[..., j])
-        return out
-
 
 def _cosine_profile(d):
     a = 1.0 / math.sqrt(d)

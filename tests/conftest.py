@@ -2,6 +2,7 @@
 
 import functools
 
+import numpy as np
 import pytest
 
 from weylcs.domains import rectangle_domain
@@ -20,3 +21,21 @@ def hyperbolic_square_spectrum():
         return dense_spectrum(assemble_hyperbolic(dom))
 
     return spectrum
+
+
+def window_at(w, z):
+    """The window w, g^eps(z) = f(z_1) ... f(z_d), at points z of shape
+    (..., d) (or scalar/1-D if d=1): the oracles' product of factor values,
+    independent of the frame's per-axis tables."""
+    z = np.asarray(z, dtype=float)
+    if w.d == 1 and (z.ndim == 0 or z.shape[-1] != 1):
+        z = z[..., None]
+    out = np.ones(z.shape[:-1], dtype=float)
+    for j in range(w.d):
+        out = out * w.factor_value(z[..., j])
+    return out
+
+
+def lattice_measure(dom):
+    """The lattice volume of a domain: its number of true nodes times h^d."""
+    return int(dom.mask.sum()) * dom.h ** dom.d

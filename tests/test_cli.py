@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 import weylcs
 import weylcs.cli
 import weylcs.eigen
+from conftest import lattice_measure
 from weylcs.cli import COMMANDS, ConfigError, ExperimentConfig, _apply_kv, \
     load_config, main
-from weylcs.domains import GridDomain, measure, rectangle_domain
+from weylcs.domains import GridDomain, rectangle_domain
 from weylcs.eigen import DENSE_LIMIT, DenseLimitError, count_certificate, load_spectrum
 from weylcs.operators import assemble_euclidean
 from weylcs.weyl import CURVE_HEADER, euclidean_leading
@@ -261,7 +262,7 @@ def test_weyl_curve_leading_term_needs_no_exact_box(tmp_path, monkeypatch):
     assert len(rows) == 6
     for row in rows:
         lam, leading = float(row[0]), float(row[2])
-        assert leading == euclidean_leading(measure(doms[0]), 2, lam)
+        assert leading == euclidean_leading(lattice_measure(doms[0]), 2, lam)
 
 
 HYPERBOLIC_FAR = ["--set", "kind=hyperbolic", "--set", "frame_n=8", "--set", "n_vectors=2"]

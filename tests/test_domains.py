@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import weylcs.domains
+from conftest import lattice_measure
 from weylcs.cli import main
 from weylcs.domains import (
     EmptyErosionError,
@@ -18,7 +19,6 @@ from weylcs.domains import (
     erode,
     lattice_dist2,
     load_mask,
-    measure,
     rectangle_domain,
     save_mask,
 )
@@ -38,7 +38,7 @@ def test_interval_node_count():
 
 def test_unit_square_measure():
     h = 0.1
-    assert abs(measure(unit_square(h)) - 1.0) < 2 * h
+    assert abs(lattice_measure(unit_square(h)) - 1.0) < 2 * h
 
 
 def test_degenerate_box_rejected():
@@ -110,7 +110,7 @@ def test_weighted_box_volume_names_the_box_where_the_weight_overflows():
 def test_erode_square():
     h = 0.02
     dom = erode(unit_square(h), 0.1)
-    assert abs(measure(dom) - 0.64) < 4 * h
+    assert abs(lattice_measure(dom) - 0.64) < 4 * h
 
 
 def test_erode_zero_is_identity():
@@ -128,7 +128,7 @@ def test_erode_empty_raises():
 def test_dilate_square():
     h = 0.01
     target = 1.0 + 4 * 0.1 + math.pi * 0.01
-    assert abs(measure(dilate(unit_square(h), 0.1)) - target) < 6 * h
+    assert abs(lattice_measure(dilate(unit_square(h), 0.1)) - target) < 6 * h
 
 
 def test_dilate_zero_is_identity():
@@ -219,8 +219,9 @@ def test_erode_dilate_contains_original():
 def test_morphology_monotone(e1, e2):
     dom = unit_square(0.02)
     lo, hi = sorted((e1, e2))
-    assert measure(erode(dom, hi)) <= measure(erode(dom, lo)) <= measure(dom)
-    assert measure(dom) <= measure(dilate(dom, lo)) <= measure(dilate(dom, hi))
+    m = lattice_measure
+    assert m(erode(dom, hi)) <= m(erode(dom, lo)) <= m(dom)
+    assert m(dom) <= m(dilate(dom, lo)) <= m(dilate(dom, hi))
 
 
 def test_nesting():
@@ -235,9 +236,9 @@ def test_nesting():
 def test_boundary_layer_linear_in_eps():
     # |Omega| - |Omega_{2 eps}| <= C eps with C about twice the perimeter
     dom = unit_square(0.005)
-    base = measure(dom)
+    base = lattice_measure(dom)
     for eps in (0.05, 0.1, 0.2):
-        loss = base - measure(erode(dom, 2 * eps))
+        loss = base - lattice_measure(erode(dom, 2 * eps))
         assert loss / eps < 8.5
 
 

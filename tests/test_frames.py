@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import window_at
 from weylcs import frames
 from weylcs.domains import GridDomain, lattice_dist2, rectangle_domain
 from weylcs.frames import (
@@ -140,7 +141,7 @@ def test_forward_impulse():
     offs = fr.h * 20 - fr.h * np.arange(fr.N)
     offs = np.where(offs >= fr.L / 2, offs - fr.L, offs)
     offs = np.where(offs < -fr.L / 2, offs + fr.L, offs)
-    g2 = fr.window(offs[:, None]) ** 2
+    g2 = window_at(fr.window, offs[:, None]) ** 2
     col = P[:, 0]
     sel = g2 > 1e-12 * g2.max()
     scale_fac = col[sel][0] / g2[sel][0]
@@ -197,7 +198,7 @@ def direct_matrices(fr):
     xis = np.stack(np.meshgrid(*([fr.xi_axis()] * fr.d), indexing="ij"),
                    axis=-1).reshape(-1, fr.d)
     off = (xs[None, :, :] - xs[:, None, :] + fr.L / 2) % fr.L - fr.L / 2
-    return fr.window(off), np.exp(-1j * xs @ xis.T)
+    return window_at(fr.window, off), np.exp(-1j * xs @ xis.T)
 
 
 # (d, window, N, h, eps); the last case's support covers 11 of the 12 offsets
@@ -320,7 +321,7 @@ def test_symbol_matches_the_assembled_matrix(kind, d, denom):
     for win, y in cases:
         fr = build_frame(((0.0, 1.0),) * d, h, win)
         xi = rng.uniform(-30.0, 30.0, d)
-        e = np.exp(1j * coords @ xi) * win(coords - y)
+        e = np.exp(1j * coords @ xi) * window_at(win, coords - y)
         nrm = np.vdot(e, e).real
         want = np.vdot(e, op.matrix @ e).real / nrm if nrm > 0.0 else math.nan
         sv = symbol(fr, op, xi, y)
@@ -350,7 +351,7 @@ def test_symbol_cube_is_bounded_by_the_grid(kind):
         tracemalloc.stop()
     assert peak < 2 ** 20 and sv.truncated
     coords = np.asarray(op.grid.origin) + op.grid.h * op.nodes
-    e = np.exp(1j * coords @ xi) * win(coords - y)
+    e = np.exp(1j * coords @ xi) * window_at(win, coords - y)
     assert sv.value == pytest.approx(np.vdot(e, op.matrix @ e).real / np.vdot(e, e).real,
                                      rel=1e-13, abs=0.0)
 
@@ -398,7 +399,7 @@ def _longdouble_rayleigh(op, window, xi, y):
     and the float64 window samples at the nodes."""
     A = op.matrix.tocoo()
     coords = np.asarray(op.grid.origin) + op.grid.h * op.nodes
-    g = window(coords - y).astype(np.longdouble)
+    g = window_at(window, coords - y).astype(np.longdouble)
     theta = coords.astype(np.longdouble) @ np.asarray(xi, dtype=np.longdouble)
     cross = g[A.row] * g[A.col] * np.cos(theta[A.row] - theta[A.col])
     return np.sum(A.data.astype(np.longdouble) * cross) / np.sum(g * g)
@@ -775,3 +776,22 @@ def test_phase_load_rejects_mismatch(tmp_path):
     path.write_bytes(data[8:])  # no magic
     with pytest.raises(ValueError, match="not a phase-space file"):
         load_phase(path, fr)
+
+
+def test_phase_load_rejects_a_malformed_header(tmp_path):
+    import struct
+
+    fr = frame_1d(N=32, h=0.05)
+    path = tmp_path / "phase.bin"
+    save_phase(forward(fr, np.ones(fr.n)), path)
+    data = path.read_bytes()
+    # cut off after the magic or inside the 32-byte header
+    for k in range(32):
+        path.write_bytes(data[:8 + k])
+        with pytest.raises(ValueError, match=f"truncated header: {k} of 32 bytes"):
+            load_phase(path, fr)
+    # h = nan, and a negative L, in an otherwise whole file
+    for h, L in [(math.nan, fr.L), (fr.h, -5.0)]:
+        path.write_bytes(data[:16] + struct.pack("<dd", h, L) + data[32:])
+        with pytest.raises(ValueError, match="does not match frame geometry"):
+            load_phase(path, fr)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylcs.domains import GridDomain, measure, rectangle_domain
+from conftest import lattice_measure
+from weylcs.domains import GridDomain, rectangle_domain
 from weylcs.eigen import Spectrum, dense_spectrum
 from weylcs.operators import assemble_euclidean
 from weylcs.weyl import (
@@ -178,6 +179,15 @@ def test_weighted_volume_closed_forms_and_lattice_sums(kind, box, want):
     plain = _plain(dom)
     assert plain.exact_box is None
     assert weighted_volume(kind, plain) == pytest.approx(want, abs=3 * h)
+    # against the node sum h^d sum e^{-k x_1} over the true nodes, which for
+    # the euclidean kind is the node count times h^d, to the bit
+    k = len(box) - 1 if kind == "hyperbolic" else 0
+    x1 = plain.origin[0] + h * np.nonzero(plain.mask)[0]
+    nodes = float(np.sum(np.exp(-k * x1))) * h ** len(box)
+    if kind == "euclidean":
+        assert weighted_volume(kind, plain) == nodes == plain.mask.sum() * h ** len(box)
+    else:
+        assert weighted_volume(kind, plain) == pytest.approx(nodes, rel=1e-14, abs=0.0)
 
 
 def test_weighted_volume_rejects_an_unknown_kind():
@@ -309,4 +319,4 @@ def test_save_curve_format(tmp_path):
 
 def test_measure_consistency():
     dom = rectangle_domain(((0.0, math.pi),), math.pi / 1000)
-    assert abs(measure(dom) - math.pi) < 0.01
+    assert abs(lattice_measure(dom) - math.pi) < 0.01

@@ -3,7 +3,8 @@
 A code line holds at least one token that is not a comment and is not part
 of a docstring (the string that opens a module, class or function body).
 Blank lines, comment lines and docstring lines do not count; a line that
-ends in a comment counts.  Prints one line per module and the total.
+ends in a comment counts.  Prints one line per module and the total; exits
+2 with an error naming the path when it is not a directory holding a module.
 
     python tools/code_lines.py [DIRECTORY]   # default: src/weylcs
 """
@@ -43,8 +44,12 @@ def code_lines(source):
 
 def main(argv):
     root = Path(argv[1] if len(argv) > 1 else "src/weylcs")
+    paths = sorted(root.glob("*.py"))  # none for a file or a missing path
+    if not paths:
+        print(f"code_lines.py: {root} is not a directory with *.py files", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in paths:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
