@@ -43,7 +43,7 @@ closed form, half the final bracket plus the rounding of the counts, or the
 residual bound
 |theta - lambda_i| <= ||r||, Parlett, The Symmetric Eigenvalue Problem,
 ch. 4).  count_certificate does all of this, and every count goes through
-it: count_below, spectrum_below and the slice ends.
+it: count_below, spectrum_below and the slice midpoints.
 
 One routine, _values_between, finds the eigenvalues between two certified
 counts: for spectrum_below from 0 with count 0 (both operators are positive
@@ -51,9 +51,11 @@ definite) to the certified shift, and for the bracket between its two ends.
 On a box they are the values of _box_values past the lower count: the ends
 of the Weyl brackets where those have width zero, the multisection
 midpoints otherwise.  Elsewhere they come from spectrum slicing
-(Ericsson-Ruhe 1980; Campos-Roman 2012): the interval is split at certified
-counts into slices of at most _SLICE eigenvalues, and shift-invert eigsh
-centred in each slice must find exactly the slice's count in it.
+(Ericsson-Ruhe 1980; Campos-Roman 2012): a span of more than _SLICE
+eigenvalues is split at a certified count at its midpoint, and each half is
+searched the same way.  A half whose two counts are equal holds no
+eigenvalue and costs nothing; in every other slice, shift-invert eigsh
+centred in it must find exactly the slice's count.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import numpy as np
 from .operators import DiscreteOperator
 
 DENSE_LIMIT = 5000
-_SLICE = 128  # most eigenvalues in one slice (see _slice_ends)
+_SLICE = 128  # most eigenvalues in one slice (see _values_between)
 
 
 class DenseLimitError(ValueError):
@@ -394,20 +396,6 @@ def count_below(op: DiscreteOperator, lam: float) -> int:
     return count_certificate(op, lam).count
 
 
-def _slice_ends(op, lo, hi):
-    """Slice ends from lo to hi, each a (shift, count) pair: a slice that
-    holds more than _SLICE eigenvalues is split at a certified count at its
-    midpoint."""
-    if hi[1] - lo[1] > _SLICE:
-        mid = count_certificate(op, 0.5 * (lo[0] + hi[0]))
-        # a nudged midpoint at or below lo means more than _SLICE eigenvalues
-        # within a few tol: no split can separate them
-        if mid.shift > lo[0]:
-            return _slice_ends(op, lo, (mid.shift, mid.count))[:-1] + \
-                _slice_ends(op, (mid.shift, mid.count), hi)
-    return [lo, hi]
-
-
 def _slice_values(op, lo, hi, count):
     """The count eigenvalues in [lo, hi), and how they were found.
 
@@ -472,9 +460,13 @@ def _values_between(op, box, lo, hi):
     shift, so those are the ones in [lo, hi).  The method and the error are
     read from the final brackets: "closed-form" when every Weyl bracket had
     width zero (w the same at every x_1, the spectrum of the Kronecker sum
-    A1 (x) I + I (x) w*A_tilde), "bisection" otherwise.  Elsewhere they are
-    the values of _slice_values over the slices of _slice_ends.  Equal
-    counts have no values, found by "none" with a nan error.
+    A1 (x) I + I (x) w*A_tilde), "bisection" otherwise.  Elsewhere a span
+    of more than _SLICE eigenvalues is split at a certified count at its
+    midpoint into two spans, each searched by this routine, and the method
+    and error are merged over the halves that hold values; a span of at most
+    _SLICE goes to _slice_values.  Equal counts have no values, found by
+    "none" with a nan error, and cost nothing: no eigsh runs on a slice its
+    counts show to be empty.
 
     The bounds below hold for nonnegative weights as assembled, with
     M = max|A_ij|, each rounding at most eps/2 relative, and every
@@ -540,11 +532,17 @@ def _values_between(op, box, lo, hi):
             raise CertificationError(found=len(vals), expected=count)
         error = 0.5 * found.bracket + (c + 2 * op.grid.d) * _EPS * op.max_entry
         return vals, found.method, float(error)
-    ends = _slice_ends(op, lo, hi)
-    parts = [_slice_values(op, a, b, c_b - c_a) for (a, c_a), (b, c_b) in zip(ends, ends[1:])]
-    method = "eigvalsh" if any(m == "eigvalsh" for _, m, _ in parts) else "eigsh"
-    error = float(np.max([e for _, _, e in parts]))  # nan after any eigvalsh
-    return np.concatenate([v for v, _, _ in parts]), method, error
+    if count > _SLICE:
+        mid = count_certificate(op, 0.5 * (lo[0] + hi[0]))
+        # a nudged midpoint at or below lo means more than _SLICE eigenvalues
+        # within a few tol: no split can separate them
+        if mid.shift > lo[0]:
+            halves = [(lo, (mid.shift, mid.count)), ((mid.shift, mid.count), hi)]
+            parts = [p for p in (_values_between(op, box, *e) for e in halves) if p[1] != "none"]
+            method = "eigvalsh" if any(m == "eigvalsh" for _, m, _ in parts) else "eigsh"
+            error = float(np.max([e for _, _, e in parts]))  # nan after any eigvalsh
+            return np.concatenate([v for v, _, _ in parts]), method, error
+    return _slice_values(op, lo[0], hi[0], count)
 
 
 def spectrum_below(op: DiscreteOperator, lam: float) -> Spectrum:

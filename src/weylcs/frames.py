@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domains import box_sides
+from .domains import box_sides, whole_steps
 from .operators import DiscreteOperator, DimensionMismatchError, weighted_axes
 from .windows import Window, c_constants, grad_norm_sq
 
@@ -152,7 +152,7 @@ def build_frame(box, h, window: Window) -> CoherentFrame:
     L = sides[0]
     if any(abs(sd - L) > 1e-12 * L for sd in sides):
         raise ValueError("embedding box must be cubic (equal sides)")
-    N = int(round(L / h))
+    N = whole_steps(L, h)
     if abs(N * h - L) > 1e-9 * L:
         raise ValueError("box side must be an integer multiple of h")
     d = window.d

@@ -36,6 +36,29 @@ def test_interval_node_count():
     assert int(dom.mask.sum()) == 99
 
 
+@pytest.mark.parametrize("k", [2, 3, 7, 70, 5844, 5845, 5846, 5886, 299999])
+def test_the_lattice_of_the_unit_interval_at_h_1_over_k_has_k_plus_1_nodes(k):
+    # the tolerance on the number of steps is relative: 1e-9*h added to s/h
+    # (a length to a step count) lost the node at 1 for h = 1/5845 and 1/5886
+    assert rectangle_domain(((0.0, 1.0),), 1.0 / k).shape == (k + 1,)
+
+
+def test_the_lattice_of_a_huge_box_at_a_tenth_of_its_side_has_11_nodes():
+    # the tolerance 1e-9*h on 1e300/1e299 asked for about 1e290 nodes
+    dom = rectangle_domain(((0.0, 1e300),), 1e299)
+    assert dom.shape == (11,) and int(dom.mask.sum()) == 9
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.0125, 1 / 70, 1 / 3])
+def test_a_frame_on_n_steps_of_h_has_n_nodes_per_axis(h):
+    # the frame's N and the rectangle's nodes come from the one rule,
+    # domains.whole_steps
+    for N in (2, 3, 7, 20, 70, 129):
+        L = N * h
+        assert build_frame(((0.0, L),), h, scale(make_cosine_window(1), 0.3 * L)).N == N
+        assert rectangle_domain(((0.0, L),), h).shape == (N + 1,)
+
+
 def test_unit_square_measure():
     h = 0.1
     assert abs(lattice_measure(unit_square(h)) - 1.0) < 2 * h

@@ -549,6 +549,57 @@ def test_bracket_over_more_than_a_slice_is_split(monkeypatch):
     assert cert.count == dense_count(op, cert.shift) == 127
 
 
+def mask_op(h, keep):
+    """Euclidean operator on the nodes of the unit square at h where keep(i, j)
+    holds for the lattice indices i, j."""
+    box = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+    mask = box.mask & keep(*np.indices(box.shape))
+    return assemble_euclidean(GridDomain(h=h, origin=box.origin, mask=mask, box=box.box))
+
+
+def recorded_slices(monkeypatch):
+    """The counts of every _slice_values call from now on, in call order."""
+    slice_values, asked = weylcs.eigen._slice_values, []
+
+    def recording(op, lo, hi, count):
+        asked.append(count)
+        return slice_values(op, lo, hi, count)
+
+    monkeypatch.setattr(weylcs.eigen, "_slice_values", recording)
+    return asked
+
+
+@pytest.mark.filterwarnings("ignore:count_below")
+def test_an_empty_half_runs_no_eigsh(monkeypatch):
+    # the checkerboard of the unit square at h = 1/40: 761 isolated nodes,
+    # one eigenvalue 4/h^2 of multiplicity 761.  The midpoints close in on
+    # it, and every half beside it has equal counts: it holds no value, and
+    # no eigsh runs on it
+    h = 1 / 40
+    op = mask_op(h, lambda i, j: (i + j) % 2 == 0)
+    asked = recorded_slices(monkeypatch)
+    spec = spectrum_below(op, 5 / h ** 2)
+    assert op.n == len(spec.values) == 761
+    assert asked == [761]
+    assert np.allclose(spec.values, 4 / h ** 2, rtol=1e-12, atol=0.0)
+    assert spec.certificate.value_method == "eigvalsh"
+
+
+def test_a_split_merges_eigsh_and_eigvalsh(monkeypatch):
+    # a plus of five nodes has the eigenvalues (4 - 2, 4, 4, 4, 4 + 2)/h^2.
+    # With _SLICE = 4 the span [0, 7/h^2) is split at 3.5/h^2: the lower half
+    # holds one value (eigsh), the upper four, count + 1 >= n (eigvalsh)
+    h = 0.2
+    op = mask_op(h, lambda i, j: abs(i - 2) + abs(j - 2) <= 1)
+    asked = recorded_slices(monkeypatch)
+    monkeypatch.setattr(weylcs.eigen, "_SLICE", 4)
+    spec = spectrum_below(op, 7 / h ** 2)
+    assert op.n == 5 and asked == [1, 4]
+    assert spec.certificate.value_method == "eigvalsh"
+    assert math.isnan(spec.certificate.value_error)
+    assert np.allclose(spec.values, dense_spectrum(op).values, rtol=1e-9, atol=0.0)
+
+
 @pytest.mark.filterwarnings("ignore:count_below")
 @pytest.mark.parametrize("q", [5, 6])
 def test_bracket_certifies_a_small_pivot_without_a_dense_matrix(monkeypatch, q):

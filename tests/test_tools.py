@@ -94,16 +94,31 @@ def test_job_times_prints_medians_of_a_cli_and_a_script_run(tmp_path, capsys, mo
     monkeypatch.setattr(same_outputs, "workload_runs", lambda inputs: runs)
     assert job_times.main(["--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["run", "wall_s", "import_s", "work_s"]
+    assert lines[0].split() == ["run", "wall_s", "wall_q1", "wall_q3", "import_s", "import_q1",
+                                "import_q3", "work_s", "work_q1", "work_q3"]
     names = ["pass", "import numpy", "import numpy, scipy.sparse.linalg",
              "examples/euclidean_weyl_d1.cfg", "mask-count"]
-    rows = {line[:-26].strip(): [float(v) for v in line[-26:].split()] for line in lines[1:]}
+    rows = {}
+    for line in lines[1:]:
+        name, *values = line.rsplit(None, 9)
+        rows[name] = [float(v) for v in values]
     assert list(rows) == names
-    for name, (wall, imp, work) in rows.items():
+    for name, values in rows.items():
+        # one repetition: both quartiles are the one sample, the median
+        wall, imp, work = values[::3]
+        assert values == [t for t in (wall, imp, work) for _ in range(3)], name
         assert 0.0 <= imp and 0.0 <= work and imp + work <= wall, name
-    assert rows["pass"][1:] == [0.0, 0.0]  # at three decimals
-    assert rows["import numpy"][2] == 0.0 < rows["import numpy"][1]
-    assert rows["mask-count"][2] > 0.0  # the counts ran, after the import
+    assert rows["pass"][3:] == [0.0] * 6  # at three decimals
+    assert rows["import numpy"][6] == 0.0 < rows["import numpy"][3]
+    assert rows["mask-count"][6] > 0.0  # the counts ran, after the import
+
+
+def test_job_times_quartiles_interpolate_between_the_sorted_samples():
+    _tool("same_outputs")
+    quartiles = _tool("job_times").quartiles
+    assert quartiles([5.0, 1.0, 4.0, 2.0, 3.0]) == (3.0, 2.0, 4.0)
+    assert quartiles([4.0, 1.0]) == (2.5, 1.75, 3.25)
+    assert quartiles([0.5]) == (0.5, 0.5, 0.5)
 
 
 def test_job_times_command_line_rejects_no_repetition(capsys):

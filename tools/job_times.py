@@ -1,4 +1,4 @@
-"""Median wall, import and work seconds of each benchmark run, in fresh processes.
+"""Median and quartiles of each benchmark run's wall, import and work seconds.
 
     python tools/job_times.py [--repeat N]   # default N = 5
 
@@ -8,7 +8,8 @@ processes: `python -c pass`, `import numpy` and
 `import numpy, scipy.sparse.linalg`.  Each is started N times, round robin,
 the way same_outputs.py starts a run: a fresh process from the root of the
 checkout, with src first on PYTHONPATH and one BLAS thread.  One line per run
-gives the medians of
+gives the median of each of these times, followed by its lower and upper
+quartile (_q1, _q3; both that one sample when N = 1):
 
   wall_s    the process, from start to exit, timed from outside;
   import_s  inside it, importing the entry point: weylcs.cli for a CLI job,
@@ -74,33 +75,47 @@ def measure(run, out):
     return (wall, *map(float, times.read_text().split()))
 
 
-def medians(runs, repeat, work):
-    """{run name: median (wall, import, work)} over repeat rounds of runs."""
+def quartiles(samples):
+    """(median, lower quartile, upper quartile) of samples, interpolated
+    between the sorted samples; all three the sample when there is one."""
+    if len(samples) == 1:
+        return (samples[0],) * 3
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def summaries(runs, repeat, work):
+    """{run name: quartiles of wall, of import and of work} over repeat
+    rounds of runs."""
     samples = {run.name: [] for run in runs}
     for r in range(repeat):
         for i, run in enumerate(runs):
             samples[run.name].append(measure(run, work / f"{r}-{i}"))
-    return {name: tuple(map(statistics.median, zip(*s))) for name, s in samples.items()}
+    return {name: [quartiles(t) for t in zip(*s)] for name, s in samples.items()}
 
 
 def table(rows):
     width = max(len(name) for name in rows)
-    lines = [f"{'run':<{width}}  wall_s  import_s  work_s"]
-    lines += [f"{name:<{width}}  {wall:6.3f}  {imp:8.3f}  {work:6.3f}"
-              for name, (wall, imp, work) in rows.items()]
+    head = "".join(f"  {c + '_s':>8}  {c + '_q1':>9}  {c + '_q3':>9}"
+                   for c in ("wall", "import", "work"))
+    lines = [f"{'run':<{width}}{head}"]
+    lines += [f"{name:<{width}}" + "".join(f"  {m:8.3f}  {q1:9.3f}  {q3:9.3f}"
+                                            for m, q1, q3 in times)
+              for name, times in rows.items()]
     return "\n".join(lines)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=5, help="processes per run (median)")
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="processes per run (median and quartiles)")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         runs = REFERENCES + same_outputs.workload_runs(work / "inputs")
-        print(table(medians(runs, args.repeat, work / "runs")))
+        print(table(summaries(runs, args.repeat, work / "runs")))
     return 0
 
 
