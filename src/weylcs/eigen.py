@@ -52,10 +52,11 @@ On a box they are the values of _box_values past the lower count: the ends
 of the Weyl brackets where those have width zero, the multisection
 midpoints otherwise.  Elsewhere they come from spectrum slicing
 (Ericsson-Ruhe 1980; Campos-Roman 2012): a span of more than _SLICE
-eigenvalues is split at a certified count at its midpoint, and each half is
-searched the same way.  A half whose two counts are equal holds no
-eigenvalue and costs nothing; in every other slice, shift-invert eigsh
-centred in it must find exactly the slice's count.
+eigenvalues that is wider than the bracket's first delta is split at a
+certified count at its midpoint, and each half is searched the same way.  A
+half whose two counts are equal holds no eigenvalue and costs nothing; in
+every other slice, shift-invert eigsh centred in it must find exactly the
+slice's count.
 """
 
 from __future__ import annotations
@@ -461,10 +462,11 @@ def _values_between(op, box, lo, hi):
     read from the final brackets: "closed-form" when every Weyl bracket had
     width zero (w the same at every x_1, the spectrum of the Kronecker sum
     A1 (x) I + I (x) w*A_tilde), "bisection" otherwise.  Elsewhere a span
-    of more than _SLICE eigenvalues is split at a certified count at its
-    midpoint into two spans, each searched by this routine, and the method
-    and error are merged over the halves that hold values; a span of at most
-    _SLICE goes to _slice_values.  Equal counts have no values, found by
+    of more than _SLICE eigenvalues, wider than count_certificate's first
+    bracket delta 1e-6*(max|A_ij| + |hi|), is split at a certified count at
+    its midpoint into two spans, each searched by this routine, and the
+    method and error are merged over the halves that hold values; any other
+    span goes to _slice_values whole.  Equal counts have no values, found by
     "none" with a nan error, and cost nothing: no eigsh runs on a slice its
     counts show to be empty.
 
@@ -532,7 +534,9 @@ def _values_between(op, box, lo, hi):
             raise CertificationError(found=len(vals), expected=count)
         error = 0.5 * found.bracket + (c + 2 * op.grid.d) * _EPS * op.max_entry
         return vals, found.method, float(error)
-    if count > _SLICE:
+    # a narrower span goes whole: halving it would only close in on a
+    # cluster, each midpoint nudged off it
+    if count > _SLICE and hi[0] - lo[0] > 1e-6 * (op.max_entry + abs(hi[0])):
         mid = count_certificate(op, 0.5 * (lo[0] + hi[0]))
         # a nudged midpoint at or below lo means more than _SLICE eigenvalues
         # within a few tol: no split can separate them

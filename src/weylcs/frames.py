@@ -144,9 +144,13 @@ def build_frame(box, h, window: Window) -> CoherentFrame:
     """Periodized frame on a cubic box of side L = N*h; requires the window's
     support, a cube of side 2*eps/sqrt(d), to span less than L along an axis.
     ValueError as in domains.box_sides, unless 0 < h < inf, and for every
-    other refusal: a box that is not cubic or not a multiple of h, another
-    dimension, a window that wraps, vanishes on the lattice or overflows."""
+    other refusal: a box that does not start at 0 (the lattice and the
+    points y do), is not cubic or not a multiple of h, another dimension, a
+    window that wraps, vanishes on the lattice or overflows."""
     sides = box_sides(box)
+    if any(a != 0 for a, _ in box):
+        raise ValueError(f"the frame's lattice starts at 0: every lower end must be 0, "
+                         f"got box={box!r}")
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got h={h!r}")
     L = sides[0]

@@ -1,10 +1,12 @@
 """Fixtures shared by the test modules."""
 
 import functools
+import os
 
 import numpy as np
 import pytest
 
+import weylcs
 from weylcs.domains import rectangle_domain
 from weylcs.eigen import dense_spectrum
 from weylcs.operators import assemble_hyperbolic
@@ -39,3 +41,9 @@ def window_at(w, z):
 def lattice_measure(dom):
     """The lattice volume of a domain: its number of true nodes times h^d."""
     return int(dom.mask.sum()) * dom.h ** dom.d
+
+
+def subprocess_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylcs.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

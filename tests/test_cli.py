@@ -16,10 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import weylcs
 import weylcs.cli
 import weylcs.eigen
-from conftest import lattice_measure
+from conftest import lattice_measure, subprocess_env
 from weylcs.cli import COMMANDS, ConfigError, ExperimentConfig, _apply_kv, \
     load_config, main
 from weylcs.domains import GridDomain, rectangle_domain
@@ -364,12 +363,6 @@ def test_example_config_runs(tmp_path, name):
         if not line.startswith("#"):
             tokens = [t.lower().lstrip("+-") for t in re.split(r"[\s,=]+", line)]
             assert not {"nan", "inf"} & set(tokens), line
-
-
-def subprocess_env():
-    """The environment with this checkout's package first on PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(weylcs.__file__)))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 BOX_RUNS = '''

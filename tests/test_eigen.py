@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -569,7 +570,6 @@ def recorded_slices(monkeypatch):
     return asked
 
 
-@pytest.mark.filterwarnings("ignore:count_below")
 def test_an_empty_half_runs_no_eigsh(monkeypatch):
     # the checkerboard of the unit square at h = 1/40: 761 isolated nodes,
     # one eigenvalue 4/h^2 of multiplicity 761.  The midpoints close in on
@@ -582,6 +582,29 @@ def test_an_empty_half_runs_no_eigsh(monkeypatch):
     assert op.n == len(spec.values) == 761
     assert asked == [761]
     assert np.allclose(spec.values, 4 / h ** 2, rtol=1e-12, atol=0.0)
+    assert spec.certificate.value_method == "eigvalsh"
+
+
+def test_a_cluster_is_not_halved_once_the_span_is_within_a_bracket_delta(monkeypatch):
+    # the same checkerboard: the midpoints close in on 4/h^2 until the span
+    # is within 1e-6*(max|A_ij| + |hi|), about 0.014, and no nearer, so no
+    # midpoint comes within a nudge of the eigenvalue and none warns
+    h = 1 / 40
+    op = mask_op(h, lambda i, j: (i + j) % 2 == 0)
+    certify, certified = weylcs.eigen.count_certificate, []
+
+    def recording(op, lam):
+        certified.append(lam)
+        return certify(op, lam)
+
+    monkeypatch.setattr(weylcs.eigen, "count_certificate", recording)
+    asked = recorded_slices(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = spectrum_below(op, 5 / h ** 2)
+    assert [str(w.message) for w in caught] == []
+    assert len(certified) == 21 and asked == [761]
+    assert np.array_equal(spec.values, dense_spectrum(op).values)
     assert spec.certificate.value_method == "eigvalsh"
 
 

@@ -71,11 +71,14 @@ def test_lattice_sum_near_one():
     (((0.0, 1.0), (0.0, 2.0)), 0.05, scale(make_cosine_window(2), 0.1), "cubic"),
     (((0.0, 1.0),), 0.03, scale(make_cosine_window(1), 0.1), "multiple of h"),
     (((0.0, 1.0), (0.0, 1.0)), 0.05, scale(make_cosine_window(1), 0.1), "dimension"),
+    # the lattice and the points y a weight is read at start at 0, not at 1
+    (((1.0, 2.6),) * 2, 0.05, scale(make_cosine_window(2), 0.1),
+     re.escape("every lower end must be 0, got box=((1.0, 2.6), (1.0, 2.6))")),
     # a profile that is 0 at every node, as no window maker builds
     (((0.0, 1.0),), 0.05, Window(d=1, epsilon=0.1, profile=np.zeros_like,
                                  profile_deriv=np.zeros_like), "vanishes"),
 ], ids=["wraps", "wraps-d2", "wraps-d3", "non-cubic", "not-a-multiple", "dimension",
-        "vanishes"])
+        "lower-corner", "vanishes"])
 def test_build_frame_rejects(box, h, window, message):
     with pytest.raises(ValueError, match=message):
         build_frame(box, h, window)

@@ -1,15 +1,19 @@
 """The repository's tools: code_lines.py, same_outputs.py and job_times.py;
-and the rule that every name of the package has a reader outside the tests."""
+the rule that every name of the package has a reader outside the tests; and
+the package namespace, which holds its modules and __version__ only."""
 
 import ast
 import importlib.util
 import json
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -186,3 +190,46 @@ def test_every_package_name_has_a_reader_outside_the_tests():
               for name in _definitions(ast.parse(p.read_text(encoding="utf-8")))
               if name not in readers and name not in KEPT_WITHOUT_READER and name != "__init__"]
     assert unread == []
+
+
+def _fresh(code):
+    """The JSON a fresh interpreter prints after running code on this checkout."""
+    run = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                         capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
+WEYLCS_MODULES = """
+import json, sys
+def weylcs_modules():
+    return sorted(m for m in sys.modules if m.startswith("weylcs."))
+"""
+
+
+def test_the_package_binds_only_its_version():
+    # every public name has one import path, weylcs.<module>.<name>
+    tree = ast.parse((ROOT / "src" / "weylcs" / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    body = tree.body[1:]
+    assert [type(node) for node in body] == [ast.Assign]
+    assert [ast.unparse(t) for t in body[0].targets] == ["__version__"]
+
+
+def test_import_weylcs_loads_no_module_and_finds_each_on_demand():
+    bare, named = _fresh(WEYLCS_MODULES + """
+import weylcs
+bare = weylcs_modules()
+from weylcs import domains, eigen, frames, operators, windows
+named = [m.__name__ for m in (domains, eigen, frames, operators, windows)]
+print(json.dumps([bare, named]))
+""")
+    assert bare == []
+    assert named == ["weylcs.domains", "weylcs.eigen", "weylcs.frames", "weylcs.operators",
+                     "weylcs.windows"]
+
+
+def test_import_weylcs_cli_loads_every_module():
+    # perfbench/tracing.py looks each one up in sys.modules after this import
+    loaded = _fresh(WEYLCS_MODULES + "import weylcs.cli\nprint(json.dumps(weylcs_modules()))")
+    assert loaded == ["weylcs." + m for m in ("cli", "domains", "eigen", "frames", "operators",
+                                              "weyl", "windows")]
