@@ -1,33 +1,44 @@
-"""Discrete coherent-state transform on a periodized embedding grid.
+"""Discrete coherent-state transform on the grid, frequencies matched to the window.
 
-The frame vectors are e_{xi,y}(x) = exp(i xi.x) g(x - y) with y on the same
-lattice as x and xi on the discrete Fourier frequencies of the embedding box.
-Restricting both indices this way makes the discrete Plancherel identity exact,
-so after dividing by the window lattice sum
+The frame vectors are the centred coherent states
+
+    e_{xi,y}(x) = exp(i xi.(x - y)) g(x - y),
+
+with x on the grid's lattice (a grid function u is zero off the grid) and y
+on every lattice node whose window meets the grid.  The window is the
+product of one 1-D profile f taken along every axis, nonzero on the
+lattice offsets m h with |m| <= R only, so for each y the product
+g(x - y) u(x) fits in one period of a length-P DFT, P = 2 R + 1.  Per axis
+xi runs over the P frequencies 2 pi p / (P h), p = -R..R, and the discrete
+Plancherel identity makes the sum over xi of
+|sum_x exp(-i xi.(x - y)) g(x - y) u(x)|^2 equal to
+P^d sum_x g(x - y)^2 |u(x)|^2.  Summed over y this is
+P^d (sum_m g(m h)^2) sum_x |u(x)|^2, so after dividing by the window
+lattice sum
 
     s = h^d * sum_m g(m h)^2
 
-the family is an exactly tight (Parseval) frame: the weighted phase-space norm
-of the transform equals the grid L^2 norm to machine precision, and the trace
-identity holds exactly for any symmetric operator on the embedding grid.
+and with the phase-space measure 1/P^d the family is an exactly tight
+(Parseval) frame with no torus: the weighted phase-space norm of the
+transform equals the grid L^2 norm to machine precision, and the trace
+identity holds exactly for any symmetric operator on the grid.  These are
+the "painless nonorthogonal expansions" of Daubechies, Grossmann & Meyer
+(J. Math. Phys. 27, 1986).
 
-The window is the product of one 1-D profile f taken along every axis, and
-f is nonzero on k of the N lattice offsets of an axis, so the transform is
-applied one axis at a time with the same table for each: along an axis, the
-samples at (y + m) mod N for the k support offsets m are contracted with
+The transform is applied one axis at a time with the same P x P table
 
-    K[y, m, xi] = f(m h) exp(-i xi (y + m) h),
+    K[m, xi] = f(m h) exp(-i xi m h),  m = -R..R,
 
-kept as its two factors, the k x N table f(m h) exp(-i xi m h) (one matrix
-product per axis) and the N x N phase exp(-i xi y h).  The shared analysis
-contracts with the table alone, giving the centred transform; forward
-multiplies it by the phase, and adjoint removes the phase before the
-transpose.  phase_space_moment needs |F|^2 only, so it skips the phase and
-streams y in blocks of at most _BLOCK transform values.  A transform costs
-O(n^2 k) for n = N^d, and no FFT is involved.  The trace sums over xi
-explicitly too: the sums over xi of exp(i xi (m - m') h) for pairs of support
-offsets, which the Plancherel identity makes N delta_{m m'}, are computed
-numerically from the same table rather than assumed.
+for each: along an axis, the samples padded with P - 1 zeros on each side
+are cut into the N + P - 1 sliding windows of P nodes, one per position y,
+and each window is contracted with K (one matrix product per axis).
+phase_space_moment streams y in blocks of at most _BLOCK transform values.
+A transform has (N + P - 1)^d P^d values, about n P^d for n = N^d, and costs
+O(n P^d k) for the k support offsets of an axis; no FFT is involved.  The
+trace sums over xi explicitly too: the sums over xi of exp(i xi (m - m') h)
+for pairs of support offsets, which the Plancherel identity makes
+P delta_{m m'}, are computed numerically from the same table rather than
+assumed.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .domains import box_sides, whole_steps
 from .operators import DiscreteOperator, DimensionMismatchError, weighted_axes
@@ -56,18 +68,17 @@ _BLOCK = 2 ** 20  # transform values phase_space_moment holds per block of y
 @dataclass(frozen=True, eq=False)
 class CoherentFrame:
     d: int
-    N: int  # nodes per axis
+    N: int  # grid nodes per axis
     h: float
     window: Window
-    g_grid: np.ndarray = field(repr=False)  # window sampled at wrapped lattice offsets
+    g_grid: np.ndarray = field(repr=False)  # window on its support cube, offsets -R..R per axis
     s: float  # lattice sum, h^d * sum g^2
-    phase: np.ndarray = field(repr=False)  # [y, xi] = exp(-i xi y h), one axis
-    offsets: np.ndarray = field(repr=False)  # the k wrapped lattice offsets m with f(m h) != 0
     table: np.ndarray = field(repr=False)  # [m, xi] = f(m h) exp(-i xi m h), xi in FFT order
 
     @property
-    def L(self):
-        return self.N * self.h
+    def P(self):
+        """Frequencies, and window nodes, per axis: 2 R + 1."""
+        return len(self.table)
 
     @property
     def shape(self):
@@ -78,9 +89,10 @@ class CoherentFrame:
         return self.N ** self.d
 
     def xi_axis(self):
-        """Fourier frequencies of one axis, in FFT order: 2 pi np.fft.fftfreq(N, h)
-        up to rounding, without importing numpy.fft."""
-        return 2.0 * math.pi / self.L * ((np.arange(self.N) + self.N // 2) % self.N - self.N // 2)
+        """The P frequencies of one axis, 2 pi p / (P h) for p = -R..R, in FFT
+        order: 2 pi np.fft.fftfreq(P, h) up to rounding."""
+        P = self.P
+        return 2.0 * math.pi / (P * self.h) * ((np.arange(P) + P // 2) % P - P // 2)
 
     def grid_norm_sq(self, f):
         return self.h ** self.d * float(np.vdot(f, f).real)
@@ -89,46 +101,38 @@ class CoherentFrame:
 def _analysis(frame: CoherentFrame, f, ys):
     """Centred transform sum_x exp(-i xi.(x - y)) g(x - y) f(x), one axis at a time.
 
-    f has the frame's grid shape; ys holds one array of lattice indices per
-    axis, and y runs over their product.  Returns the values indexed
-    [y_0, ..., y_{d-1}, xi_0, ..., xi_{d-1}], xi in FFT order.  The
-    unnormalized transform is these values times exp(-i xi.y), which
-    _phased applies; |values|^2 does not depend on it.
+    f has the frame's grid shape; ys holds one array of position indices
+    per axis, index i for y = (i - R) h, and y runs over their product.
+    Returns the values indexed [y_0, ..., y_{d-1}, xi_0, ..., xi_{d-1}], xi
+    in FFT order.
     """
-    N = frame.N
+    P = frame.P
     vals = f
     for a, y in enumerate(ys):
-        # vals holds y_0..y_{a-1}, x_a..x_{d-1}, xi_0..xi_{a-1}: gather
-        # x_a = y + m in place of x_a, m last, and contract m into xi_a, last
-        gathered = np.moveaxis(np.take(vals, (y[:, None] + frame.offsets) % N, axis=a),
-                               a + 1, -1)
-        vals = gathered.reshape(-1, len(frame.offsets)) @ frame.table
-        vals = vals.reshape(gathered.shape[:-1] + (N,))
+        # vals holds y_0..y_{a-1}, x_a..x_{d-1}, xi_0..xi_{a-1}: pad x_a with
+        # P - 1 zeros on each side, so that window i holds x = y + m h for
+        # m = -R..R, put the windows at y in place of x_a, nodes last, and
+        # contract the nodes into xi_a, last
+        pad = [(P - 1, P - 1) if b == a else (0, 0) for b in range(vals.ndim)]
+        windows = np.take(sliding_window_view(np.pad(vals, pad), P, axis=a), y, axis=a)
+        vals = (windows.reshape(-1, P) @ frame.table).reshape(windows.shape[:-1] + (P,))
     return vals
 
 
-def _phased(frame: CoherentFrame, values, phase):
-    """values [y..., xi...] over all y times prod_a phase[y_a, xi_a], in place:
-    a second array of this size costs page faults on every call."""
-    N, d = frame.N, frame.d
-    for a in range(d):
-        values *= phase.reshape((N,) + (1,) * (d - 1) + (N,) + (1,) * (d - 1 - a))
-    return values
-
-
 def _synthesis(frame: CoherentFrame, vals):
-    """Exact transpose of _analysis over all y: centred values [y..., xi...] to
-    sum_{y,xi} exp(i xi.(x - y)) g(x - y) vals[y, xi] on the grid."""
-    N, d = frame.N, frame.d
-    for a in reversed(range(d)):
+    """Exact transpose of _analysis over all positions: centred values
+    [y..., xi...] to sum_{y,xi} exp(i xi.(x - y)) g(x - y) vals[y, xi] on the grid."""
+    N, P = frame.N, frame.P
+    for a in reversed(range(frame.d)):
         # vals holds y_0..y_a, x_{a+1}..x_{d-1}, xi_0..xi_a: contract xi_a
-        # into the support offsets m, then add (y, m) into x_a = y + m
+        # into the window's nodes, add node j of window i into padded node
+        # i + j, and drop the padding
         shape = vals.shape[:-1]
-        vals = (vals.reshape(-1, N) @ frame.table.conj().T).reshape(shape + (-1,))
-        acc = np.zeros(shape, dtype=complex)
-        for j, m in enumerate(frame.offsets):
-            acc += np.roll(vals[..., j], m, axis=a)
-        vals = acc
+        vals = (vals.reshape(-1, P) @ frame.table.conj().T).reshape(shape + (P,))
+        acc = np.zeros(shape[:a] + (N + 2 * (P - 1),) + shape[a + 1:], dtype=complex)
+        for j in range(P):
+            acc[(slice(None),) * a + (slice(j, j + N + P - 1),)] += vals[..., j]
+        vals = acc[(slice(None),) * a + (slice(P - 1, P - 1 + N),)]
     return vals
 
 
@@ -141,35 +145,37 @@ class PhaseSpaceFunction:
 
 
 def build_frame(box, h, window: Window) -> CoherentFrame:
-    """Periodized frame on a cubic box of side L = N*h; requires the window's
-    support, a cube of side 2*eps/sqrt(d), to span less than L along an axis.
+    """Frame on the lattice of a cubic box of side L = N*h; requires the
+    window's support, a cube of side 2*eps/sqrt(d), to span less than L
+    along an axis, which bounds the P x P table by the grid.
     ValueError as in domains.box_sides, unless 0 < h < inf, and for every
     other refusal: a box that does not start at 0 (the lattice and the
     points y do), is not cubic or not a multiple of h, another dimension, a
-    window that wraps, vanishes on the lattice or overflows."""
+    window that spans the grid, vanishes on the lattice or overflows."""
     sides = box_sides(box)
     if any(a != 0 for a, _ in box):
         raise ValueError(f"the frame's lattice starts at 0: every lower end must be 0, "
                          f"got box={box!r}")
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got h={h!r}")
-    L = sides[0]
-    if any(abs(sd - L) > 1e-12 * L for sd in sides):
+    side = sides[0]
+    if any(abs(sd - side) > 1e-12 * side for sd in sides):
         raise ValueError("embedding box must be cubic (equal sides)")
-    N = whole_steps(L, h)
-    if abs(N * h - L) > 1e-9 * L:
+    N = whole_steps(side, h)
+    if abs(N * h - side) > 1e-9 * side:
         raise ValueError("box side must be an integer multiple of h")
     d = window.d
     if len(box) != d:
         raise ValueError("box dimension does not match window dimension")
     span = 2.0 * window.factor_half_width()  # the support's side along one axis
-    if span >= L:
+    if span >= side:
         name = "2*eps" if d == 1 else f"2*eps/sqrt({d})"
-        raise ValueError(f"window support wraps around the torus: {name} = {span:g} >= L = {L:g}")
-    # wrapped lattice offsets m*h in [-L/2, L/2)
-    offs = h * np.arange(N)
-    offs = np.where(offs >= L / 2.0, offs - L, offs)
-    g = window.factor_value(offs)
+        raise ValueError(f"window support spans the grid: {name} = {span:g} >= L = {side:g}")
+    # the offsets m h with |m| <= r hold the support; R is the last nonzero one
+    r = math.ceil(span / (2.0 * h))
+    g = window.factor_value(h * np.arange(-r, r + 1))
+    R = int(np.max(np.abs(np.flatnonzero(g) - r), initial=0))
+    g = g[r - R:r + R + 1]
     with np.errstate(over="ignore"):  # an overflow is reported below
         g_grid = functools.reduce(np.multiply.outer, [g] * d)
         s = float(np.sum(g_grid ** 2)) * h ** d
@@ -178,12 +184,10 @@ def build_frame(box, h, window: Window) -> CoherentFrame:
     if not s < math.inf:
         raise ValueError(f"window's lattice sum overflows at eps = {window.epsilon:g}; "
                          "increase eps")
-    # exp(-i xi_k j h) = exp(-2 pi i k j / N), from the exact residue k j mod N
-    k = np.arange(N)
-    phase = np.exp(-2j * math.pi / N * (np.outer(k, k) % N))
-    m = np.flatnonzero(g)
+    # exp(-i xi_p m h) = exp(-2 pi i p m / P), from the exact residue p m mod P
+    m, P = np.arange(-R, R + 1), 2 * R + 1
     return CoherentFrame(d=d, N=N, h=h, window=window, g_grid=g_grid, s=s,
-                         phase=phase, offsets=m, table=g[m, None] * phase[m])
+                         table=g[:, None] * np.exp(-2j * math.pi / P * (np.outer(m, m + R) % P)))
 
 
 def _grid_samples(frame: CoherentFrame, f):
@@ -196,10 +200,11 @@ def _grid_samples(frame: CoherentFrame, f):
 
 
 def forward(frame: CoherentFrame, f) -> PhaseSpaceFunction:
-    """Windowed DFT: F[y, xi] = h^d / sqrt(s) * sum_x exp(-i xi.x) g(x-y) f(x)."""
+    """Windowed DFT at every position y, centred:
+    F[y, xi] = h^d / sqrt(s) * sum_x exp(-i xi.(x - y)) g(x - y) f(x)."""
     fg = _grid_samples(frame, f) * (frame.h ** frame.d / math.sqrt(frame.s))
-    vals = _phased(frame, _analysis(frame, fg, [np.arange(frame.N)] * frame.d), frame.phase)
-    return PhaseSpaceFunction(values=vals.reshape(frame.n, frame.n), frame=frame)
+    vals = _analysis(frame, fg, [np.arange(frame.N + frame.P - 1)] * frame.d)
+    return PhaseSpaceFunction(values=vals.reshape(-1, frame.P ** frame.d), frame=frame)
 
 
 def adjoint(frame: CoherentFrame, F: PhaseSpaceFunction) -> np.ndarray:
@@ -207,46 +212,46 @@ def adjoint(frame: CoherentFrame, F: PhaseSpaceFunction) -> np.ndarray:
     ValueError for a function of another frame."""
     if F.frame is not frame:
         raise ValueError("phase-space function belongs to a different frame")
-    vals = _phased(frame, F.values.astype(complex).reshape(frame.shape * 2), frame.phase.conj())
-    return (_synthesis(frame, vals) / (frame.n * math.sqrt(frame.s))).reshape(frame.n)
+    P = frame.P
+    vals = F.values.reshape((frame.N + P - 1,) * frame.d + (P,) * frame.d)
+    return (_synthesis(frame, vals) / (P ** frame.d * math.sqrt(frame.s))).reshape(frame.n)
 
 
 def phase_space_moment(frame: CoherentFrame, f, weight) -> float:
-    """Weighted second moment (1/n) sum_{xi,y} weight(xi, y) |forward(f)(xi, y)|^2.
+    """Weighted second moment (1/P^d) sum_{xi,y} weight(xi, y) |forward(f)(xi, y)|^2.
 
-    The library's one sum of |F|^2: the phase-space measure
-    (2 pi / L)^d h^d (2 pi)^-d is 1/n, so with weight 1 this is the norm of
-    the transform, which tightness makes grid_norm_sq(f).
+    The library's one sum of |F|^2: the phase-space measure is 1/P^d, so
+    with weight 1 this is the norm of the transform, which tightness makes
+    grid_norm_sq(f).
 
-    Streams over y in blocks of at most _BLOCK transform values (or the N^d
+    Streams over y in blocks of at most _BLOCK transform values (or the P^d
     values of one y, if more): a block takes, along each y axis in turn, as
     many consecutive indices as fit with every index of the later axes, at
     least one.  So large frames never materialize the full transform, and a
-    frame whose transform fits _BLOCK takes one block.  |forward(f)|^2 does
-    not depend on the phase exp(-i xi.y), so the centred values are used.
+    frame whose transform fits _BLOCK takes one block.
     weight is called once per block:
     weight(xi_axes, y) receives the d per-axis frequency grids (FFT order)
     and the block's M points y as an (M, d) array, both shaped to broadcast
     against the values [y, xi_0, ..., xi_{d-1}] with y flattened y-major:
-    xi_axes[a] has shape (1, ..., N, ..., 1), N at position a + 1, and y has
+    xi_axes[a] has shape (1, ..., P, ..., 1), P at position a + 1, and y has
     shape (M, 1, ..., 1, d), so y[..., a] is the a-th coordinate.
     """
     fg = _grid_samples(frame, f)
-    N, d = frame.N, frame.d
+    P, d, ny = frame.P, frame.d, frame.N + frame.P - 1  # ny positions per axis
     xi_axes = [a[None] for a in np.meshgrid(*[frame.xi_axis()] * d, indexing="ij", sparse=True)]
     # block length along y axis a: as many indices as fit _BLOCK, with every
-    # index of the later y axes and every xi (N^(2d-1-a) values per index)
-    sizes = [min(max(_BLOCK // N ** (2 * d - 1 - a), 1), N) for a in range(d)]
+    # index of the later y axes and every xi (ny^(d-1-a) P^d values per index)
+    sizes = [min(max(_BLOCK // (ny ** (d - 1 - a) * P ** d), 1), ny) for a in range(d)]
     total = 0.0
-    for starts in itertools.product(*[range(0, N, c) for c in sizes]):
-        ys = [np.arange(i, min(i + c, N)) for i, c in zip(starts, sizes)]
+    for starts in itertools.product(*[range(0, ny, c) for c in sizes]):
+        ys = [np.arange(i, min(i + c, ny)) for i, c in zip(starts, sizes)]
         # (re, im) pairs last, squared in place: |F|^2 with no second array
-        sq = _analysis(frame, fg, ys).reshape((-1,) + frame.shape + (1,)).view(float)
+        sq = _analysis(frame, fg, ys).reshape((-1,) + (P,) * d + (1,)).view(float)
         sq *= sq
-        y = frame.h * np.stack(np.meshgrid(*ys, indexing="ij"), axis=-1)
+        y = frame.h * (np.stack(np.meshgrid(*ys, indexing="ij"), axis=-1) - P // 2)
         sq *= np.expand_dims(weight(xi_axes, y.reshape((-1,) + (1,) * d + (d,))), -1)
         total += float(sq.sum())
-    return total * frame.h ** (2 * d) / (frame.s * frame.n)
+    return total * frame.h ** (2 * d) / (frame.s * P ** d)
 
 
 class SymbolValue(NamedTuple):
@@ -374,11 +379,12 @@ def trace_via_frame(frame: CoherentFrame, T) -> float:
     G[m, m'] = sum_xi g(m h) g(m' h) exp(i xi (m - m') h).  So the trace is
     sum_j sum_{m, m'} G[m, m'] T[x_j + m' - m, j].  G is the d-fold tensor
     power of the one-axis Gram matrix, and grouping the terms by
-    delta = m' - m reduces the sum to the diagonal sums
-    t[delta] = sum_j T[x_j + delta, j] contracted along every axis with the
-    sums of the one-axis Gram matrix along its diagonals.
+    delta = m' - m reduces the sum to the sums t[delta] = sum_j T[x_j + delta, j]
+    of the triplets by their offset row - col, |delta| < P per axis,
+    contracted along every axis with the sums of the one-axis Gram matrix
+    along its diagonals.
     """
-    n, N = frame.n, frame.N
+    n, P = frame.n, frame.P
     if not (isinstance(T, tuple) and len(T) == 3):
         raise ValueError(f"T must be a tuple (row, col, value) of triplets, got {type(T).__name__}")
     row, col, data = (np.asarray(a) for a in T)
@@ -394,32 +400,33 @@ def trace_via_frame(frame: CoherentFrame, T) -> float:
         raise ValueError("operator must be symmetric")
     rows = np.unravel_index(row, frame.shape)
     cols = np.unravel_index(col, frame.shape)
-    delta = np.ravel_multi_index([(r - c) % N for r, c in zip(rows, cols)], frame.shape)
-    total = np.zeros(n, dtype=complex)
-    np.add.at(total, delta, data)
-    total = total.reshape(frame.shape)
+    # per axis the offset r - c; windows meet both nodes only for |r - c| < P
+    delta = [r - c for r, c in zip(rows, cols)]
+    near = np.all([abs(dl) < P for dl in delta], axis=0)
+    total = np.zeros((2 * P - 1,) * frame.d, dtype=complex)
+    np.add.at(total, tuple(dl[near] + P - 1 for dl in delta), data[near])
     gram = frame.table.conj() @ frame.table.T  # the explicit sum over xi
-    diag = (frame.offsets[None, :] - frame.offsets[:, None]) % N  # m' - m
-    sums = np.zeros(N, dtype=complex)
-    np.add.at(sums, diag.ravel(), gram.ravel())
+    m = np.arange(P)
+    sums = np.zeros(2 * P - 1, dtype=complex)
+    np.add.at(sums, (m[None, :] - m[:, None] + P - 1).ravel(), gram.ravel())  # m' - m
     for _ in range(frame.d):
         total = np.tensordot(sums, total, axes=(0, 0))
-    # weights: (2pi/L)^d * h^d * (2pi)^-d = N^-d, times h^d / s from the
-    # normalized frame vectors
-    return float(total.real) * frame.h ** frame.d / (frame.s * n)
+    # weights: the measure P^-d, times h^d / s from the normalized frame vectors
+    return float(total.real) * frame.h ** frame.d / (frame.s * P ** frame.d)
 
 
-_PHASE_MAGIC = b"WCSPSF1\n"
+_PHASE_MAGIC = b"WCSPSF2\n"
 
 
 def save_phase(F: PhaseSpaceFunction, path):
     """Binary export: magic, little-endian header (int32 d, int32 N, float64 h,
-    float64 L, float64 eps), then complex64 values row-major, y-major xi-minor."""
+    float64 L = N*h, float64 eps), then the (N + P - 1)^d x P^d complex64
+    values row-major, y-major xi-minor."""
     fr = F.frame
     with open(path, "wb") as fh:
         fh.write(_PHASE_MAGIC)
         fh.write(struct.pack("<ii", fr.d, fr.N))
-        fh.write(struct.pack("<ddd", fr.h, fr.L, fr.window.epsilon))
+        fh.write(struct.pack("<ddd", fr.h, fr.N * fr.h, fr.window.epsilon))
         fh.write(np.ascontiguousarray(F.values, dtype=np.complex64).tobytes())
 
 
@@ -428,21 +435,23 @@ def load_phase(path, frame: CoherentFrame) -> PhaseSpaceFunction:
     matches the frame's geometry, eps and size.  The header must be whole,
     and its h and L must match the frame's to 1e-12 relative (a nan matches
     nothing)."""
+    grid_side = frame.N * frame.h
     with open(path, "rb") as fh:
         if fh.read(len(_PHASE_MAGIC)) != _PHASE_MAGIC:
             raise ValueError("not a phase-space file")
         header = fh.read(32)
         if len(header) < 32:
             raise ValueError(f"truncated header: {len(header)} of 32 bytes")
-        d, N, h, L, eps = struct.unpack("<iiddd", header)
+        d, N, h, side, eps = struct.unpack("<iiddd", header)
         if (d, N) != (frame.d, frame.N) or not (abs(h - frame.h) <= 1e-12 * frame.h
-                                                and abs(L - frame.L) <= 1e-12 * frame.L):
+                                                and abs(side - grid_side) <= 1e-12 * grid_side):
             raise ValueError("file does not match frame geometry")
         if eps != frame.window.epsilon:
             raise ValueError(f"file window scale eps={eps!r} does not match the "
                              f"frame's eps={frame.window.epsilon!r}")
         raw = fh.read()
-    if len(raw) != 8 * frame.n ** 2:
-        raise ValueError(f"file holds {len(raw) / 8:g} values, the frame expects {frame.n ** 2}")
-    vals = np.frombuffer(raw, dtype=np.complex64).reshape(frame.n, frame.n).astype(complex)
+    count = ((frame.N + frame.P - 1) * frame.P) ** frame.d
+    if len(raw) != 8 * count:
+        raise ValueError(f"file holds {len(raw) / 8:g} values, the frame expects {count}")
+    vals = np.frombuffer(raw, dtype=np.complex64).reshape(-1, frame.P ** frame.d).astype(complex)
     return PhaseSpaceFunction(values=vals, frame=frame)

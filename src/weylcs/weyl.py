@@ -76,11 +76,6 @@ def euclidean_leading(vol: float, d: int, lam: float) -> float:
     return vol * lam ** (1.0 + d / 2.0) * semiclassical_constant(d) / (2.0 * math.pi) ** d
 
 
-def li_yau_bound(vol: float, d: int, lam: float) -> float:
-    """Riesz-mean upper bound; coincides with the Weyl leading term."""
-    return euclidean_leading(vol, d, lam)
-
-
 def weighted_box_volume(kind, box) -> float:
     """int_box exp(-k y_1) dy in closed form, with k as in weighted_volume.
     ValueError as in domains.box_sides; OverflowError naming the box when

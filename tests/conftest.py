@@ -10,6 +10,7 @@ import weylcs
 from weylcs.domains import rectangle_domain
 from weylcs.eigen import dense_spectrum
 from weylcs.operators import assemble_hyperbolic
+from weylcs.weyl import euclidean_leading
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,12 @@ def window_at(w, z):
     for j in range(w.d):
         out = out * w.factor_value(z[..., j])
     return out
+
+
+def li_yau_bound(vol, d, lam):
+    """The Li-Yau bound on the Riesz mean of the Dirichlet Laplacian on a
+    domain of volume vol: the Weyl leading term, euclidean_leading."""
+    return euclidean_leading(vol, d, lam)
 
 
 def lattice_measure(dom):

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from conftest import li_yau_bound
 from weylcs.cli import main
 from weylcs.domains import rectangle_domain
 from weylcs.frames import analytic_symbol, build_frame, forward, symbol, \
@@ -21,7 +22,6 @@ from weylcs.weyl import (
     exact_spectrum_interval,
     fit_remainder_exponent,
     hyperbolic_leading,
-    li_yau_bound,
     riesz_mean,
 )
 from weylcs.windows import c_constants, make_cosine_window, scale
@@ -44,7 +44,7 @@ def test_criterion_01_frame_tightness():
             f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
             nf = fr.grid_norm_sq(f)
             F = forward(fr, f)
-            worst = max(worst, abs(np.sum(np.abs(F.values) ** 2) / fr.n - nf) / nf)
+            worst = max(worst, abs(np.sum(np.abs(F.values) ** 2) / fr.P ** d - nf) / nf)
         defects.append(worst)
     elapsed = time.monotonic() - t0
     ok = max(defects) <= 1e-10 and elapsed < 10.0

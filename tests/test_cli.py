@@ -641,6 +641,19 @@ def test_frame_check_holds_no_n_squared_array(tmp_path):
     assert peak < 64 * 2 ** 20
 
 
+def test_frame_check_runs_in_three_dimensions(tmp_path):
+    # 32^3 grid nodes, 36 positions and 5 frequencies per axis
+    out = tmp_path / "f.txt"
+    rc = main(["frame-check", "--set", "dim=3", "--set", "box=0,1;0,1;0,1",
+               "--set", "frame_n=32", "--set", "h=0.05", "--set", "n_vectors=2",
+               "--out", str(out)])
+    assert rc == 0
+    defects = dict(line.split("=") for line in out.read_text().splitlines()
+                   if line.startswith(("parseval_defect=", "trace_defect=")))
+    assert sorted(defects) == ["parseval_defect", "trace_defect"]
+    assert all(float(v) <= 1e-10 for v in defects.values())
+
+
 def test_frame_check_wrapped_window_exits_1(tmp_path, capsys):
     rc = main(["frame-check", "--set", "eps=0.6", "--set", "frame_n=20",
                "--set", "h=0.05", "--set", "box=0,1.5",

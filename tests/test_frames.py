@@ -53,7 +53,7 @@ def test_parseval_1d():
     for _ in range(100):
         f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
         nf = fr.grid_norm_sq(f)
-        assert abs(np.sum(np.abs(forward(fr, f).values) ** 2) / fr.n - nf) <= 1e-12 * nf
+        assert abs(np.sum(np.abs(forward(fr, f).values) ** 2) / fr.P ** fr.d - nf) <= 1e-12 * nf
 
 
 def test_lattice_sum_near_one():
@@ -62,12 +62,12 @@ def test_lattice_sum_near_one():
 
 
 @pytest.mark.parametrize("box, h, window, message", [
-    (((0.0, 1.0),), 0.05, scale(make_cosine_window(1), 0.6), "wraps around"),
+    (((0.0, 1.0),), 0.05, scale(make_cosine_window(1), 0.6), "spans the grid"),
     # the support's side along an axis, 2 eps/sqrt(d), reaches L
     (((0.0, 1.0),) * 2, 0.05, scale(make_cosine_window(2), 0.7072),
-     re.escape("wraps around the torus: 2*eps/sqrt(2) = 1.00013 >= L = 1")),
+     re.escape("spans the grid: 2*eps/sqrt(2) = 1.00013 >= L = 1")),
     (((0.0, 0.6),) * 3, 0.1, scale(make_cosine_window(3), 0.5197),
-     re.escape("wraps around the torus: 2*eps/sqrt(3) = 0.600098 >= L = 0.6")),
+     re.escape("spans the grid: 2*eps/sqrt(3) = 0.600098 >= L = 0.6")),
     (((0.0, 1.0), (0.0, 2.0)), 0.05, scale(make_cosine_window(2), 0.1), "cubic"),
     (((0.0, 1.0),), 0.03, scale(make_cosine_window(1), 0.1), "multiple of h"),
     (((0.0, 1.0), (0.0, 1.0)), 0.05, scale(make_cosine_window(1), 0.1), "dimension"),
@@ -84,13 +84,38 @@ def test_build_frame_rejects(box, h, window, message):
         build_frame(box, h, window)
 
 
+def test_build_frame_holds_no_n_by_n_array():
+    # the frame keeps a P x P table and the window on its P^d support cube;
+    # an N x N complex table alone would take 64 MiB at N = 2048
+    tracemalloc.start()
+    try:
+        fr = frame_1d(N=2048, h=0.05, eps=0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fr.n == 2048 and peak < 2 ** 20
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 20), (3, 8)])
+def test_frame_size_and_support_are_what_the_benchmark_reads(d, N):
+    # perfbench/tracing.py reads .n as frames.n and the nonzeros of g_grid as
+    # the support nodes of frames.support_frac: the grid's nodes, and the
+    # lattice offsets where the window's profile is nonzero to the power d
+    h = 0.1
+    win = scale(make_cosine_window(d), 0.35)
+    fr = build_frame(((0.0, N * h),) * d, h, win)
+    support = np.count_nonzero(win.factor_value(h * np.arange(-N, N + 1)))
+    assert support >= 5
+    assert fr.n == N ** d and np.count_nonzero(fr.g_grid) == support ** d
+
+
 def test_frame_error_is_a_failed_check_not_an_input_error():
     # refused input is a ValueError (exit 1); FrameError is left to defects (exit 2)
     assert issubclass(FrameError, RuntimeError) and not issubclass(FrameError, ValueError)
 
 
-# (d, N, h, eps, support offsets): 2 eps >= L = N h in each, but the support,
-# a cube of side 2 eps/sqrt(d), spans less than L along an axis
+# (d, N, h, eps, support offsets per axis): 2 eps >= L = N h in each, but the
+# support, a cube of side 2 eps/sqrt(d), spans less than L along an axis
 @pytest.mark.parametrize("d, N, h, eps, k", [
     (2, 20, 0.05, 0.6, 17),
     (2, 20, 0.05, 0.7071, 19),
@@ -99,11 +124,11 @@ def test_frame_error_is_a_failed_check_not_an_input_error():
 def test_frame_builds_while_the_support_spans_less_than_the_torus(d, N, h, eps, k):
     L = N * h
     fr = build_frame(((0.0, L),) * d, h, scale(make_cosine_window(d), eps))
-    assert 2.0 * eps >= L and len(fr.offsets) == k
+    assert 2.0 * eps >= L and fr.P == k and np.count_nonzero(fr.g_grid) == k ** d
     rng = np.random.default_rng(d)
     f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
     nf = fr.grid_norm_sq(f)
-    assert abs(np.sum(np.abs(forward(fr, f).values) ** 2) / fr.n - nf) <= 1e-12 * nf
+    assert abs(np.sum(np.abs(forward(fr, f).values) ** 2) / fr.P ** d - nf) <= 1e-12 * nf
     B = np.where(rng.random((fr.n, fr.n)) < 0.05, rng.standard_normal((fr.n, fr.n)), 0.0)
     T = B + B.T
     row, col = np.nonzero(T)
@@ -141,9 +166,8 @@ def test_forward_impulse():
     f[20] = 1.0
     P = np.abs(forward(fr, f).values) ** 2  # [y, xi]
     assert np.max(P.std(axis=1)) < 1e-14 * P.max()
-    offs = fr.h * 20 - fr.h * np.arange(fr.N)
-    offs = np.where(offs >= fr.L / 2, offs - fr.L, offs)
-    offs = np.where(offs < -fr.L / 2, offs + fr.L, offs)
+    # the N + P - 1 positions y = (i - R) h whose window meets the grid
+    offs = fr.h * 20 - fr.h * (np.arange(fr.N + fr.P - 1) - fr.P // 2)
     g2 = window_at(fr.window, offs[:, None]) ** 2
     col = P[:, 0]
     sel = g2 > 1e-12 * g2.max()
@@ -186,25 +210,26 @@ def test_adjointness_by_direct_summation():
     rng = np.random.default_rng(2)
     f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
     F = forward(fr, rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n))
-    # the phase-space measure (2 pi / L)^d h^d (2 pi)^-d is 1/n
-    lhs = np.vdot(forward(fr, f).values, F.values) / fr.n
+    # the phase-space measure is 1/P^d
+    lhs = np.vdot(forward(fr, f).values, F.values) / fr.P ** fr.d
     rhs = fr.h ** fr.d * np.vdot(f, adjoint(fr, F))
     assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
 def direct_matrices(fr):
-    """Window matrix W[y, x] = g(x - y), wrapped, and phases P[x, xi] = exp(-i xi.x),
-    both dense over the flattened grid and straight from the window and the
-    frequencies."""
-    axes = np.meshgrid(*([fr.h * np.arange(fr.N)] * fr.d), indexing="ij")
-    xs = np.stack(axes, axis=-1).reshape(-1, fr.d)
+    """Window matrix W[y, x] = g(x - y) and centred phases E[y, x, xi] =
+    exp(-i xi.(x - y)), dense over the flattened grid x, the positions
+    y = (i - R) h, i = 0..N + P - 2 per axis, and the frequencies, straight
+    from the window with no wrap."""
+    xs = fr.h * np.indices(fr.shape).reshape(fr.d, -1).T
+    ys = fr.h * (np.indices((fr.N + fr.P - 1,) * fr.d).reshape(fr.d, -1).T - fr.P // 2)
     xis = np.stack(np.meshgrid(*([fr.xi_axis()] * fr.d), indexing="ij"),
                    axis=-1).reshape(-1, fr.d)
-    off = (xs[None, :, :] - xs[:, None, :] + fr.L / 2) % fr.L - fr.L / 2
-    return window_at(fr.window, off), np.exp(-1j * xs @ xis.T)
+    off = xs[None, :, :] - ys[:, None, :]
+    return window_at(fr.window, off), np.exp(-1j * off @ xis.T)
 
 
-# (d, window, N, h, eps); the last case's support covers 11 of the 12 offsets
+# (d, window, N, h, eps); the last case's support covers 11 of the 12 nodes
 DIRECT_CASES = {
     "d1-cosine": (1, make_cosine_window, 16, 0.1, 0.3),
     "d1-bump": (1, make_bump_window, 16, 0.1, 0.3),
@@ -224,11 +249,11 @@ def direct_frame(name):
 def test_forward_by_direct_summation(name):
     fr = direct_frame(name)
     if name == "d1-wide":
-        assert len(fr.offsets) == 11
+        assert fr.P == 11
     rng = np.random.default_rng(3)
     f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
-    W, P = direct_matrices(fr)
-    ref = fr.h ** fr.d / math.sqrt(fr.s) * (W * f) @ P
+    W, E = direct_matrices(fr)
+    ref = fr.h ** fr.d / math.sqrt(fr.s) * np.einsum("yx,yxk,x->yk", W, E, f)
     assert np.max(np.abs(forward(fr, f).values - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -236,11 +261,11 @@ def test_forward_by_direct_summation(name):
 def test_adjoint_by_direct_summation(name):
     fr = direct_frame(name)
     rng = np.random.default_rng(4)
-    shape = (fr.n, fr.n)
+    shape = ((fr.N + fr.P - 1) ** fr.d, fr.P ** fr.d)
     F = PhaseSpaceFunction(values=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                            frame=fr)
-    W, P = direct_matrices(fr)
-    ref = np.sum(W * (F.values @ P.conj().T), axis=0) / (fr.n * math.sqrt(fr.s))
+    W, E = direct_matrices(fr)
+    ref = np.einsum("yx,yxk,yk->x", W, E.conj(), F.values) / (fr.P ** fr.d * math.sqrt(fr.s))
     assert np.max(np.abs(adjoint(fr, F) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -675,48 +700,72 @@ def hyperbolic_weight(xi, y):
 def test_moment_blocks_match_the_full_transform(d, seed, data):
     # a cap of `rows` indices along y axis `lead`, plus a remainder below one
     # more, so the last block along that axis is shorter whenever rows does
-    # not divide N
+    # not divide the ny = N + P - 1 positions of an axis
     N = data.draw(st.integers(3, {1: 40, 2: 12, 3: 6}[d]), label="N")
-    lead = data.draw(st.integers(0, d - 1), label="lead")
-    rows = data.draw(st.integers(1, N), label="rows")
-    per_row = N ** (2 * d - 1 - lead)
-    block = rows * per_row + data.draw(st.integers(0, per_row - 1), label="extra")
     h = 0.1
     eps = data.draw(st.floats(0.15, 0.49), label="eps") * N * h
     fr = build_frame(((0.0, N * h),) * d, h, scale(make_cosine_window(d), eps))
+    P, ny = fr.P, N + fr.P - 1
+    lead = data.draw(st.integers(0, d - 1), label="lead")
+    rows = data.draw(st.integers(1, ny), label="rows")
+    per_row = ny ** (d - 1 - lead) * P ** d
+    block = rows * per_row + data.draw(st.integers(0, per_row - 1), label="extra")
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
     (unit, weighted), blocks = moments_by_block(fr, f, [unit_weight, hyperbolic_weight], block)
-    # each pass tiles the y grid once, with blocks of consecutive indices
-    # within the cap, or one y's N^d values if the cap is smaller
+    # each pass tiles the grid of positions once, with blocks of consecutive
+    # indices within the cap, or one y's P^d values if the cap is smaller
     blocks = [[y.tolist() for y in ys] for ys in blocks]
     first = blocks[:len(blocks) // 2]
     assert blocks == 2 * first
     assert sorted(p for ys in first for p in itertools.product(*ys)) == \
-        list(itertools.product(range(N), repeat=d))
+        list(itertools.product(range(ny), repeat=d))
     assert all(y == list(range(y[0], y[0] + len(y))) for ys in first for y in ys)
-    assert all(math.prod(map(len, ys)) * N ** d <= max(block, N ** d) for ys in first)
-    assert len(first) == 1 or N ** (2 * d) > block
+    assert all(math.prod(map(len, ys)) * P ** d <= max(block, P ** d) for ys in first)
+    assert len(first) == 1 or ny ** d * P ** d > block
     F = forward(fr, f)
-    assert unit == pytest.approx(np.sum(np.abs(F.values) ** 2) / fr.n, rel=1e-13, abs=0.0)
-    # the same weight on the full (y, xi) grid, y-major and xi in FFT order
-    y = fr.h * np.indices(fr.shape).reshape(d, -1).T
+    assert unit == pytest.approx(np.sum(np.abs(F.values) ** 2) / P ** d, rel=1e-13, abs=0.0)
+    # the same weight on the full (y, xi) grid, y-major and xi in FFT order,
+    # at the positions y = (i - R) h
+    y = fr.h * (np.indices((ny,) * d).reshape(d, -1).T - P // 2)
     xi = np.stack(np.meshgrid(*[fr.xi_axis()] * d, indexing="ij"), axis=-1).reshape(-1, d)
     W = hyperbolic_weight(xi.T[:, None, :], y[:, None, :])
-    full = np.sum(W * np.abs(F.values) ** 2) / fr.n
+    full = np.sum(W * np.abs(F.values) ** 2) / P ** d
     assert weighted == pytest.approx(full, rel=1e-12, abs=0.0)
 
 
 def test_moment_blocks_at_the_module_cap():
-    # d = 2, N = 40: 40^3 values per y_0, 16 of them fit 2^20
-    fr = build_frame(((0.0, 4.0),) * 2, 0.1, scale(make_cosine_window(2), 0.3))
+    # d = 2, N = 40, eps = 1.35: P = 19 and 58 positions per axis, so
+    # 58 * 19^2 values per y_0, 50 of them fit 2^20
+    fr = build_frame(((0.0, 4.0),) * 2, 0.1, scale(make_cosine_window(2), 1.35))
     f = np.random.default_rng(7).standard_normal(fr.n)
     (unit,), blocks = moments_by_block(fr, f, [unit_weight])
-    assert frames._BLOCK == 2 ** 20
-    assert [(len(y0), len(y1)) for y0, y1 in blocks] == [(16, 40), (16, 40), (8, 40)]
-    assert unit == pytest.approx(np.sum(np.abs(forward(fr, f).values) ** 2) / fr.n,
+    assert frames._BLOCK == 2 ** 20 and fr.P == 19
+    assert [(len(y0), len(y1)) for y0, y1 in blocks] == [(50, 58), (8, 58)]
+    assert unit == pytest.approx(np.sum(np.abs(forward(fr, f).values) ** 2) / fr.P ** 2,
                                  rel=1e-13, abs=0.0)
     assert unit == pytest.approx(fr.grid_norm_sq(f), rel=1e-13, abs=0.0)
+
+
+@given(st.integers(1, 3), st.sampled_from([make_cosine_window, make_bump_window]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_frame_is_tight_for_any_support_within_the_grid(d, make, seed, data):
+    # the support's side 2 eps/sqrt(d) is drawn up to (N - 1) h, one node
+    # less than the grid's side L = N h; at the small end it holds one node
+    N = data.draw(st.integers(2, {1: 40, 2: 12, 3: 6}[d]), label="N")
+    h = data.draw(st.floats(0.01, 1.0), label="h")
+    span = data.draw(st.floats(0.05, 1.0), label="span") * (N - 1) * h
+    fr = build_frame(((0.0, N * h),) * d, h, scale(make(d), span * math.sqrt(d) / 2.0))
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
+    nf = fr.grid_norm_sq(f)
+    assert abs(phase_space_moment(fr, f, unit_weight) - nf) <= 1e-13 * nf
+    assert np.max(np.abs(adjoint(fr, forward(fr, f)) - f)) <= 1e-12
+    B = np.where(rng.random((fr.n, fr.n)) < 0.1, rng.standard_normal((fr.n, fr.n)), 0.0)
+    T = B + B.T
+    row, col = np.nonzero(T)
+    assert abs(trace_via_frame(fr, (row, col, T[row, col])) - T.trace()) <= 1e-12
 
 
 def test_phase_roundtrip(tmp_path):
@@ -738,12 +787,14 @@ def test_phase_file_layout(tmp_path):
     path = tmp_path / "phase.bin"
     save_phase(F, path)
     raw = path.read_bytes()
-    assert raw[:8] == b"WCSPSF1\n"
+    assert raw[:8] == b"WCSPSF2\n"
     d, N = struct.unpack("<ii", raw[8:16])
     h, L, eps = struct.unpack("<ddd", raw[16:40])
     assert (d, N) == (1, 16)
     assert h == 0.1 and L == pytest.approx(1.6) and eps == 0.2
-    assert len(raw) == 40 + 8 * fr.n * fr.n
+    # f(0.2) = 0 at eps = 0.2: the support is the offsets -1..1, P = 3, and
+    # the 18 positions times 3 frequencies are the values
+    assert fr.P == 3 and len(raw) == 40 + 8 * 18 * 3
 
 
 def test_phase_load_compares_h_relative_to_the_frame(tmp_path):
@@ -770,11 +821,12 @@ def test_phase_load_rejects_mismatch(tmp_path):
     # same geometry, another window scale
     with pytest.raises(ValueError, match="eps"):
         load_phase(path, frame_1d(N=16, h=0.1, eps=0.5))
-    # a payload 16 bytes short (two values), and one with a byte too many
+    # a payload 16 bytes short (two values), and one with a byte too many:
+    # the frame expects 18 positions times 3 frequencies
     data = path.read_bytes()
-    for payload, found in [(data[:-16], "254"), (data + b"\0", "256.125")]:
+    for payload, found in [(data[:-16], "52"), (data + b"\0", "54.125")]:
         path.write_bytes(payload)
-        with pytest.raises(ValueError, match=f"file holds {found} values, the frame expects 256"):
+        with pytest.raises(ValueError, match=f"file holds {found} values, the frame expects 54"):
             load_phase(path, fr)
     path.write_bytes(data[8:])  # no magic
     with pytest.raises(ValueError, match="not a phase-space file"):
@@ -794,7 +846,7 @@ def test_phase_load_rejects_a_malformed_header(tmp_path):
         with pytest.raises(ValueError, match=f"truncated header: {k} of 32 bytes"):
             load_phase(path, fr)
     # h = nan, and a negative L, in an otherwise whole file
-    for h, L in [(math.nan, fr.L), (fr.h, -5.0)]:
+    for h, L in [(math.nan, fr.N * fr.h), (fr.h, -5.0)]:
         path.write_bytes(data[:16] + struct.pack("<dd", h, L) + data[32:])
         with pytest.raises(ValueError, match="does not match frame geometry"):
             load_phase(path, fr)

@@ -81,8 +81,16 @@ def test_same_outputs_names_the_file_another_tree_writes_differently(tmp_path, c
     same_outputs = _tool("same_outputs")
     runs = _example(same_outputs, "euclidean_weyl_d1.cfg")
     assert same_outputs.compare(other, runs, tmp_path / "work") == 1
-    assert capsys.readouterr().out == ("examples/euclidean_weyl_d1.cfg  exit 0  "
-                                       "differs: euclidean_weyl_d1.csv\n")
+    # the first line that differs, its number and both texts: the same row
+    # written with 17 and with 16 digits
+    this, theirs = (tmp_path / "work" / tree / "0" / "euclidean_weyl_d1.csv"
+                    for tree in ("this", "other"))
+    line, mine, other_line = next((i, a, b) for i, (a, b) in enumerate(
+        zip(this.read_text().splitlines(), theirs.read_text().splitlines()), 1) if a != b)
+    assert other_line == ",".join("%.16g" % float(v) for v in mine.split(","))
+    assert capsys.readouterr().out == (
+        "examples/euclidean_weyl_d1.cfg  exit 0  differs: euclidean_weyl_d1.csv\n"
+        f"  euclidean_weyl_d1.csv line {line}: this {mine!r}, other {other_line!r}\n")
 
 
 def test_job_times_prints_medians_of_a_cli_and_a_script_run(tmp_path, capsys, monkeypatch):
@@ -132,10 +140,10 @@ def test_job_times_command_line_rejects_no_repetition(capsys):
     assert "--repeat must be at least 1" in capsys.readouterr().err
 
 
-# names kept without a reader: the documented file formats, criterion 1's
-# oracles and the bound criteria 4 and 5 import
+# names kept without a reader: the documented file formats and criterion 1's
+# oracles
 KEPT_WITHOUT_READER = {"save_mask", "load_mask", "export_matrix", "load_spectrum",
-                       "save_phase", "load_phase", "forward", "adjoint", "li_yau_bound"}
+                       "save_phase", "load_phase", "forward", "adjoint"}
 
 
 def _definitions(tree):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_measure
+from conftest import lattice_measure, li_yau_bound
 from weylcs.domains import GridDomain, rectangle_domain
 from weylcs.eigen import Spectrum, dense_spectrum
 from weylcs.operators import assemble_euclidean
@@ -22,7 +22,6 @@ from weylcs.weyl import (
     exact_spectrum_interval,
     fit_remainder_exponent,
     hyperbolic_leading,
-    li_yau_bound,
     riesz_mean,
     save_curve,
     semiclassical_constant,

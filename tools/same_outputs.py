@@ -15,11 +15,20 @@ the tree's root, with that tree's src first on PYTHONPATH and one BLAS
 thread.  The runs and the workloads' generated inputs are taken from this
 checkout, and every run writes into an empty directory of its own.  For
 each run the tool compares the exit code, stdout and every output file
-byte for byte and prints one line; it exits 1 if any run differs.
+byte for byte and prints one line; it exits 1 if any run differs.  Under
+the line of a differing run it prints, for stdout and each output file
+that differs and is text in both trees, the first line that differs, with
+its number and both texts:
+
+    box-spectrum seed=1 frame-check  exit 0  differs: frame.txt
+      frame.txt line 16: this 'parseval_defect=6.50...e-16', other 'parseval_defect=4.27...e-16'
+
+A line past the end of the shorter text shows as None.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import shlex
 import subprocess
@@ -107,15 +116,38 @@ def differences(mine, theirs):
                     if files.get(name) != other_files.get(name)]
 
 
+def first_difference(mine, theirs, part):
+    """(number, this tree's line, the other's line) at the first line where
+    the part, stdout or an output file, differs between two outcomes, a line
+    past the end of a text being None; None unless both hold it as UTF-8
+    text with a differing line."""
+    texts = [stdout if part == "stdout" else files.get(part)
+             for _, stdout, files in (mine, theirs)]
+    if None in texts:  # an exit code, or a file one tree does not write
+        return None
+    try:
+        lines = [text.decode().splitlines() for text in texts]
+    except UnicodeDecodeError:
+        return None
+    return next(((i, a, b) for i, (a, b) in enumerate(itertools.zip_longest(*lines), 1)
+                 if a != b), None)
+
+
 def compare(other, runs, work, root=ROOT):
     """Run each run in root and in other, print one line per run, and return
     1 if any run differs, else 0."""
     status = 0
     for i, run in enumerate(runs):
         mine = outcome(root, run, work / "this" / str(i))
-        parts = differences(mine, outcome(other, run, work / "other" / str(i)))
+        theirs = outcome(other, run, work / "other" / str(i))
+        parts = differences(mine, theirs)
         verdict = "differs: " + ", ".join(parts) if parts else "identical"
         print(f"{run.name}  exit {mine[0]}  {verdict}", flush=True)
+        for part in parts:
+            found = first_difference(mine, theirs, part)
+            if found:
+                print(f"  {part} line {found[0]}: this {found[1]!r}, other {found[2]!r}",
+                      flush=True)
         status |= bool(parts)
     return status
 
