@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -300,6 +301,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help exits 0; usage errors exit 1, not 2
         return 1 if exc.code else 0
+    # a library warning reaches the user as one line, through warnings.showwarning
+    shown, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         for item in args.set:
@@ -318,6 +321,8 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ lattice sum
 and with the phase-space measure 1/P^d the family is an exactly tight
 (Parseval) frame with no torus: the weighted phase-space norm of the
 transform equals the grid L^2 norm to machine precision, and the trace
-identity holds exactly for any symmetric operator on the grid.  These are
+identity holds exactly for any operator on the grid.  These are
 the "painless nonorthogonal expansions" of Daubechies, Grossmann & Meyer
 (J. Math. Phys. 27, 1986).
 
@@ -119,31 +119,6 @@ def _analysis(frame: CoherentFrame, f, ys):
     return vals
 
 
-def _synthesis(frame: CoherentFrame, vals):
-    """Exact transpose of _analysis over all positions: centred values
-    [y..., xi...] to sum_{y,xi} exp(i xi.(x - y)) g(x - y) vals[y, xi] on the grid."""
-    N, P = frame.N, frame.P
-    for a in reversed(range(frame.d)):
-        # vals holds y_0..y_a, x_{a+1}..x_{d-1}, xi_0..xi_a: contract xi_a
-        # into the window's nodes, add node j of window i into padded node
-        # i + j, and drop the padding
-        shape = vals.shape[:-1]
-        vals = (vals.reshape(-1, P) @ frame.table.conj().T).reshape(shape + (P,))
-        acc = np.zeros(shape[:a] + (N + 2 * (P - 1),) + shape[a + 1:], dtype=complex)
-        for j in range(P):
-            acc[(slice(None),) * a + (slice(j, j + N + P - 1),)] += vals[..., j]
-        vals = acc[(slice(None),) * a + (slice(P - 1, P - 1 + N),)]
-    return vals
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseSpaceFunction:
-    """Transform values, indexed [y_flat, xi_flat] (y-major, xi in FFT order)."""
-
-    values: np.ndarray
-    frame: CoherentFrame
-
-
 def build_frame(box, h, window: Window) -> CoherentFrame:
     """Frame on the lattice of a cubic box of side L = N*h; requires the
     window's support, a cube of side 2*eps/sqrt(d), to span less than L
@@ -173,10 +148,10 @@ def build_frame(box, h, window: Window) -> CoherentFrame:
         raise ValueError(f"window support spans the grid: {name} = {span:g} >= L = {side:g}")
     # the offsets m h with |m| <= r hold the support; R is the last nonzero one
     r = math.ceil(span / (2.0 * h))
-    g = window.factor_value(h * np.arange(-r, r + 1))
-    R = int(np.max(np.abs(np.flatnonzero(g) - r), initial=0))
-    g = g[r - R:r + R + 1]
-    with np.errstate(over="ignore"):  # an overflow is reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        g = window.factor_value(h * np.arange(-r, r + 1))
+        R = int(np.max(np.abs(np.flatnonzero(g) - r), initial=0))
+        g = g[r - R:r + R + 1]
         g_grid = functools.reduce(np.multiply.outer, [g] * d)
         s = float(np.sum(g_grid ** 2)) * h ** d
     if s <= 0.0:
@@ -199,22 +174,36 @@ def _grid_samples(frame: CoherentFrame, f):
     return f.reshape(frame.shape)
 
 
-def forward(frame: CoherentFrame, f) -> PhaseSpaceFunction:
+def forward(frame: CoherentFrame, f) -> np.ndarray:
     """Windowed DFT at every position y, centred:
-    F[y, xi] = h^d / sqrt(s) * sum_x exp(-i xi.(x - y)) g(x - y) f(x)."""
+    F[y, xi] = h^d / sqrt(s) * sum_x exp(-i xi.(x - y)) g(x - y) f(x),
+    indexed [y_flat, xi_flat] (y-major, xi in FFT order)."""
     fg = _grid_samples(frame, f) * (frame.h ** frame.d / math.sqrt(frame.s))
     vals = _analysis(frame, fg, [np.arange(frame.N + frame.P - 1)] * frame.d)
-    return PhaseSpaceFunction(values=vals.reshape(-1, frame.P ** frame.d), frame=frame)
+    return vals.reshape(-1, frame.P ** frame.d)
 
 
-def adjoint(frame: CoherentFrame, F: PhaseSpaceFunction) -> np.ndarray:
-    """Weighted synthesis; exact left inverse of forward (tight frame).
-    ValueError for a function of another frame."""
-    if F.frame is not frame:
-        raise ValueError("phase-space function belongs to a different frame")
-    P = frame.P
-    vals = F.values.reshape((frame.N + P - 1,) * frame.d + (P,) * frame.d)
-    return (_synthesis(frame, vals) / (P ** frame.d * math.sqrt(frame.s))).reshape(frame.n)
+def adjoint(frame: CoherentFrame, F) -> np.ndarray:
+    """Weighted synthesis, sum_{y,xi} exp(i xi.(x - y)) g(x - y) F[y, xi] / (P^d sqrt(s))
+    on the grid: the adjoint of forward for the grid inner product h^d sum_x
+    and the phase-space measure 1/P^d, and its exact left inverse (tight
+    frame).  ValueError unless F has forward's shape."""
+    N, P, d = frame.N, frame.P, frame.d
+    want = ((N + P - 1) ** d, P ** d)
+    if np.shape(F) != want:
+        raise ValueError(f"phase-space array has shape {np.shape(F)}, the frame's is {want}")
+    vals = np.reshape(F, (N + P - 1,) * d + (P,) * d)
+    for a in reversed(range(d)):
+        # vals holds y_0..y_a, x_{a+1}..x_{d-1}, xi_0..xi_a: contract xi_a
+        # into the window's nodes, add node j of window i into padded node
+        # i + j, and drop the padding
+        lead = vals.shape[:-1]
+        vals = (vals.reshape(-1, P) @ frame.table.conj().T).reshape(lead + (P,))
+        acc = np.zeros(lead[:a] + (N + 2 * (P - 1),) + lead[a + 1:], dtype=complex)
+        for j in range(P):
+            acc[(slice(None),) * a + (slice(j, j + N + P - 1),)] += vals[..., j]
+        vals = acc[(slice(None),) * a + (slice(P - 1, P - 1 + N),)]
+    return (vals / (P ** d * math.sqrt(frame.s))).reshape(frame.n)
 
 
 def phase_space_moment(frame: CoherentFrame, f, weight) -> float:
@@ -366,13 +355,13 @@ def analytic_symbol(kind, window: Window, xi, y=None) -> float:
 
 
 def trace_via_frame(frame: CoherentFrame, T) -> float:
-    """Phase-space trace sum; equals trace(T) exactly for symmetric T (tightness).
+    """Phase-space trace sum; equals the real part of trace(T) exactly for any
+    operator T on the grid (tightness).
 
     T is a tuple (row, col, value) of equal-length 1-D arrays of triplets,
     indices in 0..n-1 (duplicates add up), the one form it takes: a sparse
     matrix passes its own coo row, col and data, so nothing is densified and
-    this module imports no scipy.  The symmetry check sums the triplets of
-    T - T^H per entry.  The sum is
+    this module imports no scipy.  The sum is
     sum_j <Phi delta_j, Phi(T delta_j)>: for column j only
     the windows y = x_j - m with m in the window's support contribute, and
     the sum over xi is an explicit product of frame tables, the Gram matrix
@@ -382,7 +371,8 @@ def trace_via_frame(frame: CoherentFrame, T) -> float:
     delta = m' - m reduces the sum to the sums t[delta] = sum_j T[x_j + delta, j]
     of the triplets by their offset row - col, |delta| < P per axis,
     contracted along every axis with the sums of the one-axis Gram matrix
-    along its diagonals.
+    along its diagonals.  Only delta = 0 survives the exact sums over xi, so
+    the entries off the diagonal add only rounding.
     """
     n, P = frame.n, frame.P
     if not (isinstance(T, tuple) and len(T) == 3):
@@ -391,13 +381,6 @@ def trace_via_frame(frame: CoherentFrame, T) -> float:
     if not (row.ndim == 1 and row.shape == col.shape == data.shape and all(
             a.dtype.kind in "iu" and ((0 <= a) & (a < n)).all() for a in (row, col))):
         raise ValueError(f"triplets need equal-length integer indices in 0..{n - 1}")
-    # T - T^H summed per entry (row * n + col), against the largest |entry|
-    key = np.concatenate([row, col]).astype(np.int64) * n + np.concatenate([col, row])
-    order = np.argsort(key)
-    asym = np.add.reduceat(np.concatenate([data, -np.conj(data)])[order],
-                           np.flatnonzero(np.diff(key[order], prepend=-1)))
-    if abs(asym).max(initial=0.0) > 1e-12 * (abs(data).max(initial=0.0) + 1.0):
-        raise ValueError("operator must be symmetric")
     rows = np.unravel_index(row, frame.shape)
     cols = np.unravel_index(col, frame.shape)
     # per axis the offset r - c; windows meet both nodes only for |r - c| < P
@@ -415,43 +398,42 @@ def trace_via_frame(frame: CoherentFrame, T) -> float:
     return float(total.real) * frame.h ** frame.d / (frame.s * P ** frame.d)
 
 
-_PHASE_MAGIC = b"WCSPSF2\n"
+_PHASE_MAGIC = b"WCSPSF3\n"
 
 
-def save_phase(F: PhaseSpaceFunction, path):
-    """Binary export: magic, little-endian header (int32 d, int32 N, float64 h,
-    float64 L = N*h, float64 eps), then the (N + P - 1)^d x P^d complex64
-    values row-major, y-major xi-minor."""
-    fr = F.frame
+def save_phase(frame: CoherentFrame, F, path):
+    """Binary export of forward's array F: magic, little-endian header (int32 d,
+    int32 N, float64 h, float64 eps, float64 s, the window's lattice sum the
+    values are normalized by), then the (N + P - 1)^d x P^d complex64 values
+    row-major, y-major xi-minor."""
     with open(path, "wb") as fh:
         fh.write(_PHASE_MAGIC)
-        fh.write(struct.pack("<ii", fr.d, fr.N))
-        fh.write(struct.pack("<ddd", fr.h, fr.N * fr.h, fr.window.epsilon))
-        fh.write(np.ascontiguousarray(F.values, dtype=np.complex64).tobytes())
+        fh.write(struct.pack("<iiddd", frame.d, frame.N, frame.h, frame.window.epsilon, frame.s))
+        fh.write(np.ascontiguousarray(F, dtype=np.complex64).tobytes())
 
 
-def load_phase(path, frame: CoherentFrame) -> PhaseSpaceFunction:
-    """Read a save_phase file for frame; ValueError unless it is one and
-    matches the frame's geometry, eps and size.  The header must be whole,
-    and its h and L must match the frame's to 1e-12 relative (a nan matches
-    nothing)."""
-    grid_side = frame.N * frame.h
+def load_phase(path, frame: CoherentFrame) -> np.ndarray:
+    """Read a save_phase file for frame as forward's array; ValueError unless
+    it is one and matches the frame's geometry, window and size.  The header
+    must be whole, its h and s must match the frame's to 1e-12 relative (a
+    nan matches nothing) and its eps exactly."""
     with open(path, "rb") as fh:
         if fh.read(len(_PHASE_MAGIC)) != _PHASE_MAGIC:
             raise ValueError("not a phase-space file")
         header = fh.read(32)
         if len(header) < 32:
             raise ValueError(f"truncated header: {len(header)} of 32 bytes")
-        d, N, h, side, eps = struct.unpack("<iiddd", header)
-        if (d, N) != (frame.d, frame.N) or not (abs(h - frame.h) <= 1e-12 * frame.h
-                                                and abs(side - grid_side) <= 1e-12 * grid_side):
+        d, N, h, eps, s = struct.unpack("<iiddd", header)
+        if (d, N) != (frame.d, frame.N) or not abs(h - frame.h) <= 1e-12 * frame.h:
             raise ValueError("file does not match frame geometry")
         if eps != frame.window.epsilon:
             raise ValueError(f"file window scale eps={eps!r} does not match the "
                              f"frame's eps={frame.window.epsilon!r}")
+        if not abs(s - frame.s) <= 1e-12 * frame.s:
+            raise ValueError(f"file was written with another window: its lattice sum "
+                             f"s={s!r}, the frame's window gives s={frame.s!r}")
         raw = fh.read()
     count = ((frame.N + frame.P - 1) * frame.P) ** frame.d
     if len(raw) != 8 * count:
         raise ValueError(f"file holds {len(raw) / 8:g} values, the frame expects {count}")
-    vals = np.frombuffer(raw, dtype=np.complex64).reshape(-1, frame.P ** frame.d).astype(complex)
-    return PhaseSpaceFunction(values=vals, frame=frame)
+    return np.frombuffer(raw, dtype=np.complex64).reshape(-1, frame.P ** frame.d).astype(complex)

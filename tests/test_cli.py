@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -319,7 +320,8 @@ SQUARE_05 = ["--set", "kind=hyperbolic", "--set", "dim=2", "--set", "box=0,1;0,1
 # (command, kind settings, eps) whose window constants leave the float range;
 # the rest of both kinds x eps in {1e-300, 1e-120, 1000} do not reach them:
 # the euclidean symbol at eps = 1000 is finite, and frame-check stops at the
-# frame, exit 1 with its own message, for eps = 1000 (the window wraps) and
+# frame, exit 1 with its own message, for eps = 1000 (the window spans the
+# grid) and
 # for the 2-D window at eps = 1e-300 (its lattice sum overflows)
 WINDOW_RANGE_CASES = [
     ("symbol-check", [], "1e-300"), ("symbol-check", [], "1e-120"),
@@ -591,14 +593,35 @@ def test_weyl_curve_reports_why_the_fit_is_unavailable(tmp_path, capsys):
     assert len(rows) == 3 and np.all(rows[:, 3] != 0.0)
 
 
+NUDGE = "count_below: shift perturbed to 4999.99999998 (lambda too close to an eigenvalue)"
+
+
 def test_weyl_curve_discrete_warns_past_validity(tmp_path, capsys):
+    # lambda = 5000 is the eigenvalue k = 25 of the interval at h = 0.02, so
+    # the count at it nudges its shift
     out = tmp_path / "curve.csv"
-    rc = main(["weyl-curve", "--set", "source=discrete", "--set", "box=0,1",
-               "--set", "h=0.02", "--set", "lam_min=100",
-               "--set", "lam_max=5000", "--set", "lam_count=6",
-               "--out", str(out)])
+    with pytest.warns(UserWarning, match=re.escape(NUDGE)):
+        rc = main(["weyl-curve", "--set", "source=discrete", "--set", "box=0,1",
+                   "--set", "h=0.02", "--set", "lam_min=100",
+                   "--set", "lam_max=5000", "--set", "lam_count=6",
+                   "--out", str(out)])
     assert rc == 0
     assert "validity bound" in capsys.readouterr().err
+
+
+def test_a_nudge_reaches_the_user_as_one_line(tmp_path, monkeypatch):
+    # the nudge at the eigenvalue lambda = 5000 prints like the CLI's own
+    # warnings, and still passes through warnings.showwarning, where a
+    # caller may count it
+    argv = ["spectrum", "--set", "box=0,1", "--set", "h=0.02", "--set", "lam_max=5000"]
+    run = subprocess.run([sys.executable, "-m", "weylcs"] + argv + ["--out", str(tmp_path / "a")],
+                         env=subprocess_env(), capture_output=True, text=True)
+    assert run.returncode == 0 and run.stderr == f"warning: {NUDGE}\n"
+    shown, formatted = [], warnings.formatwarning
+    monkeypatch.setattr(warnings, "showwarning",
+                        lambda *args: shown.append(warnings.formatwarning(*args[:4])))
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    assert shown == [f"warning: {NUDGE}\n"] and warnings.formatwarning is formatted
 
 
 def test_frame_check_deterministic(tmp_path):
@@ -654,7 +677,7 @@ def test_frame_check_runs_in_three_dimensions(tmp_path):
     assert all(float(v) <= 1e-10 for v in defects.values())
 
 
-def test_frame_check_wrapped_window_exits_1(tmp_path, capsys):
+def test_frame_check_window_spanning_the_grid_exits_1(tmp_path, capsys):
     rc = main(["frame-check", "--set", "eps=0.6", "--set", "frame_n=20",
                "--set", "h=0.05", "--set", "box=0,1.5",
                "--out", str(tmp_path / "f.txt")])
@@ -663,7 +686,7 @@ def test_frame_check_wrapped_window_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and "2*eps = 1.2 >= L = 1" in err
 
 
-def test_frame_check_d2_window_narrower_than_the_torus_exits_0(tmp_path):
+def test_frame_check_d2_window_narrower_than_the_grid_exits_0(tmp_path):
     # 2 eps = 1.2 >= L = 1, but each axis of the support spans 2 eps/sqrt(2) = 0.85
     out = tmp_path / "f.txt"
     rc = main(["frame-check", "--set", "dim=2", "--set", "box=0,1;0,1", "--set", "h=0.05",
@@ -686,14 +709,20 @@ def test_frame_check_overflowing_window_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# (eps, window); the id names a window other than the default cosine one
+REFUSED_EPS = [pytest.param(eps, window, id=eps if window == "cosine" else f"{eps}-{window}")
+               for window in ("cosine", "bump") for eps in ("1000", "1e-300", "1e-120", "1e-320")]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("eps", ["1000", "1e-300", "1e-120"])
-def test_frame_check_refused_eps_prints_one_error_line(tmp_path, dim, eps):
-    # the window wraps at 1000; at the small scales the lattice sum or the
-    # window constants overflow, and no warning of numpy's reaches stderr
+@pytest.mark.parametrize("eps, window", REFUSED_EPS)
+def test_frame_check_refused_eps_prints_one_error_line(tmp_path, dim, eps, window):
+    # the window spans the grid at 1000; at the small scales, subnormal
+    # 1e-320 too, the lattice sum or the window constants overflow, and no
+    # warning of numpy's reaches stderr
     argv = ["frame-check", "--set", f"dim={dim}", "--set", "box=" + ";".join(["0,1"] * dim),
             "--set", "h=0.1", "--set", "frame_n=10", "--set", "n_vectors=2",
-            "--set", f"eps={eps}", "--out", str(tmp_path / "f.txt")]
+            "--set", f"window={window}", "--set", f"eps={eps}", "--out", str(tmp_path / "f.txt")]
     run = subprocess.run([sys.executable, "-m", "weylcs"] + argv, env=subprocess_env(),
                          capture_output=True, text=True)
     assert run.returncode == 1

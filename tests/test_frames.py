@@ -18,7 +18,6 @@ from weylcs import frames
 from weylcs.domains import GridDomain, lattice_dist2, rectangle_domain
 from weylcs.frames import (
     FrameError,
-    PhaseSpaceFunction,
     adjoint,
     analytic_symbol,
     build_frame,
@@ -53,7 +52,7 @@ def test_parseval_1d():
     for _ in range(100):
         f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
         nf = fr.grid_norm_sq(f)
-        assert abs(np.sum(np.abs(forward(fr, f).values) ** 2) / fr.P ** fr.d - nf) <= 1e-12 * nf
+        assert abs(np.sum(np.abs(forward(fr, f)) ** 2) / fr.P ** fr.d - nf) <= 1e-12 * nf
 
 
 def test_lattice_sum_near_one():
@@ -77,7 +76,7 @@ def test_lattice_sum_near_one():
     # a profile that is 0 at every node, as no window maker builds
     (((0.0, 1.0),), 0.05, Window(d=1, epsilon=0.1, profile=np.zeros_like,
                                  profile_deriv=np.zeros_like), "vanishes"),
-], ids=["wraps", "wraps-d2", "wraps-d3", "non-cubic", "not-a-multiple", "dimension",
+], ids=["spans", "spans-d2", "spans-d3", "non-cubic", "not-a-multiple", "dimension",
         "lower-corner", "vanishes"])
 def test_build_frame_rejects(box, h, window, message):
     with pytest.raises(ValueError, match=message):
@@ -121,14 +120,14 @@ def test_frame_error_is_a_failed_check_not_an_input_error():
     (2, 20, 0.05, 0.7071, 19),
     (3, 6, 0.1, 0.5195, 5),
 ], ids=["d2", "d2-edge", "d3-edge"])
-def test_frame_builds_while_the_support_spans_less_than_the_torus(d, N, h, eps, k):
+def test_frame_builds_while_the_support_spans_less_than_the_grid(d, N, h, eps, k):
     L = N * h
     fr = build_frame(((0.0, L),) * d, h, scale(make_cosine_window(d), eps))
     assert 2.0 * eps >= L and fr.P == k and np.count_nonzero(fr.g_grid) == k ** d
     rng = np.random.default_rng(d)
     f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
     nf = fr.grid_norm_sq(f)
-    assert abs(np.sum(np.abs(forward(fr, f).values) ** 2) / fr.P ** d - nf) <= 1e-12 * nf
+    assert abs(np.sum(np.abs(forward(fr, f)) ** 2) / fr.P ** d - nf) <= 1e-12 * nf
     B = np.where(rng.random((fr.n, fr.n)) < 0.05, rng.standard_normal((fr.n, fr.n)), 0.0)
     T = B + B.T
     row, col = np.nonzero(T)
@@ -157,14 +156,14 @@ def test_build_frame_rejects_a_bad_box_or_h(box, h, named):
 def test_forward_zero():
     fr = frame_1d(N=32)
     F = forward(fr, np.zeros(fr.n))
-    assert np.all(F.values == 0.0)
+    assert np.all(F == 0.0)
 
 
 def test_forward_impulse():
     fr = frame_1d(N=64)
     f = np.zeros(fr.n)
     f[20] = 1.0
-    P = np.abs(forward(fr, f).values) ** 2  # [y, xi]
+    P = np.abs(forward(fr, f)) ** 2  # [y, xi]
     assert np.max(P.std(axis=1)) < 1e-14 * P.max()
     # the N + P - 1 positions y = (i - R) h whose window meets the grid
     offs = fr.h * 20 - fr.h * (np.arange(fr.N + fr.P - 1) - fr.P // 2)
@@ -194,8 +193,9 @@ def test_adjoint_zero():
     (lambda fr: forward(fr, np.zeros(fr.n + 1)), "expected 16 samples, got 17"),
     (lambda fr: phase_space_moment(fr, np.zeros(fr.n - 1), lambda xi, y: 1.0),
      "expected 16 samples, got 15"),
-    # a function of another frame, even of the same geometry
-    (lambda fr: adjoint(fr, forward(frame_1d(N=16), np.zeros(fr.n))), "different frame"),
+    # the transform of a grid of 17 nodes: 17 + P - 1 positions, P = 7
+    (lambda fr: adjoint(fr, forward(frame_1d(N=17), np.zeros(17))),
+     re.escape("phase-space array has shape (23, 7), the frame's is (22, 7)")),
     # the identity's triplets on a grid of 17 nodes
     (lambda fr: trace_via_frame(fr, (np.arange(17), np.arange(17), np.ones(17))),
      "indices in 0..15"),
@@ -211,7 +211,7 @@ def test_adjointness_by_direct_summation():
     f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
     F = forward(fr, rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n))
     # the phase-space measure is 1/P^d
-    lhs = np.vdot(forward(fr, f).values, F.values) / fr.P ** fr.d
+    lhs = np.vdot(forward(fr, f), F) / fr.P ** fr.d
     rhs = fr.h ** fr.d * np.vdot(f, adjoint(fr, F))
     assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
@@ -254,7 +254,7 @@ def test_forward_by_direct_summation(name):
     f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
     W, E = direct_matrices(fr)
     ref = fr.h ** fr.d / math.sqrt(fr.s) * np.einsum("yx,yxk,x->yk", W, E, f)
-    assert np.max(np.abs(forward(fr, f).values - ref)) < 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(forward(fr, f) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("name", DIRECT_CASES)
@@ -262,10 +262,9 @@ def test_adjoint_by_direct_summation(name):
     fr = direct_frame(name)
     rng = np.random.default_rng(4)
     shape = ((fr.N + fr.P - 1) ** fr.d, fr.P ** fr.d)
-    F = PhaseSpaceFunction(values=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                           frame=fr)
+    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     W, E = direct_matrices(fr)
-    ref = np.einsum("yx,yxk,yk->x", W, E.conj(), F.values) / (fr.P ** fr.d * math.sqrt(fr.s))
+    ref = np.einsum("yx,yxk,yk->x", W, E.conj(), F) / (fr.P ** fr.d * math.sqrt(fr.s))
     assert np.max(np.abs(adjoint(fr, F) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -591,9 +590,9 @@ def test_trace_triplets_add_up_duplicates():
 
 
 @pytest.mark.parametrize("triplets, message", [
-    (([0], [1], [1.0]), "symmetric"),
-    (([0, 1], [1, 0], [1.0, 1.0 + 1e-9]), "symmetric"),
-    (([0, 1], [1, 0], [1j, 1j]), "symmetric"),  # symmetric but not Hermitian
+    (([True], [True], [1.0]), "integer indices"),  # a mask, not indices
+    ((0, 0, 1.0), "equal-length"),  # one triplet of scalars, not of 1-D arrays
+    (([0, 1], [0], [1.0, 1.0]), "equal-length"),
     (([-1], [-1], [1.0]), "indices in 0..15"),
     (([16], [16], [1.0]), "indices in 0..15"),
     (([0], [16], [1.0]), "indices in 0..15"),
@@ -607,13 +606,18 @@ def test_trace_rejects_bad_triplets(triplets, message):
         trace_via_frame(fr, tuple(np.array(a) for a in triplets))
 
 
-def test_trace_rejects_asymmetric():
-    fr = frame_1d(N=16, h=0.1)
-    T = np.zeros((fr.n, fr.n))
-    T[0, 1] = 1.0
-    row, col = np.nonzero(T)
-    with pytest.raises(ValueError, match="symmetric"):
-        trace_via_frame(fr, (row, col, T[row, col]))
+@pytest.mark.parametrize("make", [make_cosine_window, make_bump_window], ids=["cosine", "bump"])
+@pytest.mark.parametrize("d, N", [(1, 24), (2, 8), (3, 5)])
+def test_trace_of_a_nonsymmetric_operator(d, N, make):
+    # tightness gives the trace of every operator: a random real T with no
+    # symmetry, and the upper triangle of a symmetric one
+    fr = build_frame(((0.0, N * 0.1),) * d, 0.1, scale(make(d), 0.25))
+    rng = np.random.default_rng(10 + d)
+    B = np.where(rng.random((fr.n, fr.n)) < 0.2, rng.standard_normal((fr.n, fr.n)), 0.0)
+    for T in (B, np.triu(B + B.T)):
+        row, col = np.nonzero(T)
+        tr = trace_via_frame(fr, (row, col, T[row, col]))
+        assert abs(tr - T.trace()) <= 1e-12 * np.abs(T.diagonal()).sum()
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8))
@@ -724,13 +728,13 @@ def test_moment_blocks_match_the_full_transform(d, seed, data):
     assert all(math.prod(map(len, ys)) * P ** d <= max(block, P ** d) for ys in first)
     assert len(first) == 1 or ny ** d * P ** d > block
     F = forward(fr, f)
-    assert unit == pytest.approx(np.sum(np.abs(F.values) ** 2) / P ** d, rel=1e-13, abs=0.0)
+    assert unit == pytest.approx(np.sum(np.abs(F) ** 2) / P ** d, rel=1e-13, abs=0.0)
     # the same weight on the full (y, xi) grid, y-major and xi in FFT order,
     # at the positions y = (i - R) h
     y = fr.h * (np.indices((ny,) * d).reshape(d, -1).T - P // 2)
     xi = np.stack(np.meshgrid(*[fr.xi_axis()] * d, indexing="ij"), axis=-1).reshape(-1, d)
     W = hyperbolic_weight(xi.T[:, None, :], y[:, None, :])
-    full = np.sum(W * np.abs(F.values) ** 2) / P ** d
+    full = np.sum(W * np.abs(F) ** 2) / P ** d
     assert weighted == pytest.approx(full, rel=1e-12, abs=0.0)
 
 
@@ -742,7 +746,7 @@ def test_moment_blocks_at_the_module_cap():
     (unit,), blocks = moments_by_block(fr, f, [unit_weight])
     assert frames._BLOCK == 2 ** 20 and fr.P == 19
     assert [(len(y0), len(y1)) for y0, y1 in blocks] == [(50, 58), (8, 58)]
-    assert unit == pytest.approx(np.sum(np.abs(forward(fr, f).values) ** 2) / fr.P ** 2,
+    assert unit == pytest.approx(np.sum(np.abs(forward(fr, f)) ** 2) / fr.P ** 2,
                                  rel=1e-13, abs=0.0)
     assert unit == pytest.approx(fr.grid_norm_sq(f), rel=1e-13, abs=0.0)
 
@@ -773,10 +777,10 @@ def test_phase_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     F = forward(fr, rng.standard_normal(fr.n))
     path = tmp_path / "phase.bin"
-    save_phase(F, path)
+    save_phase(fr, F, path)
     back = load_phase(path, fr)
-    ref = np.asarray(F.values, dtype=np.complex64)
-    assert np.array_equal(np.asarray(back.values, dtype=np.complex64), ref)
+    ref = np.asarray(F, dtype=np.complex64)
+    assert np.array_equal(np.asarray(back, dtype=np.complex64), ref)
 
 
 def test_phase_file_layout(tmp_path):
@@ -785,16 +789,30 @@ def test_phase_file_layout(tmp_path):
     fr = frame_1d(N=16, h=0.1)
     F = forward(fr, np.ones(fr.n))
     path = tmp_path / "phase.bin"
-    save_phase(F, path)
+    save_phase(fr, F, path)
     raw = path.read_bytes()
-    assert raw[:8] == b"WCSPSF2\n"
+    assert raw[:8] == b"WCSPSF3\n"
     d, N = struct.unpack("<ii", raw[8:16])
-    h, L, eps = struct.unpack("<ddd", raw[16:40])
+    h, eps, s = struct.unpack("<ddd", raw[16:40])
     assert (d, N) == (1, 16)
-    assert h == 0.1 and L == pytest.approx(1.6) and eps == 0.2
+    assert h == 0.1 and eps == 0.2 and s == fr.s
     # f(0.2) = 0 at eps = 0.2: the support is the offsets -1..1, P = 3, and
     # the 18 positions times 3 frequencies are the values
     assert fr.P == 3 and len(raw) == 40 + 8 * 18 * 3
+
+
+def test_phase_load_rejects_another_window(tmp_path):
+    # d = 1, N = 32, h = 0.05, eps = 0.2: both windows have P = 7, but their
+    # lattice sums, which the values are normalized by, differ
+    box, h = ((0.0, 1.6),), 0.05
+    cosine = build_frame(box, h, scale(make_cosine_window(1), 0.2))
+    bump = build_frame(box, h, scale(make_bump_window(1), 0.2))
+    assert cosine.P == bump.P == 7 and abs(cosine.s - bump.s) > 5e-4
+    path = tmp_path / "phase.bin"
+    save_phase(cosine, forward(cosine, np.ones(cosine.n)), path)
+    with pytest.raises(ValueError, match="written with another window"):
+        load_phase(path, bump)
+    assert load_phase(path, cosine).shape == (38, 7)
 
 
 def test_phase_load_compares_h_relative_to_the_frame(tmp_path):
@@ -803,11 +821,11 @@ def test_phase_load_compares_h_relative_to_the_frame(tmp_path):
     fr, small = frame_1d(N=16, h=3e-13, eps=2e-13), frame_1d(N=16, h=1e-13, eps=2e-13)
     F = forward(fr, np.ones(fr.n))
     path = tmp_path / "phase.bin"
-    save_phase(F, path)
+    save_phase(fr, F, path)
     with pytest.raises(ValueError, match="does not match frame geometry"):
         load_phase(path, small)
     back = load_phase(path, fr)
-    assert np.array_equal(back.values, np.asarray(F.values, dtype=np.complex64))
+    assert np.array_equal(back, np.asarray(F, dtype=np.complex64))
 
 
 def test_phase_load_rejects_mismatch(tmp_path):
@@ -815,7 +833,7 @@ def test_phase_load_rejects_mismatch(tmp_path):
     other = frame_1d(N=32, h=0.1)
     F = forward(fr, np.ones(fr.n))
     path = tmp_path / "phase.bin"
-    save_phase(F, path)
+    save_phase(fr, F, path)
     with pytest.raises(ValueError, match="does not match frame geometry"):
         load_phase(path, other)
     # same geometry, another window scale
@@ -838,15 +856,17 @@ def test_phase_load_rejects_a_malformed_header(tmp_path):
 
     fr = frame_1d(N=32, h=0.05)
     path = tmp_path / "phase.bin"
-    save_phase(forward(fr, np.ones(fr.n)), path)
+    save_phase(fr, forward(fr, np.ones(fr.n)), path)
     data = path.read_bytes()
     # cut off after the magic or inside the 32-byte header
     for k in range(32):
         path.write_bytes(data[:8 + k])
         with pytest.raises(ValueError, match=f"truncated header: {k} of 32 bytes"):
             load_phase(path, fr)
-    # h = nan, and a negative L, in an otherwise whole file
-    for h, L in [(math.nan, fr.N * fr.h), (fr.h, -5.0)]:
-        path.write_bytes(data[:16] + struct.pack("<dd", h, L) + data[32:])
-        with pytest.raises(ValueError, match="does not match frame geometry"):
+    # h = nan, a nan s and a negative s, in an otherwise whole file
+    eps = fr.window.epsilon
+    for h, s, message in [(math.nan, fr.s, "does not match frame geometry"),
+                          (fr.h, math.nan, "another window"), (fr.h, -fr.s, "another window")]:
+        path.write_bytes(data[:16] + struct.pack("<ddd", h, eps, s) + data[40:])
+        with pytest.raises(ValueError, match=message):
             load_phase(path, fr)

@@ -70,14 +70,16 @@ def test_same_outputs_finds_an_example_identical_to_itself(tmp_path, capsys):
 
 
 def test_same_outputs_names_the_file_another_tree_writes_differently(tmp_path, capsys):
-    # a copy of the checkout whose curves are written with one digit less
+    # a copy of the checkout whose curves are written with one digit less,
+    # and whose weyl module writes a note to stderr
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copytree(ROOT / "examples", other / "examples")
     weyl = other / "src" / "weylcs" / "weyl.py"
     text = weyl.read_text()
     assert 'fh.write(",".join("%.17g" % v for v in row)' in text
-    weyl.write_text(text.replace('",".join("%.17g" % v', '",".join("%.16g" % v'))
+    weyl.write_text(text.replace('",".join("%.17g" % v', '",".join("%.16g" % v')
+                    + '\nimport sys\nsys.stderr.write("a note\\n")\n')
     same_outputs = _tool("same_outputs")
     runs = _example(same_outputs, "euclidean_weyl_d1.cfg")
     assert same_outputs.compare(other, runs, tmp_path / "work") == 1
@@ -89,7 +91,8 @@ def test_same_outputs_names_the_file_another_tree_writes_differently(tmp_path, c
         zip(this.read_text().splitlines(), theirs.read_text().splitlines()), 1) if a != b)
     assert other_line == ",".join("%.16g" % float(v) for v in mine.split(","))
     assert capsys.readouterr().out == (
-        "examples/euclidean_weyl_d1.cfg  exit 0  differs: euclidean_weyl_d1.csv\n"
+        "examples/euclidean_weyl_d1.cfg  exit 0  differs: stderr, euclidean_weyl_d1.csv\n"
+        "  stderr line 1: this None, other 'a note'\n"
         f"  euclidean_weyl_d1.csv line {line}: this {mine!r}, other {other_line!r}\n")
 
 

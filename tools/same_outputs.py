@@ -14,11 +14,11 @@ each the way perfbench/run.py runs a job: in a fresh process started from
 the tree's root, with that tree's src first on PYTHONPATH and one BLAS
 thread.  The runs and the workloads' generated inputs are taken from this
 checkout, and every run writes into an empty directory of its own.  For
-each run the tool compares the exit code, stdout and every output file
-byte for byte and prints one line; it exits 1 if any run differs.  Under
-the line of a differing run it prints, for stdout and each output file
-that differs and is text in both trees, the first line that differs, with
-its number and both texts:
+each run the tool compares the exit code, stdout, stderr and every output
+file byte for byte and prints one line; it exits 1 if any run differs.
+Under the line of a differing run it prints, for stdout, stderr and each
+output file that differs and is text in both trees, the first line that
+differs, with its number and both texts:
 
     box-spectrum seed=1 frame-check  exit 0  differs: frame.txt
       frame.txt line 16: this 'parseval_defect=6.50...e-16', other 'parseval_defect=4.27...e-16'
@@ -97,32 +97,36 @@ def run_env(root):
 
 
 def outcome(root, run, out):
-    """Exit code, stdout and output files {relative path: bytes} of run in the
-    tree at root, writing into the new directory out."""
+    """Exit code, stdout, stderr and output files {relative path: bytes} of run
+    in the tree at root, writing into the new directory out."""
     out.mkdir(parents=True)
     proc = subprocess.run([sys.executable, *run.argv(out)], cwd=root, env=run_env(root),
                           capture_output=True)
     files = {p.relative_to(out).as_posix(): p.read_bytes()
              for p in sorted(out.rglob("*")) if p.is_file()}
-    return proc.returncode, proc.stdout, files
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def _part(outcome, part):
+    """The bytes of a part, stdout, stderr or an output file, of an outcome;
+    None for a file it does not write."""
+    _, stdout, stderr, files = outcome
+    return {"stdout": stdout, "stderr": stderr}.get(part, files.get(part))
 
 
 def differences(mine, theirs):
     """The parts in which two outcomes differ; empty when they are identical."""
-    (code, stdout, files), (other_code, other_stdout, other_files) = mine, theirs
-    parts = [f"exit code {code} != {other_code}"] if code != other_code else []
-    parts += ["stdout"] if stdout != other_stdout else []
-    return parts + [name for name in sorted(files.keys() | other_files.keys())
-                    if files.get(name) != other_files.get(name)]
+    parts = [f"exit code {mine[0]} != {theirs[0]}"] if mine[0] != theirs[0] else []
+    names = ["stdout", "stderr"] + sorted(mine[3].keys() | theirs[3].keys())
+    return parts + [name for name in names if _part(mine, name) != _part(theirs, name)]
 
 
 def first_difference(mine, theirs, part):
     """(number, this tree's line, the other's line) at the first line where
-    the part, stdout or an output file, differs between two outcomes, a line
-    past the end of a text being None; None unless both hold it as UTF-8
-    text with a differing line."""
-    texts = [stdout if part == "stdout" else files.get(part)
-             for _, stdout, files in (mine, theirs)]
+    the part, stdout, stderr or an output file, differs between two
+    outcomes, a line past the end of a text being None; None unless both
+    hold it as UTF-8 text with a differing line."""
+    texts = [_part(outcome, part) for outcome in (mine, theirs)]
     if None in texts:  # an exit code, or a file one tree does not write
         return None
     try:
