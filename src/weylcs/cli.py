@@ -256,8 +256,8 @@ def cmd_symbol_check(cfg) -> int:
 
 def cmd_frame_check(cfg) -> int:
     window = scale(_window(cfg), cfg.eps)
-    L = cfg.frame_n * cfg.h
-    frame = build_frame(((0.0, L),) * cfg.dim, cfg.h, window)
+    # frame_n nodes per axis: the grid of rectangle_domain on (0, (frame_n + 1) h)
+    frame = build_frame(((0.0, (cfg.frame_n + 1) * cfg.h),) * cfg.dim, cfg.h, window)
     rng = np.random.default_rng(cfg.seed)
     defect = 0.0
     for _ in range(cfg.n_vectors):

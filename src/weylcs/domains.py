@@ -47,14 +47,14 @@ class GridDomain:
         That mask is the product of the per-axis interior vectors, so it is
         matched by the occupancy without building it."""
         try:
-            shape = _rectangle_shape(self.box, self.h)
-        except ValueError:  # no lattice of that box at h
-            return None
-        # shapes first: a box far larger than the mask builds no lattice
-        if shape != list(self.shape) or tuple(float(a) for a, _ in self.box) != tuple(self.origin):
+            # shapes first: a box far larger than the mask builds no lattice
+            if _rectangle_shape(self.box, self.h) != list(self.shape) or \
+                    tuple(float(a) for a, _ in self.box) != tuple(self.origin):
+                return None
+            inside = [np.flatnonzero(v) for v in _interior(self.box, self.h)]
+        except ValueError:  # no lattice of that box at h, or no node inside it
             return None
         axes, filled = self.occupancy
-        inside = [np.flatnonzero(v) for v in _interior(self.box, self.h, shape)]
         return self.box if filled and all(map(np.array_equal, inside, axes)) else None
 
     @property
@@ -89,7 +89,7 @@ def box_sides(box, name="box"):
 
 def whole_steps(length, h):
     """The number of whole steps h that fit length, to 1e-9 relative: the one
-    rule for a lattice's nodes along an axis and a frame's N."""
+    rule for a lattice's nodes along an axis."""
     return int(math.floor(length / h * (1.0 + 1e-9)))
 
 
@@ -108,21 +108,24 @@ def _rectangle_shape(box, h):
     return [whole_steps(s, h) + 1 for s in sides]
 
 
-def _interior(box, h, shape):
-    """Per axis, which of the shape[axis] lattice nodes from the lower end of
-    box lie strictly inside it: the mask of rectangle_domain is their product."""
-    coords = [a + h * np.arange(m) for (a, _), m in zip(box, shape)]
-    return [(c > a + 1e-9 * h) & (c < b - 1e-9 * h) for c, (a, b) in zip(coords, box)]
+def _interior(box, h):
+    """Per axis, which of the _rectangle_shape lattice nodes from the lower end
+    of box lie strictly inside it: the one rule of a box's interior lattice.
+    The mask of rectangle_domain is their product, and a frame's nodes
+    (frames.build_frame) are the same.  ValueError as in _rectangle_shape, or
+    when no node lies inside."""
+    coords = [a + h * np.arange(m) for (a, _), m in zip(box, _rectangle_shape(box, h))]
+    inside = [(c > a + 1e-9 * h) & (c < b - 1e-9 * h) for c, (a, b) in zip(coords, box)]
+    if not all(v.any() for v in inside):
+        raise ValueError("no interior nodes; reduce h")
+    return inside
 
 
 def rectangle_domain(box, h) -> GridDomain:
     """Grid domain for an open axis-aligned box; mask true strictly inside.
-    ValueError as in _rectangle_shape, or when no node lies inside."""
+    ValueError as in _interior."""
     box = tuple((float(a), float(b)) for a, b in box)
-    shape = _rectangle_shape(box, h)
-    mask = functools.reduce(np.logical_and.outer, _interior(box, h, shape))
-    if not mask.any():
-        raise ValueError("no interior nodes; reduce h")
+    mask = functools.reduce(np.logical_and.outer, _interior(box, h))
     return GridDomain(h=h, origin=tuple(a for a, _ in box), mask=mask, box=box)
 
 

@@ -149,15 +149,6 @@ class _Gate(NamedTuple):
     cause: str
 
 
-def _ldl_growth(lu, d):
-    """diag(|L||U|) of a SuperLU factorization that kept its pivots d on the
-    diagonal of a symmetric matrix, so that U = D L^T: entry k is
-    sum_j L_kj^2 |d_j|, without forming the product or reading U."""
-    L = lu.L  # CSC: indices are rows, indptr delimits each column
-    cols = np.repeat(np.arange(len(d)), np.diff(L.indptr))
-    return np.bincount(L.indices, weights=L.data ** 2 * np.abs(d)[cols], minlength=len(d))
-
-
 def _sparse_inertia(b, tol):
     """Negative count of a sparse LDL^T of b (None if unusable) and its gate.
 
@@ -166,7 +157,8 @@ def _sparse_inertia(b, tol):
     inertia), met a zero pivot inside a supernode ("failed to factorize") or
     found b exactly singular.  It is resolved (margin above 1)
     when every pivot |d_k| and the distance from zero to the spectrum of b
-    exceed both tol and the LU rounding level n*eps*max_k (|L||U|)_kk.
+    exceed both tol and the LU rounding level: n*eps times the largest row
+    sum of |L||D||L^T|.
     """
     import scipy.sparse.linalg  # slow import, needed here only
 
@@ -182,11 +174,13 @@ def _sparse_inertia(b, tol):
         raise
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None, _Gate(0.0, _SMALL_PIVOT)
-    d = lu.U.diagonal()
-    # The largest entry of diag(|L||U|), not each row's own, bounds the
-    # backward error that can flip a sign: a tiny pivot inflates the rows
-    # after it while its own row stays small.
-    bound = max(tol, n * np.finfo(float).eps * _ldl_growth(lu, d).max())
+    U = lu.U  # a copy on each read
+    d, U = U.diagonal(), abs(U)
+    # The backward error is at most n*eps*|L||D||L^T| entrywise (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, ch. 9), so its
+    # 2-norm at most n*eps times the largest row sum of that symmetric
+    # product, which U = D L^T makes |U|^T |D|^-1 |U|: read from U alone.
+    bound = max(tol, n * np.finfo(float).eps * (U.T @ (U @ np.ones(n) / np.abs(d))).max())
     # without pivoting, an eigenvalue of b near zero need not leave a small
     # pivot; two steps of inverse iteration from a fixed vector see it
     x = lu.solve(_start_vector(n))

@@ -4,8 +4,9 @@ The frame vectors are the centred coherent states
 
     e_{xi,y}(x) = exp(i xi.(x - y)) g(x - y),
 
-with x on the grid's lattice (a grid function u is zero off the grid) and y
-on every lattice node whose window meets the grid.  The window is the
+with x on the grid, the interior lattice of domains.rectangle_domain(box, h)
+(a grid function u is zero off the grid), and y on every lattice node whose
+window meets the grid.  The window is the
 product of one 1-D profile f taken along every axis, nonzero on the
 lattice offsets m h with |m| <= R only, so for each y the product
 g(x - y) u(x) fits in one period of a length-P DFT, P = 2 R + 1.  Per axis
@@ -30,10 +31,11 @@ The transform is applied one axis at a time with the same P x P table
     K[m, xi] = f(m h) exp(-i xi m h),  m = -R..R,
 
 for each: along an axis, the samples padded with P - 1 zeros on each side
-are cut into the N + P - 1 sliding windows of P nodes, one per position y,
-and each window is contracted with K (one matrix product per axis).
-phase_space_moment streams y in blocks of at most _BLOCK transform values.
-A transform has (N + P - 1)^d P^d values, about n P^d for n = N^d, and costs
+are cut into the N_a + P - 1 sliding windows of P nodes, one per position y,
+for the N_a nodes of axis a, and each window is contracted with K (one
+matrix product per axis).  phase_space_moment streams y in blocks of at
+most _BLOCK transform values.  A transform has prod_a (N_a + P - 1) P^d
+values, about n P^d for the n = prod_a N_a grid nodes, and costs
 O(n P^d k) for the k support offsets of an axis; no FFT is involved.  The
 trace sums over xi explicitly too: the sums over xi of exp(i xi (m - m') h)
 for pairs of support offsets, which the Plancherel identity makes
@@ -53,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domains import box_sides, whole_steps
+from .domains import _interior
 from .operators import DiscreteOperator, DimensionMismatchError, weighted_axes
 from .windows import Window, c_constants, grad_norm_sq
 
@@ -68,7 +70,8 @@ _BLOCK = 2 ** 20  # transform values phase_space_moment holds per block of y
 @dataclass(frozen=True, eq=False)
 class CoherentFrame:
     d: int
-    N: int  # grid nodes per axis
+    shape: tuple  # grid nodes per axis
+    origin: tuple  # the coordinates of grid node 0
     h: float
     window: Window
     g_grid: np.ndarray = field(repr=False)  # window on its support cube, offsets -R..R per axis
@@ -81,12 +84,8 @@ class CoherentFrame:
         return len(self.table)
 
     @property
-    def shape(self):
-        return (self.N,) * self.d
-
-    @property
     def n(self):
-        return self.N ** self.d
+        return math.prod(self.shape)
 
     def xi_axis(self):
         """The P frequencies of one axis, 2 pi p / (P h) for p = -R..R, in FFT
@@ -102,7 +101,8 @@ def _analysis(frame: CoherentFrame, f, ys):
     """Centred transform sum_x exp(-i xi.(x - y)) g(x - y) f(x), one axis at a time.
 
     f has the frame's grid shape; ys holds one array of position indices
-    per axis, index i for y = (i - R) h, and y runs over their product.
+    per axis, index i for y = origin + (i - R) h, and y runs over their
+    product.
     Returns the values indexed [y_0, ..., y_{d-1}, xi_0, ..., xi_{d-1}], xi
     in FFT order.
     """
@@ -120,32 +120,22 @@ def _analysis(frame: CoherentFrame, f, ys):
 
 
 def build_frame(box, h, window: Window) -> CoherentFrame:
-    """Frame on the lattice of a cubic box of side L = N*h; requires the
-    window's support, a cube of side 2*eps/sqrt(d), to span less than L
-    along an axis, which bounds the P x P table by the grid.
-    ValueError as in domains.box_sides, unless 0 < h < inf, and for every
-    other refusal: a box that does not start at 0 (the lattice and the
-    points y do), is not cubic or not a multiple of h, another dimension, a
-    window that spans the grid, vanishes on the lattice or overflows."""
-    sides = box_sides(box)
-    if any(a != 0 for a, _ in box):
-        raise ValueError(f"the frame's lattice starts at 0: every lower end must be 0, "
-                         f"got box={box!r}")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"h must be positive and finite, got h={h!r}")
-    side = sides[0]
-    if any(abs(sd - side) > 1e-12 * side for sd in sides):
-        raise ValueError("embedding box must be cubic (equal sides)")
-    N = whole_steps(side, h)
-    if abs(N * h - side) > 1e-9 * side:
-        raise ValueError("box side must be an integer multiple of h")
+    """Frame on the grid of rectangle_domain(box, h): per axis the lattice
+    nodes strictly inside the box, read from domains without building the
+    mask.  Requires the window's support, a cube of side 2*eps/sqrt(d), to
+    span less than L = h min(shape), the nodes' shortest extent, which bounds
+    the P x P table by the grid.  ValueError as in rectangle_domain, and for
+    a box of another dimension than the window's or a window that spans the
+    grid, vanishes on the lattice or overflows."""
+    inside = _interior(box, h)
     d = window.d
     if len(box) != d:
         raise ValueError("box dimension does not match window dimension")
-    span = 2.0 * window.factor_half_width()  # the support's side along one axis
-    if span >= side:
+    shape = tuple(int(v.sum()) for v in inside)
+    span, L = 2.0 * window.factor_half_width(), h * min(shape)  # span: the support's side
+    if span >= L:
         name = "2*eps" if d == 1 else f"2*eps/sqrt({d})"
-        raise ValueError(f"window support spans the grid: {name} = {span:g} >= L = {side:g}")
+        raise ValueError(f"window support spans the grid: {name} = {span:g} >= L = {L:g}")
     # the offsets m h with |m| <= r hold the support; R is the last nonzero one
     r = math.ceil(span / (2.0 * h))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
@@ -161,7 +151,8 @@ def build_frame(box, h, window: Window) -> CoherentFrame:
                          "increase eps")
     # exp(-i xi_p m h) = exp(-2 pi i p m / P), from the exact residue p m mod P
     m, P = np.arange(-R, R + 1), 2 * R + 1
-    return CoherentFrame(d=d, N=N, h=h, window=window, g_grid=g_grid, s=s,
+    origin = tuple(float(a + h * v.argmax()) for (a, _), v in zip(box, inside))
+    return CoherentFrame(d=d, shape=shape, origin=origin, h=h, window=window, g_grid=g_grid, s=s,
                          table=g[:, None] * np.exp(-2j * math.pi / P * (np.outer(m, m + R) % P)))
 
 
@@ -179,7 +170,7 @@ def forward(frame: CoherentFrame, f) -> np.ndarray:
     F[y, xi] = h^d / sqrt(s) * sum_x exp(-i xi.(x - y)) g(x - y) f(x),
     indexed [y_flat, xi_flat] (y-major, xi in FFT order)."""
     fg = _grid_samples(frame, f) * (frame.h ** frame.d / math.sqrt(frame.s))
-    vals = _analysis(frame, fg, [np.arange(frame.N + frame.P - 1)] * frame.d)
+    vals = _analysis(frame, fg, [np.arange(m + frame.P - 1) for m in frame.shape])
     return vals.reshape(-1, frame.P ** frame.d)
 
 
@@ -188,21 +179,22 @@ def adjoint(frame: CoherentFrame, F) -> np.ndarray:
     on the grid: the adjoint of forward for the grid inner product h^d sum_x
     and the phase-space measure 1/P^d, and its exact left inverse (tight
     frame).  ValueError unless F has forward's shape."""
-    N, P, d = frame.N, frame.P, frame.d
-    want = ((N + P - 1) ** d, P ** d)
+    P, d = frame.P, frame.d
+    ny = [m + P - 1 for m in frame.shape]  # positions y per axis
+    want = (math.prod(ny), P ** d)
     if np.shape(F) != want:
         raise ValueError(f"phase-space array has shape {np.shape(F)}, the frame's is {want}")
-    vals = np.reshape(F, (N + P - 1,) * d + (P,) * d)
+    vals = np.reshape(F, tuple(ny) + (P,) * d)
     for a in reversed(range(d)):
         # vals holds y_0..y_a, x_{a+1}..x_{d-1}, xi_0..xi_a: contract xi_a
         # into the window's nodes, add node j of window i into padded node
         # i + j, and drop the padding
         lead = vals.shape[:-1]
         vals = (vals.reshape(-1, P) @ frame.table.conj().T).reshape(lead + (P,))
-        acc = np.zeros(lead[:a] + (N + 2 * (P - 1),) + lead[a + 1:], dtype=complex)
+        acc = np.zeros(lead[:a] + (ny[a] + P - 1,) + lead[a + 1:], dtype=complex)
         for j in range(P):
-            acc[(slice(None),) * a + (slice(j, j + N + P - 1),)] += vals[..., j]
-        vals = acc[(slice(None),) * a + (slice(P - 1, P - 1 + N),)]
+            acc[(slice(None),) * a + (slice(j, j + ny[a]),)] += vals[..., j]
+        vals = acc[(slice(None),) * a + (slice(P - 1, P - 1 + frame.shape[a]),)]
     return (vals / (P ** d * math.sqrt(frame.s))).reshape(frame.n)
 
 
@@ -223,21 +215,24 @@ def phase_space_moment(frame: CoherentFrame, f, weight) -> float:
     and the block's M points y as an (M, d) array, both shaped to broadcast
     against the values [y, xi_0, ..., xi_{d-1}] with y flattened y-major:
     xi_axes[a] has shape (1, ..., P, ..., 1), P at position a + 1, and y has
-    shape (M, 1, ..., 1, d), so y[..., a] is the a-th coordinate.
+    shape (M, 1, ..., 1, d), so y[..., a] is the a-th coordinate, read in the
+    box's own coordinates.
     """
     fg = _grid_samples(frame, f)
-    P, d, ny = frame.P, frame.d, frame.N + frame.P - 1  # ny positions per axis
+    P, d = frame.P, frame.d
+    ny = [m + P - 1 for m in frame.shape]  # positions y per axis
     xi_axes = [a[None] for a in np.meshgrid(*[frame.xi_axis()] * d, indexing="ij", sparse=True)]
     # block length along y axis a: as many indices as fit _BLOCK, with every
-    # index of the later y axes and every xi (ny^(d-1-a) P^d values per index)
-    sizes = [min(max(_BLOCK // (ny ** (d - 1 - a) * P ** d), 1), ny) for a in range(d)]
+    # index of the later y axes and every xi (prod(ny[a+1:]) P^d values per index)
+    sizes = [min(max(_BLOCK // (math.prod(ny[a + 1:]) * P ** d), 1), ny[a]) for a in range(d)]
     total = 0.0
-    for starts in itertools.product(*[range(0, ny, c) for c in sizes]):
-        ys = [np.arange(i, min(i + c, ny)) for i, c in zip(starts, sizes)]
+    for starts in itertools.product(*[range(0, m, c) for m, c in zip(ny, sizes)]):
+        ys = [np.arange(i, min(i + c, m)) for i, c, m in zip(starts, sizes, ny)]
         # (re, im) pairs last, squared in place: |F|^2 with no second array
         sq = _analysis(frame, fg, ys).reshape((-1,) + (P,) * d + (1,)).view(float)
         sq *= sq
-        y = frame.h * (np.stack(np.meshgrid(*ys, indexing="ij"), axis=-1) - P // 2)
+        y = np.asarray(frame.origin) + frame.h * (
+            np.stack(np.meshgrid(*ys, indexing="ij"), axis=-1) - P // 2)
         sq *= np.expand_dims(weight(xi_axes, y.reshape((-1,) + (1,) * d + (d,))), -1)
         total += float(sq.sum())
     return total * frame.h ** (2 * d) / (frame.s * P ** d)
@@ -398,33 +393,41 @@ def trace_via_frame(frame: CoherentFrame, T) -> float:
     return float(total.real) * frame.h ** frame.d / (frame.s * P ** frame.d)
 
 
-_PHASE_MAGIC = b"WCSPSF3\n"
+_PHASE_MAGIC = b"WCSPSF4\n"
+
+
+def _phase_header(d):
+    """The little-endian header of a phase file: int32 d, d int32 nodes per
+    axis, float64 h, float64 eps, float64 s."""
+    return f"<{d + 1}iddd"
 
 
 def save_phase(frame: CoherentFrame, F, path):
-    """Binary export of forward's array F: magic, little-endian header (int32 d,
-    int32 N, float64 h, float64 eps, float64 s, the window's lattice sum the
-    values are normalized by), then the (N + P - 1)^d x P^d complex64 values
-    row-major, y-major xi-minor."""
+    """Binary export of forward's array F: magic, the _phase_header (s is the
+    window's lattice sum the values are normalized by), then the
+    prod_a (N_a + P - 1) x P^d complex64 values row-major, y-major xi-minor."""
     with open(path, "wb") as fh:
         fh.write(_PHASE_MAGIC)
-        fh.write(struct.pack("<iiddd", frame.d, frame.N, frame.h, frame.window.epsilon, frame.s))
+        fh.write(struct.pack(_phase_header(frame.d), frame.d, *frame.shape, frame.h,
+                             frame.window.epsilon, frame.s))
         fh.write(np.ascontiguousarray(F, dtype=np.complex64).tobytes())
 
 
 def load_phase(path, frame: CoherentFrame) -> np.ndarray:
     """Read a save_phase file for frame as forward's array; ValueError unless
     it is one and matches the frame's geometry, window and size.  The header
-    must be whole, its h and s must match the frame's to 1e-12 relative (a
-    nan matches nothing) and its eps exactly."""
+    must be whole for the frame's d, its h and s must match the frame's to
+    1e-12 relative (a nan matches nothing) and its eps exactly."""
+    layout = _phase_header(frame.d)
+    size = struct.calcsize(layout)
     with open(path, "rb") as fh:
         if fh.read(len(_PHASE_MAGIC)) != _PHASE_MAGIC:
             raise ValueError("not a phase-space file")
-        header = fh.read(32)
-        if len(header) < 32:
-            raise ValueError(f"truncated header: {len(header)} of 32 bytes")
-        d, N, h, eps, s = struct.unpack("<iiddd", header)
-        if (d, N) != (frame.d, frame.N) or not abs(h - frame.h) <= 1e-12 * frame.h:
+        header = fh.read(size)
+        if len(header) < size:
+            raise ValueError(f"truncated header: {len(header)} of {size} bytes")
+        d, *shape, h, eps, s = struct.unpack(layout, header)
+        if (d, tuple(shape)) != (frame.d, frame.shape) or not abs(h - frame.h) <= 1e-12 * frame.h:
             raise ValueError("file does not match frame geometry")
         if eps != frame.window.epsilon:
             raise ValueError(f"file window scale eps={eps!r} does not match the "
@@ -433,7 +436,7 @@ def load_phase(path, frame: CoherentFrame) -> np.ndarray:
             raise ValueError(f"file was written with another window: its lattice sum "
                              f"s={s!r}, the frame's window gives s={frame.s!r}")
         raw = fh.read()
-    count = ((frame.N + frame.P - 1) * frame.P) ** frame.d
+    count = math.prod(m + frame.P - 1 for m in frame.shape) * frame.P ** frame.d
     if len(raw) != 8 * count:
         raise ValueError(f"file holds {len(raw) / 8:g} values, the frame expects {count}")
     return np.frombuffer(raw, dtype=np.complex64).reshape(-1, frame.P ** frame.d).astype(complex)

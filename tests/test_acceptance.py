@@ -38,7 +38,7 @@ def test_criterion_01_frame_tightness():
     defects = []
     for d, N in ((1, 128), (2, 32)):
         win = scale(make_cosine_window(d), 0.2)
-        fr = build_frame(((0.0, N * 0.05),) * d, 0.05, win)
+        fr = build_frame(((0.0, (N + 1) * 0.05),) * d, 0.05, win)
         worst = 0.0
         for _ in range(100):
             f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
@@ -63,13 +63,12 @@ def test_criterion_02_trace_formula():
     T = (vecs * np.clip(lam - vals, 0.0, None)) @ vecs.T
     tr = float(np.sum(np.clip(lam - vals, 0.0, None)))
 
+    # the frame on the operator's own nodes
     win = scale(make_cosine_window(1), 0.2)
-    fr = build_frame(((0.0, 256 * h),), h, win)
-    T_emb = np.zeros((fr.n, fr.n))
-    idx = op.nodes[:, 0]
-    T_emb[np.ix_(idx, idx)] = T
-    row, col = np.nonzero(T_emb)
-    got = trace_via_frame(fr, (row, col, T_emb[row, col]))
+    fr = build_frame(dom.box, h, win)
+    assert fr.n == op.n
+    row, col = np.nonzero(T)
+    got = trace_via_frame(fr, (row, col, T[row, col]))
     rel = abs(got - tr) / tr
     assert verdict(2, rel <= 1e-10, "trace rel defect %.3e (n=200)" % rel)
 

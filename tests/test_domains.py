@@ -51,11 +51,12 @@ def test_the_lattice_of_a_huge_box_at_a_tenth_of_its_side_has_11_nodes():
 
 @pytest.mark.parametrize("h", [0.1, 0.05, 0.0125, 1 / 70, 1 / 3])
 def test_a_frame_on_n_steps_of_h_has_n_nodes_per_axis(h):
-    # the frame's N and the rectangle's nodes come from the one rule,
-    # domains.whole_steps
+    # the frame's nodes are the interior nodes of the rectangle's lattice,
+    # whose steps domains.whole_steps counts: N + 1 steps of h hold N
     for N in (2, 3, 7, 20, 70, 129):
         L = N * h
-        assert build_frame(((0.0, L),), h, scale(make_cosine_window(1), 0.3 * L)).N == N
+        fr = build_frame(((0.0, (N + 1) * h),), h, scale(make_cosine_window(1), 0.3 * L))
+        assert fr.shape == (N,) and fr.origin == (h,)
         assert rectangle_domain(((0.0, L),), h).shape == (N + 1,)
 
 

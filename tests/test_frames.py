@@ -36,7 +36,7 @@ from weylcs.windows import Window, c_constants, grad_norm_sq, \
 
 def frame_1d(N=128, h=0.05, eps=0.2):
     win = scale(make_cosine_window(1), eps)
-    return build_frame(((0.0, N * h),), h, win)
+    return build_frame(((0.0, (N + 1) * h),), h, win)
 
 
 def smooth_bump(t, center, radius):
@@ -63,21 +63,18 @@ def test_lattice_sum_near_one():
 @pytest.mark.parametrize("box, h, window, message", [
     (((0.0, 1.0),), 0.05, scale(make_cosine_window(1), 0.6), "spans the grid"),
     # the support's side along an axis, 2 eps/sqrt(d), reaches L
-    (((0.0, 1.0),) * 2, 0.05, scale(make_cosine_window(2), 0.7072),
+    # L is the extent of the nodes along the shortest axis: 20 nodes of 0.05
+    (((0.0, 1.05), (-0.3, 1.0)), 0.05, scale(make_cosine_window(2), 0.7072),
      re.escape("spans the grid: 2*eps/sqrt(2) = 1.00013 >= L = 1")),
-    (((0.0, 0.6),) * 3, 0.1, scale(make_cosine_window(3), 0.5197),
+    (((0.0, 0.7),) * 3, 0.1, scale(make_cosine_window(3), 0.5197),
      re.escape("spans the grid: 2*eps/sqrt(3) = 0.600098 >= L = 0.6")),
-    (((0.0, 1.0), (0.0, 2.0)), 0.05, scale(make_cosine_window(2), 0.1), "cubic"),
-    (((0.0, 1.0),), 0.03, scale(make_cosine_window(1), 0.1), "multiple of h"),
     (((0.0, 1.0), (0.0, 1.0)), 0.05, scale(make_cosine_window(1), 0.1), "dimension"),
-    # the lattice and the points y a weight is read at start at 0, not at 1
-    (((1.0, 2.6),) * 2, 0.05, scale(make_cosine_window(2), 0.1),
-     re.escape("every lower end must be 0, got box=((1.0, 2.6), (1.0, 2.6))")),
     # a profile that is 0 at every node, as no window maker builds
     (((0.0, 1.0),), 0.05, Window(d=1, epsilon=0.1, profile=np.zeros_like,
                                  profile_deriv=np.zeros_like), "vanishes"),
-], ids=["spans", "spans-d2", "spans-d3", "non-cubic", "not-a-multiple", "dimension",
-        "lower-corner", "vanishes"])
+    # as rectangle_domain refuses it
+    (((0.0, 1.0),), 0.99999999999, scale(make_cosine_window(1), 0.1), "no interior nodes"),
+], ids=["spans", "spans-d2", "spans-d3", "dimension", "vanishes", "no-interior"])
 def test_build_frame_rejects(box, h, window, message):
     with pytest.raises(ValueError, match=message):
         build_frame(box, h, window)
@@ -102,7 +99,7 @@ def test_frame_size_and_support_are_what_the_benchmark_reads(d, N):
     # lattice offsets where the window's profile is nonzero to the power d
     h = 0.1
     win = scale(make_cosine_window(d), 0.35)
-    fr = build_frame(((0.0, N * h),) * d, h, win)
+    fr = build_frame(((0.0, (N + 1) * h),) * d, h, win)
     support = np.count_nonzero(win.factor_value(h * np.arange(-N, N + 1)))
     assert support >= 5
     assert fr.n == N ** d and np.count_nonzero(fr.g_grid) == support ** d
@@ -122,7 +119,7 @@ def test_frame_error_is_a_failed_check_not_an_input_error():
 ], ids=["d2", "d2-edge", "d3-edge"])
 def test_frame_builds_while_the_support_spans_less_than_the_grid(d, N, h, eps, k):
     L = N * h
-    fr = build_frame(((0.0, L),) * d, h, scale(make_cosine_window(d), eps))
+    fr = build_frame(((0.0, (N + 1) * h),) * d, h, scale(make_cosine_window(d), eps))
     assert 2.0 * eps >= L and fr.P == k and np.count_nonzero(fr.g_grid) == k ** d
     rng = np.random.default_rng(d)
     f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
@@ -165,8 +162,8 @@ def test_forward_impulse():
     f[20] = 1.0
     P = np.abs(forward(fr, f)) ** 2  # [y, xi]
     assert np.max(P.std(axis=1)) < 1e-14 * P.max()
-    # the N + P - 1 positions y = (i - R) h whose window meets the grid
-    offs = fr.h * 20 - fr.h * (np.arange(fr.N + fr.P - 1) - fr.P // 2)
+    # x - y for x = origin + 20 h and the positions y whose window meets the grid
+    offs = fr.origin[0] + fr.h * 20 - positions(fr)[:, 0]
     g2 = window_at(fr.window, offs[:, None]) ** 2
     col = P[:, 0]
     sel = g2 > 1e-12 * g2.max()
@@ -216,13 +213,19 @@ def test_adjointness_by_direct_summation():
     assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
 
+def positions(fr):
+    """The positions y = origin + (i - R) h, i = 0..N_a + P - 2 along each
+    axis a, flattened y-major: every lattice node whose window meets the grid."""
+    ny = tuple(m + fr.P - 1 for m in fr.shape)
+    return np.asarray(fr.origin) + fr.h * (np.indices(ny).reshape(fr.d, -1).T - fr.P // 2)
+
+
 def direct_matrices(fr):
     """Window matrix W[y, x] = g(x - y) and centred phases E[y, x, xi] =
-    exp(-i xi.(x - y)), dense over the flattened grid x, the positions
-    y = (i - R) h, i = 0..N + P - 2 per axis, and the frequencies, straight
-    from the window with no wrap."""
-    xs = fr.h * np.indices(fr.shape).reshape(fr.d, -1).T
-    ys = fr.h * (np.indices((fr.N + fr.P - 1,) * fr.d).reshape(fr.d, -1).T - fr.P // 2)
+    exp(-i xi.(x - y)), dense over the flattened grid x, the positions y
+    and the frequencies, straight from the window with no wrap."""
+    xs = np.asarray(fr.origin) + fr.h * np.indices(fr.shape).reshape(fr.d, -1).T
+    ys = positions(fr)
     xis = np.stack(np.meshgrid(*([fr.xi_axis()] * fr.d), indexing="ij"),
                    axis=-1).reshape(-1, fr.d)
     off = xs[None, :, :] - ys[:, None, :]
@@ -242,7 +245,7 @@ DIRECT_CASES = {
 
 def direct_frame(name):
     d, make, N, h, eps = DIRECT_CASES[name]
-    return build_frame(((0.0, N * h),) * d, h, scale(make(d), eps))
+    return build_frame(((0.0, (N + 1) * h),) * d, h, scale(make(d), eps))
 
 
 @pytest.mark.parametrize("name", DIRECT_CASES)
@@ -261,7 +264,7 @@ def test_forward_by_direct_summation(name):
 def test_adjoint_by_direct_summation(name):
     fr = direct_frame(name)
     rng = np.random.default_rng(4)
-    shape = ((fr.N + fr.P - 1) ** fr.d, fr.P ** fr.d)
+    shape = (len(positions(fr)), fr.P ** fr.d)
     F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     W, E = direct_matrices(fr)
     ref = np.einsum("yx,yxk,yk->x", W, E.conj(), F) / (fr.P ** fr.d * math.sqrt(fr.s))
@@ -555,24 +558,26 @@ def test_trace_takes_only_triplets(T):
 @pytest.mark.parametrize("d, N, eps", [(2, 16, 0.3), (1, 12, 0.58), (3, 8, 0.3)])
 def test_trace_of_an_embedded_hyperbolic_operator(d, N, eps):
     # banded, sparse and off-diagonal: the xi-sums between distinct support
-    # offsets must vanish for the trace to come out right
+    # offsets must vanish for the trace to come out right.  The frame's grid
+    # is the operator's, node for node, so its own triplets are read
     h = 0.1
-    fr = build_frame(((0.0, N * h),) * d, h, scale(make_cosine_window(d), eps))
-    op = assemble_hyperbolic(rectangle_domain(((0.0, N * h),) * d, h))
-    assert np.allclose(np.asarray(op.grid.origin) + op.grid.h * op.nodes, fr.h * op.nodes)
-    idx = np.ravel_multi_index(op.nodes.T, fr.shape)
+    box = ((0.0, (N + 1) * h),) * d
+    fr = build_frame(box, h, scale(make_cosine_window(d), eps))
+    op = assemble_hyperbolic(rectangle_domain(box, h))
+    assert fr.n == op.n == N ** d
+    assert np.allclose(np.asarray(op.grid.origin) + op.grid.h * op.nodes,
+                       np.asarray(fr.origin) + fr.h * np.indices(fr.shape).reshape(d, -1).T)
     A = op.matrix.tocoo()
-    T = scipy.sparse.coo_array((A.data, (idx[A.row], idx[A.col])), shape=(fr.n, fr.n))
-    assert T.nnz > op.n
-    tr = trace_via_frame(fr, (T.row, T.col, T.data))
-    assert abs(tr - T.diagonal().sum()) <= 1e-12 * T.diagonal().sum()
+    assert A.nnz > op.n
+    tr = trace_via_frame(fr, (A.row, A.col, A.data))
+    assert abs(tr - A.diagonal().sum()) <= 1e-12 * A.diagonal().sum()
 
 
 @pytest.mark.parametrize("d, N", [(1, 24), (2, 8), (3, 5)])
 def test_trace_triplets_match_the_dense_array(d, N):
     # symmetric, off-diagonal, complex Hermitian: the array's nonzero
     # triplets give its trace
-    fr = build_frame(((0.0, N * 0.1),) * d, 0.1, scale(make_cosine_window(d), 0.2))
+    fr = build_frame(((0.0, (N + 1) * 0.1),) * d, 0.1, scale(make_cosine_window(d), 0.2))
     rng = np.random.default_rng(d)
     B = np.where(rng.random((fr.n, fr.n)) < 0.1, rng.standard_normal((fr.n, fr.n))
                  + 1j * rng.standard_normal((fr.n, fr.n)), 0.0)
@@ -611,7 +616,7 @@ def test_trace_rejects_bad_triplets(triplets, message):
 def test_trace_of_a_nonsymmetric_operator(d, N, make):
     # tightness gives the trace of every operator: a random real T with no
     # symmetry, and the upper triangle of a symmetric one
-    fr = build_frame(((0.0, N * 0.1),) * d, 0.1, scale(make(d), 0.25))
+    fr = build_frame(((0.0, (N + 1) * 0.1),) * d, 0.1, scale(make(d), 0.25))
     rng = np.random.default_rng(10 + d)
     B = np.where(rng.random((fr.n, fr.n)) < 0.2, rng.standard_normal((fr.n, fr.n)), 0.0)
     for T in (B, np.triu(B + B.T)):
@@ -645,7 +650,7 @@ def test_frame_form_identity_xi1():
         h = L / N
         win = scale(win_base, 0.25)
         fr = build_frame(((0.0, L),), h, win)
-        psi = smooth_bump(fr.h * np.arange(fr.N), 1.0, 0.55)
+        psi = smooth_bump(fr.origin[0] + fr.h * np.arange(fr.n), 1.0, 0.55)
         c = c_constants(win)
         lhs = phase_space_moment(fr, psi, lambda xi, y: xi[0] ** 2)
         d1 = (np.roll(psi, -1) - psi) / h
@@ -664,8 +669,8 @@ def test_frame_form_identity_tilde():
         h = L / N
         win = scale(win_base, 0.25)
         fr = build_frame(((0.0, L), (0.0, L)), h, win)
-        xs = fr.h * np.arange(fr.N)
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        X, Y = np.meshgrid(*[o + fr.h * np.arange(m) for o, m in zip(fr.origin, fr.shape)],
+                           indexing="ij")
         psi = smooth_bump(X, 1.0, 0.55) * smooth_bump(Y, 1.0, 0.55) \
             * np.cos(10.0 * math.pi * Y)
         c = c_constants(win)
@@ -676,6 +681,22 @@ def test_frame_form_identity_tilde():
             + c.c3 * h * h * np.sum(np.exp(2.0 * X) * d2 ** 2)
         errs.append(abs(lhs - rhs))
     assert 3.0 <= errs[0] / errs[1] <= 5.0
+
+
+def test_moment_reads_the_weight_at_the_box_coordinates():
+    # the weight exp(2 y_1) xi_2^2 on a box shifted by a is exp(2 a_1) times
+    # the weight on the box itself, at the same nodes and positions
+    h, a = 0.05, (0.375, -1.25)
+    box = ((0.0, 1.0), (0.0, 0.85))
+    win = scale(make_cosine_window(2), 0.2)
+    fr = build_frame(box, h, win)
+    moved = build_frame(tuple((lo + s, hi + s) for (lo, hi), s in zip(box, a)), h, win)
+    assert moved.shape == fr.shape == (19, 16)
+    assert np.allclose(np.subtract(moved.origin, fr.origin), a, rtol=0.0, atol=1e-15)
+    f = np.random.default_rng(8).standard_normal(fr.n)
+    moment = phase_space_moment(fr, f, hyperbolic_weight)
+    assert phase_space_moment(moved, f, hyperbolic_weight) == pytest.approx(
+        math.exp(2.0 * a[0]) * moment, rel=1e-12, abs=0.0)
 
 
 def moments_by_block(fr, f, weights, block=frames._BLOCK):
@@ -708,7 +729,7 @@ def test_moment_blocks_match_the_full_transform(d, seed, data):
     N = data.draw(st.integers(3, {1: 40, 2: 12, 3: 6}[d]), label="N")
     h = 0.1
     eps = data.draw(st.floats(0.15, 0.49), label="eps") * N * h
-    fr = build_frame(((0.0, N * h),) * d, h, scale(make_cosine_window(d), eps))
+    fr = build_frame(((0.0, (N + 1) * h),) * d, h, scale(make_cosine_window(d), eps))
     P, ny = fr.P, N + fr.P - 1
     lead = data.draw(st.integers(0, d - 1), label="lead")
     rows = data.draw(st.integers(1, ny), label="rows")
@@ -730,8 +751,8 @@ def test_moment_blocks_match_the_full_transform(d, seed, data):
     F = forward(fr, f)
     assert unit == pytest.approx(np.sum(np.abs(F) ** 2) / P ** d, rel=1e-13, abs=0.0)
     # the same weight on the full (y, xi) grid, y-major and xi in FFT order,
-    # at the positions y = (i - R) h
-    y = fr.h * (np.indices((ny,) * d).reshape(d, -1).T - P // 2)
+    # at the positions y = origin + (i - R) h
+    y = positions(fr)
     xi = np.stack(np.meshgrid(*[fr.xi_axis()] * d, indexing="ij"), axis=-1).reshape(-1, d)
     W = hyperbolic_weight(xi.T[:, None, :], y[:, None, :])
     full = np.sum(W * np.abs(F) ** 2) / P ** d
@@ -741,7 +762,7 @@ def test_moment_blocks_match_the_full_transform(d, seed, data):
 def test_moment_blocks_at_the_module_cap():
     # d = 2, N = 40, eps = 1.35: P = 19 and 58 positions per axis, so
     # 58 * 19^2 values per y_0, 50 of them fit 2^20
-    fr = build_frame(((0.0, 4.0),) * 2, 0.1, scale(make_cosine_window(2), 1.35))
+    fr = build_frame(((0.0, 4.1),) * 2, 0.1, scale(make_cosine_window(2), 1.35))
     f = np.random.default_rng(7).standard_normal(fr.n)
     (unit,), blocks = moments_by_block(fr, f, [unit_weight])
     assert frames._BLOCK == 2 ** 20 and fr.P == 19
@@ -760,7 +781,7 @@ def test_frame_is_tight_for_any_support_within_the_grid(d, make, seed, data):
     N = data.draw(st.integers(2, {1: 40, 2: 12, 3: 6}[d]), label="N")
     h = data.draw(st.floats(0.01, 1.0), label="h")
     span = data.draw(st.floats(0.05, 1.0), label="span") * (N - 1) * h
-    fr = build_frame(((0.0, N * h),) * d, h, scale(make(d), span * math.sqrt(d) / 2.0))
+    fr = build_frame(((0.0, (N + 1) * h),) * d, h, scale(make(d), span * math.sqrt(d) / 2.0))
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
     nf = fr.grid_norm_sq(f)
@@ -770,6 +791,42 @@ def test_frame_is_tight_for_any_support_within_the_grid(d, make, seed, data):
     T = B + B.T
     row, col = np.nonzero(T)
     assert abs(trace_via_frame(fr, (row, col, T[row, col])) - T.trace()) <= 1e-12
+
+
+@st.composite
+def boxes_and_windows(draw):
+    """A box in d = 1..3 with any lower corner and unequal sides, which h
+    need not divide, at least two interior nodes along every axis, and a
+    window whose support spans less than the nodes along every axis."""
+    d = draw(st.integers(1, 3))
+    h = draw(st.floats(0.01, 1.0))
+    corner = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
+    steps = draw(st.lists(st.floats(2.5, {1: 41.0, 2: 13.0, 3: 7.0}[d]), min_size=d, max_size=d))
+    box = tuple((a, a + t * h) for a, t in zip(corner, steps))
+    nodes = min(map(len, rectangle_domain(box, h).occupancy[0]))
+    span = draw(st.floats(0.05, 1.0)) * (nodes - 1) * h
+    make = draw(st.sampled_from([make_cosine_window, make_bump_window]))
+    return box, h, scale(make(d), span * math.sqrt(d) / 2.0)
+
+
+@given(case=boxes_and_windows(), kind=st.sampled_from(["euclidean", "hyperbolic"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_frame_on_any_box_lives_on_the_operators_nodes(case, kind, seed):
+    # the frame's grid is the operator's: the trace of its own coo triplets
+    box, h, win = case
+    dom = rectangle_domain(box, h)
+    fr = build_frame(box, h, win)
+    assert fr.n == int(dom.mask.sum())
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)
+    nf = fr.grid_norm_sq(f)
+    assert abs(phase_space_moment(fr, f, unit_weight) - nf) <= 1e-13 * nf
+    assert np.max(np.abs(adjoint(fr, forward(fr, f)) - f)) <= 1e-12
+    A = (assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)).matrix
+    A = A.tocoo()
+    tr = trace_via_frame(fr, (A.row, A.col, A.data))
+    assert abs(tr - A.diagonal().sum()) <= 1e-12 * A.diagonal().sum()
 
 
 def test_phase_roundtrip(tmp_path):
@@ -791,7 +848,7 @@ def test_phase_file_layout(tmp_path):
     path = tmp_path / "phase.bin"
     save_phase(fr, F, path)
     raw = path.read_bytes()
-    assert raw[:8] == b"WCSPSF3\n"
+    assert raw[:8] == b"WCSPSF4\n"
     d, N = struct.unpack("<ii", raw[8:16])
     h, eps, s = struct.unpack("<ddd", raw[16:40])
     assert (d, N) == (1, 16)
@@ -804,7 +861,7 @@ def test_phase_file_layout(tmp_path):
 def test_phase_load_rejects_another_window(tmp_path):
     # d = 1, N = 32, h = 0.05, eps = 0.2: both windows have P = 7, but their
     # lattice sums, which the values are normalized by, differ
-    box, h = ((0.0, 1.6),), 0.05
+    box, h = ((0.0, 33 * 0.05),), 0.05
     cosine = build_frame(box, h, scale(make_cosine_window(1), 0.2))
     bump = build_frame(box, h, scale(make_bump_window(1), 0.2))
     assert cosine.P == bump.P == 7 and abs(cosine.s - bump.s) > 5e-4

@@ -7,7 +7,8 @@ commit's, made with `git worktree add ../parent HEAD~1`.  In both trees the
 tool runs
 
   - each examples/*.cfg, with the weylcs command on the example's first line;
-  - symbol-check at the default config;
+  - symbol-check and frame-check at the default config (frame-check: the
+    1-D frame of frame_n = 128 nodes at h = pi/200, P = 25);
   - every job of the workloads in perfbench/workloads.py, at seeds 1, 2, 3;
 
 each the way perfbench/run.py runs a job: in a fresh process started from
@@ -63,8 +64,9 @@ def example_runs(root=ROOT):
     return runs
 
 
-SYMBOL_CHECK = Run("symbol-check", lambda out: [
-    "-m", "weylcs", "symbol-check", "--out", str(out / "symbol-check.txt")])
+DEFAULT_RUNS = [Run(command, lambda out, command=command: [
+    "-m", "weylcs", command, "--out", str(out / f"{command}.txt")])
+    for command in ("symbol-check", "frame-check")]
 
 
 def workload_runs(inputs):
@@ -162,7 +164,7 @@ def main(argv):
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        runs = example_runs() + [SYMBOL_CHECK] + workload_runs(work / "inputs")
+        runs = example_runs() + DEFAULT_RUNS + workload_runs(work / "inputs")
         return compare(Path(argv[1]).resolve(), runs, work)
 
 
