@@ -35,21 +35,22 @@ stable in general, so a count is accepted only when every pivot, and the
 distance from the shift to the spectrum, stand clear of the factorization's
 rounding level.
 
-On either path an unresolved count nudges the shift downward.  After three
-unresolved attempts two resolved counts of the same path, at shift - delta
-and shift + 2*delta, bracket the shift, and the values between them decide
-the count, each within its error bound of an eigenvalue (the rounding of the
-closed form, half the final bracket plus the rounding of the counts, or the
-residual bound
+On either path the gate runs once, at lambda.  A count it leaves unresolved
+is bracketed: two resolved counts of the same path, at lambda - delta and
+lambda + 2*delta, and the values between them decide the count, each within
+its error bound of an eigenvalue (the rounding of the closed form, half the
+final bracket plus the rounding of the counts, or the residual bound
 |theta - lambda_i| <= ||r||, Parlett, The Symmetric Eigenvalue Problem,
-ch. 4).  count_certificate does all of this, and every count goes through
-it: count_below, spectrum_below and the slice midpoints.
+ch. 4).  The shift stays lambda unless a value lies within that bound plus
+tol of it; then it moves below the value, and only then does the count
+warn.  count_certificate does all of this, and every count goes through it:
+count_below, spectrum_below and the slice midpoints.
 
 One routine, _values_between, finds the eigenvalues between two certified
 counts: for spectrum_below from 0 with count 0 (both operators are positive
 definite) to the certified shift, and for the bracket between its two ends.
-On a box they are the values of _box_values past the lower count: the ends
-of the Weyl brackets where those have width zero, the multisection
+On a box they are the values of _box_values between the two shifts: the
+ends of the Weyl brackets where those have width zero, the multisection
 midpoints otherwise.  Elsewhere they come from spectrum slicing
 (Ericsson-Ruhe 1980; Campos-Roman 2012): a span of more than _SLICE
 eigenvalues that is wider than the bracket's first delta is split at a
@@ -91,8 +92,8 @@ class Certificate:
     """How a count was certified and how the values below it were found."""
     count_method: str  # "sturm" (box) or "sparse-ldl"
     count: int  # eigenvalues strictly below the shift
-    shift: float  # the shift the count used, lambda or nudged below it
-    nudges: int  # downward shift perturbations before the count resolved (2 for a bracket)
+    shift: float  # the shift the count used: lambda, or below an eigenvalue at lambda
+    bracketed: bool  # the gate at lambda was unresolved and a bracket decided the count
     # how far the count stands clear of its rounding level (see _Gate): on a
     # box 2^j for the j leading rungs of equal counts (see _box_inertia),
     # within a factor 2 of the distance to the spectrum over tol; elsewhere
@@ -144,7 +145,7 @@ _SMALL_PIVOT = "zero or small pivot in the unpivoted factorization"
 
 class _Gate(NamedTuple):
     """A count is resolved when margin is above 1; cause names what held it
-    down otherwise, in the nudge warning."""
+    down otherwise, in the warning of a shift moved below lambda."""
     margin: float
     cause: str
 
@@ -284,28 +285,37 @@ def _box_inertia(h, box, shift, tol):
     return int(counts[0]), _Gate(float(2.0 ** same.sum()), _NEAR_EIGENVALUE)
 
 
-def _box_values(h, box, upper):
-    """Eigenvalues below upper of the tridiagonals A1 + mu*diag(w), one per
-    tilde mode.
+def _box_values(h, box, lower, upper):
+    """Eigenvalues in [lower, upper) of the tridiagonals A1 + mu*diag(w), one
+    per tilde mode.
 
     As min(w) I <= diag(w) <= max(w) I, Weyl's inequality puts eigenvalue k
     of mode mu in its bracket [a1_k + mu*min(w), a1_k + mu*max(w)], a1 the
-    modes of A1.  A mode's count below upper is read from its brackets by a
-    search in a1; only a mode with a bracket across upper takes a Sturm
-    count.  Where w is constant every bracket has width zero and its end is
-    the closed form, the sum of A1's mode and w*mu (method "closed-form");
-    otherwise Sturm multisection narrows the brackets together down to the
-    count's rounding level, stebz's criterion ("bisection")."""
+    modes of A1.  A mode's counts below lower and below upper are read from
+    its brackets by a search in a1; only a mode with a bracket across an end
+    takes a Sturm count there (none at a lower end of 0, below every
+    bracket of a positive definite operator).  Where w is constant every
+    bracket has width zero and its end is the closed form, the sum of A1's
+    mode and w*mu (method "closed-form"); otherwise Sturm multisection
+    narrows the brackets of the values between the two counts together down
+    to the count's rounding level, stebz's criterion ("bisection")."""
     w, a1 = box.w, box.a1
     mu, inv_h2, pivmin = _tridiagonals(h, box, upper)
     low, high = mu * w.min(), mu * w.max()
-    count = np.searchsorted(a1, upper - high)
-    across = np.flatnonzero(np.searchsorted(a1, upper - low) > count)
-    if len(across):
-        count[across] = _sturm_counts(w, mu[across], np.full(len(across), upper), inv_h2, pivmin)
+
+    def below(x):
+        count = np.searchsorted(a1, x - high)
+        across = np.flatnonzero(np.searchsorted(a1, x - low) > count)
+        if len(across):
+            count[across] = _sturm_counts(w, mu[across], np.full(len(across), x), inv_h2, pivmin)
+        return count
+
+    first = below(lower)
+    count = below(upper) - first
     mode = np.repeat(np.arange(len(mu)), count)
-    index = np.arange(len(mode)) - np.repeat(np.cumsum(count) - count, count)
-    lo, hi = a1[index] + low[mode], np.minimum(a1[index] + high[mode], upper)
+    index = np.arange(len(mode)) - np.repeat(np.cumsum(count) - count - first, count)
+    lo = np.maximum(a1[index] + low[mode], lower)
+    hi = np.minimum(a1[index] + high[mode], upper)
     method = "bisection" if np.any(hi != lo) else "closed-form"
     # converged as in LAPACK's stebz: to the rounding level of the count,
     # eps times 4/h^2 + mu*max|w|, a bound on the mode's eigenvalues
@@ -330,7 +340,7 @@ def _shifted(op, shift):
 
 def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
     """Certified inertia count of the eigenvalues strictly below lam and the
-    shift it used, nudged downward off an eigenvalue."""
+    shift it used: lam, or just below an eigenvalue within tol of lam."""
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam!r}")
     box = _box_modes(op)
@@ -345,24 +355,16 @@ def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
             return _sparse_inertia(_shifted(op, shift), tol)
         return _box_inertia(op.grid.h, box, shift, tol)
 
-    shift = lam
-    causes = []
-    for attempt in range(3):
-        # 2*tol per step: a nudge off an eigenvalue at lambda clears the gate
-        shift = shift - 2.0 * tol * attempt
-        neg, gate = inertia(shift)
-        if gate.margin > 1.0:
-            margin = gate.margin
-            break
-        causes.append(gate.cause)
-    else:
-        # three unresolved attempts: bracket the shift between two resolved
-        # counts.  The bracket is asymmetric so that _slice_values does not
-        # centre its factorization on an eigenvalue at the shift; once delta
-        # is a few times scale both ends lie outside the spectrum and resolve
+    neg, gate = inertia(lam)
+    shift, margin, bracketed = lam, gate.margin, gate.margin <= 1.0
+    if bracketed:
+        # bracket lambda between two resolved counts.  The bracket is
+        # asymmetric so that _slice_values does not centre its factorization
+        # on an eigenvalue at lambda; once delta is a few times scale both
+        # ends lie outside the spectrum and resolve
         delta = 1e-6 * scale
         while True:
-            lo, hi = shift - delta, shift + 2.0 * delta
+            lo, hi = lam - delta, lam + 2.0 * delta
             (neg, low), (high_neg, high) = inertia(lo), inertia(hi)
             margin = min(low.margin, high.margin)
             if margin > 1.0:
@@ -379,11 +381,10 @@ def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
                 shift = min(shift, v - gap)
         shift = max(shift, lo)
         neg += int(np.count_nonzero(vals < shift))
-    if attempt > 0:
-        warnings.warn(f"count_below: shift perturbed to {float(shift)!r} "
-                      f"({'; '.join(dict.fromkeys(causes))})")
+    if shift < lam:
+        warnings.warn(f"count_below: shift perturbed to {float(shift)!r} ({gate.cause})")
     return Certificate(count_method=method, count=int(neg), shift=float(shift),
-                       nudges=attempt, pivot_margin=margin)
+                       bracketed=bracketed, pivot_margin=margin)
 
 
 def count_below(op: DiscreteOperator, lam: float) -> int:
@@ -450,9 +451,9 @@ def _values_between(op, box, lo, hi):
     """The eigenvalues between two certified counts lo and hi, each a
     (shift, count) pair, how they were found and their error bound.
 
-    On a box (box not None) they are the values of _box_values below hi's
-    shift past lo's count: no eigenvalue lies within tol of a certified
-    shift, so those are the ones in [lo, hi).  The method and the error are
+    On a box (box not None) they are the values of _box_values between the
+    two shifts: no eigenvalue lies within tol of a certified shift, so the
+    modes' counts there add up to lo's and hi's.  The method and the error are
     read from the final brackets: "closed-form" when every Weyl bracket had
     width zero (w the same at every x_1, the spectrum of the Kronecker sum
     A1 (x) I + I (x) w*A_tilde), "bisection" otherwise.  Elsewhere a span
@@ -522,18 +523,18 @@ def _values_between(op, box, lo, hi):
     if count == 0:
         return np.empty(0), "none", float("nan")
     if box is not None:
-        found = _box_values(op.grid.h, box, hi[0])
-        vals, c = found.values[lo[1]:], 17 if found.method == "closed-form" else 20
+        found = _box_values(op.grid.h, box, lo[0], hi[0])
+        vals, c = found.values, 17 if found.method == "closed-form" else 20
         if len(vals) != count:
             raise CertificationError(found=len(vals), expected=count)
         error = 0.5 * found.bracket + (c + 2 * op.grid.d) * _EPS * op.max_entry
         return vals, found.method, float(error)
     # a narrower span goes whole: halving it would only close in on a
-    # cluster, each midpoint nudged off it
+    # cluster, each midpoint bracketed on it
     if count > _SLICE and hi[0] - lo[0] > 1e-6 * (op.max_entry + abs(hi[0])):
         mid = count_certificate(op, 0.5 * (lo[0] + hi[0]))
-        # a nudged midpoint at or below lo means more than _SLICE eigenvalues
-        # within a few tol: no split can separate them
+        # a midpoint certified at or below lo means more than _SLICE
+        # eigenvalues within a few tol: no split can separate them
         if mid.shift > lo[0]:
             halves = [(lo, (mid.shift, mid.count)), ((mid.shift, mid.count), hi)]
             parts = [p for p in (_values_between(op, box, *e) for e in halves) if p[1] != "none"]

@@ -593,12 +593,12 @@ def test_weyl_curve_reports_why_the_fit_is_unavailable(tmp_path, capsys):
     assert len(rows) == 3 and np.all(rows[:, 3] != 0.0)
 
 
-NUDGE = "count_below: shift perturbed to 4999.99999998 (lambda too close to an eigenvalue)"
+NUDGE = "count_below: shift perturbed to 4999.999999989978 (lambda too close to an eigenvalue)"
 
 
 def test_weyl_curve_discrete_warns_past_validity(tmp_path, capsys):
     # lambda = 5000 is the eigenvalue k = 25 of the interval at h = 0.02, so
-    # the count at it nudges its shift
+    # the count at it moves its shift below it
     out = tmp_path / "curve.csv"
     with pytest.warns(UserWarning, match=re.escape(NUDGE)):
         rc = main(["weyl-curve", "--set", "source=discrete", "--set", "box=0,1",
@@ -610,7 +610,7 @@ def test_weyl_curve_discrete_warns_past_validity(tmp_path, capsys):
 
 
 def test_a_nudge_reaches_the_user_as_one_line(tmp_path, monkeypatch):
-    # the nudge at the eigenvalue lambda = 5000 prints like the CLI's own
+    # the shift warning at the eigenvalue lambda = 5000 prints like the CLI's own
     # warnings, and still passes through warnings.showwarning, where a
     # caller may count it
     argv = ["spectrum", "--set", "box=0,1", "--set", "h=0.02", "--set", "lam_max=5000"]

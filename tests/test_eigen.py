@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -146,23 +146,37 @@ def dense_count(op, shift):
     return int(np.count_nonzero(vals < 0.0))
 
 
+SHIFT_WARNING = "count_below: shift perturbed to "
+
+
+def certified_with_warnings(op, lam):
+    """count_certificate(op, lam) and the messages of every warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cert = count_certificate(op, lam)
+    return cert, [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("n, k", [(40, None), (41, None), (30, 5)])
 def test_count_below_nudges_to_the_strict_count(n, k):
     # k=None: lam = 2/h^2 zeroes the diagonal of A - lam*I, so SuperLU pivots
     # off the diagonal (n even) or finds the matrix exactly singular (n odd,
-    # lam is then eigenvalue (n+1)/2).  k: lam is the k-th eigenvalue.
+    # lam is then eigenvalue (n+1)/2).  k: lam is the k-th eigenvalue.  The
+    # gate fails at lam and a bracket decides; the shift moves below lam,
+    # and warns, only where lam is an eigenvalue
     op, h = sparse_interval_op(n)
     lam = 2.0 / h ** 2 if k is None else tridiag_eigs(n, h, 1.0)[k - 1]
-    with pytest.warns(UserWarning, match="count_below: shift perturbed"):
-        cert = count_certificate(op, lam)
-    assert cert.nudges > 0 and cert.shift < lam
+    cert, messages = certified_with_warnings(op, lam)
+    at_eigenvalue = n % 2 == 1 or k is not None
+    assert cert.bracketed and (cert.shift < lam) == at_eigenvalue
+    assert [m.startswith(SHIFT_WARNING) for m in messages] == [True] * at_eigenvalue
     assert cert.count == (n // 2 if k is None else k - 1) == dense_count(op, cert.shift)
 
 
 def test_count_below_on_a_zero_pivot_inside_a_supernode():
     # five nodes in a plus: lam = 4/h^2 is a triple eigenvalue and zeroes the
     # centre's diagonal, so SuperLU fails inside a supernode instead of
-    # reporting a singular factor; the count nudges off it like any other
+    # reporting a singular factor; the count brackets it like any other
     h = 1 / 12
     box = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
     mask = np.zeros(box.shape, dtype=bool)
@@ -171,7 +185,8 @@ def test_count_below_on_a_zero_pivot_inside_a_supernode():
     lam = dense_spectrum(op).values[2]
     with pytest.warns(UserWarning, match="small pivot"):
         cert = count_certificate(op, lam)
-    assert cert.nudges > 0 and cert.count == 1 == dense_count(op, cert.shift)
+    assert cert.bracketed and cert.shift < lam
+    assert cert.count == 1 == dense_count(op, cert.shift)
 
 
 def test_any_other_superlu_error_propagates(monkeypatch):
@@ -425,7 +440,7 @@ def test_spectrum_certificate(n, lam, value_method):
     op, _ = sparse_interval_op(n)
     spec = spectrum_below(op, lam)
     cert = spec.certificate
-    assert cert.count_method == "sparse-ldl" and cert.nudges == 0
+    assert cert.count_method == "sparse-ldl" and not cert.bracketed
     assert cert.value_method == value_method
     assert (cert.value_error >= 0.0) == (value_method == "eigsh")  # nan for "none"
     assert cert.count == len(spec.values) and cert.shift == lam
@@ -444,19 +459,18 @@ def test_certificate_not_written(tmp_path):
 @pytest.mark.filterwarnings("ignore:count_below")
 @pytest.mark.parametrize("make, n", [
     (interval_op, 10), (interval_op, 30), (interval_op, 31),
-    (sparse_interval_op, 10), (sparse_interval_op, 30),
-    pytest.param(sparse_interval_op, 31, marks=pytest.mark.xfail(strict=True, reason=(
-        "n + 1 = 32: the two 15-node half intervals that the ordering eliminates "
-        "first share every second eigenvalue, so near those the unpivoted LDL^T "
-        "has a pivot of order tol and a rounding level far above tol; no nudge "
-        "of a few tol resolves it and the bracket after the third decides")))])
+    (sparse_interval_op, 10), (sparse_interval_op, 30), (sparse_interval_op, 31)])
 def test_one_nudge_resolves_an_eigenvalue(make, n):
-    # the nudge is twice the gate's tolerance, so it clears an eigenvalue at
-    # lambda with room to spare on the box path and on the sparse LDL^T
+    # an eigenvalue at lambda leaves the gate unresolved on the box path and
+    # on the sparse LDL^T, and the bracket moves the shift just below it.  At
+    # n + 1 = 32 the two 15-node half intervals that the ordering eliminates
+    # first share every second eigenvalue, so near those the unpivoted LDL^T
+    # has a pivot of order tol and a rounding level far above tol: only the
+    # bracket, whose ends lie 1e-6 scale away, resolves there
     op, h = make(n)
     for k, lam in enumerate(tridiag_eigs(n, h, 1.0)):
         cert = count_certificate(op, lam)
-        assert cert.nudges == 1 and cert.count == k
+        assert cert.bracketed and cert.shift < lam and cert.count == k
 
 
 @pytest.mark.filterwarnings("ignore:count_below")
@@ -464,10 +478,10 @@ def test_one_nudge_resolves_an_eigenvalue(make, n):
 @pytest.mark.parametrize("make", [interval_op, sparse_interval_op])
 def test_bracket_decides_after_three_nudges(monkeypatch, make, offset):
     # lambda = eigenvalue k + 1 of n = 31 nodes plus offset*tol: the sparse
-    # LDL^T leaves it unresolved at every nudge (the strict xfail above); on
-    # the box path's gate _box_inertia is made to fail at every nudged shift.
-    # The eigenvalue lies 6 tol above the last nudged shift (offset 0), at it
-    # (6: the shift moves below it) or 94 tol below it (100)
+    # LDL^T leaves it unresolved (see test_one_nudge_resolves_an_eigenvalue);
+    # on the box path's gate _box_inertia is made to fail at lambda only.
+    # The eigenvalue lies at lambda (offset 0: the shift moves below it), or
+    # 6 or 100 tol below it, beyond tol plus its error: the shift stays lambda
     n, k = 31, 5
     op, h = make(n)
     exact = tridiag_eigs(n, h, 1.0)
@@ -477,29 +491,31 @@ def test_bracket_decides_after_three_nudges(monkeypatch, make, offset):
     if make is interval_op:
         box_inertia = weylcs.eigen._box_inertia
 
-        def unresolved_near_lam(h, box, shift, tol):
+        def unresolved_at_lam(h, box, shift, tol):
             shifts.append(shift)
             neg, gate = box_inertia(h, box, shift, tol)
-            if abs(shift - lam) < 10.0 * tol:  # a nudge, not a bracket end
-                return neg, gate._replace(margin=1.0)
-            return neg, gate
+            return neg, (gate._replace(margin=1.0) if shift == lam else gate)
 
-        monkeypatch.setattr(weylcs.eigen, "_box_inertia", unresolved_near_lam)
-    spec = spectrum_below(op, lam)
+        monkeypatch.setattr(weylcs.eigen, "_box_inertia", unresolved_at_lam)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = spectrum_below(op, lam)
     cert = spec.certificate
     assert cert.count_method == ("sturm" if make is interval_op else "sparse-ldl")
-    assert cert.nudges == 2 and cert.pivot_margin > 1.0
-    count = k + (offset > 6.0)
+    assert cert.bracketed and cert.pivot_margin > 1.0
+    count = k + (offset > 0.0)
     assert cert.count == count == dense_count(op, cert.shift) == len(spec.values)
-    assert (cert.shift < lam - 6.5 * tol) == (offset == 6.0)
+    assert (cert.shift < lam - 0.5 * tol) == (offset == 0.0)
+    assert (cert.shift == lam) == (offset > 0.0)
+    assert len(caught) == (offset == 0.0)
     assert np.allclose(spec.values, exact[:count], rtol=1e-10, atol=0.0)
     if make is interval_op:
-        # three nudges, then the bracket at shift - delta and shift + 2*delta:
-        # asymmetric, so its values are not sought about a centre at the
-        # shift, where an eigenvalue may lie
+        # the gate at lambda, then the bracket at lambda - delta and
+        # lambda + 2*delta: asymmetric, so its values are not sought about a
+        # centre at lambda, where an eigenvalue may lie
         delta = 1e-6 * (2.0 / h ** 2 + lam)
-        assert len(shifts) == 5 and shifts[3:] == pytest.approx(
-            [shifts[2] - delta, shifts[2] + 2.0 * delta], rel=0.0, abs=1e-3 * delta)
+        assert len(shifts) == 3 and shifts[0] == lam and shifts[1:] == pytest.approx(
+            [lam - delta, lam + 2.0 * delta], rel=0.0, abs=1e-3 * delta)
 
 
 @pytest.mark.filterwarnings("ignore:count_below")
@@ -536,7 +552,7 @@ def test_bracket_over_more_than_a_slice_is_split(monkeypatch):
     monkeypatch.setattr(weylcs.eigen, "_sparse_inertia", unresolved_near_lam)
     monkeypatch.setattr(weylcs.eigen, "_slice_values", recording)
     cert = count_certificate(op, lam)
-    assert (cert.count_method, cert.nudges) == ("sparse-ldl", 2) and cert.pivot_margin > 1.0
+    assert (cert.count_method, cert.bracketed) == ("sparse-ldl", True) and cert.pivot_margin > 1.0
     assert asked == [1, 1]
     assert cert.count == dense_count(op, cert.shift) == 127
 
@@ -579,7 +595,7 @@ def test_an_empty_half_runs_no_eigsh(monkeypatch):
 def test_a_cluster_is_not_halved_once_the_span_is_within_a_bracket_delta(monkeypatch):
     # the same checkerboard: the midpoints close in on 4/h^2 until the span
     # is within 1e-6*(max|A_ij| + |hi|), about 0.014, and no nearer, so no
-    # midpoint comes within a nudge of the eigenvalue and none warns
+    # midpoint comes within tol of the eigenvalue and none warns
     h = 1 / 40
     op = mask_op(h, lambda i, j: (i + j) % 2 == 0)
     certify, certified = weylcs.eigen.count_certificate, []
@@ -618,8 +634,8 @@ def test_a_split_merges_eigsh_and_eigvalsh(monkeypatch):
 @pytest.mark.parametrize("q", [5, 6])
 def test_bracket_certifies_a_small_pivot_without_a_dense_matrix(monkeypatch, q):
     # lambda = q/h^2 on the disk lies 1.35 (q = 5) and 14.5 (q = 6) from the
-    # nearest eigenvalue, but the unpivoted elimination meets a small pivot at
-    # every nudge; the counts at the bracket ends agree
+    # nearest eigenvalue, but the unpivoted elimination meets a small pivot
+    # there; the counts at the bracket ends agree, and the shift stays lambda
     h = 1 / 30
     op = disk_op(h)
 
@@ -632,8 +648,8 @@ def test_bracket_certifies_a_small_pivot_without_a_dense_matrix(monkeypatch, q):
     monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", boom)
     cert = count_certificate(op, q / h ** 2)
     monkeypatch.undo()
-    assert (cert.count_method, cert.nudges) == ("sparse-ldl", 2)
-    assert cert.pivot_margin > 1.0 and cert.shift < q / h ** 2
+    assert (cert.count_method, cert.bracketed) == ("sparse-ldl", True)
+    assert cert.pivot_margin > 1.0 and cert.shift == q / h ** 2
     assert cert.count == dense_count(op, cert.shift) == {5: 402, 6: 475}[q]
 
 
@@ -789,12 +805,76 @@ PIVOT = "(zero or small pivot in the unpivoted factorization)"
     (sparse_interval_op, 30, 5, EIGENVALUE),
     (interval_op, 30, 5, EIGENVALUE)])
 def test_nudge_warning_names_its_cause(make, n, k, cause):
+    # the gate fails at lambda for the cause given; the warning names that
+    # cause, and it fires only where the shift moves below lambda: at an
+    # eigenvalue, not at the small pivot of 1/h^2, which the bracket
+    # certifies at lambda itself
     op, h = make(n)
     lam = 1.0 / h ** 2 if k is None else tridiag_eigs(n, h, 1.0)[k - 1]
-    with pytest.warns(UserWarning, match="count_below: shift perturbed to") as record:
-        count_below(op, lam)
-    message = str(record[0].message)
-    assert message.endswith(cause) and ({EIGENVALUE, PIVOT} - {cause}).pop() not in message
+    cert, messages = certified_with_warnings(op, lam)
+    assert cert.bracketed and (cert.shift < lam) == (cause == EIGENVALUE)
+    if cause == PIVOT:
+        assert messages == [] and cert.shift == lam
+    else:
+        [message] = messages
+        assert message.startswith(SHIFT_WARNING) and message.endswith(cause)
+        assert PIVOT not in message
+
+
+def mask_domain(mask):
+    """A GridDomain at h = 0.1 on a boolean array of random_masks."""
+    return GridDomain(h=0.1, origin=(0.25,) * mask.ndim, mask=mask, box=((0.0, 2.0),) * mask.ndim)
+
+
+@given(dom=st.one_of(random_masks().map(mask_domain), disk_unions()),
+       kind=st.sampled_from(["euclidean", "hyperbolic"]),
+       where=st.sampled_from(["eigenvalue", "near", "two-over-h2", "diagonal", "uniform"]),
+       pick=st.floats(0.0, 1.0), k=st.sampled_from([-10.0, -3.0, -0.5, 0.5, 3.0, 10.0]),
+       q=st.floats(0.0, 12.5))
+@example(dom=disk_op(1 / 30).grid, kind="euclidean", where="uniform", pick=0.0, k=0.5, q=5.0)
+@settings(max_examples=60, deadline=None)
+def test_an_unresolved_count_is_certified_at_lambda(dom, kind, where, pick, k, q):
+    # lambda on a dense eigenvalue, k tol off one, at 2/h^2 or a diagonal
+    # entry (a zero on the diagonal of A - lambda*I), or q/h^2, on masks that
+    # take either path.  The count is strict below the shift it reports, and
+    # that shift is lambda unless an eigenvalue lies within tol (plus the
+    # values' error, far below 1e-9 scale) of it; the warning fires exactly
+    # when the shift moves below lambda.  The h = 1/30 disk at 5/h^2 lies
+    # 1.35 from the nearest eigenvalue and meets a small pivot there
+    op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    vals = dense_spectrum(op).values
+    value = vals[int(pick * (len(vals) - 1))]
+    tol = 1e-12 * (op.max_entry + abs(value))
+    lam = {"eigenvalue": value, "near": value + k * tol, "two-over-h2": 2.0 / dom.h ** 2,
+           "diagonal": op.matrix.diagonal()[int(pick * (op.n - 1))], "uniform": q / dom.h ** 2}[where]
+    cert, messages = certified_with_warnings(op, lam)
+    scale = op.max_entry + abs(lam)
+    assert cert.count == dense_count(op, cert.shift)
+    if np.min(np.abs(vals - lam)) > (1e-12 + 1e-9) * scale:
+        assert cert.shift == lam
+    assert cert.shift <= lam
+    assert [m.startswith(SHIFT_WARNING) for m in messages] == [True] * int(cert.shift < lam)
+
+
+def test_a_box_bracket_multisects_only_its_own_span(monkeypatch):
+    # at an eigenvalue of the hyperbolic square the gate fails and the count
+    # brackets lambda; _box_values finds the one value between the bracket's
+    # ends, not every value below the upper one
+    op = box_op("hyperbolic", 70)
+    vals = lapack_box_values(op)
+    lam = vals[300]
+    box_values, found = weylcs.eigen._box_values, []
+
+    def recording(*args):
+        found.append(box_values(*args))
+        return found[-1]
+
+    monkeypatch.setattr(weylcs.eigen, "_box_values", recording)
+    cert, messages = certified_with_warnings(op, lam)
+    assert cert.bracketed and cert.shift < lam and len(messages) == 1
+    assert cert.count == np.sum(vals < cert.shift) == 300
+    assert [len(f.values) for f in found] == [1] and found[0].method == "bisection"
+    assert abs(found[0].values[0] - lam) <= 1e-9 * lam
 
 
 @st.composite
@@ -892,7 +972,7 @@ def test_box_path_uses_no_factorization(monkeypatch, kind, lam):
     spec = spectrum_below(op, lam)
     cert = spec.certificate
     assert (cert.count_method, cert.value_method) == ("sturm", BOX_VALUE_METHOD[kind])
-    assert cert.nudges == 0 and cert.shift == lam and cert.pivot_margin > 1.0
+    assert not cert.bracketed and cert.shift == lam and cert.pivot_margin > 1.0
     assert cert.count == len(spec.values) == count_below(op, lam) > 0
     assert "matrix" not in vars(op)  # the sparse matrix was never assembled
 
@@ -913,7 +993,7 @@ def test_box_count_computes_no_eigenvalue(monkeypatch, kind, lam):
 
     monkeypatch.setattr(weylcs.eigen, "_box_values", boom)
     cert = count_certificate(op, lam)
-    assert (cert.count_method, cert.nudges, cert.shift) == ("sturm", 0, lam)
+    assert (cert.count_method, cert.bracketed, cert.shift) == ("sturm", False, lam)
     assert cert.pivot_margin > 1.0 and count_below(op, lam) == cert.count == want > 0
 
 
@@ -922,9 +1002,9 @@ def test_box_spectrum_bisects_once(monkeypatch, kind, lam):
     calls = []
     box_values = weylcs.eigen._box_values
 
-    def recording(h, box, upper):
+    def recording(h, box, lower, upper):
         calls.append(upper)
-        return box_values(h, box, upper)
+        return box_values(h, box, lower, upper)
 
     monkeypatch.setattr(weylcs.eigen, "_box_values", recording)
     spec = spectrum_below(box_op(kind, 35), lam)
@@ -959,11 +1039,11 @@ def test_constant_weight_box_spectrum_never_bisects(monkeypatch, name):
     def boom(*args, **kwargs):
         raise AssertionError("a constant-weight box took a Sturm count for its values")
 
-    def no_sturm(h, box, upper):
+    def no_sturm(h, box, lower, upper):
         calls.append(upper)
         with monkeypatch.context() as patch:
             patch.setattr(weylcs.eigen, "_sturm_counts", boom)
-            return box_values(h, box, upper)
+            return box_values(h, box, lower, upper)
 
     monkeypatch.setattr(weylcs.eigen, "_box_values", no_sturm)
     op, lam = constant_weight_ops()[name]
@@ -990,7 +1070,7 @@ def test_box_pivot_margin_is_the_distance_to_the_spectrum(make):
         for offset in (-3e6, -2e4, -100.0, -3.0, -1.5, 1.5, 5.0, 700.0, 1e5, 4e6):
             cert = count_certificate(op, v + offset * 1e-12 * (norm + abs(v)))
             dist = np.min(np.abs(vals - cert.shift)) / (1e-12 * (norm + abs(cert.shift)))
-            assert cert.nudges == 0 and cert.count == np.sum(vals < cert.shift)
+            assert not cert.bracketed and cert.count == np.sum(vals < cert.shift)
             if cert.pivot_margin == cap:
                 assert dist >= 0.99 * cap / 2.0
             else:
@@ -1067,12 +1147,20 @@ def test_box_kernel_matches_lapack(case):
     assert op.max_entry == norm  # bit for bit, without the matrix
     box = _box_modes(op)
     atol = 8.0 * np.finfo(float).eps * norm
-    found = _box_values(op.grid.h, box, upper)
+    found = _box_values(op.grid.h, box, -np.inf, upper)
     got = found.values
     # at an eigenvalue the two counts may differ on values within rounding of it
     assert np.sum(vals < upper - atol) <= len(got) <= np.sum(vals <= upper + atol)
     assert np.all(np.abs(got - vals[:len(got)]) <= atol)
     assert np.all(np.diff(got) >= 0.0)
+    # from a lower end on, the values of that span alone, each one within
+    # rounding of an eigenvalue
+    lower = min(upper, 0.5 * (vals[0] + upper))
+    between = _box_values(op.grid.h, box, lower, upper).values
+    assert np.sum((vals >= lower + atol) & (vals < upper - atol)) <= len(between) \
+        <= np.sum((vals >= lower - atol) & (vals <= upper + atol))
+    assert np.all(np.min(np.abs(between[:, None] - vals), axis=1, initial=np.inf) <= atol)
+    assert np.all(np.diff(between) >= 0.0) and np.all((lower <= between) & (between <= upper))
     # the gate counts without values: with no eigenvalue within tol of upper
     # it resolves to the count below upper, with one inside it does not
     tol = 1e-12 * (norm + abs(upper))
@@ -1209,8 +1297,8 @@ def test_box_values_one_short_fail_certification(monkeypatch, name):
     # multisection (the hyperbolic square) or in closed form
     box_values = weylcs.eigen._box_values
 
-    def one_short(h, box, upper):
-        found = box_values(h, box, upper)
+    def one_short(h, box, lower, upper):
+        found = box_values(h, box, lower, upper)
         return found._replace(values=found.values[1:])
 
     monkeypatch.setattr(weylcs.eigen, "_box_values", one_short)

@@ -96,6 +96,15 @@ def test_same_outputs_names_the_file_another_tree_writes_differently(tmp_path, c
         f"  euclidean_weyl_d1.csv line {line}: this {mine!r}, other {other_line!r}\n")
 
 
+def test_same_outputs_runs_a_count_that_brackets_lambda(tmp_path):
+    # lam_max = 5000 is an eigenvalue of the interval at h = 0.02: the gate
+    # fails there, and the bracket moves the shift below it and warns
+    same_outputs = _tool("same_outputs")
+    code, _, stderr, files = same_outputs.outcome(ROOT, same_outputs.BRACKET_RUN, tmp_path / "out")
+    assert code == 0 and list(files) == ["spectrum.txt"]
+    assert stderr.decode().startswith("warning: count_below: shift perturbed to 4999.99")
+
+
 def test_job_times_prints_medians_of_a_cli_and_a_script_run(tmp_path, capsys, monkeypatch):
     # the benchmark's runs replaced by an example and a small mask-count job
     same_outputs = _tool("same_outputs")  # job_times imports it as a sibling module

@@ -9,6 +9,8 @@ tool runs
   - each examples/*.cfg, with the weylcs command on the example's first line;
   - symbol-check and frame-check at the default config (frame-check: the
     1-D frame of frame_n = 128 nodes at h = pi/200, P = 25);
+  - spectrum on the interval (0, 1) at h = 0.02 with lam_max = 5000, the
+    eigenvalue k = 25: its count is bracketed and warns of the shift;
   - every job of the workloads in perfbench/workloads.py, at seeds 1, 2, 3;
 
 each the way perfbench/run.py runs a job: in a fresh process started from
@@ -67,6 +69,10 @@ def example_runs(root=ROOT):
 DEFAULT_RUNS = [Run(command, lambda out, command=command: [
     "-m", "weylcs", command, "--out", str(out / f"{command}.txt")])
     for command in ("symbol-check", "frame-check")]
+
+BRACKET_RUN = Run("spectrum at an eigenvalue", lambda out: [
+    "-m", "weylcs", "spectrum", "--set", "box=0,1", "--set", "h=0.02", "--set", "lam_max=5000",
+    "--out", str(out / "spectrum.txt")])
 
 
 def workload_runs(inputs):
@@ -164,7 +170,7 @@ def main(argv):
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        runs = example_runs() + DEFAULT_RUNS + workload_runs(work / "inputs")
+        runs = example_runs() + DEFAULT_RUNS + [BRACKET_RUN] + workload_runs(work / "inputs")
         return compare(Path(argv[1]).resolve(), runs, work)
 
 
