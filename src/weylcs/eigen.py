@@ -12,18 +12,21 @@ each x_1 (exp(2 x_1) or 1) and A_tilde the Dirichlet Laplacian of the other
 axes, whose eigenvalues mu are sums of 4/h^2 sin^2(k pi / (2 (m + 1))).  The
 sine transform of the tilde axes is orthogonal, so the spectrum is the union
 over mu of the spectra of the tridiagonals A1 + mu*diag(w), and the count is
-the sum of their Sturm counts (Barth, Martin & Wilkinson 1967; backward
-stable).
+the sum of their counts.
 
-The box path is numpy only.  A count is the Sturm counts (_sturm_counts, run
-down the rows of all the tridiagonals at once) at shift -/+ tol
-(_box_inertia) and computes no eigenvalue.  The eigenvalues below the
-certified shift come from one routine, _box_values: as
+The box path is numpy only, and it counts by one rule (_mode_counts).  As
 min(w) I <= diag(w) <= max(w) I, eigenvalue k of mode mu lies in its Weyl
-bracket [a1_k + mu*min(w), a1_k + mu*max(w)], with a1 the modes of A1.
-Where w is constant (every euclidean box and every d = 1 box) the brackets
-have width zero and are the closed form, the sums of A1's modes and w*mu;
-where w varies, multisection narrows them down to the count's rounding level
+bracket [a1_k + mu*min(w), a1_k + mu*max(w)], with a1 the modes of A1: a
+mode's count below a point is read from its brackets, and only a mode whose
+bracket straddles the point takes a Sturm count (_sturm_counts, run down the
+rows of all those tridiagonals at once; Barth, Martin & Wilkinson 1967,
+backward stable).  The gate (_box_inertia) sums those counts at shift -/+ tol
+and computes no eigenvalue; the eigenvalues below the certified shift come
+from one routine, _box_values, which takes the counts at its two ends the
+same way.  Where w is constant (every euclidean box and every d = 1 box) the
+brackets have width zero: counts and values are both the closed form, the
+sums of A1's modes and w*mu, and no Sturm count runs.  Where w varies,
+multisection narrows the brackets down to the count's rounding level
 (stebz's criterion).  Neither assembles the sparse matrix nor lists the
 nodes: its largest entry, which sets tol, is DiscreteOperator.max_entry, read
 from the edge weights at the occupied x_1 indices.
@@ -256,13 +259,28 @@ class _Values(NamedTuple):
     method: str  # "closed-form" when every bracket had width zero, else "bisection"
 
 
-def _tridiagonals(h, box, upper):
-    """The tilde modes mu that can reach upper (A1 is positive definite and
-    mu >= 0, so a mode's eigenvalues lie above mu * min(w) for w of any
-    sign), 1/h^2 and stebz's pivmin."""
-    mu = box.mu[box.mu * box.w.min() <= upper]
+def _mode_counts(h, box, x):
+    """Each tilde mode's count below each point of the array x, one row per
+    mode that can reach max(x) (A1 is positive definite and mu >= 0, so a
+    mode's eigenvalues lie above mu * min(w) for w of any sign), with those
+    modes' mu, 1/h^2 and stebz's pivmin.
+
+    As min(w) I <= diag(w) <= max(w) I, Weyl's inequality puts eigenvalue k
+    of mode mu in its bracket [a1_k + mu*min(w), a1_k + mu*max(w)], a1 the
+    modes of A1: a count is read from the brackets by a search in a1, and
+    only a (mode, point) pair whose bracket straddles the point takes a
+    Sturm count.  The read count is exact unless one of the mode's
+    eigenvalues lies within the rounding of its bracket ends, (17 + d)
+    eps*max|A_ij| (see _values_between), of the point."""
+    w, a1 = box.w, box.a1
+    mu = box.mu[box.mu * w.min() <= x.max()]
     inv_h2 = 1.0 / (h * h)
-    return mu, inv_h2, np.finfo(float).tiny * max(1.0, inv_h2 * inv_h2)
+    pivmin = np.finfo(float).tiny * max(1.0, inv_h2 * inv_h2)
+    count = np.searchsorted(a1, x - (mu * w.max())[:, None])
+    modes, points = np.nonzero(np.searchsorted(a1, x - (mu * w.min())[:, None]) > count)
+    if len(modes):
+        count[modes, points] = _sturm_counts(w, mu[modes], x[points], inv_h2, pivmin)
+    return count, mu, inv_h2, pivmin
 
 
 # the gate's rungs r, doubling up to about the bracket's first delta, 1e6*tol
@@ -270,17 +288,20 @@ _RUNGS = 2.0 ** np.arange(21)
 
 
 def _box_inertia(h, box, shift, tol):
-    """Eigenvalues below shift on a box, and the gate, from Sturm counts alone.
+    """Eigenvalues below shift on a box, and the gate, from _mode_counts alone.
 
-    A computed Sturm count is the exact count of a matrix within a few
-    eps*|A| << tol of A (Barth, Martin & Wilkinson 1967; Demmel, Dhillon &
-    Ren 1995): equal counts at shift -/+ tol are the count.  The margin is
-    2^j for the j leading rungs r with equal counts at shift -/+ r*tol: 1
-    when unresolved, else within a factor 2 of the distance to the spectrum
-    over tol, or 2^21."""
-    x = shift + tol * np.concatenate([-_RUNGS, _RUNGS])
-    mu, inv_h2, pivmin = _tridiagonals(h, box, x[-1])
-    counts = _sturm_counts(box.w, mu[:, None], x, inv_h2, pivmin).sum(axis=0)
+    Each count of _mode_counts counts every eigenvalue below a point within
+    a few eps*|A| << tol of the one asked: a Sturm count is the exact count
+    of a matrix that near A (Barth, Martin & Wilkinson 1967; Demmel, Dhillon
+    & Ren 1995), and a count read from the brackets is exact unless an
+    eigenvalue lies within their rounding, (17 + d)*eps*max|A_ij|, of the
+    point.  So an eigenvalue within that rounding of shift - tol is counted
+    at shift + tol either way: a misread makes the two counts differ, and
+    the count goes to the bracket.  Equal counts at shift -/+ tol are the
+    count.  The margin is 2^j for the j leading rungs r with equal counts at
+    shift -/+ r*tol: 1 when unresolved, else within a factor 2 of the
+    distance to the spectrum over tol, or 2^21."""
+    counts = _mode_counts(h, box, shift + tol * np.concatenate([-_RUNGS, _RUNGS]))[0].sum(axis=0)
     same = np.cumprod(counts[:len(_RUNGS)] == counts[len(_RUNGS):])
     return int(counts[0]), _Gate(float(2.0 ** same.sum()), _NEAR_EIGENVALUE)
 
@@ -289,29 +310,18 @@ def _box_values(h, box, lower, upper):
     """Eigenvalues in [lower, upper) of the tridiagonals A1 + mu*diag(w), one
     per tilde mode.
 
-    As min(w) I <= diag(w) <= max(w) I, Weyl's inequality puts eigenvalue k
-    of mode mu in its bracket [a1_k + mu*min(w), a1_k + mu*max(w)], a1 the
-    modes of A1.  A mode's counts below lower and below upper are read from
-    its brackets by a search in a1; only a mode with a bracket across an end
-    takes a Sturm count there (none at a lower end of 0, below every
-    bracket of a positive definite operator).  Where w is constant every
-    bracket has width zero and its end is the closed form, the sum of A1's
-    mode and w*mu (method "closed-form"); otherwise Sturm multisection
-    narrows the brackets of the values between the two counts together down
-    to the count's rounding level, stebz's criterion ("bisection")."""
+    A mode's counts below lower and below upper come from _mode_counts, as
+    the gate's do (at a lower end of 0, below every Weyl bracket of a
+    positive definite operator, none is a Sturm count).  Where w is
+    constant every bracket has width zero and its end is the closed form,
+    the sum of A1's mode and w*mu (method "closed-form"); otherwise Sturm
+    multisection narrows the brackets of the values between the two counts
+    together down to the count's rounding level, stebz's criterion
+    ("bisection")."""
     w, a1 = box.w, box.a1
-    mu, inv_h2, pivmin = _tridiagonals(h, box, upper)
+    counts, mu, inv_h2, pivmin = _mode_counts(h, box, np.array([lower, upper]))
+    first, count = counts[:, 0], counts[:, 1] - counts[:, 0]
     low, high = mu * w.min(), mu * w.max()
-
-    def below(x):
-        count = np.searchsorted(a1, x - high)
-        across = np.flatnonzero(np.searchsorted(a1, x - low) > count)
-        if len(across):
-            count[across] = _sturm_counts(w, mu[across], np.full(len(across), x), inv_h2, pivmin)
-        return count
-
-    first = below(lower)
-    count = below(upper) - first
     mode = np.repeat(np.arange(len(mu)), count)
     index = np.arange(len(mode)) - np.repeat(np.cumsum(count) - count - first, count)
     lo = np.maximum(a1[index] + low[mode], lower)

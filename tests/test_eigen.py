@@ -918,6 +918,40 @@ def test_box_count_matches_dense_and_sparse(dom, kind, fractions, picks):
         assert count_below(op, lam) == int(np.sum(vals < lam * (1.0 - 1e-9)))
 
 
+@given(dom=boxes(), erosion=st.one_of(st.just(0.0), st.floats(0.5, 2.5)),
+       kind=st.sampled_from(["euclidean", "hyperbolic"]),
+       near=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([-1e3, -10.0, -3.0, 3.0,
+                                                                     10.0, 1e3])),
+                     min_size=1, max_size=6),
+       fractions=st.lists(st.floats(0.0, 1.05), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_mode_counts_match_dense(dom, erosion, kind, near, fractions):
+    # each mode's counts, read from its Weyl brackets or by a Sturm count
+    # where a bracket straddles the point, at points k tol off a dense
+    # eigenvalue and across the spectrum: at every point clear of the
+    # spectrum they add up to the dense count, anywhere to a count between
+    # those at x -/+ tol, and no mode's count decreases in x
+    if erosion:
+        try:
+            dom = erode(dom, erosion * dom.h)
+        except EmptyErosionError:
+            assume(False)
+    op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    box = _box_modes(op)
+    assert box is not None
+    vals = dense_spectrum(op).values
+    picked = [(vals[int(p * (len(vals) - 1))], k) for p, k in near]
+    x = np.sort([v + k * 1e-12 * (op.max_entry + abs(v)) for v, k in picked]
+                + [f * vals[-1] for f in fractions])
+    counts = weylcs.eigen._mode_counts(op.grid.h, box, x)[0]
+    assert np.all(np.diff(counts, axis=1) >= 0)
+    total, tol = counts.sum(axis=0), 1e-12 * (op.max_entry + np.abs(x))
+    clear = np.min(np.abs(vals[:, None] - x), axis=0) > 1e-9 * (op.max_entry + np.abs(x))
+    assert np.array_equal(total[clear], np.sum(vals[:, None] < x[clear], axis=0))
+    assert np.all(np.sum(vals[:, None] < x - tol, axis=0) <= total)
+    assert np.all(total <= np.sum(vals[:, None] < x + tol, axis=0))
+
+
 def test_box_with_unit_tilde_weight_is_euclidean():
     dom = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1 / 13)
     hyp = spectrum_below(dataclasses.replace(assemble_hyperbolic(dom),
@@ -1029,32 +1063,38 @@ def constant_weight_ops():
     }
 
 
+@pytest.mark.filterwarnings("ignore:count_below")
 @pytest.mark.parametrize("name", sorted(constant_weight_ops()))
 def test_constant_weight_box_spectrum_never_bisects(monkeypatch, name):
-    # a constant weight gives Weyl brackets of width zero: _box_values
-    # returns their ends, the closed form, and takes no Sturm count
+    # a constant weight gives Weyl brackets of width zero: the gate reads its
+    # counts from them and _box_values returns their ends, the closed form,
+    # and neither takes a Sturm count.  At an eigenvalue the gate fails and
+    # a bracket decides the count, still in closed form
     calls = []
     box_values = weylcs.eigen._box_values
 
     def boom(*args, **kwargs):
-        raise AssertionError("a constant-weight box took a Sturm count for its values")
+        raise AssertionError("a constant-weight box took a Sturm count")
 
-    def no_sturm(h, box, lower, upper):
+    def recording(h, box, lower, upper):
         calls.append(upper)
-        with monkeypatch.context() as patch:
-            patch.setattr(weylcs.eigen, "_sturm_counts", boom)
-            return box_values(h, box, lower, upper)
+        return box_values(h, box, lower, upper)
 
-    monkeypatch.setattr(weylcs.eigen, "_box_values", no_sturm)
+    monkeypatch.setattr(weylcs.eigen, "_box_values", recording)
+    monkeypatch.setattr(weylcs.eigen, "_sturm_counts", boom)
     op, lam = constant_weight_ops()[name]
-    spec = spectrum_below(op, lam)
-    cert = spec.certificate
-    assert calls == [cert.shift]
-    assert (cert.count_method, cert.value_method) == ("sturm", "closed-form")
-    assert cert.count == len(spec.values) == count_below(op, lam) > 0
     box = _box_modes(op)
-    want = separable_sums([box.a1, box.w[0] * box.mu], cert.shift)
-    assert spec.values.tobytes() == want.tobytes()
+    closed = separable_sums([box.a1, box.w[0] * box.mu], lam)
+    for at_eigenvalue, lam in [(False, lam), (True, closed[len(closed) // 2])]:
+        calls.clear()
+        spec = spectrum_below(op, lam)
+        cert = spec.certificate
+        assert calls[-1] == cert.shift and len(calls) == 1 + cert.bracketed
+        assert cert.bracketed == (cert.shift < lam) == at_eigenvalue
+        assert (cert.count_method, cert.value_method) == ("sturm", "closed-form")
+        assert cert.count == len(spec.values) == count_below(op, lam) > 0
+        want = separable_sums([box.a1, box.w[0] * box.mu], cert.shift)
+        assert spec.values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("make", [lambda: box_op("hyperbolic", 35), lambda: interval_op(60)[0]],

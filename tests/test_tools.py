@@ -97,12 +97,18 @@ def test_same_outputs_names_the_file_another_tree_writes_differently(tmp_path, c
 
 
 def test_same_outputs_runs_a_count_that_brackets_lambda(tmp_path):
-    # lam_max = 5000 is an eigenvalue of the interval at h = 0.02: the gate
-    # fails there, and the bracket moves the shift below it and warns
+    # lam_max is eigenvalue k = 25 of the interval at h = 0.02 (closed form)
+    # and of the hyperbolic unit square at h = 0.02 (Sturm counts and
+    # multisection): the gate fails there, and the bracket moves the shift
+    # below it and warns
     same_outputs = _tool("same_outputs")
-    code, _, stderr, files = same_outputs.outcome(ROOT, same_outputs.BRACKET_RUN, tmp_path / "out")
-    assert code == 0 and list(files) == ["spectrum.txt"]
-    assert stderr.decode().startswith("warning: count_below: shift perturbed to 4999.99")
+    for run, shift in zip(same_outputs.BRACKET_RUNS, ["4999.99", "603.96786440"]):
+        code, _, stderr, files = same_outputs.outcome(ROOT, run, tmp_path / run.name)
+        assert code == 0 and list(files) == ["spectrum.txt"]
+        assert stderr.decode().startswith(f"warning: count_below: shift perturbed to {shift}")
+        values = [line for line in files["spectrum.txt"].decode().splitlines()
+                  if not line.startswith("#")]
+        assert len(values) == 24
 
 
 def test_job_times_prints_medians_of_a_cli_and_a_script_run(tmp_path, capsys, monkeypatch):

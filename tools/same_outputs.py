@@ -9,8 +9,11 @@ tool runs
   - each examples/*.cfg, with the weylcs command on the example's first line;
   - symbol-check and frame-check at the default config (frame-check: the
     1-D frame of frame_n = 128 nodes at h = pi/200, P = 25);
-  - spectrum on the interval (0, 1) at h = 0.02 with lam_max = 5000, the
-    eigenvalue k = 25: its count is bracketed and warns of the shift;
+  - two spectra whose lam_max is an eigenvalue, so that their counts are
+    bracketed and warn of the shift: on the interval (0, 1) at h = 0.02 with
+    lam_max = 5000, the eigenvalue k = 25, read in closed form; and on the
+    hyperbolic unit square at h = 0.02 with lam_max = 603.9678644437523, the
+    eigenvalue k = 25, where the bracket takes Sturm counts and multisects;
   - every job of the workloads in perfbench/workloads.py, at seeds 1, 2, 3;
 
 each the way perfbench/run.py runs a job: in a fresh process started from
@@ -70,9 +73,18 @@ DEFAULT_RUNS = [Run(command, lambda out, command=command: [
     "-m", "weylcs", command, "--out", str(out / f"{command}.txt")])
     for command in ("symbol-check", "frame-check")]
 
-BRACKET_RUN = Run("spectrum at an eigenvalue", lambda out: [
-    "-m", "weylcs", "spectrum", "--set", "box=0,1", "--set", "h=0.02", "--set", "lam_max=5000",
-    "--out", str(out / "spectrum.txt")])
+
+def _spectrum_run(name, *keys):
+    """A spectrum run with the config keys given as --set KEY=VALUE."""
+    return Run(name, lambda out: ["-m", "weylcs", "spectrum",
+                                  *[arg for key in keys for arg in ("--set", key)],
+                                  "--out", str(out / "spectrum.txt")])
+
+
+BRACKET_RUNS = [
+    _spectrum_run("spectrum at an eigenvalue", "box=0,1", "h=0.02", "lam_max=5000"),
+    _spectrum_run("hyperbolic spectrum at an eigenvalue", "dim=2", "kind=hyperbolic",
+                  "box=0,1;0,1", "h=0.02", "lam_max=603.9678644437523")]
 
 
 def workload_runs(inputs):
@@ -170,7 +182,7 @@ def main(argv):
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        runs = example_runs() + DEFAULT_RUNS + [BRACKET_RUN] + workload_runs(work / "inputs")
+        runs = example_runs() + DEFAULT_RUNS + BRACKET_RUNS + workload_runs(work / "inputs")
         return compare(Path(argv[1]).resolve(), runs, work)
 
 
