@@ -38,24 +38,31 @@ stable in general, so a count is accepted only when every pivot, and the
 distance from the shift to the spectrum, stand clear of the factorization's
 rounding level.
 
+Both paths answer each question in one shape.  A gate (_box_inertia,
+_sparse_inertia) gives a count and a margin, resolved above 1; a value
+search (_box_values, _slice_values) gives the values in a span, how they
+were found and a bound on their error: the rounding of the closed form,
+half the final bracket plus the rounding of the counts, or the residual
+bound |theta - lambda_i| <= ||r|| (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4).
+
 On either path the gate runs once, at lambda.  A count it leaves unresolved
 is bracketed: two resolved counts of the same path, at lambda - delta and
 lambda + 2*delta, and the values between them decide the count, each within
-its error bound of an eigenvalue (the rounding of the closed form, half the
-final bracket plus the rounding of the counts, or the residual bound
-|theta - lambda_i| <= ||r||, Parlett, The Symmetric Eigenvalue Problem,
-ch. 4).  The shift stays lambda unless a value lies within that bound plus
-tol of it; then it moves below the value, and only then does the count
-warn.  count_certificate does all of this, and every count goes through it:
-count_below, spectrum_below and the slice midpoints.
+its error bound of an eigenvalue.  The shift stays lambda unless a value
+lies within that bound plus tol of it; then it moves below the value, and
+only then does the count warn, always for that one reason: lambda lies too
+close to an eigenvalue.  count_certificate does all of this, and every count
+goes through it: count_below, spectrum_below and the slice midpoints.
 
 One routine, _values_between, finds the eigenvalues between two certified
-counts: for spectrum_below from 0 with count 0 (both operators are positive
-definite) to the certified shift, and for the bracket between its two ends.
-On a box they are the values of _box_values between the two shifts: the
-ends of the Weyl brackets where those have width zero, the multisection
-midpoints otherwise.  Elsewhere they come from spectrum slicing
-(Ericsson-Ruhe 1980; Campos-Roman 2012): a span of more than _SLICE
+counts, and it alone checks that the search found exactly the difference of
+the counts: for spectrum_below from 0 with count 0 (both operators are
+positive definite) to the certified shift, and for the bracket between its
+two ends.  On a box they are the values of _box_values between the two
+shifts: the ends of the Weyl brackets where those have width zero, the
+multisection midpoints otherwise.  Elsewhere they come from spectrum
+slicing (Ericsson-Ruhe 1980; Campos-Roman 2012): a span of more than _SLICE
 eigenvalues that is wider than the bracket's first delta is split at a
 certified count at its midpoint, and each half is searched the same way.  A
 half whose two counts are equal holds no eigenvalue and costs nothing; in
@@ -97,19 +104,19 @@ class Certificate:
     count: int  # eigenvalues strictly below the shift
     shift: float  # the shift the count used: lambda, or below an eigenvalue at lambda
     bracketed: bool  # the gate at lambda was unresolved and a bracket decided the count
-    # how far the count stands clear of its rounding level (see _Gate): on a
-    # box 2^j for the j leading rungs of equal counts (see _box_inertia),
-    # within a factor 2 of the distance to the spectrum over tol; elsewhere
-    # the smallest |pivot|, or the distance to the spectrum if smaller, over
-    # the level of _sparse_inertia.  Above 1 is resolved; after a bracket,
-    # the smaller margin of its two ends
+    # how far the count stands clear of its rounding level, the gate's
+    # margin: on a box 2^j for the j leading rungs of equal counts (see
+    # _box_inertia), within a factor 2 of the distance to the spectrum over
+    # tol; elsewhere the smallest |pivot|, or the distance to the spectrum if
+    # smaller, over the level of _sparse_inertia.  Above 1 is resolved; after
+    # a bracket, the smaller margin of its two ends
     pivot_margin: float
     # "closed-form" (a box whose Weyl brackets all have width zero: a
     # constant tilde weight), "bisection" (a box whose brackets were
     # narrowed), "eigsh" (sliced), "eigvalsh" (a slice too large for eigsh,
     # count + 1 >= n, as on a mask of one or two nodes) or "none"
     value_method: str = "none"
-    # a bound on the error of the values (see _values_between), read on a box
+    # a bound on the error of the values (see _box_values), read on a box
     # from the final brackets.  After closed-form (17 + 2d)*eps*max|A_ij| for
     # the rounding of the sums; after bisection half the widest final
     # bracket (each value is the midpoint of its bracket) plus
@@ -142,27 +149,16 @@ def _start_vector(n, seed=0):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, n)
 
 
-_NEAR_EIGENVALUE = "lambda too close to an eigenvalue"
-_SMALL_PIVOT = "zero or small pivot in the unpivoted factorization"
-
-
-class _Gate(NamedTuple):
-    """A count is resolved when margin is above 1; cause names what held it
-    down otherwise, in the warning of a shift moved below lambda."""
-    margin: float
-    cause: str
-
-
 def _sparse_inertia(b, tol):
-    """Negative count of a sparse LDL^T of b (None if unusable) and its gate.
+    """Negative count of a sparse LDL^T of b and its margin, resolved above 1.
 
-    The count is None when SuperLU left the diagonal (a zero pivot made it
-    pivot off it, so perm_r != perm_c and U's diagonal no longer carries the
-    inertia), met a zero pivot inside a supernode ("failed to factorize") or
-    found b exactly singular.  It is resolved (margin above 1)
-    when every pivot |d_k| and the distance from zero to the spectrum of b
-    exceed both tol and the LU rounding level: n*eps times the largest row
-    sum of |L||D||L^T|.
+    The count is None, with margin 0, when SuperLU found b exactly singular,
+    met a zero pivot inside a supernode ("failed to factorize") or left the
+    diagonal (a zero pivot made it pivot off it, so perm_r != perm_c and U's
+    diagonal no longer carries the inertia).  The margin is the smallest
+    pivot |d_k|, or the distance from zero to the spectrum of b if smaller,
+    over the larger of tol and the LU rounding level: n*eps times the
+    largest row sum of |L||D||L^T|.
     """
     import scipy.sparse.linalg  # slow import, needed here only
 
@@ -170,14 +166,12 @@ def _sparse_inertia(b, tol):
     try:
         lu = scipy.sparse.linalg.splu(b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        if "singular" in str(exc):  # "Factor is exactly singular"
-            return None, _Gate(0.0, _NEAR_EIGENVALUE)
-        if "failed to factorize" in str(exc):
-            return None, _Gate(0.0, _SMALL_PIVOT)
+    except RuntimeError as exc:  # "Factor is exactly singular" or "failed to factorize"
+        if "singular" in str(exc) or "failed to factorize" in str(exc):
+            return None, 0.0
         raise
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None, _Gate(0.0, _SMALL_PIVOT)
+        return None, 0.0
     U = lu.U  # a copy on each read
     d, U = U.diagonal(), abs(U)
     # The backward error is at most n*eps*|L||D||L^T| entrywise (Higham,
@@ -190,8 +184,7 @@ def _sparse_inertia(b, tol):
     x = lu.solve(_start_vector(n))
     dist = np.linalg.norm(x) / np.linalg.norm(lu.solve(x)) / bound
     pivot = np.min(np.abs(d)) / bound
-    return int(np.count_nonzero(d < 0.0)), _Gate(
-        float(min(pivot, dist)), _NEAR_EIGENVALUE if dist <= 1.0 else _SMALL_PIVOT)
+    return int(np.count_nonzero(d < 0.0)), float(min(pivot, dist))
 
 
 def separable_sums(axes, upper):
@@ -253,12 +246,6 @@ def _sturm_counts(w, mu, x, inv_h2, pivmin):
     return count
 
 
-class _Values(NamedTuple):
-    values: np.ndarray  # sorted
-    bracket: float  # widest final bracket
-    method: str  # "closed-form" when every bracket had width zero, else "bisection"
-
-
 def _mode_counts(h, box, x):
     """Each tilde mode's count below each point of the array x, one row per
     mode that can reach max(x) (A1 is positive definite and mu >= 0, so a
@@ -271,7 +258,7 @@ def _mode_counts(h, box, x):
     only a (mode, point) pair whose bracket straddles the point takes a
     Sturm count.  The read count is exact unless one of the mode's
     eigenvalues lies within the rounding of its bracket ends, (17 + d)
-    eps*max|A_ij| (see _values_between), of the point."""
+    eps*max|A_ij| (see _box_values), of the point."""
     w, a1 = box.w, box.a1
     mu = box.mu[box.mu * w.min() <= x.max()]
     inv_h2 = 1.0 / (h * h)
@@ -288,7 +275,7 @@ _RUNGS = 2.0 ** np.arange(21)
 
 
 def _box_inertia(h, box, shift, tol):
-    """Eigenvalues below shift on a box, and the gate, from _mode_counts alone.
+    """Eigenvalues below shift on a box and the margin, from _mode_counts alone.
 
     Each count of _mode_counts counts every eigenvalue below a point within
     a few eps*|A| << tol of the one asked: a Sturm count is the exact count
@@ -303,12 +290,12 @@ def _box_inertia(h, box, shift, tol):
     distance to the spectrum over tol, or 2^21."""
     counts = _mode_counts(h, box, shift + tol * np.concatenate([-_RUNGS, _RUNGS]))[0].sum(axis=0)
     same = np.cumprod(counts[:len(_RUNGS)] == counts[len(_RUNGS):])
-    return int(counts[0]), _Gate(float(2.0 ** same.sum()), _NEAR_EIGENVALUE)
+    return int(counts[0]), float(2.0 ** same.sum())
 
 
-def _box_values(h, box, lower, upper):
+def _box_values(op, box, lower, upper):
     """Eigenvalues in [lower, upper) of the tridiagonals A1 + mu*diag(w), one
-    per tilde mode.
+    per tilde mode, how they were found and a bound on their error.
 
     A mode's counts below lower and below upper come from _mode_counts, as
     the gate's do (at a lower end of 0, below every Weyl bracket of a
@@ -317,173 +304,19 @@ def _box_values(h, box, lower, upper):
     the sum of A1's mode and w*mu (method "closed-form"); otherwise Sturm
     multisection narrows the brackets of the values between the two counts
     together down to the count's rounding level, stebz's criterion
-    ("bisection")."""
-    w, a1 = box.w, box.a1
-    counts, mu, inv_h2, pivmin = _mode_counts(h, box, np.array([lower, upper]))
-    first, count = counts[:, 0], counts[:, 1] - counts[:, 0]
-    low, high = mu * w.min(), mu * w.max()
-    mode = np.repeat(np.arange(len(mu)), count)
-    index = np.arange(len(mode)) - np.repeat(np.cumsum(count) - count - first, count)
-    lo = np.maximum(a1[index] + low[mode], lower)
-    hi = np.minimum(a1[index] + high[mode], upper)
-    method = "bisection" if np.any(hi != lo) else "closed-form"
-    # converged as in LAPACK's stebz: to the rounding level of the count,
-    # eps times 4/h^2 + mu*max|w|, a bound on the mode's eigenvalues
-    floor = np.maximum(_EPS * (4.0 * inv_h2 + mu[mode] * np.abs(w).max()), pivmin)
-    mu, rows = mu[mode, None], np.arange(len(mode))
-    points = max(1, _POINTS // max(1, len(mode)))
-    frac = np.arange(1, points + 1) / (points + 1.0)
-    while np.any(hi - lo > np.maximum(floor, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))):
-        x = lo[:, None] + (hi - lo)[:, None] * frac
-        past = np.sum(_sturm_counts(w, mu, x, inv_h2, pivmin) <= index[:, None], axis=1)
-        ends = np.concatenate([lo[:, None], x, hi[:, None]], axis=1)
-        lo, hi = ends[rows, past], ends[rows, past + 1]
-    return _Values(np.sort(0.5 * (lo + hi)), float(np.max(hi - lo, initial=0.0)), method)
+    ("bisection").  The method is read from the final brackets, and so is
+    the error: half the widest final bracket (each value is its midpoint)
+    plus c*eps*M, with M = max|A_ij|, c = 17 + 2d for the closed form and
+    c = 20 + 2d for bisection, as derived below.
 
-
-def _shifted(op, shift):
-    """A - shift*I in CSC form."""
-    import scipy.sparse  # slow import, needed here only
-
-    return op.matrix - shift * scipy.sparse.identity(op.n, format="csc")
-
-
-def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
-    """Certified inertia count of the eigenvalues strictly below lam and the
-    shift it used: lam, or just below an eigenvalue within tol of lam."""
-    if not np.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam!r}")
-    box = _box_modes(op)
-    scale = op.max_entry + abs(lam)
-    if not np.isfinite(scale):  # an inf or nan entry: no count can be certified
-        raise ValueError(f"operator entries must be finite, got max|A_ij| + |lam| = {scale!r}")
-    tol = 1e-12 * scale
-    method = "sparse-ldl" if box is None else "sturm"
-
-    def inertia(shift):
-        if box is None:
-            return _sparse_inertia(_shifted(op, shift), tol)
-        return _box_inertia(op.grid.h, box, shift, tol)
-
-    neg, gate = inertia(lam)
-    shift, margin, bracketed = lam, gate.margin, gate.margin <= 1.0
-    if bracketed:
-        # bracket lambda between two resolved counts.  The bracket is
-        # asymmetric so that _slice_values does not centre its factorization
-        # on an eigenvalue at lambda; once delta is a few times scale both
-        # ends lie outside the spectrum and resolve
-        delta = 1e-6 * scale
-        while True:
-            lo, hi = lam - delta, lam + 2.0 * delta
-            (neg, low), (high_neg, high) = inertia(lo), inertia(hi)
-            margin = min(low.margin, high.margin)
-            if margin > 1.0:
-                break
-            delta *= 100.0
-        vals, _, error = _values_between(op, box, (lo, neg), (hi, high_neg))
-        # each value lies within error of an eigenvalue (nan after eigvalsh,
-        # whose error is far below tol); one within error + tol of the shift
-        # counts as at lambda and moves the shift below it, but never below
-        # lo, whose count is certified
-        gap = tol + np.fmax(error, 0.0)
-        for v in vals[::-1]:  # sorted
-            if v > shift - gap:
-                shift = min(shift, v - gap)
-        shift = max(shift, lo)
-        neg += int(np.count_nonzero(vals < shift))
-    if shift < lam:
-        warnings.warn(f"count_below: shift perturbed to {float(shift)!r} ({gate.cause})")
-    return Certificate(count_method=method, count=int(neg), shift=float(shift),
-                       bracketed=bracketed, pivot_margin=margin)
-
-
-def count_below(op: DiscreteOperator, lam: float) -> int:
-    """Number of eigenvalues strictly below lam, via the inertia of A - lam*I."""
-    return count_certificate(op, lam).count
-
-
-def _slice_values(op, lo, hi, count):
-    """The count eigenvalues in [lo, hi), and how they were found.
-
-    Shift-invert eigsh about the centre returns the count + 1 eigenvalues
-    nearest it.  Every eigenvalue in the slice lies within (hi - lo)/2 of the
-    centre and every other one at least that far, so those include the whole
-    slice: a count that is too low leaves one value too many in it, one that
-    is too high too few.
-
-    Lanczos from one start vector sees one direction of each eigenspace, so it
-    can miss copies of a multiple eigenvalue, which symmetric masks have.
-    While the slice comes up short, eigsh runs again from a new start vector
-    on the complement of the eigenvectors found so far.  The values are the
-    Rayleigh quotients of the eigenvectors: sigma + 1/nu, what shift-invert
-    gives, loses accuracy far from a centre that lies close to an eigenvalue.
-    """
-    import scipy.sparse.linalg  # slow import, needed here only
-
-    n = op.n
-    error = float("nan")
-    if count + 1 >= n:
-        # eigsh needs k < n: a matrix of at most _SLICE + 1 rows, or more
-        # than _SLICE eigenvalues within a few tol that no split could separate
-        vals = dense_spectrum(op).values
-        vals, method = vals[(vals >= lo) & (vals < hi)], "eigvalsh"
-    else:
-        sigma = 0.5 * (lo + hi)
-        solve = scipy.sparse.linalg.splu(_shifted(op, sigma)).solve
-        found = np.empty((n, 0))  # eigenvectors of the values in the slice so far
-        vals, method, error = [], "eigsh", 0.0
-        # every round but the last adds a value; a negative count (ends out
-        # of order) runs none and fails the check below
-        for seed in range(count + 1):
-            def project(x, q=found):
-                return x - q @ (q.T @ x)
-
-            inverse = scipy.sparse.linalg.LinearOperator(
-                (n, n), matvec=lambda x: project(solve(project(x))), dtype=float)
-            _, vecs = scipy.sparse.linalg.eigsh(
-                op.matrix, k=count - len(vals) + 1, sigma=sigma, which="LM", OPinv=inverse,
-                v0=project(_start_vector(n, seed)))
-            av = op.matrix @ vecs
-            theta = np.einsum("ij,ij->j", vecs, av)
-            inside = (theta >= lo) & (theta < hi)
-            vals.extend(theta[inside])
-            residual = np.linalg.norm(av[:, inside] - vecs[:, inside] * theta[inside], axis=0)
-            error = max(error, float(np.max(residual, initial=0.0)))
-            if not inside.any() or len(vals) >= count:
-                break
-            found = np.hstack([found, vecs[:, inside]])
-    if len(vals) != count:
-        raise CertificationError(found=len(vals), expected=count)
-    return np.sort(vals), method, error
-
-
-def _values_between(op, box, lo, hi):
-    """The eigenvalues between two certified counts lo and hi, each a
-    (shift, count) pair, how they were found and their error bound.
-
-    On a box (box not None) they are the values of _box_values between the
-    two shifts: no eigenvalue lies within tol of a certified shift, so the
-    modes' counts there add up to lo's and hi's.  The method and the error are
-    read from the final brackets: "closed-form" when every Weyl bracket had
-    width zero (w the same at every x_1, the spectrum of the Kronecker sum
-    A1 (x) I + I (x) w*A_tilde), "bisection" otherwise.  Elsewhere a span
-    of more than _SLICE eigenvalues, wider than count_certificate's first
-    bracket delta 1e-6*(max|A_ij| + |hi|), is split at a certified count at
-    its midpoint into two spans, each searched by this routine, and the
-    method and error are merged over the halves that hold values; any other
-    span goes to _slice_values whole.  Equal counts have no values, found by
-    "none" with a nan error, and cost nothing: no eigsh runs on a slice its
-    counts show to be empty.
-
-    The bounds below hold for nonnegative weights as assembled, with
-    M = max|A_ij|, each rounding at most eps/2 relative, and every
-    eigenvalue of A in [0, 2M] (Gershgorin).  A is the exact Kronecker sum
-    of its own rounded weights, 1/h^2 (eps) along x_1 and w/h^2 (3 eps/2)
-    along the other axes, plus the rounding of its diagonal, summed from 2d
-    weights: at most d*eps*M in the 2-norm, so by Weyl's inequality each
-    eigenvalue of A lies within d*eps*M of a sum of per-axis terms
-    4 w_a/h^2 sin^2(theta_a) of those weights, terms that add up to at most
-    2M.
+    The bounds hold for nonnegative weights as assembled, with each
+    rounding at most eps/2 relative, and every eigenvalue of A in [0, 2M]
+    (Gershgorin).  A is the exact Kronecker sum of its own rounded weights,
+    1/h^2 (eps) along x_1 and w/h^2 (3 eps/2) along the other axes, plus the
+    rounding of its diagonal, summed from 2d weights: at most d*eps*M in the
+    2-norm, so by Weyl's inequality each eigenvalue of A lies within d*eps*M
+    of a sum of per-axis terms 4 w_a/h^2 sin^2(theta_a) of those weights,
+    terms that add up to at most 2M.
 
     A closed-form value lies within c*eps*M of an eigenvalue of A,
     c = 17 + 2d.  Each mode 4/h^2 sin^2(theta) is within 7 eps of its exact
@@ -529,19 +362,169 @@ def _values_between(op, box, lo, hi):
     computed end.  So the end lies within (19 + d) eps*M of the former, and
     with the diagonal's d and the midpoint's 1 the bound 20 + 2d stands.
     """
+    w, a1 = box.w, box.a1
+    counts, mu, inv_h2, pivmin = _mode_counts(op.grid.h, box, np.array([lower, upper]))
+    first, count = counts[:, 0], counts[:, 1] - counts[:, 0]
+    low, high = mu * w.min(), mu * w.max()
+    mode = np.repeat(np.arange(len(mu)), count)
+    index = np.arange(len(mode)) - np.repeat(np.cumsum(count) - count - first, count)
+    lo = np.maximum(a1[index] + low[mode], lower)
+    hi = np.minimum(a1[index] + high[mode], upper)
+    method = "bisection" if np.any(hi != lo) else "closed-form"
+    # converged as in LAPACK's stebz: to the rounding level of the count,
+    # eps times 4/h^2 + mu*max|w|, a bound on the mode's eigenvalues
+    floor = np.maximum(_EPS * (4.0 * inv_h2 + mu[mode] * np.abs(w).max()), pivmin)
+    mu, rows = mu[mode, None], np.arange(len(mode))
+    points = max(1, _POINTS // max(1, len(mode)))
+    frac = np.arange(1, points + 1) / (points + 1.0)
+    while np.any(hi - lo > np.maximum(floor, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))):
+        x = lo[:, None] + (hi - lo)[:, None] * frac
+        past = np.sum(_sturm_counts(w, mu, x, inv_h2, pivmin) <= index[:, None], axis=1)
+        ends = np.concatenate([lo[:, None], x, hi[:, None]], axis=1)
+        lo, hi = ends[rows, past], ends[rows, past + 1]
+    c = 17 if method == "closed-form" else 20
+    error = 0.5 * np.max(hi - lo, initial=0.0) + (c + 2 * op.grid.d) * _EPS * op.max_entry
+    return np.sort(0.5 * (lo + hi)), method, float(error)
+
+
+def _shifted(op, shift):
+    """A - shift*I in CSC form."""
+    import scipy.sparse  # slow import, needed here only
+
+    return op.matrix - shift * scipy.sparse.identity(op.n, format="csc")
+
+
+def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
+    """Certified inertia count of the eigenvalues strictly below lam and the
+    shift it used: lam, or just below an eigenvalue within tol of lam."""
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
+    box = _box_modes(op)
+    scale = op.max_entry + abs(lam)
+    if not np.isfinite(scale):  # an inf or nan entry: no count can be certified
+        raise ValueError(f"operator entries must be finite, got max|A_ij| + |lam| = {scale!r}")
+    tol = 1e-12 * scale
+    method = "sparse-ldl" if box is None else "sturm"
+
+    def inertia(shift):
+        if box is None:
+            return _sparse_inertia(_shifted(op, shift), tol)
+        return _box_inertia(op.grid.h, box, shift, tol)
+
+    neg, margin = inertia(lam)
+    shift, bracketed = lam, margin <= 1.0
+    if bracketed:
+        # bracket lambda between two resolved counts.  The bracket is
+        # asymmetric so that _slice_values does not centre its factorization
+        # on an eigenvalue at lambda; once delta is a few times scale both
+        # ends lie outside the spectrum and resolve
+        delta = 1e-6 * scale
+        while True:
+            lo, hi = lam - delta, lam + 2.0 * delta
+            (neg, low), (high_neg, high) = inertia(lo), inertia(hi)
+            margin = min(low, high)
+            if margin > 1.0:
+                break
+            delta *= 100.0
+        vals, _, error = _values_between(op, box, (lo, neg), (hi, high_neg))
+        # each value lies within error of an eigenvalue (nan after eigvalsh,
+        # whose error is far below tol); one within error + tol of the shift
+        # counts as at lambda and moves the shift below it, but never below
+        # lo, whose count is certified
+        gap = tol + np.fmax(error, 0.0)
+        for v in vals[::-1]:  # sorted
+            if v > shift - gap:
+                shift = min(shift, v - gap)
+        shift = max(shift, lo)
+        neg += int(np.count_nonzero(vals < shift))
+    if shift < lam:
+        warnings.warn(f"count_below: shift perturbed to {float(shift)!r} "
+                      "(lambda too close to an eigenvalue)")
+    return Certificate(count_method=method, count=int(neg), shift=float(shift),
+                       bracketed=bracketed, pivot_margin=margin)
+
+
+def count_below(op: DiscreteOperator, lam: float) -> int:
+    """Number of eigenvalues strictly below lam, via the inertia of A - lam*I."""
+    return count_certificate(op, lam).count
+
+
+def _slice_values(op, lo, hi, count):
+    """The eigenvalues in [lo, hi), which its certified counts say number
+    count, how they were found and a bound on their error.
+
+    Shift-invert eigsh about the centre returns the count + 1 eigenvalues
+    nearest it.  Every eigenvalue in the slice lies within (hi - lo)/2 of the
+    centre and every other one at least that far, so those include the whole
+    slice: a count that is too low leaves one value too many in it, one that
+    is too high too few, and _values_between refuses either.
+
+    Lanczos from one start vector sees one direction of each eigenspace, so it
+    can miss copies of a multiple eigenvalue, which symmetric masks have.
+    While the slice comes up short, eigsh runs again from a new start vector
+    on the complement of the eigenvectors found so far.  The values are the
+    Rayleigh quotients of the eigenvectors: sigma + 1/nu, what shift-invert
+    gives, loses accuracy far from a centre that lies close to an eigenvalue.
+    """
+    import scipy.sparse.linalg  # slow import, needed here only
+
+    n = op.n
+    error = float("nan")
+    if count + 1 >= n:
+        # eigsh needs k < n: a matrix of at most _SLICE + 1 rows, or more
+        # than _SLICE eigenvalues within a few tol that no split could separate
+        vals = dense_spectrum(op).values
+        vals, method = vals[(vals >= lo) & (vals < hi)], "eigvalsh"
+    else:
+        sigma = 0.5 * (lo + hi)
+        solve = scipy.sparse.linalg.splu(_shifted(op, sigma)).solve
+        found = np.empty((n, 0))  # eigenvectors of the values in the slice so far
+        vals, method, error = [], "eigsh", 0.0
+        # every round but the last adds a value; a negative count (ends out
+        # of order) runs none and fails _values_between's check
+        for seed in range(count + 1):
+            def project(x, q=found):
+                return x - q @ (q.T @ x)
+
+            inverse = scipy.sparse.linalg.LinearOperator(
+                (n, n), matvec=lambda x: project(solve(project(x))), dtype=float)
+            _, vecs = scipy.sparse.linalg.eigsh(
+                op.matrix, k=count - len(vals) + 1, sigma=sigma, which="LM", OPinv=inverse,
+                v0=project(_start_vector(n, seed)))
+            av = op.matrix @ vecs
+            theta = np.einsum("ij,ij->j", vecs, av)
+            inside = (theta >= lo) & (theta < hi)
+            vals.extend(theta[inside])
+            residual = np.linalg.norm(av[:, inside] - vecs[:, inside] * theta[inside], axis=0)
+            error = max(error, float(np.max(residual, initial=0.0)))
+            if not inside.any() or len(vals) >= count:
+                break
+            found = np.hstack([found, vecs[:, inside]])
+    return np.sort(vals), method, error
+
+
+def _values_between(op, box, lo, hi):
+    """The eigenvalues between two certified counts lo and hi, each a
+    (shift, count) pair, how they were found and their error bound.
+
+    On a box (box not None) they are the values of _box_values between the
+    two shifts: no eigenvalue lies within tol of a certified shift, so the
+    modes' counts there add up to lo's and hi's.  Elsewhere a span of more
+    than _SLICE eigenvalues, wider than count_certificate's first bracket
+    delta 1e-6*(max|A_ij| + |hi|), is split at a certified count at its
+    midpoint into two spans, each searched by this routine, and the method
+    and error are merged over the halves that hold values; any other span
+    goes to _slice_values whole.  Either search must find exactly the
+    difference of the counts, or CertificationError.  Equal counts have no
+    values, found by "none" with a nan error, and cost nothing: no eigsh
+    runs on a slice its counts show to be empty.
+    """
     count = hi[1] - lo[1]
     if count == 0:
         return np.empty(0), "none", float("nan")
-    if box is not None:
-        found = _box_values(op.grid.h, box, lo[0], hi[0])
-        vals, c = found.values, 17 if found.method == "closed-form" else 20
-        if len(vals) != count:
-            raise CertificationError(found=len(vals), expected=count)
-        error = 0.5 * found.bracket + (c + 2 * op.grid.d) * _EPS * op.max_entry
-        return vals, found.method, float(error)
     # a narrower span goes whole: halving it would only close in on a
     # cluster, each midpoint bracketed on it
-    if count > _SLICE and hi[0] - lo[0] > 1e-6 * (op.max_entry + abs(hi[0])):
+    if box is None and count > _SLICE and hi[0] - lo[0] > 1e-6 * (op.max_entry + abs(hi[0])):
         mid = count_certificate(op, 0.5 * (lo[0] + hi[0]))
         # a midpoint certified at or below lo means more than _SLICE
         # eigenvalues within a few tol: no split can separate them
@@ -551,7 +534,13 @@ def _values_between(op, box, lo, hi):
             method = "eigvalsh" if any(m == "eigvalsh" for _, m, _ in parts) else "eigsh"
             error = float(np.max([e for _, _, e in parts]))  # nan after any eigvalsh
             return np.concatenate([v for v, _, _ in parts]), method, error
-    return _slice_values(op, lo[0], hi[0], count)
+    if box is None:
+        vals, method, error = _slice_values(op, lo[0], hi[0], count)
+    else:
+        vals, method, error = _box_values(op, box, lo[0], hi[0])
+    if len(vals) != count:
+        raise CertificationError(found=len(vals), expected=count)
+    return vals, method, error
 
 
 def spectrum_below(op: DiscreteOperator, lam: float) -> Spectrum:

@@ -593,14 +593,15 @@ def test_weyl_curve_reports_why_the_fit_is_unavailable(tmp_path, capsys):
     assert len(rows) == 3 and np.all(rows[:, 3] != 0.0)
 
 
-NUDGE = "count_below: shift perturbed to 4999.999999989978 (lambda too close to an eigenvalue)"
+SHIFT_WARNING = ("count_below: shift perturbed to 4999.999999989978 "
+                 "(lambda too close to an eigenvalue)")
 
 
 def test_weyl_curve_discrete_warns_past_validity(tmp_path, capsys):
     # lambda = 5000 is the eigenvalue k = 25 of the interval at h = 0.02, so
     # the count at it moves its shift below it
     out = tmp_path / "curve.csv"
-    with pytest.warns(UserWarning, match=re.escape(NUDGE)):
+    with pytest.warns(UserWarning, match=re.escape(SHIFT_WARNING)):
         rc = main(["weyl-curve", "--set", "source=discrete", "--set", "box=0,1",
                    "--set", "h=0.02", "--set", "lam_min=100",
                    "--set", "lam_max=5000", "--set", "lam_count=6",
@@ -609,19 +610,19 @@ def test_weyl_curve_discrete_warns_past_validity(tmp_path, capsys):
     assert "validity bound" in capsys.readouterr().err
 
 
-def test_a_nudge_reaches_the_user_as_one_line(tmp_path, monkeypatch):
+def test_a_shift_warning_reaches_the_user_as_one_line(tmp_path, monkeypatch):
     # the shift warning at the eigenvalue lambda = 5000 prints like the CLI's own
     # warnings, and still passes through warnings.showwarning, where a
     # caller may count it
     argv = ["spectrum", "--set", "box=0,1", "--set", "h=0.02", "--set", "lam_max=5000"]
     run = subprocess.run([sys.executable, "-m", "weylcs"] + argv + ["--out", str(tmp_path / "a")],
                          env=subprocess_env(), capture_output=True, text=True)
-    assert run.returncode == 0 and run.stderr == f"warning: {NUDGE}\n"
+    assert run.returncode == 0 and run.stderr == f"warning: {SHIFT_WARNING}\n"
     shown, formatted = [], warnings.formatwarning
     monkeypatch.setattr(warnings, "showwarning",
                         lambda *args: shown.append(warnings.formatwarning(*args[:4])))
     assert main(argv + ["--out", str(tmp_path / "b")]) == 0
-    assert shown == [f"warning: {NUDGE}\n"] and warnings.formatwarning is formatted
+    assert shown == [f"warning: {SHIFT_WARNING}\n"] and warnings.formatwarning is formatted
 
 
 def test_frame_check_deterministic(tmp_path):

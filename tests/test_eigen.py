@@ -158,7 +158,7 @@ def certified_with_warnings(op, lam):
 
 
 @pytest.mark.parametrize("n, k", [(40, None), (41, None), (30, 5)])
-def test_count_below_nudges_to_the_strict_count(n, k):
+def test_count_below_brackets_to_the_strict_count(n, k):
     # k=None: lam = 2/h^2 zeroes the diagonal of A - lam*I, so SuperLU pivots
     # off the diagonal (n even) or finds the matrix exactly singular (n odd,
     # lam is then eigenvalue (n+1)/2).  k: lam is the k-th eigenvalue.  The
@@ -183,7 +183,7 @@ def test_count_below_on_a_zero_pivot_inside_a_supernode():
     mask[6, 5:8] = mask[5:8, 6] = True
     op = assemble_euclidean(GridDomain(h=h, origin=box.origin, mask=mask, box=box.box))
     lam = dense_spectrum(op).values[2]
-    with pytest.warns(UserWarning, match="small pivot"):
+    with pytest.warns(UserWarning, match=re.escape("(lambda too close to an eigenvalue)") + "$"):
         cert = count_certificate(op, lam)
     assert cert.bracketed and cert.shift < lam
     assert cert.count == 1 == dense_count(op, cert.shift)
@@ -309,21 +309,28 @@ def disk_op(h):
 def test_ldl_bound_is_the_largest_row_sum_of_the_factor_product(kind, denom):
     # the gate's rounding level is n*eps times the largest row sum of the
     # dense |L||D||L^T|, which bounds the backward error's 2-norm; its
-    # largest diagonal entry, the level before, does not
+    # largest diagonal entry, the level before, does not.  The backward
+    # error itself, P_r (A - lambda I) P_c - LU in the Frobenius norm (at
+    # least the 2-norm), lies below that level
     dom = disk_op(1.0 / denom).grid
     op = assemble_hyperbolic(dom) if kind == "hyperbolic" else assemble_euclidean(dom)
+    rows = np.arange(op.n)
     for lam in [10.0, 250.0, 1111.1, 2.7 * denom ** 2]:
         b = weylcs.eigen._shifted(op, lam)
-        neg, gate = weylcs.eigen._sparse_inertia(b, 0.0)
+        neg, margin = weylcs.eigen._sparse_inertia(b, 0.0)
         lu = scipy.sparse.linalg.splu(b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                                       options={"SymmetricMode": True})
         L, d = np.abs(lu.L.toarray()), lu.U.diagonal()
         bound = op.n * np.finfo(float).eps * ((L * np.abs(d)) @ L.T).sum(axis=1).max()
+        pr, pc = np.zeros((op.n, op.n)), np.zeros((op.n, op.n))
+        pr[lu.perm_r, rows] = pc[rows, lu.perm_c] = 1.0
+        backward = pr @ b.toarray() @ pc - lu.L.toarray() @ lu.U.toarray()
+        assert np.linalg.norm(backward, "fro") <= bound
         x = lu.solve(weylcs.eigen._start_vector(op.n))
         dist = np.linalg.norm(x) / np.linalg.norm(lu.solve(x))
         assert neg == np.count_nonzero(d < 0.0)
-        assert gate.margin == pytest.approx(min(np.min(np.abs(d)), dist) / bound,
-                                            rel=1e-12, abs=0.0)
+        assert margin == pytest.approx(min(np.min(np.abs(d)), dist) / bound,
+                                       rel=1e-12, abs=0.0)
 
 
 def test_sliced_spectrum_needs_no_dense_solver(monkeypatch):
@@ -460,7 +467,7 @@ def test_certificate_not_written(tmp_path):
 @pytest.mark.parametrize("make, n", [
     (interval_op, 10), (interval_op, 30), (interval_op, 31),
     (sparse_interval_op, 10), (sparse_interval_op, 30), (sparse_interval_op, 31)])
-def test_one_nudge_resolves_an_eigenvalue(make, n):
+def test_a_bracket_resolves_an_eigenvalue(make, n):
     # an eigenvalue at lambda leaves the gate unresolved on the box path and
     # on the sparse LDL^T, and the bracket moves the shift just below it.  At
     # n + 1 = 32 the two 15-node half intervals that the ordering eliminates
@@ -476,9 +483,9 @@ def test_one_nudge_resolves_an_eigenvalue(make, n):
 @pytest.mark.filterwarnings("ignore:count_below")
 @pytest.mark.parametrize("offset", [0.0, 6.0, 100.0])
 @pytest.mark.parametrize("make", [interval_op, sparse_interval_op])
-def test_bracket_decides_after_three_nudges(monkeypatch, make, offset):
+def test_bracket_decides_when_the_gate_fails_at_lambda(monkeypatch, make, offset):
     # lambda = eigenvalue k + 1 of n = 31 nodes plus offset*tol: the sparse
-    # LDL^T leaves it unresolved (see test_one_nudge_resolves_an_eigenvalue);
+    # LDL^T leaves it unresolved (see test_a_bracket_resolves_an_eigenvalue);
     # on the box path's gate _box_inertia is made to fail at lambda only.
     # The eigenvalue lies at lambda (offset 0: the shift moves below it), or
     # 6 or 100 tol below it, beyond tol plus its error: the shift stays lambda
@@ -493,8 +500,8 @@ def test_bracket_decides_after_three_nudges(monkeypatch, make, offset):
 
         def unresolved_at_lam(h, box, shift, tol):
             shifts.append(shift)
-            neg, gate = box_inertia(h, box, shift, tol)
-            return neg, (gate._replace(margin=1.0) if shift == lam else gate)
+            neg, margin = box_inertia(h, box, shift, tol)
+            return neg, (1.0 if shift == lam else margin)
 
         monkeypatch.setattr(weylcs.eigen, "_box_inertia", unresolved_at_lam)
     with warnings.catch_warnings(record=True) as caught:
@@ -540,8 +547,8 @@ def test_bracket_over_more_than_a_slice_is_split(monkeypatch):
         return shifted(op, shift)
 
     def unresolved_near_lam(b, tol):
-        neg, gate = sparse_inertia(b, tol)
-        return neg, (gate._replace(margin=1.0) if abs(shifts[-1] - lam) < 0.4 * delta else gate)
+        neg, margin = sparse_inertia(b, tol)
+        return neg, (1.0 if abs(shifts[-1] - lam) < 0.4 * delta else margin)
 
     def recording(op, lo, hi, count):
         asked.append(count)
@@ -804,11 +811,11 @@ PIVOT = "(zero or small pivot in the unpivoted factorization)"
     (sparse_interval_op, 40, None, PIVOT),  # lam = 1/h^2 is no eigenvalue
     (sparse_interval_op, 30, 5, EIGENVALUE),
     (interval_op, 30, 5, EIGENVALUE)])
-def test_nudge_warning_names_its_cause(make, n, k, cause):
-    # the gate fails at lambda for the cause given; the warning names that
-    # cause, and it fires only where the shift moves below lambda: at an
-    # eigenvalue, not at the small pivot of 1/h^2, which the bracket
-    # certifies at lambda itself
+def test_shift_warning_names_its_cause(make, n, k, cause):
+    # the gate fails at lambda for the cause given, but the warning fires
+    # only where the shift moves below lambda, and so always names an
+    # eigenvalue: at an eigenvalue, not at the small pivot of 1/h^2, which
+    # the bracket certifies at lambda itself
     op, h = make(n)
     lam = 1.0 / h ** 2 if k is None else tridiag_eigs(n, h, 1.0)[k - 1]
     cert, messages = certified_with_warnings(op, lam)
@@ -873,8 +880,9 @@ def test_a_box_bracket_multisects_only_its_own_span(monkeypatch):
     cert, messages = certified_with_warnings(op, lam)
     assert cert.bracketed and cert.shift < lam and len(messages) == 1
     assert cert.count == np.sum(vals < cert.shift) == 300
-    assert [len(f.values) for f in found] == [1] and found[0].method == "bisection"
-    assert abs(found[0].values[0] - lam) <= 1e-9 * lam
+    [(values, method, _)] = found
+    assert len(values) == 1 and method == "bisection"
+    assert abs(values[0] - lam) <= 1e-9 * lam
 
 
 @st.composite
@@ -1036,9 +1044,9 @@ def test_box_spectrum_bisects_once(monkeypatch, kind, lam):
     calls = []
     box_values = weylcs.eigen._box_values
 
-    def recording(h, box, lower, upper):
+    def recording(op, box, lower, upper):
         calls.append(upper)
-        return box_values(h, box, lower, upper)
+        return box_values(op, box, lower, upper)
 
     monkeypatch.setattr(weylcs.eigen, "_box_values", recording)
     spec = spectrum_below(box_op(kind, 35), lam)
@@ -1076,9 +1084,9 @@ def test_constant_weight_box_spectrum_never_bisects(monkeypatch, name):
     def boom(*args, **kwargs):
         raise AssertionError("a constant-weight box took a Sturm count")
 
-    def recording(h, box, lower, upper):
+    def recording(op, box, lower, upper):
         calls.append(upper)
-        return box_values(h, box, lower, upper)
+        return box_values(op, box, lower, upper)
 
     monkeypatch.setattr(weylcs.eigen, "_box_values", recording)
     monkeypatch.setattr(weylcs.eigen, "_sturm_counts", boom)
@@ -1187,8 +1195,7 @@ def test_box_kernel_matches_lapack(case):
     assert op.max_entry == norm  # bit for bit, without the matrix
     box = _box_modes(op)
     atol = 8.0 * np.finfo(float).eps * norm
-    found = _box_values(op.grid.h, box, -np.inf, upper)
-    got = found.values
+    got = _box_values(op, box, -np.inf, upper)[0]
     # at an eigenvalue the two counts may differ on values within rounding of it
     assert np.sum(vals < upper - atol) <= len(got) <= np.sum(vals <= upper + atol)
     assert np.all(np.abs(got - vals[:len(got)]) <= atol)
@@ -1196,7 +1203,7 @@ def test_box_kernel_matches_lapack(case):
     # from a lower end on, the values of that span alone, each one within
     # rounding of an eigenvalue
     lower = min(upper, 0.5 * (vals[0] + upper))
-    between = _box_values(op.grid.h, box, lower, upper).values
+    between = _box_values(op, box, lower, upper)[0]
     assert np.sum((vals >= lower + atol) & (vals < upper - atol)) <= len(between) \
         <= np.sum((vals >= lower - atol) & (vals <= upper + atol))
     assert np.all(np.min(np.abs(between[:, None] - vals), axis=1, initial=np.inf) <= atol)
@@ -1204,11 +1211,11 @@ def test_box_kernel_matches_lapack(case):
     # the gate counts without values: with no eigenvalue within tol of upper
     # it resolves to the count below upper, with one inside it does not
     tol = 1e-12 * (norm + abs(upper))
-    neg, gate = _box_inertia(op.grid.h, box, upper, tol)
+    neg, margin = _box_inertia(op.grid.h, box, upper, tol)
     if np.all(np.abs(vals - upper) > tol + atol):
-        assert gate.margin > 1.0 and neg == np.sum(vals < upper)
+        assert margin > 1.0 and neg == np.sum(vals < upper)
     if np.any(np.abs(vals - upper) < tol - atol):
-        assert gate.margin <= 1.0
+        assert margin <= 1.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -1337,9 +1344,9 @@ def test_box_values_one_short_fail_certification(monkeypatch, name):
     # multisection (the hyperbolic square) or in closed form
     box_values = weylcs.eigen._box_values
 
-    def one_short(h, box, lower, upper):
-        found = box_values(h, box, lower, upper)
-        return found._replace(values=found.values[1:])
+    def one_short(op, box, lower, upper):
+        vals, method, error = box_values(op, box, lower, upper)
+        return vals[1:], method, error
 
     monkeypatch.setattr(weylcs.eigen, "_box_values", one_short)
     op, lam = (box_op("hyperbolic", 35), 250.0) if name == "hyperbolic" \

@@ -99,8 +99,9 @@ def test_same_outputs_names_the_file_another_tree_writes_differently(tmp_path, c
 def test_same_outputs_runs_a_count_that_brackets_lambda(tmp_path):
     # lam_max is eigenvalue k = 25 of the interval at h = 0.02 (closed form)
     # and of the hyperbolic unit square at h = 0.02 (Sturm counts and
-    # multisection): the gate fails there, and the bracket moves the shift
-    # below it and warns
+    # multisection), and 576 the triple eigenvalue of the plus mask (sparse
+    # LDL^T): the gate fails there, and the bracket moves the shift below it
+    # and warns
     same_outputs = _tool("same_outputs")
     for run, shift in zip(same_outputs.BRACKET_RUNS, ["4999.99", "603.96786440"]):
         code, _, stderr, files = same_outputs.outcome(ROOT, run, tmp_path / run.name)
@@ -109,6 +110,14 @@ def test_same_outputs_runs_a_count_that_brackets_lambda(tmp_path):
         values = [line for line in files["spectrum.txt"].decode().splitlines()
                   if not line.startswith("#")]
         assert len(values) == 24
+    run = same_outputs.SPARSE_BRACKET_RUN
+    code, stdout, stderr, files = same_outputs.outcome(ROOT, run, tmp_path / "sparse")
+    assert (code, stderr, files) == (0, b"", {})
+    cert, warning = stdout.decode().splitlines()
+    assert cert.startswith("Certificate(count_method='sparse-ldl', count=1, shift=575.99")
+    assert "bracketed=True" in cert
+    assert warning.startswith("count_below: shift perturbed to 575.99")
+    assert warning.endswith("(lambda too close to an eigenvalue)")
 
 
 def test_job_times_prints_medians_of_a_cli_and_a_script_run(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,10 @@ tool runs
     lam_max = 5000, the eigenvalue k = 25, read in closed form; and on the
     hyperbolic unit square at h = 0.02 with lam_max = 603.9678644437523, the
     eigenvalue k = 25, where the bracket takes Sturm counts and multisects;
+  - a count at an eigenvalue on the sparse path: count_certificate at the
+    triple eigenvalue 576 = 4/h^2 of five nodes in a plus at h = 1/12,
+    where SuperLU fails inside a supernode and the bracket decides; it
+    prints the certificate's repr and each warning's message on stdout;
   - every job of the workloads in perfbench/workloads.py, at seeds 1, 2, 3;
 
 each the way perfbench/run.py runs a job: in a fresh process started from
@@ -85,6 +89,25 @@ BRACKET_RUNS = [
     _spectrum_run("spectrum at an eigenvalue", "box=0,1", "h=0.02", "lam_max=5000"),
     _spectrum_run("hyperbolic spectrum at an eigenvalue", "dim=2", "kind=hyperbolic",
                   "box=0,1;0,1", "h=0.02", "lam_max=603.9678644437523")]
+
+
+SPARSE_BRACKET_RUN = Run("sparse count at an eigenvalue", lambda out: ["-c", """
+import warnings
+import numpy as np
+from weylcs.domains import GridDomain, rectangle_domain
+from weylcs.eigen import count_certificate
+from weylcs.operators import assemble_euclidean
+h = 1 / 12
+box = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+mask = np.zeros(box.shape, dtype=bool)
+mask[6, 5:8] = mask[5:8, 6] = True
+op = assemble_euclidean(GridDomain(h=h, origin=box.origin, mask=mask, box=box.box))
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    print(repr(count_certificate(op, 576.0)))
+for warning in caught:
+    print(warning.message)
+"""])
 
 
 def workload_runs(inputs):
@@ -182,7 +205,8 @@ def main(argv):
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        runs = example_runs() + DEFAULT_RUNS + BRACKET_RUNS + workload_runs(work / "inputs")
+        runs = (example_runs() + DEFAULT_RUNS + BRACKET_RUNS + [SPARSE_BRACKET_RUN]
+                + workload_runs(work / "inputs"))
         return compare(Path(argv[1]).resolve(), runs, work)
 
 
