@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .domains import _rectangle_shape, rectangle_domain
+from .domains import _rectangle_shape, box_sides, rectangle_domain
 from .eigen import CertificationError, save_spectrum, spectrum_below
 from .frames import (FrameError, analytic_symbol, build_frame, phase_space_moment,
                      rayleigh_symbol, trace_via_frame)
@@ -26,7 +26,6 @@ from .operators import KINDS, assemble_euclidean, assemble_hyperbolic, weighted_
 from .weyl import (
     LeadingOverflowError,
     build_curve,
-    euclidean_leading,
     exact_spectrum_box,
     fit_remainder_exponent,
     save_curve,
@@ -193,15 +192,14 @@ def cmd_weyl_curve(cfg) -> int:
         if weighted_axes(cfg.kind, cfg.dim):
             raise ConfigError("exact spectra are euclidean-only above one dimension")
         vol = weighted_box_volume(cfg.kind, cfg.box)
-        spec = exact_spectrum_box([b - a for a, b in cfg.box], cfg.lam_max)
+        spec = exact_spectrum_box(box_sides(cfg.box), cfg.lam_max)
     else:
         op = _operator(cfg, cfg.h)
         vol = weighted_volume(cfg.kind, op.grid)
         spec = spectrum_below(op, cfg.lam_max)
 
     try:
-        curve = build_curve(spec, lambdas, lambda lam: euclidean_leading(vol, cfg.dim, lam),
-                            window=window)
+        curve = build_curve(spec, lambdas, vol, window)
     except LeadingOverflowError as exc:
         raise ConfigError(f"lam_max={cfg.lam_max:g} is too large: {exc}") from exc
     except OverflowError as exc:

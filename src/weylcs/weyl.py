@@ -131,10 +131,12 @@ class ExponentFit:
     residual: float
 
 
-def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window) -> RieszCurve:
+def build_curve(spec: Spectrum, lambdas, vol: float, window: Window) -> RieszCurve:
     """Riesz means against the leading term on a lambda grid.
 
-    The fixed schedule eps = lambda^{-1/3} only feeds the diagnostic window
+    The leading term at each lambda is euclidean_leading(vol, window.d, lam),
+    vol the weighted volume of the spectrum's domain (weighted_volume).  The
+    fixed schedule eps = lambda^{-1/3} only feeds the diagnostic window
     constant columns, the constants of window (of the spectrum's dimension)
     scaled by eps; the leading term itself is eps-free.  LeadingOverflowError
     when a leading term is not finite (lambda too large), OverflowError when
@@ -150,7 +152,7 @@ def build_curve(spec: Spectrum, lambdas, leading_fn, window: Window) -> RieszCur
         raise ValueError("lambda grid must be strictly increasing")
     riesz = np.array([riesz_mean(spec, lam) for lam in lambdas])
     with np.errstate(over="ignore"):  # an overflow is reported below
-        leading = np.array([leading_fn(lam) for lam in lambdas])
+        leading = np.array([euclidean_leading(vol, window.d, lam) for lam in lambdas])
     if not np.all(np.isfinite(leading)):
         raise LeadingOverflowError("leading term not finite at lambda = "
                                    f"{lambdas[~np.isfinite(leading)][0]:g}")

@@ -1,10 +1,12 @@
 """The repository's tools: code_lines.py, same_outputs.py and job_times.py;
-the rule that every name of the package has a reader outside the tests; and
-the package namespace, which holds its modules and __version__ only."""
+the rule that every name of the package has a reader outside the tests; the
+package namespace, which holds its modules and __version__ only; and the
+README's library example."""
 
 import ast
 import importlib.util
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import subprocess_env
+from weylcs.weyl import CURVE_HEADER, euclidean_leading
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -118,6 +121,22 @@ def test_same_outputs_runs_a_count_that_brackets_lambda(tmp_path):
     assert "bracketed=True" in cert
     assert warning.startswith("count_below: shift perturbed to 575.99")
     assert warning.endswith("(lambda too close to an eigenvalue)")
+
+
+def test_same_outputs_runs_a_euclidean_discrete_curve(tmp_path):
+    # source=discrete with the euclidean operator: the curve whose volume is
+    # weighted_volume("euclidean", op.grid), 1 on the unit square
+    same_outputs = _tool("same_outputs")
+    run = same_outputs.DISCRETE_CURVE_RUN
+    code, stdout, stderr, files = same_outputs.outcome(ROOT, run, tmp_path / "curve")
+    assert (code, stderr, list(files)) == (0, b"", ["curve.csv"])
+    assert stdout.startswith(b"remainder_fit slope=")
+    lines = files["curve.csv"].decode().splitlines()
+    assert {"# kind=euclidean", "# source=discrete", "# h=0.014285714285714285"} <= set(lines)
+    rows = [[float(v) for v in line.split(",")]
+            for line in lines[lines.index(CURVE_HEADER) + 1:]]
+    assert (len(rows), rows[0][0], rows[-1][0]) == (40, 20.0, 2000.0)
+    assert [row[2] for row in rows] == [euclidean_leading(1.0, 2, row[0]) for row in rows]
 
 
 def test_job_times_prints_medians_of_a_cli_and_a_script_run(tmp_path, capsys, monkeypatch):
@@ -268,3 +287,14 @@ def test_import_weylcs_cli_loads_every_module():
     loaded = _fresh(WEYLCS_MODULES + "import weylcs.cli\nprint(json.dumps(weylcs_modules()))")
     assert loaded == ["weylcs." + m for m in ("cli", "domains", "eigen", "frames", "operators",
                                               "weyl", "windows")]
+
+
+def test_the_readme_library_example_prints_one_ratio():
+    # the fenced python block under "## Library example", run as a user would
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = re.search(r"^```python\n(.*?)^```$", section, re.S | re.M).group(1)
+    run = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                         capture_output=True, text=True, check=True)
+    ratio = float(run.stdout)
+    assert run.stdout == f"{ratio}\n" and 0.0 < ratio < math.inf

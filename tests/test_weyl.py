@@ -198,23 +198,32 @@ def test_weighted_volume_rejects_an_unknown_kind():
 
 def test_build_curve_ratio_increases_to_one():
     spec = exact_spectrum_interval(math.pi, 2e4)
-    curve = build_curve(spec, [1e2, 1e3, 1e4],
-                        lambda lam: euclidean_leading(math.pi, 1, lam), make_cosine_window(1))
+    curve = build_curve(spec, [1e2, 1e3, 1e4], math.pi, make_cosine_window(1))
     assert np.all(np.diff(curve.ratio) > 0)
     assert curve.ratio[-1] < 1.0
     assert curve.ratio[-1] > 0.99
 
 
+@pytest.mark.parametrize("d, vol", [(1, math.pi), (2, 0.75)])
+def test_build_curve_leading_is_the_euclidean_term_of_the_volume(d, vol):
+    # the one leading-term rule: the weighted volume in, euclidean_leading
+    # at the window's dimension out, bit for bit
+    spec = Spectrum(values=np.empty(0), cutoff=1e4, certified=True)
+    lams = np.geomspace(10.0, 1e4, 7)
+    curve = build_curve(spec, lams, vol, make_cosine_window(d))
+    assert curve.leading.tolist() == [euclidean_leading(vol, d, lam) for lam in lams]
+
+
 def test_build_curve_empty_spectrum():
     spec = Spectrum(values=np.empty(0), cutoff=1e4, certified=True)
-    curve = build_curve(spec, [10.0, 100.0], lambda lam: lam, make_cosine_window(1))
+    curve = build_curve(spec, [10.0, 100.0], 1.0, make_cosine_window(1))
     assert np.all(curve.riesz == 0.0)
 
 
 def test_build_curve_requires_increasing_grid():
     spec = exact_spectrum_interval(math.pi, 1e3)
     with pytest.raises(ValueError):
-        build_curve(spec, [100.0, 100.0], lambda lam: lam, make_cosine_window(1))
+        build_curve(spec, [100.0, 100.0], 1.0, make_cosine_window(1))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -223,7 +232,7 @@ def test_build_curve_rejects_a_grid_that_is_not_finite(bad):
     # once surfaced as "leading term not finite at lambda = nan"
     spec = exact_spectrum_interval(math.pi, 1e3)
     with pytest.raises(ValueError, match=f"lambda grid must be finite, got {bad!r}") as info:
-        build_curve(spec, [10.0, 100.0, bad], lambda lam: lam, make_cosine_window(1))
+        build_curve(spec, [10.0, 100.0, bad], 1.0, make_cosine_window(1))
     assert type(info.value) is ValueError
 
 
@@ -232,7 +241,7 @@ def test_build_curve_rejects_a_lambda_at_or_below_zero(lam):
     # eps = lambda^(-1/3) is inf at 0 and nan below
     spec = exact_spectrum_interval(math.pi, 1e3)
     with pytest.raises(OverflowError, match="leaves the float range"):
-        build_curve(spec, [lam, 100.0], lambda lam: lam, make_cosine_window(1))
+        build_curve(spec, [lam, 100.0], 1.0, make_cosine_window(1))
 
 
 def test_riesz_convexity_and_slope_counts():
@@ -302,8 +311,7 @@ def test_fit_recovers_random_exponent(p):
 def test_save_curve_format(tmp_path):
     spec = exact_spectrum_interval(math.pi, 2e3)
     lams = np.geomspace(100.0, 1000.0, 6)
-    curve = build_curve(spec, lams,
-                        lambda lam: euclidean_leading(math.pi, 1, lam), make_cosine_window(1))
+    curve = build_curve(spec, lams, math.pi, make_cosine_window(1))
     path = tmp_path / "curve.csv"
     save_curve(curve, path, comments=["source=test"])
     lines = path.read_text().splitlines()

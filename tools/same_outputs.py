@@ -18,6 +18,8 @@ tool runs
     triple eigenvalue 576 = 4/h^2 of five nodes in a plus at h = 1/12,
     where SuperLU fails inside a supernode and the bracket decides; it
     prints the certificate's repr and each warning's message on stdout;
+  - a weyl-curve of the euclidean operator from its discrete spectrum
+    (source=discrete) on the unit square at h = 1/70, lambda from 20 to 2000;
   - every job of the workloads in perfbench/workloads.py, at seeds 1, 2, 3;
 
 each the way perfbench/run.py runs a job: in a fresh process started from
@@ -73,22 +75,28 @@ def example_runs(root=ROOT):
     return runs
 
 
-DEFAULT_RUNS = [Run(command, lambda out, command=command: [
-    "-m", "weylcs", command, "--out", str(out / f"{command}.txt")])
-    for command in ("symbol-check", "frame-check")]
-
-
-def _spectrum_run(name, *keys):
-    """A spectrum run with the config keys given as --set KEY=VALUE."""
-    return Run(name, lambda out: ["-m", "weylcs", "spectrum",
+def _cli_run(name, command, output, *keys):
+    """A run of a weylcs command with the config keys given as --set
+    KEY=VALUE, writing the file output."""
+    return Run(name, lambda out: ["-m", "weylcs", command,
                                   *[arg for key in keys for arg in ("--set", key)],
-                                  "--out", str(out / "spectrum.txt")])
+                                  "--out", str(out / output)])
+
+
+DEFAULT_RUNS = [_cli_run(command, command, f"{command}.txt")
+                for command in ("symbol-check", "frame-check")]
 
 
 BRACKET_RUNS = [
-    _spectrum_run("spectrum at an eigenvalue", "box=0,1", "h=0.02", "lam_max=5000"),
-    _spectrum_run("hyperbolic spectrum at an eigenvalue", "dim=2", "kind=hyperbolic",
-                  "box=0,1;0,1", "h=0.02", "lam_max=603.9678644437523")]
+    _cli_run("spectrum at an eigenvalue", "spectrum", "spectrum.txt",
+             "box=0,1", "h=0.02", "lam_max=5000"),
+    _cli_run("hyperbolic spectrum at an eigenvalue", "spectrum", "spectrum.txt",
+             "dim=2", "kind=hyperbolic", "box=0,1;0,1", "h=0.02", "lam_max=603.9678644437523")]
+
+
+DISCRETE_CURVE_RUN = _cli_run("euclidean discrete weyl-curve", "weyl-curve", "curve.csv",
+                              "dim=2", "box=0,1;0,1", "h=%r" % (1 / 70), "source=discrete",
+                              "lam_min=20", "lam_max=2000")
 
 
 SPARSE_BRACKET_RUN = Run("sparse count at an eigenvalue", lambda out: ["-c", """
@@ -206,7 +214,7 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         runs = (example_runs() + DEFAULT_RUNS + BRACKET_RUNS + [SPARSE_BRACKET_RUN]
-                + workload_runs(work / "inputs"))
+                + [DISCRETE_CURVE_RUN] + workload_runs(work / "inputs"))
         return compare(Path(argv[1]).resolve(), runs, work)
 
 
