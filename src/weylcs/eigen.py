@@ -46,14 +46,14 @@ half the final bracket plus the rounding of the counts, or the residual
 bound |theta - lambda_i| <= ||r|| (Parlett, The Symmetric Eigenvalue
 Problem, ch. 4).
 
-On either path the gate runs once, at lambda.  A count it leaves unresolved
-is bracketed: two resolved counts of the same path, at lambda - delta and
-lambda + 2*delta, and the values between them decide the count, each within
-its error bound of an eigenvalue.  The shift stays lambda unless a value
-lies within that bound plus tol of it; then it moves below the value, and
-only then does the count warn, always for that one reason: lambda lies too
-close to an eigenvalue.  count_certificate does all of this, and every count
-goes through it: count_below, spectrum_below and the slice midpoints.
+On either path one loop, _resolved, gives every count: the gate runs once,
+at lambda, and a count it leaves unresolved is bracketed by two resolved
+counts of the same path, at lambda - delta and lambda + 2*delta.
+count_certificate, the count of count_below and spectrum_below, lets the
+values between the two ends decide, each within its error bound of an
+eigenvalue.  The shift stays lambda unless a value lies within that bound
+plus tol of it; then it moves below the value, and only then does the count
+warn, always for that one reason: lambda lies too close to an eigenvalue.
 
 One routine, _values_between, finds the eigenvalues between two certified
 counts, and it alone checks that the search found exactly the difference of
@@ -63,11 +63,12 @@ two ends.  On a box they are the values of _box_values between the two
 shifts: the ends of the Weyl brackets where those have width zero, the
 multisection midpoints otherwise.  Elsewhere they come from spectrum
 slicing (Ericsson-Ruhe 1980; Campos-Roman 2012): a span of more than _SLICE
-eigenvalues that is wider than the bracket's first delta is split at a
-certified count at its midpoint, and each half is searched the same way.  A
-half whose two counts are equal holds no eigenvalue and costs nothing; in
-every other slice, shift-invert eigsh centred in it must find exactly the
-slice's count.
+eigenvalues that is wider than the bracket's first delta is cut at a count
+of _resolved at its midpoint, the gate's or else the lower end of the
+bracket, which searches no values and never warns, and each half is
+searched the same way.  A half whose two counts are equal holds no
+eigenvalue and costs nothing; in every other slice, shift-invert eigsh
+centred in it must find exactly the slice's count.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def _mode_counts(h, box, x):
     return count, mu, inv_h2, pivmin
 
 
-# the gate's rungs r, doubling up to about the bracket's first delta, 1e6*tol
+# the gate's rungs r, doubling up to about the bracket's first delta, _DELTA*scale = 1e6*tol
 _RUNGS = 2.0 ** np.arange(21)
 
 
@@ -394,39 +395,47 @@ def _shifted(op, shift):
     return op.matrix - shift * scipy.sparse.identity(op.n, format="csc")
 
 
+# the bracket's first delta over scale = max|A_ij| + |lambda|: 1e6 times tol,
+# so that its ends stand well clear of an eigenvalue at lambda and resolve,
+# yet close enough that the bracket holds few eigenvalues to search
+_DELTA = 1e-6
+
+
+def _resolved(op, box, lam):
+    """Two resolved (shift, count) ends around lam, their smaller margin and tol.
+
+    At delta = 0 the path's gate runs once, at lam; while either end is
+    unresolved, the ends are lam - delta and lam + 2*delta, delta widening
+    from _DELTA*scale by 100x.  The bracket is asymmetric so that
+    _slice_values does not centre its factorization on an eigenvalue at
+    lambda; once delta is a few times scale both ends lie outside the
+    spectrum and resolve.  Each distinct shift is counted once, in order.
+    """
+    scale = op.max_entry + abs(lam)
+    if not np.isfinite(scale):  # an inf or nan entry: no count can be certified
+        raise ValueError(f"operator entries must be finite, got max|A_ij| + |lam| = {scale!r}")
+    tol = 1e-12 * scale
+    delta = 0.0
+    while True:
+        ends = [(s, *(_sparse_inertia(_shifted(op, s), tol) if box is None
+                      else _box_inertia(op.grid.h, box, s, tol)))
+                for s in dict.fromkeys((lam - delta, lam + 2.0 * delta))]
+        margin = min(end[2] for end in ends)
+        if margin > 1.0:
+            return ends[0][:2], ends[-1][:2], margin, tol
+        delta = 100.0 * delta if delta else _DELTA * scale
+
+
 def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
     """Certified inertia count of the eigenvalues strictly below lam and the
     shift it used: lam, or just below an eigenvalue within tol of lam."""
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam!r}")
     box = _box_modes(op)
-    scale = op.max_entry + abs(lam)
-    if not np.isfinite(scale):  # an inf or nan entry: no count can be certified
-        raise ValueError(f"operator entries must be finite, got max|A_ij| + |lam| = {scale!r}")
-    tol = 1e-12 * scale
-    method = "sparse-ldl" if box is None else "sturm"
-
-    def inertia(shift):
-        if box is None:
-            return _sparse_inertia(_shifted(op, shift), tol)
-        return _box_inertia(op.grid.h, box, shift, tol)
-
-    neg, margin = inertia(lam)
-    shift, bracketed = lam, margin <= 1.0
-    if bracketed:
-        # bracket lambda between two resolved counts.  The bracket is
-        # asymmetric so that _slice_values does not centre its factorization
-        # on an eigenvalue at lambda; once delta is a few times scale both
-        # ends lie outside the spectrum and resolve
-        delta = 1e-6 * scale
-        while True:
-            lo, hi = lam - delta, lam + 2.0 * delta
-            (neg, low), (high_neg, high) = inertia(lo), inertia(hi)
-            margin = min(low, high)
-            if margin > 1.0:
-                break
-            delta *= 100.0
-        vals, _, error = _values_between(op, box, (lo, neg), (hi, high_neg))
+    lo, hi, margin, tol = _resolved(op, box, lam)
+    shift, count = lam, lo[1]
+    if count != hi[1]:
+        vals, _, error = _values_between(op, box, lo, hi)
         # each value lies within error of an eigenvalue (nan after eigvalsh,
         # whose error is far below tol); one within error + tol of the shift
         # counts as at lambda and moves the shift below it, but never below
@@ -435,13 +444,13 @@ def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
         for v in vals[::-1]:  # sorted
             if v > shift - gap:
                 shift = min(shift, v - gap)
-        shift = max(shift, lo)
-        neg += int(np.count_nonzero(vals < shift))
+        shift = max(shift, lo[0])
+        count += int(np.count_nonzero(vals < shift))
     if shift < lam:
         warnings.warn(f"count_below: shift perturbed to {float(shift)!r} "
                       "(lambda too close to an eigenvalue)")
-    return Certificate(count_method=method, count=int(neg), shift=float(shift),
-                       bracketed=bracketed, pivot_margin=margin)
+    return Certificate(count_method="sparse-ldl" if box is None else "sturm", count=count,
+                       shift=float(shift), bracketed=bool(lo[0] < lam), pivot_margin=margin)
 
 
 def count_below(op: DiscreteOperator, lam: float) -> int:
@@ -510,11 +519,13 @@ def _values_between(op, box, lo, hi):
     On a box (box not None) they are the values of _box_values between the
     two shifts: no eigenvalue lies within tol of a certified shift, so the
     modes' counts there add up to lo's and hi's.  Elsewhere a span of more
-    than _SLICE eigenvalues, wider than count_certificate's first bracket
-    delta 1e-6*(max|A_ij| + |hi|), is split at a certified count at its
-    midpoint into two spans, each searched by this routine, and the method
-    and error are merged over the halves that hold values; any other span
-    goes to _slice_values whole.  Either search must find exactly the
+    than _SLICE eigenvalues, wider than the bracket's first delta
+    _DELTA*(max|A_ij| + |hi|), is cut into two spans, each searched by this
+    routine, at the lower end that _resolved gives at its midpoint: the
+    midpoint itself when the gate resolves there, else the lower end of the
+    narrowest bracket that resolves, whose values are not searched.  The
+    method and error are merged over the halves that hold values; any other
+    span goes to _slice_values whole.  Either search must find exactly the
     difference of the counts, or CertificationError.  Equal counts have no
     values, found by "none" with a nan error, and cost nothing: no eigsh
     runs on a slice its counts show to be empty.
@@ -524,12 +535,12 @@ def _values_between(op, box, lo, hi):
         return np.empty(0), "none", float("nan")
     # a narrower span goes whole: halving it would only close in on a
     # cluster, each midpoint bracketed on it
-    if box is None and count > _SLICE and hi[0] - lo[0] > 1e-6 * (op.max_entry + abs(hi[0])):
-        mid = count_certificate(op, 0.5 * (lo[0] + hi[0]))
-        # a midpoint certified at or below lo means more than _SLICE
-        # eigenvalues within a few tol: no split can separate them
-        if mid.shift > lo[0]:
-            halves = [(lo, (mid.shift, mid.count)), ((mid.shift, mid.count), hi)]
+    if box is None and count > _SLICE and hi[0] - lo[0] > _DELTA * (op.max_entry + abs(hi[0])):
+        cut = _resolved(op, box, 0.5 * (lo[0] + hi[0]))[0]
+        # a cut at or below lo means more than _SLICE eigenvalues within a
+        # few tol of the midpoint: no split can separate them
+        if cut[0] > lo[0]:
+            halves = [(lo, cut), (cut, hi)]
             parts = [p for p in (_values_between(op, box, *e) for e in halves) if p[1] != "none"]
             method = "eigvalsh" if any(m == "eigvalsh" for _, m, _ in parts) else "eigsh"
             error = float(np.max([e for _, _, e in parts]))  # nan after any eigvalsh

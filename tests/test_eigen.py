@@ -354,15 +354,15 @@ def test_sliced_spectrum_needs_no_dense_solver(monkeypatch):
 
 
 def test_sliced_spectrum_catches_an_interior_count_one_too_low(monkeypatch):
-    # only the counts at the slice ends inside (0, lambda) are one too low
-    count = weylcs.eigen.count_certificate
+    # only the counts at the slice cuts inside (0, lambda) are one too low
+    resolved = weylcs.eigen._resolved
     lam = 5000.0
 
-    def one_less_inside(op, shift):
-        cert = count(op, shift)
-        return dataclasses.replace(cert, count=cert.count - 1) if shift < lam else cert
+    def one_less_inside(op, box, shift):
+        (cut, count), hi, margin, tol = resolved(op, box, shift)
+        return (cut, count - (shift < lam)), hi, margin, tol
 
-    monkeypatch.setattr(weylcs.eigen, "count_certificate", one_less_inside)
+    monkeypatch.setattr(weylcs.eigen, "_resolved", one_less_inside)
     op = disk_op(1 / 30)
     assert count_below(op, lam) > weylcs.eigen._SLICE
     with pytest.raises(CertificationError):
@@ -605,13 +605,13 @@ def test_a_cluster_is_not_halved_once_the_span_is_within_a_bracket_delta(monkeyp
     # midpoint comes within tol of the eigenvalue and none warns
     h = 1 / 40
     op = mask_op(h, lambda i, j: (i + j) % 2 == 0)
-    certify, certified = weylcs.eigen.count_certificate, []
+    resolve, certified = weylcs.eigen._resolved, []
 
-    def recording(op, lam):
+    def recording(op, box, lam):
         certified.append(lam)
-        return certify(op, lam)
+        return resolve(op, box, lam)
 
-    monkeypatch.setattr(weylcs.eigen, "count_certificate", recording)
+    monkeypatch.setattr(weylcs.eigen, "_resolved", recording)
     asked = recorded_slices(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -620,6 +620,30 @@ def test_a_cluster_is_not_halved_once_the_span_is_within_a_bracket_delta(monkeyp
     assert len(certified) == 21 and asked == [761]
     assert np.array_equal(spec.values, dense_spectrum(op).values)
     assert spec.certificate.value_method == "eigvalsh"
+
+
+def test_a_cut_on_an_eigenvalue_takes_the_bracket_end_and_does_not_warn(monkeypatch):
+    # two 20 x 20 blocks of the h = 1/50 lattice: each block mode
+    # 4/h^2 (sin^2(j pi/42) + sin^2(k pi/42)) twice.  lambda is twice the
+    # 61st distinct mode, so the first cut, at lambda/2, lands on an
+    # eigenvalue: the gate fails there, and the span is cut at the lower end
+    # of the bracket that resolves, with no warning and no search of its
+    # values: the slices searched hold the 630 values once
+    h = 1 / 50
+    box = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+    mask = np.zeros(box.shape, dtype=bool)
+    mask[2:22, 2:22] = mask[26:46, 26:46] = True
+    op = assemble_euclidean(GridDomain(h=h, origin=box.origin, mask=mask, box=box.box))
+    block = 4 / h ** 2 * np.sin(np.arange(1, 21) * np.pi / 42) ** 2
+    modes = np.repeat(np.sort((block[:, None] + block[None, :]).ravel()), 2)
+    lam = 2 * np.unique(modes)[60]
+    asked = recorded_slices(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = spectrum_below(op, lam)
+    assert [str(w.message) for w in caught] == []
+    assert spec.certificate.shift == lam and len(spec.values) == sum(asked) == 630
+    assert np.allclose(spec.values, modes[modes < lam], rtol=1e-10, atol=0.0)
 
 
 def test_a_split_merges_eigsh_and_eigvalsh(monkeypatch):

@@ -123,6 +123,16 @@ def test_same_outputs_runs_a_count_that_brackets_lambda(tmp_path):
     assert warning.endswith("(lambda too close to an eigenvalue)")
 
 
+def test_same_outputs_runs_a_sparse_spectrum_cut_at_an_eigenvalue(tmp_path):
+    # the first cut of the two-block mask's span lands on an eigenvalue; the
+    # cut takes the bracket's lower end and does not warn
+    same_outputs = _tool("same_outputs")
+    run = same_outputs.SPARSE_CUT_RUN
+    code, stdout, stderr, files = same_outputs.outcome(ROOT, run, tmp_path / "cut")
+    assert (code, stderr, files) == (0, b"", {})
+    assert stdout.decode() == "630 630 True\n"
+
+
 def test_same_outputs_runs_a_euclidean_discrete_curve(tmp_path):
     # source=discrete with the euclidean operator: the curve whose volume is
     # weighted_volume("euclidean", op.grid), 1 on the unit square

@@ -18,6 +18,12 @@ tool runs
     triple eigenvalue 576 = 4/h^2 of five nodes in a plus at h = 1/12,
     where SuperLU fails inside a supernode and the bracket decides; it
     prints the certificate's repr and each warning's message on stdout;
+  - a sparse spectrum whose first slice cut lands on an eigenvalue:
+    spectrum_below on two 20 x 20 blocks of the h = 1/50 lattice at twice
+    their 61st distinct eigenvalue; it prints the certificate's count, the
+    number of values, whether all lie within 1e-10 relative of the blocks'
+    closed form, and each warning's message on stdout (not the values,
+    which off a box need not be byte-reproducible);
   - a weyl-curve of the euclidean operator from its discrete spectrum
     (source=discrete) on the unit square at h = 1/70, lambda from 20 to 2000;
   - every job of the workloads in perfbench/workloads.py, at seeds 1, 2, 3;
@@ -113,6 +119,30 @@ op = assemble_euclidean(GridDomain(h=h, origin=box.origin, mask=mask, box=box.bo
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     print(repr(count_certificate(op, 576.0)))
+for warning in caught:
+    print(warning.message)
+"""])
+
+
+SPARSE_CUT_RUN = Run("sparse spectrum cut at an eigenvalue", lambda out: ["-c", """
+import warnings
+import numpy as np
+from weylcs.domains import GridDomain, rectangle_domain
+from weylcs.eigen import spectrum_below
+from weylcs.operators import assemble_euclidean
+h = 1 / 50
+box = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+mask = np.zeros(box.shape, dtype=bool)
+mask[2:22, 2:22] = mask[26:46, 26:46] = True
+op = assemble_euclidean(GridDomain(h=h, origin=box.origin, mask=mask, box=box.box))
+block = 4 / h ** 2 * np.sin(np.arange(1, 21) * np.pi / 42) ** 2
+modes = np.repeat(np.sort((block[:, None] + block[None, :]).ravel()), 2)
+lam = 2 * np.unique(modes)[60]
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    spec = spectrum_below(op, lam)
+print(spec.certificate.count, len(spec.values),
+      bool(np.allclose(spec.values, modes[modes < lam], rtol=1e-10, atol=0.0)))
 for warning in caught:
     print(warning.message)
 """])
@@ -214,7 +244,7 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         runs = (example_runs() + DEFAULT_RUNS + BRACKET_RUNS + [SPARSE_BRACKET_RUN]
-                + [DISCRETE_CURVE_RUN] + workload_runs(work / "inputs"))
+                + [SPARSE_CUT_RUN, DISCRETE_CURVE_RUN] + workload_runs(work / "inputs"))
         return compare(Path(argv[1]).resolve(), runs, work)
 
 
