@@ -1,7 +1,8 @@
-"""The repository's tools: code_lines.py, same_outputs.py and job_times.py;
-the rule that every name of the package has a reader outside the tests; the
-package namespace, which holds its modules and __version__ only; and the
-README's library example."""
+"""The repository's tools: code_lines.py, and same_outputs.py, which starts
+every run through one timed launcher and times both trees in alternating
+pairs; the rule that every name of the package has a reader outside the
+tests; the package namespace, which holds its modules and __version__ only;
+and the README's library example."""
 
 import ast
 import importlib.util
@@ -63,13 +64,32 @@ def _example(same_outputs, name):
     return [run for run in same_outputs.example_runs() if run.name == f"examples/{name}"]
 
 
+CLOCKS = r"wall (\S+) \[(\S+), (\S+)\]  import (\S+) \[(\S+), (\S+)\]  work (\S+) \[(\S+), (\S+)\]"
+
+
+def _times(lines, repeat):
+    """Check the three lines that close a run's report: each tree's median
+    and quartiles of wall, import and work, in order, and the pairs each tree
+    won on wall."""
+    for line, tree in zip(lines, ("this ", "other")):
+        values = [float(v) for v in re.fullmatch(f"  {tree}  {CLOCKS}", line).groups()]
+        for m, q1, q3 in zip(values[::3], values[1::3], values[2::3]):
+            assert 0.0 <= q1 <= m <= q3, line
+    this, other = map(int, re.fullmatch(
+        f"  wall wins of {repeat} pairs: this (\\d+), other (\\d+)", lines[2]).groups())
+    assert this + other <= repeat
+
+
 def test_same_outputs_finds_an_example_identical_to_itself(tmp_path, capsys):
     same_outputs = _tool("same_outputs")
     runs = _example(same_outputs, "euclidean_weyl_d1.cfg")
-    assert same_outputs.compare(ROOT, runs, tmp_path) == 0
-    assert capsys.readouterr().out == "examples/euclidean_weyl_d1.cfg  exit 0  identical\n"
-    # both runs wrote the curve
-    assert [p.name for p in tmp_path.rglob("*.csv")] == ["euclidean_weyl_d1.csv"] * 2
+    assert same_outputs.compare(ROOT, runs, tmp_path, repeat=2) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "examples/euclidean_weyl_d1.cfg  exit 0  identical"
+    _times(lines[1:], 2)
+    assert len(lines) == 4
+    # each of the two pairs' starts wrote the curve
+    assert [p.name for p in tmp_path.rglob("*.csv")] == ["euclidean_weyl_d1.csv"] * 4
 
 
 def test_same_outputs_names_the_file_another_tree_writes_differently(tmp_path, capsys):
@@ -88,15 +108,18 @@ def test_same_outputs_names_the_file_another_tree_writes_differently(tmp_path, c
     assert same_outputs.compare(other, runs, tmp_path / "work") == 1
     # the first line that differs, its number and both texts: the same row
     # written with 17 and with 16 digits
-    this, theirs = (tmp_path / "work" / tree / "0" / "euclidean_weyl_d1.csv"
+    this, theirs = (tmp_path / "work" / tree / "0" / "0" / "euclidean_weyl_d1.csv"
                     for tree in ("this", "other"))
     line, mine, other_line = next((i, a, b) for i, (a, b) in enumerate(
         zip(this.read_text().splitlines(), theirs.read_text().splitlines()), 1) if a != b)
     assert other_line == ",".join("%.16g" % float(v) for v in mine.split(","))
-    assert capsys.readouterr().out == (
-        "examples/euclidean_weyl_d1.cfg  exit 0  differs: stderr, euclidean_weyl_d1.csv\n"
-        "  stderr line 1: this None, other 'a note'\n"
-        f"  euclidean_weyl_d1.csv line {line}: this {mine!r}, other {other_line!r}\n")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "examples/euclidean_weyl_d1.cfg  exit 0  differs: stderr, euclidean_weyl_d1.csv",
+        "  stderr line 1: this None, other 'a note'",
+        f"  euclidean_weyl_d1.csv line {line}: this {mine!r}, other {other_line!r}"]
+    _times(lines[3:], 1)
+    assert len(lines) == 6
 
 
 def test_same_outputs_runs_a_count_that_brackets_lambda(tmp_path):
@@ -107,14 +130,14 @@ def test_same_outputs_runs_a_count_that_brackets_lambda(tmp_path):
     # and warns
     same_outputs = _tool("same_outputs")
     for run, shift in zip(same_outputs.BRACKET_RUNS, ["4999.99", "603.96786440"]):
-        code, _, stderr, files = same_outputs.outcome(ROOT, run, tmp_path / run.name)
+        code, _, stderr, files, _ = same_outputs.outcome(ROOT, run, tmp_path / run.name)
         assert code == 0 and list(files) == ["spectrum.txt"]
         assert stderr.decode().startswith(f"warning: count_below: shift perturbed to {shift}")
         values = [line for line in files["spectrum.txt"].decode().splitlines()
                   if not line.startswith("#")]
         assert len(values) == 24
     run = same_outputs.SPARSE_BRACKET_RUN
-    code, stdout, stderr, files = same_outputs.outcome(ROOT, run, tmp_path / "sparse")
+    code, stdout, stderr, files, _ = same_outputs.outcome(ROOT, run, tmp_path / "sparse")
     assert (code, stderr, files) == (0, b"", {})
     cert, warning = stdout.decode().splitlines()
     assert cert.startswith("Certificate(count_method='sparse-ldl', count=1, shift=575.99")
@@ -128,7 +151,7 @@ def test_same_outputs_runs_a_sparse_spectrum_cut_at_an_eigenvalue(tmp_path):
     # cut takes the bracket's lower end and does not warn
     same_outputs = _tool("same_outputs")
     run = same_outputs.SPARSE_CUT_RUN
-    code, stdout, stderr, files = same_outputs.outcome(ROOT, run, tmp_path / "cut")
+    code, stdout, stderr, files, _ = same_outputs.outcome(ROOT, run, tmp_path / "cut")
     assert (code, stderr, files) == (0, b"", {})
     assert stdout.decode() == "630 630 True\n"
 
@@ -138,7 +161,7 @@ def test_same_outputs_runs_a_euclidean_discrete_curve(tmp_path):
     # weighted_volume("euclidean", op.grid), 1 on the unit square
     same_outputs = _tool("same_outputs")
     run = same_outputs.DISCRETE_CURVE_RUN
-    code, stdout, stderr, files = same_outputs.outcome(ROOT, run, tmp_path / "curve")
+    code, stdout, stderr, files, _ = same_outputs.outcome(ROOT, run, tmp_path / "curve")
     assert (code, stderr, list(files)) == (0, b"", ["curve.csv"])
     assert stdout.startswith(b"remainder_fit slope=")
     lines = files["curve.csv"].decode().splitlines()
@@ -149,51 +172,87 @@ def test_same_outputs_runs_a_euclidean_discrete_curve(tmp_path):
     assert [row[2] for row in rows] == [euclidean_leading(1.0, 2, row[0]) for row in rows]
 
 
-def test_job_times_prints_medians_of_a_cli_and_a_script_run(tmp_path, capsys, monkeypatch):
-    # the benchmark's runs replaced by an example and a small mask-count job
-    same_outputs = _tool("same_outputs")  # job_times imports it as a sibling module
-    job_times = _tool("job_times")
+def test_the_timed_launch_writes_what_a_plain_start_writes(tmp_path):
+    # an example (python -m weylcs), a small mask-count job (a library
+    # script), the sparse count (python -c) and mask-count without its
+    # arguments (a usage error naming the script), each started through the
+    # launcher's clock and as perfbench/run.py starts a job
+    same_outputs = _tool("same_outputs")
     (tmp_path / "in.json").write_text(json.dumps({"lambdas": [250.0],
                                                   "points": [[1.0, 2.0, 0.5, 0.5]]}))
-    mask = job_times.Run("mask-count", lambda out: [
+    mask = same_outputs.Run("mask-count", lambda out: [
         "perfbench/mask_count.py", "--input", str(tmp_path / "in.json"),
         "--out", str(out / "m.txt")])
-    runs = _example(same_outputs, "euclidean_weyl_d1.cfg") + [mask]
-    monkeypatch.setattr(same_outputs, "workload_runs", lambda inputs: runs)
-    assert job_times.main(["--repeat", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["run", "wall_s", "wall_q1", "wall_q3", "import_s", "import_q1",
-                                "import_q3", "work_s", "work_q1", "work_q3"]
-    names = ["pass", "import numpy", "import numpy, scipy.sparse.linalg",
-             "examples/euclidean_weyl_d1.cfg", "mask-count"]
-    rows = {}
-    for line in lines[1:]:
-        name, *values = line.rsplit(None, 9)
-        rows[name] = [float(v) for v in values]
-    assert list(rows) == names
-    for name, values in rows.items():
-        # one repetition: both quartiles are the one sample, the median
-        wall, imp, work = values[::3]
-        assert values == [t for t in (wall, imp, work) for _ in range(3)], name
-        assert 0.0 <= imp and 0.0 <= work and imp + work <= wall, name
-    assert rows["pass"][3:] == [0.0] * 6  # at three decimals
-    assert rows["import numpy"][6] == 0.0 < rows["import numpy"][3]
-    assert rows["mask-count"][6] > 0.0  # the counts ran, after the import
+    usage = same_outputs.Run("mask-count usage", lambda out: ["perfbench/mask_count.py"])
+    runs = _example(same_outputs, "euclidean_weyl_d1.cfg") + [
+        mask, same_outputs.SPARSE_BRACKET_RUN, usage]
+    for i, run in enumerate(runs):
+        *timed, (wall, imp, work) = same_outputs.outcome(ROOT, run, tmp_path / f"timed{i}")
+        out = tmp_path / f"plain{i}"
+        out.mkdir()
+        plain = subprocess.run([sys.executable, *run.argv(out)], cwd=ROOT,
+                               env=same_outputs.run_env(ROOT), capture_output=True)
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        assert timed == [plain.returncode, plain.stdout, plain.stderr, files], run.name
+        assert timed[0] == (2 if run is usage else 0), run.name
+        assert 0.0 <= imp and 0.0 < work and imp + work <= wall, run.name
+    assert timed[2].decode().startswith("usage: mask_count.py ")
 
 
-def test_job_times_quartiles_interpolate_between_the_sorted_samples():
-    _tool("same_outputs")
-    quartiles = _tool("job_times").quartiles
+def test_the_timed_launch_reports_a_process_that_dies_before_its_clocks(tmp_path):
+    # os._exit skips the launcher's finally, so no clocks are written: the
+    # outcome still holds the exit code, and nan for import and work
+    same_outputs = _tool("same_outputs")
+    run = same_outputs.Run("killed", lambda out: ["-c", "import os; os._exit(3)"])
+    *timed, (wall, imp, work) = same_outputs.outcome(ROOT, run, tmp_path / "killed")
+    assert timed == [3, b"", b"", {}]
+    assert wall > 0.0 and math.isnan(imp) and math.isnan(work)
+
+
+def test_same_outputs_alternates_trees_counts_no_tie_and_flags_one_differing_pair(
+        tmp_path, capsys, monkeypatch):
+    # a launcher that records each start and gives it a preset wall time:
+    # pair 0 ties, pair 1 goes to this tree, pairs 2 and 3 to the other;
+    # only the other tree's start in pair 2 prints a line
+    same_outputs = _tool("same_outputs")
+    walls = {"this": [1.0, 2.0, 5.0, 4.0], "other": [1.0, 3.0, 4.0, 3.5]}
+    starts = []
+
+    def launch(root, run, out):
+        starts.append(root.name)
+        pair = (len(starts) - 1) // 2
+        stdout = b"x\n" if (root.name, pair) == ("other", 2) else b""
+        return 0, stdout, b"", {}, (walls[root.name][pair], 0.0, 0.0)
+
+    monkeypatch.setattr(same_outputs, "outcome", launch)
+    run = same_outputs.Run("fake", lambda out: [])
+    assert same_outputs.compare(tmp_path / "other", [run], tmp_path, repeat=4,
+                                root=tmp_path / "this") == 1
+    assert starts == ["this", "other", "other", "this", "this", "other", "other", "this"]
+    assert capsys.readouterr().out.splitlines() == [
+        "fake  exit 0  differs: stdout",
+        "  stdout line 1: this None, other 'x'",
+        "  this   wall 3.000 [1.750, 4.250]" + "  import 0.000 [0.000, 0.000]"
+        + "  work 0.000 [0.000, 0.000]",
+        "  other  wall 3.250 [2.500, 3.625]" + "  import 0.000 [0.000, 0.000]"
+        + "  work 0.000 [0.000, 0.000]",
+        "  wall wins of 4 pairs: this 1, other 2"]
+
+
+def test_same_outputs_quartiles_interpolate_between_the_sorted_samples():
+    quartiles = _tool("same_outputs").quartiles
     assert quartiles([5.0, 1.0, 4.0, 2.0, 3.0]) == (3.0, 2.0, 4.0)
     assert quartiles([4.0, 1.0]) == (2.5, 1.75, 3.25)
     assert quartiles([0.5]) == (0.5, 0.5, 0.5)
 
 
-def test_job_times_command_line_rejects_no_repetition(capsys):
-    _tool("same_outputs")
-    with pytest.raises(SystemExit):
-        _tool("job_times").main(["--repeat", "0"])
-    assert "--repeat must be at least 1" in capsys.readouterr().err
+def test_same_outputs_command_line_rejects_no_repetition(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        _tool("same_outputs").main([str(ROOT), "--repeat", "0"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--repeat must be at least 1" in err
 
 
 # names kept without a reader: the documented file formats and criterion 1's

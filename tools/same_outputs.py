@@ -1,11 +1,14 @@
-"""Check that another checkout writes the same outputs as this one, run by run.
+"""Check that another checkout writes the same outputs as this one, run by
+run, and time both.
 
-    python tools/same_outputs.py OTHER_ROOT
+    python tools/same_outputs.py OTHER_ROOT [--repeat N]   # default N = 1
 
 OTHER_ROOT is another checkout of the repository, for example the parent
 commit's, made with `git worktree add ../parent HEAD~1`.  In both trees the
 tool runs
 
+  - three reference processes: `python -c` with `pass`, `import numpy` and
+    `import numpy, scipy.sparse.linalg`;
   - each examples/*.cfg, with the weylcs command on the example's first line;
   - symbol-check and frame-check at the default config (frame-check: the
     1-D frame of frame_n = 128 nodes at h = pi/200, P = 25);
@@ -31,27 +34,50 @@ tool runs
 each the way perfbench/run.py runs a job: in a fresh process started from
 the tree's root, with that tree's src first on PYTHONPATH and one BLAS
 thread.  The runs and the workloads' generated inputs are taken from this
-checkout, and every run writes into an empty directory of its own.  For
-each run the tool compares the exit code, stdout, stderr and every output
-file byte for byte and prints one line; it exits 1 if any run differs.
-Under the line of a differing run it prints, for stdout, stderr and each
-output file that differs and is text in both trees, the first line that
-differs, with its number and both texts:
+checkout, and every start writes into an empty directory of its own.
+
+Each run is started N times in each tree, in N pairs: pair k starts this
+tree first when k is even and OTHER first when k is odd.  Every process is
+started through one launcher, `outcome`, whose clock wrapper times it:
+
+  wall    the process, from start to exit, timed from outside;
+  import  inside it, importing the entry point: weylcs.cli for a CLI job,
+          a library script's top level up to its main; none for `-c` code;
+  work    inside it, the call of the entry point's main, or the `-c` code.
+
+What is left of wall is the interpreter's own start and exit.  For each
+pair the tool compares the exit code, stdout, stderr and every output file
+byte for byte, and prints one line per run; a run differs if any of its
+pairs differs, and the tool exits 1 if any run differs.  Under the line of
+a differing run it prints, for stdout, stderr and each output file that
+differs in the first differing pair and is text in both trees, the first
+line that differs, with its number and both texts.  Under every run it
+prints, for each tree, the median and quartiles of wall, import and work
+seconds, and the number of pairs each tree won on wall (a tie counts for
+neither):
 
     box-spectrum seed=1 frame-check  exit 0  differs: frame.txt
       frame.txt line 16: this 'parseval_defect=6.50...e-16', other 'parseval_defect=4.27...e-16'
+      this   wall 0.201 [0.195, 0.214]  import 0.085 [0.082, 0.090]  work 0.058 [0.056, 0.060]
+      other  wall 0.205 [0.196, 0.219]  import 0.086 [0.083, 0.092]  work 0.057 [0.055, 0.061]
+      wall wins of 10 pairs: this 6, other 4
 
-A line past the end of the shorter text shows as None.
+A line past the end of the shorter text shows as None.  To time a single
+tree, pass a second checkout of the same commit as OTHER_ROOT: that run
+gives the tree's own spread, which a claimed gain must exceed.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import os
 import shlex
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -65,6 +91,10 @@ BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 class Run:
     name: str
     argv: Callable[[Path], list]  # the Python arguments, given the output directory
+
+
+REFERENCES = [Run(code, lambda out, code=code: ["-c", code])
+              for code in ("pass", "import numpy", "import numpy, scipy.sparse.linalg")]
 
 
 def example_runs(root=ROOT):
@@ -177,21 +207,54 @@ def run_env(root):
     return env
 
 
+# The launcher of every run: python -c CLOCK CLOCKS ARGS, where ARGS are the
+# run's Python arguments: -m weylcs and its arguments, a library script and
+# its arguments, or -c and the code.  It writes the seconds of the entry
+# point's import and of its main, or of the code, to the file CLOCKS.
+CLOCK = """
+import sys, time
+path, entry, *args = sys.argv[1:]
+start = time.perf_counter()
+if entry == "-m":
+    import weylcs.cli
+    main, args = weylcs.cli.main, args[1:]
+elif entry == "-c":
+    main = lambda args: exec(args[0], {"__name__": "__main__"})
+else:
+    import runpy
+    sys.argv = [entry, *args]
+    main = runpy.run_path(entry, run_name="timed")["main"]
+loaded = time.perf_counter()
+try:
+    code = main(args)
+finally:
+    with open(path, "w") as fh:
+        fh.write(f"{loaded - start!r} {time.perf_counter() - loaded!r}")
+sys.exit(code)
+"""
+
+
 def outcome(root, run, out):
-    """Exit code, stdout, stderr and output files {relative path: bytes} of run
-    in the tree at root, writing into the new directory out."""
+    """Exit code, stdout, stderr, output files {relative path: bytes} and
+    (wall, import, work) seconds of run in the tree at root, started through
+    CLOCK and writing into the new directory out; import and work are nan
+    when the process dies before CLOCK writes them."""
     out.mkdir(parents=True)
-    proc = subprocess.run([sys.executable, *run.argv(out)], cwd=root, env=run_env(root),
-                          capture_output=True)
+    clocks = out.parent / f"{out.name}.clocks"
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CLOCK, str(clocks), *run.argv(out)],
+                          cwd=root, env=run_env(root), capture_output=True)
+    wall = time.perf_counter() - start
     files = {p.relative_to(out).as_posix(): p.read_bytes()
              for p in sorted(out.rglob("*")) if p.is_file()}
-    return proc.returncode, proc.stdout, proc.stderr, files
+    inside = clocks.read_text().split() if clocks.exists() else ["nan"] * 2
+    return proc.returncode, proc.stdout, proc.stderr, files, (wall, *map(float, inside))
 
 
 def _part(outcome, part):
     """The bytes of a part, stdout, stderr or an output file, of an outcome;
     None for a file it does not write."""
-    _, stdout, stderr, files = outcome
+    _, stdout, stderr, files, _ = outcome
     return {"stdout": stdout, "stderr": stderr}.get(part, files.get(part))
 
 
@@ -218,35 +281,68 @@ def first_difference(mine, theirs, part):
                  if a != b), None)
 
 
-def compare(other, runs, work, root=ROOT):
-    """Run each run in root and in other, print one line per run, and return
-    1 if any run differs, else 0."""
+def quartiles(samples):
+    """(median, lower quartile, upper quartile) of samples, interpolated
+    between the sorted samples; all three the sample when there is one."""
+    if len(samples) == 1:
+        return (samples[0],) * 3
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def timing(samples):
+    """'wall M [Q1, Q3]  import ...  work ...': the median and quartiles of
+    each clock over samples of (wall, import, work) seconds."""
+    return "  ".join(f"{clock} {m:.3f} [{q1:.3f}, {q3:.3f}]" for clock, (m, q1, q3)
+                     in zip(("wall", "import", "work"), map(quartiles, zip(*samples))))
+
+
+def compare(other, runs, work, repeat=1, root=ROOT):
+    """Start each run repeat times in root and in other, in pairs that
+    alternate which tree starts first; print one line per run, the first
+    differing pair's first differing lines and both trees' times; return 1
+    if any pair of any run differs, else 0."""
     status = 0
+    trees = [("this", root), ("other", other)]
     for i, run in enumerate(runs):
-        mine = outcome(root, run, work / "this" / str(i))
-        theirs = outcome(other, run, work / "other" / str(i))
+        pairs = []
+        for k in range(repeat):
+            done = {name: outcome(tree, run, work / name / str(i) / str(k))
+                    for name, tree in (trees if k % 2 == 0 else trees[::-1])}
+            pairs.append((done["this"], done["other"]))
+        mine, theirs = next((pair for pair in pairs if differences(*pair)), pairs[0])
         parts = differences(mine, theirs)
         verdict = "differs: " + ", ".join(parts) if parts else "identical"
-        print(f"{run.name}  exit {mine[0]}  {verdict}", flush=True)
+        print(f"{run.name}  exit {mine[0]}  {verdict}")
         for part in parts:
             found = first_difference(mine, theirs, part)
             if found:
-                print(f"  {part} line {found[0]}: this {found[1]!r}, other {found[2]!r}",
-                      flush=True)
+                print(f"  {part} line {found[0]}: this {found[1]!r}, other {found[2]!r}")
+        for side, name in enumerate(("this", "other")):
+            print(f"  {name:<5}  {timing([pair[side][4] for pair in pairs])}")
+        walls = [(a[4][0], b[4][0]) for a, b in pairs]
+        print(f"  wall wins of {repeat} pairs: this {sum(a < b for a, b in walls)}, "
+              f"other {sum(b < a for a, b in walls)}", flush=True)
         status |= bool(parts)
     return status
 
 
-def main(argv):
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", metavar="OTHER_ROOT", type=Path,
+                        help="another checkout of the repository")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="pairs of starts per run (median and quartiles)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        runs = (example_runs() + DEFAULT_RUNS + BRACKET_RUNS + [SPARSE_BRACKET_RUN]
-                + [SPARSE_CUT_RUN, DISCRETE_CURVE_RUN] + workload_runs(work / "inputs"))
-        return compare(Path(argv[1]).resolve(), runs, work)
+        runs = (REFERENCES + example_runs() + DEFAULT_RUNS + BRACKET_RUNS
+                + [SPARSE_BRACKET_RUN, SPARSE_CUT_RUN, DISCRETE_CURVE_RUN]
+                + workload_runs(work / "inputs"))
+        return compare(args.other.resolve(), runs, work, args.repeat)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
