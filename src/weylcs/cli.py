@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .domains import _rectangle_shape, box_sides, rectangle_domain
+from .domains import _rectangle_shape, rectangle_domain
 from .eigen import CertificationError, save_spectrum, spectrum_below
 from .frames import (FrameError, analytic_symbol, build_frame, phase_space_moment,
                      rayleigh_symbol, trace_via_frame)
@@ -192,7 +192,7 @@ def cmd_weyl_curve(cfg) -> int:
         if weighted_axes(cfg.kind, cfg.dim):
             raise ConfigError("exact spectra are euclidean-only above one dimension")
         vol = weighted_box_volume(cfg.kind, cfg.box)
-        spec = exact_spectrum_box(box_sides(cfg.box), cfg.lam_max)
+        spec = exact_spectrum_box(cfg.box, cfg.lam_max)
     else:
         op = _operator(cfg, cfg.h)
         vol = weighted_volume(cfg.kind, op.grid)

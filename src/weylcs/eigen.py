@@ -122,8 +122,8 @@ class Certificate:
     # the rounding of the sums; after bisection half the widest final
     # bracket (each value is the midpoint of its bracket) plus
     # (20 + 2d)*eps*max|A_ij| for the rounding of the counts and of the
-    # modes.  On the eigsh path the largest residual |A v - theta v| of a
-    # unit Ritz vector; nan for eigvalsh and none
+    # modes.  On the eigsh and eigvalsh paths the largest residual
+    # |A v - theta v| of a unit eigenvector; nan for none, which has no values
     value_error: float = float("nan")
 
 
@@ -139,10 +139,15 @@ def dense_spectrum(op: DiscreteOperator) -> Spectrum:
     """All eigenvalues by a dense symmetric solver, for n up to DENSE_LIMIT."""
     import scipy.linalg  # slow import, needed here only
 
+    return Spectrum(values=np.sort(scipy.linalg.eigvalsh(_dense(op))), cutoff=None,
+                    certified=True)
+
+
+def _dense(op):
+    """The matrix of op as a dense array; DenseLimitError for n above DENSE_LIMIT."""
     if op.n > DENSE_LIMIT:
         raise DenseLimitError(f"n={op.n} exceeds dense limit {DENSE_LIMIT}")
-    vals = scipy.linalg.eigvalsh(op.matrix.toarray())
-    return Spectrum(values=np.sort(vals), cutoff=None, certified=True)
+    return op.matrix.toarray()
 
 
 def _start_vector(n, seed=0):
@@ -433,19 +438,16 @@ def count_certificate(op: DiscreteOperator, lam: float) -> Certificate:
         raise ValueError(f"lam must be finite, got {lam!r}")
     box = _box_modes(op)
     lo, hi, margin, tol = _resolved(op, box, lam)
-    shift, count = lam, lo[1]
-    if count != hi[1]:
-        vals, _, error = _values_between(op, box, lo, hi)
-        # each value lies within error of an eigenvalue (nan after eigvalsh,
-        # whose error is far below tol); one within error + tol of the shift
-        # counts as at lambda and moves the shift below it, but never below
-        # lo, whose count is certified
-        gap = tol + np.fmax(error, 0.0)
-        for v in vals[::-1]:  # sorted
-            if v > shift - gap:
-                shift = min(shift, v - gap)
-        shift = max(shift, lo[0])
-        count += int(np.count_nonzero(vals < shift))
+    vals, _, error = _values_between(op, box, lo, hi)  # none when the counts are equal
+    # each value lies within error of an eigenvalue; one within error + tol
+    # of the shift counts as at lambda and moves the shift below it, but
+    # never below lo, whose count is certified
+    shift, gap = lam, tol + error
+    for v in vals[::-1]:  # sorted
+        if v > shift - gap:
+            shift = min(shift, v - gap)
+    shift = max(shift, lo[0])
+    count = lo[1] + int(np.count_nonzero(vals < shift))
     if shift < lam:
         warnings.warn(f"count_below: shift perturbed to {float(shift)!r} "
                       "(lambda too close to an eigenvalue)")
@@ -474,21 +476,25 @@ def _slice_values(op, lo, hi, count):
     on the complement of the eigenvectors found so far.  The values are the
     Rayleigh quotients of the eigenvectors: sigma + 1/nu, what shift-invert
     gives, loses accuracy far from a centre that lies close to an eigenvalue.
+    A slice of count + 1 >= n values, which eigsh cannot return, comes from
+    one dense eigh instead; either way the error is the largest residual
+    |A v - theta v| of the slice's unit eigenvectors.
     """
-    import scipy.sparse.linalg  # slow import, needed here only
+    import scipy.linalg  # slow imports, needed here only
+    import scipy.sparse.linalg
 
     n = op.n
-    error = float("nan")
     if count + 1 >= n:
         # eigsh needs k < n: a matrix of at most _SLICE + 1 rows, or more
         # than _SLICE eigenvalues within a few tol that no split could separate
-        vals = dense_spectrum(op).values
-        vals, method = vals[(vals >= lo) & (vals < hi)], "eigvalsh"
+        theta, vecs = scipy.linalg.eigh(_dense(op))
+        inside = (theta >= lo) & (theta < hi)
+        vals, found, method = theta[inside], vecs[:, inside], "eigvalsh"
     else:
         sigma = 0.5 * (lo + hi)
         solve = scipy.sparse.linalg.splu(_shifted(op, sigma)).solve
         found = np.empty((n, 0))  # eigenvectors of the values in the slice so far
-        vals, method, error = [], "eigsh", 0.0
+        vals, method = [], "eigsh"
         # every round but the last adds a value; a negative count (ends out
         # of order) runs none and fails _values_between's check
         for seed in range(count + 1):
@@ -504,12 +510,11 @@ def _slice_values(op, lo, hi, count):
             theta = np.einsum("ij,ij->j", vecs, av)
             inside = (theta >= lo) & (theta < hi)
             vals.extend(theta[inside])
-            residual = np.linalg.norm(av[:, inside] - vecs[:, inside] * theta[inside], axis=0)
-            error = max(error, float(np.max(residual, initial=0.0)))
+            found = np.hstack([found, vecs[:, inside]])
             if not inside.any() or len(vals) >= count:
                 break
-            found = np.hstack([found, vecs[:, inside]])
-    return np.sort(vals), method, error
+    residual = np.linalg.norm(op.matrix @ found - found * vals, axis=0)
+    return np.sort(vals), method, float(np.max(residual, initial=0.0))
 
 
 def _values_between(op, box, lo, hi):
@@ -543,7 +548,7 @@ def _values_between(op, box, lo, hi):
             halves = [(lo, cut), (cut, hi)]
             parts = [p for p in (_values_between(op, box, *e) for e in halves) if p[1] != "none"]
             method = "eigvalsh" if any(m == "eigvalsh" for _, m, _ in parts) else "eigsh"
-            error = float(np.max([e for _, _, e in parts]))  # nan after any eigvalsh
+            error = float(np.max([e for _, _, e in parts]))
             return np.concatenate([v for v, _, _ in parts]), method, error
     if box is None:
         vals, method, error = _slice_values(op, lo[0], hi[0], count)

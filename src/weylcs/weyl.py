@@ -44,28 +44,20 @@ def riesz_mean(spec: Spectrum, lam: float) -> float:
     return float(np.sum(lam - vals[vals < lam]))
 
 
-def exact_spectrum_interval(L: float, Lam: float) -> Spectrum:
-    """Dirichlet eigenvalues (k pi / L)^2 strictly below Lam; ValueError unless
-    L > 0, Lam is a number and the L sqrt(Lam) / pi modes below Lam fit a
-    numpy array."""
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L!r}")
+def exact_spectrum_box(box, Lam: float) -> Spectrum:
+    """Dirichlet eigenvalues of a box strictly below Lam: the sums of one
+    (k pi / L)^2 per side L, filtered by separable_sums.  An interval is the
+    one-axis box ((0, L),).  ValueError for a nan Lam, as in
+    domains.box_sides, or where the L sqrt(Lam) / pi modes below Lam on a
+    side do not fit a numpy array."""
     if math.isnan(Lam):
         raise ValueError(f"Lam must be a number, got {Lam!r}")
-    modes = L * math.sqrt(max(Lam, 0.0)) / math.pi
-    if not 8.0 * modes < np.iinfo(np.intp).max:  # numpy's cap in bytes; k holds int64
-        raise ValueError(f"too many exact modes below lam={Lam!r} on a side of length {L!r}")
-    k = np.arange(1, int(modes) + 2)
-    vals = (k * math.pi / L) ** 2
-    return Spectrum(values=vals[vals < Lam], cutoff=Lam, certified=True)
-
-
-def exact_spectrum_box(lengths, Lam: float) -> Spectrum:
-    """Dirichlet box eigenvalues, sums of per-axis (k pi / L_j)^2, below Lam;
-    ValueError as exact_spectrum_interval, or for a box with no side."""
-    axes = [exact_spectrum_interval(L, Lam).values for L in lengths]
-    if not axes:
-        raise ValueError("a box needs at least one side, got none")
+    axes = []
+    for L in box_sides(box):
+        modes = L * math.sqrt(max(Lam, 0.0)) / math.pi
+        if not 8.0 * modes < np.iinfo(np.intp).max:  # numpy's cap in bytes; k holds int64
+            raise ValueError(f"too many exact modes below lam={Lam!r} on a side of length {L!r}")
+        axes.append((np.arange(1, int(modes) + 2) * math.pi / L) ** 2)
     return Spectrum(values=separable_sums(axes, Lam), cutoff=Lam, certified=True)
 
 

@@ -18,7 +18,6 @@ from weylcs.operators import assemble_euclidean, assemble_hyperbolic
 from weylcs.weyl import (
     build_curve,
     exact_spectrum_box,
-    exact_spectrum_interval,
     fit_remainder_exponent,
     hyperbolic_leading,
     riesz_mean,
@@ -97,7 +96,7 @@ def test_criterion_03_symbol_convergence():
 
 
 def test_criterion_04_euclidean_weyl_d1():
-    spec = exact_spectrum_interval(math.pi, 1.05e4)
+    spec = exact_spectrum_box(((0.0, math.pi),), 1.05e4)
     lams = np.geomspace(1e2, 1e4, 40)
     curve = build_curve(spec, lams, math.pi, make_cosine_window(1))
     li_yau_ok = all(riesz_mean(spec, lam) <= li_yau_bound(math.pi, 1, lam)
@@ -108,7 +107,7 @@ def test_criterion_04_euclidean_weyl_d1():
 
 
 def test_criterion_05_euclidean_weyl_d2():
-    spec = exact_spectrum_box((math.pi, math.pi), 2100.0)
+    spec = exact_spectrum_box(((0.0, math.pi), (0.0, math.pi)), 2100.0)
     lams = np.geomspace(1e2, 2e3, 25)
     vol = math.pi ** 2
     curve = build_curve(spec, lams, vol, make_cosine_window(2))
@@ -120,11 +119,11 @@ def test_criterion_05_euclidean_weyl_d2():
 
 
 def test_criterion_06_remainder_exponents():
-    spec1 = exact_spectrum_interval(math.pi, 1.05e4)
+    spec1 = exact_spectrum_box(((0.0, math.pi),), 1.05e4)
     lams = np.geomspace(1e2, 1e4, 40)
     c1 = build_curve(spec1, lams, math.pi, make_cosine_window(1))
     slope1 = fit_remainder_exponent(c1).slope
-    spec2 = exact_spectrum_box((math.pi, math.pi), 1.05e4)
+    spec2 = exact_spectrum_box(((0.0, math.pi), (0.0, math.pi)), 1.05e4)
     c2 = build_curve(spec2, lams, math.pi ** 2, make_cosine_window(2))
     slope2 = fit_remainder_exponent(c2).slope
     ok = slope1 <= 7.0 / 6.0 + 0.05 and slope2 <= 5.0 / 3.0 + 0.05

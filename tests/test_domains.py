@@ -23,7 +23,7 @@ from weylcs.domains import (
     save_mask,
 )
 from weylcs.frames import build_frame
-from weylcs.weyl import weighted_box_volume, weighted_volume
+from weylcs.weyl import exact_spectrum_box, weighted_box_volume, weighted_volume
 from weylcs.windows import make_cosine_window, scale
 
 
@@ -93,6 +93,7 @@ BOX_ROUTINES = {
     "rectangle_domain": lambda box, tmp_path: rectangle_domain(box, 0.1),
     "build_frame": lambda box, tmp_path: build_frame(box, 0.1, scale(make_cosine_window(1), 0.2)),
     "weighted_box_volume": lambda box, tmp_path: weighted_box_volume("hyperbolic", box),
+    "exact_spectrum_box": lambda box, tmp_path: exact_spectrum_box(box, 100.0),
     "load_mask": lambda box, tmp_path: load_mask(_mask_file_with_box(tmp_path / "m.txt", box)),
 }
 
@@ -104,7 +105,9 @@ BOX_ROUTINES = {
 @pytest.mark.parametrize("routine", list(BOX_ROUTINES) + ["cli"])
 def test_every_routine_rejects_a_bad_box_by_the_one_rule(box, routine, tmp_path, capsys):
     # before, these took a weighted volume of -1.0 or nan, blamed h, raised
-    # "min() arg is an empty sequence", or loaded a mask whose box is reversed
+    # "min() arg is an empty sequence", loaded a mask whose box is reversed,
+    # or, for the exact spectrum, gave "L must be positive" or "a box needs
+    # at least one side"
     if routine == "cli":
         spec = ";".join("%.17g,%.17g" % ab for ab in box)
         assert main(["spectrum", "--set", f"box={spec}", "--out", str(tmp_path / "o.txt")]) == 1

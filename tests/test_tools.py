@@ -172,6 +172,22 @@ def test_same_outputs_runs_a_euclidean_discrete_curve(tmp_path):
     assert [row[2] for row in rows] == [euclidean_leading(1.0, 2, row[0]) for row in rows]
 
 
+def test_same_outputs_runs_an_exact_curve_of_a_3d_box(tmp_path):
+    # source=exact on a box with offset lower ends: the closed-form spectrum
+    # of exact_spectrum_box, whose volume 1 * 2 * 3 sets the leading term
+    same_outputs = _tool("same_outputs")
+    run = same_outputs.EXACT_CURVE_RUN
+    code, stdout, stderr, files, _ = same_outputs.outcome(ROOT, run, tmp_path / "curve")
+    assert (code, stderr, list(files)) == (0, b"", ["curve.csv"])
+    assert stdout.startswith(b"remainder_fit slope=")
+    lines = files["curve.csv"].decode().splitlines()
+    assert {"# kind=euclidean", "# source=exact", "# dim=3"} <= set(lines)
+    rows = [[float(v) for v in line.split(",")]
+            for line in lines[lines.index(CURVE_HEADER) + 1:]]
+    assert (len(rows), rows[0][0], rows[-1][0]) == (40, 20.0, 2000.0)
+    assert [row[2] for row in rows] == [euclidean_leading(6.0, 3, row[0]) for row in rows]
+
+
 def test_the_timed_launch_writes_what_a_plain_start_writes(tmp_path):
     # an example (python -m weylcs), a small mask-count job (a library
     # script), the sparse count (python -c) and mask-count without its

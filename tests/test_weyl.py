@@ -19,7 +19,6 @@ from weylcs.weyl import (
     build_curve,
     euclidean_leading,
     exact_spectrum_box,
-    exact_spectrum_interval,
     fit_remainder_exponent,
     hyperbolic_leading,
     riesz_mean,
@@ -31,6 +30,10 @@ from weylcs.weyl import (
 )
 from weylcs.windows import make_cosine_window
 
+# the interval (0, pi) and the square (0, pi)^2, as the boxes exact_spectrum_box takes
+PI_INTERVAL = ((0.0, math.pi),)
+PI_SQUARE = ((0.0, math.pi), (0.0, math.pi))
+
 
 def test_semiclassical_constants():
     assert semiclassical_constant(1) == pytest.approx(4.0 / 3.0)
@@ -39,18 +42,18 @@ def test_semiclassical_constants():
 
 
 def test_riesz_direct_sum():
-    spec = exact_spectrum_interval(math.pi, 1e4)
+    spec = exact_spectrum_box(PI_INTERVAL, 1e4)
     assert riesz_mean(spec, 100.0) == pytest.approx(615.0)
 
 
 def test_riesz_edges():
-    spec = exact_spectrum_interval(math.pi, 100.0)
+    spec = exact_spectrum_box(PI_INTERVAL, 100.0)
     assert riesz_mean(spec, 1.0) == 0.0
     assert riesz_mean(spec, 2.5) == pytest.approx(1.5)
 
 
 def test_riesz_uncertified_tail():
-    spec = exact_spectrum_interval(math.pi, 10.0)
+    spec = exact_spectrum_box(PI_INTERVAL, 10.0)
     with pytest.raises(UncertifiedTailError):
         riesz_mean(spec, 50.0)
     bad = Spectrum(values=np.array([1.0]), cutoff=None, certified=False)
@@ -60,50 +63,55 @@ def test_riesz_uncertified_tail():
 
 def test_riesz_mean_rejects_a_nan_lambda():
     # nan once passed the tail check and summed nothing; -inf sums nothing
-    spec = exact_spectrum_interval(math.pi, 100.0)
+    spec = exact_spectrum_box(PI_INTERVAL, 100.0)
     with pytest.raises(ValueError, match="lambda must be a number, got nan"):
         riesz_mean(spec, math.nan)
     assert riesz_mean(spec, -math.inf) == 0.0
 
 
 def test_exact_interval_spectra():
-    assert np.array_equal(exact_spectrum_interval(math.pi, 10.0).values,
+    assert np.array_equal(exact_spectrum_box(PI_INTERVAL, 10.0).values,
                           [1.0, 4.0, 9.0])
-    assert len(exact_spectrum_interval(math.pi, 1.0).values) == 0
-    vals = exact_spectrum_interval(1.0, 100.0).values
+    assert len(exact_spectrum_box(PI_INTERVAL, 1.0).values) == 0
+    vals = exact_spectrum_box(((0.0, 1.0),), 100.0).values
     ref = np.array([math.pi ** 2, 4 * math.pi ** 2, 9 * math.pi ** 2])
     assert np.allclose(vals, ref, rtol=1e-14)
-    for L in (0.0, -1.0):
-        with pytest.raises(ValueError, match="L must be positive"):
-            exact_spectrum_interval(L, 100.0)
     # about 3e153 modes, and 2e18, whose int64 array passes numpy's size cap:
     # named before any array is made
     for lam in (1e308, 4e37):
         with pytest.raises(ValueError, match=re.escape(f"lam={lam!r} on a side of length 1.0")):
-            exact_spectrum_interval(1.0, lam)
+            exact_spectrum_box(((0.0, 1.0),), lam)
 
 
 def test_exact_box_spectra():
-    assert np.allclose(exact_spectrum_box((math.pi, math.pi), 5.0).values, [2.0])
-    vals = exact_spectrum_box((math.pi, math.pi), 9.0).values
+    assert np.allclose(exact_spectrum_box(PI_SQUARE, 5.0).values, [2.0])
+    vals = exact_spectrum_box(PI_SQUARE, 9.0).values
     assert np.allclose(vals, [2.0, 5.0, 5.0, 8.0])
-    assert len(exact_spectrum_box((math.pi, math.pi), 2.0).values) == 0
-
-
-def test_exact_box_spectrum_needs_a_side():
-    # a box with no side once returned the single eigenvalue 0.0
-    with pytest.raises(ValueError, match="at least one side"):
-        exact_spectrum_box((), 5.0)
+    assert len(exact_spectrum_box(PI_SQUARE, 2.0).values) == 0
 
 
 def test_exact_spectra_name_a_nan_input():
     # lam = nan once read as "too many exact modes below lam=nan"
     with pytest.raises(ValueError, match="Lam must be a number, got nan"):
-        exact_spectrum_interval(1.0, math.nan)
+        exact_spectrum_box(((0.0, 1.0),), math.nan)
     with pytest.raises(ValueError, match="Lam must be a number, got nan"):
-        exact_spectrum_box((1.0, 2.0), math.nan)
-    with pytest.raises(ValueError, match="L must be positive, got nan"):
-        exact_spectrum_interval(math.nan, 100.0)
+        exact_spectrum_box(((0.0, 1.0), (0.0, 2.0)), math.nan)
+
+
+@pytest.mark.parametrize("box", [
+    ((0.0, math.pi),), ((-1.0, 0.5),), ((0.5, 1.5), (-1.0, 1.0)),
+    ((0.5, 1.5), (-1.0, 1.0), (0.0, 3.0)), ((2.0, 2.5), (1.0, 2.0), (-3.0, -1.0))])
+def test_exact_box_spectrum_is_the_sorted_sums_of_the_axis_modes(box):
+    # the sums of one (k pi / L_a)^2 per axis, added in axis order, below Lam:
+    # offset lower ends, and a Lam on an eigenvalue, which is not below itself
+    k = np.arange(1, 100)
+    sums = np.zeros(1)
+    for a, b in box:
+        sums = (sums[:, None] + (k * math.pi / (b - a)) ** 2).ravel()
+    for lam in (np.unique(sums)[4], 1000.0):
+        spec = exact_spectrum_box(box, lam)
+        assert spec.certified and spec.cutoff == lam
+        assert np.array_equal(spec.values, np.sort(sums[sums < lam]))
 
 
 def test_euclidean_leading_closed_forms():
@@ -116,7 +124,7 @@ def test_euclidean_leading_closed_forms():
 
 def test_li_yau_is_leading_term():
     assert li_yau_bound(math.pi, 1, 100.0) == euclidean_leading(math.pi, 1, 100.0)
-    spec = exact_spectrum_interval(math.pi, 1e4)
+    spec = exact_spectrum_box(PI_INTERVAL, 1e4)
     assert riesz_mean(spec, 100.0) <= li_yau_bound(math.pi, 1, 100.0)
 
 
@@ -197,7 +205,7 @@ def test_weighted_volume_rejects_an_unknown_kind():
 
 
 def test_build_curve_ratio_increases_to_one():
-    spec = exact_spectrum_interval(math.pi, 2e4)
+    spec = exact_spectrum_box(PI_INTERVAL, 2e4)
     curve = build_curve(spec, [1e2, 1e3, 1e4], math.pi, make_cosine_window(1))
     assert np.all(np.diff(curve.ratio) > 0)
     assert curve.ratio[-1] < 1.0
@@ -221,7 +229,7 @@ def test_build_curve_empty_spectrum():
 
 
 def test_build_curve_requires_increasing_grid():
-    spec = exact_spectrum_interval(math.pi, 1e3)
+    spec = exact_spectrum_box(PI_INTERVAL, 1e3)
     with pytest.raises(ValueError):
         build_curve(spec, [100.0, 100.0], 1.0, make_cosine_window(1))
 
@@ -230,7 +238,7 @@ def test_build_curve_requires_increasing_grid():
 def test_build_curve_rejects_a_grid_that_is_not_finite(bad):
     # before the other checks: a nan passes the strict-increase test and
     # once surfaced as "leading term not finite at lambda = nan"
-    spec = exact_spectrum_interval(math.pi, 1e3)
+    spec = exact_spectrum_box(PI_INTERVAL, 1e3)
     with pytest.raises(ValueError, match=f"lambda grid must be finite, got {bad!r}") as info:
         build_curve(spec, [10.0, 100.0, bad], 1.0, make_cosine_window(1))
     assert type(info.value) is ValueError
@@ -239,13 +247,13 @@ def test_build_curve_rejects_a_grid_that_is_not_finite(bad):
 @pytest.mark.parametrize("lam", [0.0, -1.0])
 def test_build_curve_rejects_a_lambda_at_or_below_zero(lam):
     # eps = lambda^(-1/3) is inf at 0 and nan below
-    spec = exact_spectrum_interval(math.pi, 1e3)
+    spec = exact_spectrum_box(PI_INTERVAL, 1e3)
     with pytest.raises(OverflowError, match="leaves the float range"):
         build_curve(spec, [lam, 100.0], 1.0, make_cosine_window(1))
 
 
 def test_riesz_convexity_and_slope_counts():
-    spec = exact_spectrum_interval(math.pi, 2e3)
+    spec = exact_spectrum_box(PI_INTERVAL, 2e3)
     lams = np.linspace(100.0, 1000.0, 31)
     r = np.array([riesz_mean(spec, lam) for lam in lams])
     assert np.all(np.diff(r) >= 0)
@@ -260,7 +268,7 @@ def test_riesz_convexity_and_slope_counts():
 
 
 def test_two_term_heuristic_square():
-    spec = exact_spectrum_box((math.pi, math.pi), 2100.0)
+    spec = exact_spectrum_box(PI_SQUARE, 2100.0)
     lam = 2000.0
     ratio = riesz_mean(spec, lam) / euclidean_leading(math.pi ** 2, 2, lam)
     assert ratio == pytest.approx(1.0 - 16.0 / (3.0 * math.pi * math.sqrt(lam)),
@@ -309,7 +317,7 @@ def test_fit_recovers_random_exponent(p):
 
 
 def test_save_curve_format(tmp_path):
-    spec = exact_spectrum_interval(math.pi, 2e3)
+    spec = exact_spectrum_box(PI_INTERVAL, 2e3)
     lams = np.geomspace(100.0, 1000.0, 6)
     curve = build_curve(spec, lams, math.pi, make_cosine_window(1))
     path = tmp_path / "curve.csv"

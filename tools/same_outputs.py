@@ -29,6 +29,8 @@ tool runs
     which off a box need not be byte-reproducible);
   - a weyl-curve of the euclidean operator from its discrete spectrum
     (source=discrete) on the unit square at h = 1/70, lambda from 20 to 2000;
+  - a weyl-curve from the exact spectrum (source=exact) of the 3-D box
+    (0.5, 1.5) x (-1, 1) x (0, 3), lambda from 20 to 2000;
   - every job of the workloads in perfbench/workloads.py, at seeds 1, 2, 3;
 
 each the way perfbench/run.py runs a job: in a fresh process started from
@@ -133,6 +135,11 @@ BRACKET_RUNS = [
 DISCRETE_CURVE_RUN = _cli_run("euclidean discrete weyl-curve", "weyl-curve", "curve.csv",
                               "dim=2", "box=0,1;0,1", "h=%r" % (1 / 70), "source=discrete",
                               "lam_min=20", "lam_max=2000")
+
+
+EXACT_CURVE_RUN = _cli_run("exact weyl-curve of a 3-D box", "weyl-curve", "curve.csv",
+                           "dim=3", "box=0.5,1.5;-1,1;0,3", "source=exact",
+                           "lam_min=20", "lam_max=2000")
 
 
 SPARSE_BRACKET_RUN = Run("sparse count at an eigenvalue", lambda out: ["-c", """
@@ -339,7 +346,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         runs = (REFERENCES + example_runs() + DEFAULT_RUNS + BRACKET_RUNS
-                + [SPARSE_BRACKET_RUN, SPARSE_CUT_RUN, DISCRETE_CURVE_RUN]
+                + [SPARSE_BRACKET_RUN, SPARSE_CUT_RUN, DISCRETE_CURVE_RUN, EXACT_CURVE_RUN]
                 + workload_runs(work / "inputs"))
         return compare(args.other.resolve(), runs, work, args.repeat)
 
