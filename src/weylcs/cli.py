@@ -54,16 +54,11 @@ class ExperimentConfig:
     eps: float = 0.2
     frame_n: int = 128
     n_vectors: int = 100
-    out: str | None = None
     seed: int = 0
 
     def header_lines(self):
         lines = [f"weylcs_version={__version__}"]
         for f in fields(self):
-            if f.name == "out":
-                # self-evident from the file location; keeping it would break
-                # byte-determinism across output paths
-                continue
             v = getattr(self, f.name)
             if f.name == "box":
                 v = ";".join("%.17g,%.17g" % (a, b) for a, b in v)
@@ -86,7 +81,7 @@ def _apply_kv(cfg, item, source):
     if "=" not in item:
         raise ConfigError(f"bad {source} {item!r}")
     key, value = (t.strip() for t in item.split("=", 1))
-    if not hasattr(cfg, key):
+    if key not in {f.name for f in fields(cfg)}:  # not a method or dunder name
         raise ConfigError(f"unknown config key {key!r}")
     cur = getattr(cfg, key)
     if key == "box":
@@ -177,14 +172,14 @@ def _operator(cfg, h):
     return assemble(rectangle_domain(cfg.box, h))
 
 
-def cmd_spectrum(cfg) -> int:
+def cmd_spectrum(cfg, out) -> int:
     op = _operator(cfg, cfg.h)
     spec = spectrum_below(op, max(0.0, cfg.lam_max))
-    save_spectrum(spec, cfg.out, kind=cfg.kind, h=cfg.h, extra=cfg.header_lines())
+    save_spectrum(spec, out, kind=cfg.kind, h=cfg.h, extra=cfg.header_lines())
     return 0
 
 
-def cmd_weyl_curve(cfg) -> int:
+def cmd_weyl_curve(cfg, out) -> int:
     lambdas = _lambda_grid(cfg)
     window = _window(cfg)
     # the volume before the spectrum: it fails at once where it overflows
@@ -211,7 +206,7 @@ def cmd_weyl_curve(cfg) -> int:
                    % (fit.slope, fit.intercept, fit.residual))
     except ValueError as exc:
         summary = f"remainder_fit unavailable ({exc})"
-    save_curve(curve, cfg.out, comments=cfg.header_lines() + [summary])
+    save_curve(curve, out, comments=cfg.header_lines() + [summary])
     print(summary)
     return 0
 
@@ -241,18 +236,18 @@ def _symbol_report(cfg):
     return lines
 
 
-def _write_report(cfg, lines):
-    with open(cfg.out, "w") as fh:
+def _write_report(out, cfg, lines):
+    with open(out, "w") as fh:
         for line in ["# " + head for head in cfg.header_lines()] + lines:
             fh.write(line + "\n")
 
 
-def cmd_symbol_check(cfg) -> int:
-    _write_report(cfg, _symbol_report(cfg))
+def cmd_symbol_check(cfg, out) -> int:
+    _write_report(out, cfg, _symbol_report(cfg))
     return 0
 
 
-def cmd_frame_check(cfg) -> int:
+def cmd_frame_check(cfg, out) -> int:
     window = scale(_window(cfg), cfg.eps)
     # frame_n nodes per axis: the grid of rectangle_domain on (0, (frame_n + 1) h)
     frame = build_frame(((0.0, (cfg.frame_n + 1) * cfg.h),) * cfg.dim, cfg.h, window)
@@ -269,7 +264,7 @@ def cmd_frame_check(cfg) -> int:
         raise FrameError(f"frame defects not finite: parseval_defect={defect:g}, "
                          f"trace_defect={trace_defect:g}")
     lines = ["parseval_defect=%.17g" % defect, "trace_defect=%.17g" % trace_defect]
-    _write_report(cfg, lines + _symbol_report(cfg))
+    _write_report(out, cfg, lines + _symbol_report(cfg))
     return 0
 
 
@@ -305,14 +300,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         for item in args.set:
             _apply_kv(cfg, item, "--set value")
-        if args.out is not None:
-            cfg.out = args.out
         if args.seed is not None:
             cfg.seed = args.seed
         _validate(cfg)
-        if cfg.out is None:
+        if args.out is None:
             raise ConfigError(f"{args.command} requires an output path")
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](cfg, args.out)
     except (CertificationError, FrameError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 2

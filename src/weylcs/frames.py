@@ -331,13 +331,13 @@ def symbol(frame: CoherentFrame, op: DiscreteOperator, xi, y) -> SymbolValue:
     return rayleigh_symbol(op, frame.window, xi, y)
 
 
-def analytic_symbol(kind, window: Window, xi, y=None) -> float:
+def analytic_symbol(kind, window: Window, xi, y) -> float:
     """Continuum symbol: |xi|^2 + grad-norm for the Laplacian; with
     exp(2 y_1)-weighted axes (operators.weighted_axes) the tilde terms carry
     that weight and the window constants.  OverflowError naming eps when the
     window constants leave the float range, naming y_1 when exp(2 y_1) does."""
     weighted = weighted_axes(kind, window.d)
-    xi, y = _phase_point(window.d, xi, np.zeros(window.d) if y is None else y)
+    xi, y = _phase_point(window.d, xi, y)
     if not weighted:
         return float(xi @ xi) + grad_norm_sq(window)
     c = c_constants(window)

@@ -9,7 +9,8 @@ node's x_1, so sampling at the node is exact).
 
 The matrix is assembled in CSC form, the format SuperLU and ARPACK read.  It
 is exactly symmetric with sorted indices, so its data, indices and indptr are
-also those of its CSR form.
+also those of its CSR form.  Its rows number the mask's nodes in C order, and
+no node list is built: assembly reads the edges off the mask itself.
 """
 
 from __future__ import annotations
@@ -54,13 +55,6 @@ class DiscreteOperator:
         return int(np.count_nonzero(self.grid.mask))
 
     @functools.cached_property
-    def nodes(self):
-        """(n, d) integer multi-indices of the mask's nodes in C order, row k <->
-        nodes[k], built on first access: the box path never reads them, and
-        the map back from grid index to row is built with the matrix."""
-        return np.argwhere(self.grid.mask)
-
-    @functools.cached_property
     def matrix(self):
         """The sparse CSC matrix, assembled on first access."""
         return _assemble_matrix(self)
@@ -102,20 +96,22 @@ def diagonal(weights):
 def _assemble_matrix(op: DiscreteOperator):
     import scipy.sparse as sp  # slow import, needed here only
 
-    nodes, n = op.nodes, op.n
-    # -1 outside the mask, also on a layer past the upper end of every axis
-    row_of = np.full(np.add(op.grid.shape, 1), -1, dtype=np.int64)
-    row_of[tuple(nodes.T)] = np.arange(n)
-    weights = [w[nodes[:, 0]] for w in op.axis_weights()]
-    rows, cols, vals = [np.arange(n)], [np.arange(n)], [diagonal(weights)]
+    mask, n = op.grid.mask, op.n
+    row_of = np.full(mask.shape, -1, dtype=np.int64)
+    row_of[mask] = np.arange(n)  # rows in C order of the mask
+    # each axis's weight at every grid node: its x_1 index's, broadcast along x_2..x_d
+    weights = [np.broadcast_to(w.reshape((-1,) + (1,) * (op.grid.d - 1)), mask.shape)
+               for w in op.axis_weights()]
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [diagonal([w[mask] for w in weights])]
     for axis, w in enumerate(weights):
-        # interior edges in the +axis direction: -w symmetric off-diagonal
-        nb_row = row_of[tuple((nodes + np.eye(op.grid.d, dtype=np.int64)[axis]).T)]
-        i = np.flatnonzero(nb_row >= 0)
-        j = nb_row[i]
+        # interior edges in the +axis direction, weighted by the lower node:
+        # -w symmetric off-diagonal
+        lo, hi = ((slice(None),) * axis + (part,) for part in (slice(-1), slice(1, None)))
+        edge = mask[lo] & mask[hi]
+        i, j, w_e = row_of[lo][edge], row_of[hi][edge], -w[lo][edge]
         rows.extend([i, j])
         cols.extend([j, i])
-        vals.extend([-w[i], -w[i]])
+        vals.extend([w_e, w_e])
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),

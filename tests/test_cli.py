@@ -211,6 +211,22 @@ def test_a_command_without_an_output_path_exits_1(capsys):
     assert capsys.readouterr().err == "error: spectrum requires an output path\n"
 
 
+def test_the_output_path_is_no_config_key(tmp_path, capsys):
+    # only --out names the output: a config line or --set value for it is refused
+    path = tmp_path / "spectrum.txt"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"out = {path}\n")
+    for argv in (["spectrum", "--set", f"out={path}"], ["spectrum", "--config", str(cfg)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: unknown config key 'out'\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+    # nor is any other attribute of the config that is not one of its fields
+    for key in ("header_lines", "__class__", "__dict__"):
+        assert main(["spectrum", "--set", f"{key}=x", "--out", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert not path.exists()
+
+
 def test_weyl_curve_discrete_past_the_dense_limit(tmp_path, monkeypatch):
     # n = 72^2 > DENSE_LIMIT and N(lam_max) > n/4: the box path needs no dense
     # solver, and its Riesz means are those of the closed-form mode sums
@@ -483,7 +499,7 @@ def test_box_outputs_independent_of_blas_threads(box_runs):
     assert b"certified=true" in outputs["1"][0]
 
 
-CONFIG_KEYS = [f.name for f in fields(ExperimentConfig) if f.name != "out"]
+CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
 GARBAGE = ["abc", "nan", "inf", "-1", "0", "", "1,2"]
 
 

@@ -725,7 +725,8 @@ def test_eroded_rectangle_takes_the_box_path(kind):
     # 3 on: the Kronecker sum holds there though no rectangle_domain built it
     dom = erode(rectangle_domain(((0.0, 1.0), (0.0, 1.2)), 1 / 20), 0.12)
     op = (assemble_hyperbolic if kind == "hyperbolic" else assemble_euclidean)(dom)
-    lo, hi = op.nodes.min(axis=0), op.nodes.max(axis=0)
+    nodes = np.argwhere(op.grid.mask)
+    lo, hi = nodes.min(axis=0), nodes.max(axis=0)
     assert dom.exact_box is None and op.n == np.prod(hi - lo + 1) and lo[0] == 3
     spec = spectrum_below(op, 3000.0)
     cert = spec.certificate
@@ -827,7 +828,7 @@ def test_box_count_and_spectrum_build_no_node_list():
         tracemalloc.stop()
     assert cert.count_method == "sturm" and cert.count == len(spec.values) > 0
     assert peak < dom.mask.nbytes
-    assert "nodes" not in op.__dict__
+    assert "matrix" not in op.__dict__
 
 
 EIGENVALUE = "(lambda too close to an eigenvalue)"

@@ -295,7 +295,7 @@ def test_symbol_general_xi():
     fr = build_frame(((0.0, 2.0),), h, win)
     for xi in (0.5, 1.7, 3.0):
         sv = symbol(fr, op, xi, 1.0)
-        ref = analytic_symbol("euclidean", win, xi)
+        ref = analytic_symbol("euclidean", win, xi, 0.0)
         assert abs(sv.value - ref) < 20.0 * (1.0 + xi ** 2) * h ** 2 / eps ** 2
 
 
@@ -346,7 +346,7 @@ def test_symbol_matches_the_assembled_matrix(kind, d, denom):
     # the symbol sums over; and a y whose whole cube lies off the grid
     cases = [(win, y) for y in ys] + [(scale(make_cosine_window(d), 4.0 * h),
                                        np.full(d, 0.4 + 0.5 * h)), (win, np.full(d, 2.0))]
-    coords = np.asarray(op.grid.origin) + op.grid.h * op.nodes
+    coords = np.asarray(op.grid.origin) + op.grid.h * np.argwhere(op.grid.mask)
     flags = []
     for win, y in cases:
         fr = build_frame(((0.0, 1.0),) * d, h, win)
@@ -380,7 +380,7 @@ def test_symbol_cube_is_bounded_by_the_grid(kind):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20 and sv.truncated
-    coords = np.asarray(op.grid.origin) + op.grid.h * op.nodes
+    coords = np.asarray(op.grid.origin) + op.grid.h * np.argwhere(op.grid.mask)
     e = np.exp(1j * coords @ xi) * window_at(win, coords - y)
     assert sv.value == pytest.approx(np.vdot(e, op.matrix @ e).real / np.vdot(e, e).real,
                                      rel=1e-13, abs=0.0)
@@ -428,7 +428,7 @@ def _longdouble_rayleigh(op, window, xi, y):
     """Re <e, A e> / <e, e> in long double from the assembled float64 matrix
     and the float64 window samples at the nodes."""
     A = op.matrix.tocoo()
-    coords = np.asarray(op.grid.origin) + op.grid.h * op.nodes
+    coords = np.asarray(op.grid.origin) + op.grid.h * np.argwhere(op.grid.mask)
     g = window_at(window, coords - y).astype(np.longdouble)
     theta = coords.astype(np.longdouble) @ np.asarray(xi, dtype=np.longdouble)
     cross = g[A.row] * g[A.col] * np.cos(theta[A.row] - theta[A.col])
@@ -464,7 +464,7 @@ def test_symbol_is_accurate_at_the_symbol_check_points(monkeypatch, kind, d, box
 def test_analytic_symbol_formulas():
     win = make_cosine_window(2)
     c = c_constants(win)
-    assert analytic_symbol("euclidean", win, (0.0, 0.0)) == \
+    assert analytic_symbol("euclidean", win, (0.0, 0.0), (0.0, 0.0)) == \
         pytest.approx(grad_norm_sq(win))
     win1 = make_cosine_window(1)
     c1 = c_constants(win1).c1
@@ -473,7 +473,7 @@ def test_analytic_symbol_formulas():
     val = analytic_symbol("hyperbolic", win, (1.0, 1.0), (0.0, 0.5))
     assert val == pytest.approx(1.0 + c.c3 + c.c2 + c.c1, rel=1e-12)
     with pytest.raises(ValueError):
-        analytic_symbol("elliptic", win, (0.0,))
+        analytic_symbol("elliptic", win, (0.0,), (0.0,))
 
 
 def test_symbols_check_the_dimension():
@@ -488,7 +488,7 @@ def test_symbols_check_the_dimension():
         with pytest.raises(DimensionMismatchError, match="coordinates"):
             analytic_symbol("hyperbolic", win, xi, y)
     with pytest.raises(DimensionMismatchError, match="coordinates"):
-        analytic_symbol("euclidean", win, (1.0, 2.0, 3.0))
+        analytic_symbol("euclidean", win, (1.0, 2.0, 3.0), (0.0, 0.0))
     with pytest.raises(DimensionMismatchError, match="window dimension"):
         rayleigh_symbol(op, scale(make_cosine_window(1), 0.2), 1.0, 0.5)
     sv = symbol(fr, op, (1.0, 2.0), (0.5, 0.5))
@@ -565,7 +565,7 @@ def test_trace_of_an_embedded_hyperbolic_operator(d, N, eps):
     fr = build_frame(box, h, scale(make_cosine_window(d), eps))
     op = assemble_hyperbolic(rectangle_domain(box, h))
     assert fr.n == op.n == N ** d
-    assert np.allclose(np.asarray(op.grid.origin) + op.grid.h * op.nodes,
+    assert np.allclose(np.asarray(op.grid.origin) + op.grid.h * np.argwhere(op.grid.mask),
                        np.asarray(fr.origin) + fr.h * np.indices(fr.shape).reshape(d, -1).T)
     A = op.matrix.tocoo()
     assert A.nnz > op.n

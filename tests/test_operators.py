@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from weylcs.cli import main
-from weylcs.domains import GridDomain, rectangle_domain
+from weylcs.domains import EmptyErosionError, GridDomain, dilate, erode, rectangle_domain
 from weylcs.frames import analytic_symbol
 from weylcs.operators import (
     assemble_euclidean,
     assemble_hyperbolic,
+    diagonal,
     export_matrix,
     weighted_axes,
 )
@@ -75,7 +77,7 @@ def test_apply_sine_mode_is_eigenvector():
     h = 0.02
     dom = rectangle_domain(((0.0, 1.0),), h)
     op = assemble_euclidean(dom)
-    x = (np.asarray(dom.origin) + h * op.nodes)[:, 0]
+    x = (np.asarray(dom.origin) + h * np.argwhere(op.grid.mask))[:, 0]
     for k in (1, 3, 7):
         v = np.sin(k * math.pi * x)
         lam = (4.0 / h ** 2) * math.sin(k * math.pi * h / 2.0) ** 2
@@ -89,6 +91,73 @@ def test_positive_semidefinite(seed):
     op = assemble_hyperbolic(dom)
     v = np.random.default_rng(seed).standard_normal(op.n)
     assert v @ (op.matrix @ v) >= -1e-12 * (v @ v)
+
+
+def node_list_matrix(op):
+    """The CSC matrix of op assembled from an np.argwhere node list, row k for
+    node k: the reference for the assembly that reads the edges off the mask."""
+    nodes, n = np.argwhere(op.grid.mask), op.n
+    # -1 outside the mask, also on a layer past the upper end of every axis
+    row_of = np.full(np.add(op.grid.shape, 1), -1, dtype=np.int64)
+    row_of[tuple(nodes.T)] = np.arange(n)
+    weights = [w[nodes[:, 0]] for w in op.axis_weights()]
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [diagonal(weights)]
+    for axis, w in enumerate(weights):
+        nb_row = row_of[tuple((nodes + np.eye(op.grid.d, dtype=np.int64)[axis]).T)]
+        i = np.flatnonzero(nb_row >= 0)
+        j = nb_row[i]
+        rows.extend([i, j])
+        cols.extend([j, i])
+        vals.extend([-w[i], -w[i]])
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsc()
+
+
+@st.composite
+def mask_sets(draw):
+    """(mask, set, eps): a mask in d = 1-3 of up to 16, 10 and 6 nodes per
+    axis, one node along an axis included (random bits, or a filled block
+    with a few nodes flipped), and which set of it to assemble on: the mask
+    itself, its erosion or its dilation by eps."""
+    d = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, {1: 16, 2: 10, 3: 6}[d])) for _ in range(d))
+    if draw(st.booleans()):
+        mask = draw(arrays(bool, shape))
+    else:
+        mask = np.zeros(shape, dtype=bool)
+        lo = [draw(st.integers(0, m - 1)) for m in shape]
+        mask[tuple(slice(a, draw(st.integers(a + 1, m))) for a, m in zip(lo, shape))] = True
+        for _ in range(draw(st.integers(0, 2))):
+            mask[tuple(draw(st.integers(0, m - 1)) for m in shape)] ^= True
+    return mask, draw(st.sampled_from(["mask", "erode", "dilate"])), draw(st.floats(0.05, 0.3))
+
+
+@given(case=mask_sets())
+@example(case=(np.ones((1, 7), dtype=bool), "mask", 0.1))
+@example(case=(np.ones((4, 1, 3), dtype=bool), "dilate", 0.15))
+@settings(max_examples=60, deadline=None)
+def test_assembly_from_the_mask_matches_a_node_list(case):
+    # the same CSC arrays, values and dtypes, as numbering the rows by a node list
+    mask, which, eps = case
+    h, d = 0.1, mask.ndim
+    origin = tuple(-0.35 + 0.2 * a for a in range(d))
+    dom = GridDomain(h=h, origin=origin, mask=mask,
+                     box=tuple((o - h, o + h * m) for o, m in zip(origin, mask.shape)))
+    try:
+        dom = {"mask": lambda: dom, "erode": lambda: erode(dom, eps),
+               "dilate": lambda: dilate(dom, eps)}[which]()
+    except EmptyErosionError:
+        return
+    if not dom.mask.any():
+        return
+    for assemble in (assemble_euclidean, assemble_hyperbolic):
+        op = assemble(dom)
+        got, want = op.matrix, node_list_matrix(op)
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), part
 
 
 def test_hyperbolic_quadratic_form_identity():
@@ -232,7 +301,8 @@ def test_weighted_axes_is_what_every_kind_reader_does(tmp_path, capsys, kind, wa
         pytest.approx((1.0 - math.exp(-k)) / k if k else 1.0, rel=1e-14)
     # the continuum symbol depends on y_1 exactly when an axis is weighted
     win, xi = make_cosine_window(d), np.ones(d)
-    moved = analytic_symbol(kind, win, xi, np.eye(d)[0]) != analytic_symbol(kind, win, xi)
+    moved = analytic_symbol(kind, win, xi, np.eye(d)[0]) != \
+        analytic_symbol(kind, win, xi, np.zeros(d))
     assert moved == (k > 0)
     # the CLI has closed-form spectra of the unweighted operator only
     rc = main(["weyl-curve", "--set", f"kind={kind}", "--set", f"dim={d}",
@@ -250,7 +320,7 @@ def test_weighted_axes_rejects_an_unknown_kind(tmp_path, capsys):
     with pytest.raises(ValueError, match="unknown kind 'elliptic'"):
         weighted_volume("elliptic", dom)
     with pytest.raises(ValueError, match="unknown kind 'elliptic'"):
-        analytic_symbol("elliptic", make_cosine_window(2), (0.0, 0.0))
+        analytic_symbol("elliptic", make_cosine_window(2), (0.0, 0.0), (0.0, 0.0))
     assert main(["weyl-curve", "--set", "kind=elliptic",
                  "--out", str(tmp_path / "curve.csv")]) == 1
     assert "unknown kind 'elliptic'" in capsys.readouterr().err

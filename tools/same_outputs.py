@@ -142,47 +142,42 @@ EXACT_CURVE_RUN = _cli_run("exact weyl-curve of a 3-D box", "weyl-curve", "curve
                            "lam_min=20", "lam_max=2000")
 
 
-SPARSE_BRACKET_RUN = Run("sparse count at an eigenvalue", lambda out: ["-c", """
+def _mask_run(name, h, cells, body):
+    """A run of python -c code on the euclidean operator op of a mask on the
+    unit square's lattice at spacing h, true on the two index expressions of
+    cells.  body, indented by four spaces, runs with the warnings recorded;
+    their messages are printed on stdout after it."""
+    return Run(name, lambda out: ["-c", f"""
 import warnings
 import numpy as np
 from weylcs.domains import GridDomain, rectangle_domain
-from weylcs.eigen import count_certificate
+from weylcs.eigen import count_certificate, spectrum_below
 from weylcs.operators import assemble_euclidean
-h = 1 / 12
+h = {h}
 box = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
 mask = np.zeros(box.shape, dtype=bool)
-mask[6, 5:8] = mask[5:8, 6] = True
+mask[{cells[0]}] = mask[{cells[1]}] = True
 op = assemble_euclidean(GridDomain(h=h, origin=box.origin, mask=mask, box=box.box))
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    print(repr(count_certificate(op, 576.0)))
+{body}
 for warning in caught:
     print(warning.message)
 """])
 
 
-SPARSE_CUT_RUN = Run("sparse spectrum cut at an eigenvalue", lambda out: ["-c", """
-import warnings
-import numpy as np
-from weylcs.domains import GridDomain, rectangle_domain
-from weylcs.eigen import spectrum_below
-from weylcs.operators import assemble_euclidean
-h = 1 / 50
-box = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
-mask = np.zeros(box.shape, dtype=bool)
-mask[2:22, 2:22] = mask[26:46, 26:46] = True
-op = assemble_euclidean(GridDomain(h=h, origin=box.origin, mask=mask, box=box.box))
-block = 4 / h ** 2 * np.sin(np.arange(1, 21) * np.pi / 42) ** 2
-modes = np.repeat(np.sort((block[:, None] + block[None, :]).ravel()), 2)
-lam = 2 * np.unique(modes)[60]
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
+SPARSE_BRACKET_RUN = _mask_run("sparse count at an eigenvalue", "1 / 12", ("6, 5:8", "5:8, 6"),
+                               "    print(repr(count_certificate(op, 576.0)))")
+
+
+SPARSE_CUT_RUN = _mask_run("sparse spectrum cut at an eigenvalue", "1 / 50",
+                           ("2:22, 2:22", "26:46, 26:46"), """\
+    block = 4 / h ** 2 * np.sin(np.arange(1, 21) * np.pi / 42) ** 2
+    modes = np.repeat(np.sort((block[:, None] + block[None, :]).ravel()), 2)
+    lam = 2 * np.unique(modes)[60]
     spec = spectrum_below(op, lam)
-print(spec.certificate.count, len(spec.values),
-      bool(np.allclose(spec.values, modes[modes < lam], rtol=1e-10, atol=0.0)))
-for warning in caught:
-    print(warning.message)
-"""])
+    print(spec.certificate.count, len(spec.values),
+          bool(np.allclose(spec.values, modes[modes < lam], rtol=1e-10, atol=0.0)))""")
 
 
 def workload_runs(inputs):
