@@ -175,7 +175,7 @@ def _operator(cfg, h):
 def cmd_spectrum(cfg, out) -> int:
     op = _operator(cfg, cfg.h)
     spec = spectrum_below(op, max(0.0, cfg.lam_max))
-    save_spectrum(spec, out, kind=cfg.kind, h=cfg.h, extra=cfg.header_lines())
+    save_spectrum(spec, out, extra=cfg.header_lines())
     return 0
 
 

@@ -130,7 +130,7 @@ class Certificate:
 @dataclass(frozen=True)
 class Spectrum:
     values: np.ndarray  # nondecreasing, with multiplicity
-    cutoff: float | None
+    cutoff: float  # every eigenvalue below it is listed; math.inf for a whole spectrum
     certified: bool
     certificate: Certificate | None = None  # never written to a file
 
@@ -139,7 +139,7 @@ def dense_spectrum(op: DiscreteOperator) -> Spectrum:
     """All eigenvalues by a dense symmetric solver, for n up to DENSE_LIMIT."""
     import scipy.linalg  # slow import, needed here only
 
-    return Spectrum(values=np.sort(scipy.linalg.eigvalsh(_dense(op))), cutoff=None,
+    return Spectrum(values=np.sort(scipy.linalg.eigvalsh(_dense(op))), cutoff=math.inf,
                     certified=True)
 
 
@@ -568,13 +568,13 @@ def spectrum_below(op: DiscreteOperator, lam: float) -> Spectrum:
                     certificate=replace(cert, value_method=method, value_error=error))
 
 
-def save_spectrum(spec: Spectrum, path, kind="", h=None, extra=()):
-    """Text export: header comments, then one eigenvalue per line."""
+def save_spectrum(spec: Spectrum, path, extra=()):
+    """Text export: '#' header lines, namely the magic line, the cutoff (inf
+    for a whole spectrum), certified and each line of extra, then one
+    eigenvalue per line."""
     with open(path, "w") as fh:
         fh.write("# weylcs spectrum v1\n")
-        fh.write(f"# kind={kind}\n")
-        fh.write("# h=%s\n" % ("" if h is None else "%.17g" % h))
-        fh.write("# cutoff=%s\n" % ("" if spec.cutoff is None else "%.17g" % spec.cutoff))
+        fh.write("# cutoff=%.17g\n" % spec.cutoff)
         fh.write(f"# certified={str(spec.certified).lower()}\n")
         for line in extra:
             fh.write(f"# {line}\n")
@@ -591,7 +591,8 @@ def _number(text):
 
 
 def load_spectrum(path) -> Spectrum:
-    """Read a save_spectrum file.  ValueError naming the header key for a
+    """Read a save_spectrum file; an empty or missing cutoff reads as
+    math.inf, a whole spectrum.  ValueError naming the header key for a
     cutoff that is not a number or a certified other than true or false, and
     naming the line (counted from 1) and its text for a value that is not a
     finite number, is below the value before it, or is not below the cutoff.
@@ -607,8 +608,8 @@ def load_spectrum(path) -> Spectrum:
                     header[k.strip()] = v.strip()
             elif line:
                 lines.append((i, line))
-    cutoff = _number(header["cutoff"]) if header.get("cutoff") else None
-    if cutoff is not None and math.isnan(cutoff):
+    cutoff = _number(header.get("cutoff") or "inf")
+    if math.isnan(cutoff):
         raise ValueError(f"spectrum header: cutoff must be a number, got {header['cutoff']!r}")
     certified = header.get("certified", "false")
     if certified not in ("true", "false"):
@@ -618,8 +619,7 @@ def load_spectrum(path) -> Spectrum:
         v = _number(text)
         problem = ("is not a finite number" if not math.isfinite(v) else
                    "is below the value before it" if vals and v < vals[-1] else
-                   f"is not below the cutoff {cutoff!r}" if cutoff is not None and not v < cutoff
-                   else None)
+                   f"is not below the cutoff {cutoff!r}" if not v < cutoff else None)
         if problem:
             raise ValueError(f"spectrum line {i}: {text!r} {problem}")
         vals.append(v)

@@ -37,7 +37,7 @@ def riesz_mean(spec: Spectrum, lam: float) -> float:
         raise ValueError(f"lambda must be a number, got {lam!r}")
     if not spec.certified:
         raise UncertifiedTailError("spectrum is not certified")
-    if spec.cutoff is not None and spec.cutoff < lam:
+    if spec.cutoff < lam:
         raise UncertifiedTailError(
             f"uncertified tail: cutoff {spec.cutoff} < lambda {lam}")
     vals = spec.values

@@ -113,6 +113,23 @@ def test_spectrum_small_run(tmp_path):
     assert np.all(np.abs(spec.values - ref) / ref < 0.05)
 
 
+def test_a_spectrum_file_states_each_header_key_once(tmp_path):
+    # the magic line, the spectrum's cutoff and certified, then the config as
+    # header_lines() gives it: kind and h come from the config lines alone
+    out = tmp_path / "spec.txt"
+    items = ["kind=hyperbolic", "dim=2", "box=0,1;0,1", "h=0.1", "lam_max=200"]
+    assert main(["spectrum", *[arg for item in items for arg in ("--set", item)],
+                 "--out", str(out)]) == 0
+    cfg = ExperimentConfig()
+    for item in items:
+        _apply_kv(cfg, item, "--set value")
+    header = [line[2:] for line in out.read_text().splitlines() if line.startswith("#")]
+    assert header[:3] == ["weylcs spectrum v1", "cutoff=200", "certified=true"]
+    assert header[3:] == cfg.header_lines()
+    keys = [line.split("=", 1)[0] for line in header[1:]]
+    assert len(keys) == len(set(keys))
+
+
 def test_spectrum_repeatable_in_one_process(tmp_path):
     # few eigenvalues against n, so the eigsh branch runs
     args = ["spectrum", "--set", "box=0,1", "--set", "h=0.01",

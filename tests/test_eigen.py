@@ -79,7 +79,7 @@ def test_dense_matches_closed_form():
     op, h = interval_op(100)
     spec = dense_spectrum(op)
     ref = tridiag_eigs(100, h, 1.0)
-    assert spec.certified and spec.cutoff is None
+    assert spec.certified and spec.cutoff == math.inf
     assert np.max(np.abs(spec.values - ref) / ref) < 1e-10
 
 
@@ -459,8 +459,8 @@ def test_certificate_not_written(tmp_path):
     op, _ = interval_op(200)
     spec = spectrum_below(op, 5000.0)
     bare = Spectrum(values=spec.values, cutoff=spec.cutoff, certified=spec.certified)
-    save_spectrum(spec, tmp_path / "a.txt", kind="euclidean")
-    save_spectrum(bare, tmp_path / "b.txt", kind="euclidean")
+    save_spectrum(spec, tmp_path / "a.txt")
+    save_spectrum(bare, tmp_path / "b.txt")
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
@@ -1413,7 +1413,7 @@ def test_eigsh_value_error_is_the_ritz_residual(monkeypatch):
 def test_spectrum_roundtrip(tmp_path):
     spec = Spectrum(values=np.array([1.0, 4.0, 9.0]), cutoff=10.0, certified=True)
     path = tmp_path / "spec.txt"
-    save_spectrum(spec, path, kind="euclidean", h=0.01, extra=["note=test"])
+    save_spectrum(spec, path, extra=["kind=euclidean", "h=0.01", "note=test"])
     back = load_spectrum(path)
     assert np.array_equal(back.values, spec.values)
     assert back.cutoff == 10.0
@@ -1421,12 +1421,23 @@ def test_spectrum_roundtrip(tmp_path):
 
 
 def test_spectrum_roundtrip_no_cutoff(tmp_path):
-    spec = Spectrum(values=np.array([2.5]), cutoff=None, certified=False)
+    spec = Spectrum(values=np.array([2.5]), cutoff=math.inf, certified=False)
     path = tmp_path / "spec.txt"
     save_spectrum(spec, path)
     back = load_spectrum(path)
-    assert back.cutoff is None
+    assert back.cutoff == math.inf
     assert not back.certified
+
+
+def test_load_spectrum_reads_an_empty_cutoff_as_a_whole_spectrum(tmp_path):
+    # the format written before the cutoff of a whole spectrum was inf: kind
+    # and h lines from save_spectrum's own parameters, and an empty cutoff
+    path = tmp_path / "spec.txt"
+    path.write_text("# weylcs spectrum v1\n# kind=euclidean\n# h=0.01\n# cutoff=\n"
+                    "# certified=true\n9.8695877281490362\n39.470131076259112\n")
+    back = load_spectrum(path)
+    assert back.cutoff == math.inf and back.certified
+    assert back.values.tolist() == [9.8695877281490362, 39.470131076259112]
 
 
 def test_load_spectrum_skips_blank_lines(tmp_path):

@@ -156,6 +156,18 @@ def test_same_outputs_runs_a_sparse_spectrum_cut_at_an_eigenvalue(tmp_path):
     assert stdout.decode() == "630 630 True\n"
 
 
+def test_same_outputs_runs_a_whole_spectrum_record(tmp_path):
+    # the 49 values of dense_spectrum on the h = 1/8 hyperbolic square: the
+    # file's cutoff is inf, it holds no kind or h line, and it reads back whole
+    same_outputs = _tool("same_outputs")
+    run = same_outputs.WHOLE_SPECTRUM_RUN
+    code, stdout, stderr, files, _ = same_outputs.outcome(ROOT, run, tmp_path / "whole")
+    assert (code, stdout, stderr, list(files)) == (0, b"inf 49\n", b"", ["spectrum.txt"])
+    lines = files["spectrum.txt"].decode().splitlines()
+    assert lines[:3] == ["# weylcs spectrum v1", "# cutoff=inf", "# certified=true"]
+    assert len(lines) == 3 + 49
+
+
 def test_same_outputs_runs_a_euclidean_discrete_curve(tmp_path):
     # source=discrete with the euclidean operator: the curve whose volume is
     # weighted_volume("euclidean", op.grid), 1 on the unit square

@@ -50,13 +50,18 @@ def test_riesz_edges():
     spec = exact_spectrum_box(PI_INTERVAL, 100.0)
     assert riesz_mean(spec, 1.0) == 0.0
     assert riesz_mean(spec, 2.5) == pytest.approx(1.5)
+    # a whole spectrum has no uncertified tail: past its largest value every
+    # value counts
+    whole = dense_spectrum(assemble_euclidean(rectangle_domain(PI_SQUARE, math.pi / 6)))
+    lam = 2.0 * whole.values[-1]
+    assert riesz_mean(whole, lam) == np.sum(lam - whole.values)
 
 
 def test_riesz_uncertified_tail():
     spec = exact_spectrum_box(PI_INTERVAL, 10.0)
     with pytest.raises(UncertifiedTailError):
         riesz_mean(spec, 50.0)
-    bad = Spectrum(values=np.array([1.0]), cutoff=None, certified=False)
+    bad = Spectrum(values=np.array([1.0]), cutoff=math.inf, certified=False)
     with pytest.raises(UncertifiedTailError):
         riesz_mean(bad, 5.0)
 

@@ -27,6 +27,10 @@ tool runs
     number of values, whether all lie within 1e-10 relative of the blocks'
     closed form, and each warning's message on stdout (not the values,
     which off a box need not be byte-reproducible);
+  - a whole spectrum record: dense_spectrum of the hyperbolic unit square at
+    h = 1/8, written by save_spectrum into the output directory; it prints
+    the cutoff load_spectrum reads back and the number of values (no CLI
+    command writes a whole spectrum);
   - a weyl-curve of the euclidean operator from its discrete spectrum
     (source=discrete) on the unit square at h = 1/70, lambda from 20 to 2000;
   - a weyl-curve from the exact spectrum (source=exact) of the 3-D box
@@ -178,6 +182,17 @@ SPARSE_CUT_RUN = _mask_run("sparse spectrum cut at an eigenvalue", "1 / 50",
     spec = spectrum_below(op, lam)
     print(spec.certificate.count, len(spec.values),
           bool(np.allclose(spec.values, modes[modes < lam], rtol=1e-10, atol=0.0)))""")
+
+
+WHOLE_SPECTRUM_RUN = Run("whole spectrum record", lambda out: ["-c", f"""
+from weylcs.domains import rectangle_domain
+from weylcs.eigen import dense_spectrum, load_spectrum, save_spectrum
+from weylcs.operators import assemble_hyperbolic
+path = {str(out / "spectrum.txt")!r}
+square = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1 / 8)
+save_spectrum(dense_spectrum(assemble_hyperbolic(square)), path)
+print(load_spectrum(path).cutoff, len(load_spectrum(path).values))
+"""])
 
 
 def workload_runs(inputs):
@@ -341,7 +356,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         runs = (REFERENCES + example_runs() + DEFAULT_RUNS + BRACKET_RUNS
-                + [SPARSE_BRACKET_RUN, SPARSE_CUT_RUN, DISCRETE_CURVE_RUN, EXACT_CURVE_RUN]
+                + [SPARSE_BRACKET_RUN, SPARSE_CUT_RUN, WHOLE_SPECTRUM_RUN, DISCRETE_CURVE_RUN,
+                   EXACT_CURVE_RUN]
                 + workload_runs(work / "inputs"))
         return compare(args.other.resolve(), runs, work, args.repeat)
 
