@@ -125,8 +125,7 @@ def _validate(cfg):
     positive counts, a seed >= 0 and one box axis per dimension.  Box, h,
     window and eps then pass the checks of the library functions that use
     them (domains._rectangle_shape, the window makers and windows.scale), so
-    the CLI rejects what the library would, with the library's message.  A
-    discrete lam_max past 1/h^2 only warns.
+    the CLI rejects what the library would, with the library's message.
     """
     for key, allowed in _CHOICES.items():
         if getattr(cfg, key) not in allowed:
@@ -144,9 +143,6 @@ def _validate(cfg):
         raise ConfigError(f"box has {len(cfg.box)} axes, dim is {cfg.dim}")
     _rectangle_shape(cfg.box, cfg.h)
     scale(_window(cfg), cfg.eps)
-    if cfg.source == "discrete" and cfg.lam_max > 1.0 / cfg.h ** 2:
-        print(f"warning: lambda_max {cfg.lam_max:g} exceeds the discretization "
-              f"validity bound 1/h^2 = {1.0 / cfg.h ** 2:g}", file=sys.stderr)
 
 
 def _window(cfg):
@@ -191,6 +187,9 @@ def cmd_weyl_curve(cfg, out) -> int:
     else:
         op = _operator(cfg, cfg.h)
         vol = weighted_volume(cfg.kind, op.grid)
+        if cfg.lam_max > 1.0 / cfg.h ** 2:
+            print(f"warning: lambda_max {cfg.lam_max:g} exceeds the discretization "
+                  f"validity bound 1/h^2 = {1.0 / cfg.h ** 2:g}", file=sys.stderr)
         spec = spectrum_below(op, cfg.lam_max)
 
     try:

@@ -87,12 +87,6 @@ def box_sides(box, name="box"):
     return sides
 
 
-def whole_steps(length, h):
-    """The number of whole steps h that fit length, to 1e-9 relative: the one
-    rule for a lattice's nodes along an axis."""
-    return int(math.floor(length / h * (1.0 + 1e-9)))
-
-
 def _rectangle_shape(box, h):
     """Nodes per axis of the lattice from each lower end, through the upper end.
 
@@ -105,7 +99,9 @@ def _rectangle_shape(box, h):
         raise ValueError(f"need 0 < h < shortest side, got h={h!r}")
     if not math.prod(s / h for s in sides) < np.iinfo(np.intp).max:
         raise ValueError(f"the lattice of box {box!r} at h={h!r} has too many nodes to index")
-    return [whole_steps(s, h) + 1 for s in sides]
+    # the whole steps h that fit each side, to 1e-9 relative: the one rule
+    # for a lattice's nodes along an axis
+    return [int(math.floor(s / h * (1.0 + 1e-9))) + 1 for s in sides]
 
 
 def _interior(box, h):

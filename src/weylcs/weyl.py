@@ -134,7 +134,8 @@ def build_curve(spec: Spectrum, lambdas, vol: float, window: Window) -> RieszCur
     when a leading term is not finite (lambda too large), OverflowError when
     an eps is not finite and positive (a lambda <= 0) or when the window
     constants overflow at it; ValueError for a grid that is not finite or
-    not strictly increasing.
+    not strictly increasing.  Every check comes before the Riesz means are
+    summed.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if not np.all(np.isfinite(lambdas)):
@@ -142,7 +143,6 @@ def build_curve(spec: Spectrum, lambdas, vol: float, window: Window) -> RieszCur
         raise ValueError(f"lambda grid must be finite, got {float(bad)!r}")
     if np.any(np.diff(lambdas) <= 0):
         raise ValueError("lambda grid must be strictly increasing")
-    riesz = np.array([riesz_mean(spec, lam) for lam in lambdas])
     with np.errstate(over="ignore"):  # an overflow is reported below
         leading = np.array([euclidean_leading(vol, window.d, lam) for lam in lambdas])
     if not np.all(np.isfinite(leading)):
@@ -153,6 +153,7 @@ def build_curve(spec: Spectrum, lambdas, vol: float, window: Window) -> RieszCur
     if not np.all(np.isfinite(eps) & (eps > 0.0)):
         raise OverflowError("eps = lambda^(-1/3) leaves the float range")
     cc = [c_constants(scale(window, e)) for e in eps]
+    riesz = np.array([riesz_mean(spec, lam) for lam in lambdas])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(leading != 0.0, riesz / leading, 0.0)
     return RieszCurve(

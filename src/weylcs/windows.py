@@ -68,11 +68,9 @@ def _cosine_profile(d):
     om = math.pi * math.sqrt(d) / 2.0
 
     def value(u):
-        u = np.asarray(u, dtype=float)
         return np.where(np.abs(u) < a, amp * np.cos(om * u), 0.0)
 
     def deriv(u):
-        u = np.asarray(u, dtype=float)
         return np.where(np.abs(u) < a, -amp * om * np.sin(om * u), 0.0)
 
     return value, deriv
@@ -83,7 +81,6 @@ def _bump_profile(d):
     sd = math.sqrt(d)
 
     def raw(u):
-        u = np.asarray(u, dtype=float)
         t = sd * u
         inside = np.abs(t) < 1.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -95,7 +92,6 @@ def _bump_profile(d):
         return raw(u) / norm
 
     def deriv(u):
-        u = np.asarray(u, dtype=float)
         t = sd * u
         inside = np.abs(t) < 1.0
         denom = np.where(inside, (1.0 - t * t) ** 2, 1.0)

@@ -643,6 +643,37 @@ def test_weyl_curve_discrete_warns_past_validity(tmp_path, capsys):
     assert "validity bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["symbol-check", "frame-check"])
+def test_a_command_that_reads_no_lam_max_prints_no_validity_warning(tmp_path, capsys, command):
+    argv = [command, "--set", "source=discrete", "--set", "lam_max=1e9",
+            "--set", "n_vectors=1", "--out", str(tmp_path / "o.txt")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+VALIDITY_WARNING = ("warning: lambda_max 1e+308 exceeds the discretization validity "
+                    "bound 1/h^2 = 11.1111\n")
+
+
+@pytest.mark.parametrize("sets, stderr", [
+    # the lambda grid is refused before the validity warning
+    (["h=0.1", "lam_min=500", "lam_max=200"],
+     "error: the lambda grid needs 0 < lam_min <= lam_max, "
+     "got lam_min=500.0, lam_max=200.0\n"),
+    # the leading term is refused before the Riesz means overflow
+    (["kind=hyperbolic", "dim=2", "box=0,1;0,1", "h=0.3", "lam_min=1", "lam_max=1e308"],
+     VALIDITY_WARNING + "error: lam_max=1e+308 is too large: "
+     "leading term not finite at lambda = 8.88624e+157\n"),
+], ids=["empty-grid", "overflowing-leading-term"])
+def test_a_refused_discrete_weyl_curve_prints_its_error_last(tmp_path, sets, stderr):
+    # a fresh interpreter, so that a numpy warning would reach stderr
+    argv = ["weyl-curve", "--set", "source=discrete",
+            *[arg for key in sets for arg in ("--set", key)], "--out", str(tmp_path / "c.csv")]
+    run = subprocess.run([sys.executable, "-m", "weylcs"] + argv, env=subprocess_env(),
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", stderr)
+
+
 def test_a_shift_warning_reaches_the_user_as_one_line(tmp_path, monkeypatch):
     # the shift warning at the eigenvalue lambda = 5000 prints like the CLI's own
     # warnings, and still passes through warnings.showwarning, where a

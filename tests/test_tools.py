@@ -200,6 +200,26 @@ def test_same_outputs_runs_an_exact_curve_of_a_3d_box(tmp_path):
     assert [row[2] for row in rows] == [euclidean_leading(6.0, 3, row[0]) for row in rows]
 
 
+def test_same_outputs_lists_the_workload_runs_without_the_reference_solvers(
+        tmp_path, monkeypatch):
+    # the dense solvers fill only the oracles' reference spectra, which took
+    # seconds and no run checks
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    called = []
+    for name in ("eigvalsh", "hyperbolic_mask_dense"):
+        monkeypatch.setattr(workloads, name, lambda *args, name=name: called.append(name))
+    runs = _tool("same_outputs").workload_runs(tmp_path / "inputs")
+    assert called == []
+    box_jobs = ("spectrum-hyperbolic", "spectrum-euclidean", "weyl-curve", "frame-check")
+    assert [run.name for run in runs] == (
+        [f"box-spectrum seed={seed} {job}" for seed in (1, 2, 3) for job in box_jobs]
+        + [f"mask-count seed={seed} mask-count" for seed in (1, 2, 3)])
+    assert all((tmp_path / "inputs" / f"mask-count-seed{seed}" / "mask-inputs.json").is_file()
+               for seed in (1, 2, 3))
+
+
 def test_the_timed_launch_writes_what_a_plain_start_writes(tmp_path):
     # an example (python -m weylcs), a small mask-count job (a library
     # script), the sparse count (python -c) and mask-count without its

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from conftest import lattice_measure, li_yau_bound
 from weylcs.domains import GridDomain, rectangle_domain
 from weylcs.eigen import Spectrum, dense_spectrum
 from weylcs.operators import assemble_euclidean
+import weylcs.weyl
 from weylcs.weyl import (
     CURVE_HEADER,
+    LeadingOverflowError,
     RieszCurve,
     UncertifiedTailError,
     build_curve,
@@ -255,6 +258,30 @@ def test_build_curve_rejects_a_lambda_at_or_below_zero(lam):
     spec = exact_spectrum_box(PI_INTERVAL, 1e3)
     with pytest.raises(OverflowError, match="leaves the float range"):
         build_curve(spec, [lam, 100.0], 1.0, make_cosine_window(1))
+
+
+def test_an_overflowing_leading_term_is_refused_before_the_riesz_sums():
+    # the Riesz mean at 1e308 overflows too; summed first, it warned
+    # "overflow encountered in reduce" ahead of the refusal
+    spec = Spectrum(values=np.array([1.0, 2.0]), cutoff=math.inf, certified=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LeadingOverflowError):
+            build_curve(spec, [1.0, 1e308], 1.0, make_cosine_window(1))
+
+
+@pytest.mark.parametrize("lambdas, error", [
+    ([1.0, 1e308], LeadingOverflowError),  # the leading term
+    ([0.0, 1.0], OverflowError),  # the eps schedule
+    ([1e-12, 1.0], OverflowError),  # the window constants at eps = 1e4
+])
+def test_build_curve_sums_no_riesz_mean_before_its_last_check(monkeypatch, lambdas, error):
+    summed = []
+    monkeypatch.setattr(weylcs.weyl, "riesz_mean", lambda spec, lam: summed.append(lam))
+    spec = Spectrum(values=np.array([1.0, 2.0]), cutoff=math.inf, certified=True)
+    with pytest.raises(error):
+        build_curve(spec, lambdas, 1.0, make_cosine_window(1))
+    assert summed == []
 
 
 def test_riesz_convexity_and_slope_counts():
