@@ -208,7 +208,6 @@ def save_mask(dom: GridDomain, path):
 
 
 def _rle_encode(row):
-    row = np.asarray(row, dtype=bool)
     ends = np.append(np.flatnonzero(row[1:] != row[:-1]) + 1, len(row))
     starts = np.append(0, ends[:-1])
     return " ".join(f"{int(row[s])}x{e - s}" for s, e in zip(starts, ends))

@@ -136,11 +136,11 @@ class Spectrum:
 
 
 def dense_spectrum(op: DiscreteOperator) -> Spectrum:
-    """All eigenvalues by a dense symmetric solver, for n up to DENSE_LIMIT."""
+    """All eigenvalues by a dense symmetric solver, for n up to DENSE_LIMIT,
+    in the ascending order LAPACK returns them."""
     import scipy.linalg  # slow import, needed here only
 
-    return Spectrum(values=np.sort(scipy.linalg.eigvalsh(_dense(op))), cutoff=math.inf,
-                    certified=True)
+    return Spectrum(values=scipy.linalg.eigvalsh(_dense(op)), cutoff=math.inf, certified=True)
 
 
 def _dense(op):

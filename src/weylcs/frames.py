@@ -187,14 +187,11 @@ def adjoint(frame: CoherentFrame, F) -> np.ndarray:
     vals = np.reshape(F, tuple(ny) + (P,) * d)
     for a in reversed(range(d)):
         # vals holds y_0..y_a, x_{a+1}..x_{d-1}, xi_0..xi_a: contract xi_a
-        # into the window's nodes, add node j of window i into padded node
-        # i + j, and drop the padding
-        lead = vals.shape[:-1]
-        vals = (vals.reshape(-1, P) @ frame.table.conj().T).reshape(lead + (P,))
-        acc = np.zeros(lead[:a] + (ny[a] + P - 1,) + lead[a + 1:], dtype=complex)
-        for j in range(P):
-            acc[(slice(None),) * a + (slice(j, j + ny[a]),)] += vals[..., j]
-        vals = acc[(slice(None),) * a + (slice(P - 1, P - 1 + frame.shape[a]),)]
+        # into the window's nodes; grid node x takes node j of the window at
+        # position x + P - 1 - j, for j = 0..P-1 in turn
+        vals = (vals.reshape(-1, P) @ frame.table.conj().T).reshape(vals.shape)
+        vals = sum(vals[(slice(None),) * a + (slice(P - 1 - j, P - 1 - j + frame.shape[a]),
+                                              Ellipsis, j)] for j in range(P))
     return (vals / (P ** d * math.sqrt(frame.s))).reshape(frame.n)
 
 

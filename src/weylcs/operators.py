@@ -149,11 +149,12 @@ def assemble_hyperbolic(dom: GridDomain) -> DiscreteOperator:
 
 
 def export_matrix(op: DiscreteOperator, path):
-    """Coordinate text format: 'row col value' per stored entry, 17 significant digits."""
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    """Coordinate text format: 'row col value' per stored entry, 17 significant
+    digits, sorted by row then column: the matrix's own CSC arrays read as
+    its CSR arrays (exactly symmetric, sorted indices)."""
+    a = op.matrix
     with open(path, "w") as fh:
         fh.write("# weylcs matrix v1\n")
         fh.write(f"# kind={op.kind} n={op.n} h={op.grid.h!r}\n")
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
+        for i, j, v in zip(np.repeat(np.arange(op.n), np.diff(a.indptr)), a.indices, a.data):
             fh.write("%d %d %.17g\n" % (i, j, v))

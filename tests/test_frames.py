@@ -271,6 +271,37 @@ def test_adjoint_by_direct_summation(name):
     assert np.max(np.abs(adjoint(fr, F) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+def padded_adjoint(fr, F):
+    """adjoint by adding each window into a zero-padded axis and dropping the
+    padding: the reference for the sum over window views."""
+    P, d = fr.P, fr.d
+    ny = [m + P - 1 for m in fr.shape]
+    vals = np.reshape(F, tuple(ny) + (P,) * d)
+    for a in reversed(range(d)):
+        lead = vals.shape[:-1]
+        vals = (vals.reshape(-1, P) @ fr.table.conj().T).reshape(lead + (P,))
+        acc = np.zeros(lead[:a] + (ny[a] + P - 1,) + lead[a + 1:], dtype=complex)
+        for j in range(P):
+            acc[(slice(None),) * a + (slice(j, j + ny[a]),)] += vals[..., j]
+        vals = acc[(slice(None),) * a + (slice(P - 1, P - 1 + fr.shape[a]),)]
+    return (vals / (P ** d * math.sqrt(fr.s))).reshape(fr.n)
+
+
+@given(d=st.integers(1, 3), make=st.sampled_from([make_cosine_window, make_bump_window]),
+       sizes=st.lists(st.integers(2, 7), min_size=3, max_size=3),
+       eps=st.floats(0.05, 0.35), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_adjoint_matches_the_padded_accumulator_bit_for_bit(d, make, sizes, eps, seed):
+    h = 0.1
+    assume(2.0 * eps / math.sqrt(d) < h * min(sizes[:d]))
+    fr = build_frame(tuple((0.0, (N + 1) * h) for N in sizes[:d]), h, scale(make(d), eps))
+    rng = np.random.default_rng(seed)
+    shape = (math.prod(m + fr.P - 1 for m in fr.shape), fr.P ** d)
+    for F in (forward(fr, rng.standard_normal(fr.n) + 1j * rng.standard_normal(fr.n)),
+              rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+        assert np.array_equal(adjoint(fr, F).view(float), padded_adjoint(fr, F).view(float))
+
+
 def test_symbol_converges_to_c1():
     eps = 0.2
     win = scale(make_cosine_window(1), eps)

@@ -134,12 +134,9 @@ def mask_sets(draw):
     return mask, draw(st.sampled_from(["mask", "erode", "dilate"])), draw(st.floats(0.05, 0.3))
 
 
-@given(case=mask_sets())
-@example(case=(np.ones((1, 7), dtype=bool), "mask", 0.1))
-@example(case=(np.ones((4, 1, 3), dtype=bool), "dilate", 0.15))
-@settings(max_examples=60, deadline=None)
-def test_assembly_from_the_mask_matches_a_node_list(case):
-    # the same CSC arrays, values and dtypes, as numbering the rows by a node list
+def mask_set_domain(case):
+    """The GridDomain of a mask_sets case at h = 0.1, or None when the set is
+    empty."""
     mask, which, eps = case
     h, d = 0.1, mask.ndim
     origin = tuple(-0.35 + 0.2 * a for a in range(d))
@@ -149,8 +146,18 @@ def test_assembly_from_the_mask_matches_a_node_list(case):
         dom = {"mask": lambda: dom, "erode": lambda: erode(dom, eps),
                "dilate": lambda: dilate(dom, eps)}[which]()
     except EmptyErosionError:
-        return
-    if not dom.mask.any():
+        return None
+    return dom if dom.mask.any() else None
+
+
+@given(case=mask_sets())
+@example(case=(np.ones((1, 7), dtype=bool), "mask", 0.1))
+@example(case=(np.ones((4, 1, 3), dtype=bool), "dilate", 0.15))
+@settings(max_examples=60, deadline=None)
+def test_assembly_from_the_mask_matches_a_node_list(case):
+    # the same CSC arrays, values and dtypes, as numbering the rows by a node list
+    dom = mask_set_domain(case)
+    if dom is None:
         return
     for assemble in (assemble_euclidean, assemble_hyperbolic):
         op = assemble(dom)
@@ -245,6 +252,30 @@ def test_export_matrix_roundtrip(tmp_path):
 
     back = sp.coo_matrix((vals, (rows, cols)), shape=(op.n, op.n)).tocsr()
     assert abs(back - op.matrix).max() == 0.0
+
+
+def coo_export_lines(op):
+    """The lines export_matrix writes, from a COO copy of the matrix sorted by
+    row then column."""
+    coo = op.matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return ["# weylcs matrix v1", f"# kind={op.kind} n={op.n} h={op.grid.h!r}"] + [
+        "%d %d %.17g" % entry for entry in zip(coo.row[order], coo.col[order], coo.data[order])]
+
+
+@given(case=mask_sets())
+@example(case=(np.ones((1, 7), dtype=bool), "mask", 0.1))
+@settings(max_examples=60, deadline=None)
+def test_export_matrix_writes_the_sorted_coordinate_lines(case, tmp_path_factory):
+    # the CSC arrays read as rows give the lines of a sorted COO copy
+    dom = mask_set_domain(case)
+    if dom is None:
+        return
+    path = tmp_path_factory.mktemp("export") / "matrix.txt"
+    for assemble in (assemble_euclidean, assemble_hyperbolic):
+        op = assemble(dom)
+        export_matrix(op, path)
+        assert path.read_text().splitlines() == coo_export_lines(op)
 
 
 @pytest.mark.parametrize("x1_end", [400.0, 354.0])

@@ -168,6 +168,23 @@ def test_same_outputs_runs_a_whole_spectrum_record(tmp_path):
     assert len(lines) == 3 + 49
 
 
+def test_same_outputs_runs_the_library_file_formats(tmp_path):
+    # the two matrices list their entries sorted by row then column, and the
+    # adjoint inverts the forward transform it was saved from
+    same_outputs = _tool("same_outputs")
+    run = same_outputs.FORMATS_RUN
+    code, stdout, stderr, files, _ = same_outputs.outcome(ROOT, run, tmp_path / "formats")
+    assert (code, stderr) == (0, b"")
+    assert sorted(files) == ["adjoint.npy", "dilated.txt", "disk.txt", "eroded.mask",
+                             "phase.bin"]
+    assert float(stdout) < 1e-12
+    for name in ("disk.txt", "dilated.txt"):
+        lines = files[name].decode().splitlines()
+        assert lines[0] == "# weylcs matrix v1" and lines[1].startswith("# kind=hyperbolic")
+        entries = [tuple(map(int, line.split()[:2])) for line in lines[2:]]
+        assert entries and entries == sorted(set(entries))
+
+
 def test_same_outputs_runs_a_euclidean_discrete_curve(tmp_path):
     # source=discrete with the euclidean operator: the curve whose volume is
     # weighted_volume("euclidean", op.grid), 1 on the unit square

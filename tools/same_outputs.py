@@ -31,6 +31,14 @@ tool runs
     h = 1/8, written by save_spectrum into the output directory; it prints
     the cutoff load_spectrum reads back and the number of values (no CLI
     command writes a whole spectrum);
+  - the library's file formats: in the output directory, export_matrix of
+    the hyperbolic operator on a disk of radius 0.3 in the unit square at
+    h = 1/16 and on its dilation by 2h, save_mask of its erosion by h,
+    save_phase of forward(frame, f) for the 2-D cosine frame of eps = 0.2 on
+    the unit square at h = 1/8, with f complex from np.random.default_rng(0),
+    and adjoint(frame, F) of that array through np.save; it prints the
+    largest |adjoint(forward(f)) - f| (no CLI command writes these files or
+    calls adjoint);
   - a weyl-curve of the euclidean operator from its discrete spectrum
     (source=discrete) on the unit square at h = 1/70, lambda from 20 to 2000;
   - a weyl-curve from the exact spectrum (source=exact) of the 3-D box
@@ -195,6 +203,32 @@ path = {str(out / "spectrum.txt")!r}
 square = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), 1 / 8)
 save_spectrum(dense_spectrum(assemble_hyperbolic(square)), path)
 print(load_spectrum(path).cutoff, len(load_spectrum(path).values))
+"""])
+
+
+FORMATS_RUN = Run("library formats", lambda out: ["-c", f"""
+import numpy as np
+from weylcs.domains import GridDomain, dilate, erode, rectangle_domain, save_mask
+from weylcs.frames import adjoint, build_frame, forward, save_phase
+from weylcs.operators import assemble_hyperbolic, export_matrix
+from weylcs.windows import make_cosine_window, scale
+out = {str(out)!r}
+h = 1 / 16
+box = rectangle_domain(((0.0, 1.0), (0.0, 1.0)), h)
+x, y = np.meshgrid(box.axis_coords(0), box.axis_coords(1), indexing="ij")
+disk = GridDomain(h=h, origin=box.origin, mask=(x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.09,
+                  box=box.box)
+export_matrix(assemble_hyperbolic(disk), out + "/disk.txt")
+export_matrix(assemble_hyperbolic(dilate(disk, 2 * h)), out + "/dilated.txt")
+save_mask(erode(disk, h), out + "/eroded.mask")
+frame = build_frame(((0.0, 1.0), (0.0, 1.0)), 1 / 8, scale(make_cosine_window(2), 0.2))
+rng = np.random.default_rng(0)
+f = rng.standard_normal(frame.n) + 1j * rng.standard_normal(frame.n)
+F = forward(frame, f)
+save_phase(frame, F, out + "/phase.bin")
+back = adjoint(frame, F)
+np.save(out + "/adjoint.npy", back)
+print(np.max(np.abs(back - f)))
 """])
 
 
@@ -364,8 +398,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         runs = (REFERENCES + example_runs() + DEFAULT_RUNS + BRACKET_RUNS
-                + [SPARSE_BRACKET_RUN, SPARSE_CUT_RUN, WHOLE_SPECTRUM_RUN, DISCRETE_CURVE_RUN,
-                   EXACT_CURVE_RUN]
+                + [SPARSE_BRACKET_RUN, SPARSE_CUT_RUN, WHOLE_SPECTRUM_RUN, FORMATS_RUN,
+                   DISCRETE_CURVE_RUN, EXACT_CURVE_RUN]
                 + workload_runs(work / "inputs"))
         return compare(args.other.resolve(), runs, work, args.repeat)
 
